@@ -21,8 +21,11 @@ import (
 type Item struct {
 	Req       *request.Request
 	IsPrefill bool
-	Chunk     int
-	Prefix    int
+	// Lane is the forming engine's slot index for the request (zero when
+	// formed outside an engine); formers copy it through unchanged.
+	Lane   int32
+	Chunk  int
+	Prefix int
 }
 
 // Tokens returns the new tokens this item contributes to the iteration.
@@ -78,48 +81,67 @@ func DefaultBudget() Budget { return Budget{MaxTokens: 2048, MaxSeqs: 1024} }
 // the iteration former only sees (and schedules) the chunks left to
 // compute.
 func FormIteration(decodes, prefills []*request.Request, b Budget) []Item {
-	return AppendIteration(nil, decodes, prefills, b)
+	pk := NewPacker(b)
+	var items []Item
+	for _, r := range decodes[:pk.Decodes(len(decodes))] {
+		items = append(items, Item{Req: r, Chunk: 1, Prefix: r.ContextLen()})
+	}
+	for _, r := range prefills {
+		chunk, ok := pk.Prefill(r.RemainingPrefill())
+		if !ok {
+			break
+		}
+		if chunk > 0 {
+			items = append(items, Item{Req: r, IsPrefill: true, Chunk: chunk, Prefix: r.PrefilledTokens})
+		}
+	}
+	return items
 }
 
-// AppendIteration is FormIteration appending into dst, reusing its capacity
-// (hot-path variant: the engine forms every round into one scratch slice).
-func AppendIteration(dst []Item, decodes, prefills []*request.Request, b Budget) []Item {
+// Packer sizes one iteration against a budget in FormIteration's order:
+// decode steps first, one token and one sequence each, then prefill chunks
+// FCFS into the remaining token budget, the last one chunked to fit. An
+// engine that builds items from its own state packs through it, so its
+// batches match FormIteration's by construction.
+type Packer struct {
+	b            Budget
+	tokens, seqs int
+}
+
+// NewPacker starts an empty iteration under b.
+func NewPacker(b Budget) Packer {
 	if b.MaxTokens <= 0 {
 		panic(fmt.Sprintf("batching: MaxTokens = %d", b.MaxTokens))
 	}
-	items := dst
-	tokens := 0
-	seqs := 0
-	full := func() bool {
-		return tokens >= b.MaxTokens || (b.MaxSeqs > 0 && seqs >= b.MaxSeqs)
+	return Packer{b: b}
+}
+
+// Decodes admits up to n decode steps and returns how many fit.
+func (p *Packer) Decodes(n int) int {
+	fit := p.b.MaxTokens - p.tokens
+	if p.b.MaxSeqs > 0 {
+		fit = min(fit, p.b.MaxSeqs-p.seqs)
 	}
-	for _, r := range decodes {
-		if full() {
-			break
-		}
-		items = append(items, Item{Req: r, Chunk: 1, Prefix: r.ContextLen()})
-		tokens++
-		seqs++
+	n = max(0, min(n, fit))
+	p.tokens += n
+	p.seqs += n
+	return n
+}
+
+// Prefill sizes the next prefill chunk for a request with rem prompt
+// tokens left: ok is false once the budget is full (stop packing), and
+// chunk is 0 for a request with nothing left to prefill (skip it).
+func (p *Packer) Prefill(rem int) (chunk int, ok bool) {
+	if p.tokens >= p.b.MaxTokens || (p.b.MaxSeqs > 0 && p.seqs >= p.b.MaxSeqs) {
+		return 0, false
 	}
-	for _, r := range prefills {
-		if full() {
-			break
-		}
-		rem := r.RemainingPrefill()
-		if rem <= 0 {
-			continue
-		}
-		chunk := rem
-		if tokens+chunk > b.MaxTokens {
-			chunk = b.MaxTokens - tokens
-		}
-		items = append(items, Item{
-			Req: r, IsPrefill: true, Chunk: chunk, Prefix: r.PrefilledTokens,
-		})
-		tokens += chunk
-		seqs++
+	if rem <= 0 {
+		return 0, true
 	}
-	return items
+	chunk = min(rem, p.b.MaxTokens-p.tokens)
+	p.tokens += chunk
+	p.seqs++
+	return chunk, true
 }
 
 // SplitByTokenCount partitions a batch into at most m microbatches with

@@ -168,15 +168,25 @@ type Engine struct {
 	prefixCaching bool
 	retryDelay    sim.Duration
 
+	// running is the admitted set in admission order, the order Running,
+	// EachRunning and ExtractRequests expose.
 	running []*request.Request
-	// sortedRunning mirrors running in (Arrival, ID) order so runCollect
-	// never sorts: membership changes (admissions, finishes, preemptions)
-	// are far rarer than scheduling rounds, so keeping the order under
-	// insert/remove beats re-sorting the same permutation every round.
-	// Victim deliberately walks the unsorted running slice — its
-	// tie-breaking depends on admission order.
-	sortedRunning []*request.Request
-	stalled       map[int]*request.Request
+	// lane holds one slot per running request in (Arrival, ID) order — the
+	// order runCollect schedules in — and owns each request's decode-hot
+	// state (see slot). Membership changes (admissions, finishes,
+	// preemptions) are far rarer than scheduling rounds, so keeping the
+	// order under insert/remove beats re-sorting every round.
+	lane []slot
+	// admitted numbers admissions for slot.adm.
+	admitted uint64
+	// dead counts slots removed while a round was live (see removeAt);
+	// remap is compactLane's old-to-new index scratch.
+	dead  int
+	remap []int32
+	// pending is set while some slot may hold tokens not yet written back;
+	// writeBackAll skips its walk otherwise.
+	pending bool
+	stalled map[int]*request.Request
 
 	executing  bool
 	scheduling bool // guards re-entrant startRound from policy callbacks
@@ -185,11 +195,12 @@ type Engine struct {
 	closed     bool
 
 	// curStamp is the current round's reservation stamp. runReserve
-	// stamps each reserved request's RoundLock with it, and Victim skips
-	// requests carrying the current stamp — the map-free form of a
+	// stamps each reserved request's slot with it, and Victim skips slots
+	// carrying the current stamp — the map-free form of a
 	// locked-this-round set (bumping the stamp clears the whole set).
-	// Stamps embed the group ID in the high bits so a request migrated
-	// from another engine can never carry a matching stale stamp.
+	// Stamps embed the group ID in the high bits and a fresh slot starts
+	// at zero, so a request adopted from another engine never carries a
+	// matching stale stamp.
 	curStamp uint64
 
 	// roundsRun counts completed scheduling rounds (diagnostics only).
@@ -243,17 +254,53 @@ type Engine struct {
 
 	// demandTokens holds DemandTokens' value incrementally: every queue
 	// push/pop and running add/remove applies the joining or leaving
-	// request's contribution, and runReserve applies the delta when a
-	// decode append grows a sequence past its prompt. Least-loaded
-	// dispatch reads every group's demand on every arrival; recomputing
-	// by walking queue and running there is a fleet-wide population scan
-	// per arrival and was the dominant cost of cluster-scale sweeps.
-	// TestDemandAccountingInvariant pins it to the ground-truth walk.
+	// request's contribution, and runReserve applies a round's decode
+	// growth as one delta. Least-loaded dispatch reads every group's demand
+	// on every arrival; recomputing by walking queue and running there is a
+	// fleet-wide population scan per arrival and was the dominant cost of
+	// cluster-scale sweeps. TestDemandAccountingInvariant pins it to the
+	// ground-truth walk.
 	demandTokens int
 	// loadNotified is the edge-trigger latch for Callbacks.LoadChanged:
 	// set by the first demand delta after an AckLoadNotify, cleared by the
 	// cluster once it has folded the exact DemandTokens at a sync point.
 	loadNotified bool
+}
+
+// slot is one running request's entry in the engine's lane. A hot slot —
+// running, unstalled, past its prefill, on a role that decodes — owns the
+// request's decode-hot state, so collect, form, reserve and finish move a
+// steady decode token by touching the slot alone; the Request and its Seq
+// catch up at the next write-back. A cold slot (prefilling, stalled, or
+// one whose context length would not step by one per token) leaves the
+// Request authoritative, and every stage reads it there.
+//
+// Write-backs happen where a running request becomes visible outside the
+// engine: Running, EachRunning, Victim, Stall, RemoveRequest,
+// PreemptDetach and ExtractRequests, and before a finished request reaches
+// Callbacks.Finished. Prefill-role slots are never hot, so a request
+// passed to Callbacks.Handoff has nothing pending.
+type slot struct {
+	// req is nil once the slot is dead: removed during a live round and
+	// awaiting compactLane, with its keys kept so the lane stays sorted.
+	req     *request.Request
+	arrival sim.Time
+	id      int
+	// stamp is the round stamp of the slot's last reservation.
+	stamp uint64
+	// adm is the admission sequence number, Victim's tie-break among equal
+	// arrivals: the earliest admitted wins, as in admission order.
+	adm uint64
+	// ctx is Request.ContextLen and left is OutputLen − Generated, both
+	// counting the slot's pending tokens (hot slots only).
+	ctx, left int32
+	// room is how many more tokens the Seq's tail block takes with no
+	// block-level work: Seq.Room net of kv.
+	room int32
+	// gen counts decoded tokens not yet added to Request.Generated, and
+	// kv reserved tokens not yet committed to the Seq.
+	gen, kv int32
+	hot     bool
 }
 
 // New assembles an engine in the collocated role.
@@ -307,10 +354,11 @@ type stage struct {
 	run  func(e *Engine, r *round) bool
 }
 
-// round carries one scheduling round's state between stages.
+// round carries one scheduling round's state between stages: collect
+// leaves the decode steps in items and the prefilling requests' lane
+// indices in prefills, and form completes items.
 type round struct {
-	decodes  []*request.Request
-	prefills []*request.Request
+	prefills []int32
 	items    []batching.Item
 	hadWork  bool
 	// fromPlan marks that a still-valid speculative plan supplies this
@@ -325,8 +373,7 @@ type round struct {
 type roundPlan struct {
 	version  uint64
 	valid    bool
-	decodes  []*request.Request
-	prefills []*request.Request
+	prefills []int32
 	items    []batching.Item
 }
 
@@ -363,17 +410,20 @@ func StageNames(role Role) []string {
 func (e *Engine) Queue() sched.Discipline { return e.queue }
 
 // Running returns a copy of the running set (policies iterate it while
-// mutating engine state).
+// mutating engine state), written back first.
 func (e *Engine) Running() []*request.Request {
+	e.writeBackAll()
 	out := make([]*request.Request, len(e.running))
 	copy(out, e.running)
 	return out
 }
 
 // EachRunning visits the running set in admission order without copying
-// it. fn must not admit, remove, or re-queue requests — policies that
-// mutate the running set while iterating use Running's copy instead.
+// it, written back first. fn must not admit, remove, or re-queue requests
+// — policies that mutate the running set while iterating use Running's
+// copy instead.
 func (e *Engine) EachRunning(fn func(r *request.Request)) {
+	e.writeBackAll()
 	for _, r := range e.running {
 		fn(r)
 	}
@@ -478,9 +528,14 @@ func (e *Engine) Wake() {
 
 // Stall excludes a running request from scheduling (swap, migration,
 // KVCache exchange, or handoff in flight) after moving it to the given
-// state.
+// state. Its slot is written back and turns cold.
 func (e *Engine) Stall(r *request.Request, st request.State) {
 	e.mutated()
+	if i := e.laneIndex(r); i >= 0 {
+		s := &e.lane[i]
+		e.writeBack(s)
+		s.hot = false
+	}
 	r.SetState(st)
 	e.stalled[r.ID] = r
 	e.rt.Transition(e.simu.Now(), r.ID, st.String(), e.groupID)
@@ -494,6 +549,9 @@ func (e *Engine) Unstall(r *request.Request) {
 	e.mutated()
 	delete(e.stalled, r.ID)
 	r.SetState(request.StateRunning)
+	if i := e.laneIndex(r); i >= 0 {
+		e.syncSlot(&e.lane[i])
+	}
 	if r.InPrefill() {
 		e.rt.Transition(e.simu.Now(), r.ID, "prefill", e.groupID)
 	} else {
@@ -503,7 +561,8 @@ func (e *Engine) Unstall(r *request.Request) {
 }
 
 // RestoreStalled re-registers a transplanted request's stall bookkeeping
-// without touching its state (it already carries a stalled state).
+// without touching its state (it already carries a stalled state, so its
+// slot is cold).
 func (e *Engine) RestoreStalled(r *request.Request) {
 	e.mutated()
 	e.stalled[r.ID] = r
@@ -521,17 +580,30 @@ func (e *Engine) MarkDecodeReady(r *request.Request) {
 
 // Victim returns the youngest running, unstalled request whose KV was not
 // reserved in the current round — the standard preemption victim — or nil.
+// Among equal arrivals the earliest admitted wins. The scan starts at the
+// lane's youngest end and stops once arrivals fall below the first
+// eligible one's; only the chosen slot is written back.
 func (e *Engine) Victim() *request.Request {
-	var v *request.Request
-	for _, r := range e.running {
-		if r.RoundLock == e.curStamp || r.State() != request.StateRunning || r.Done() {
+	v := -1
+	for i := len(e.lane) - 1; i >= 0; i-- {
+		s := &e.lane[i]
+		if v >= 0 && s.arrival != e.lane[v].arrival {
+			break
+		}
+		if s.stamp == e.curStamp || s.req == nil ||
+			!s.hot && (s.req.State() != request.StateRunning || s.req.Done()) {
 			continue
 		}
-		if v == nil || r.Arrival > v.Arrival {
-			v = r
+		if v < 0 || s.adm < e.lane[v].adm {
+			v = i
 		}
 	}
-	return v
+	if v < 0 {
+		return nil
+	}
+	s := &e.lane[v]
+	e.writeBack(s)
+	return s.req
 }
 
 // PreemptRecompute drops a running request's KVCache and re-queues it for
@@ -581,39 +653,230 @@ func (e *Engine) AdoptRunning(r *request.Request) {
 	e.addRunning(r)
 }
 
-// byArrivalID is runCollect's deterministic order: by arrival, then ID.
-// (Arrival, ID) is a strict total order — IDs are unique.
-func byArrivalID(a, b *request.Request) int {
-	if a.Arrival != b.Arrival {
-		if a.Arrival < b.Arrival {
+// bySlotOrder compares a slot with a request in lane order: by arrival,
+// then ID. (Arrival, ID) is a strict total order — IDs are unique.
+func bySlotOrder(s slot, r *request.Request) int {
+	if s.arrival != r.Arrival {
+		if s.arrival < r.Arrival {
 			return -1
 		}
 		return 1
 	}
-	return a.ID - b.ID
+	return s.id - r.ID
 }
+
+// laneIndex returns r's slot index, or -1 when r is not running here. A
+// request removed and re-adopted within one live round has a dead twin
+// with its keys, so the scan checks identity, not just the keys.
+func (e *Engine) laneIndex(r *request.Request) int {
+	i, _ := slices.BinarySearchFunc(e.lane, r, bySlotOrder)
+	for ; i < len(e.lane) && bySlotOrder(e.lane[i], r) == 0; i++ {
+		if e.lane[i].req == r {
+			return i
+		}
+	}
+	return -1
+}
+
+// live reports whether a round's items hold lane indices: from the first
+// stage until finishRound has consumed them.
+func (e *Engine) live() bool { return e.scheduling || e.executing }
 
 func (e *Engine) addRunning(r *request.Request) {
 	e.mutated()
 	e.demandAdd(committedTokens(r))
 	e.running = append(e.running, r)
-	i, _ := slices.BinarySearchFunc(e.sortedRunning, r, byArrivalID)
-	e.sortedRunning = slices.Insert(e.sortedRunning, i, r)
+	i, _ := slices.BinarySearchFunc(e.lane, r, bySlotOrder)
+	e.lane = slices.Insert(e.lane, i, slot{req: r, arrival: r.Arrival, id: r.ID, adm: e.admitted})
+	e.admitted++
+	if e.live() {
+		e.shiftLanes(i)
+	}
+	e.syncSlot(&e.lane[i])
 }
 
 func (e *Engine) removeRunning(r *request.Request) {
+	i := e.laneIndex(r)
+	if i < 0 {
+		panic(fmt.Sprintf("engine: request %d not running in group %d", r.ID, e.groupID))
+	}
+	e.removeAt(i)
+}
+
+// removeAt writes slot i back and drops its request from the running set.
+// While a round is live the slot only dies in place, and compactLane
+// deletes the round's dead slots in one pass: finishes and preemptions
+// come in bursts, and re-indexing every live item per removal would make
+// a burst quadratic in the batch.
+func (e *Engine) removeAt(i int) {
+	s := &e.lane[i]
+	r := s.req
+	e.writeBack(s)
 	e.mutated()
 	e.demandAdd(-committedTokens(r))
-	if i, ok := slices.BinarySearchFunc(e.sortedRunning, r, byArrivalID); ok {
-		e.sortedRunning = slices.Delete(e.sortedRunning, i, i+1)
+	j := slices.Index(e.running, r)
+	e.running = slices.Delete(e.running, j, j+1)
+	if e.live() {
+		*s = slot{arrival: s.arrival, id: s.id}
+		e.dead++
+		return
 	}
-	for i, x := range e.running {
-		if x == r {
-			e.running = append(e.running[:i], e.running[i+1:]...)
-			return
+	e.lane = slices.Delete(e.lane, i, i+1)
+}
+
+// compactLane deletes dead slots and remaps the current round's item lane
+// indices to match; the items of a dead slot get -1. A speculative plan
+// needs no remap: the version bump of every membership change discards it.
+func (e *Engine) compactLane() {
+	remap := e.remap[:0]
+	w := 0
+	for i := range e.lane {
+		if e.lane[i].req == nil {
+			remap = append(remap, -1)
+			continue
+		}
+		remap = append(remap, int32(w))
+		if w != i {
+			e.lane[w] = e.lane[i]
+		}
+		w++
+	}
+	clear(e.lane[w:])
+	e.lane = e.lane[:w]
+	for k := range e.rd.items {
+		if it := &e.rd.items[k]; it.Lane >= 0 {
+			it.Lane = remap[it.Lane]
 		}
 	}
-	panic(fmt.Sprintf("engine: request %d not running in group %d", r.ID, e.groupID))
+	e.remap = remap
+	e.dead = 0
+}
+
+// shiftLanes keeps the current round's item lane indices valid across a
+// lane insert at index at (an adoption while a round is live).
+func (e *Engine) shiftLanes(at int) {
+	for k := range e.rd.items {
+		if it := &e.rd.items[k]; int(it.Lane) >= at {
+			it.Lane++
+		}
+	}
+}
+
+// syncSlot re-derives a slot with nothing pending from its request: hot
+// when the request is running unstalled past its prefill on a role that
+// decodes and its context length steps by exactly one per decoded token,
+// cold otherwise.
+func (e *Engine) syncSlot(s *slot) {
+	r := s.req
+	s.hot = e.role.RunsDecode() && r.State() == request.StateRunning && r.Seq != nil &&
+		!r.InPrefill() && !r.Done() && r.Generated > r.PrefillTarget()-r.InputLen
+	if !s.hot {
+		return
+	}
+	s.ctx = int32(r.ContextLen())
+	s.left = int32(r.OutputLen - r.Generated)
+	s.room = laneRoom(r)
+}
+
+// laneRoom is the tail room a hot slot may fill on its own: the Seq's
+// Room, or zero while the Seq holds less than the prompt (those appends
+// keep the slow path's general demand arithmetic).
+func laneRoom(r *request.Request) int32 {
+	if r.Seq.Tokens() < r.PrefillTarget() {
+		return 0
+	}
+	return int32(r.Seq.Room())
+}
+
+// writeBack catches a slot's request and Seq up with the tokens the slot
+// counted since its last write-back.
+func (e *Engine) writeBack(s *slot) {
+	if s.gen > 0 {
+		s.req.AdvanceDecodeBy(int(s.gen), e.simu.Now())
+		s.gen = 0
+	}
+	if s.kv > 0 {
+		s.req.Seq.Commit(int(s.kv))
+		s.kv = 0
+	}
+}
+
+// writeBackAll catches every slot up before the running set is exposed.
+func (e *Engine) writeBackAll() {
+	if !e.pending {
+		return
+	}
+	for i := range e.lane {
+		e.writeBack(&e.lane[i])
+	}
+	e.pending = false
+}
+
+// CheckLane writes every slot back and checks the lane against ground
+// truth: it mirrors the running set in (Arrival, ID) order with admission
+// numbers in running order, nothing stays pending, and every hot slot's
+// context length, remaining output and tail room equal what its request
+// and Seq report, with the Seq holding exactly the committed context (plus
+// the in-flight token while a round executes). It returns how many hot
+// slots it checked. Audits and tests call it; write-backs are invisible to
+// the simulation, so calling it never changes results.
+func (e *Engine) CheckLane() (hot int, err error) {
+	e.writeBackAll()
+	if len(e.lane)-e.dead != len(e.running) {
+		return 0, fmt.Errorf("engine: group %d lane holds %d live slots for %d running requests",
+			e.groupID, len(e.lane)-e.dead, len(e.running))
+	}
+	var lastAdm uint64
+	for j, r := range e.running {
+		i := e.laneIndex(r)
+		if i < 0 || e.lane[i].req != r {
+			return 0, fmt.Errorf("engine: group %d running request %d has no slot", e.groupID, r.ID)
+		}
+		if adm := e.lane[i].adm; j > 0 && adm <= lastAdm {
+			return 0, fmt.Errorf("engine: group %d admission numbers disagree with running order at request %d",
+				e.groupID, r.ID)
+		}
+		lastAdm = e.lane[i].adm
+	}
+	for i := range e.lane {
+		s := &e.lane[i]
+		r := s.req
+		if r == nil {
+			continue
+		}
+		if i > 0 && bySlotOrder(e.lane[i-1], r) > 0 {
+			return hot, fmt.Errorf("engine: group %d lane out of order at request %d", e.groupID, r.ID)
+		}
+		if s.gen != 0 || s.kv != 0 {
+			return hot, fmt.Errorf("engine: group %d request %d still pending after write-back", e.groupID, r.ID)
+		}
+		if !s.hot {
+			continue
+		}
+		hot++
+		inflight := 0
+		if e.executing && s.stamp == e.curStamp {
+			inflight = 1
+		}
+		switch {
+		case r.State() != request.StateRunning || r.Seq == nil || r.InPrefill() || r.Done():
+			return hot, fmt.Errorf("engine: group %d hot slot for request %d in state %v",
+				e.groupID, r.ID, r.State())
+		case int(s.ctx) != r.ContextLen():
+			return hot, fmt.Errorf("engine: group %d request %d slot context %d, request %d",
+				e.groupID, r.ID, s.ctx, r.ContextLen())
+		case int(s.left) != r.OutputLen-r.Generated:
+			return hot, fmt.Errorf("engine: group %d request %d slot has %d tokens left, request %d",
+				e.groupID, r.ID, s.left, r.OutputLen-r.Generated)
+		case s.room != laneRoom(r):
+			return hot, fmt.Errorf("engine: group %d request %d slot room %d, Seq %d",
+				e.groupID, r.ID, s.room, laneRoom(r))
+		case r.Seq.Tokens() != r.ContextLen()+inflight:
+			return hot, fmt.Errorf("engine: group %d request %d Seq holds %d tokens, request committed %d",
+				e.groupID, r.ID, r.Seq.Tokens(), r.ContextLen()+inflight)
+		}
+	}
+	return hot, nil
 }
 
 // DemandTokens estimates the group's memory demand following the standard
@@ -722,20 +985,27 @@ func (e *Engine) runAdmit(*round) bool {
 	return true
 }
 
-// collectInto appends the schedulable running requests to the decode and
-// prefill halves, excluding stalled ones, keeping only the halves the role
-// serves. Order is deterministic: by arrival, then ID. The sequential
-// collect stage and the speculative PlanRound share this exact code path —
-// given identical state, a consumed plan is byte-identical to a fresh
-// collect by construction, not by convention.
-func (e *Engine) collectInto(decodes, prefills []*request.Request) ([]*request.Request, []*request.Request) {
-	// sortedRunning already carries the (Arrival, ID) order, so collection
-	// is a single filtered walk: no per-round sort, no intermediate buffer.
-	for _, r := range e.sortedRunning {
+// collectInto appends a decode step to items for every schedulable
+// decode-ready running request, and the lane index of every prefilling one
+// to prefills, excluding stalled requests and keeping only the halves the
+// role serves. The lane's (Arrival, ID) order makes collection a single
+// filtered walk: no per-round sort, and a hot slot's step is built without
+// loading its request. The sequential collect stage and the speculative
+// PlanRound share this exact code path — given identical state, a consumed
+// plan is byte-identical to a fresh collect by construction, not by
+// convention.
+func (e *Engine) collectInto(items []batching.Item, prefills []int32) ([]batching.Item, []int32) {
+	for i := range e.lane {
+		s := &e.lane[i]
+		if s.hot {
+			items = appendDecode(items, s.req, int32(i), int(s.ctx))
+			continue
+		}
+		r := s.req
 		// A non-Running state here means stalled: every stall path goes
 		// through Stall (which sets a stall state) and Unstall restores
 		// StateRunning, so the state check replaces the stalled-map lookup.
-		if r.State() != request.StateRunning || r.Done() {
+		if r == nil || r.State() != request.StateRunning || r.Done() {
 			continue
 		}
 		if r.InPrefill() {
@@ -743,9 +1013,9 @@ func (e *Engine) collectInto(decodes, prefills []*request.Request) ([]*request.R
 				panic(fmt.Sprintf("engine: decode group %d holds prefilling request %d",
 					e.groupID, r.ID))
 			}
-			prefills = append(prefills, r)
+			prefills = append(prefills, int32(i))
 		} else if e.role.RunsDecode() {
-			decodes = append(decodes, r)
+			items = appendDecode(items, r, int32(i), r.ContextLen())
 		} else {
 			// A decode-ready request on a prefill group must be stalled
 			// mid-handoff; reaching here unstalled means the policy's
@@ -755,21 +1025,48 @@ func (e *Engine) collectInto(decodes, prefills []*request.Request) ([]*request.R
 				e.groupID, r.ID))
 		}
 	}
-	return decodes, prefills
+	return items, prefills
 }
 
-// formInto packs one iteration batch from the collected halves into dst.
-// Each pipeline microbatch carries a full token budget (vLLM gives every
-// in-flight virtual engine max_num_batched_tokens), so the iteration budget
-// scales with pipeline depth. Shared by runForm and PlanRound; it must not
-// touch curStamp — only the committing round advances the stamp.
-func (e *Engine) formInto(dst []batching.Item, decodes, prefills []*request.Request) []batching.Item {
+// appendDecode appends one decode step, filling the new item in place:
+// appending a composite literal builds it on the stack first, and
+// reloading those narrow stores as one wide copy stalls store forwarding
+// on every decode token.
+func appendDecode(items []batching.Item, r *request.Request, lane int32, ctx int) []batching.Item {
+	items = append(items, batching.Item{})
+	it := &items[len(items)-1]
+	it.Req, it.Lane, it.Chunk, it.Prefix = r, lane, 1, ctx
+	return items
+}
+
+// formInto completes the iteration batch the collect stage started in
+// items, in batching.FormIteration's order and budget arithmetic (through
+// batching.Packer): it keeps the decode steps the budget admits, then
+// packs prefill chunks FCFS. Each pipeline microbatch carries a full token
+// budget (vLLM gives every in-flight virtual engine
+// max_num_batched_tokens), so the iteration budget scales with pipeline
+// depth. Shared by runForm and PlanRound; it must not touch curStamp —
+// only the committing round advances the stamp.
+func (e *Engine) formInto(items []batching.Item, prefills []int32) []batching.Item {
 	budget := e.budget
 	budget.MaxTokens *= e.depth
 	if budget.MaxSeqs > 0 {
 		budget.MaxSeqs *= e.depth
 	}
-	return batching.AppendIteration(dst[:0], decodes, prefills, budget)
+	pk := batching.NewPacker(budget)
+	items = items[:pk.Decodes(len(items))]
+	for _, i := range prefills {
+		r := e.lane[i].req
+		chunk, ok := pk.Prefill(r.RemainingPrefill())
+		if !ok {
+			break
+		}
+		if chunk > 0 {
+			items = append(items, batching.Item{Req: r, IsPrefill: true, Lane: i,
+				Chunk: chunk, Prefix: r.PrefilledTokens})
+		}
+	}
+	return items
 }
 
 // runCollect fills the round's decode and prefill halves, consuming a
@@ -782,15 +1079,15 @@ func (e *Engine) runCollect(rd *round) bool {
 		e.plan.valid = false
 		if ok {
 			// The round skips straight to the plan's formed items in
-			// runForm; the collected halves exist only to feed the form
-			// stage, so nothing copies them into rd.
+			// runForm; the collected prefill indices exist only to feed
+			// the form stage, so nothing copies them into rd.
 			rd.fromPlan = true
 			e.planHits++
 			return true
 		}
 		e.planMisses++
 	}
-	rd.decodes, rd.prefills = e.collectInto(rd.decodes, rd.prefills)
+	rd.items, rd.prefills = e.collectInto(rd.items, rd.prefills)
 	return true
 }
 
@@ -803,7 +1100,7 @@ func (e *Engine) runForm(rd *round) bool {
 		// next plan's scratch.
 		rd.items, e.plan.items = e.plan.items, rd.items[:0]
 	} else {
-		rd.items = e.formInto(rd.items, rd.decodes, rd.prefills)
+		rd.items = e.formInto(rd.items, rd.prefills)
 	}
 	e.curStamp++
 	rd.hadWork = len(rd.items) > 0
@@ -828,8 +1125,8 @@ func (e *Engine) PlanRound() {
 	defer e.planBusy.Store(0)
 	p := &e.plan
 	p.valid = false
-	p.decodes, p.prefills = e.collectInto(p.decodes[:0], p.prefills[:0])
-	p.items = e.formInto(p.items, p.decodes, p.prefills)
+	p.items, p.prefills = e.collectInto(p.items[:0], p.prefills[:0])
+	p.items = e.formInto(p.items, p.prefills)
 	p.version = e.version
 	p.valid = true
 }
@@ -840,54 +1137,88 @@ func (e *Engine) PlanStats() (hits, misses uint64) { return e.planHits, e.planMi
 
 // runReserve allocates blocks for each item's new tokens, consulting the
 // policy under pressure. Items that still cannot fit are dropped from this
-// round (their requests simply make no progress this iteration).
+// round (their requests simply make no progress this iteration). The
+// round's demand growth is applied as one delta, before any pressure
+// callback (so the policy reads exact demand) and at the end.
 func (e *Engine) runReserve(rd *round) bool {
 	// Filter in place, writing an item back only after a drop shifted the
 	// kept ones: in the common no-pressure round every item survives and
 	// the slice is never rewritten (no redundant copies, no write
 	// barriers).
-	kept := 0
+	kept, growth := 0, 0
 	for i := range rd.items {
 		it := &rd.items[i]
-		ok := false
-		for attempt := 0; attempt < 64; attempt++ {
-			if it.Req.Seq == nil || it.Req.State() != request.StateRunning ||
-				it.Req.GroupID != e.groupID {
-				// A previous pressure call preempted or stalled this
-				// request — or rerouted it to another group entirely (a
-				// disaggregated decode victim re-admitted by a prefill
-				// group within this same reserve pass).
-				break
-			}
-			if err := it.Req.Seq.Append(it.Chunk); err == nil {
-				// A decode append past the prompt raises the request's
-				// committed-KV contribution (prefill stays within the
-				// prompt already accounted at admission).
-				if after := it.Req.Seq.Tokens(); after > it.Req.PrefillTarget() {
-					before := after - it.Chunk
-					if pt := it.Req.PrefillTarget(); before < pt {
-						before = pt
-					}
-					e.demandAdd(after - before)
-				}
-				ok = true
-				break
-			}
-			need := e.pool.BlocksForTokens(it.Req.Seq.Tokens()+it.Chunk) - it.Req.Seq.Blocks()
-			if !e.cb.HandlePressure(need) {
-				break
-			}
+		if it.Lane < 0 {
+			continue
 		}
-		if ok {
-			it.Req.RoundLock = e.curStamp
-			if kept != i {
-				rd.items[kept] = *it
-			}
-			kept++
+		if s := &e.lane[it.Lane]; s.hot && !it.IsPrefill && it.Chunk <= int(s.room) {
+			// Steady decode: the tail block has room, so the token is only
+			// counted on the slot. A hot slot's Seq already holds its
+			// whole prompt, so every token grows the committed KV.
+			s.room -= int32(it.Chunk)
+			s.kv += int32(it.Chunk)
+			e.pending = true
+			growth += it.Chunk
+		} else if !e.reserveSlow(it, &growth) {
+			continue
 		}
+		e.lane[it.Lane].stamp = e.curStamp
+		if kept != i {
+			rd.items[kept] = *it
+		}
+		kept++
 	}
 	rd.items = rd.items[:kept]
+	if growth > 0 {
+		e.demandAdd(growth)
+	}
+	if e.dead > 0 {
+		e.compactLane()
+	}
 	return true
+}
+
+// reserveSlow claims KV for an item the lane cannot count on its own — a
+// prefill chunk, a cold slot's token, or a token that needs a new block —
+// and reports whether it fits this round, adding any committed-KV growth
+// to *growth. It writes the slot back and goes through Seq.Append and the
+// pressure loop.
+func (e *Engine) reserveSlow(it *batching.Item, growth *int) bool {
+	for attempt := 0; attempt < 64; attempt++ {
+		s := &e.lane[it.Lane]
+		r := s.req
+		if r == nil {
+			// A previous pressure call preempted this request or rerouted
+			// it to another group (a disaggregated decode victim).
+			return false
+		}
+		if r.Seq == nil || r.State() != request.StateRunning || r.GroupID != e.groupID {
+			// A previous pressure call stalled this request.
+			return false
+		}
+		e.writeBack(s)
+		if err := r.Seq.Append(it.Chunk); err == nil {
+			// A decode append past the prompt raises the request's
+			// committed-KV contribution (prefill stays within the prompt
+			// already accounted at admission).
+			if after, pt := r.Seq.Tokens(), r.PrefillTarget(); after > pt {
+				*growth += after - max(after-it.Chunk, pt)
+			}
+			if s.hot {
+				s.room = laneRoom(r)
+			}
+			return true
+		}
+		need := e.pool.BlocksForTokens(r.Seq.Tokens()+it.Chunk) - r.Seq.Blocks()
+		if *growth > 0 {
+			e.demandAdd(*growth)
+			*growth = 0
+		}
+		if !e.cb.HandlePressure(need) {
+			return false
+		}
+	}
+	return false
 }
 
 // runLaunch hands the reserved batch to the pipeline, or schedules a
@@ -942,10 +1273,12 @@ func (e *Engine) startRound() {
 	if e.executing || e.scheduling || e.closed || e.draining {
 		return
 	}
+	if e.dead > 0 {
+		e.compactLane()
+	}
 	e.scheduling = true
 	defer func() { e.scheduling = false }()
 	rd := &e.rd
-	rd.decodes = rd.decodes[:0]
 	rd.prefills = rd.prefills[:0]
 	rd.items = rd.items[:0]
 	rd.hadWork = false
@@ -974,11 +1307,39 @@ func (e *Engine) finishRound(items []batching.Item) {
 	e.mutated()
 	now := e.simu.Now()
 	tokens := 0
-	for _, it := range items {
+	for k := range items {
+		// Read through the slice, not a copy: finishing a request shifts
+		// the lane indices of the items after it.
+		it := &items[k]
+		if it.Lane < 0 {
+			continue
+		}
+		s := &e.lane[it.Lane]
+		if s.req == nil {
+			// Finished, preempted or rerouted earlier in the round.
+			continue
+		}
+		if s.hot && !it.IsPrefill {
+			// Steady decode: the token is counted on the slot alone.
+			if len(e.decodeReady) > 0 {
+				e.observeDecodeReady(s.id, now)
+			}
+			if e.rt != nil {
+				e.rt.Transition(now, s.id, "decode", e.groupID)
+			}
+			s.gen++
+			s.ctx++
+			s.left--
+			e.pending = true
+			tokens++
+			if s.left == 0 {
+				e.finishRequest(int(it.Lane), now)
+			}
+			continue
+		}
 		r := it.Req
 		if r.Done() || r.State() != request.StateRunning || r.GroupID != e.groupID {
-			// Finished earlier in this loop (duplicate item), preempted
-			// mid-round by a policy action, or rerouted to another group.
+			// Stalled mid-round by a policy action.
 			continue
 		}
 		if it.IsPrefill {
@@ -989,6 +1350,7 @@ func (e *Engine) finishRound(items []batching.Item) {
 			}
 			if e.role != RolePrefill && !r.InPrefill() && !r.Done() {
 				e.rt.Transition(now, r.ID, "decode", e.groupID)
+				e.syncSlot(&e.lane[it.Lane])
 			}
 			if e.role == RolePrefill && !r.InPrefill() && !r.Done() {
 				// The prefill is complete but decode belongs to
@@ -1003,20 +1365,23 @@ func (e *Engine) finishRound(items []batching.Item) {
 			// decodeReady is nil outside disaggregated serving; skipping
 			// the lookup keeps the collocated decode path map-free.
 			if len(e.decodeReady) > 0 {
-				if ts, ok := e.decodeReady[r.ID]; ok {
-					e.col.ObserveStageWait(metrics.StageDecodeQueue, now.Sub(ts).Seconds())
-					delete(e.decodeReady, r.ID)
-				}
+				e.observeDecodeReady(r.ID, now)
 			}
 			if e.rt != nil {
 				e.rt.Transition(now, r.ID, "decode", e.groupID)
 			}
 			r.AdvanceDecode(now)
 			tokens++
+			if !r.Done() {
+				e.syncSlot(&e.lane[it.Lane])
+			}
 		}
 		if r.Done() {
-			e.finishRequest(r, now)
+			e.finishRequest(int(it.Lane), now)
 		}
+	}
+	if e.dead > 0 {
+		e.compactLane()
 	}
 	if tokens > 0 {
 		e.col.EmitTokens(now, tokens)
@@ -1041,8 +1406,20 @@ func (e *Engine) finishRound(items []batching.Item) {
 	e.startRound()
 }
 
-func (e *Engine) finishRequest(r *request.Request, now sim.Time) {
-	e.removeRunning(r)
+// observeDecodeReady reports a handed-off request's decode-queue wait at
+// its first decode advance.
+func (e *Engine) observeDecodeReady(id int, now sim.Time) {
+	if ts, ok := e.decodeReady[id]; ok {
+		e.col.ObserveStageWait(metrics.StageDecodeQueue, now.Sub(ts).Seconds())
+		delete(e.decodeReady, id)
+	}
+}
+
+// finishRequest retires the request in lane slot i: the slot is written
+// back, so Callbacks.Finished sees the request complete.
+func (e *Engine) finishRequest(i int, now sim.Time) {
+	r := e.lane[i].req
+	e.removeAt(i)
 	delete(e.decodeReady, r.ID)
 	if r.Seq != nil {
 		r.Seq.Free()
@@ -1085,6 +1462,7 @@ func (e *Engine) ExtractRequests() (running, waiting []*request.Request, stalled
 	if e.executing {
 		panic(fmt.Sprintf("engine: extracting from executing group %d", e.groupID))
 	}
+	e.writeBackAll()
 	e.mutated()
 	running, stalled = e.running, e.stalled
 	e.demandAdd(-e.demandTokens)
@@ -1092,7 +1470,8 @@ func (e *Engine) ExtractRequests() (running, waiting []*request.Request, stalled
 		waiting = append(waiting, e.queue.Pop())
 	}
 	e.running = nil
-	e.sortedRunning = nil
+	e.lane = nil
+	e.dead = 0
 	e.stalled = make(map[int]*request.Request)
 	e.closed = true
 	return running, waiting, stalled

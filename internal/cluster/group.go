@@ -209,6 +209,10 @@ func (g *Group) RoundsRun() int { return g.exec.RoundsRun() }
 // (hits) versus discarded after input mutation (misses). Diagnostics only.
 func (g *Group) PlanStats() (hits, misses uint64) { return g.exec.PlanStats() }
 
+// CheckLane audits the engine's lane against its requests and returns the
+// number of hot slots checked (see engine.Engine.CheckLane).
+func (g *Group) CheckLane() (hot int, err error) { return g.exec.CheckLane() }
+
 // Enqueue adds a request to the wait queue under the group's discipline.
 func (g *Group) Enqueue(r *request.Request) { g.exec.Enqueue(r) }
 

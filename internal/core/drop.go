@@ -14,10 +14,9 @@ import (
 
 // newLookaheadFormer adapts the lookahead former to the cluster interface.
 // Evaluation goes through the shared per-model lookup table: it returns
-// the exact bits a direct evaluation would, costs less than a memo-map
-// probe, and — being immutable — is safe for the speculative plan fan-out
-// of parallel rounds, where one policy's Former runs on several planning
-// goroutines at once (the per-Former EvalCache was not).
+// the exact bits a direct evaluation would and — being immutable — is safe
+// for the speculative plan fan-out of parallel rounds, where one policy's
+// Former runs on several planning goroutines at once.
 func newLookaheadFormer(m *costmodel.Model, minTokens int) cluster.Former {
 	return &lookahead.Former{Model: m, MinTokens: minTokens, Table: costmodel.ForModel(m)}
 }

@@ -26,27 +26,17 @@ type Former struct {
 	Model *costmodel.Model
 	// MinTokens floors microbatch size; <= 0 uses DefaultMinTokens.
 	MinTokens int
-	// Cache, when set, memoizes Eq. 1 evaluations. The balance recursion
-	// re-evaluates every item at each level and cutTokens binary-searches
-	// the same prefix over and over; a hit returns the exact bits a fresh
-	// evaluation would, so splitting decisions — and results — are
-	// unchanged. Single-consumer: share a Former, not a Cache. Ignored
-	// when Table is set.
-	Cache *costmodel.EvalCache
 	// Table, when set, evaluates Eq. 1 through the shared per-model
-	// lookup table (costmodel.ForModel). Unlike Cache it is immutable and
-	// safe for the concurrent speculative planning of parallel rounds;
-	// exact tables return bit-identical values, so results are unchanged.
+	// lookup table (costmodel.ForModel). It is immutable and safe for the
+	// concurrent speculative planning of parallel rounds, and it returns
+	// bit-identical values, so results are unchanged.
 	Table *costmodel.Table
 }
 
-// chunkSeconds evaluates Eq. 1 through the table or memo when attached.
+// chunkSeconds evaluates Eq. 1 through the table when attached.
 func (f *Former) chunkSeconds(prefix, chunk int) float64 {
 	if f.Table != nil {
 		return f.Table.ChunkSeconds(prefix, chunk)
-	}
-	if f.Cache != nil {
-		return f.Cache.ChunkSeconds(prefix, chunk)
 	}
 	return f.Model.ChunkSeconds(prefix, chunk)
 }

@@ -235,47 +235,12 @@ func TestPropertyFormConservation(t *testing.T) {
 	}
 }
 
-// TestCachedFormerIdentical locks the eval-memo guarantee: a Former with an
-// EvalCache forms exactly the same microbatches as one without, and the
-// balance recursion actually hits the memo (repeat signatures per level).
-func TestCachedFormerIdentical(t *testing.T) {
-	plain, _ := fittedFormer(t)
-	cached := &Former{Model: plain.Model, Cache: costmodel.NewEvalCache(plain.Model)}
-	var items []batching.Item
-	for i := 0; i < 24; i++ {
-		items = append(items, prefillItem(i, 300+i*137))
-		items = append(items, decodeItem(100+i, 500+i*41))
-	}
-	for _, stages := range []int{1, 2, 4} {
-		a := plain.Form(items, stages)
-		b := cached.Form(items, stages)
-		if len(a) != len(b) {
-			t.Fatalf("stages=%d: %d vs %d microbatches", stages, len(a), len(b))
-		}
-		for i := range a {
-			if len(a[i]) != len(b[i]) {
-				t.Fatalf("stages=%d mb %d: %d vs %d items", stages, i, len(a[i]), len(b[i]))
-			}
-			for j := range a[i] {
-				if a[i][j] != b[i][j] {
-					t.Fatalf("stages=%d mb %d item %d differs", stages, i, j)
-				}
-			}
-		}
-	}
-	hits, misses := cached.Cache.Stats()
-	if hits == 0 || misses == 0 {
-		t.Fatalf("memo hits/misses = %d/%d; expected both nonzero", hits, misses)
-	}
-}
-
 // TestSharedFormerConcurrentForm is the audit test for plan-time fan-out:
 // one Former — the policy-owned instance every group of a cluster shares —
 // forming microbatches from many goroutines at once, the way intra-cell
 // parallel round planning drives it. With the immutable cost-model Table
-// this is race-free and every goroutine gets bit-identical splits; with the
-// old per-Former EvalCache it was a data race on the memo map (run with
-// -race to enforce). The sequential result is the oracle.
+// this is race-free and every goroutine gets bit-identical splits (run
+// with -race to enforce). The sequential result is the oracle.
 func TestSharedFormerConcurrentForm(t *testing.T) {
 	f, _ := fittedFormer(t)
 	f.Table = costmodel.ForModel(f.Model)

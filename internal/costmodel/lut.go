@@ -1,7 +1,6 @@
 package costmodel
 
 import (
-	"math"
 	"sync"
 
 	"kunserve/internal/gpu"
@@ -13,22 +12,14 @@ import (
 // and under intra-cell parallelism the evaluations run on concurrent
 // planning goroutines, so the shared state must be immutable.
 //
-// The default table is *exact*: Eq. 1 factorizes into a prefix×chunk cross
-// term plus two one-dimensional functions of the chunk length, so the
-// quadratic feature (c²+c)/2 and the FFN term β·c are tabulated per chunk
-// length while the cross term is computed live. Every float64 operation
-// of Model.ChunkSeconds is replayed in the same order on the same
+// The table is *exact*: Eq. 1 factorizes into a prefix×chunk cross term
+// plus two one-dimensional functions of the chunk length, so the quadratic
+// feature (c²+c)/2 and the FFN term β·c are tabulated per chunk length
+// while the cross term is computed live. Every float64 operation of
+// Model.ChunkSeconds is replayed in the same order on the same
 // intermediate values, so a table hit returns bit-identical results and
-// the default simulation output is unchanged byte-for-byte. Chunk lengths
-// beyond the tabulated range fall back to the direct evaluation.
-//
-// An optional quantized mode (NewQuantizedTable) snaps evaluations onto a
-// coarse (prefix, chunk) grid and bilinearly interpolates between nodes.
-// Eq. 1 is bilinear in (p, c) except for the α·c²/2 curvature, so the
-// interpolation error is bounded by α·(chunkStep)²/8; TestQuantizedError
-// pins that bound. Quantized tables trade exactness for O(1) evaluation
-// independent of table misses and are opt-in — nothing in the default
-// pipeline uses them.
+// the simulation output is unchanged byte-for-byte. Chunk lengths beyond
+// the tabulated range fall back to the direct evaluation.
 type Table struct {
 	m Model
 
@@ -36,25 +27,16 @@ type Table struct {
 	// expression Model.ChunkSeconds uses.
 	cc2   []float64
 	betac []float64
-
-	// Quantized-grid state (nil/zero for exact tables).
-	grid      []float64 // node values, row-major [pi*(cn+1)+ci]
-	pStep     float64
-	cStep     float64
-	pNodes    int // prefix nodes - 1 (grid rows span [0, pNodes*pStep])
-	cNodes    int
-	quantErr  float64 // analytic error bound α·cStep²/8
-	quantized bool
 }
 
-// tableChunkMax bounds the exact per-chunk tables: twice the default
+// tableChunkMax bounds the per-chunk tables: twice the default
 // scheduling budget (2048 tokens), so every chunk a batching budget can
 // emit hits the table while the tables stay at 64 KiB per model.
 const tableChunkMax = 4096
 
 var tableRegistry sync.Map // Model -> *Table
 
-// ForModel returns the shared exact table for m, building it on first use.
+// ForModel returns the shared table for m, building it on first use.
 // Tables are immutable and safe for unsynchronized concurrent reads.
 func ForModel(m *Model) *Table {
 	if t, ok := tableRegistry.Load(*m); ok {
@@ -82,22 +64,11 @@ func newExactTable(m Model) *Table {
 // Model returns the table's model parameters.
 func (t *Table) Model() Model { return t.m }
 
-// Quantized reports whether the table interpolates on a coarse grid
-// instead of reproducing exact evaluations.
-func (t *Table) Quantized() bool { return t.quantized }
-
-// ChunkSeconds evaluates Eq. 1 for one chunk through the table. Exact
-// tables return bit-identical values to Model.ChunkSeconds; quantized
-// tables interpolate within ErrorBound of it.
+// ChunkSeconds evaluates Eq. 1 for one chunk through the table, returning
+// bit-identical values to Model.ChunkSeconds.
 func (t *Table) ChunkSeconds(prefix, chunk int) float64 {
 	if chunk <= 0 {
 		return 0
-	}
-	if t.quantized {
-		if v, ok := t.interp(prefix, chunk); ok {
-			return v
-		}
-		return t.m.ChunkSeconds(prefix, chunk)
 	}
 	if chunk >= len(t.cc2) {
 		return t.m.ChunkSeconds(prefix, chunk)
@@ -110,7 +81,7 @@ func (t *Table) ChunkSeconds(prefix, chunk int) float64 {
 }
 
 // BatchSeconds evaluates Eq. 2–3 for a microbatch as one fused loop over
-// the table, matching Model.BatchSeconds exactly on exact tables.
+// the table, matching Model.BatchSeconds exactly.
 func (t *Table) BatchSeconds(chunks []gpu.ChunkWork) float64 {
 	if len(chunks) == 0 {
 		return 0
@@ -131,95 +102,4 @@ func (t *Table) BatchSeconds(chunks []gpu.ChunkWork) float64 {
 		sum = 0
 	}
 	return sum
-}
-
-// NewQuantizedTable builds a quantized interpolation table over the grid
-// [0, maxPrefix] × [0, maxChunk] with the given node spacing. Evaluations
-// outside the grid fall back to exact computation; inside it they are
-// bilinear interpolations of exact node values, with absolute error
-// bounded by ErrorBound.
-func NewQuantizedTable(m *Model, prefixStep, chunkStep, maxPrefix, maxChunk int) *Table {
-	if prefixStep < 1 {
-		prefixStep = 1
-	}
-	if chunkStep < 1 {
-		chunkStep = 1
-	}
-	pn := (maxPrefix + prefixStep - 1) / prefixStep
-	cn := (maxChunk + chunkStep - 1) / chunkStep
-	t := &Table{
-		m:         m.clone(),
-		pStep:     float64(prefixStep),
-		cStep:     float64(chunkStep),
-		pNodes:    pn,
-		cNodes:    cn,
-		grid:      make([]float64, (pn+1)*(cn+1)),
-		quantized: true,
-		quantErr:  m.Alpha * float64(chunkStep) * float64(chunkStep) / 8,
-	}
-	for pi := 0; pi <= pn; pi++ {
-		for ci := 0; ci <= cn; ci++ {
-			// Node values come from the polynomial itself, not from
-			// ChunkSeconds: its chunk<=0 special case would store 0 at the
-			// c=0 nodes where the polynomial continues to γ, bending every
-			// interpolation in the first chunk interval by ~γ. Queries with
-			// chunk<=0 never reach the grid, so the special case is kept by
-			// the lookup path instead.
-			p, c := pi*prefixStep, ci*chunkStep
-			t.grid[pi*(cn+1)+ci] = m.Alpha*attnTerm(p, c) + m.Beta*float64(c) + m.Gamma
-		}
-	}
-	return t
-}
-
-// clone returns the model by value (quantized tables keep their own copy).
-func (m *Model) clone() Model { return *m }
-
-// ErrorBound returns the quantized table's analytic absolute error bound
-// versus exact evaluation (0 for exact tables): Eq. 1 is bilinear in
-// (prefix, chunk) except for the α·c²/2 curvature, whose linear-
-// interpolation error peaks at α·step²/8 mid-interval.
-func (t *Table) ErrorBound() float64 { return t.quantErr }
-
-// interp bilinearly interpolates the grid; ok is false outside its span.
-func (t *Table) interp(prefix, chunk int) (float64, bool) {
-	pf, cf := float64(prefix), float64(chunk)
-	px, cx := pf/t.pStep, cf/t.cStep
-	pi, ci := int(px), int(cx)
-	if pi >= t.pNodes || ci >= t.cNodes || prefix < 0 {
-		return 0, false
-	}
-	fp, fc := px-float64(pi), cx-float64(ci)
-	w := t.cNodes + 1
-	g00 := t.grid[pi*w+ci]
-	g01 := t.grid[pi*w+ci+1]
-	g10 := t.grid[(pi+1)*w+ci]
-	g11 := t.grid[(pi+1)*w+ci+1]
-	top := g00 + (g01-g00)*fc
-	bot := g10 + (g11-g10)*fc
-	return top + (bot-top)*fp, true
-}
-
-// MaxAbsError empirically scans the quantized table against exact
-// evaluation over its grid span (tests; exact tables return 0).
-func (t *Table) MaxAbsError(samplePrefixes, sampleChunks []int) float64 {
-	if !t.quantized {
-		return 0
-	}
-	var worst float64
-	for _, p := range samplePrefixes {
-		for _, c := range sampleChunks {
-			if c <= 0 {
-				continue
-			}
-			v, ok := t.interp(p, c)
-			if !ok {
-				continue
-			}
-			if d := math.Abs(v - t.m.ChunkSeconds(p, c)); d > worst {
-				worst = d
-			}
-		}
-	}
-	return worst
 }

@@ -83,45 +83,3 @@ func TestForModelConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-// TestQuantizedError pins the quantized table's analytic error bound: the
-// bilinear interpolation of Eq. 1 can only err through the α·c²/2
-// curvature, so |lut − exact| ≤ α·chunkStep²/8 everywhere on the grid.
-func TestQuantizedError(t *testing.T) {
-	m := &Model{Alpha: 2.5e-8, Beta: 4e-6, Gamma: 9e-4, Lambda: 1e-4}
-	const pStep, cStep = 256, 64
-	tab := NewQuantizedTable(m, pStep, cStep, 32768, 2048)
-	if !tab.Quantized() {
-		t.Fatal("NewQuantizedTable must report quantized")
-	}
-	bound := tab.ErrorBound()
-	if want := m.Alpha * cStep * cStep / 8; bound != want {
-		t.Fatalf("ErrorBound = %g, want %g", bound, want)
-	}
-	var prefixes, chunkLens []int
-	for p := 0; p < 32000; p += 37 {
-		prefixes = append(prefixes, p)
-	}
-	for c := 1; c < 2040; c += 13 {
-		chunkLens = append(chunkLens, c)
-	}
-	worst := tab.MaxAbsError(prefixes, chunkLens)
-	// Tiny slack over the analytic bound for float rounding in the
-	// interpolation arithmetic itself.
-	if worst > bound*(1+1e-9)+1e-18 {
-		t.Fatalf("max abs error %g exceeds analytic bound %g", worst, bound)
-	}
-	// Out-of-grid evaluations must fall back to exact bits.
-	for _, pc := range [][2]int{{40000, 100}, {100, 3000}, {-1, 5}} {
-		want := m.ChunkSeconds(pc[0], pc[1])
-		got := tab.ChunkSeconds(pc[0], pc[1])
-		if math.Float64bits(want) != math.Float64bits(got) {
-			t.Fatalf("out-of-grid (%d,%d): got %g want exact %g", pc[0], pc[1], got, want)
-		}
-	}
-	// Grid nodes themselves are exact by construction.
-	if v := tab.ChunkSeconds(pStep*3, cStep*5); math.Float64bits(v) !=
-		math.Float64bits(m.ChunkSeconds(pStep*3, cStep*5)) {
-		t.Fatal("grid node evaluation should be exact")
-	}
-}

@@ -666,46 +666,6 @@ type Seq struct {
 	published int // blocks [0, published) need no further publish scan
 	swapped   bool
 	released  bool
-
-	// tailFree/tailPend cache the tail block's spare capacity on the Seq
-	// itself so the steady decode append — one token into a partly filled
-	// tail — never dereferences the tail *Block. Loading that block was a
-	// guaranteed cache miss per generated token and the hottest single
-	// line of cluster-scale sweeps: blocks are pool-owned and cold, while
-	// the Seq struct is already resident from the token accounting.
-	// tailPend tokens have been appended logically but not yet written to
-	// the block's filled count; flushTail reconciles before any path that
-	// reads per-block state. The fast path is gated to pools without
-	// sharing (no CoW, no publish cursor, refs pinned at 1), so every
-	// sharing-dependent invariant is untouched.
-	tailFree int
-	tailPend int
-}
-
-// flushTail writes the deferred tail-append count into the tail block.
-// Every path that inspects or releases per-block state (slow fill, swap,
-// free) calls it first; it is a no-op when nothing is pending.
-func (s *Seq) flushTail() {
-	if s.tailPend > 0 {
-		s.blocks[len(s.blocks)-1].filled += s.tailPend
-		s.tailPend = 0
-	}
-}
-
-// recacheTail refreshes the Seq-resident tail capacity after a slow-path
-// refill rebuilt the chain. Sharing pools leave it zero: their appends
-// always need the real block state (CoW, hash invalidation, publish
-// cursor), so a zero tailFree routes every one of them to the slow path.
-// The invariant that tailFree is only ever nonzero on a sharing-free,
-// resident, live sequence is what lets Append's fast path subsume its
-// guard checks in a single range compare.
-func (s *Seq) recacheTail() {
-	s.tailFree = 0
-	if p := s.pool; !p.sharing && len(s.blocks) > 0 {
-		if b := s.blocks[len(s.blocks)-1]; b.filled < p.blockTokens {
-			s.tailFree = p.blockTokens - b.filled
-		}
-	}
 }
 
 // NewSeq allocates a sequence holding tokens tokens of private content. It
@@ -808,17 +768,6 @@ func (s *Seq) fill(filled, n int) error {
 		return nil
 	}
 	p := s.pool
-	// Steady-state decode append on a sharing-free pool: the cached tail
-	// capacity absorbs the whole chunk without touching any *Block (the
-	// write is deferred until flushTail). tailFree is zero on sharing
-	// pools (see recacheTail), so those always take the slow path — CoW,
-	// hash invalidation, and the publish cursor need the real block state.
-	if n <= s.tailFree {
-		s.tailFree -= n
-		s.tailPend += n
-		return nil
-	}
-	s.flushTail()
 	bt := p.blockTokens
 	var tail *Block
 	tailSpace := 0
@@ -895,7 +844,6 @@ func (s *Seq) fill(filled, n int) error {
 		s.blocks = append(s.blocks, nb)
 		n -= take
 	}
-	s.recacheTail()
 	s.publishShared()
 	return nil
 }
@@ -944,21 +892,9 @@ func (s *Seq) publishShared() {
 // Append adds n generated tokens, allocating blocks as needed (evicting
 // cached blocks first) and copying shared tail blocks on divergence. It
 // returns an error when the pool is exhausted; the caller must then preempt
-// per policy.
+// per policy. A caller appending a token at a time can instead count tokens
+// against Room and Commit them in bulk.
 func (s *Seq) Append(n int) error {
-	// Steady decode fast path, inlined ahead of the guards: tailFree is
-	// only ever nonzero on a sharing-free, resident, live sequence
-	// (recacheTail gates on sharing; SwapOut and Free zero it), so a
-	// token count within the cached tail capacity already implies every
-	// check below passes. The unsigned compare folds n >= 1 && n <=
-	// tailFree into a single branch; n <= 0 and oversized appends fall
-	// through to the full path.
-	if uint(n-1) < uint(s.tailFree) {
-		s.tailFree -= n
-		s.tailPend += n
-		s.tokens += n
-		return nil
-	}
 	if s.released {
 		return fmt.Errorf("kvcache: append to released seq")
 	}
@@ -975,6 +911,48 @@ func (s *Seq) Append(n int) error {
 	return nil
 }
 
+// Room returns how many tokens an append can take with no block-level
+// work: the spare capacity of a private, unpublished tail block that no
+// other sequence references, once appending to it can publish nothing.
+// It is zero on swapped or released sequences, on a full tail, on a
+// shared or published tail (the append would copy or unpublish it), and,
+// under prefix sharing, while the publish scan still has blocks to visit —
+// unless the only one left is a tail whose content already extends past
+// the shared prefix, which the scan merely steps over. Only this
+// sequence's own appends change the answer, so a caller may count tokens
+// against it and Commit them later.
+func (s *Seq) Room() int {
+	if s.swapped || s.released || len(s.blocks) == 0 {
+		return 0
+	}
+	p := s.pool
+	k := len(s.blocks) - 1
+	b := s.blocks[k]
+	if b.filled >= p.blockTokens || b.refs != 1 || b.hash != 0 {
+		return 0
+	}
+	if p.sharing && s.prefix.Tokens > 0 && s.published <= k &&
+		(s.published < k || k*p.blockTokens+b.filled <= s.prefix.Tokens) {
+		return 0
+	}
+	return p.blockTokens - b.filled
+}
+
+// Commit adds n tokens at once, leaving the sequence and the pool as
+// Append(n) would; n must not exceed Room. Only the tail block's and the
+// sequence's token counts move (a publish cursor resting on the tail stays
+// there, and the next scan steps over it as Append's would have).
+func (s *Seq) Commit(n int) {
+	if n == 0 {
+		return
+	}
+	if room := s.Room(); n < 0 || n > room {
+		panic(fmt.Sprintf("kvcache: Commit(%d) with room %d", n, room))
+	}
+	s.blocks[len(s.blocks)-1].filled += n
+	s.tokens += n
+}
+
 // SwapOut releases the GPU block references while retaining logical token
 // state (the host DRAM copy). Shared blocks stay live for their other
 // holders or enter the cache; private blocks free. Swapping an already
@@ -987,8 +965,6 @@ func (s *Seq) SwapOut() error {
 		return fmt.Errorf("kvcache: double swap-out")
 	}
 	p := s.pool
-	s.flushTail()
-	s.tailFree = 0
 	for _, b := range s.blocks {
 		p.unref(b)
 	}
@@ -1060,8 +1036,6 @@ func (s *Seq) Free() {
 	}
 	p := s.pool
 	if !s.swapped {
-		s.flushTail()
-		s.tailFree = 0
 		if p.sharing && s.prefix.Tokens > 0 {
 			s.publishShared()
 			s.trimPublishBoundary()

@@ -66,12 +66,14 @@ var validNext = map[State][]State{
 }
 
 // Request tracks one inference request through the serving system.
-// Field order is deliberate: the engine walks thousands of requests per
-// scheduling round (collect, form, reserve, finish), and each pass reads
-// only the scheduling-hot subset. Packing that subset — state, token
-// counters, group/seq/lock — into the struct's first 64 bytes keeps each
-// per-request touch to a single cache line; the identity, timestamp, and
-// trace-tagging fields that only admission and metrics read follow.
+// Field order is deliberate: every scheduling round the engine walks the
+// requests its lane does not track on its own (prefilling and stalled
+// ones), and each pass reads only the scheduling-hot subset. Packing that
+// subset — state, token counters, group and seq — into the struct's first
+// 64 bytes keeps each per-request touch to a single cache line; the
+// identity, timestamp, and trace-tagging fields that only admission and
+// metrics read follow. A steady decode token touches no Request at all:
+// the engine counts it in its lane and writes it back later.
 type Request struct {
 	state State
 
@@ -95,13 +97,6 @@ type Request struct {
 
 	// Seq is the GPU KVCache allocation; nil while queued/preempted.
 	Seq *kvcache.Seq
-
-	// RoundLock is the engine-owned reservation stamp: the scheduling
-	// round in which this request's KV was last reserved. The engine
-	// compares it against its current round stamp to rule the request out
-	// as a preemption victim mid-round; stamps are namespaced per group,
-	// so a migrated request's stale stamp can never match.
-	RoundLock uint64
 
 	ID       int
 	Arrival  sim.Time
@@ -280,14 +275,22 @@ func (r *Request) AdvancePrefill(n int, now sim.Time) {
 }
 
 // AdvanceDecode records one decode token emitted at time now.
-func (r *Request) AdvanceDecode(now sim.Time) {
+func (r *Request) AdvanceDecode(now sim.Time) { r.AdvanceDecodeBy(1, now) }
+
+// AdvanceDecodeBy records n decode tokens at once, stamping now as the
+// finish time when they complete the output: the write-back of an engine
+// that counts steady decode tokens itself.
+func (r *Request) AdvanceDecodeBy(n int, now sim.Time) {
 	if r.InPrefill() {
 		panic(fmt.Sprintf("request %d: decode during prefill", r.ID))
 	}
-	if r.Done() {
+	if n <= 0 {
+		panic(fmt.Sprintf("request %d: AdvanceDecodeBy(%d)", r.ID, n))
+	}
+	if r.Generated+n > r.OutputLen {
 		panic(fmt.Sprintf("request %d: decode after done", r.ID))
 	}
-	r.Generated++
+	r.Generated += n
 	if r.Done() {
 		r.FinishedAt = now
 	}

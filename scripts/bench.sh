@@ -1,119 +1,24 @@
 #!/usr/bin/env bash
-# Regenerates the committed benchmark baselines: BENCH_kvcache.json,
-# BENCH_disagg.json, and BENCH_scale.json. Each file's "note" documents the
-# benchmark selection it tracks; this script runs exactly those selections
-# and rewrites the measured numbers in place, preserving the notes.
+# Runs the Go figure and micro-benchmarks and prints their numbers, for a
+# quick look at one layer. The committed simulator baseline is kbench's:
+# bash bench/run.sh measures it, bench/baseline.json records it, and
+# bench/ab.sh compares two revisions (see bench/README.md).
 #
 # Usage:
 #   scripts/bench.sh               # benchmark suites only (minutes)
 #   scripts/bench.sh --full-scale  # also the full -exp scale ladder
 #                                  # (128/256/512 instances; ~10-20+ min)
-#
-# Numbers are machine-dependent: regenerate baselines on hardware comparable
-# to the committed one (recorded in each file's "cpu" field), and compare
-# trajectories, not absolutes, across machines.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BENCHTIME="${BENCHTIME:-5x}"
-OUT="$(mktemp -d)"
-trap 'rm -rf "$OUT"' EXIT
 
 echo "== benchmark suites (benchtime $BENCHTIME) =="
-go test -run '^$' -bench 'KVCache|Figure2|ExperimentPrefix' \
-    -benchtime "$BENCHTIME" -benchmem . ./internal/kvcache \
-    | tee "$OUT/kvcache.txt"
-go test -run '^$' -bench 'EngineRound|Figure2Overload|ExperimentDisagg' \
-    -benchtime "$BENCHTIME" -benchmem . \
-    | tee "$OUT/disagg.txt"
-go test -run '^$' -bench 'Figure2Overload|ScaleFleet|Dispatch512' \
-    -benchtime "$BENCHTIME" -benchmem . \
-    | tee "$OUT/scale.txt"
+go test -run '^$' \
+    -bench 'KVCache|Figure2|ExperimentPrefix|EngineRound|ExperimentDisagg|ScaleFleet|Dispatch512' \
+    -benchtime "$BENCHTIME" -benchmem . ./internal/kvcache
 
 if [ "${1:-}" = "--full-scale" ]; then
     echo "== full scale ladder (this takes a while) =="
-    go run ./cmd/kunserve-sim -exp scale -json > "$OUT/scale_run.json"
+    go run ./cmd/kunserve-sim -exp scale
 fi
-
-python3 - "$OUT" <<'EOF'
-import json, re, sys, datetime, os, platform
-
-out = sys.argv[1]
-today = datetime.date.today().isoformat()
-
-def parse_bench(path):
-    """Parse `go test -bench` output into {name: {metric: value}}."""
-    res = {}
-    line_re = re.compile(r'^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(.*)$')
-    for line in open(path):
-        m = line_re.match(line.strip())
-        if not m:
-            continue
-        name, rest = m.group(1), m.group(2)
-        d = res.setdefault(name, {})
-        for val, unit in re.findall(r'([\d.]+)\s+(\S+)', rest):
-            v = float(val)
-            if unit == 'ns/op':
-                d['ns_per_op'] = int(v)
-                d['wall_s_per_op'] = round(v / 1e9, 4)
-            elif unit == 'B/op':
-                d['bytes_per_op'] = int(v)
-            elif unit == 'allocs/op':
-                d['allocs_per_op'] = int(v)
-            else:  # custom units: "kunserve-tok/s" -> kunserve_tok_per_s
-                key = unit.lower().replace('/', '_per_')
-                key = re.sub(r'[^a-z0-9]+', '_', key).strip('_')
-                d[key] = int(v) if v == int(v) else v
-    return res
-
-def update(bench_file, parsed):
-    doc = json.load(open(bench_file))
-    touched = False
-    for name, block in doc.get('benchmarks', {}).items():
-        if name not in parsed:
-            print(f'  {bench_file}: {name} not re-measured, kept', file=sys.stderr)
-            continue
-        for key in list(block):
-            src = parsed[name]
-            if key in src:
-                block[key] = src[key]
-                touched = True
-    if touched:
-        doc['recorded'] = today
-        json.dump(doc, open(bench_file, 'w'), indent=2, ensure_ascii=False)
-        open(bench_file, 'a').write('\n')
-        print(f'  updated {bench_file}')
-
-update('BENCH_kvcache.json', parse_bench(os.path.join(out, 'kvcache.txt')))
-update('BENCH_disagg.json', parse_bench(os.path.join(out, 'disagg.txt')))
-update('BENCH_scale.json', parse_bench(os.path.join(out, 'scale.txt')))
-
-run_file = os.path.join(out, 'scale_run.json')
-if os.path.exists(run_file):
-    run = json.load(open(run_file))['scale']
-    timing = run['Timing']
-    doc = json.load(open('BENCH_scale.json'))
-    sr = doc['scale_run']
-    sr['rung_wall_s'] = {str(r['Instances']): round(r['WallSeconds'], 1)
-                         for r in timing['Rungs']}
-    # Flat s/inst up the ladder is the sublinear-dispatch acceptance signal.
-    sr['rung_s_per_instance'] = {
-        str(r['Instances']): round(r.get('SecondsPerInstance', 0), 3)
-        for r in timing['Rungs']}
-    sr['total_wall_s'] = round(timing['TotalWallSeconds'], 1)
-    sr['instances_ladder'] = [r['Instances'] for r in timing['Rungs']]
-    top = run['Rungs'][-1]
-    sr['requests_per_system_top_rung'] = top['Requests']
-    if 'SysMB' in timing:
-        sr['note_rss'] = (
-            'streaming mode holds the whole ladder under ~%.1f GB '
-            '(runtime Sys at sweep end; reservoir metrics, shared per-rung '
-            'traces, no per-record retention)' % (timing['SysMB'] / 1024))
-    doc['recorded'] = today
-    json.dump(doc, open('BENCH_scale.json', 'w'), indent=2, ensure_ascii=False)
-    open('BENCH_scale.json', 'a').write('\n')
-    print('  updated BENCH_scale.json scale_run block')
-EOF
-
-echo "done. Review the diffs, update each note field if the headline story"
-echo "changed, and commit."
