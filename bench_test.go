@@ -476,9 +476,11 @@ func BenchmarkLookaheadFormulation(b *testing.B) {
 		r := request.New(i, 0, 500+i*100, 8)
 		items = append(items, batching.Item{Req: r, IsPrefill: true, Chunk: 500 + i*100})
 	}
+	var s batching.Split
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := f.Form(items, 4); len(got) == 0 {
+		if got := f.Form(&s, items, 4); len(got) == 0 {
 			b.Fatal("no microbatches")
 		}
 	}
@@ -490,9 +492,11 @@ func BenchmarkTokenCountFormulation(b *testing.B) {
 		r := request.New(i, 0, 500+i*100, 8)
 		items = append(items, batching.Item{Req: r, IsPrefill: true, Chunk: 500 + i*100})
 	}
+	var s batching.Split
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := batching.SplitByTokenCount(items, 8); len(got) == 0 {
+		if got := batching.SplitByTokenCount(&s, items, 8); len(got) == 0 {
 			b.Fatal("no microbatches")
 		}
 	}

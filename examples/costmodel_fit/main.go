@@ -41,8 +41,11 @@ func main() {
 	}
 	items := []batching.Item{mk(1, 7000), mk(2, 500), mk(3, 500), mk(4, 500)}
 	f := &lookahead.Former{Model: m}
-	la := f.Form(items, 2)
-	tc := batching.SplitByTokenCount(items, 4)
+	// Each result lives in its own scratch: a Split's microbatches are
+	// valid only until its next formation.
+	var laSplit, tcSplit batching.Split
+	la := f.Form(&laSplit, items, 2)
+	tc := batching.SplitByTokenCount(&tcSplit, items, 4)
 	report := func(name string, mbs [][]batching.Item) {
 		fmt.Printf("%s microbatch times:", name)
 		for _, mb := range mbs {

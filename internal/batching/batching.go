@@ -144,63 +144,115 @@ func (p *Packer) Prefill(rem int) (chunk int, ok bool) {
 	return chunk, true
 }
 
+// Split is reusable microbatch-formation scratch: a flat item buffer that
+// split items are written into, and the microbatch headers a former
+// returns. The microbatches a former forms into a Split alias the Split or
+// the input items, and stay valid until the next formation on the same
+// Split; the input items are never written. One Split serves one caller at
+// a time (an engine owns one, since it runs one round at a time). The zero
+// value is ready to use; once its buffers have grown to a workload's batch
+// sizes, formation allocates nothing.
+type Split struct {
+	buf  []Item
+	mbs  [][]Item
+	ends []int
+}
+
+// Reset empties the scratch for a new formation, keeping its capacity.
+// Earlier results are invalid from here on.
+func (s *Split) Reset() {
+	s.buf, s.mbs, s.ends = s.buf[:0], s.mbs[:0], s.ends[:0]
+}
+
+// Whole resets s and returns items as the only microbatch, or nil when
+// items is empty: the unsplit result formers give single-stage groups.
+func (s *Split) Whole(items []Item) [][]Item {
+	s.Reset()
+	if len(items) == 0 {
+		return nil
+	}
+	return s.Emit(items)
+}
+
+// Emit appends mb as the next microbatch and returns all microbatches
+// formed since the last Reset.
+func (s *Split) Emit(mb []Item) [][]Item {
+	s.mbs = append(s.mbs, mb)
+	return s.mbs
+}
+
+// Join copies a ++ [it] ++ b into the scratch buffer and returns the copy,
+// capped so appending to it can never overwrite later scratch. Formers
+// use it for the two halves around a prefill item cut in two.
+func (s *Split) Join(a []Item, it Item, b []Item) []Item {
+	start := len(s.buf)
+	s.buf = append(s.buf, a...)
+	s.buf = append(s.buf, it)
+	s.buf = append(s.buf, b...)
+	return s.buf[start:len(s.buf):len(s.buf)]
+}
+
 // SplitByTokenCount partitions a batch into at most m microbatches with
 // near-equal token counts, preserving request order and chunking prefill
 // items across the boundary when needed — the state-of-the-art
 // token-count-based formulation (Figure 9 (a)/(b)). Decode items are never
-// split (they are single tokens).
-func SplitByTokenCount(items []Item, m int) [][]Item {
+// split (they are single tokens). The microbatches are formed into s (see
+// Split).
+func SplitByTokenCount(s *Split, items []Item, m int) [][]Item {
 	if m <= 0 {
 		panic(fmt.Sprintf("batching: split into %d microbatches", m))
 	}
 	total := TotalTokens(items)
 	if total == 0 || m == 1 {
-		if len(items) == 0 {
-			return nil
-		}
-		return [][]Item{items}
+		return s.Whole(items)
 	}
+	s.Reset()
 	target := (total + m - 1) / m
-	var out [][]Item
-	var cur []Item
-	curTokens := 0
-	flush := func() {
-		if len(cur) > 0 {
-			out = append(out, cur)
-			cur = nil
-			curTokens = 0
+	// The microbatches are consecutive runs of s.buf; s.ends records where
+	// each one ends, and the headers are cut once the buffer stops growing.
+	start, curTokens := 0, 0
+	cut := func() {
+		if n := len(s.buf); n > start {
+			s.ends = append(s.ends, n)
+			start = n
 		}
+		curTokens = 0
 	}
 	for _, it := range items {
 		remaining := it
 		for remaining.Chunk > 0 {
 			space := target - curTokens
 			if space <= 0 {
-				flush()
+				cut()
 				space = target
 			}
 			if remaining.Chunk <= space || !remaining.IsPrefill {
-				cur = append(cur, remaining)
+				s.buf = append(s.buf, remaining)
 				curTokens += remaining.Chunk
 				remaining.Chunk = 0
 			} else {
 				head := remaining
 				head.Chunk = space
-				cur = append(cur, head)
+				s.buf = append(s.buf, head)
 				curTokens += space
 				remaining.Prefix += space
 				remaining.Chunk -= space
-				flush()
+				cut()
 			}
 		}
 	}
-	flush()
+	cut()
 	// Never exceed m microbatches: merge the tail if chunk-splitting
-	// produced an extra one.
-	for len(out) > m {
-		last := out[len(out)-1]
-		out = out[:len(out)-1]
-		out[len(out)-1] = append(out[len(out)-1], last...)
+	// produced an extra one (the runs are adjacent, so dropping the last
+	// interior cut is the merge).
+	if len(s.ends) > m {
+		s.ends[m-1] = s.ends[len(s.ends)-1]
+		s.ends = s.ends[:m]
 	}
-	return out
+	start = 0
+	for _, end := range s.ends {
+		s.mbs = append(s.mbs, s.buf[start:end:end])
+		start = end
+	}
+	return s.mbs
 }

@@ -112,7 +112,7 @@ func TestSplitByTokenCountEven(t *testing.T) {
 		{Req: prefillReq(1, 400), IsPrefill: true, Chunk: 400},
 		{Req: prefillReq(2, 400), IsPrefill: true, Chunk: 400},
 	}
-	mbs := SplitByTokenCount(items, 2)
+	mbs := SplitByTokenCount(&Split{}, items, 2)
 	if len(mbs) != 2 {
 		t.Fatalf("microbatches = %d", len(mbs))
 	}
@@ -125,7 +125,7 @@ func TestSplitByTokenCountChunksAcrossBoundary(t *testing.T) {
 	// One 1000-token prefill into 4 microbatches: must be chunked with
 	// increasing prefixes.
 	items := []Item{{Req: prefillReq(1, 1000), IsPrefill: true, Chunk: 1000}}
-	mbs := SplitByTokenCount(items, 4)
+	mbs := SplitByTokenCount(&Split{}, items, 4)
 	if len(mbs) != 4 {
 		t.Fatalf("microbatches = %d", len(mbs))
 	}
@@ -151,7 +151,7 @@ func TestSplitByTokenCountDecodeNeverSplit(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		items = append(items, Item{Req: decodeReq(i, 50), Chunk: 1, Prefix: 50})
 	}
-	mbs := SplitByTokenCount(items, 3)
+	mbs := SplitByTokenCount(&Split{}, items, 3)
 	total := 0
 	for _, mb := range mbs {
 		for _, it := range mb {
@@ -170,11 +170,11 @@ func TestSplitByTokenCountDecodeNeverSplit(t *testing.T) {
 }
 
 func TestSplitEdgeCases(t *testing.T) {
-	if got := SplitByTokenCount(nil, 4); got != nil {
+	if got := SplitByTokenCount(&Split{}, nil, 4); got != nil {
 		t.Fatal("empty split")
 	}
 	items := []Item{{Req: prefillReq(1, 100), IsPrefill: true, Chunk: 100}}
-	one := SplitByTokenCount(items, 1)
+	one := SplitByTokenCount(&Split{}, items, 1)
 	if len(one) != 1 || TotalTokens(one[0]) != 100 {
 		t.Fatal("m=1 should be identity")
 	}
@@ -184,7 +184,7 @@ func TestSplitEdgeCases(t *testing.T) {
 				t.Error("m=0 did not panic")
 			}
 		}()
-		SplitByTokenCount(items, 0)
+		SplitByTokenCount(&Split{}, items, 0)
 	}()
 }
 
@@ -201,7 +201,7 @@ func TestPropertySplitConservation(t *testing.T) {
 			})
 		}
 		before := TotalTokens(items)
-		mbs := SplitByTokenCount(items, m)
+		mbs := SplitByTokenCount(&Split{}, items, m)
 		if len(mbs) > m {
 			return false
 		}

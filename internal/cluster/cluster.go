@@ -36,11 +36,8 @@ type Config struct {
 	BlockTokens int
 	// Budget bounds each iteration batch.
 	Budget batching.Budget
-	// MonitorInterval is the global monitor's sampling period.
-	MonitorInterval sim.Duration
-	// MonitorDense forces the monitor onto its fixed cadence: one tick
-	// every MonitorInterval regardless of policy quiescence. By default
-	// the monitor re-arms adaptively — when the policy reports quiescence
+	// MonitorInterval is the global monitor's sampling period. The monitor
+	// re-arms adaptively: when the policy reports quiescence
 	// (TickQuiescent) and no tracer is attached, ticks that provably
 	// cannot observe or cause any change (no event fires before them) are
 	// skipped, their demand samples backfilled with the unchanged value,
@@ -48,7 +45,7 @@ type Config struct {
 	// skip is a pure host-time optimization: simulation output is
 	// byte-identical either way. A tracer implies dense ticks (its
 	// per-tick counter events are part of the trace contract).
-	MonitorDense bool
+	MonitorInterval sim.Duration
 	// MetricsWindow is the time-series bin width.
 	MetricsWindow sim.Duration
 	// KVProvisionBytes caps each instance's KVCache region (0 = all free
@@ -196,7 +193,6 @@ type Cluster struct {
 	nextGroupID int
 
 	monitorInterval sim.Duration
-	monitorDense    bool
 	// horizon is the Serve deadline; the adaptive monitor backfills up to
 	// it when the event queue drains before the simulation does.
 	horizon        sim.Time
@@ -287,7 +283,6 @@ func New(cfg Config) (*Cluster, error) {
 		cacheEvict:       evict,
 		retryRoundDelay:  cfg.RetryRoundDelay,
 		monitorInterval:  cfg.MonitorInterval,
-		monitorDense:     cfg.MonitorDense,
 		Collector:        metrics.NewCollector(cfg.MetricsWindow),
 		HostParamReplica: true,
 		router:           sched.NewLeastLoaded(),
@@ -754,7 +749,7 @@ func (c *Cluster) monitorTick() {
 func (c *Cluster) armMonitor(demand int64) {
 	d := c.monitorInterval
 	next := c.Sim.Now().Add(d)
-	if !c.monitorDense && c.tracer == nil {
+	if c.tracer == nil {
 		if q, ok := c.Policy.(TickQuiescent); ok && q.TickQuiescent(c) {
 			// Nothing can happen before the next pending event, and
 			// nothing past the serve horizon ever fires — the dense

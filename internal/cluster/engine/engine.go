@@ -84,8 +84,10 @@ type Callbacks struct {
 	// HandlePressure is invoked when the group is need blocks short of
 	// KVCache; it returns true when blocks were freed immediately.
 	HandlePressure func(need int) bool
-	// Form splits one iteration's items into pipeline microbatches.
-	Form func(items []batching.Item, stages int) [][]batching.Item
+	// Form splits one iteration's items into pipeline microbatches formed
+	// into s (the engine's own scratch, see batching.Split). It runs only
+	// at launch, on the simulation goroutine.
+	Form func(s *batching.Split, items []batching.Item, stages int) [][]batching.Item
 	// Finished runs after a request completes and its record is
 	// collected (the cluster decrements its outstanding count and may
 	// recycle the request struct — the engine holds no reference past
@@ -226,6 +228,10 @@ type Engine struct {
 	// mb1 is the persistent single-microbatch header single-stage groups
 	// launch with (no Former call, no per-round slice).
 	mb1 [1][]batching.Item
+	// split is the microbatch scratch pipelined groups form into. The
+	// pipeline holds the microbatches only until the round ends, and one
+	// round runs at a time, so one Split per engine suffices.
+	split batching.Split
 	// finishFn is the launch-stage completion closure, built once so a
 	// round launch allocates nothing.
 	finishFn func()
@@ -1258,7 +1264,7 @@ func (e *Engine) runLaunch(rd *round) bool {
 		e.mb1[0] = rd.items
 		mbs = e.mb1[:]
 	} else {
-		mbs = e.cb.Form(rd.items, e.depth)
+		mbs = e.cb.Form(&e.split, rd.items, e.depth)
 	}
 	e.pipe.RunRound(mbs, e.finishFn)
 	return true

@@ -118,8 +118,8 @@ func newGroup(id int, cl *Cluster, insts []*instance.Instance) (*Group, error) {
 		Callbacks: engine.Callbacks{
 			BeforeAdmit:    func() { cl.Policy.BeforeAdmit(g) },
 			HandlePressure: func(need int) bool { return cl.Policy.HandlePressure(g, need) },
-			Form: func(items []batching.Item, stages int) [][]batching.Item {
-				return cl.Policy.Former().Form(items, stages)
+			Form: func(s *batching.Split, items []batching.Item, stages int) [][]batching.Item {
+				return cl.Policy.Former().Form(s, items, stages)
 			},
 			Finished: cl.requestFinished,
 			Handoff: func(r *request.Request) bool {

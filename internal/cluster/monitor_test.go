@@ -15,15 +15,14 @@ type nonQuiescentPolicy struct{ recomputePolicy }
 
 func (nonQuiescentPolicy) TickQuiescent(*Cluster) bool { return false }
 
-func monitorCluster(t *testing.T, pol Policy, dense bool) *Cluster {
+func monitorCluster(t *testing.T, pol Policy) *Cluster {
 	t.Helper()
 	c, err := New(Config{
-		Seed:         1,
-		Model:        model.Qwen25_14B(),
-		GPU:          gpu.A800(),
-		Instances:    1,
-		Policy:       pol,
-		MonitorDense: dense,
+		Seed:      1,
+		Model:     model.Qwen25_14B(),
+		GPU:       gpu.A800(),
+		Instances: 1,
+		Policy:    pol,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -37,14 +36,16 @@ func monitorCluster(t *testing.T, pol Policy, dense bool) *Cluster {
 // to the horizon instead of firing every interval. The demand series must
 // still be identical to the dense run — skipped ticks backfill the frozen
 // value — and the skip counter proves the adaptive path actually engaged.
+// The dense oracle is the same recompute policy reporting non-quiescence,
+// which keeps the monitor on its fixed cadence.
 func TestAdaptiveMonitorSkipsIdleTicks(t *testing.T) {
 	horizon := sim.FromSeconds(300)
 	tr := smallTrace(5, 0.2, 512, 16)
 
-	adaptive := monitorCluster(t, recomputePolicy{}, false)
+	adaptive := monitorCluster(t, recomputePolicy{})
 	colA := adaptive.Serve(tr, horizon)
 
-	dense := monitorCluster(t, recomputePolicy{}, true)
+	dense := monitorCluster(t, nonQuiescentPolicy{})
 	colD := dense.Serve(tr, horizon)
 
 	if adaptive.MonitorSkipped() == 0 {
@@ -64,9 +65,9 @@ func TestAdaptiveMonitorSkipsIdleTicks(t *testing.T) {
 
 // TestNonQuiescentPolicyKeepsDenseCadence verifies the conservative path: a
 // policy reporting non-quiescence (time-dependent OnTick) never has ticks
-// skipped, even with MonitorDense unset.
+// skipped.
 func TestNonQuiescentPolicyKeepsDenseCadence(t *testing.T) {
-	c := monitorCluster(t, nonQuiescentPolicy{}, false)
+	c := monitorCluster(t, nonQuiescentPolicy{})
 	c.Serve(smallTrace(3, 0.2, 512, 16), sim.FromSeconds(120))
 	if n := c.MonitorSkipped(); n != 0 {
 		t.Fatalf("non-quiescent policy had %d ticks skipped", n)

@@ -7,11 +7,14 @@ import (
 
 // Former partitions one iteration's batch into pipeline microbatches. The
 // baseline (token-count) former and KunServe's lookahead former implement
-// it.
+// it. One policy's Former is shared by all its groups, so it keeps no
+// per-call state: each caller brings its own scratch.
 type Former interface {
-	// Form splits items for a pipeline of the given stage count. For
-	// stages == 1 implementations must return the batch unsplit.
-	Form(items []batching.Item, stages int) [][]batching.Item
+	// Form splits items for a pipeline of the given stage count, forming
+	// into s: the microbatches alias s or items and stay valid until the
+	// next Form on s, and items is never written. For stages == 1
+	// implementations must return the batch unsplit.
+	Form(s *batching.Split, items []batching.Item, stages int) [][]batching.Item
 }
 
 // TokenCountFormer is the state-of-the-art token-count-based microbatch
@@ -24,18 +27,15 @@ type TokenCountFormer struct {
 }
 
 // Form implements Former.
-func (f TokenCountFormer) Form(items []batching.Item, stages int) [][]batching.Item {
+func (f TokenCountFormer) Form(s *batching.Split, items []batching.Item, stages int) [][]batching.Item {
 	if stages <= 1 {
-		if len(items) == 0 {
-			return nil
-		}
-		return [][]batching.Item{items}
+		return s.Whole(items)
 	}
 	per := f.MicrobatchesPerStage
 	if per <= 0 {
 		per = 1
 	}
-	return batching.SplitByTokenCount(items, stages*per)
+	return batching.SplitByTokenCount(s, items, stages*per)
 }
 
 // Policy is the overload-handling mechanism under evaluation. All five
@@ -85,8 +85,7 @@ type Policy interface {
 // without implementing this method correctly inherit BasePolicy's
 // unconditional true, which silently breaks them under the adaptive
 // monitor: every OnTick override must come with its own audited
-// TickQuiescent (or return false conservatively). Config.MonitorDense
-// forces the fixed cadence regardless.
+// TickQuiescent (or return false conservatively).
 type TickQuiescent interface {
 	TickQuiescent(c *Cluster) bool
 }

@@ -14,9 +14,9 @@ import (
 
 // newLookaheadFormer adapts the lookahead former to the cluster interface.
 // Evaluation goes through the shared per-model lookup table: it returns
-// the exact bits a direct evaluation would and — being immutable — is safe
-// for the speculative plan fan-out of parallel rounds, where one policy's
-// Former runs on several planning goroutines at once.
+// the exact bits a direct evaluation would and, being immutable, lets one
+// policy's Former serve all its groups, each forming into its engine's own
+// scratch.
 func newLookaheadFormer(m *costmodel.Model, minTokens int) cluster.Former {
 	return &lookahead.Former{Model: m, MinTokens: minTokens, Table: costmodel.ForModel(m)}
 }

@@ -27,9 +27,9 @@ type Former struct {
 	// MinTokens floors microbatch size; <= 0 uses DefaultMinTokens.
 	MinTokens int
 	// Table, when set, evaluates Eq. 1 through the shared per-model
-	// lookup table (costmodel.ForModel). It is immutable and safe for the
-	// concurrent speculative planning of parallel rounds, and it returns
-	// bit-identical values, so results are unchanged.
+	// lookup table (costmodel.ForModel). It is immutable, so one Former
+	// serves every group of a policy, and it returns bit-identical values,
+	// so results are unchanged.
 	Table *costmodel.Table
 }
 
@@ -54,18 +54,17 @@ func (f *Former) batchCost(items []batching.Item) float64 {
 	return f.Model.BatchSeconds(batching.ToChunkWork(items))
 }
 
-// Form implements the Figure 11 divide-and-conquer. For single-stage groups
-// it returns the batch unsplit (no pipeline, no bubbles to balance).
-func (f *Former) Form(items []batching.Item, stages int) [][]batching.Item {
+// Form implements the Figure 11 divide-and-conquer into s (see
+// batching.Split). For single-stage groups it returns the batch unsplit
+// (no pipeline, no bubbles to balance).
+func (f *Former) Form(s *batching.Split, items []batching.Item, stages int) [][]batching.Item {
 	if f.Model == nil {
 		panic("lookahead: nil cost model")
 	}
-	if len(items) == 0 {
-		return nil
+	if len(items) == 0 || stages <= 1 {
+		return s.Whole(items)
 	}
-	if stages <= 1 {
-		return [][]batching.Item{items}
-	}
+	s.Reset()
 	min := f.MinTokens
 	if min <= 0 {
 		min = DefaultMinTokens
@@ -80,12 +79,14 @@ func (f *Former) Form(items []batching.Item, stages int) [][]batching.Item {
 	if min < 1 {
 		min = 1
 	}
-	return f.balance(items, min)
+	return f.balance(s, items, min)
 }
 
-func (f *Former) balance(b []batching.Item, minTokens int) [][]batching.Item {
+// balance emits b's microbatches into s, left to right, and returns every
+// microbatch emitted so far.
+func (f *Former) balance(s *batching.Split, b []batching.Item, minTokens int) [][]batching.Item {
 	if batching.TotalTokens(b) <= minTokens || !splittable(b) {
-		return [][]batching.Item{b}
+		return s.Emit(b)
 	}
 	// Balance on summed per-item costs: the λ weight-load discount
 	// (Eq. 3) applies to both halves alike and would otherwise skew the
@@ -94,13 +95,12 @@ func (f *Former) balance(b []batching.Item, minTokens int) [][]batching.Item {
 	for _, it := range b {
 		sum += f.itemCost(it)
 	}
-	left, right := f.split(b, 0.5*sum)
+	left, right := f.split(s, b, 0.5*sum)
 	if len(left) == 0 || len(right) == 0 {
-		return [][]batching.Item{b}
+		return s.Emit(b)
 	}
-	out := f.balance(left, minTokens)
-	out = append(out, f.balance(right, minTokens)...)
-	return out
+	f.balance(s, left, minTokens)
+	return f.balance(s, right, minTokens)
 }
 
 // splittable reports whether the batch can be divided at all: more than one
@@ -115,43 +115,38 @@ func splittable(b []batching.Item) bool {
 // split divides b into two microbatches where the left's aggregated cost
 // approximates targetCost, chunking a prefill request at the crossing point
 // (the split() of Figure 11 line 8). Chunk prefixes stay consistent: the
-// right part of a split prefill attends to the left part.
-func (f *Former) split(b []batching.Item, targetCost float64) (left, right []batching.Item) {
+// right part of a split prefill attends to the left part. The halves are
+// subslices of b, except around a cut prefill item, where they are copies
+// in s; b is never written.
+func (f *Former) split(s *batching.Split, b []batching.Item, targetCost float64) (left, right []batching.Item) {
 	acc := 0.0
 	for i, it := range b {
 		c := f.itemCost(it)
 		if acc+c <= targetCost {
-			left = append(left, it)
 			acc += c
 			continue
 		}
 		if !it.IsPrefill || it.Chunk <= 1 {
 			// Unsplittable (decode steps are single tokens): the
 			// boundary falls here.
-			right = append(right, b[i:]...)
-			return left, right
+			return b[:i:i], b[i:]
 		}
 		// The crossing prefill item: find the chunk length whose cost
 		// exhausts the remaining budget.
 		cut := f.cutTokens(it, targetCost-acc)
 		switch {
 		case cut <= 0:
-			right = append(right, b[i:]...)
+			return b[:i:i], b[i:]
 		case cut >= it.Chunk:
-			left = append(left, it)
-			right = append(right, b[i+1:]...)
-		default:
-			head, tail := it, it
-			head.Chunk = cut
-			tail.Prefix += cut
-			tail.Chunk -= cut
-			left = append(left, head)
-			right = append(right, tail)
-			right = append(right, b[i+1:]...)
+			return b[: i+1 : i+1], b[i+1:]
 		}
-		return left, right
+		head, tail := it, it
+		head.Chunk = cut
+		tail.Prefix += cut
+		tail.Chunk -= cut
+		return s.Join(b[:i], head, nil), s.Join(nil, tail, b[i+1:])
 	}
-	return left, right
+	return b, nil
 }
 
 // cutTokens binary-searches the largest chunk length whose modelled cost is

@@ -46,7 +46,7 @@ func tokensOf(mbs [][]batching.Item) int {
 func TestSingleStageUnsplit(t *testing.T) {
 	f, _ := fittedFormer(t)
 	items := []batching.Item{prefillItem(1, 4096)}
-	mbs := f.Form(items, 1)
+	mbs := f.Form(&batching.Split{}, items, 1)
 	if len(mbs) != 1 || batching.TotalTokens(mbs[0]) != 4096 {
 		t.Fatalf("single stage split: %d microbatches", len(mbs))
 	}
@@ -54,7 +54,7 @@ func TestSingleStageUnsplit(t *testing.T) {
 
 func TestEmptyBatch(t *testing.T) {
 	f, _ := fittedFormer(t)
-	if got := f.Form(nil, 2); got != nil {
+	if got := f.Form(&batching.Split{}, nil, 2); got != nil {
 		t.Fatal("empty batch should return nil")
 	}
 }
@@ -66,7 +66,7 @@ func TestNilModelPanics(t *testing.T) {
 			t.Error("nil model did not panic")
 		}
 	}()
-	f.Form([]batching.Item{prefillItem(1, 100)}, 2)
+	f.Form(&batching.Split{}, []batching.Item{prefillItem(1, 100)}, 2)
 }
 
 func TestConservesTokensAndPrefixes(t *testing.T) {
@@ -76,7 +76,7 @@ func TestConservesTokensAndPrefixes(t *testing.T) {
 		decodeItem(3, 900), decodeItem(4, 4000), prefillItem(5, 6000),
 	}
 	before := batching.TotalTokens(items)
-	mbs := f.Form(items, 2)
+	mbs := f.Form(&batching.Split{}, items, 2)
 	if tokensOf(mbs) != before {
 		t.Fatalf("tokens %d -> %d", before, tokensOf(mbs))
 	}
@@ -105,8 +105,8 @@ func TestBalancesCostBetterThanTokenCount(t *testing.T) {
 	}
 	stages := 2
 
-	la := f.Form(items, stages)
-	tc := batching.SplitByTokenCount(items, stages*2)
+	la := f.Form(&batching.Split{}, items, stages)
+	tc := batching.SplitByTokenCount(&batching.Split{}, items, stages*2)
 
 	spread := func(mbs [][]batching.Item) float64 {
 		var max, min float64 = 0, 1e18
@@ -130,7 +130,7 @@ func TestBalancesCostBetterThanTokenCount(t *testing.T) {
 func TestProducesEnoughMicrobatchesForPipeline(t *testing.T) {
 	f, _ := fittedFormer(t)
 	items := []batching.Item{prefillItem(1, 8192)}
-	mbs := f.Form(items, 4)
+	mbs := f.Form(&batching.Split{}, items, 4)
 	if len(mbs) < 4 {
 		t.Errorf("microbatches = %d, want >= stages (4)", len(mbs))
 	}
@@ -140,13 +140,13 @@ func TestMinTokensHaltsRecursion(t *testing.T) {
 	f, _ := fittedFormer(t)
 	f.MinTokens = 100000 // absurdly high: nothing should split (floor shrinks it)
 	items := []batching.Item{prefillItem(1, 2048)}
-	mbs := f.Form(items, 2)
+	mbs := f.Form(&batching.Split{}, items, 2)
 	// The dynamic floor still guarantees the pipeline at least 2.
 	if len(mbs) < 2 {
 		t.Errorf("microbatches = %d", len(mbs))
 	}
 	// With a single tiny decode item nothing can split.
-	one := f.Form([]batching.Item{decodeItem(2, 50)}, 2)
+	one := f.Form(&batching.Split{}, []batching.Item{decodeItem(2, 50)}, 2)
 	if len(one) != 1 {
 		t.Errorf("unsplittable batch split into %d", len(one))
 	}
@@ -158,7 +158,7 @@ func TestDecodeOnlyBatchSplits(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		items = append(items, decodeItem(i, 1000))
 	}
-	mbs := f.Form(items, 2)
+	mbs := f.Form(&batching.Split{}, items, 2)
 	if len(mbs) < 2 {
 		t.Fatalf("decode batch microbatches = %d", len(mbs))
 	}
@@ -209,7 +209,7 @@ func TestPropertyFormConservation(t *testing.T) {
 			return true
 		}
 		before := batching.TotalTokens(items)
-		mbs := f.Form(items, stages)
+		mbs := f.Form(&batching.Split{}, items, stages)
 		if tokensOf(mbs) != before {
 			return false
 		}
@@ -235,12 +235,13 @@ func TestPropertyFormConservation(t *testing.T) {
 	}
 }
 
-// TestSharedFormerConcurrentForm is the audit test for plan-time fan-out:
-// one Former — the policy-owned instance every group of a cluster shares —
-// forming microbatches from many goroutines at once, the way intra-cell
-// parallel round planning drives it. With the immutable cost-model Table
-// this is race-free and every goroutine gets bit-identical splits (run
-// with -race to enforce). The sequential result is the oracle.
+// TestSharedFormerConcurrentForm checks that a Former keeps no per-call
+// state: one Former — the policy-owned instance every group of a cluster
+// shares — forms microbatches from many goroutines at once, each into its
+// own Split, the way every engine brings its own scratch. With the
+// immutable cost-model Table this is race-free and every goroutine gets
+// bit-identical splits (run with -race to enforce). The sequential result
+// is the oracle.
 func TestSharedFormerConcurrentForm(t *testing.T) {
 	f, _ := fittedFormer(t)
 	f.Table = costmodel.ForModel(f.Model)
@@ -251,7 +252,7 @@ func TestSharedFormerConcurrentForm(t *testing.T) {
 	}
 	items = append(items, prefillItem(100, 3000), prefillItem(101, 1200))
 
-	want := f.Form(items, 2)
+	want := f.Form(&batching.Split{}, items, 2)
 
 	const workers = 8
 	got := make([][][]batching.Item, workers)
@@ -260,8 +261,9 @@ func TestSharedFormerConcurrentForm(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			var s batching.Split
 			for iter := 0; iter < 50; iter++ {
-				got[w] = f.Form(items, 2)
+				got[w] = f.Form(&s, items, 2)
 			}
 		}(w)
 	}
