@@ -8,6 +8,7 @@
 package kunserve
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -562,6 +563,55 @@ func BenchmarkCoordinatedExchange(b *testing.B) {
 		if !done {
 			b.Fatal("incomplete")
 		}
+	}
+}
+
+// BenchmarkPreemptReadmit prices one membership churn cycle of
+// recompute-on-pressure at two lane sizes: Victim picks the youngest
+// unreserved request, PreemptRecompute drops and re-queues it, and the
+// next round re-admits it. A small token budget keeps most of the lane
+// prefilling and unreserved, so a victim always exists; each cycle also
+// pays the one scheduling round the re-admission rides on.
+func BenchmarkPreemptReadmit(b *testing.B) {
+	for _, n := range []int{64, 512} {
+		b.Run(fmt.Sprintf("lane=%d", n), func(b *testing.B) {
+			cl, err := cluster.New(cluster.Config{
+				Seed:          1,
+				Model:         model.Qwen25_14B(),
+				GPU:           gpu.A800(),
+				Instances:     1,
+				Policy:        baselines.VLLMDP{},
+				Budget:        batching.Budget{MaxTokens: 32},
+				MetricsWindow: 10000 * sim.Second,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				if err := cl.Dispatch(request.New(i, sim.Time(i), 16, 1<<30)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			g := cl.Groups()[0]
+			for step := 0; step < 200; step++ {
+				cl.Sim.Step()
+			}
+			if g.RunningLen() != n {
+				b.Fatalf("%d of %d requests running", g.RunningLen(), n)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v := g.Victim()
+				if v == nil {
+					b.Fatal("no victim")
+				}
+				g.PreemptRecompute(v)
+				for g.RunningLen() < n {
+					cl.Sim.Step()
+				}
+			}
+		})
 	}
 }
 

@@ -201,7 +201,7 @@ func (p *InferCept) BeforeAdmit(g *cluster.Group) {
 	c := g.Cluster()
 	now := c.Sim.Now()
 	p.candidates = p.candidates[:0]
-	g.EachRunning(p.scanFn)
+	g.EachStalled(p.scanFn)
 	candidates := p.candidates
 	// Oldest (earliest arrival) first.
 	for i := 0; i < len(candidates); i++ {

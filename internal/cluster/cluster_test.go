@@ -171,6 +171,41 @@ func TestMemoryPressureTriggersRecompute(t *testing.T) {
 	_ = preempts
 }
 
+// countingRecompute is recomputePolicy counting the recomputes it makes.
+type countingRecompute struct {
+	recomputePolicy
+	n *int
+}
+
+func (p countingRecompute) HandlePressure(g *Group, need int) bool {
+	v := g.Victim()
+	if v == nil {
+		return false
+	}
+	g.PreemptRecompute(v)
+	*p.n++
+	return true
+}
+
+// Group.Preemptions counts exactly the recomputes the policy made in an
+// overloaded run.
+func TestPreemptionsCountRecomputes(t *testing.T) {
+	recomputes := 0
+	c := testCluster(t, 2, countingRecompute{n: &recomputes})
+	capTokens := c.Groups()[0].CapacityTokens()
+	c.Serve(smallTrace(12, 0.05, capTokens/5, capTokens/10), sim.FromSeconds(4000))
+	if c.Outstanding() != 0 {
+		t.Fatalf("outstanding = %d", c.Outstanding())
+	}
+	got := 0
+	for _, g := range c.Groups() {
+		got += g.Preemptions()
+	}
+	if recomputes == 0 || got != recomputes {
+		t.Fatalf("groups count %d preemptions, the policy made %d recomputes", got, recomputes)
+	}
+}
+
 func TestPipelinedGroupServes(t *testing.T) {
 	c := testCluster(t, 2, ppSetupPolicy{})
 	if len(c.Groups()) != 1 {

@@ -21,6 +21,7 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -170,21 +171,32 @@ type Engine struct {
 	prefixCaching bool
 	retryDelay    sim.Duration
 
-	// running is the admitted set in admission order, the order Running,
-	// EachRunning and ExtractRequests expose.
-	running []*request.Request
-	// lane holds one slot per running request in (Arrival, ID) order — the
-	// order runCollect schedules in — and owns each request's decode-hot
-	// state (see slot). Membership changes (admissions, finishes,
-	// preemptions) are far rarer than scheduling rounds, so keeping the
-	// order under insert/remove beats re-sorting every round.
-	lane []slot
+	// lane is the engine's only membership structure: one slot per running
+	// request in (Arrival, ID) order — the order runCollect schedules in —
+	// owning each request's decode-hot state (see slot). Membership changes
+	// (admissions, finishes, preemptions) are far rarer than scheduling
+	// rounds, so keeping the order under insert/remove beats re-sorting
+	// every round. Admission order, which Running, EachRunning, EachStalled
+	// and ExtractRequests expose, is recovered on demand by sorting live
+	// slot indices by slot.adm into order.
+	lane  []slot
+	order []int32
 	// admitted numbers admissions for slot.adm.
 	admitted uint64
-	// dead counts slots removed while a round was live (see removeAt);
-	// remap is compactLane's old-to-new index scratch.
-	dead  int
-	remap []int32
+	// dead counts slots removed while a round was live (see removeAt).
+	// firstDead is the lowest dead index while dead > 0, where compactLane
+	// starts, and deadTail counts the dead slots at the lane's young end,
+	// which Victim skips without a scan: a pressure burst preempts the
+	// youngest requests one after another. remap is compactLane's
+	// old-to-new index scratch.
+	dead, firstDead, deadTail int
+	remap                     []int32
+	// hint is the lane index Victim last chose. laneIndex tries it first, by
+	// identity, so the Victim→PreemptRecompute and Victim→Stall pairs
+	// search the lane once; a stale hint costs only the normal search.
+	hint int
+	// preemptions counts PreemptDetach calls (diagnostics only).
+	preemptions int
 	// pending is set while some slot may hold tokens not yet written back;
 	// writeBackAll skips its walk otherwise.
 	pending bool
@@ -284,8 +296,9 @@ type Engine struct {
 // Write-backs happen where a running request becomes visible outside the
 // engine: Running, EachRunning, Victim, Stall, RemoveRequest,
 // PreemptDetach and ExtractRequests, and before a finished request reaches
-// Callbacks.Finished. Prefill-role slots are never hot, so a request
-// passed to Callbacks.Handoff has nothing pending.
+// Callbacks.Finished. EachStalled needs none: a stalled slot is cold and
+// was written back by Stall. Prefill-role slots are never hot, so a
+// request passed to Callbacks.Handoff has nothing pending.
 type slot struct {
 	// req is nil once the slot is dead: removed during a live round and
 	// awaiting compactLane, with its keys kept so the lane stays sorted.
@@ -294,8 +307,9 @@ type slot struct {
 	id      int
 	// stamp is the round stamp of the slot's last reservation.
 	stamp uint64
-	// adm is the admission sequence number, Victim's tie-break among equal
-	// arrivals: the earliest admitted wins, as in admission order.
+	// adm is the admission sequence number. Sorting live slots by it
+	// recovers admission order, and Victim breaks ties among equal
+	// arrivals by it: the earliest admitted wins.
 	adm uint64
 	// ctx is Request.ContextLen and left is OutputLen − Generated, both
 	// counting the slot's pending tokens (hot slots only).
@@ -342,7 +356,7 @@ func (e *Engine) Role() Role { return e.role }
 // SetRole switches the engine's role, re-selecting its stage pipeline.
 // Only legal before any request has reached the group.
 func (e *Engine) SetRole(role Role) error {
-	if len(e.running) > 0 || e.queue.Len() > 0 || e.executing {
+	if e.RunningLen() > 0 || e.queue.Len() > 0 || e.executing {
 		return fmt.Errorf("engine: group %d role change with requests in flight", e.groupID)
 	}
 	e.mutated()
@@ -415,24 +429,66 @@ func StageNames(role Role) []string {
 // Queue returns the wait-queue discipline.
 func (e *Engine) Queue() sched.Discipline { return e.queue }
 
-// Running returns a copy of the running set (policies iterate it while
-// mutating engine state), written back first.
+// Running returns a copy of the running set in admission order (policies
+// iterate it while mutating engine state), written back first.
 func (e *Engine) Running() []*request.Request {
 	e.writeBackAll()
-	out := make([]*request.Request, len(e.running))
-	copy(out, e.running)
+	ord := e.liveByAdmission()
+	out := make([]*request.Request, len(ord))
+	for k, i := range ord {
+		out[k] = e.lane[i].req
+	}
 	return out
 }
 
 // EachRunning visits the running set in admission order without copying
 // it, written back first. fn must not admit, remove, or re-queue requests
 // — policies that mutate the running set while iterating use Running's
-// copy instead.
+// copy instead — nor call Running, EachRunning or EachStalled, which sort
+// into the scratch the visit walks.
 func (e *Engine) EachRunning(fn func(r *request.Request)) {
 	e.writeBackAll()
-	for _, r := range e.running {
-		fn(r)
+	for _, i := range e.liveByAdmission() {
+		fn(e.lane[i].req)
 	}
+}
+
+// EachStalled visits the stalled running requests in admission order,
+// under the same contract as EachRunning. It writes nothing back: Stall
+// wrote each one back and left its slot cold.
+func (e *Engine) EachStalled(fn func(r *request.Request)) {
+	if len(e.stalled) == 0 {
+		return
+	}
+	ord := e.order[:0]
+	for i := range e.lane {
+		if s := &e.lane[i]; !s.hot && s.req != nil && e.stalled[s.id] == s.req {
+			ord = append(ord, int32(i))
+		}
+	}
+	for _, i := range e.sortByAdmission(ord) {
+		fn(e.lane[i].req)
+	}
+}
+
+// liveByAdmission returns the live slots' lane indices in admission order,
+// in the engine's order scratch.
+func (e *Engine) liveByAdmission() []int32 {
+	ord := e.order[:0]
+	for i := range e.lane {
+		if e.lane[i].req != nil {
+			ord = append(ord, int32(i))
+		}
+	}
+	return e.sortByAdmission(ord)
+}
+
+// sortByAdmission sorts lane indices by their slots' admission numbers and
+// keeps ord as the engine's order scratch.
+func (e *Engine) sortByAdmission(ord []int32) []int32 {
+	slices.SortFunc(ord, func(a, b int32) int { return cmp.Compare(e.lane[a].adm, e.lane[b].adm) })
+	e.order = ord
+	return ord
 }
 
 // IsStalled reports whether a request is currently stalled here.
@@ -451,7 +507,11 @@ func (e *Engine) Executing() bool { return e.executing }
 func (e *Engine) QueueLen() int { return e.queue.Len() }
 
 // RunningLen returns the number of admitted requests.
-func (e *Engine) RunningLen() int { return len(e.running) }
+func (e *Engine) RunningLen() int { return len(e.lane) - e.dead }
+
+// Preemptions returns how many requests PreemptDetach (and so
+// PreemptRecompute) has dropped for recomputation (diagnostics only).
+func (e *Engine) Preemptions() int { return e.preemptions }
 
 // RoundsRun returns completed scheduling rounds (diagnostics).
 func (e *Engine) RoundsRun() int { return e.roundsRun }
@@ -588,10 +648,11 @@ func (e *Engine) MarkDecodeReady(r *request.Request) {
 // reserved in the current round — the standard preemption victim — or nil.
 // Among equal arrivals the earliest admitted wins. The scan starts at the
 // lane's youngest end and stops once arrivals fall below the first
-// eligible one's; only the chosen slot is written back.
+// eligible one's; only the chosen slot is written back, and its index
+// becomes laneIndex's hint for the preemption or stall that follows.
 func (e *Engine) Victim() *request.Request {
 	v := -1
-	for i := len(e.lane) - 1; i >= 0; i-- {
+	for i := len(e.lane) - 1 - e.deadTail; i >= 0; i-- {
 		s := &e.lane[i]
 		if v >= 0 && s.arrival != e.lane[v].arrival {
 			break
@@ -609,6 +670,7 @@ func (e *Engine) Victim() *request.Request {
 	}
 	s := &e.lane[v]
 	e.writeBack(s)
+	e.hint = v
 	return s.req
 }
 
@@ -629,6 +691,7 @@ func (e *Engine) PreemptRecompute(r *request.Request) {
 // pool's victim to a prefill group (decode groups run no prefill stage).
 func (e *Engine) PreemptDetach(r *request.Request) {
 	e.removeRunning(r)
+	e.preemptions++
 	delete(e.decodeReady, r.ID)
 	if r.Seq != nil {
 		r.Seq.Free()
@@ -661,7 +724,7 @@ func (e *Engine) AdoptRunning(r *request.Request) {
 
 // bySlotOrder compares a slot with a request in lane order: by arrival,
 // then ID. (Arrival, ID) is a strict total order — IDs are unique.
-func bySlotOrder(s slot, r *request.Request) int {
+func bySlotOrder(s *slot, r *request.Request) int {
 	if s.arrival != r.Arrival {
 		if s.arrival < r.Arrival {
 			return -1
@@ -671,12 +734,32 @@ func bySlotOrder(s slot, r *request.Request) int {
 	return s.id - r.ID
 }
 
-// laneIndex returns r's slot index, or -1 when r is not running here. A
-// request removed and re-adopted within one live round has a dead twin
-// with its keys, so the scan checks identity, not just the keys.
+// search returns the index of the first slot not ordered before r. It is
+// slices.BinarySearchFunc written out so the comparison inlines and reads
+// the slot in place rather than copying it per probe.
+func (e *Engine) search(r *request.Request) int {
+	lo, hi := 0, len(e.lane)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if bySlotOrder(&e.lane[m], r) < 0 {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// laneIndex returns r's slot index, or -1 when r is not running here. It
+// tries Victim's hint first. A request removed and re-adopted within one
+// live round has a dead twin with its keys, so both the hint and the
+// search check identity, not just the keys.
 func (e *Engine) laneIndex(r *request.Request) int {
-	i, _ := slices.BinarySearchFunc(e.lane, r, bySlotOrder)
-	for ; i < len(e.lane) && bySlotOrder(e.lane[i], r) == 0; i++ {
+	if h := e.hint; h < len(e.lane) && e.lane[h].req == r {
+		return h
+	}
+	i := e.search(r)
+	for ; i < len(e.lane) && bySlotOrder(&e.lane[i], r) == 0; i++ {
 		if e.lane[i].req == r {
 			return i
 		}
@@ -691,10 +774,17 @@ func (e *Engine) live() bool { return e.scheduling || e.executing }
 func (e *Engine) addRunning(r *request.Request) {
 	e.mutated()
 	e.demandAdd(committedTokens(r))
-	e.running = append(e.running, r)
-	i, _ := slices.BinarySearchFunc(e.lane, r, bySlotOrder)
+	i := e.search(r)
 	e.lane = slices.Insert(e.lane, i, slot{req: r, arrival: r.Arrival, id: r.ID, adm: e.admitted})
 	e.admitted++
+	if e.dead > 0 && i <= e.firstDead {
+		e.firstDead++
+	}
+	if n := len(e.lane); i >= n-1-e.deadTail {
+		// Inserted into (or just past) the dead tail: the new slot is now
+		// the youngest live one.
+		e.deadTail = n - 1 - i
+	}
 	if e.live() {
 		e.shiftLanes(i)
 	}
@@ -716,46 +806,49 @@ func (e *Engine) removeRunning(r *request.Request) {
 // a burst quadratic in the batch.
 func (e *Engine) removeAt(i int) {
 	s := &e.lane[i]
-	r := s.req
 	e.writeBack(s)
 	e.mutated()
-	e.demandAdd(-committedTokens(r))
-	j := slices.Index(e.running, r)
-	e.running = slices.Delete(e.running, j, j+1)
+	e.demandAdd(-committedTokens(s.req))
 	if e.live() {
 		*s = slot{arrival: s.arrival, id: s.id}
+		if e.dead == 0 || i < e.firstDead {
+			e.firstDead = i
+		}
 		e.dead++
+		for n := len(e.lane); e.deadTail < n && e.lane[n-1-e.deadTail].req == nil; {
+			e.deadTail++
+		}
 		return
 	}
 	e.lane = slices.Delete(e.lane, i, i+1)
 }
 
 // compactLane deletes dead slots and remaps the current round's item lane
-// indices to match; the items of a dead slot get -1. A speculative plan
+// indices to match; the items of a dead slot get -1. Slots and items below
+// firstDead keep their indices, so neither is touched. A speculative plan
 // needs no remap: the version bump of every membership change discards it.
 func (e *Engine) compactLane() {
+	lo := e.firstDead
 	remap := e.remap[:0]
-	w := 0
-	for i := range e.lane {
+	w := lo
+	for i := lo; i < len(e.lane); i++ {
 		if e.lane[i].req == nil {
 			remap = append(remap, -1)
 			continue
 		}
 		remap = append(remap, int32(w))
-		if w != i {
-			e.lane[w] = e.lane[i]
-		}
+		e.lane[w] = e.lane[i]
 		w++
 	}
 	clear(e.lane[w:])
 	e.lane = e.lane[:w]
 	for k := range e.rd.items {
-		if it := &e.rd.items[k]; it.Lane >= 0 {
-			it.Lane = remap[it.Lane]
+		if it := &e.rd.items[k]; int(it.Lane) >= lo {
+			it.Lane = remap[int(it.Lane)-lo]
 		}
 	}
 	e.remap = remap
-	e.dead = 0
+	e.dead, e.deadTail = 0, 0
 }
 
 // shiftLanes keeps the current round's item lane indices valid across a
@@ -819,40 +912,38 @@ func (e *Engine) writeBackAll() {
 }
 
 // CheckLane writes every slot back and checks the lane against ground
-// truth: it mirrors the running set in (Arrival, ID) order with admission
-// numbers in running order, nothing stays pending, and every hot slot's
-// context length, remaining output and tail room equal what its request
-// and Seq report, with the Seq holding exactly the committed context (plus
-// the in-flight token while a round executes). It returns how many hot
-// slots it checked. Audits and tests call it; write-backs are invisible to
-// the simulation, so calling it never changes results.
+// truth: its slots stay in (Arrival, ID) order, laneIndex finds every live
+// slot at its own index, admission numbers are unique, and dead,
+// firstDead and deadTail match the dead slots. Nothing may stay pending,
+// and every hot slot's context length, remaining output and tail room
+// must equal what its request and Seq report, with the Seq holding
+// exactly the committed context (plus the in-flight token while a round
+// executes). It returns how many hot slots it checked. Audits and tests
+// call it; write-backs are invisible to the simulation, so calling it
+// never changes results.
 func (e *Engine) CheckLane() (hot int, err error) {
 	e.writeBackAll()
-	if len(e.lane)-e.dead != len(e.running) {
-		return 0, fmt.Errorf("engine: group %d lane holds %d live slots for %d running requests",
-			e.groupID, len(e.lane)-e.dead, len(e.running))
-	}
-	var lastAdm uint64
-	for j, r := range e.running {
-		i := e.laneIndex(r)
-		if i < 0 || e.lane[i].req != r {
-			return 0, fmt.Errorf("engine: group %d running request %d has no slot", e.groupID, r.ID)
-		}
-		if adm := e.lane[i].adm; j > 0 && adm <= lastAdm {
-			return 0, fmt.Errorf("engine: group %d admission numbers disagree with running order at request %d",
-				e.groupID, r.ID)
-		}
-		lastAdm = e.lane[i].adm
-	}
+	dead := 0
+	adms := make([]uint64, 0, e.RunningLen())
 	for i := range e.lane {
 		s := &e.lane[i]
 		r := s.req
 		if r == nil {
+			if dead == 0 && i != e.firstDead {
+				return hot, fmt.Errorf("engine: group %d first dead slot at %d, firstDead %d",
+					e.groupID, i, e.firstDead)
+			}
+			dead++
 			continue
 		}
-		if i > 0 && bySlotOrder(e.lane[i-1], r) > 0 {
+		if i > 0 && bySlotOrder(&e.lane[i-1], r) > 0 {
 			return hot, fmt.Errorf("engine: group %d lane out of order at request %d", e.groupID, r.ID)
 		}
+		if j := e.laneIndex(r); j != i {
+			return hot, fmt.Errorf("engine: group %d request %d in slot %d is found at %d",
+				e.groupID, r.ID, i, j)
+		}
+		adms = append(adms, s.adm)
 		if s.gen != 0 || s.kv != 0 {
 			return hot, fmt.Errorf("engine: group %d request %d still pending after write-back", e.groupID, r.ID)
 		}
@@ -880,6 +971,22 @@ func (e *Engine) CheckLane() (hot int, err error) {
 		case r.Seq.Tokens() != r.ContextLen()+inflight:
 			return hot, fmt.Errorf("engine: group %d request %d Seq holds %d tokens, request committed %d",
 				e.groupID, r.ID, r.Seq.Tokens(), r.ContextLen()+inflight)
+		}
+	}
+	if dead != e.dead {
+		return hot, fmt.Errorf("engine: group %d lane holds %d dead slots, counted %d", e.groupID, dead, e.dead)
+	}
+	tail := 0
+	for tail < len(e.lane) && e.lane[len(e.lane)-1-tail].req == nil {
+		tail++
+	}
+	if tail != e.deadTail {
+		return hot, fmt.Errorf("engine: group %d lane ends in %d dead slots, counted %d", e.groupID, tail, e.deadTail)
+	}
+	slices.Sort(adms)
+	for k := 1; k < len(adms); k++ {
+		if adms[k] == adms[k-1] {
+			return hot, fmt.Errorf("engine: group %d admission number %d repeats", e.groupID, adms[k])
 		}
 	}
 	return hot, nil
@@ -937,7 +1044,7 @@ func (e *Engine) runBeforeAdmit(*round) bool {
 // already prefilled, so those chunks never reach the iteration former.
 func (e *Engine) runAdmit(*round) bool {
 	for e.queue.Len() > 0 {
-		if len(e.running) >= e.maxRunning() {
+		if e.RunningLen() >= e.maxRunning() {
 			return true
 		}
 		r := e.queue.Peek()
@@ -1254,7 +1361,7 @@ func (e *Engine) runLaunch(rd *round) bool {
 		e.counter(now, "kv_blocks_used", float64(e.pool.UsedBlocks()))
 		e.counter(now, "queue_depth", float64(e.queue.Len()))
 		e.counter(now, "batch_size", float64(len(rd.items)))
-		e.counter(now, "running", float64(len(e.running)))
+		e.counter(now, "running", float64(e.RunningLen()))
 	}
 	var mbs [][]batching.Item
 	if e.depth == 1 {
@@ -1299,7 +1406,7 @@ func (e *Engine) startRound() {
 				Track: "stage/" + st.name, Req: obs.ReqNone,
 				Args: [2]obs.Arg{
 					{Key: "queued", Val: int64(e.queue.Len())},
-					{Key: "running", Val: int64(len(e.running))},
+					{Key: "running", Val: int64(e.RunningLen())},
 				}})
 		}
 		if !ok {
@@ -1468,16 +1575,14 @@ func (e *Engine) ExtractRequests() (running, waiting []*request.Request, stalled
 	if e.executing {
 		panic(fmt.Sprintf("engine: extracting from executing group %d", e.groupID))
 	}
-	e.writeBackAll()
+	running, stalled = e.Running(), e.stalled
 	e.mutated()
-	running, stalled = e.running, e.stalled
 	e.demandAdd(-e.demandTokens)
 	for e.queue.Len() > 0 {
 		waiting = append(waiting, e.queue.Pop())
 	}
-	e.running = nil
 	e.lane = nil
-	e.dead = 0
+	e.dead, e.deadTail = 0, 0
 	e.stalled = make(map[int]*request.Request)
 	e.closed = true
 	return running, waiting, stalled

@@ -165,9 +165,10 @@ func (g *Group) SetRole(role engine.Role) error {
 // mutating group state).
 func (g *Group) Running() []*request.Request { return g.exec.Running() }
 
-// EachRunning visits the running set without copying it; fn must not
-// mutate the group's admission state (see engine.Engine.EachRunning).
-func (g *Group) EachRunning(fn func(*request.Request)) { g.exec.EachRunning(fn) }
+// EachStalled visits the stalled running requests in admission order
+// without copying them; fn must not mutate the group's admission state
+// (see engine.Engine.EachStalled).
+func (g *Group) EachStalled(fn func(*request.Request)) { g.exec.EachStalled(fn) }
 
 // WaitingRequests returns a copy of the wait queue in dispatch order.
 func (g *Group) WaitingRequests() []*request.Request { return g.exec.Queue().Items() }
@@ -201,6 +202,10 @@ func (g *Group) QueueLen() int { return g.exec.QueueLen() }
 
 // RunningLen returns the number of admitted requests.
 func (g *Group) RunningLen() int { return g.exec.RunningLen() }
+
+// Preemptions returns how many requests the group dropped for
+// recomputation (diagnostics only).
+func (g *Group) Preemptions() int { return g.exec.Preemptions() }
 
 // RoundsRun returns completed scheduling rounds (diagnostics only).
 func (g *Group) RoundsRun() int { return g.exec.RoundsRun() }
