@@ -615,6 +615,62 @@ func BenchmarkPreemptReadmit(b *testing.B) {
 	}
 }
 
+// BenchmarkSteadyDecode prices the steady decode token: one instance holds
+// 25 requests in lockstep decode (same prompt, outputs too long to
+// finish), and each iteration runs one scheduling round, so ns/token is
+// the engine's, the pipeline's and the event kernel's per-token cost with
+// nothing else in the way. Every 2000 rounds a fresh cluster replaces the
+// old one outside the timer, so contexts never grow into memory pressure.
+func BenchmarkSteadyDecode(b *testing.B) {
+	const reqs, episode = 25, 2000
+	var cl *cluster.Cluster
+	var g *cluster.Group
+	fresh := func() {
+		var err error
+		cl, err = cluster.New(cluster.Config{
+			Seed:          1,
+			Model:         model.Qwen25_14B(),
+			GPU:           gpu.A800(),
+			Instances:     1,
+			Policy:        baselines.VLLMDP{},
+			MetricsWindow: 10000 * sim.Second,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < reqs; i++ {
+			if err := cl.Dispatch(request.New(i, 0, 64, 1<<30)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		g = cl.Groups()[0]
+		for g.RoundsRun() < 4 {
+			cl.Sim.Step()
+		}
+		if g.RunningLen() != reqs {
+			b.Fatalf("%d of %d requests running", g.RunningLen(), reqs)
+		}
+	}
+	fresh()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%episode == 0 {
+			b.StopTimer()
+			fresh()
+			b.StartTimer()
+		}
+		for n := g.RoundsRun(); g.RoundsRun() == n; {
+			cl.Sim.Step()
+		}
+	}
+	b.StopTimer()
+	if g.RunningLen() != reqs || g.Preemptions() != 0 {
+		b.Fatalf("%d requests running, %d preempted: decode was not steady", g.RunningLen(), g.Preemptions())
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(reqs*b.N), "ns/token")
+}
+
 // BenchmarkDispatch512 prices pure routing on a 512-group fleet: each
 // iteration stands up a fresh DP cluster and pushes a batch of requests
 // through Cluster.Dispatch with no simulation time advancing, so the cost

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -20,67 +21,209 @@ import (
 
 // churn drives one engine through random membership changes and keeps a
 // plain-slice reference model of its running set: ref holds the running
-// requests in admission order, stalled the subset the test stalled.
+// requests in admission order, queue the wait queue in FCFS order, and
+// stalled the subset the test stalled.
+//
+// The model also replays reservation order, which Victim depends on. An
+// extra stage after admission records the round's batch in reservation
+// order (decodes in lane order, then the prefill chunks the budget packs);
+// a request counts as reserved once the reservation walk has passed it.
+// Outside a pressure callback the walk is complete. Inside one, the walk
+// stands at the first batch member that neither holds its reservation in
+// its Seq nor was dropped — the model reads only requests and Seqs, never
+// the engine's slots.
 type churn struct {
 	t    *testing.T
 	rng  *rand.Rand
 	simu *sim.Simulation
 	pool *kvcache.Pool
+	col  *metrics.Collector
 	e    *Engine
 
-	reqs     map[int]*request.Request
-	ref      []*request.Request
-	stalled  map[*request.Request]bool
-	nextID   int
-	preempts int
-	finished int
+	reqs    map[int]*request.Request
+	ref     []*request.Request
+	queue   []*request.Request
+	stalled map[*request.Request]bool
+	// heldAt maps each request stalled while holding a reservation to the
+	// round (RoundsRun) it was reserved in. Resumed while that round still
+	// executes, it finishes its token after all; once the round has
+	// finished without it, its Seq runs ahead of its context for good, so
+	// the test only ever removes it.
+	heldAt map[*request.Request]int
+	// stallGen is each stalled request's Generated when it stalled.
+	stallGen map[*request.Request]int
+
+	// batch is the latest round's batch in reservation order, and dropped
+	// its members whose reservation failed under pressure.
+	batch   []*request.Request
+	dropped map[*request.Request]bool
+
+	// adopted counts tokens adopted requests arrived with.
+	adopted   int
+	nextID    int
+	preempts  int
+	finished  int
+	pressures int
+	// dropsInFlight counts stalls and removals that took a fast token out
+	// of its round, and retakes unstalls that put one back (coverage only;
+	// the model never reads them).
+	dropsInFlight, retakes int
 }
 
-// Emit implements obs.Tracer: the engine's admit instants tell the model
-// which queued request joined the running set, in admission order.
-func (c *churn) Emit(ev obs.Event) {
-	if ev.Cat == obs.CatQueue && ev.Name == "admit" {
-		c.ref = append(c.ref, c.reqs[ev.Req])
-	}
-}
+// discard is a tracer that drops every event: tracing selects the engine's
+// item path.
+type discard struct{}
 
-func newChurn(t *testing.T, seed int64, blocks int) *churn {
+func (discard) Emit(obs.Event) {}
+
+func newChurn(t *testing.T, seed int64, blocks, budget int, traced bool) *churn {
 	c := &churn{
-		t:       t,
-		rng:     rand.New(rand.NewSource(seed)),
-		simu:    sim.New(seed),
-		pool:    kvcache.NewPool(blocks, 16),
-		reqs:    make(map[int]*request.Request),
-		stalled: make(map[*request.Request]bool),
+		t:        t,
+		rng:      rand.New(rand.NewSource(seed)),
+		simu:     sim.New(seed),
+		pool:     kvcache.NewPool(blocks, 16),
+		col:      metrics.NewCollector(sim.Second),
+		reqs:     make(map[int]*request.Request),
+		stalled:  make(map[*request.Request]bool),
+		heldAt:   make(map[*request.Request]int),
+		stallGen: make(map[*request.Request]int),
+		dropped:  make(map[*request.Request]bool),
 	}
-	stage := &pipeline.Stage{Timer: gpu.NewTimer(gpu.A800(), model.Qwen25_14B(), 1)}
+	var tr obs.Tracer
+	if traced {
+		tr = discard{}
+	}
+	ps := &pipeline.Stage{Timer: gpu.NewTimer(gpu.A800(), model.Qwen25_14B(), 1)}
 	c.e = New(Options{
 		Sim:        c.simu,
 		Pool:       c.pool,
-		Pipeline:   pipeline.New(c.simu, []*pipeline.Stage{stage}, 1),
+		Pipeline:   pipeline.New(c.simu, []*pipeline.Stage{ps}, 1),
 		Queue:      sched.NewFCFS(),
-		Collector:  metrics.NewCollector(sim.Second),
-		Budget:     batching.Budget{MaxTokens: 48},
+		Collector:  c.col,
+		Budget:     batching.Budget{MaxTokens: budget},
 		Depth:      1,
 		RetryDelay: sim.Millisecond,
-		Tracer:     c,
+		Tracer:     tr,
 		Callbacks: Callbacks{
-			BeforeAdmit: func() {},
-			HandlePressure: func(int) bool {
-				v := c.e.Victim()
-				if v == nil {
-					return false
-				}
-				c.preempt(v)
-				return true
-			},
+			BeforeAdmit:    func() {},
+			HandlePressure: c.pressure,
 			Finished: func(r *request.Request) {
 				c.leave(r)
 				c.finished++
 			},
 		},
 	})
+	observe := stage{"observe", func(*Engine, *round) bool {
+		c.observe()
+		return true
+	}}
+	i := slices.IndexFunc(c.e.stages, func(st stage) bool { return st.name == "admit" })
+	c.e.stages = slices.Insert(slices.Clone(c.e.stages), i+1, observe)
 	return c
+}
+
+// sync moves the requests admitted since the last call from the model's
+// queue to its running set: admission pops the FCFS head, so they are the
+// queue's first len(queue) − QueueLen entries, in admission order.
+func (c *churn) sync() {
+	n := len(c.queue) - c.e.QueueLen()
+	c.ref = append(c.ref, c.queue[:n]...)
+	c.queue = c.queue[n:]
+}
+
+// observe records the round's batch in reservation order, as collect and
+// form will build it: every running, unstalled decode in lane order
+// within the budget, then the prefill chunks packed FCFS in lane order.
+func (c *churn) observe() {
+	c.sync()
+	lane := slices.Clone(c.ref)
+	slices.SortFunc(lane, func(a, b *request.Request) int {
+		if a.Arrival != b.Arrival {
+			return cmp.Compare(a.Arrival, b.Arrival)
+		}
+		return a.ID - b.ID
+	})
+	var decodes, prefills []*request.Request
+	for _, r := range lane {
+		switch {
+		case c.stalled[r] || r.Done():
+		case r.InPrefill():
+			prefills = append(prefills, r)
+		default:
+			decodes = append(decodes, r)
+		}
+	}
+	pk := batching.NewPacker(c.e.budget)
+	c.batch = append(c.batch[:0], decodes[:pk.Decodes(len(decodes))]...)
+	for _, r := range prefills {
+		chunk, ok := pk.Prefill(r.RemainingPrefill())
+		if !ok {
+			break
+		}
+		if chunk > 0 {
+			c.batch = append(c.batch, r)
+		}
+	}
+	clear(c.dropped)
+}
+
+// holdsReservation reports whether r's Seq holds a token its request has
+// not advanced past: a reservation its round has not finished. Callers
+// write the lane back first.
+func holdsReservation(r *request.Request) bool {
+	if r.Seq == nil {
+		return false
+	}
+	if r.InPrefill() {
+		return r.Seq.Tokens() > r.PrefilledTokens
+	}
+	return r.Seq.Tokens() > r.ContextLen()
+}
+
+// walk returns the index in batch of the member the reservation walk is
+// reserving during a pressure callback: the first running, unstalled one
+// that neither holds its reservation nor was dropped. The engine must
+// have written its lane back.
+func (c *churn) walk() int {
+	running := make(map[*request.Request]bool, len(c.ref))
+	for _, r := range c.ref {
+		running[r] = true
+	}
+	for k, r := range c.batch {
+		if running[r] && !c.stalled[r] && !c.dropped[r] && !holdsReservation(r) {
+			return k
+		}
+	}
+	return len(c.batch)
+}
+
+// pressure is the engine's pressure callback: it checks Victim against the
+// model with the walk standing at the member being reserved, and that no
+// member past it holds a reservation yet, then preempts the victim.
+func (c *churn) pressure(int) bool {
+	c.pressures++
+	c.sync()
+	c.e.Running() // write the lane back so Seqs show the reservations
+	pos := c.walk()
+	for _, r := range c.batch[min(pos+1, len(c.batch)):] {
+		if slices.Contains(c.ref, r) && !c.stalled[r] && holdsReservation(r) {
+			c.t.Fatalf("pressure while reserving batch member %d: request %d, later in reservation order, is already reserved",
+				pos, r.ID)
+		}
+	}
+	want := c.refVictim(pos)
+	v := c.e.Victim()
+	if v != want {
+		c.t.Fatalf("pressure while reserving batch member %d: Victim %v, model %v", pos, id(v), id(want))
+	}
+	if v == nil {
+		if pos < len(c.batch) {
+			c.dropped[c.batch[pos]] = true
+		}
+		return false
+	}
+	c.preempt(v)
+	return true
 }
 
 // fresh builds a request with arrivals drawn from a few instants, so equal
@@ -94,18 +237,22 @@ func (c *churn) fresh() *request.Request {
 }
 
 func (c *churn) leave(r *request.Request) {
+	c.sync()
 	i := slices.Index(c.ref, r)
 	if i < 0 {
 		c.t.Fatalf("request %d left the engine but the model does not hold it", r.ID)
 	}
 	c.ref = slices.Delete(c.ref, i, i+1)
 	delete(c.stalled, r)
+	delete(c.heldAt, r)
+	delete(c.stallGen, r)
 }
 
 func (c *churn) preempt(r *request.Request) {
 	c.leave(r)
 	c.preempts++
 	c.e.PreemptRecompute(r)
+	c.queue = slices.Insert(c.queue, 0, r)
 }
 
 // adopt adds a fresh request straight to the running set, as a handoff or
@@ -124,23 +271,27 @@ func (c *churn) adopt() {
 	r.Seq = seq
 	if prompt > 0 {
 		r.AdvancePrefill(prompt, c.simu.Now())
+		c.adopted += r.Generated
 	}
 	r.SetState(request.StateRunning)
+	c.sync()
 	c.e.AdoptRunning(r)
 	c.ref = append(c.ref, r)
 }
 
 // pick returns a random running request the test has (or has not)
-// stalled. Like a policy's, the test's stalls skip the current round's
-// reserved requests: a token reserved for a request stalled before its
-// round finishes stays in its Seq, ahead of its context.
+// stalled, reserved in the current round or not. It never resumes a
+// stalled request whose Seq runs ahead of its context.
 func (c *churn) pick(stalled bool) *request.Request {
 	var in []*request.Request
-	reserved := c.reserved()
 	for _, r := range c.ref {
-		if c.stalled[r] == stalled && !reserved[r] {
-			in = append(in, r)
+		if c.stalled[r] != stalled {
+			continue
 		}
+		if at, held := c.heldAt[r]; held && !(c.e.Executing() && c.e.RoundsRun() == at) {
+			continue
+		}
+		in = append(in, r)
 	}
 	if len(in) == 0 {
 		return nil
@@ -150,10 +301,13 @@ func (c *churn) pick(stalled bool) *request.Request {
 
 // step applies one random operation.
 func (c *churn) step() string {
-	busy := len(c.ref)+c.e.QueueLen() >= 48
-	switch op := c.rng.Intn(20); {
+	c.sync()
+	busy := len(c.ref)+len(c.queue) >= 48
+	switch op := c.rng.Intn(22); {
 	case op < 3 && !busy:
-		c.e.Enqueue(c.fresh())
+		r := c.fresh()
+		c.queue = append(c.queue, r)
+		c.e.Enqueue(r)
 		return "enqueue"
 	case op < 6:
 		if v := c.e.Victim(); v != nil {
@@ -162,23 +316,51 @@ func (c *churn) step() string {
 		return "preempt"
 	case op < 8:
 		if r := c.pick(false); r != nil {
+			live := c.e.rd.live
 			c.e.Stall(r, request.StateSwapped)
+			if c.e.rd.live < live {
+				c.dropsInFlight++
+			}
 			c.stalled[r] = true
+			if holdsReservation(r) {
+				c.heldAt[r] = c.e.RoundsRun()
+			}
+			c.stallGen[r] = r.Generated
 		}
-		return "stall"
+		return fmt.Sprintf("stall (executing %v)", c.e.Executing())
 	case op < 10:
 		if r := c.pick(true); r != nil {
 			delete(c.stalled, r)
+			delete(c.stallGen, r)
+			delete(c.heldAt, r)
+			live := c.e.rd.live
 			c.e.Unstall(r)
+			if c.e.rd.live > live {
+				c.retakes++
+			}
 		}
-		return "unstall"
+		return fmt.Sprintf("unstall (executing %v)", c.e.Executing())
 	case op < 12 && !busy:
 		c.adopt()
 		return fmt.Sprintf("adopt (executing %v)", c.e.Executing())
 	case op < 13:
+		// Migrate a running request away, stalled or not, reserved or not.
+		if len(c.ref) > 0 {
+			r := c.ref[c.rng.Intn(len(c.ref))]
+			live := c.e.rd.live
+			c.e.RemoveRequest(r)
+			if c.e.rd.live < live {
+				c.dropsInFlight++
+			}
+			c.leave(r)
+			r.Seq.Free()
+			r.Seq = nil
+		}
+		return fmt.Sprintf("remove (executing %v)", c.e.Executing())
+	case op < 14:
 		c.e.Wake()
 		return "wake"
-	case op < 14:
+	case op < 15:
 		// Let the round in flight and its successors run out, so the
 		// operations that follow (until one wakes the engine) take the
 		// engine's between-rounds paths.
@@ -199,6 +381,14 @@ func collect(each func(func(*request.Request))) []*request.Request {
 	return out
 }
 
+// id is r's ID, or -1 for nil.
+func id(r *request.Request) int {
+	if r == nil {
+		return -1
+	}
+	return r.ID
+}
+
 func ids(rs []*request.Request) []int {
 	out := make([]int, len(rs))
 	for i, r := range rs {
@@ -207,22 +397,15 @@ func ids(rs []*request.Request) []int {
 	return out
 }
 
-// reserved is the set of requests the current round holds items for.
-func (c *churn) reserved() map[*request.Request]bool {
-	out := make(map[*request.Request]bool)
-	for _, it := range c.e.rd.items {
-		if it.Lane >= 0 {
-			out[it.Req] = true
-		}
-	}
-	return out
-}
-
 // refVictim is Victim by definition: the youngest running request that is
-// neither stalled nor reserved in the current round, the earliest admitted
-// among equal arrivals.
-func (c *churn) refVictim() *request.Request {
-	reserved := c.reserved()
+// neither stalled nor reserved in the latest round, the earliest admitted
+// among equal arrivals. The round's batch members before index walked are
+// reserved, bar those whose reservation was dropped.
+func (c *churn) refVictim(walked int) *request.Request {
+	reserved := make(map[*request.Request]bool)
+	for _, r := range c.batch[:walked] {
+		reserved[r] = !c.dropped[r]
+	}
 	var v *request.Request
 	for _, r := range c.ref {
 		if c.stalled[r] || reserved[r] {
@@ -242,6 +425,7 @@ func (c *churn) check(op string) {
 		c.t.Helper()
 		c.t.Fatalf("after %s: %s", op, fmt.Sprintf(format, args...))
 	}
+	c.sync()
 	want := ids(c.ref)
 	if got := ids(c.e.Running()); !slices.Equal(got, want) {
 		fail("Running %v, model %v", got, want)
@@ -261,6 +445,9 @@ func (c *churn) check(op string) {
 	if n := c.e.RunningLen(); n != len(c.ref) {
 		fail("RunningLen %d, model %d", n, len(c.ref))
 	}
+	if got, want := ids(c.e.Queue().Items()), ids(c.queue); !slices.Equal(got, want) {
+		fail("queue %v, model %v", got, want)
+	}
 	if _, err := c.e.CheckLane(); err != nil {
 		fail("%v", err)
 	}
@@ -274,11 +461,27 @@ func (c *churn) check(op string) {
 			}
 		}
 	}
-	if wv, gv := c.refVictim(), c.e.Victim(); wv != gv {
-		fail("Victim %v, model %v", gv, wv)
+	if wv, gv := c.refVictim(len(c.batch)), c.e.Victim(); wv != gv {
+		fail("Victim %v, model %v", id(gv), id(wv))
 	}
 	if p := c.e.Preemptions(); p != c.preempts {
 		fail("Preemptions %d, model %d", p, c.preempts)
+	}
+	// A stalled request makes no progress, and every token the engine
+	// reported generated is one some request advanced by.
+	gen := -c.adopted
+	for _, r := range c.reqs {
+		gen += r.Generated
+		if g, ok := c.stallGen[r]; ok && r.Generated != g {
+			fail("stalled request %d advanced from %d to %d tokens", r.ID, g, r.Generated)
+		}
+	}
+	emitted := 0.0
+	for _, v := range c.col.Tokens.Sum() {
+		emitted += v
+	}
+	if int(emitted) != gen {
+		fail("engine reported %v tokens, requests generated %d", emitted, gen)
 	}
 }
 
@@ -313,15 +516,26 @@ func (c *churn) drainAndExtract() {
 
 // TestChurnMatchesReference runs seeded random admissions, finishes,
 // Victim preemptions (the test's own and the pressure callback's), stalls,
-// unstalls and adoptions — many in the middle of a live round — against a
-// plain-slice reference model. After every operation the admission-order
-// views, the stalled visit, Victim's choice, the round items' lane indices
-// and CheckLane must agree with the model; each episode ends by draining
-// the engine and extracting its requests.
+// unstalls, adoptions and removals — many in the middle of a live round,
+// of reserved requests too — against a plain-slice reference model. Half
+// the episodes run on a pool small enough that decode block crossings hit
+// pressure; the other half on a roomy pool, where the stop rule is
+// waived, under a token budget smaller than the running set. Odd seeds
+// trace (into a discarding tracer), which puts every token on the item
+// path; even seeds run untraced, where steady decodes take the fast path.
+// After every operation the admission-order views, the stalled visit,
+// Victim's choice, the wait queue, the round items' lane indices,
+// CheckLane and token conservation must agree with the model, and inside
+// every pressure callback Victim must match the model's reservation walk;
+// each episode ends by draining the engine and extracting its requests.
 func TestChurnMatchesReference(t *testing.T) {
-	var ops, live, preempts, finished int
-	for seed := int64(1); seed <= 24; seed++ {
-		c := newChurn(t, seed, 96)
+	var ops, live, preempts, finished, pressures, fast, drops, retakes int
+	for seed := int64(1); seed <= 48; seed++ {
+		blocks, budget := 24, 40
+		if seed > 24 {
+			blocks, budget = 1<<12, 16
+		}
+		c := newChurn(t, seed, blocks, budget, seed%2 == 1)
 		for n := 100 + c.rng.Intn(500); n > 0; n-- {
 			if c.e.live() {
 				live++
@@ -331,20 +545,29 @@ func TestChurnMatchesReference(t *testing.T) {
 			ops++
 		}
 		c.drainAndExtract()
+		if traced := seed%2 == 1; traced != (c.e.FastDecodes() == 0) {
+			t.Errorf("seed %d (traced %v): %d fast decodes", seed, traced, c.e.FastDecodes())
+		}
 		preempts += c.preempts
 		finished += c.finished
+		pressures += c.pressures
+		fast += c.e.FastDecodes()
+		drops += c.dropsInFlight
+		retakes += c.retakes
 	}
-	if live == 0 || live == ops || preempts == 0 || finished == 0 {
-		t.Fatalf("%d ops: %d during a live round, %d preemptions, %d finishes; the churn never bit",
-			ops, live, preempts, finished)
+	if live == 0 || live == ops || preempts == 0 || finished == 0 || pressures == 0 ||
+		fast == 0 || drops == 0 || retakes == 0 {
+		t.Fatalf("%d ops: %d during a live round, %d preemptions, %d finishes, %d pressure calls, %d fast decodes, %d in-flight drops, %d retakes; the churn never bit",
+			ops, live, preempts, finished, pressures, fast, drops, retakes)
 	}
-	t.Logf("%d ops (%d during a live round), %d preemptions, %d finishes", ops, live, preempts, finished)
+	t.Logf("%d ops (%d during a live round), %d preemptions, %d finishes, %d pressure calls, %d fast decodes, %d in-flight drops, %d retakes",
+		ops, live, preempts, finished, pressures, fast, drops, retakes)
 }
 
 // Warmed, EachRunning and EachStalled sort into the engine's own scratch
 // and allocate nothing.
 func TestEachVisitAllocatesNothing(t *testing.T) {
-	c := newChurn(t, 1, 1<<12)
+	c := newChurn(t, 1, 1<<12, 48, false)
 	for i := 0; i < 32; i++ {
 		c.adopt()
 	}
@@ -366,5 +589,48 @@ func TestEachVisitAllocatesNothing(t *testing.T) {
 	}
 	if n == 0 {
 		t.Fatal("nothing visited")
+	}
+}
+
+// A fast round keeps the decodes the item path keeps: the first
+// budget-many in lane order, with the stop rule waived on a roomy pool.
+// Request 2's token crosses a block and stays an item; traced and
+// untraced, the first round advances exactly requests 0–7.
+func TestFastRoundKeepsTheBudget(t *testing.T) {
+	for _, traced := range []bool{false, true} {
+		c := newChurn(t, 1, 1<<12, 8, traced)
+		for id := 0; id < 12; id++ {
+			prompt := 17
+			if id == 2 {
+				prompt = 16 // a full tail block: the next token needs a new one
+			}
+			r := request.New(id, 0, prompt, 100)
+			seq, err := c.pool.NewSeq(prompt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Seq = seq
+			r.AdvancePrefill(prompt, c.simu.Now())
+			r.SetState(request.StateRunning)
+			c.e.AdoptRunning(r)
+			c.ref = append(c.ref, r)
+		}
+		c.e.Wake()
+		for c.e.RoundsRun() < 2 && c.simu.Step() {
+		}
+		// The second round is in flight; its tokens are not yet decoded.
+		for _, r := range c.e.Running() {
+			want := 1
+			if r.ID < 8 {
+				want = 2
+			}
+			if r.Generated != want {
+				t.Errorf("traced %v: request %d generated %d tokens after one round, want %d",
+					traced, r.ID, r.Generated, want)
+			}
+		}
+		if fast := c.e.FastDecodes(); traced != (fast == 0) {
+			t.Errorf("traced %v: %d fast decodes", traced, fast)
+		}
 	}
 }

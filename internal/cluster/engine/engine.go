@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 
 	"kunserve/internal/batching"
+	"kunserve/internal/gpu"
 	"kunserve/internal/kvcache"
 	"kunserve/internal/metrics"
 	"kunserve/internal/obs"
@@ -92,7 +93,8 @@ type Callbacks struct {
 	// Finished runs after a request completes and its record is
 	// collected (the cluster decrements its outstanding count and may
 	// recycle the request struct — the engine holds no reference past
-	// this call).
+	// this call). It must not act on other requests: finishRound advances
+	// a round's fast tokens before its items, whatever their lane order.
 	Finished func(r *request.Request)
 	// Handoff takes over a prefill-role group's completed prefill; it
 	// returns true when the policy accepted the request (stalling it for
@@ -197,6 +199,9 @@ type Engine struct {
 	hint int
 	// preemptions counts PreemptDetach calls (diagnostics only).
 	preemptions int
+	// fastDecodes counts decode tokens collect took on the fast path
+	// (diagnostics only).
+	fastDecodes int
 	// pending is set while some slot may hold tokens not yet written back;
 	// writeBackAll skips its walk otherwise.
 	pending bool
@@ -287,11 +292,14 @@ type Engine struct {
 
 // slot is one running request's entry in the engine's lane. A hot slot —
 // running, unstalled, past its prefill, on a role that decodes — owns the
-// request's decode-hot state, so collect, form, reserve and finish move a
-// steady decode token by touching the slot alone; the Request and its Seq
-// catch up at the next write-back. A cold slot (prefilling, stalled, or
-// one whose context length would not step by one per token) leaves the
-// Request authoritative, and every stage reads it there.
+// request's decode-hot state, so a steady decode token moves by touching
+// the slot alone; the Request and its Seq catch up at the next write-back.
+// In a fast round (see collectInto) collect reserves and advances a fast
+// slot's token in that one visit, and no other stage touches the slot; in
+// any other round collect, reserve and finish each visit the slot through
+// the token's item. A cold slot (prefilling, stalled, or one whose context
+// length would not step by one per token) leaves the Request
+// authoritative, and every stage reads it there.
 //
 // Write-backs happen where a running request becomes visible outside the
 // engine: Running, EachRunning, Victim, Stall, RemoveRequest,
@@ -321,6 +329,11 @@ type slot struct {
 	// kv reserved tokens not yet committed to the Seq.
 	gen, kv int32
 	hot     bool
+	// fast marks a slot collect advanced on the fast path in the round
+	// stamped stamp. While that round's fast tokens are in flight (see
+	// inFlight) ctx, left and gen already count the token; a Stall drops it
+	// and an Unstall in the same round takes it back.
+	fast bool
 }
 
 // New assembles an engine in the collocated role.
@@ -375,12 +388,21 @@ type stage struct {
 }
 
 // round carries one scheduling round's state between stages: collect
-// leaves the decode steps in items and the prefilling requests' lane
-// indices in prefills, and form completes items.
+// leaves the decode steps in items, the prefilling requests' lane indices
+// in prefills and the fast decodes' aggregate in fast, and form completes
+// items.
 type round struct {
 	prefills []int32
 	items    []batching.Item
-	hadWork  bool
+	// fast prices the decode tokens collect reserved and advanced in place
+	// (no items). It is fixed at collect — like a reserved item, a fast
+	// token dropped later in the round is still priced — and cleared when
+	// finishRound begins, so fast.N > 0 marks the fast tokens in flight.
+	// live counts the in-flight fast tokens that still finish: a Stall or
+	// a removal drops one and an Unstall takes it back.
+	fast    gpu.DecodeSum
+	live    int
+	hadWork bool
 	// fromPlan marks that a still-valid speculative plan supplies this
 	// round's collect and form output (runForm swaps the plan's items in
 	// instead of recomputing them).
@@ -513,6 +535,10 @@ func (e *Engine) RunningLen() int { return len(e.lane) - e.dead }
 // PreemptRecompute) has dropped for recomputation (diagnostics only).
 func (e *Engine) Preemptions() int { return e.preemptions }
 
+// FastDecodes returns how many decode tokens collect reserved and advanced
+// in place, with no item (diagnostics only).
+func (e *Engine) FastDecodes() int { return e.fastDecodes }
+
 // RoundsRun returns completed scheduling rounds (diagnostics).
 func (e *Engine) RoundsRun() int { return e.roundsRun }
 
@@ -599,6 +625,7 @@ func (e *Engine) Stall(r *request.Request, st request.State) {
 	e.mutated()
 	if i := e.laneIndex(r); i >= 0 {
 		s := &e.lane[i]
+		e.dropInFlight(s)
 		e.writeBack(s)
 		s.hot = false
 	}
@@ -616,7 +643,13 @@ func (e *Engine) Unstall(r *request.Request) {
 	delete(e.stalled, r.ID)
 	r.SetState(request.StateRunning)
 	if i := e.laneIndex(r); i >= 0 {
-		e.syncSlot(&e.lane[i])
+		s := &e.lane[i]
+		e.syncSlot(s)
+		if e.inFlight(s) {
+			// Stalled and resumed within its fast round: like a reserved
+			// item's, its token finishes after all.
+			e.takeInFlight(s)
+		}
 	}
 	if r.InPrefill() {
 		e.rt.Transition(e.simu.Now(), r.ID, "prefill", e.groupID)
@@ -806,6 +839,7 @@ func (e *Engine) removeRunning(r *request.Request) {
 // a burst quadratic in the batch.
 func (e *Engine) removeAt(i int) {
 	s := &e.lane[i]
+	e.dropInFlight(s)
 	e.writeBack(s)
 	e.mutated()
 	e.demandAdd(-committedTokens(s.req))
@@ -888,16 +922,48 @@ func laneRoom(r *request.Request) int32 {
 }
 
 // writeBack catches a slot's request and Seq up with the tokens the slot
-// counted since its last write-back.
+// counted since its last write-back. An in-flight fast token stays on the
+// slot: its KV is committed, but the request has not decoded it yet.
 func (e *Engine) writeBack(s *slot) {
-	if s.gen > 0 {
-		s.req.AdvanceDecodeBy(int(s.gen), e.simu.Now())
-		s.gen = 0
+	gen := s.gen
+	if e.inFlight(s) {
+		gen--
+	}
+	if gen > 0 {
+		s.req.AdvanceDecodeBy(int(gen), e.simu.Now())
+		s.gen -= gen
 	}
 	if s.kv > 0 {
 		s.req.Seq.Commit(int(s.kv))
 		s.kv = 0
 	}
+}
+
+// inFlight reports whether s holds a fast token of the round in flight.
+func (e *Engine) inFlight(s *slot) bool {
+	return e.rd.fast.N > 0 && s.fast && s.hot && s.stamp == e.curStamp
+}
+
+// dropInFlight takes an in-flight fast token off a slot leaving the round
+// (stalled or removed) the way finishRound skips a stalled or dead item:
+// its KV stays reserved, but it is not decoded.
+func (e *Engine) dropInFlight(s *slot) {
+	if e.inFlight(s) {
+		s.gen--
+		s.ctx--
+		s.left++
+		e.rd.live--
+	}
+}
+
+// takeInFlight puts a dropped fast token back on a slot resumed within
+// its round; the KV it reserved is still in the Seq.
+func (e *Engine) takeInFlight(s *slot) {
+	s.gen++
+	s.ctx++
+	s.left--
+	e.rd.live++
+	e.pending = true
 }
 
 // writeBackAll catches every slot up before the running set is exposed.
@@ -914,16 +980,18 @@ func (e *Engine) writeBackAll() {
 // CheckLane writes every slot back and checks the lane against ground
 // truth: its slots stay in (Arrival, ID) order, laneIndex finds every live
 // slot at its own index, admission numbers are unique, and dead,
-// firstDead and deadTail match the dead slots. Nothing may stay pending,
-// and every hot slot's context length, remaining output and tail room
-// must equal what its request and Seq report, with the Seq holding
-// exactly the committed context (plus the in-flight token while a round
-// executes). It returns how many hot slots it checked. Audits and tests
-// call it; write-backs are invisible to the simulation, so calling it
-// never changes results.
+// firstDead and deadTail match the dead slots. Nothing may stay pending
+// but an in-flight fast token, and the slots holding one must number the
+// round's live fast tokens. Every hot slot's context length, remaining
+// output and tail room must equal what its request and Seq report (plus
+// its in-flight fast token), with the Seq holding exactly the committed
+// context (plus the in-flight token while a round executes). It returns
+// how many hot slots it checked. Audits and tests call it between rounds
+// or while one executes; write-backs are invisible to the simulation, so
+// calling it never changes results.
 func (e *Engine) CheckLane() (hot int, err error) {
 	e.writeBackAll()
-	dead := 0
+	dead, live := 0, 0
 	adms := make([]uint64, 0, e.RunningLen())
 	for i := range e.lane {
 		s := &e.lane[i]
@@ -944,7 +1012,12 @@ func (e *Engine) CheckLane() (hot int, err error) {
 				e.groupID, r.ID, i, j)
 		}
 		adms = append(adms, s.adm)
-		if s.gen != 0 || s.kv != 0 {
+		fast := int32(0)
+		if e.inFlight(s) {
+			fast = 1
+			live++
+		}
+		if s.gen != fast || s.kv != 0 {
 			return hot, fmt.Errorf("engine: group %d request %d still pending after write-back", e.groupID, r.ID)
 		}
 		if !s.hot {
@@ -959,12 +1032,12 @@ func (e *Engine) CheckLane() (hot int, err error) {
 		case r.State() != request.StateRunning || r.Seq == nil || r.InPrefill() || r.Done():
 			return hot, fmt.Errorf("engine: group %d hot slot for request %d in state %v",
 				e.groupID, r.ID, r.State())
-		case int(s.ctx) != r.ContextLen():
-			return hot, fmt.Errorf("engine: group %d request %d slot context %d, request %d",
-				e.groupID, r.ID, s.ctx, r.ContextLen())
-		case int(s.left) != r.OutputLen-r.Generated:
-			return hot, fmt.Errorf("engine: group %d request %d slot has %d tokens left, request %d",
-				e.groupID, r.ID, s.left, r.OutputLen-r.Generated)
+		case int(s.ctx-fast) != r.ContextLen():
+			return hot, fmt.Errorf("engine: group %d request %d slot context %d (%d in flight), request %d",
+				e.groupID, r.ID, s.ctx, fast, r.ContextLen())
+		case int(s.left+fast) != r.OutputLen-r.Generated:
+			return hot, fmt.Errorf("engine: group %d request %d slot has %d tokens left (%d in flight), request %d",
+				e.groupID, r.ID, s.left, fast, r.OutputLen-r.Generated)
 		case s.room != laneRoom(r):
 			return hot, fmt.Errorf("engine: group %d request %d slot room %d, Seq %d",
 				e.groupID, r.ID, s.room, laneRoom(r))
@@ -975,6 +1048,10 @@ func (e *Engine) CheckLane() (hot int, err error) {
 	}
 	if dead != e.dead {
 		return hot, fmt.Errorf("engine: group %d lane holds %d dead slots, counted %d", e.groupID, dead, e.dead)
+	}
+	if live != e.rd.live {
+		return hot, fmt.Errorf("engine: group %d lane holds %d in-flight fast tokens, round counts %d",
+			e.groupID, live, e.rd.live)
 	}
 	tail := 0
 	for tail < len(e.lane) && e.lane[len(e.lane)-1-tail].req == nil {
@@ -1107,10 +1184,45 @@ func (e *Engine) runAdmit(*round) bool {
 // PlanRound share this exact code path — given identical state, a consumed
 // plan is byte-identical to a fresh collect by construction, not by
 // convention.
-func (e *Engine) collectInto(items []batching.Item, prefills []int32) ([]batching.Item, []int32) {
+//
+// With fastLimit > 0 the walk also reserves and advances fast slots in
+// place, building no item for them, and returns their aggregate. A fast
+// slot is hot, its token needs no new block (room ≥ 1) and does not finish
+// its request (left ≥ 2); only decodes among the first fastLimit in lane
+// order are taken, so the budget keeps the same decodes as on the item
+// path. Fast slots take the stamp the round will use (curStamp+1, which
+// runForm makes current), and their ctx, left and gen count the in-flight
+// token from here until finishRound begins. The stop rule: fast
+// reservation stops at the first decode that must stay an item, because
+// reserving younger slots ahead of it would let a pressure callback during
+// its reservation find them stamped, and Victim would choose differently
+// from the item path. The rule is waived when the pool holds a block for
+// every slot. PlanRound passes 0 and writes no slot.
+func (e *Engine) collectInto(items []batching.Item, prefills []int32, fastLimit int) ([]batching.Item, []int32, gpu.DecodeSum) {
+	var fast gpu.DecodeSum
+	stamp := e.curStamp + 1
+	// A decode's reservation needs at most one block, so when the pool can
+	// hand every slot one, none reaches the pressure callback and the stop
+	// rule has nothing to protect.
+	stop := fastLimit > 0 && e.pool.AvailableBlocks() < len(e.lane)
+	decodes := len(items)
 	for i := range e.lane {
 		s := &e.lane[i]
 		if s.hot {
+			if fast.N+len(items)-decodes < fastLimit && s.room >= 1 && s.left >= 2 {
+				fast.N++
+				fast.Context += int(s.ctx) + 1
+				s.room--
+				s.kv++
+				s.gen++
+				s.ctx++
+				s.left--
+				s.stamp, s.fast = stamp, true
+				continue
+			}
+			if stop {
+				fastLimit = 0
+			}
 			items = appendDecode(items, s.req, int32(i), int(s.ctx))
 			continue
 		}
@@ -1128,6 +1240,9 @@ func (e *Engine) collectInto(items []batching.Item, prefills []int32) ([]batchin
 			}
 			prefills = append(prefills, int32(i))
 		} else if e.role.RunsDecode() {
+			if stop {
+				fastLimit = 0
+			}
 			items = appendDecode(items, r, int32(i), r.ContextLen())
 		} else {
 			// A decode-ready request on a prefill group must be stalled
@@ -1138,7 +1253,7 @@ func (e *Engine) collectInto(items []batching.Item, prefills []int32) ([]batchin
 				e.groupID, r.ID))
 		}
 	}
-	return items, prefills
+	return items, prefills, fast
 }
 
 // appendDecode appends one decode step, filling the new item in place:
@@ -1154,19 +1269,16 @@ func appendDecode(items []batching.Item, r *request.Request, lane int32, ctx int
 
 // formInto completes the iteration batch the collect stage started in
 // items, in batching.FormIteration's order and budget arithmetic (through
-// batching.Packer): it keeps the decode steps the budget admits, then
-// packs prefill chunks FCFS. Each pipeline microbatch carries a full token
-// budget (vLLM gives every in-flight virtual engine
+// batching.Packer): it counts the round's fast decodes (which collect kept
+// within the budget) ahead of the item decodes, keeps the decode steps the
+// budget admits, then packs prefill chunks FCFS. Each pipeline microbatch
+// carries a full token budget (vLLM gives every in-flight virtual engine
 // max_num_batched_tokens), so the iteration budget scales with pipeline
 // depth. Shared by runForm and PlanRound; it must not touch curStamp —
 // only the committing round advances the stamp.
-func (e *Engine) formInto(items []batching.Item, prefills []int32) []batching.Item {
-	budget := e.budget
-	budget.MaxTokens *= e.depth
-	if budget.MaxSeqs > 0 {
-		budget.MaxSeqs *= e.depth
-	}
-	pk := batching.NewPacker(budget)
+func (e *Engine) formInto(items []batching.Item, prefills []int32, fast int) []batching.Item {
+	pk := batching.NewPacker(e.iterBudget())
+	pk.Decodes(fast)
 	items = items[:pk.Decodes(len(items))]
 	for _, i := range prefills {
 		r := e.lane[i].req
@@ -1180,6 +1292,32 @@ func (e *Engine) formInto(items []batching.Item, prefills []int32) []batching.It
 		}
 	}
 	return items
+}
+
+// iterBudget is one iteration's budget: Budget scaled by pipeline depth.
+func (e *Engine) iterBudget() batching.Budget {
+	budget := e.budget
+	budget.MaxTokens *= e.depth
+	if budget.MaxSeqs > 0 {
+		budget.MaxSeqs *= e.depth
+	}
+	return budget
+}
+
+// fastLimit is how many decodes collect may take on the fast path: none
+// in pipelined rounds (their formers need per-item costs), traced rounds
+// (the tracer sees every token) or rounds with pending decode-ready
+// stamps (the first decode reports its wait); otherwise every decode the
+// iteration budget admits.
+func (e *Engine) fastLimit() int {
+	if e.depth != 1 || e.tr != nil || len(e.decodeReady) > 0 {
+		return 0
+	}
+	b := e.iterBudget()
+	if b.MaxSeqs > 0 {
+		return min(b.MaxTokens, b.MaxSeqs)
+	}
+	return b.MaxTokens
 }
 
 // runCollect fills the round's decode and prefill halves, consuming a
@@ -1200,7 +1338,12 @@ func (e *Engine) runCollect(rd *round) bool {
 		}
 		e.planMisses++
 	}
-	rd.items, rd.prefills = e.collectInto(rd.items, rd.prefills)
+	rd.items, rd.prefills, rd.fast = e.collectInto(rd.items, rd.prefills, e.fastLimit())
+	if rd.fast.N > 0 {
+		rd.live = rd.fast.N
+		e.fastDecodes += rd.fast.N
+		e.pending = true
+	}
 	return true
 }
 
@@ -1213,10 +1356,10 @@ func (e *Engine) runForm(rd *round) bool {
 		// next plan's scratch.
 		rd.items, e.plan.items = e.plan.items, rd.items[:0]
 	} else {
-		rd.items = e.formInto(rd.items, rd.prefills)
+		rd.items = e.formInto(rd.items, rd.prefills, rd.fast.N)
 	}
 	e.curStamp++
-	rd.hadWork = len(rd.items) > 0
+	rd.hadWork = len(rd.items) > 0 || rd.fast.N > 0
 	return true
 }
 
@@ -1238,8 +1381,8 @@ func (e *Engine) PlanRound() {
 	defer e.planBusy.Store(0)
 	p := &e.plan
 	p.valid = false
-	p.items, p.prefills = e.collectInto(p.items[:0], p.prefills[:0])
-	p.items = e.formInto(p.items, p.prefills)
+	p.items, p.prefills, _ = e.collectInto(p.items[:0], p.prefills[:0], 0)
+	p.items = e.formInto(p.items, p.prefills, 0)
 	p.version = e.version
 	p.valid = true
 }
@@ -1252,13 +1395,15 @@ func (e *Engine) PlanStats() (hits, misses uint64) { return e.planHits, e.planMi
 // policy under pressure. Items that still cannot fit are dropped from this
 // round (their requests simply make no progress this iteration). The
 // round's demand growth is applied as one delta, before any pressure
-// callback (so the policy reads exact demand) and at the end.
+// callback (so the policy reads exact demand) and at the end; it starts at
+// the fast decodes collect already reserved, which precede every item in
+// reservation order.
 func (e *Engine) runReserve(rd *round) bool {
 	// Filter in place, writing an item back only after a drop shifted the
 	// kept ones: in the common no-pressure round every item survives and
 	// the slice is never rewritten (no redundant copies, no write
 	// barriers).
-	kept, growth := 0, 0
+	kept, growth := 0, rd.fast.N
 	for i := range rd.items {
 		it := &rd.items[i]
 		if it.Lane < 0 {
@@ -1275,7 +1420,8 @@ func (e *Engine) runReserve(rd *round) bool {
 		} else if !e.reserveSlow(it, &growth) {
 			continue
 		}
-		e.lane[it.Lane].stamp = e.curStamp
+		s := &e.lane[it.Lane]
+		s.stamp, s.fast = e.curStamp, false
 		if kept != i {
 			rd.items[kept] = *it
 		}
@@ -1337,7 +1483,7 @@ func (e *Engine) reserveSlow(it *batching.Item, growth *int) bool {
 // runLaunch hands the reserved batch to the pipeline, or schedules a
 // pressure retry when nothing survived reservation.
 func (e *Engine) runLaunch(rd *round) bool {
-	if len(rd.items) == 0 {
+	if len(rd.items) == 0 && rd.fast.N == 0 {
 		if rd.hadWork {
 			// Memory pressure blocked every item and the policy
 			// could not free anything synchronously; retry after
@@ -1373,7 +1519,7 @@ func (e *Engine) runLaunch(rd *round) bool {
 	} else {
 		mbs = e.cb.Form(&e.split, rd.items, e.depth)
 	}
-	e.pipe.RunRound(mbs, e.finishFn)
+	e.pipe.RunRound(mbs, rd.fast, e.finishFn)
 	return true
 }
 
@@ -1415,11 +1561,21 @@ func (e *Engine) startRound() {
 	}
 }
 
+// finishRound advances the round's tokens. The fast tokens need no visit:
+// their slots already count them, so clearing the in-flight state first
+// finishes them all. Finishing them ahead of items that precede them in
+// lane order changes nothing: an item's advance touches only its own slot
+// and request, and Callbacks.Finished leaves other requests alone.
 func (e *Engine) finishRound(items []batching.Item) {
 	// Advancing prefill/decode progress changes every plan input at once.
 	e.mutated()
 	now := e.simu.Now()
-	tokens := 0
+	tokens := e.rd.live
+	if tokens > 0 {
+		// A mid-round write-back left each fast token on its slot.
+		e.pending = true
+	}
+	e.rd.fast, e.rd.live = gpu.DecodeSum{}, 0
 	for k := range items {
 		// Read through the slice, not a copy: finishing a request shifts
 		// the lane indices of the items after it.

@@ -207,6 +207,10 @@ func (g *Group) RunningLen() int { return g.exec.RunningLen() }
 // recomputation (diagnostics only).
 func (g *Group) Preemptions() int { return g.exec.Preemptions() }
 
+// FastDecodes returns how many decode tokens the group's engine took on
+// its fast path, with no item (diagnostics only).
+func (g *Group) FastDecodes() int { return g.exec.FastDecodes() }
+
 // RoundsRun returns completed scheduling rounds (diagnostics only).
 func (g *Group) RoundsRun() int { return g.exec.RoundsRun() }
 

@@ -130,6 +130,18 @@ func (t *Timer) membw() float64 {
 	return t.spec.MemBandwidth * t.spec.MemEff * float64(t.tpDegree)
 }
 
+// DecodeSum is N decode steps priced as one aggregate term. Context is
+// the sum of (context+1) over the steps: a decode step attends to its
+// context plus itself and reads that many tokens' KV, so one sum carries
+// both its attention and its KV-read terms.
+type DecodeSum struct {
+	N       int
+	Context int
+}
+
+// exactBound is 2^53: below it float64 represents every integer exactly.
+const exactBound = 1 << 53
+
 // MicrobatchTime returns the ground-truth execution time of one microbatch.
 //
 // The model is roofline-style per component:
@@ -141,24 +153,25 @@ func (t *Timer) membw() float64 {
 //   - fixed per-layer kernel launches and a small per-chunk scheduling
 //     overhead that Eq. 1 folds into γ.
 func (t *Timer) MicrobatchTime(chunks []ChunkWork) sim.Duration {
-	if len(chunks) == 0 {
+	return t.Time(chunks, DecodeSum{})
+}
+
+// Time is MicrobatchTime for a microbatch of chunks plus dec, the decode
+// steps priced as one aggregate term; both count as chunks. The result has
+// the same bits as pricing each decode as its own ChunkWork: every term of
+// the attention and KV-read sums is an integer (attnFactor, the layer
+// count and the KV bytes per token are integers, and so are p·n +
+// n(n+1)/2 and p+n), so while the sums stay below 2^53 every term and
+// partial sum is exact and the order of addition cannot change the value.
+// For decodes the terms are attnFactor·(ctx+1)·layers and kvBytes·(ctx+1),
+// which sum to attnFactor·Σ(ctx+1)·layers and kvBytes·Σ(ctx+1). Time
+// panics when a sum reaches 2^53.
+func (t *Timer) Time(chunks []ChunkWork, dec DecodeSum) sim.Duration {
+	n := len(chunks) + dec.N
+	if n == 0 {
 		return 0
 	}
-	totalNew := 0
-	var attnFlops, kvReadBytes float64
-	for _, c := range chunks {
-		if c.ChunkLen <= 0 {
-			panic(fmt.Sprintf("gpu: ChunkLen = %d", c.ChunkLen))
-		}
-		totalNew += c.ChunkLen
-		// Inlined AttnFlopsForChunk with the config-constant factors
-		// hoisted (same multiplication order, so bit-identical).
-		p, n := float64(c.PrefixLen), float64(c.ChunkLen)
-		attnFlops += t.attnFactor * (p*n + n*(n+1)/2) * t.layersF
-		// The kernel streams the prefix KV (and the chunk's own KV)
-		// once per chunk.
-		kvReadBytes += t.kvBytesF * float64(c.PrefixLen+c.ChunkLen)
-	}
+	totalNew, attnFlops, kvReadBytes := t.sums(chunks, dec)
 
 	linearFlops := t.cfg.LinearFlopsPerToken() * float64(totalNew)
 	linearCompute := linearFlops / t.flops()
@@ -176,9 +189,38 @@ func (t *Timer) MicrobatchTime(chunks []ChunkWork) sim.Duration {
 	}
 
 	overhead := sim.Duration(t.cfg.Layers)*t.spec.KernelLaunch +
-		sim.Duration(len(chunks))*2*sim.Microsecond
+		sim.Duration(n)*2*sim.Microsecond
 
 	return sim.DurationFromSeconds(linear+attn) + overhead
+}
+
+// sums returns a microbatch's new tokens and its attention-FLOP and
+// KV-read-byte sums: the one pricing loop.
+func (t *Timer) sums(chunks []ChunkWork, dec DecodeSum) (totalNew int, attnFlops, kvReadBytes float64) {
+	totalNew = dec.N
+	ctx := float64(dec.Context)
+	attnFlops = t.attnFactor * ctx * t.layersF
+	kvReadBytes = t.kvBytesF * ctx
+	for _, c := range chunks {
+		if c.ChunkLen <= 0 {
+			panic(fmt.Sprintf("gpu: ChunkLen = %d", c.ChunkLen))
+		}
+		totalNew += c.ChunkLen
+		// Inlined AttnFlopsForChunk with the config-constant factors
+		// hoisted (same multiplication order, so bit-identical).
+		p, n := float64(c.PrefixLen), float64(c.ChunkLen)
+		attnFlops += t.attnFactor * (p*n + n*(n+1)/2) * t.layersF
+		// The kernel streams the prefix KV (and the chunk's own KV)
+		// once per chunk.
+		kvReadBytes += t.kvBytesF * float64(c.PrefixLen+c.ChunkLen)
+	}
+	if attnFlops >= exactBound || kvReadBytes >= exactBound {
+		// Every term is non-negative and rounding is monotone, so a sum
+		// below 2^53 proves no term or partial sum was ever rounded.
+		panic(fmt.Sprintf("gpu: %s microbatch sums (%g attention FLOPs, %g KV bytes) reach 2^53; pricing is no longer exact",
+			t.cfg.Name, attnFlops, kvReadBytes))
+	}
+	return totalNew, attnFlops, kvReadBytes
 }
 
 // PrefillTime is a convenience for a single chunk with no batching.
@@ -187,11 +229,11 @@ func (t *Timer) PrefillTime(prefixLen, chunkLen int) sim.Duration {
 }
 
 // DecodeTime returns the time of one decode iteration over requests with the
-// given context lengths.
+// given context lengths, priced through the aggregate term.
 func (t *Timer) DecodeTime(contextLens []int) sim.Duration {
-	chunks := make([]ChunkWork, len(contextLens))
-	for i, n := range contextLens {
-		chunks[i] = ChunkWork{PrefixLen: n, ChunkLen: 1}
+	dec := DecodeSum{N: len(contextLens)}
+	for _, n := range contextLens {
+		dec.Context += n + 1
 	}
-	return t.MicrobatchTime(chunks)
+	return t.Time(nil, dec)
 }

@@ -1,6 +1,8 @@
 package gpu
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -189,5 +191,96 @@ func TestPropertyMonotoneInPrefix(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// zooTimers returns a timer for every zoo model on its full instance, and
+// stage timers for partial models (a pipeline stage after a drop).
+func zooTimers() []*Timer {
+	var out []*Timer
+	for _, cfg := range model.Table1() {
+		out = append(out, NewTimer(A800(), cfg, cfg.GPUsPerInstance))
+		for _, parts := range []int{2, 3, 5} {
+			out = append(out, NewTimer(H800(), cfg.Partial(cfg.Layers/parts), max(1, cfg.GPUsPerInstance/parts)))
+		}
+	}
+	return out
+}
+
+// Property: pricing a microbatch's decodes as one DecodeSum gives the same
+// bits as pricing each as its own ChunkWork, in any chunk order — both the
+// attention and KV-read sums and the duration — for random mixes of decode
+// and prefill chunks on every zoo model's full and stage timers.
+func TestAggregateDecodesExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for _, tm := range zooTimers() {
+		for trial := 0; trial < 100; trial++ {
+			var all, prefills []ChunkWork
+			var dec DecodeSum
+			for n := rng.Intn(256); n > 0; n-- {
+				if rng.Intn(4) == 0 {
+					c := ChunkWork{PrefixLen: rng.Intn(8192), ChunkLen: 1 + rng.Intn(512)}
+					all = append(all, c)
+					prefills = append(prefills, c)
+					continue
+				}
+				ctx := rng.Intn(32768)
+				all = append(all, ChunkWork{PrefixLen: ctx, ChunkLen: 1})
+				dec.N++
+				dec.Context += ctx + 1
+			}
+			rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+			wn, wa, wk := tm.sums(all, DecodeSum{})
+			gn, ga, gk := tm.sums(prefills, dec)
+			if gn != wn || math.Float64bits(ga) != math.Float64bits(wa) || math.Float64bits(gk) != math.Float64bits(wk) {
+				t.Fatalf("%s trial %d: aggregate sums (%d, %v, %v), per chunk (%d, %v, %v)",
+					tm.cfg.Name, trial, gn, ga, gk, wn, wa, wk)
+			}
+			if got, want := tm.Time(prefills, dec), tm.MicrobatchTime(all); got != want {
+				t.Fatalf("%s trial %d: aggregate %v, per chunk %v", tm.cfg.Name, trial, got, want)
+			}
+		}
+	}
+}
+
+// DecodeTime prices through the aggregate term, matches the per-chunk
+// loop, and allocates nothing.
+func TestDecodeTimeAggregate(t *testing.T) {
+	tm := timer14B()
+	ctx := []int{17, 512, 4096, 1}
+	var chunks []ChunkWork
+	for _, n := range ctx {
+		chunks = append(chunks, ChunkWork{PrefixLen: n, ChunkLen: 1})
+	}
+	if got, want := tm.DecodeTime(ctx), tm.MicrobatchTime(chunks); got != want {
+		t.Fatalf("DecodeTime %v, per chunk %v", got, want)
+	}
+	if avg := testing.AllocsPerRun(100, func() { tm.DecodeTime(ctx) }); avg != 0 {
+		t.Errorf("DecodeTime allocates %.2f times", avg)
+	}
+}
+
+// The exactness invariant is asserted: sums that reach 2^53 panic, on the
+// aggregate term and on a chunk alike, and a sum just below does not.
+func TestExactBoundAsserted(t *testing.T) {
+	tm := NewTimer(A800(), model.Llama31_405B(), 8)
+	perToken := tm.attnFactor * tm.layersF // attention FLOPs per context token
+	below := int(float64(exactBound)/perToken) - 1
+	tm.Time(nil, DecodeSum{N: 1, Context: below})
+	for name, price := range map[string]func(){
+		"aggregate": func() { tm.Time(nil, DecodeSum{N: 1, Context: below + 2}) },
+		"chunk":     func() { tm.MicrobatchTime([]ChunkWork{{PrefixLen: below + 1, ChunkLen: 1}}) },
+		"mixed": func() {
+			tm.Time([]ChunkWork{{PrefixLen: below / 2, ChunkLen: 1}}, DecodeSum{N: 1, Context: below/2 + 4})
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: a sum past 2^53 did not panic", name)
+				}
+			}()
+			price()
+		}()
 	}
 }

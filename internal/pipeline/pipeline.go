@@ -55,6 +55,9 @@ func (st *Stage) BusyTime() sim.Duration { return st.busyTotal }
 type flight struct {
 	items []batching.Item
 	work  []gpu.ChunkWork
+	// dec is the round's aggregate decode term, carried by the first
+	// microbatch's flight (see RunRound).
+	dec   gpu.DecodeSum
 	index int // microbatch index within the round, for deterministic order
 }
 
@@ -111,6 +114,7 @@ func (e *Engine) getFlight() *flight {
 
 func (e *Engine) putFlight(f *flight) {
 	f.items = nil
+	f.dec = gpu.DecodeSum{}
 	e.flightFree = append(e.flightFree, f)
 }
 
@@ -142,15 +146,21 @@ func (e *Engine) BubbleRatio() float64 {
 }
 
 // RunRound pipelines the microbatches through all stages and calls done
-// when the last one leaves the last stage. The engine processes one round
-// at a time; overlapping rounds is the caller's bug.
-func (e *Engine) RunRound(microbatches [][]batching.Item, done func()) {
+// when the last one leaves the last stage. dec is decode work the caller
+// prices as one aggregate term instead of as items (gpu.DecodeSum); it
+// rides with the first microbatch, which runs even when it holds no items.
+// The engine processes one round at a time; overlapping rounds is the
+// caller's bug.
+func (e *Engine) RunRound(microbatches [][]batching.Item, dec gpu.DecodeSum, done func()) {
 	if e.running {
 		panic("pipeline: round already running")
 	}
+	if dec.N > 0 && len(microbatches) == 0 {
+		panic("pipeline: aggregate decodes with no microbatch to carry them")
+	}
 	n := 0
-	for _, mb := range microbatches {
-		if len(mb) > 0 {
+	for i, mb := range microbatches {
+		if len(mb) > 0 || i == 0 && dec.N > 0 {
 			n++
 		}
 	}
@@ -163,13 +173,16 @@ func (e *Engine) RunRound(microbatches [][]batching.Item, done func()) {
 	e.roundDone = done
 	e.spanStart = e.simu.Now()
 	idx := 0
-	for _, mb := range microbatches {
-		if len(mb) == 0 {
+	for i, mb := range microbatches {
+		if len(mb) == 0 && (i > 0 || dec.N == 0) {
 			continue
 		}
 		f := e.getFlight()
 		f.items = mb
 		f.work = batching.AppendChunkWork(f.work[:0], mb)
+		if i == 0 {
+			f.dec = dec
+		}
 		f.index = idx
 		idx++
 		e.enqueue(0, f)
@@ -194,7 +207,7 @@ func (e *Engine) pump(stage int) {
 	st.busy = true
 	st.active = f
 	st.busySince = e.simu.Now()
-	d := st.Timer.MicrobatchTime(f.work)
+	d := st.Timer.Time(f.work, f.dec)
 	e.simu.After(d, "pipeline:exec", st.execDone)
 }
 
@@ -240,7 +253,7 @@ func (e *Engine) advance(stage int, f *flight) {
 	}
 	// Forward activations to the next stage over the NIC. The payload is
 	// proportional to the microbatch's new tokens.
-	bytes := int64(batching.TotalTokens(f.items)) * e.activationBytesPerToken
+	bytes := int64(batching.TotalTokens(f.items)+f.dec.N) * e.activationBytesPerToken
 	st := e.stages[stage]
 	st.transit = append(st.transit, f)
 	st.Egress.Send(bytes, network.PriorityActivation, "act", st.arrived)

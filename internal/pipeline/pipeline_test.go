@@ -41,7 +41,7 @@ func TestRoundCompletes(t *testing.T) {
 	e := twoStage(s)
 	done := false
 	e.RunRound([][]batching.Item{prefillItems(1, 1024), prefillItems(2, 1024)},
-		func() { done = true })
+		gpu.DecodeSum{}, func() { done = true })
 	s.Run()
 	if !done {
 		t.Fatal("round never completed")
@@ -62,7 +62,7 @@ func TestPipeliningOverlaps(t *testing.T) {
 	e := twoStage(s)
 	mb := 1024
 	stageTime := e.Stage(0).Timer.PrefillTime(0, mb)
-	e.RunRound([][]batching.Item{prefillItems(1, mb), prefillItems(2, mb)}, func() {})
+	e.RunRound([][]batching.Item{prefillItems(1, mb), prefillItems(2, mb)}, gpu.DecodeSum{}, func() {})
 	s.Run()
 	elapsed := s.Now()
 	// Perfect pipeline: 3 stage-slots (mb1: s0+s1, mb2 overlapped, +1).
@@ -85,7 +85,7 @@ func TestImbalanceCreatesBubbles(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		balanced = append(balanced, prefillItems(i, 1024))
 	}
-	eBal.RunRound(balanced, func() {})
+	eBal.RunRound(balanced, gpu.DecodeSum{}, func() {})
 	sBal.Run()
 
 	sImb := sim.New(1)
@@ -94,7 +94,7 @@ func TestImbalanceCreatesBubbles(t *testing.T) {
 		prefillItems(0, 128), prefillItems(1, 128), prefillItems(2, 128),
 		prefillItems(3, 128), prefillItems(4, 128), prefillItems(5, 5504),
 	}
-	eImb.RunRound(imbalanced, func() {})
+	eImb.RunRound(imbalanced, gpu.DecodeSum{}, func() {})
 	sImb.Run()
 
 	if eImb.BubbleRatio() <= eBal.BubbleRatio() {
@@ -107,11 +107,11 @@ func TestEmptyRoundFiresImmediately(t *testing.T) {
 	s := sim.New(1)
 	e := twoStage(s)
 	done := false
-	e.RunRound(nil, func() { done = true })
+	e.RunRound(nil, gpu.DecodeSum{}, func() { done = true })
 	if !done {
 		t.Fatal("empty round must complete synchronously")
 	}
-	e.RunRound([][]batching.Item{{}, {}}, func() { done = true })
+	e.RunRound([][]batching.Item{{}, {}}, gpu.DecodeSum{}, func() { done = true })
 	if !done {
 		t.Fatal("all-empty microbatches must complete synchronously")
 	}
@@ -125,10 +125,10 @@ func TestSequentialRounds(t *testing.T) {
 	runNext = func() {
 		rounds++
 		if rounds < 3 {
-			e.RunRound([][]batching.Item{prefillItems(rounds, 512)}, runNext)
+			e.RunRound([][]batching.Item{prefillItems(rounds, 512)}, gpu.DecodeSum{}, runNext)
 		}
 	}
-	e.RunRound([][]batching.Item{prefillItems(0, 512)}, runNext)
+	e.RunRound([][]batching.Item{prefillItems(0, 512)}, gpu.DecodeSum{}, runNext)
 	s.Run()
 	if rounds != 3 {
 		t.Fatalf("rounds = %d", rounds)
@@ -138,13 +138,13 @@ func TestSequentialRounds(t *testing.T) {
 func TestOverlappingRoundsPanic(t *testing.T) {
 	s := sim.New(1)
 	e := twoStage(s)
-	e.RunRound([][]batching.Item{prefillItems(1, 512)}, func() {})
+	e.RunRound([][]batching.Item{prefillItems(1, 512)}, gpu.DecodeSum{}, func() {})
 	defer func() {
 		if recover() == nil {
 			t.Error("overlapping round did not panic")
 		}
 	}()
-	e.RunRound([][]batching.Item{prefillItems(2, 512)}, func() {})
+	e.RunRound([][]batching.Item{prefillItems(2, 512)}, gpu.DecodeSum{}, func() {})
 }
 
 func TestOnStageBusyObserved(t *testing.T) {
@@ -157,7 +157,7 @@ func TestOnStageBusyObserved(t *testing.T) {
 		}
 		intervals++
 	}
-	e.RunRound([][]batching.Item{prefillItems(1, 512), prefillItems(2, 512)}, func() {})
+	e.RunRound([][]batching.Item{prefillItems(1, 512), prefillItems(2, 512)}, gpu.DecodeSum{}, func() {})
 	s.Run()
 	// 2 microbatches x 2 stages.
 	if intervals != 4 {
@@ -168,7 +168,7 @@ func TestOnStageBusyObserved(t *testing.T) {
 func TestBusyTimeAccounted(t *testing.T) {
 	s := sim.New(1)
 	e := twoStage(s)
-	e.RunRound([][]batching.Item{prefillItems(1, 2048)}, func() {})
+	e.RunRound([][]batching.Item{prefillItems(1, 2048)}, gpu.DecodeSum{}, func() {})
 	s.Run()
 	want := e.Stage(0).Timer.PrefillTime(0, 2048)
 	if got := e.Stage(0).BusyTime(); got != want {
@@ -193,7 +193,7 @@ func TestActivationDelayedByLinkContention(t *testing.T) {
 	s.At(sim.Time(actTime)-sim.Time(sim.Millisecond), "bulk", func() {
 		stage0.Egress.Send(bulk, network.PriorityBulk, "bulk", nil)
 	})
-	e.RunRound([][]batching.Item{prefillItems(1, 512)}, func() {})
+	e.RunRound([][]batching.Item{prefillItems(1, 512)}, gpu.DecodeSum{}, func() {})
 	s.Run()
 	// The activation had to wait ~39 ms behind the bulk transfer.
 	minEnd := sim.Time(actTime) + sim.Time(39*sim.Millisecond)
@@ -211,7 +211,7 @@ func TestSingleStageActsAsPlainExecutor(t *testing.T) {
 	}}
 	e := New(s, st, int64(cfg.HiddenDim)*2)
 	done := false
-	e.RunRound([][]batching.Item{prefillItems(1, 1024)}, func() { done = true })
+	e.RunRound([][]batching.Item{prefillItems(1, 1024)}, gpu.DecodeSum{}, func() { done = true })
 	s.Run()
 	if !done {
 		t.Fatal("single-stage round")
@@ -219,6 +219,28 @@ func TestSingleStageActsAsPlainExecutor(t *testing.T) {
 	want := st[0].Timer.PrefillTime(0, 1024)
 	if s.Now() != sim.Time(want) {
 		t.Errorf("elapsed %v, want %v", s.Now(), want)
+	}
+}
+
+// Aggregate decodes ride with the first microbatch, priced by the timer's
+// aggregate term, and run even when that microbatch holds no items.
+func TestAggregateDecodesRideFirstMicrobatch(t *testing.T) {
+	cfg := model.Qwen25_14B()
+	dec := gpu.DecodeSum{N: 3, Context: 301 + 512 + 1025}
+	for _, mbs := range [][][]batching.Item{{{}}, {prefillItems(1, 256)}} {
+		s := sim.New(1)
+		st := []*Stage{{Timer: gpu.NewTimer(gpu.A800(), cfg, 1)}}
+		e := New(s, st, int64(cfg.HiddenDim)*2)
+		done := false
+		e.RunRound(mbs, dec, func() { done = true })
+		s.Run()
+		if !done {
+			t.Fatalf("%d-item round with aggregate decodes never completed", len(mbs[0]))
+		}
+		want := st[0].Timer.Time(batching.ToChunkWork(mbs[0]), dec)
+		if s.Now() != sim.Time(want) {
+			t.Errorf("%d-item round took %v, want %v", len(mbs[0]), s.Now(), want)
+		}
 	}
 }
 
@@ -252,7 +274,7 @@ func TestMoreMicrobatchesFewerBubbles(t *testing.T) {
 		for i := 0; i < n; i++ {
 			mbs = append(mbs, prefillItems(i, 1024))
 		}
-		e.RunRound(mbs, func() {})
+		e.RunRound(mbs, gpu.DecodeSum{}, func() {})
 		s.Run()
 		return e.BubbleRatio()
 	}

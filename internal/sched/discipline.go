@@ -10,12 +10,18 @@ import (
 // FCFS is the default first-come-first-served discipline: Push appends,
 // PushFront literally prepends (the preemption re-queue path), admission
 // pops the head. It reproduces the original raw wait-queue slice exactly,
-// stored as a deque (head index into a reused backing array) so the
-// preemption-heavy pop/push-front churn allocates nothing in steady state.
+// stored as a deque: the queue is q[head:], and q[:head] is a front gap
+// PushFront fills. Every slot outside q[head:] is nil. Each end grows by
+// doubling — PushFront opens a gap as large as the queue when it finds
+// none — so Push, PushFront and Pop cost amortized O(1), and steady churn
+// allocates nothing.
 type FCFS struct {
 	q    []*request.Request
 	head int
 }
+
+// minGap is the smallest front gap PushFront opens.
+const minGap = 4
 
 // NewFCFS returns an empty FCFS queue.
 func NewFCFS() Discipline { return &FCFS{} }
@@ -23,19 +29,30 @@ func NewFCFS() Discipline { return &FCFS{} }
 // Name implements Discipline.
 func (*FCFS) Name() string { return "fcfs" }
 
-// Push implements Discipline.
-func (f *FCFS) Push(r *request.Request) { f.q = append(f.q, r) }
+// Push implements Discipline. When the array is full and at least half of
+// it is front gap, Push slides the queue down to halve the gap instead of
+// growing the array, so a queue that never empties does not grow without
+// bound.
+func (f *FCFS) Push(r *request.Request) {
+	if len(f.q) == cap(f.q) && f.head > 0 && 2*f.head >= len(f.q) {
+		h := f.head / 2
+		n := copy(f.q[h:], f.q[f.head:])
+		clear(f.q[h+n:])
+		f.q, f.head = f.q[:h+n], h
+	}
+	f.q = append(f.q, r)
+}
 
 // PushFront implements Discipline.
 func (f *FCFS) PushFront(r *request.Request) {
-	if f.head > 0 {
-		f.head--
-		f.q[f.head] = r
-		return
+	if f.head == 0 {
+		gap := max(len(f.q), minGap)
+		q := make([]*request.Request, gap+len(f.q), gap+cap(f.q))
+		copy(q[gap:], f.q)
+		f.q, f.head = q, gap
 	}
-	f.q = append(f.q, nil)
-	copy(f.q[1:], f.q)
-	f.q[0] = r
+	f.head--
+	f.q[f.head] = r
 }
 
 // Peek implements Discipline.
@@ -55,8 +72,9 @@ func (f *FCFS) Pop() *request.Request {
 	f.q[f.head] = nil
 	f.head++
 	if f.head == len(f.q) {
-		f.q = f.q[:0]
-		f.head = 0
+		// Empty: recentre, leaving room at both ends.
+		f.head = cap(f.q) / 2
+		f.q = f.q[:f.head]
 	}
 	return r
 }

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"kunserve/internal/request"
@@ -174,6 +176,105 @@ func TestFCFSOrderAndPushFront(t *testing.T) {
 	}
 	if q.Pop() != nil || q.Peek() != nil {
 		t.Error("empty queue must return nil")
+	}
+}
+
+// FCFS matches a plain-slice model under seeded random Push, PushFront
+// and Pop, with Items, Each, Peek and Len checked after every operation,
+// and every slot outside the queue stays nil (no retained requests).
+func TestFCFSMatchesSliceModel(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		f := &FCFS{}
+		var model []*request.Request
+		for op, id := 0, 0; op < 2000; op++ {
+			switch k := rng.Intn(10); {
+			case k < 3:
+				r := req(id, 0, "")
+				id++
+				f.Push(r)
+				model = append(model, r)
+			case k < 6:
+				r := req(id, 0, "")
+				id++
+				f.PushFront(r)
+				model = append([]*request.Request{r}, model...)
+			default:
+				var want *request.Request
+				if len(model) > 0 {
+					want, model = model[0], model[1:]
+				}
+				if got := f.Pop(); got != want {
+					t.Fatalf("seed %d op %d: Pop %v, model %v", seed, op, got, want)
+				}
+			}
+			if f.Len() != len(model) {
+				t.Fatalf("seed %d op %d: Len %d, model %d", seed, op, f.Len(), len(model))
+			}
+			var head *request.Request
+			if len(model) > 0 {
+				head = model[0]
+			}
+			if f.Peek() != head {
+				t.Fatalf("seed %d op %d: Peek %v, model %v", seed, op, f.Peek(), head)
+			}
+			var each []*request.Request
+			f.Each(func(r *request.Request) { each = append(each, r) })
+			if items := f.Items(); !slices.Equal(items, model) || !slices.Equal(each, model) {
+				t.Fatalf("seed %d op %d: Items %v / Each %v, model %v", seed, op, items, each, model)
+			}
+			for i, r := range f.q[:cap(f.q)] {
+				if (i < f.head || i >= len(f.q)) && r != nil {
+					t.Fatalf("seed %d op %d: slot %d outside the queue holds request %d", seed, op, i, r.ID)
+				}
+			}
+		}
+	}
+}
+
+// Warmed, steady FCFS churn — re-queues at the front, admissions from the
+// head, arrivals at the back, and the queue running dry — allocates
+// nothing.
+func TestFCFSSteadyChurnAllocatesNothing(t *testing.T) {
+	f := &FCFS{}
+	pool := make([]*request.Request, 64)
+	for i := range pool {
+		pool[i] = req(i, 0, "")
+		f.Push(pool[i])
+	}
+	churn := func() {
+		r := f.Pop()
+		f.PushFront(r)
+		r = f.Pop()
+		f.Push(r)
+	}
+	drain := func() {
+		var out [8]*request.Request
+		for i := range out {
+			out[i] = f.Pop()
+		}
+		for _, r := range out {
+			f.PushFront(r)
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		churn()
+		drain()
+	}
+	if avg := testing.AllocsPerRun(1000, churn); avg != 0 {
+		t.Errorf("Pop/PushFront/Pop/Push churn allocates %.3f times per cycle", avg)
+	}
+	if avg := testing.AllocsPerRun(1000, drain); avg != 0 {
+		t.Errorf("pop-eight/re-queue-eight churn allocates %.3f times per cycle", avg)
+	}
+	one := &FCFS{}
+	r := pool[0]
+	one.PushFront(r)
+	if avg := testing.AllocsPerRun(1000, func() { one.PushFront(one.Pop()) }); avg != 0 {
+		t.Errorf("re-queueing the only request allocates %.3f times", avg)
+	}
+	if f.Len() != len(pool) || one.Len() != 1 {
+		t.Fatalf("churn lost requests: %d and %d queued", f.Len(), one.Len())
 	}
 }
 
