@@ -380,48 +380,6 @@ func BenchmarkScaleFleet(b *testing.B) {
 	b.ReportMetric(top.Systems[len(top.Systems)-1].Throughput, "kunserve-tok/s")
 }
 
-// BenchmarkIntraCellParallel measures the intra-cell round pool: one
-// many-group cell served sequentially versus with same-instant round
-// planning fanned across 2 and 4 workers. Results are bit-identical (the
-// engine's compute/commit split guarantees it; verified here) — only the
-// wall clock changes. On a single-core host speedup-x sits near 1; on 4+
-// cores the planning phase overlaps and it climbs toward the planned
-// fraction of round cost.
-func BenchmarkIntraCellParallel(b *testing.B) {
-	run := func(workers int) (time.Duration, *experiments.Figure12Result) {
-		cfg := experiments.Quick()
-		cfg.Instances = 4
-		cfg.Parallel = 1
-		cfg.IntraCellParallel = workers
-		start := time.Now()
-		r, err := experiments.RunAllSystems(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return time.Since(start), r
-	}
-	var seq, par2, par4 time.Duration
-	var seqRes, parRes *experiments.Figure12Result
-	for i := 0; i < b.N; i++ {
-		var d time.Duration
-		d, seqRes = run(1)
-		seq += d
-		d, _ = run(2)
-		par2 += d
-		d, parRes = run(4)
-		par4 += d
-	}
-	ks, kp := seqRes.Find(experiments.SysKunServe), parRes.Find(experiments.SysKunServe)
-	if ks.TTFTP99 != kp.TTFTP99 || ks.Finished != kp.Finished {
-		b.Fatal("intra-cell parallel run diverged from sequential")
-	}
-	b.ReportMetric(seq.Seconds()/float64(b.N), "sequential-s")
-	b.ReportMetric(par4.Seconds()/float64(b.N), "parallel4-s")
-	b.ReportMetric(seq.Seconds()/par2.Seconds(), "speedup2-x")
-	b.ReportMetric(seq.Seconds()/par4.Seconds(), "speedup-x")
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-}
-
 // BenchmarkTracingOverhead runs the same fig2 experiment untraced and
 // traced. The "disabled" case is the guarantee that matters — a nil
 // tracer must cost nothing on the hot paths (acceptance bound: <5% vs an

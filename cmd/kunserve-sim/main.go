@@ -112,7 +112,6 @@ func main() {
 		duration  = flag.Float64("duration", 0, "override trace duration in seconds")
 		load      = flag.Float64("load", 0, "load multiplier on the derived base RPS")
 		parallel  = flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS); results are identical at any setting")
-		intracell = flag.Int("intracell-parallel", 0, "worker goroutines inside each simulation fanning out same-instant group round planning (0/1 = sequential); results are identical at any setting")
 		jsonOut   = flag.Bool("json", false, "emit machine-readable JSON summaries instead of paper-style text")
 		sweepFlag = flag.String("sweep", "", "run a parameter sweep key=lo:hi:step (keys: "+strings.Join(experiments.SweepKeys, ", ")+") over the five systems")
 		specFile  = flag.String("spec", "", "workload spec JSON driving the experiment trace")
@@ -173,7 +172,6 @@ func main() {
 		cfg.LoadMultiplier = *load
 	}
 	cfg.Parallel = *parallel
-	cfg.IntraCellParallel = *intracell
 	cfg.Stream = *stream
 	cfg.Router = *router
 	cfg.Queue = *queue

@@ -96,15 +96,6 @@ type Config struct {
 	// same-timestamp events — so it is reserved for streaming-mode runs,
 	// never the byte-identical default path.
 	LazyArrivals bool
-	// IntraCellParallel bounds the worker goroutines the cluster's own
-	// simulation uses to fan out same-instant speculative round planning
-	// across groups (engine.PlanRound) before the ordered commits. 0 or 1
-	// (the default) keeps the kernel on the plain sequential path. Results
-	// are byte-identical at any setting: plans are pure and version-guarded,
-	// so a stale plan is recomputed sequentially, never trusted. Composes
-	// with cell-level parallelism (runner.Set): total goroutines scale as
-	// cells × workers, so size the product to GOMAXPROCS.
-	IntraCellParallel int
 	// ScanDispatch forces Dispatch onto the full candidate scan even when
 	// the router is indexable, rebuilding the slate per request the way
 	// the pre-index dispatcher did. The scan is the semantic oracle: CI
@@ -233,10 +224,6 @@ type Cluster struct {
 	// walk.
 	totalDemandTokens int64
 
-	// planScratch is monitorTick's reusable plan-hook fan-out buffer
-	// (intra-cell parallel mode only).
-	planScratch []func()
-
 	// reqPool recycles finished request structs: live request memory
 	// scales with concurrency, not trace length.
 	reqPool request.Pool
@@ -291,7 +278,6 @@ func New(cfg Config) (*Cluster, error) {
 		reqTrack:         obs.NewReqTracker(cfg.Tracer),
 		lazyArrivals:     cfg.LazyArrivals,
 	}
-	c.Sim.SetParallel(cfg.IntraCellParallel)
 	c.admitFn = func(arg any) { c.admitArrival(arg.(*workload.Request)) }
 	c.tickFn = c.monitorTick
 	if cfg.MetricsReservoir > 0 {
@@ -706,25 +692,7 @@ func (c *Cluster) monitorTick() {
 	}
 	c.Policy.OnTick(c)
 	// Nudge idle groups: asynchronous memory relief (swap completions,
-	// migrations) does not always have a wake edge. With intra-cell
-	// parallelism on, speculatively plan every live group's next round
-	// across the worker pool first — the wake loop below then commits in
-	// group order, consuming each plan whose inputs did not change (the
-	// version guard in the engine falls back to a sequential recompute
-	// when they did, so the fan-out can never change results).
-	if c.Sim.Parallel() > 1 {
-		plans := c.planScratch[:0]
-		for _, g := range c.groups {
-			if !g.Closed() {
-				plans = append(plans, g.planFn)
-			}
-		}
-		c.Sim.Fanout(plans)
-		for i := range plans {
-			plans[i] = nil
-		}
-		c.planScratch = plans[:0]
-	}
+	// migrations) does not always have a wake edge.
 	for _, g := range c.groups {
 		if !g.Closed() {
 			g.Wake()

@@ -24,7 +24,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"kunserve/internal/batching"
 	"kunserve/internal/gpu"
@@ -252,28 +251,9 @@ type Engine struct {
 	// finishFn is the launch-stage completion closure, built once so a
 	// round launch allocates nothing.
 	finishFn func()
-	// version counts mutations of the state the plan phase reads (running
-	// membership, request states, prefill/decode progress, queue pushes).
-	// PlanRound stamps its speculative output with the version it read;
-	// startRound consumes the plan only when the stamp still matches, so a
-	// mutation between plan and commit — an admission, a preemption, a
-	// policy drop — silently falls back to the sequential recompute and
-	// byte-identity is preserved by construction.
-	version uint64
-	// plan is the engine-owned speculative round scratch. planBusy
-	// serializes concurrent PlanRound calls for the same engine (two
-	// same-instant retry events can both carry this engine's plan hook);
-	// all other engine state stays single-writer.
-	plan     roundPlan
-	planBusy atomic.Int32
-	// planHits/planMisses count consumed vs discarded plans (tests pin the
-	// parallel path to a nonzero hit rate so the layer cannot silently die).
-	planHits   uint64
-	planMisses uint64
-	// wakeFn/planFn are persistent method-value closures for planned retry
-	// events (one allocation at construction, none per blocked round).
+	// wakeFn is the persistent method-value closure for retry events (one
+	// allocation at construction, none per blocked round).
 	wakeFn func()
-	planFn func()
 
 	// demandTokens holds DemandTokens' value incrementally: every queue
 	// push/pop and running add/remove applies the joining or leaving
@@ -294,7 +274,7 @@ type Engine struct {
 // running, unstalled, past its prefill, on a role that decodes — owns the
 // request's decode-hot state, so a steady decode token moves by touching
 // the slot alone; the Request and its Seq catch up at the next write-back.
-// In a fast round (see collectInto) collect reserves and advances a fast
+// In a fast round (see runCollect) collect reserves and advances a fast
 // slot's token in that one visit, and no other stage touches the slot; in
 // any other round collect, reserve and finish each visit the slot through
 // the token's item. A cold slot (prefilling, stalled, or one whose context
@@ -359,7 +339,6 @@ func New(opts Options) *Engine {
 	e.stages = stagesFor(e.role)
 	e.finishFn = func() { e.finishRound(e.rd.items) }
 	e.wakeFn = e.Wake
-	e.planFn = e.PlanRound
 	return e
 }
 
@@ -372,7 +351,6 @@ func (e *Engine) SetRole(role Role) error {
 	if e.RunningLen() > 0 || e.queue.Len() > 0 || e.executing {
 		return fmt.Errorf("engine: group %d role change with requests in flight", e.groupID)
 	}
-	e.mutated()
 	e.role = role
 	e.stages = stagesFor(role)
 	if e.cb.MembershipChanged != nil {
@@ -403,20 +381,6 @@ type round struct {
 	fast    gpu.DecodeSum
 	live    int
 	hadWork bool
-	// fromPlan marks that a still-valid speculative plan supplies this
-	// round's collect and form output (runForm swaps the plan's items in
-	// instead of recomputing them).
-	fromPlan bool
-}
-
-// roundPlan is PlanRound's output: the collect and form results computed
-// speculatively against the engine state at version. valid is cleared the
-// moment startRound inspects the plan — a plan feeds at most one round.
-type roundPlan struct {
-	version  uint64
-	valid    bool
-	prefills []int32
-	items    []batching.Item
 }
 
 var (
@@ -542,12 +506,6 @@ func (e *Engine) FastDecodes() int { return e.fastDecodes }
 // RoundsRun returns completed scheduling rounds (diagnostics).
 func (e *Engine) RoundsRun() int { return e.roundsRun }
 
-// mutated bumps the plan-visibility version. Every entry point that changes
-// state the plan phase reads (or that a commit-side stage reads, like the
-// wait queue) must call it — an over-broad bump only costs a discarded plan,
-// a missing one would cost correctness.
-func (e *Engine) mutated() { e.version++ }
-
 // demandAdd is the single mutation point for demandTokens; the first delta
 // since the last AckLoadNotify raises the edge-triggered LoadChanged so the
 // cluster's incremental totals and the dispatch index stay in lockstep with
@@ -570,7 +528,6 @@ func (e *Engine) AckLoadNotify() { e.loadNotified = false }
 
 // Enqueue adds a request to the wait queue under the group's discipline.
 func (e *Engine) Enqueue(r *request.Request) {
-	e.mutated()
 	r.GroupID = e.groupID
 	e.demandAdd(r.PrefillTarget())
 	e.stampQueued(r)
@@ -582,7 +539,6 @@ func (e *Engine) Enqueue(r *request.Request) {
 // EnqueueFront re-queues a preempted request ahead of new arrivals (FCFS
 // places it literally first; ordered disciplines fold it into their order).
 func (e *Engine) EnqueueFront(r *request.Request) {
-	e.mutated()
 	r.GroupID = e.groupID
 	e.demandAdd(r.PrefillTarget())
 	e.stampQueued(r)
@@ -622,7 +578,6 @@ func (e *Engine) Wake() {
 // KVCache exchange, or handoff in flight) after moving it to the given
 // state. Its slot is written back and turns cold.
 func (e *Engine) Stall(r *request.Request, st request.State) {
-	e.mutated()
 	if i := e.laneIndex(r); i >= 0 {
 		s := &e.lane[i]
 		e.dropInFlight(s)
@@ -639,7 +594,6 @@ func (e *Engine) Unstall(r *request.Request) {
 	if _, ok := e.stalled[r.ID]; !ok {
 		panic(fmt.Sprintf("engine: unstall of non-stalled request %d", r.ID))
 	}
-	e.mutated()
 	delete(e.stalled, r.ID)
 	r.SetState(request.StateRunning)
 	if i := e.laneIndex(r); i >= 0 {
@@ -663,7 +617,6 @@ func (e *Engine) Unstall(r *request.Request) {
 // without touching its state (it already carries a stalled state, so its
 // slot is cold).
 func (e *Engine) RestoreStalled(r *request.Request) {
-	e.mutated()
 	e.stalled[r.ID] = r
 }
 
@@ -805,7 +758,6 @@ func (e *Engine) laneIndex(r *request.Request) int {
 func (e *Engine) live() bool { return e.scheduling || e.executing }
 
 func (e *Engine) addRunning(r *request.Request) {
-	e.mutated()
 	e.demandAdd(committedTokens(r))
 	i := e.search(r)
 	e.lane = slices.Insert(e.lane, i, slot{req: r, arrival: r.Arrival, id: r.ID, adm: e.admitted})
@@ -841,7 +793,6 @@ func (e *Engine) removeAt(i int) {
 	s := &e.lane[i]
 	e.dropInFlight(s)
 	e.writeBack(s)
-	e.mutated()
 	e.demandAdd(-committedTokens(s.req))
 	if e.live() {
 		*s = slot{arrival: s.arrival, id: s.id}
@@ -859,8 +810,7 @@ func (e *Engine) removeAt(i int) {
 
 // compactLane deletes dead slots and remaps the current round's item lane
 // indices to match; the items of a dead slot get -1. Slots and items below
-// firstDead keep their indices, so neither is touched. A speculative plan
-// needs no remap: the version bump of every membership change discards it.
+// firstDead keep their indices, so neither is touched.
 func (e *Engine) compactLane() {
 	lo := e.firstDead
 	remap := e.remap[:0]
@@ -1092,7 +1042,6 @@ func committedTokens(r *request.Request) int {
 // (reconfiguration transplants the waiting queue that way to preserve
 // queue-entry stamps).
 func (e *Engine) AccountQueuedDemand(r *request.Request) {
-	e.mutated()
 	e.demandAdd(r.PrefillTarget())
 }
 
@@ -1127,7 +1076,6 @@ func (e *Engine) runAdmit(*round) bool {
 		r := e.queue.Peek()
 		if r.Done() {
 			// Finished elsewhere (shouldn't happen) — drop defensively.
-			e.mutated()
 			e.queue.Pop()
 			e.demandAdd(-r.PrefillTarget())
 			delete(e.queuedAt, r.ID)
@@ -1175,18 +1123,15 @@ func (e *Engine) runAdmit(*round) bool {
 	return true
 }
 
-// collectInto appends a decode step to items for every schedulable
-// decode-ready running request, and the lane index of every prefilling one
-// to prefills, excluding stalled requests and keeping only the halves the
-// role serves. The lane's (Arrival, ID) order makes collection a single
-// filtered walk: no per-round sort, and a hot slot's step is built without
-// loading its request. The sequential collect stage and the speculative
-// PlanRound share this exact code path — given identical state, a consumed
-// plan is byte-identical to a fresh collect by construction, not by
-// convention.
+// runCollect fills the round's decode and prefill halves: a decode step in
+// rd.items for every schedulable decode-ready running request, and the lane
+// index of every prefilling one in rd.prefills, excluding stalled requests
+// and keeping only the halves the role serves. The lane's (Arrival, ID)
+// order makes collection a single filtered walk: no per-round sort, and a
+// hot slot's step is built without loading its request.
 //
-// With fastLimit > 0 the walk also reserves and advances fast slots in
-// place, building no item for them, and returns their aggregate. A fast
+// With a fastLimit above 0 the walk also reserves and advances fast slots
+// in place, building no item for them, and sums them into rd.fast. A fast
 // slot is hot, its token needs no new block (room ≥ 1) and does not finish
 // its request (left ≥ 2); only decodes among the first fastLimit in lane
 // order are taken, so the budget keeps the same decodes as on the item
@@ -1197,8 +1142,9 @@ func (e *Engine) runAdmit(*round) bool {
 // reserving younger slots ahead of it would let a pressure callback during
 // its reservation find them stamped, and Victim would choose differently
 // from the item path. The rule is waived when the pool holds a block for
-// every slot. PlanRound passes 0 and writes no slot.
-func (e *Engine) collectInto(items []batching.Item, prefills []int32, fastLimit int) ([]batching.Item, []int32, gpu.DecodeSum) {
+// every slot.
+func (e *Engine) runCollect(rd *round) bool {
+	items, prefills, fastLimit := rd.items, rd.prefills, e.fastLimit()
 	var fast gpu.DecodeSum
 	stamp := e.curStamp + 1
 	// A decode's reservation needs at most one block, so when the pool can
@@ -1253,7 +1199,13 @@ func (e *Engine) collectInto(items []batching.Item, prefills []int32, fastLimit 
 				e.groupID, r.ID))
 		}
 	}
-	return items, prefills, fast
+	rd.items, rd.prefills, rd.fast = items, prefills, fast
+	if fast.N > 0 {
+		rd.live = fast.N
+		e.fastDecodes += fast.N
+		e.pending = true
+	}
+	return true
 }
 
 // appendDecode appends one decode step, filling the new item in place:
@@ -1267,20 +1219,19 @@ func appendDecode(items []batching.Item, r *request.Request, lane int32, ctx int
 	return items
 }
 
-// formInto completes the iteration batch the collect stage started in
-// items, in batching.FormIteration's order and budget arithmetic (through
+// runForm completes the iteration batch the collect stage started in
+// rd.items, in batching.FormIteration's order and budget arithmetic (through
 // batching.Packer): it counts the round's fast decodes (which collect kept
 // within the budget) ahead of the item decodes, keeps the decode steps the
 // budget admits, then packs prefill chunks FCFS. Each pipeline microbatch
 // carries a full token budget (vLLM gives every in-flight virtual engine
 // max_num_batched_tokens), so the iteration budget scales with pipeline
-// depth. Shared by runForm and PlanRound; it must not touch curStamp —
-// only the committing round advances the stamp.
-func (e *Engine) formInto(items []batching.Item, prefills []int32, fast int) []batching.Item {
+// depth. The round's stamp advances here.
+func (e *Engine) runForm(rd *round) bool {
 	pk := batching.NewPacker(e.iterBudget())
-	pk.Decodes(fast)
-	items = items[:pk.Decodes(len(items))]
-	for _, i := range prefills {
+	pk.Decodes(rd.fast.N)
+	items := rd.items[:pk.Decodes(len(rd.items))]
+	for _, i := range rd.prefills {
 		r := e.lane[i].req
 		chunk, ok := pk.Prefill(r.RemainingPrefill())
 		if !ok {
@@ -1291,7 +1242,10 @@ func (e *Engine) formInto(items []batching.Item, prefills []int32, fast int) []b
 				Chunk: chunk, Prefix: r.PrefilledTokens})
 		}
 	}
-	return items
+	rd.items = items
+	e.curStamp++
+	rd.hadWork = len(items) > 0 || rd.fast.N > 0
+	return true
 }
 
 // iterBudget is one iteration's budget: Budget scaled by pipeline depth.
@@ -1319,77 +1273,6 @@ func (e *Engine) fastLimit() int {
 	}
 	return b.MaxTokens
 }
-
-// runCollect fills the round's decode and prefill halves, consuming a
-// still-valid speculative plan when one exists. A version mismatch —
-// anything mutated since the plan was computed — discards the plan and
-// recomputes sequentially; either way the round's output is identical.
-func (e *Engine) runCollect(rd *round) bool {
-	if e.plan.valid {
-		ok := e.plan.version == e.version
-		e.plan.valid = false
-		if ok {
-			// The round skips straight to the plan's formed items in
-			// runForm; the collected prefill indices exist only to feed
-			// the form stage, so nothing copies them into rd.
-			rd.fromPlan = true
-			e.planHits++
-			return true
-		}
-		e.planMisses++
-	}
-	rd.items, rd.prefills, rd.fast = e.collectInto(rd.items, rd.prefills, e.fastLimit())
-	if rd.fast.N > 0 {
-		rd.live = rd.fast.N
-		e.fastDecodes += rd.fast.N
-		e.pending = true
-	}
-	return true
-}
-
-// runForm packs the round's iteration batch, or swaps in the plan's
-// precomputed one.
-func (e *Engine) runForm(rd *round) bool {
-	if rd.fromPlan {
-		// Swap scratch slices instead of copying: the plan's items become
-		// the round's, and the round's previous backing array becomes the
-		// next plan's scratch.
-		rd.items, e.plan.items = e.plan.items, rd.items[:0]
-	} else {
-		rd.items = e.formInto(rd.items, rd.prefills, rd.fast.N)
-	}
-	e.curStamp++
-	rd.hadWork = len(rd.items) > 0 || rd.fast.N > 0
-	return true
-}
-
-// PlanRound speculatively runs the pure collect and form stages against the
-// engine's current state, stashing the result for the next startRound. It
-// mutates nothing outside the engine's own plan scratch, so plan hooks for
-// *different* engines run concurrently on the simulation's worker pool
-// (sim.Fanout) while every commit stays on the simulation goroutine in
-// event order. Safe to call at any instant: if the next round admits,
-// preempts, or otherwise mutates first, the version stamp no longer
-// matches and the plan is discarded unused.
-func (e *Engine) PlanRound() {
-	if e.executing || e.scheduling || e.closed || e.draining {
-		return
-	}
-	if !e.planBusy.CompareAndSwap(0, 1) {
-		return
-	}
-	defer e.planBusy.Store(0)
-	p := &e.plan
-	p.valid = false
-	p.items, p.prefills, _ = e.collectInto(p.items[:0], p.prefills[:0], 0)
-	p.items = e.formInto(p.items, p.prefills, 0)
-	p.version = e.version
-	p.valid = true
-}
-
-// PlanStats reports consumed and discarded speculative plans (tests pin the
-// parallel path to a nonzero hit rate).
-func (e *Engine) PlanStats() (hits, misses uint64) { return e.planHits, e.planMisses }
 
 // runReserve allocates blocks for each item's new tokens, consulting the
 // policy under pressure. Items that still cannot fit are dropped from this
@@ -1489,11 +1372,8 @@ func (e *Engine) runLaunch(rd *round) bool {
 			// could not free anything synchronously; retry after
 			// Config.RetryRoundDelay (asynchronous relief — swap-out
 			// completion, a migration, a drop — will land in the
-			// meantime). The retry carries the engine's plan hook: blocked
-			// rounds synchronize on the retry delay, so under overload many
-			// groups retry at the same instant and their collect+form work
-			// fans out across cores before the ordered commits.
-			e.simu.AfterPlanned(e.retryDelay, "retry-round", e.planFn, e.wakeFn)
+			// meantime).
+			e.simu.After(e.retryDelay, "retry-round", e.wakeFn)
 		}
 		e.fireDrainedIfIdle()
 		return false
@@ -1541,7 +1421,6 @@ func (e *Engine) startRound() {
 	rd.prefills = rd.prefills[:0]
 	rd.items = rd.items[:0]
 	rd.hadWork = false
-	rd.fromPlan = false
 	for _, st := range e.stages {
 		ok := st.run(e, rd)
 		if e.tr != nil {
@@ -1567,8 +1446,6 @@ func (e *Engine) startRound() {
 // lane order changes nothing: an item's advance touches only its own slot
 // and request, and Callbacks.Finished leaves other requests alone.
 func (e *Engine) finishRound(items []batching.Item) {
-	// Advancing prefill/decode progress changes every plan input at once.
-	e.mutated()
 	now := e.simu.Now()
 	tokens := e.rd.live
 	if tokens > 0 {
@@ -1732,7 +1609,6 @@ func (e *Engine) ExtractRequests() (running, waiting []*request.Request, stalled
 		panic(fmt.Sprintf("engine: extracting from executing group %d", e.groupID))
 	}
 	running, stalled = e.Running(), e.stalled
-	e.mutated()
 	e.demandAdd(-e.demandTokens)
 	for e.queue.Len() > 0 {
 		waiting = append(waiting, e.queue.Pop())

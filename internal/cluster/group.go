@@ -33,10 +33,6 @@ type Group struct {
 	pool      *kvcache.Pool
 	exec      *engine.Engine
 
-	// planFn is the engine's PlanRound as a persistent closure, so the
-	// monitor's per-tick plan fan-out allocates nothing.
-	planFn func()
-
 	// idxDirty marks the group as queued on the cluster's dirty list for
 	// a demand fold and index key refresh (set by the first load/capacity
 	// change since the last sync, cleared by the flush). inActive mirrors
@@ -133,7 +129,6 @@ func newGroup(id int, cl *Cluster, insts []*instance.Instance) (*Group, error) {
 			MembershipChanged: cl.invalidateActive,
 		},
 	})
-	g.planFn = g.exec.PlanRound
 	return g, nil
 }
 
@@ -213,10 +208,6 @@ func (g *Group) FastDecodes() int { return g.exec.FastDecodes() }
 
 // RoundsRun returns completed scheduling rounds (diagnostics only).
 func (g *Group) RoundsRun() int { return g.exec.RoundsRun() }
-
-// PlanStats reports how many speculative round plans the engine consumed
-// (hits) versus discarded after input mutation (misses). Diagnostics only.
-func (g *Group) PlanStats() (hits, misses uint64) { return g.exec.PlanStats() }
 
 // CheckLane audits the engine's lane against its requests and returns the
 // number of hot slots checked (see engine.Engine.CheckLane).

@@ -121,13 +121,6 @@ type Config struct {
 	// each simulation is a self-contained deterministic world, and the
 	// runner returns results in submission order.
 	Parallel int
-	// IntraCellParallel bounds the worker goroutines *inside* each cell's
-	// simulation: same-instant group round planning fans out across them
-	// before the ordered commits (cluster.Config.IntraCellParallel). 0 or
-	// 1 keeps cells sequential. Byte-identical at any value; pays off when
-	// one big cell dominates (few cells, many groups), while Parallel pays
-	// off when there are more cells than cores.
-	IntraCellParallel int
 	// Stream runs every cell in bounded-memory streaming mode: reservoir
 	// percentiles (runner.DefaultReservoir samples per distribution)
 	// instead of full record retention, and lazily scheduled arrivals so
@@ -314,16 +307,15 @@ func (c Config) BuildTrace() (*workload.Trace, error) {
 // carry valid router/queue names (ValidateSched).
 func (c Config) clusterConfig(tr *workload.Trace) cluster.Config {
 	cc := cluster.Config{
-		Seed:              c.Seed,
-		Model:             c.Model,
-		GPU:               c.GPU,
-		Instances:         c.Instances,
-		NetBandwidth:      c.NetBandwidth,
-		KVProvisionBytes:  c.kvProvisionFor(tr),
-		PrefixCaching:     c.PrefixCaching,
-		CacheEvict:        c.CacheEvict,
-		IntraCellParallel: c.IntraCellParallel,
-		ScanDispatch:      c.ScanDispatch,
+		Seed:             c.Seed,
+		Model:            c.Model,
+		GPU:              c.GPU,
+		Instances:        c.Instances,
+		NetBandwidth:     c.NetBandwidth,
+		KVProvisionBytes: c.kvProvisionFor(tr),
+		PrefixCaching:    c.PrefixCaching,
+		CacheEvict:       c.CacheEvict,
+		ScanDispatch:     c.ScanDispatch,
 	}
 	if c.Stream {
 		cc.MetricsReservoir = runner.DefaultReservoir

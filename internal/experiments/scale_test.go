@@ -102,10 +102,50 @@ func TestExperimentScaleSmoke(t *testing.T) {
 	if r.Rungs[0].Instances != 2 || r.Rungs[1].Instances != 4 {
 		t.Errorf("ladder = %d,%d, want 2,4", r.Rungs[0].Instances, r.Rungs[1].Instances)
 	}
+	if r.Timing == nil {
+		t.Fatal("scale result carries no timing block")
+	}
+	for _, rt := range r.Timing.Rungs {
+		if rt.WallSeconds <= 0 || len(rt.Cells) != len(scaleSystems) {
+			t.Fatalf("rung %d timing malformed: %+v", rt.Instances, rt)
+		}
+	}
 	// More instances at the same per-instance load serve more requests.
 	if r.Rungs[1].Requests <= r.Rungs[0].Requests {
 		t.Errorf("rung sizes: %d requests at 4 instances <= %d at 2",
 			r.Rungs[1].Requests, r.Rungs[0].Requests)
 	}
 	PrintExperimentScale(io.Discard, r)
+}
+
+// TestScaleIntraCellIdentical runs the scale ladder with one cell worker and
+// with four: the timing block reports the width it ran at, and everything
+// else in the result is identical, since each cell's simulation runs
+// sequentially on its own inputs whatever the pool width.
+func TestScaleIntraCellIdentical(t *testing.T) {
+	cfg := Quick()
+	cfg.Instances = 4
+	cfg.Duration = 16 * sim.Second
+	run := func(workers int) *ScaleResult {
+		c := cfg
+		c.Parallel = workers
+		r, err := ExperimentScale(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Timing == nil {
+			t.Fatal("scale result carries no timing block")
+		}
+		if r.Timing.Workers != workers {
+			t.Fatalf("timing reports %d workers, want %d", r.Timing.Workers, workers)
+		}
+		r.Timing = nil // host-dependent by nature; identity applies to the rest
+		for i := range r.Rungs {
+			r.Rungs[i].WallSeconds = 0
+		}
+		return r
+	}
+	if !reflect.DeepEqual(run(1), run(4)) {
+		t.Fatal("scale results differ across cell worker counts")
+	}
 }

@@ -21,13 +21,6 @@ type Event struct {
 	// events, parameterized per event. Exactly one of fn/fnArg is set.
 	fnArg func(arg any)
 	arg   any
-	// plan is an optional pure pre-computation hook. It never runs in
-	// sequential mode; with SetParallel(n>1) the batched run loop fans out
-	// the plan hooks of all events sharing a firing instant before any of
-	// their callbacks commit. Plans must not mutate simulation-visible
-	// state — they exist to warm per-component scratch (see
-	// engine.PlanRound) so the ordered commits find the work precomputed.
-	plan  func()
 	label string
 }
 
@@ -61,12 +54,6 @@ type Simulation struct {
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
-	// parallel bounds the worker fan-out for same-instant plan hooks; <= 1
-	// keeps the kernel on the plain sequential Step path. batch and plans
-	// are the batched loop's reusable scratch.
-	parallel int
-	batch    []*Event
-	plans    []func()
 	// Processed counts events that have fired (for diagnostics and the
 	// kernel throughput benchmark).
 	Processed uint64
@@ -141,36 +128,11 @@ func (s *Simulation) After(d Duration, label string, fn func()) Handle {
 	return s.At(s.now.Add(d), label, fn)
 }
 
-// AfterPlanned schedules fn like After, with a plan hook attached. When the
-// simulation runs with parallelism enabled, plan hooks of all events firing
-// at the same instant run concurrently before any of those events' callbacks
-// commit; in sequential mode plan is ignored entirely. fn must produce
-// byte-identical results whether or not plan ran — plans are an optimization,
-// never a semantic step.
-func (s *Simulation) AfterPlanned(d Duration, label string, plan, fn func()) Handle {
-	h := s.After(d, label, fn)
-	h.e.plan = plan
-	return h
-}
-
 // Cancel removes a pending event. Cancelling an already-fired,
 // already-cancelled, or zero handle is a no-op: the generation check makes
 // stale handles harmless even after the event struct is recycled.
 func (s *Simulation) Cancel(h Handle) {
 	if !h.Pending() {
-		return
-	}
-	if h.e.index < 0 {
-		// The event was popped into the current same-instant batch but has
-		// not fired yet (parallel mode only — in sequential mode a popped
-		// event is recycled, and hence non-pending, before its callback
-		// runs). Neutralize it in place; the batch loop recycles the struct
-		// without firing, matching what a heap removal would have produced.
-		h.e.gen++
-		h.e.fn = nil
-		h.e.fnArg = nil
-		h.e.arg = nil
-		h.e.plan = nil
 		return
 	}
 	s.remove(h.e.index)
@@ -185,7 +147,6 @@ func (s *Simulation) recycle(e *Event) {
 	e.fn = nil
 	e.fnArg = nil
 	e.arg = nil
-	e.plan = nil
 	e.label = ""
 	e.index = -1
 	s.free = append(s.free, e)
@@ -235,12 +196,6 @@ func (s *Simulation) Step() bool {
 
 // Run processes events until the queue drains or Stop is called.
 func (s *Simulation) Run() {
-	if s.parallel > 1 {
-		for !s.stopped && len(s.queue) > 0 {
-			s.stepBatch()
-		}
-		return
-	}
 	for s.Step() {
 	}
 }
@@ -248,14 +203,8 @@ func (s *Simulation) Run() {
 // RunUntil processes events with firing time <= deadline. The clock is left
 // at the later of its current value and the deadline.
 func (s *Simulation) RunUntil(deadline Time) {
-	if s.parallel > 1 {
-		for !s.stopped && len(s.queue) > 0 && !deadline.Before(s.queue[0].at) {
-			s.stepBatch()
-		}
-	} else {
-		for !s.stopped && len(s.queue) > 0 && !deadline.Before(s.queue[0].at) {
-			s.Step()
-		}
+	for !s.stopped && len(s.queue) > 0 && !deadline.Before(s.queue[0].at) {
+		s.Step()
 	}
 	if s.now.Before(deadline) {
 		s.now = deadline

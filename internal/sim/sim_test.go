@@ -331,3 +331,71 @@ func TestPropertyCancelSoundness(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBatchedRunMatchesSequentialOrder pins the order a same-instant cohort
+// and its follow-ups fire in: a follow-up scheduled from a callback takes a
+// later sequence number, so it fires after the whole already-queued cohort,
+// in the order the follow-ups were scheduled.
+func TestBatchedRunMatchesSequentialOrder(t *testing.T) {
+	s := New(1)
+	var order []int
+	for i := 0; i < 8; i++ {
+		i := i
+		s.After(Millisecond, "e", func() {
+			order = append(order, i)
+			if i < 4 {
+				s.After(0, "follow", func() { order = append(order, 100+i) })
+			}
+		})
+	}
+	s.Run()
+	want := []int{0, 1, 2, 3, 4, 5, 6, 7, 100, 101, 102, 103}
+	if len(order) != len(want) {
+		t.Fatalf("follow-up order = %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("follow-up order = %v, want %v", order, want)
+		}
+	}
+}
+
+// TestCancelWithinBatch cancels a later sibling of the same instant from a
+// callback: the sibling neither fires nor counts as processed, and its
+// recycled slot carries the next schedule without ghost-firing.
+func TestCancelWithinBatch(t *testing.T) {
+	s := New(1)
+	var victim Handle
+	fired := false
+	s.After(Millisecond, "canceller", func() { s.Cancel(victim) })
+	victim = s.After(Millisecond, "victim", func() { fired = true })
+	s.After(Millisecond, "tail", func() {})
+	s.Run()
+	if fired {
+		t.Fatal("cancelled same-instant sibling fired")
+	}
+	if s.Processed != 2 {
+		t.Fatalf("Processed = %d, want 2 (canceller + tail)", s.Processed)
+	}
+	refired := false
+	s.After(Millisecond, "reuse", func() { refired = true })
+	s.Run()
+	if !refired {
+		t.Fatal("recycled slot lost its event")
+	}
+}
+
+// TestStopWithinBatch stops in the middle of a same-instant cohort: Run
+// halts between events and the rest of the cohort stays pending.
+func TestStopWithinBatch(t *testing.T) {
+	s := New(1)
+	var fired []string
+	s.After(Millisecond, "a", func() { fired = append(fired, "a"); s.Stop() })
+	s.After(Millisecond, "b", func() { fired = append(fired, "b") })
+	s.After(Millisecond, "c", func() { fired = append(fired, "c") })
+	s.Run()
+	if len(fired) != 1 || fired[0] != "a" || s.Pending() != 2 || s.Processed != 1 {
+		t.Fatalf("mid-cohort stop: fired %v, pending %d, Processed %d; want [a], 2, 1",
+			fired, s.Pending(), s.Processed)
+	}
+}
