@@ -117,7 +117,6 @@ func main() {
 		specFile  = flag.String("spec", "", "workload spec JSON driving the experiment trace")
 		router    = flag.String("router", "", "dispatch router: "+strings.Join(sched.RouterNames, ", ")+" (default least-loaded)")
 		queue     = flag.String("queue", "", "wait-queue discipline: "+strings.Join(sched.DisciplineNames, ", ")+" (default fcfs)")
-		scanDisp  = flag.Bool("scan-dispatch", false, "force the dispatcher onto the full candidate scan instead of the incremental router index (the determinism oracle; results are identical either way)")
 		stream    = flag.Bool("stream", false, "bounded-memory streaming mode: reservoir percentiles and lazy arrivals (always on for -exp scale)")
 		prefixOn  = flag.Bool("prefix-caching", false, "enable content-addressed KVCache prefix sharing (default off; off reproduces the identity-free allocator byte-for-byte)")
 		evict     = flag.String("cache-evict", "", "cached-block eviction policy: lru (default), fifo; only meaningful with -prefix-caching")
@@ -175,7 +174,6 @@ func main() {
 	cfg.Stream = *stream
 	cfg.Router = *router
 	cfg.Queue = *queue
-	cfg.ScanDispatch = *scanDisp
 	cfg.PrefixCaching = *prefixOn
 	cfg.CacheEvict = *evict
 	if *exp == "scale" {

@@ -394,10 +394,3 @@ func (p *Llumnix) OnTick(c *cluster.Cluster) {
 	}
 	p.migrate(hi, lo, v)
 }
-
-// TickQuiescent implements the adaptive-monitor extension
-// (cluster.TickQuiescent): the rebalance trigger is a pure function of
-// group loads — no timers, no hysteresis windows — so with cluster state
-// frozen, a future tick decides exactly as the current one did and idle
-// ticks may be skipped.
-func (p *Llumnix) TickQuiescent(*cluster.Cluster) bool { return true }

@@ -153,13 +153,6 @@ func (p *Disagg) BeforeAdmit(g *cluster.Group) {
 // OnTick implements cluster.Policy (pending-handoff backstop).
 func (p *Disagg) OnTick(c *cluster.Cluster) { p.drainPending(c) }
 
-// TickQuiescent implements the adaptive-monitor extension
-// (cluster.TickQuiescent): the handoff backstop retries pending transfers
-// against decode pool occupancy — pure state, no time-based deadlines —
-// so a retry that does nothing now would do nothing at every tick until
-// an event frees decode memory, and idle ticks may be skipped.
-func (p *Disagg) TickQuiescent(*cluster.Cluster) bool { return true }
-
 // HandoffPrefill implements cluster.PrefillFinisher: the engine hands over
 // a prefill-role group's completed prefill. The request stalls in the
 // handoff state (its KV must stay resident until shipped) and the

@@ -36,15 +36,8 @@ type Config struct {
 	BlockTokens int
 	// Budget bounds each iteration batch.
 	Budget batching.Budget
-	// MonitorInterval is the global monitor's sampling period. The monitor
-	// re-arms adaptively: when the policy reports quiescence
-	// (TickQuiescent) and no tracer is attached, ticks that provably
-	// cannot observe or cause any change (no event fires before them) are
-	// skipped, their demand samples backfilled with the unchanged value,
-	// and the next real tick lands on the same MonitorInterval grid. The
-	// skip is a pure host-time optimization: simulation output is
-	// byte-identical either way. A tracer implies dense ticks (its
-	// per-tick counter events are part of the trace contract).
+	// MonitorInterval is the global monitor's fixed sampling period
+	// (§4.1, Figure 4 ➀).
 	MonitorInterval sim.Duration
 	// MetricsWindow is the time-series bin width.
 	MetricsWindow sim.Duration
@@ -184,14 +177,8 @@ type Cluster struct {
 	nextGroupID int
 
 	monitorInterval sim.Duration
-	// horizon is the Serve deadline; the adaptive monitor backfills up to
-	// it when the event queue drains before the simulation does.
-	horizon        sim.Time
-	outstanding    int
-	horizonReached bool
-	// monitorSkipped counts adaptively skipped (backfilled) ticks
-	// (diagnostics and tests; never part of results).
-	monitorSkipped int
+	outstanding     int
+	horizonReached  bool
 
 	// Dispatch failures (no live group) are recorded here instead of
 	// crashing the run; the runner surfaces them per cell.
@@ -613,9 +600,10 @@ func (c *Cluster) Err() error {
 	return c.dispatchErr
 }
 
-// MonitorSkipped returns how many monitor ticks the adaptive re-arm
-// skipped and backfilled (diagnostics and tests).
-func (c *Cluster) MonitorSkipped() int { return c.monitorSkipped }
+// MonitorSkipped always returns 0: the monitor ticks at every interval.
+// It stays only for kbench, which reports it, until the next change to
+// bench/.
+func (c *Cluster) MonitorSkipped() int { return 0 }
 
 // DemandBytes returns cluster-wide KV memory demand in bytes. O(d) in
 // groups whose demand changed since the last sync: the total is folded
@@ -699,42 +687,8 @@ func (c *Cluster) monitorTick() {
 		}
 	}
 	if c.outstanding > 0 || !c.horizonReached {
-		c.armMonitor(demand)
+		c.Sim.After(c.monitorInterval, "monitor", c.tickFn)
 	}
-}
-
-// armMonitor schedules the next monitor tick. On the dense path that is
-// one fixed MonitorInterval ahead. On the adaptive path — policy
-// quiescent, no tracer — ticks that provably observe nothing are skipped:
-// between now and the next pending event no callback runs, so cluster
-// state (demand, pools, queues, group membership) is frozen, every
-// would-be tick in that window is a no-op whose only output is its demand
-// sample, and that sample is backfilled here with the frozen value. The
-// next live tick lands on the same MonitorInterval grid the fixed cadence
-// would have used, and because no event is scheduled inside the skipped
-// window, its relative order against every same-instant event is
-// unchanged — output is byte-identical, only host work is saved.
-func (c *Cluster) armMonitor(demand int64) {
-	d := c.monitorInterval
-	next := c.Sim.Now().Add(d)
-	if c.tracer == nil {
-		if q, ok := c.Policy.(TickQuiescent); ok && q.TickQuiescent(c) {
-			// Nothing can happen before the next pending event, and
-			// nothing past the serve horizon ever fires — the dense
-			// cadence ticks at grid points ≤ horizon, so backfill stops
-			// there too (hence the 1 ns exclusive bound).
-			limit, ok := c.Sim.NextEventTime()
-			if end := c.horizon.Add(1); !ok || end.Before(limit) {
-				limit = end
-			}
-			for next.Before(limit) {
-				c.Collector.ObserveKVDemand(next, demand)
-				c.monitorSkipped++
-				next = next.Add(d)
-			}
-		}
-	}
-	c.Sim.At(next, "monitor", c.tickFn)
 }
 
 // Serve dispatches the trace and runs the simulation until horizon (or
@@ -744,7 +698,6 @@ func (c *Cluster) armMonitor(demand int64) {
 // rather than panicking mid-simulation.
 func (c *Cluster) Serve(tr *workload.Trace, horizon sim.Time) *metrics.Collector {
 	c.outstanding = len(tr.Requests)
-	c.horizon = horizon
 	if c.lazyArrivals {
 		// Streaming mode: each arrival schedules its successor, so the
 		// event queue holds O(1) arrival events instead of the whole

@@ -64,7 +64,7 @@ func TestSteadyPipelinedRoundAllocatesNothing(t *testing.T) {
 	}
 	formers := map[string]Former{
 		"token-count": TokenCountFormer{MicrobatchesPerStage: 2},
-		"lookahead":   &lookahead.Former{Model: cm, Table: costmodel.ForModel(cm)},
+		"lookahead":   &lookahead.Former{Model: cm},
 	}
 	for name, f := range formers {
 		t.Run(name, func(t *testing.T) {

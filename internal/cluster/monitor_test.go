@@ -1,75 +1,106 @@
 package cluster
 
 import (
-	"reflect"
 	"testing"
 
 	"kunserve/internal/gpu"
+	"kunserve/internal/metrics"
 	"kunserve/internal/model"
 	"kunserve/internal/sim"
 )
 
-// nonQuiescentPolicy overrides TickQuiescent with an unconditional false:
-// the conservative stance a time-dependent policy must take.
-type nonQuiescentPolicy struct{ recomputePolicy }
+// tickRecorder is recomputePolicy recording the instant and cluster demand
+// of every monitor tick.
+type tickRecorder struct {
+	recomputePolicy
+	at     []sim.Time
+	demand []int64
+}
 
-func (nonQuiescentPolicy) TickQuiescent(*Cluster) bool { return false }
+func (p *tickRecorder) OnTick(c *Cluster) {
+	p.at = append(p.at, c.Sim.Now())
+	p.demand = append(p.demand, c.DemandBytes())
+}
 
-func monitorCluster(t *testing.T, pol Policy) *Cluster {
+const (
+	drainInterval = sim.Second
+	drainTicks    = 300
+)
+
+// serveDrainedTrace serves five short requests on one instance up to a
+// horizon of drainTicks monitor intervals, with the metrics window equal to
+// the interval, and checks that every request finishes within the first
+// tenth of the horizon, so the monitor runs over a long idle tail.
+func serveDrainedTrace(t *testing.T) (*tickRecorder, *metrics.Collector) {
 	t.Helper()
+	horizon := sim.Time(0).Add(drainTicks * drainInterval)
+	pol := &tickRecorder{}
 	c, err := New(Config{
-		Seed:      1,
-		Model:     model.Qwen25_14B(),
-		GPU:       gpu.A800(),
-		Instances: 1,
-		Policy:    pol,
+		Seed:            1,
+		Model:           model.Qwen25_14B(),
+		GPU:             gpu.A800(),
+		Instances:       1,
+		Policy:          pol,
+		MonitorInterval: drainInterval,
+		MetricsWindow:   drainInterval,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	col := c.Serve(smallTrace(5, 0.2, 2048, 256), horizon)
+
+	if len(col.Records) != 5 {
+		t.Fatalf("%d requests finished, want 5", len(col.Records))
+	}
+	for _, r := range col.Records {
+		if !r.Completed.Before(horizon / 10) {
+			t.Fatalf("request %d completed at %v; the trace must drain early", r.ID, r.Completed)
+		}
+	}
+	return pol, col
 }
 
-// TestAdaptiveMonitorSkipsIdleTicks drives a trace whose requests finish
-// long before the horizon: once the world drains, the only pending events
-// are monitor ticks, so a quiescent policy lets the monitor leap straight
-// to the horizon instead of firing every interval. The demand series must
-// still be identical to the dense run — skipped ticks backfill the frozen
-// value — and the skip counter proves the adaptive path actually engaged.
-// The dense oracle is the same recompute policy reporting non-quiescence,
-// which keeps the monitor on its fixed cadence.
-func TestAdaptiveMonitorSkipsIdleTicks(t *testing.T) {
-	horizon := sim.FromSeconds(300)
-	tr := smallTrace(5, 0.2, 512, 16)
-
-	adaptive := monitorCluster(t, recomputePolicy{})
-	colA := adaptive.Serve(tr, horizon)
-
-	dense := monitorCluster(t, nonQuiescentPolicy{})
-	colD := dense.Serve(tr, horizon)
-
-	if adaptive.MonitorSkipped() == 0 {
-		t.Fatal("adaptive monitor never skipped a tick across a ~300s idle tail")
-	}
-	if dense.MonitorSkipped() != 0 {
-		t.Fatalf("dense monitor skipped %d ticks", dense.MonitorSkipped())
-	}
-	if !reflect.DeepEqual(colA.KVDemand.Values(), colD.KVDemand.Values()) {
-		t.Fatalf("adaptive demand series differs from dense: %d vs %d samples",
-			len(colA.KVDemand.Values()), len(colD.KVDemand.Values()))
-	}
-	if !reflect.DeepEqual(colA.Records, colD.Records) {
-		t.Fatal("adaptive run produced different request records than dense")
-	}
-}
-
-// TestNonQuiescentPolicyKeepsDenseCadence verifies the conservative path: a
-// policy reporting non-quiescence (time-dependent OnTick) never has ticks
-// skipped.
+// TestNonQuiescentPolicyKeepsDenseCadence checks that a policy acting on
+// every tick is called at every MonitorInterval grid point up to and
+// including the horizon, the idle tail after the trace drains included.
 func TestNonQuiescentPolicyKeepsDenseCadence(t *testing.T) {
-	c := monitorCluster(t, nonQuiescentPolicy{})
-	c.Serve(smallTrace(3, 0.2, 512, 16), sim.FromSeconds(120))
-	if n := c.MonitorSkipped(); n != 0 {
-		t.Fatalf("non-quiescent policy had %d ticks skipped", n)
+	pol, _ := serveDrainedTrace(t)
+	if len(pol.at) != drainTicks {
+		t.Fatalf("%d monitor ticks up to the horizon, want %d", len(pol.at), drainTicks)
+	}
+	for k, at := range pol.at {
+		if want := sim.Time(0).Add(sim.Duration(k+1) * drainInterval); at != want {
+			t.Fatalf("tick %d at %v, want %v", k, at, want)
+		}
+	}
+}
+
+// TestMonitorDenseCadence checks that each monitor tick leaves exactly one
+// KVDemand sample: with the metrics window equal to the interval, bin k
+// holds the demand the tick at k·interval read, and no bin is skipped or
+// doubled.
+func TestMonitorDenseCadence(t *testing.T) {
+	pol, col := serveDrainedTrace(t)
+	vals := col.KVDemand.Values()
+	if len(vals) != drainTicks+1 {
+		t.Fatalf("KVDemand has %d bins, want %d", len(vals), drainTicks+1)
+	}
+	if len(pol.demand) != drainTicks {
+		t.Fatalf("%d monitor ticks up to the horizon, want %d", len(pol.demand), drainTicks)
+	}
+	if vals[0] != 0 {
+		t.Fatalf("bin 0 holds %v; no tick lands before the first interval", vals[0])
+	}
+	busy := 0
+	for k, d := range pol.demand {
+		if vals[k+1] != float64(d) {
+			t.Fatalf("bin %d holds %v, want the tick's demand %d", k+1, vals[k+1], d)
+		}
+		if d > 0 {
+			busy++
+		}
+	}
+	if busy == 0 {
+		t.Fatal("no tick saw demand; the trace must be live at the first ticks")
 	}
 }

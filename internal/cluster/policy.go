@@ -67,29 +67,6 @@ type Policy interface {
 	Former() Former
 }
 
-// TickQuiescent is the optional policy extension behind the demand-driven
-// monitor. A policy reports quiescence when, with the cluster state frozen
-// exactly as it is now, its OnTick would take no action at any future
-// monitor tick — i.e. OnTick is a pure function of simulation state with
-// no dependence on wall-clock time alone. While the policy is quiescent
-// (and no tracer wants dense counters), the monitor skips ahead to the
-// next event horizon instead of firing every MonitorInterval: between now
-// and the next pending event no callback runs, so nothing the skipped
-// ticks could observe or trigger can change, and the skipped demand
-// samples are backfilled with the provably unchanged value. Output stays
-// byte-identical by construction.
-//
-// Policies whose OnTick can act on elapsed time with *unchanged* state —
-// e.g. a restore hysteresis window expiring — must return false for as
-// long as such a deadline is pending. Policies that override OnTick
-// without implementing this method correctly inherit BasePolicy's
-// unconditional true, which silently breaks them under the adaptive
-// monitor: every OnTick override must come with its own audited
-// TickQuiescent (or return false conservatively).
-type TickQuiescent interface {
-	TickQuiescent(c *Cluster) bool
-}
-
 // PrefillFinisher is the optional policy extension role-split clusters
 // need: when a prefill-role group completes a request's prefill, the
 // execution engine hands the request to the policy — which ships its KV
@@ -110,11 +87,6 @@ func (BasePolicy) BeforeAdmit(*Group) {}
 
 // OnTick implements Policy.
 func (BasePolicy) OnTick(*Cluster) {}
-
-// TickQuiescent implements the adaptive-monitor extension: the no-op
-// OnTick can never act, so the monitor may always skip ahead. Policies
-// that override OnTick MUST override this too (see the interface docs).
-func (BasePolicy) TickQuiescent(*Cluster) bool { return true }
 
 // Former implements Policy.
 func (BasePolicy) Former() Former { return TokenCountFormer{} }

@@ -13,12 +13,10 @@ import (
 )
 
 // newLookaheadFormer adapts the lookahead former to the cluster interface.
-// Evaluation goes through the shared per-model lookup table: it returns
-// the exact bits a direct evaluation would and, being immutable, lets one
-// policy's Former serve all its groups, each forming into its engine's own
-// scratch.
+// The cost model is read-only, so one policy's Former serves all its
+// groups, each forming into its engine's own scratch.
 func newLookaheadFormer(m *costmodel.Model, minTokens int) cluster.Former {
-	return &lookahead.Former{Model: m, MinTokens: minTokens, Table: costmodel.ForModel(m)}
+	return &lookahead.Former{Model: m, MinTokens: minTokens}
 }
 
 // maybeDrop checks the overload condition and, when triggered, derives and

@@ -26,31 +26,15 @@ type Former struct {
 	Model *costmodel.Model
 	// MinTokens floors microbatch size; <= 0 uses DefaultMinTokens.
 	MinTokens int
-	// Table, when set, evaluates Eq. 1 through the shared per-model
-	// lookup table (costmodel.ForModel). It is immutable, so one Former
-	// serves every group of a policy, and it returns bit-identical values,
-	// so results are unchanged.
-	Table *costmodel.Table
-}
-
-// chunkSeconds evaluates Eq. 1 through the table when attached.
-func (f *Former) chunkSeconds(prefix, chunk int) float64 {
-	if f.Table != nil {
-		return f.Table.ChunkSeconds(prefix, chunk)
-	}
-	return f.Model.ChunkSeconds(prefix, chunk)
 }
 
 // itemCost evaluates one item under the model.
 func (f *Former) itemCost(it batching.Item) float64 {
-	return f.chunkSeconds(it.Prefix, it.Chunk)
+	return f.Model.ChunkSeconds(it.Prefix, it.Chunk)
 }
 
 // batchCost evaluates a microbatch under the model (Eq. 2–3).
 func (f *Former) batchCost(items []batching.Item) float64 {
-	if f.Table != nil {
-		return f.Table.BatchSeconds(batching.ToChunkWork(items))
-	}
 	return f.Model.BatchSeconds(batching.ToChunkWork(items))
 }
 
@@ -155,7 +139,7 @@ func (f *Former) cutTokens(it batching.Item, want float64) int {
 	lo, hi := 0, it.Chunk
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
-		if f.chunkSeconds(it.Prefix, mid) <= want {
+		if f.Model.ChunkSeconds(it.Prefix, mid) <= want {
 			lo = mid
 		} else {
 			hi = mid - 1

@@ -238,13 +238,12 @@ func TestPropertyFormConservation(t *testing.T) {
 // TestSharedFormerConcurrentForm checks that a Former keeps no per-call
 // state: one Former — the policy-owned instance every group of a cluster
 // shares — forms microbatches from many goroutines at once, each into its
-// own Split, the way every engine brings its own scratch. With the
-// immutable cost-model Table this is race-free and every goroutine gets
+// own Split, the way every engine brings its own scratch. The cost model
+// is read-only, so this is race-free and every goroutine gets
 // bit-identical splits (run with -race to enforce). The sequential result
 // is the oracle.
 func TestSharedFormerConcurrentForm(t *testing.T) {
 	f, _ := fittedFormer(t)
-	f.Table = costmodel.ForModel(f.Model)
 
 	var items []batching.Item
 	for i := 0; i < 24; i++ {

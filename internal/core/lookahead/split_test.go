@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"kunserve/internal/batching"
-	"kunserve/internal/costmodel"
 	"kunserve/internal/request"
 )
 
@@ -109,7 +108,6 @@ func randomMix(rng *rand.Rand) []batching.Item {
 // input.
 func TestFormMatchesReference(t *testing.T) {
 	f, _ := fittedFormer(t)
-	f.Table = costmodel.ForModel(f.Model)
 	rng := rand.New(rand.NewSource(7))
 	var s batching.Split
 	for c := 0; c < 100; c++ {
@@ -149,7 +147,6 @@ func shape(mbs [][]batching.Item) string {
 // including the copies around cut prefill items.
 func TestFormAllocatesNothing(t *testing.T) {
 	f, _ := fittedFormer(t)
-	f.Table = costmodel.ForModel(f.Model)
 	var items []batching.Item
 	for i := 0; i < 32; i++ {
 		items = append(items, decodeItem(i, 256+64*i))

@@ -99,11 +99,11 @@ type Config struct {
 	// Queue names the wait-queue discipline (sched.DisciplineNames); ""
 	// selects FCFS, which reproduces the pre-sched wait queue exactly.
 	Queue string
-	// ScanDispatch forces every cell's dispatcher onto the full candidate
+	// scanDispatch forces every cell's dispatcher onto the full candidate
 	// scan instead of the incremental router index
-	// (cluster.Config.ScanDispatch) — the oracle path for determinism
-	// diffs; byte-identical to the indexed default by contract.
-	ScanDispatch bool
+	// (cluster.Config.ScanDispatch). It is the tests' determinism oracle,
+	// byte-identical to the indexed default by contract.
+	scanDispatch bool
 	// PrefixCaching enables content-addressed KVCache prefix sharing on
 	// every cell this config runs: requests carrying a shared prefix
 	// (spec clients with shared_prefix) deduplicate their system-prompt
@@ -272,32 +272,16 @@ func ClusterB() Config {
 
 // BuildTrace returns the experiment's trace: the compiled workload spec
 // when one is configured, otherwise BurstGPT arrivals scaled to the config
-// with the configured dataset's lengths. Traces come out of the shared
-// arena (runner.SharedTrace): every figure and sweep cell generating the
-// same (seed, duration, rate, dataset) workload — all of `-exp all`'s
-// figures, every value of an instance sweep — reads one immutable Trace
-// instead of regenerating its own copy. Generation is deterministic, so
-// sharing is byte-invisible; callers must not mutate the result (clone or
-// use a copying transform like workload.RepeatBurst to derive variants).
+// with the configured dataset's lengths. A figure's concurrent cells share
+// the one trace, so callers must not mutate the result (use a copying
+// transform like workload.RepeatBurst to derive variants).
 func (c Config) BuildTrace() (*workload.Trace, error) {
 	cfg := c.withDefaults()
 	if cfg.WorkloadSpec != nil {
-		// A parsed spec's pointer identity subsumes its contents: its own
-		// seed/duration/rates govern compilation, so one spec always
-		// compiles to the same trace.
-		return runner.SharedTrace(runner.TraceKey{Spec: cfg.WorkloadSpec},
-			cfg.WorkloadSpec.Compile)
+		return cfg.WorkloadSpec.Compile()
 	}
-	key := runner.TraceKey{
-		Seed:     cfg.Seed,
-		Duration: cfg.Duration,
-		RPS:      cfg.BaseRPS,
-		Dataset:  cfg.Dataset,
-	}
-	return runner.SharedTrace(key, func() (*workload.Trace, error) {
-		return workload.Generate(cfg.Seed, cfg.Duration,
-			workload.ScaledBurstSchedule(cfg.BaseRPS, cfg.Duration), cfg.Dataset), nil
-	})
+	return workload.Generate(cfg.Seed, cfg.Duration,
+		workload.ScaledBurstSchedule(cfg.BaseRPS, cfg.Duration), cfg.Dataset), nil
 }
 
 // clusterConfig assembles the cluster configuration for one run on tr. The
@@ -315,7 +299,7 @@ func (c Config) clusterConfig(tr *workload.Trace) cluster.Config {
 		KVProvisionBytes: c.kvProvisionFor(tr),
 		PrefixCaching:    c.PrefixCaching,
 		CacheEvict:       c.CacheEvict,
-		ScanDispatch:     c.ScanDispatch,
+		ScanDispatch:     c.scanDispatch,
 	}
 	if c.Stream {
 		cc.MetricsReservoir = runner.DefaultReservoir

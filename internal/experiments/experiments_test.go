@@ -575,6 +575,12 @@ func TestParseSweep(t *testing.T) {
 	for _, bad := range []string{
 		"load", "nope=1:2:1", "load=1:2", "load=1:2:0", "load=2:1:1", "load=a:2:1",
 		"seed=1:4:0.5", "rep=1.5:3:1", "instances=2:8:1.5",
+		// Non-finite bounds or step, and grids too large to enumerate.
+		"load=NaN:2:1", "load=1:NaN:1", "load=1:2:NaN", "load=1:Inf:1",
+		"load=-Inf:2:1", "load=1:2:Inf", "load=1:2:1e-300", "seed=1:1e300:1",
+		"rep=1:100000:1",
+		// Steps below the grid's resolution would repeat values.
+		"load=1:1.000000001:1e-12", "seed=1e17:1.0000000000000002e17:1",
 	} {
 		if _, _, err := ParseSweep(bad); err == nil {
 			t.Errorf("ParseSweep(%q) accepted", bad)

@@ -15,8 +15,7 @@ import (
 
 // laneAudit wraps a policy so that every monitor tick, after the policy's
 // own tick, audits each live group's lane. It forwards the prefill handoff
-// so role-split policies still serve; lacking TickQuiescent, it keeps the
-// monitor on its dense cadence, so every tick is audited.
+// so role-split policies still serve.
 type laneAudit struct {
 	cluster.Policy
 	t          *testing.T

@@ -25,9 +25,15 @@ import (
 //   - duration  — trace length in seconds
 var SweepKeys = []string{"load", "rps", "seed", "rep", "instances", "duration"}
 
+// maxSweepPoints bounds a sweep grid; every point runs the five systems,
+// so a larger grid is a typo, not an experiment.
+const maxSweepPoints = 1 << 16
+
 // ParseSweep parses a "key=lo:hi:step" directive (inclusive bounds, step > 0)
 // into the swept key and its value grid, e.g. "load=0.5:2.0:0.25" or
-// "seed=1:32:1".
+// "seed=1:32:1". On success the grid holds at least one value, every value
+// is finite, positive and within [lo, hi], values strictly ascend, and the
+// integer keys (seed, rep, instances) get integer values.
 func ParseSweep(s string) (key string, values []float64, err error) {
 	name, rangeSpec, ok := strings.Cut(s, "=")
 	if !ok {
@@ -51,7 +57,7 @@ func ParseSweep(s string) (key string, values []float64, err error) {
 	var bounds [3]float64
 	for i, p := range parts {
 		bounds[i], err = strconv.ParseFloat(p, 64)
-		if err != nil {
+		if err != nil || math.IsNaN(bounds[i]) || math.IsInf(bounds[i], 0) {
 			return "", nil, fmt.Errorf("sweep: bad number %q in %q", p, s)
 		}
 	}
@@ -69,19 +75,31 @@ func ParseSweep(s string) (key string, values []float64, err error) {
 	}
 	// Integer keys truncate their values, so a fractional grid would run
 	// duplicate cells and report misleadingly narrow bands.
-	if name == "seed" || name == "rep" || name == "instances" {
+	integer := name == "seed" || name == "rep" || name == "instances"
+	if integer {
 		for _, v := range bounds {
 			if v != math.Trunc(v) {
 				return "", nil, fmt.Errorf("sweep: %s takes integer values, got %q", name, rangeSpec)
 			}
 		}
 	}
-	n := int(math.Floor((hi-lo)/step+1e-9)) + 1
+	span := (hi-lo)/step + 1e-9
+	if !(span < maxSweepPoints) {
+		return "", nil, fmt.Errorf("sweep: %q has more than %d points", s, maxSweepPoints)
+	}
+	n := int(math.Floor(span)) + 1
 	for i := 0; i < n; i++ {
-		// Round away float accumulation (0.8 + 2*0.2 = 1.2000...02) so
-		// values print and key cleanly.
 		v := lo + float64(i)*step
-		values = append(values, math.Round(v*1e9)/1e9)
+		// Round away float accumulation (0.8 + 2*0.2 = 1.2000...02) so
+		// values print and key cleanly, unless that leaves [lo, hi].
+		if r := math.Round(v*1e9) / 1e9; !integer && r >= lo && r <= hi {
+			v = r
+		}
+		v = math.Min(v, hi)
+		if i > 0 && v <= values[i-1] {
+			return "", nil, fmt.Errorf("sweep: step %g is too fine for %q", step, s)
+		}
+		values = append(values, v)
 	}
 	return name, values, nil
 }

@@ -48,24 +48,10 @@ type Trace struct {
 	Requests []Request
 }
 
-// Clone returns a deep copy of the trace. It is the copy-on-write escape
-// hatch for shared traces (runner.SharedTrace): callers that must mutate a
-// trace obtained from the arena clone it first so every other holder keeps
-// reading the pristine original. The copying transforms (Upscale,
-// RepeatBurst, Merge) build fresh traces already and need no clone.
-func (t *Trace) Clone() *Trace {
-	out := &Trace{Name: t.Name}
-	if len(t.Requests) > 0 {
-		out.Requests = make([]Request, len(t.Requests))
-		copy(out.Requests, t.Requests)
-	}
-	return out
-}
-
 // Fingerprint returns a stable FNV-1a hash over the trace's full content —
 // name and every field of every request. Equal traces hash equal on every
-// platform; the shared-trace arena uses it to detect (and tests to prove
-// the absence of) writes through a shared trace.
+// platform; tests use it to prove the absence of writes through a trace
+// that concurrent cells share.
 func (t *Trace) Fingerprint() uint64 {
 	const (
 		offset64 = 14695981039346656037
