@@ -361,8 +361,8 @@ func BenchmarkExperimentDisagg(b *testing.B) {
 }
 
 // BenchmarkScaleFleet prices the cluster-scale streaming path: a small
-// fleet ladder serving a diurnal trace with bounded metrics and lazy
-// arrivals — the -exp scale machinery at benchmark-friendly size.
+// fleet ladder serving a diurnal trace with bounded metrics — the -exp
+// scale machinery at benchmark-friendly size.
 func BenchmarkScaleFleet(b *testing.B) {
 	var r *experiments.ScaleResult
 	var err error

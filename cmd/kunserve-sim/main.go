@@ -39,10 +39,9 @@
 // mode). None of the four is part of "all" so that "all" output stays
 // comparable across versions. -stream runs any experiment in bounded-memory
 // streaming mode: the collector keeps reservoir samples instead of every
-// record and arrivals enter the event queue lazily, so memory scales with
-// live requests rather than trace length (percentiles become reservoir
-// estimates; off by default, which reproduces full-retention output
-// byte-for-byte). -list-exps prints each experiment with its description
+// record, so memory scales with live requests rather than trace length
+// (percentiles become reservoir estimates; off by default, which
+// reproduces full-retention output byte-for-byte). -list-exps prints each experiment with its description
 // and exits.
 //
 // -trace writes a Chrome trace-event / Perfetto JSON record of every
@@ -117,7 +116,7 @@ func main() {
 		specFile  = flag.String("spec", "", "workload spec JSON driving the experiment trace")
 		router    = flag.String("router", "", "dispatch router: "+strings.Join(sched.RouterNames, ", ")+" (default least-loaded)")
 		queue     = flag.String("queue", "", "wait-queue discipline: "+strings.Join(sched.DisciplineNames, ", ")+" (default fcfs)")
-		stream    = flag.Bool("stream", false, "bounded-memory streaming mode: reservoir percentiles and lazy arrivals (always on for -exp scale)")
+		stream    = flag.Bool("stream", false, "bounded-memory streaming mode: reservoir percentiles, no per-request records (always on for -exp scale)")
 		prefixOn  = flag.Bool("prefix-caching", false, "enable content-addressed KVCache prefix sharing (default off; off reproduces the identity-free allocator byte-for-byte)")
 		evict     = flag.String("cache-evict", "", "cached-block eviction policy: lru (default), fifo; only meaningful with -prefix-caching")
 		tracePath = flag.String("trace", "", "write a Chrome trace-event / Perfetto JSON trace of every simulation to this file (load it at ui.perfetto.dev)")

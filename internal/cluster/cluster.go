@@ -82,12 +82,9 @@ type Config struct {
 	// records are not retained — summaries only. Zero (the default) keeps
 	// the exact, unbounded collector.
 	MetricsReservoir int
-	// LazyArrivals schedules each trace arrival from its predecessor's
-	// callback instead of pre-scheduling the whole trace, bounding the
-	// event queue by concurrency instead of trace length. It changes
-	// event sequence numbering — and therefore tie-breaks between
-	// same-timestamp events — so it is reserved for streaming-mode runs,
-	// never the byte-identical default path.
+	// LazyArrivals is ignored; it is kept only because bench/workload.go
+	// sets it. Every run schedules each arrival from its predecessor's
+	// callback under sequence numbers reserved up front (see Serve).
 	LazyArrivals bool
 	// ScanDispatch forces Dispatch onto the full candidate scan even when
 	// the router is indexable, rebuilding the slate per request the way
@@ -215,13 +212,17 @@ type Cluster struct {
 	// scales with concurrency, not trace length.
 	reqPool request.Pool
 
-	// lazyArrivals mirrors Config.LazyArrivals.
-	lazyArrivals bool
+	// arrivals is the trace being served; nextArrival indexes the request
+	// whose arrival event is queued, under sequence number
+	// arrivalSeq+nextArrival (Serve reserves one per request).
+	arrivals    []workload.Request
+	nextArrival int
+	arrivalSeq  uint64
 
-	// admitFn/tickFn are persistent event callbacks (one closure for the
+	// arriveFn/tickFn are persistent event callbacks (one closure for the
 	// whole run instead of one per arrival / per monitor tick).
-	admitFn func(arg any)
-	tickFn  func()
+	arriveFn func(arg any)
+	tickFn   func()
 
 	// HostParamReplica reflects §4.4 fault tolerance: parameters are
 	// replicated in host DRAM so restoration always succeeds.
@@ -263,9 +264,8 @@ func New(cfg Config) (*Cluster, error) {
 		newDiscipline:    sched.NewFCFS,
 		tracer:           cfg.Tracer,
 		reqTrack:         obs.NewReqTracker(cfg.Tracer),
-		lazyArrivals:     cfg.LazyArrivals,
 	}
-	c.admitFn = func(arg any) { c.admitArrival(arg.(*workload.Request)) }
+	c.arriveFn = c.arrive
 	c.tickFn = c.monitorTick
 	if cfg.MetricsReservoir > 0 {
 		targets := make(map[string]metrics.SLOTarget, len(cfg.SLOClasses))
@@ -698,36 +698,35 @@ func (c *Cluster) monitorTick() {
 // rather than panicking mid-simulation.
 func (c *Cluster) Serve(tr *workload.Trace, horizon sim.Time) *metrics.Collector {
 	c.outstanding = len(tr.Requests)
-	if c.lazyArrivals {
-		// Streaming mode: each arrival schedules its successor, so the
-		// event queue holds O(1) arrival events instead of the whole
-		// trace. Event sequence numbers differ from the eager default,
-		// which reorders same-timestamp ties — that is why the default
-		// (byte-identical) path still pre-schedules everything.
-		c.scheduleArrival(tr, 0)
-	} else {
-		for i := range tr.Requests {
-			wr := &tr.Requests[i]
-			c.Sim.AtCall(wr.Arrival, "arrive", c.admitFn, wr)
-		}
-	}
+	// Each arrival schedules its successor, so the event queue holds one
+	// arrival instead of the whole trace. The sequence numbers reserved
+	// here make every arrival break same-time ties exactly as it would
+	// had the whole trace been scheduled at this point.
+	c.arrivals = tr.Requests
+	c.nextArrival = 0
+	c.arrivalSeq = c.Sim.Reserve(len(tr.Requests))
+	c.queueArrival()
 	c.Sim.After(c.monitorInterval, "monitor", c.tickFn)
 	c.Sim.RunUntil(horizon)
 	c.horizonReached = true
 	return c.Collector
 }
 
-// scheduleArrival queues trace request i's arrival event; its callback
-// chains the next one (lazy-arrival mode).
-func (c *Cluster) scheduleArrival(tr *workload.Trace, i int) {
-	if i >= len(tr.Requests) {
-		return
+// queueArrival schedules trace request nextArrival's arrival event under
+// its reserved sequence number.
+func (c *Cluster) queueArrival() {
+	if i := c.nextArrival; i < len(c.arrivals) {
+		c.Sim.AtSeqCall(c.arrivals[i].Arrival, c.arrivalSeq+uint64(i), "arrive", c.arriveFn, nil)
 	}
-	wr := &tr.Requests[i]
-	c.Sim.At(wr.Arrival, "arrive", func() {
-		c.scheduleArrival(tr, i+1)
-		c.admitArrival(wr)
-	})
+}
+
+// arrive is the arrival event callback: it queues the next trace request's
+// arrival, then admits this one.
+func (c *Cluster) arrive(any) {
+	wr := &c.arrivals[c.nextArrival]
+	c.nextArrival++
+	c.queueArrival()
+	c.admitArrival(wr)
 }
 
 // admitArrival materializes one trace request (through the request pool)

@@ -104,3 +104,47 @@ func TestMonitorDenseCadence(t *testing.T) {
 		t.Fatal("no tick saw demand; the trace must be live at the first ticks")
 	}
 }
+
+// admittedRecorder is recomputePolicy recording, at every monitor tick, how
+// many requests the groups hold (queued or running).
+type admittedRecorder struct {
+	recomputePolicy
+	admitted []int
+}
+
+func (p *admittedRecorder) OnTick(c *Cluster) {
+	n := 0
+	for _, g := range c.Groups() {
+		n += g.QueueLen() + g.RunningLen()
+	}
+	p.admitted = append(p.admitted, n)
+}
+
+// TestSameInstantArrivalsPrecedeMonitorTick serves a burst that lands on
+// the first monitor tick's instant. Serve reserves every arrival's sequence
+// number before it schedules the monitor, so the whole burst is admitted
+// before the tick reads the cluster, although each arrival is queued only
+// when its predecessor fires.
+func TestSameInstantArrivalsPrecedeMonitorTick(t *testing.T) {
+	const burst = 4
+	pol := &admittedRecorder{}
+	c, err := New(Config{
+		Seed:            1,
+		Model:           model.Qwen25_14B(),
+		GPU:             gpu.A800(),
+		Instances:       1,
+		Policy:          pol,
+		MonitorInterval: sim.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := smallTrace(burst, 0, 2048, 256)
+	for i := range tr.Requests {
+		tr.Requests[i].Arrival = sim.Time(0).Add(sim.Second)
+	}
+	c.Serve(tr, sim.Time(0).Add(sim.Second))
+	if len(pol.admitted) != 1 || pol.admitted[0] != burst {
+		t.Fatalf("tick at 1s saw %v admitted requests, want [%d]", pol.admitted, burst)
+	}
+}

@@ -123,11 +123,10 @@ type Config struct {
 	Parallel int
 	// Stream runs every cell in bounded-memory streaming mode: reservoir
 	// percentiles (runner.DefaultReservoir samples per distribution)
-	// instead of full record retention, and lazily scheduled arrivals so
-	// the event queue never holds the whole trace. Required for
-	// cluster-scale sweeps (-exp scale); off by default because the
-	// figure experiments recompute SLOs from the per-record latencies
-	// that streaming discards.
+	// instead of full record retention. It is the one definition of
+	// streaming. Required for cluster-scale sweeps (-exp scale); off by
+	// default because the figure experiments recompute SLOs from the
+	// per-record latencies that streaming discards.
 	Stream bool
 	// TraceSink, when set, collects a per-cell observability trace from
 	// every simulation this config runs (the CLI's -trace flag exports it
@@ -303,7 +302,6 @@ func (c Config) clusterConfig(tr *workload.Trace) cluster.Config {
 	}
 	if c.Stream {
 		cc.MetricsReservoir = runner.DefaultReservoir
-		cc.LazyArrivals = true
 	}
 	if c.WorkloadSpec != nil {
 		cc.SLOClasses = c.WorkloadSpec.ClassTargets()

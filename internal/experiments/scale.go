@@ -120,8 +120,8 @@ var scaleSystems = []System{SysVLLMDP, SysKunServe}
 // ExperimentScale runs the cluster-scale streaming sweep: for each rung of
 // the fleet ladder, an hour-class sine-modulated diurnal trace (4 load
 // cycles over the configured duration) is served by vLLM (DP) and KunServe
-// with streaming metrics and lazy arrivals forced on, so memory stays
-// bounded by the live request population rather than the trace length.
+// with streaming metrics forced on, so memory stays bounded by the live
+// request population rather than the trace length.
 // Every (rung x system) cell joins one shared run set, so small rungs
 // overlap the big one across cores instead of idling behind it; the sweep's
 // wall clock approaches the slowest single cell at 4+ workers. The price is

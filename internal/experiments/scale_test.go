@@ -7,6 +7,7 @@ import (
 
 	"kunserve/internal/runner"
 	"kunserve/internal/sim"
+	"kunserve/internal/workload"
 )
 
 func TestScaleLadder(t *testing.T) {
@@ -27,10 +28,13 @@ func TestScaleLadder(t *testing.T) {
 	}
 }
 
-// Streaming mode (bounded reservoirs + lazy arrivals) must not perturb the
-// simulation itself: below reservoir capacity the reservoir retains every
-// sample, so the summary — counts, percentiles, series — is identical to
-// full record retention.
+// Streaming mode (bounded reservoirs) must not perturb the simulation
+// itself: below reservoir capacity the reservoir retains every sample, so
+// the summary — counts, percentiles, series — is identical to full record
+// retention. The second input replays the trace at whole-second
+// resolution, so arrivals tie with each other and with the 1 s monitor
+// ticks; that holds only because every run schedules arrivals under the
+// same reserved sequence numbers.
 func TestStreamingMatchesExact(t *testing.T) {
 	cfg := Quick()
 	cfg.Duration = 16 * sim.Second
@@ -39,34 +43,46 @@ func TestStreamingMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(c Config) runner.Summary {
-		cl, err := c.Run(SysVLLMDP, tr)
+	whole := &workload.Trace{Name: "whole-second",
+		Requests: append([]workload.Request(nil), tr.Requests...)}
+	for i := range whole.Requests {
+		r := &whole.Requests[i]
+		r.Arrival -= r.Arrival % sim.Time(sim.Second)
+	}
+	run := func(c Config, sys System, tr *workload.Trace) runner.Summary {
+		cl, err := c.Run(sys, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return runner.Summarize(cl)
 	}
-	exact := run(cfg)
 	scfg := cfg
 	scfg.Stream = true
-	stream := run(scfg)
-	if exact.Finished == 0 {
-		t.Fatal("exact run finished nothing; test trace too small")
+	cases := []struct {
+		tr   *workload.Trace
+		syss []System
+	}{
+		{tr, []System{SysVLLMDP}},
+		{whole, []System{SysVLLMDP, SysVLLMPP, SysInferCept, SysLlumnix, SysKunServe}},
 	}
-	if stream.Finished != exact.Finished || stream.Unserved != exact.Unserved {
-		t.Fatalf("streaming counts (%d/%d) != exact (%d/%d)",
-			stream.Finished, stream.Unserved, exact.Finished, exact.Unserved)
-	}
-	if stream.TTFTP50 != exact.TTFTP50 || stream.TTFTP99 != exact.TTFTP99 {
-		t.Errorf("streaming TTFT p50/p99 %v/%v != exact %v/%v",
-			stream.TTFTP50, stream.TTFTP99, exact.TTFTP50, exact.TTFTP99)
-	}
-	if stream.Throughput != exact.Throughput {
-		t.Errorf("streaming throughput %v != exact %v", stream.Throughput, exact.Throughput)
+	for _, c := range cases {
+		for _, sys := range c.syss {
+			exact := run(cfg, sys, c.tr)
+			stream := run(scfg, sys, c.tr)
+			if exact.Finished == 0 {
+				t.Fatalf("%s/%s: exact run finished nothing; test trace too small", c.tr.Name, sys)
+			}
+			// Streaming keeps no per-record slices; below reservoir
+			// capacity everything else matches.
+			exact.TTFTs, exact.TPOTs, exact.Outputs = nil, nil, nil
+			if !reflect.DeepEqual(stream, exact) {
+				t.Errorf("%s/%s: streaming summary differs from exact:\nstream %+v\nexact  %+v",
+					c.tr.Name, sys, stream, exact)
+			}
+		}
 	}
 	// Streaming is itself deterministic: a second run is identical.
-	again := run(scfg)
-	if !reflect.DeepEqual(stream, again) {
+	if !reflect.DeepEqual(run(scfg, SysVLLMDP, tr), run(scfg, SysVLLMDP, tr)) {
 		t.Error("streaming run not deterministic across repetitions")
 	}
 }

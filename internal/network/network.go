@@ -168,10 +168,9 @@ func (l *Link) transferDone() {
 	l.pump()
 }
 
-// BulkTransfer is a pausable chunked send used for KVCache exchange and
-// parameter restoration. Each chunk is a separate link transfer, so
-// higher-priority traffic interleaves between chunks — the coordinated
-// transfer of §4.2.
+// BulkTransfer is a chunked send used for KVCache exchange and parameter
+// restoration. Each chunk is a separate link transfer, so higher-priority
+// traffic interleaves between chunks — the coordinated transfer of §4.2.
 type BulkTransfer struct {
 	link      *Link
 	remaining int64
@@ -179,9 +178,7 @@ type BulkTransfer struct {
 	pri       Priority
 	label     string
 	done      func()
-	paused    bool
 	inflight  bool
-	cancelled bool
 
 	// curN is the in-flight chunk's size; the link dispatches chunk
 	// completion straight to chunkLanded, so long bulk streams schedule no
@@ -196,13 +193,12 @@ type BulkTransfer struct {
 }
 
 // SendChunked starts a chunked bulk transfer of totalBytes in chunkBytes
-// pieces. done fires once after the final chunk. The returned handle can
-// pause/resume the stream (used when the exchange engine detects imminent
-// activation transfers) or cancel it. Negative totals and non-positive
-// chunk sizes panic — a silently accepted bad chunk size would loop the
-// transfer forever, and negative bytes are always a caller's accounting
-// bug. A zero total is legal and completes after one zero-byte tail send
-// (like Send, it still serializes through the link).
+// pieces. done fires once after the final chunk; the returned handle
+// reports progress. Negative totals and non-positive chunk sizes panic — a
+// silently accepted bad chunk size would loop the transfer forever, and
+// negative bytes are always a caller's accounting bug. A zero total is
+// legal and completes after one zero-byte tail send (like Send, it still
+// serializes through the link).
 func (l *Link) SendChunked(totalBytes, chunkBytes int64, pri Priority, label string, done func()) *BulkTransfer {
 	if totalBytes < 0 {
 		panic(fmt.Sprintf("network: negative chunked send %d", totalBytes))
@@ -221,9 +217,6 @@ func (l *Link) SendChunked(totalBytes, chunkBytes int64, pri Priority, label str
 // chunkLanded completes the in-flight chunk and issues the next one.
 func (bt *BulkTransfer) chunkLanded() {
 	bt.inflight = false
-	if bt.cancelled {
-		return
-	}
 	bt.remaining -= bt.curN
 	if bt.OnChunk != nil {
 		bt.OnChunk(bt.curN)
@@ -237,27 +230,7 @@ func (bt *BulkTransfer) Remaining() int64 { return bt.remaining }
 // Done reports whether the transfer has fully completed.
 func (bt *BulkTransfer) Done() bool { return bt.remaining <= 0 && !bt.inflight }
 
-// Pause stops issuing new chunks after the in-flight one.
-func (bt *BulkTransfer) Pause() { bt.paused = true }
-
-// Resume continues a paused transfer.
-func (bt *BulkTransfer) Resume() {
-	if !bt.paused {
-		return
-	}
-	bt.paused = false
-	if !bt.inflight {
-		bt.next()
-	}
-}
-
-// Cancel abandons the remaining bytes; done never fires.
-func (bt *BulkTransfer) Cancel() { bt.cancelled = true }
-
 func (bt *BulkTransfer) next() {
-	if bt.cancelled || bt.paused || bt.inflight {
-		return
-	}
 	if bt.remaining <= 0 {
 		// Completion always goes through the link (a zero-byte tail
 		// send) so done never fires synchronously inside the caller —

@@ -208,137 +208,39 @@ func TestChunkedZeroBytesFiresAsynchronously(t *testing.T) {
 	}
 }
 
-func TestPauseResume(t *testing.T) {
-	s := sim.New(1)
-	l := newTestLink(s)
-	done := false
-	bt := l.SendChunked(5_000_000, 1_000_000, PriorityBulk, "kv", func() { done = true })
-	s.At(sim.FromSeconds(0.0025), "pause", func() { bt.Pause() })
-	s.RunUntil(sim.FromSeconds(0.1))
-	if done {
-		t.Fatal("paused transfer completed")
-	}
-	// In-flight chunk (the 3rd) finishes; the rest wait.
-	if bt.Remaining() != 2_000_000 {
-		t.Errorf("remaining = %d, want 2000000", bt.Remaining())
-	}
-	bt.Resume()
-	bt.Resume() // double resume is a no-op
-	s.Run()
-	if !done {
-		t.Fatal("resumed transfer never completed")
-	}
-}
-
-// Pausing while a chunk is in flight lets that chunk land but issues
-// nothing more; Remaining/Done stay consistent at every step, and a
-// paused-mid-chunk transfer resumes exactly where it stopped.
-func TestPauseMidChunkInFlight(t *testing.T) {
-	s := sim.New(1)
-	l := newTestLink(s)
-	done := false
-	bt := l.SendChunked(4_000_000, 1_000_000, PriorityBulk, "kv", func() { done = true })
-	// t=1.5ms: chunk 2 is mid-flight (chunks land at 1, 2, 3, 4 ms).
-	s.At(sim.FromSeconds(0.0015), "pause", func() {
-		bt.Pause()
-		if bt.Done() {
-			t.Error("in-flight transfer reports Done")
-		}
-		// Chunk 1 landed; chunk 2 still counts as remaining until it
-		// completes.
-		if bt.Remaining() != 3_000_000 {
-			t.Errorf("remaining at pause = %d", bt.Remaining())
-		}
-	})
-	s.RunUntil(sim.FromSeconds(0.1))
-	if done {
-		t.Fatal("paused transfer completed")
-	}
-	// The in-flight chunk was allowed to finish; nothing after it was.
-	if bt.Remaining() != 2_000_000 {
-		t.Errorf("remaining after drain = %d, want 2000000", bt.Remaining())
-	}
-	if bt.Done() {
-		t.Error("paused transfer reports Done")
-	}
-	if l.BytesSent() != 2_000_000 {
-		t.Errorf("bytes on wire = %d, want 2000000", l.BytesSent())
-	}
-	bt.Resume()
-	s.Run()
-	if !done || !bt.Done() || bt.Remaining() != 0 {
-		t.Fatalf("resume did not finish: done=%v Done=%v remaining=%d",
-			done, bt.Done(), bt.Remaining())
-	}
-	if l.BytesSent() != 4_000_000 {
-		t.Errorf("total bytes = %d", l.BytesSent())
-	}
-}
-
-// Pause and Resume on an already-done transfer are no-ops: done fires
-// exactly once and the terminal Remaining/Done state never regresses.
-func TestResumeAfterDoneIsNoOp(t *testing.T) {
+// Remaining is non-increasing chunk by chunk, counts the in-flight chunk
+// until it lands (so Remaining + BytesSent is the total at every step), and
+// Done flips only at zero; done fires exactly once. These are the
+// invariants every handoff/exchange caller leans on.
+func TestRemainingDoneInvariants(t *testing.T) {
+	const total = 3_500_000
 	s := sim.New(1)
 	l := newTestLink(s)
 	fired := 0
-	bt := l.SendChunked(2_000_000, 1_000_000, PriorityBulk, "kv", func() { fired++ })
-	s.Run()
-	if fired != 1 || !bt.Done() || bt.Remaining() != 0 {
-		t.Fatalf("fired=%d Done=%v remaining=%d", fired, bt.Done(), bt.Remaining())
-	}
-	bt.Pause()
-	bt.Resume()
-	bt.Resume()
-	s.Run()
-	if fired != 1 {
-		t.Fatalf("done fired %d times after post-completion resume", fired)
-	}
-	if !bt.Done() || bt.Remaining() != 0 {
-		t.Error("terminal state regressed")
-	}
-	if l.BytesSent() != 2_000_000 {
-		t.Errorf("bytes = %d", l.BytesSent())
-	}
-}
-
-// Remaining is non-increasing chunk by chunk and Done flips only at zero:
-// the invariant every handoff/exchange caller leans on.
-func TestRemainingDoneInvariants(t *testing.T) {
-	s := sim.New(1)
-	l := newTestLink(s)
-	bt := l.SendChunked(3_500_000, 1_000_000, PriorityBulk, "kv", nil)
+	bt := l.SendChunked(total, 1_000_000, PriorityBulk, "kv", func() { fired++ })
 	last := bt.Remaining()
-	if last != 3_500_000 {
+	if last != total {
 		t.Fatalf("initial remaining = %d", last)
+	}
+	if bt.Done() {
+		t.Fatal("transfer with a chunk in flight reports Done")
 	}
 	for s.Step() {
 		rem := bt.Remaining()
 		if rem > last {
 			t.Fatalf("remaining grew: %d -> %d", last, rem)
 		}
+		if rem+l.BytesSent() != total {
+			t.Fatalf("remaining %d + sent %d != %d", rem, l.BytesSent(), total)
+		}
 		if bt.Done() && rem > 0 {
 			t.Fatalf("Done with %d remaining", rem)
 		}
 		last = rem
 	}
-	if !bt.Done() || bt.Remaining() != 0 {
-		t.Fatalf("final state: Done=%v remaining=%d", bt.Done(), bt.Remaining())
-	}
-}
-
-func TestCancelStopsChunks(t *testing.T) {
-	s := sim.New(1)
-	l := newTestLink(s)
-	done := false
-	bt := l.SendChunked(10_000_000, 1_000_000, PriorityBulk, "kv", func() { done = true })
-	s.At(sim.FromSeconds(0.0035), "cancel", func() { bt.Cancel() })
-	s.Run()
-	if done {
-		t.Fatal("cancelled transfer fired done")
-	}
-	// 4 chunks entered the link (3 complete + the in-flight 4th).
-	if l.BytesSent() != 4_000_000 {
-		t.Errorf("bytes = %d, want 4000000", l.BytesSent())
+	if !bt.Done() || bt.Remaining() != 0 || fired != 1 {
+		t.Fatalf("final state: Done=%v remaining=%d done fired %d times",
+			bt.Done(), bt.Remaining(), fired)
 	}
 }
 

@@ -96,8 +96,8 @@ func Run(c Cell) (res Result) {
 	return res
 }
 
-// DefaultReservoir is the per-distribution sample capacity streaming mode
-// applies when the cell does not pick its own: large enough for stable tail
+// DefaultReservoir is the per-distribution sample capacity of streaming
+// mode (experiments.Config.Stream): large enough for stable tail
 // percentiles (p99.9 of 4096 uniform samples), small enough that a
 // thousand-cell sweep's metrics stay in the tens of megabytes.
 const DefaultReservoir = 4096
@@ -113,15 +113,6 @@ type Set struct {
 	// — which is sequential — so the sink's run order, and therefore the
 	// exported trace, is identical at any parallelism.
 	Obs *obs.Sink
-
-	// Streaming, when set before any Add, runs every added cell in
-	// bounded-memory mode: the collector keeps reservoir samples instead
-	// of every record (MetricsReservoir, defaulted to DefaultReservoir),
-	// and arrivals are scheduled lazily so the event queue holds one
-	// pending arrival instead of the whole trace. Percentiles become
-	// reservoir estimates and per-record latency slices are empty, so
-	// leave it off for figure runs that recompute SLOs from records.
-	Streaming bool
 }
 
 // NewSet creates a run set with the given worker bound; parallel < 1 selects
@@ -137,12 +128,6 @@ func NewSet(parallel int) *Set {
 func (s *Set) Add(c Cell) {
 	if s.Obs != nil && c.Cluster.Tracer == nil {
 		c.Cluster.Tracer = s.Obs.Recorder(c.Key)
-	}
-	if s.Streaming {
-		if c.Cluster.MetricsReservoir == 0 {
-			c.Cluster.MetricsReservoir = DefaultReservoir
-		}
-		c.Cluster.LazyArrivals = true
 	}
 	s.cells = append(s.cells, c)
 }

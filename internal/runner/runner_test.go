@@ -287,24 +287,3 @@ func TestClassBreakdownBounded(t *testing.T) {
 		t.Errorf("TTFTP99 = %v, want 2", row.TTFTP99)
 	}
 }
-
-// Streaming cells get the reservoir default and lazy arrivals injected at
-// Add time; cells that chose their own reservoir keep it.
-func TestSetStreamingInjection(t *testing.T) {
-	tr := testTrace()
-	s := NewSet(1)
-	s.Streaming = true
-	s.Add(testCell("a", 1, tr))
-	custom := testCell("b", 1, tr)
-	custom.Cluster.MetricsReservoir = 128
-	s.Add(custom)
-	if got := s.cells[0].Cluster.MetricsReservoir; got != DefaultReservoir {
-		t.Errorf("default cell reservoir = %d, want %d", got, DefaultReservoir)
-	}
-	if !s.cells[0].Cluster.LazyArrivals {
-		t.Error("streaming cell did not get lazy arrivals")
-	}
-	if got := s.cells[1].Cluster.MetricsReservoir; got != 128 {
-		t.Errorf("custom cell reservoir = %d, want 128 preserved", got)
-	}
-}

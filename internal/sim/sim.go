@@ -7,42 +7,18 @@ import (
 
 // Event is a scheduled callback. The callback runs with the simulation clock
 // set to the event's firing time. Event structs are pooled: once an event
-// fires or is cancelled, its struct is recycled for a later schedule. Code
-// outside this package never holds a *Event — scheduling returns a Handle
-// whose generation counter detects recycled structs, so a stale Cancel can
-// never kill an unrelated event that happens to reuse the same memory.
+// fires, its struct is recycled for a later schedule. Code outside this
+// package never holds a *Event — scheduling returns nothing, and an event,
+// once scheduled, always fires (unless the run stops first).
 type Event struct {
-	at    Time
-	seq   uint64
-	index int // heap index, -1 when not queued
-	gen   uint64
-	fn    func()
+	at  Time
+	seq uint64
+	fn  func()
 	// fnArg/arg are the AtCall form: one persistent callback shared by many
 	// events, parameterized per event. Exactly one of fn/fnArg is set.
 	fnArg func(arg any)
 	arg   any
 	label string
-}
-
-// Handle identifies one scheduled event. The zero Handle is valid and refers
-// to no event. Handles stay safe after the event fires or is cancelled: the
-// underlying struct's generation moves on, and the handle observes that.
-type Handle struct {
-	e   *Event
-	gen uint64
-}
-
-// Pending reports whether the event is still queued: it has not fired, been
-// cancelled, or had its struct recycled for a newer event.
-func (h Handle) Pending() bool { return h.e != nil && h.e.gen == h.gen }
-
-// At returns the virtual time the event is scheduled to fire, or zero when
-// the handle is no longer pending.
-func (h Handle) At() Time {
-	if !h.Pending() {
-		return 0
-	}
-	return h.e.at
 }
 
 // Simulation is a deterministic discrete-event simulator. It is not safe for
@@ -73,34 +49,68 @@ func (s *Simulation) Rand() *rand.Rand { return s.rng }
 
 // At schedules fn to run at time t. Scheduling in the past panics: that is
 // always a logic error in a discrete-event model.
-func (s *Simulation) At(t Time, label string, fn func()) Handle {
-	e := s.schedule(t, label)
-	e.fn = fn
-	return Handle{e: e, gen: e.gen}
+func (s *Simulation) At(t Time, label string, fn func()) {
+	s.schedule(t, s.nextSeq(), label).fn = fn
+}
+
+// After schedules fn to run d after the current time.
+func (s *Simulation) After(d Duration, label string, fn func()) {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v for %q", d, label))
+	}
+	s.At(s.now.Add(d), label, fn)
 }
 
 // AtCall schedules fn(arg) at time t. It is the allocation-free fan-out
 // form of At: one persistent fn closure shared across many events plus a
 // per-event arg replaces a fresh closure per schedule (converting a
 // pointer-typed arg to any does not allocate).
-func (s *Simulation) AtCall(t Time, label string, fn func(arg any), arg any) Handle {
-	e := s.schedule(t, label)
-	e.fnArg = fn
-	e.arg = arg
-	return Handle{e: e, gen: e.gen}
+func (s *Simulation) AtCall(t Time, label string, fn func(arg any), arg any) {
+	e := s.schedule(t, s.nextSeq(), label)
+	e.fnArg, e.arg = fn, arg
 }
 
 // AfterCall schedules fn(arg) to run d after the current time.
-func (s *Simulation) AfterCall(d Duration, label string, fn func(arg any), arg any) Handle {
+func (s *Simulation) AfterCall(d Duration, label string, fn func(arg any), arg any) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v for %q", d, label))
 	}
-	return s.AtCall(s.now.Add(d), label, fn, arg)
+	s.AtCall(s.now.Add(d), label, fn, arg)
 }
 
-// schedule acquires and enqueues an event struct at time t; the caller
+// Reserve sets aside n consecutive sequence numbers and returns the first.
+// An event later scheduled with AtSeqCall under one of them breaks
+// same-time ties exactly as if it had been scheduled at the Reserve call,
+// so a chain of events can be scheduled one at a time yet fire in the
+// order of scheduling them all up front.
+func (s *Simulation) Reserve(n int) uint64 {
+	if n < 0 {
+		panic(fmt.Sprintf("sim: reserving %d sequence numbers", n))
+	}
+	base := s.seq
+	s.seq += uint64(n)
+	return base
+}
+
+// AtSeqCall is AtCall under a sequence number obtained from Reserve. Each
+// reserved number must be used at most once.
+func (s *Simulation) AtSeqCall(t Time, seq uint64, label string, fn func(arg any), arg any) {
+	if seq >= s.seq {
+		panic(fmt.Sprintf("sim: scheduling %q under unreserved sequence %d", label, seq))
+	}
+	e := s.schedule(t, seq, label)
+	e.fnArg, e.arg = fn, arg
+}
+
+// nextSeq hands out the next unreserved sequence number.
+func (s *Simulation) nextSeq() uint64 {
+	s.seq++
+	return s.seq - 1
+}
+
+// schedule acquires and enqueues an event struct at (t, seq); the caller
 // fills in the callback.
-func (s *Simulation) schedule(t Time, label string) *Event {
+func (s *Simulation) schedule(t Time, seq uint64, label string) *Event {
 	if t.Before(s.now) {
 		panic(fmt.Sprintf("sim: scheduling %q at %v before now %v", label, t, s.now))
 	}
@@ -113,42 +123,19 @@ func (s *Simulation) schedule(t Time, label string) *Event {
 		e = &Event{}
 	}
 	e.at = t
-	e.seq = s.seq
+	e.seq = seq
 	e.label = label
-	s.seq++
 	s.push(e)
 	return e
 }
 
-// After schedules fn to run d after the current time.
-func (s *Simulation) After(d Duration, label string, fn func()) Handle {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v for %q", d, label))
-	}
-	return s.At(s.now.Add(d), label, fn)
-}
-
-// Cancel removes a pending event. Cancelling an already-fired,
-// already-cancelled, or zero handle is a no-op: the generation check makes
-// stale handles harmless even after the event struct is recycled.
-func (s *Simulation) Cancel(h Handle) {
-	if !h.Pending() {
-		return
-	}
-	s.remove(h.e.index)
-	s.recycle(h.e)
-}
-
-// recycle retires an event struct to the free list. Bumping the generation
-// invalidates every outstanding handle to it; dropping fn releases the
-// captured closure for the collector.
+// recycle retires an event struct to the free list; dropping fn releases
+// the captured closure for the collector.
 func (s *Simulation) recycle(e *Event) {
-	e.gen++
 	e.fn = nil
 	e.fnArg = nil
 	e.arg = nil
 	e.label = ""
-	e.index = -1
 	s.free = append(s.free, e)
 }
 
@@ -172,8 +159,7 @@ func (s *Simulation) Step() bool {
 	s.Processed++
 	fn, fnArg, arg := e.fn, e.fnArg, e.arg
 	// Recycle before running: fn may schedule new events, and the freshly
-	// retired struct is first in line for reuse. Handles to the fired
-	// event are already stale by the time user code runs.
+	// retired struct is first in line for reuse.
 	s.recycle(e)
 	if fn != nil {
 		fn()
@@ -201,7 +187,7 @@ func (s *Simulation) RunUntil(deadline Time) {
 }
 
 // The event queue is a hand-rolled binary min-heap over (at, seq). Because
-// (at, seq) is a strict total order — seq is unique per schedule — pop order
+// (at, seq) is a strict total order — seq is unique per event — pop order
 // is identical to any other correct heap, so replacing container/heap cannot
 // perturb simulation results. Hand-rolling avoids the any-boxing and
 // interface dispatch of heap.Push/heap.Pop on the hottest path in the
@@ -215,9 +201,8 @@ func (s *Simulation) eventLess(a, b *Event) bool {
 }
 
 func (s *Simulation) push(e *Event) {
-	e.index = len(s.queue)
 	s.queue = append(s.queue, e)
-	s.siftUp(e.index)
+	s.siftUp(len(s.queue) - 1)
 }
 
 func (s *Simulation) popMin() *Event {
@@ -225,33 +210,12 @@ func (s *Simulation) popMin() *Event {
 	e := q[0]
 	n := len(q) - 1
 	q[0] = q[n]
-	q[0].index = 0
 	q[n] = nil
 	s.queue = q[:n]
 	if n > 0 {
 		s.siftDown(0)
 	}
-	e.index = -1
 	return e
-}
-
-// remove deletes the event at heap index i, preserving heap order.
-func (s *Simulation) remove(i int) {
-	q := s.queue
-	n := len(q) - 1
-	e := q[i]
-	if i != n {
-		q[i] = q[n]
-		q[i].index = i
-	}
-	q[n] = nil
-	s.queue = q[:n]
-	if i != n {
-		if !s.siftDown(i) {
-			s.siftUp(i)
-		}
-	}
-	e.index = -1
 }
 
 func (s *Simulation) siftUp(i int) {
@@ -263,20 +227,16 @@ func (s *Simulation) siftUp(i int) {
 			break
 		}
 		q[i] = q[parent]
-		q[i].index = i
 		i = parent
 	}
 	q[i] = e
-	e.index = i
 }
 
-// siftDown restores heap order below index i, reporting whether the element
-// moved (the signal remove uses to decide whether to sift up instead).
-func (s *Simulation) siftDown(i int) bool {
+// siftDown restores heap order below index i.
+func (s *Simulation) siftDown(i int) {
 	q := s.queue
 	n := len(q)
 	e := q[i]
-	start := i
 	for {
 		child := 2*i + 1
 		if child >= n {
@@ -289,10 +249,7 @@ func (s *Simulation) siftDown(i int) bool {
 			break
 		}
 		q[i] = q[child]
-		q[i].index = i
 		i = child
 	}
 	q[i] = e
-	e.index = i
-	return i > start
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -68,36 +69,6 @@ func TestAfterSchedulesRelative(t *testing.T) {
 	s.Run()
 	if fired != FromSeconds(0.15) {
 		t.Fatalf("fired at %v, want 0.150s", fired)
-	}
-}
-
-func TestCancelPreventsFiring(t *testing.T) {
-	s := New(1)
-	fired := false
-	e := s.After(time.Second, "x", func() { fired = true })
-	s.Cancel(e)
-	s.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if e.Pending() {
-		t.Fatal("Pending() = true after cancel")
-	}
-	// Double-cancel and zero-handle cancel are no-ops.
-	s.Cancel(e)
-	s.Cancel(Handle{})
-}
-
-func TestCancelOneOfMany(t *testing.T) {
-	s := New(1)
-	var got []string
-	a := s.At(FromSeconds(1), "a", func() { got = append(got, "a") })
-	s.At(FromSeconds(2), "b", func() { got = append(got, "b") })
-	s.At(FromSeconds(3), "c", func() { got = append(got, "c") })
-	s.Cancel(a)
-	s.Run()
-	if len(got) != 2 || got[0] != "b" || got[1] != "c" {
-		t.Fatalf("got %v", got)
 	}
 }
 
@@ -216,57 +187,6 @@ func TestPropertyEventOrdering(t *testing.T) {
 	}
 }
 
-// A handle to a fired event goes stale when the struct is recycled for a
-// new schedule: cancelling through it must not kill the new event.
-func TestStaleHandleCannotCancelRecycledEvent(t *testing.T) {
-	s := New(1)
-	firstFired, secondFired := false, false
-	first := s.At(FromSeconds(1), "first", func() { firstFired = true })
-	if !s.Step() {
-		t.Fatal("Step returned false with a queued event")
-	}
-	if !firstFired {
-		t.Fatal("first event did not fire")
-	}
-	// The fired struct is first in line on the free list, so this schedule
-	// recycles it under a new generation.
-	second := s.At(FromSeconds(2), "second", func() { secondFired = true })
-	if first.Pending() {
-		t.Fatal("handle to fired event still pending")
-	}
-	s.Cancel(first) // stale: must be a no-op
-	if !second.Pending() {
-		t.Fatal("stale cancel killed the recycled event")
-	}
-	s.Run()
-	if !secondFired {
-		t.Fatal("recycled event did not fire")
-	}
-	if first.At() != 0 {
-		t.Fatalf("stale handle At() = %v, want 0", first.At())
-	}
-}
-
-// A cancelled event's struct, once recycled for a new schedule, fires
-// exactly once for the new callback — never for the cancelled one.
-func TestCancelledThenRecycledEventNeverFires(t *testing.T) {
-	s := New(1)
-	cancelledFired := false
-	fires := 0
-	h := s.At(FromSeconds(1), "doomed", func() { cancelledFired = true })
-	s.Cancel(h)
-	// Recycles the cancelled struct.
-	s.At(FromSeconds(1), "fresh", func() { fires++ })
-	s.Cancel(h) // still stale, still a no-op
-	s.Run()
-	if cancelledFired {
-		t.Fatal("cancelled event fired after recycling")
-	}
-	if fires != 1 {
-		t.Fatalf("recycled event fired %d times, want 1", fires)
-	}
-}
-
 // Pooling must make the steady-state schedule/fire cycle allocation-free:
 // once the pool is primed, neither scheduling nor firing touches the heap.
 func TestAllocsSteadyStateScheduleFire(t *testing.T) {
@@ -276,7 +196,8 @@ func TestAllocsSteadyStateScheduleFire(t *testing.T) {
 		s.After(Duration(i)*Microsecond, "prime", func() {})
 	}
 	s.Run()
-	fn := func() {}
+	fires := 0
+	fn := func() { fires++ }
 	avg := testing.AllocsPerRun(100, func() {
 		s.After(Microsecond, "steady", fn)
 		s.Step()
@@ -284,52 +205,46 @@ func TestAllocsSteadyStateScheduleFire(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("schedule+fire allocated %v objects/op, want 0", avg)
 	}
+	// Every schedule reused a recycled struct and fired exactly once
+	// (AllocsPerRun adds one warm-up call to its 100 runs).
+	if fires != 101 || s.Pending() != 0 {
+		t.Fatalf("recycled events fired %d times with %d pending, want 101 and 0",
+			fires, s.Pending())
+	}
 }
 
-// The schedule/cancel cycle must be allocation-free at steady state too.
-func TestAllocsSteadyStateScheduleCancel(t *testing.T) {
+// An event scheduled late under a reserved sequence number ties with
+// same-time events as if it had been scheduled at the Reserve call: it
+// fires before a same-time event scheduled after Reserve but before it,
+// and after one scheduled before Reserve.
+func TestReservedSequenceFiresInReservationOrder(t *testing.T) {
 	s := New(1)
-	for i := 0; i < 64; i++ {
-		s.After(Duration(i)*Microsecond, "prime", func() {})
-	}
+	var order []string
+	at := FromSeconds(1)
+	record := func(arg any) { order = append(order, arg.(string)) }
+	s.AtCall(at, "before", record, "before")
+	base := s.Reserve(2)
+	s.AtCall(at, "after", record, "after")
+	s.AtSeqCall(at, base+1, "reserved1", record, "reserved1")
+	s.AtSeqCall(at, base, "reserved0", record, "reserved0")
 	s.Run()
-	fn := func() {}
-	avg := testing.AllocsPerRun(100, func() {
-		h := s.After(Microsecond, "steady", fn)
-		s.Cancel(h)
-	})
-	if avg != 0 {
-		t.Fatalf("schedule+cancel allocated %v objects/op, want 0", avg)
+	want := []string{"before", "reserved0", "reserved1", "after"}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
 	}
 }
 
-// Property: interleaved schedule/cancel sequences never fire cancelled
-// events and always fire non-cancelled ones.
-func TestPropertyCancelSoundness(t *testing.T) {
-	f := func(cancelMask []bool) bool {
-		s := New(3)
-		fired := make([]bool, len(cancelMask))
-		events := make([]Handle, len(cancelMask))
-		for i := range cancelMask {
-			i := i
-			events[i] = s.After(Duration(i+1)*Millisecond, "p", func() { fired[i] = true })
+// A sequence number that was never reserved panics: it could collide with
+// one handed out to an ordinary schedule.
+func TestUnreservedSequencePanics(t *testing.T) {
+	s := New(1)
+	base := s.Reserve(1)
+	defer func() {
+		if recover() == nil {
+			t.Error("scheduling under an unreserved sequence did not panic")
 		}
-		for i, c := range cancelMask {
-			if c {
-				s.Cancel(events[i])
-			}
-		}
-		s.Run()
-		for i, c := range cancelMask {
-			if c == fired[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
+	}()
+	s.AtSeqCall(FromSeconds(1), base+1, "bad", func(any) {}, nil)
 }
 
 // TestBatchedRunMatchesSequentialOrder pins the order a same-instant cohort
@@ -357,31 +272,6 @@ func TestBatchedRunMatchesSequentialOrder(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("follow-up order = %v, want %v", order, want)
 		}
-	}
-}
-
-// TestCancelWithinBatch cancels a later sibling of the same instant from a
-// callback: the sibling neither fires nor counts as processed, and its
-// recycled slot carries the next schedule without ghost-firing.
-func TestCancelWithinBatch(t *testing.T) {
-	s := New(1)
-	var victim Handle
-	fired := false
-	s.After(Millisecond, "canceller", func() { s.Cancel(victim) })
-	victim = s.After(Millisecond, "victim", func() { fired = true })
-	s.After(Millisecond, "tail", func() {})
-	s.Run()
-	if fired {
-		t.Fatal("cancelled same-instant sibling fired")
-	}
-	if s.Processed != 2 {
-		t.Fatalf("Processed = %d, want 2 (canceller + tail)", s.Processed)
-	}
-	refired := false
-	s.After(Millisecond, "reuse", func() { refired = true })
-	s.Run()
-	if !refired {
-		t.Fatal("recycled slot lost its event")
 	}
 }
 

@@ -432,9 +432,15 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
+// maxArrivalSeconds is the latest arrival ReadCSV accepts: the whole
+// seconds a sim.Time can hold.
+const maxArrivalSeconds = float64(math.MaxInt64 / int64(sim.Second))
+
 // ReadCSV parses a trace written by WriteCSV, accepting the legacy
 // four-column, the tagged six-column, and the shared-prefix seven-column
-// layouts.
+// layouts. It rejects rows the simulator cannot serve: an arrival that is
+// not finite, negative or beyond what a sim.Time holds, input or output
+// lengths below 1, and a negative shared prefix.
 func ReadCSV(name string, r io.Reader) (*Trace, error) {
 	cr := csv.NewReader(r)
 	rows, err := cr.ReadAll()
@@ -462,6 +468,16 @@ func ReadCSV(name string, r io.Reader) (*Trace, error) {
 				return nil, fmt.Errorf("workload: row %d: %v", i+1, e)
 			}
 		}
+		switch {
+		case math.IsNaN(at) || math.IsInf(at, 0):
+			return nil, fmt.Errorf("workload: row %d: arrival %v is not finite", i+1, at)
+		case at < 0:
+			return nil, fmt.Errorf("workload: row %d: negative arrival %v", i+1, at)
+		case at > maxArrivalSeconds:
+			return nil, fmt.Errorf("workload: row %d: arrival %v s exceeds %v s", i+1, at, maxArrivalSeconds)
+		case in < 1 || out < 1:
+			return nil, fmt.Errorf("workload: row %d: lengths %d/%d, want >= 1", i+1, in, out)
+		}
 		req := Request{
 			ID: id, Arrival: sim.FromSeconds(at), InputLen: in, OutputLen: out,
 		}
@@ -472,6 +488,9 @@ func ReadCSV(name string, r io.Reader) (*Trace, error) {
 			sp, err := strconv.Atoi(row[6])
 			if err != nil {
 				return nil, fmt.Errorf("workload: row %d: %v", i+1, err)
+			}
+			if sp < 0 {
+				return nil, fmt.Errorf("workload: row %d: negative shared prefix %d", i+1, sp)
 			}
 			req.SharedPrefix = sp
 		}

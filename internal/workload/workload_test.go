@@ -249,14 +249,41 @@ func TestCSVRoundTrip(t *testing.T) {
 }
 
 func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV("x", strings.NewReader("")); err == nil {
-		t.Error("empty CSV accepted")
+	const h4 = "id,arrival_s,input_tokens,output_tokens\n"
+	const h7 = "id,arrival_s,input_tokens,output_tokens,client,slo_class,shared_prefix\n"
+	cases := []struct {
+		name, csv, row string // row: the row the error must name ("" = any)
+	}{
+		{"empty CSV", "", ""},
+		{"bad id", "id,a,b,c\nnope,1,2,3\n", "row 1"},
+		{"wrong field count", "id,a,b\n1,2,3\n", ""},
+		{"NaN arrival", h4 + "0,1,2,3\n1,NaN,2,3\n", "row 2"},
+		{"infinite arrival", h4 + "0,+Inf,2,3\n", "row 1"},
+		{"huge arrival", h4 + "0,1,2,3\n1,1e300,2,3\n", "row 2"},
+		{"arrival past sim.Time", h4 + "0,9223372037,2,3\n", "row 1"},
+		{"negative arrival", h4 + "0,1,2,3\n1,2,2,3\n2,-0.5,2,3\n", "row 3"},
+		{"zero input", h4 + "0,1,0,3\n", "row 1"},
+		{"zero output", h4 + "0,1,2,3\n1,1,2,0\n", "row 2"},
+		{"negative input", h4 + "0,1,-4,3\n", "row 1"},
+		{"negative shared prefix", h7 + "0,1,2,3,a,b,-1\n", "row 1"},
 	}
-	if _, err := ReadCSV("x", strings.NewReader("id,a,b,c\nnope,1,2,3\n")); err == nil {
-		t.Error("bad id accepted")
+	for _, c := range cases {
+		_, err := ReadCSV("x", strings.NewReader(c.csv))
+		if err == nil {
+			t.Errorf("%s: accepted", c.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.row) {
+			t.Errorf("%s: error %q does not name %q", c.name, err, c.row)
+		}
 	}
-	if _, err := ReadCSV("x", strings.NewReader("id,a,b\n1,2,3\n")); err == nil {
-		t.Error("wrong field count accepted")
+	// The largest accepted arrival still fits in a sim.Time.
+	tr, err := ReadCSV("x", strings.NewReader(h4+"0,9223372036,2,3\n"))
+	if err != nil {
+		t.Fatalf("latest representable arrival rejected: %v", err)
+	}
+	if got := tr.Requests[0].Arrival; got <= 0 {
+		t.Fatalf("latest arrival overflowed to %v", got)
 	}
 }
 
