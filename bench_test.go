@@ -289,6 +289,73 @@ func BenchmarkKVCachePrefixSharing(b *testing.B) {
 	b.ReportMetric(float64(st.HitTokens)/float64(b.N), "hit-tok/op")
 }
 
+// BenchmarkKVCacheBlockCrossing prices the decode path's block edge. One op
+// fills a sequence's tail through Room and Commit and appends the token
+// that opens its next block, as the engine's write-back does at a
+// crossing. 256 pools of 64 sequences are visited in a scattered order, so
+// the working set is far larger than the cache. A sequence that reaches
+// 2048 tokens is freed and replaced by a fresh prompt (churn). With
+// sharing on, every prompt starts with one 500-token prefix per pool.
+func BenchmarkKVCacheBlockCrossing(b *testing.B) {
+	for _, sharing := range []bool{false, true} {
+		b.Run(fmt.Sprintf("sharing=%v", sharing), func(b *testing.B) {
+			benchBlockCrossing(b, sharing)
+		})
+	}
+}
+
+func benchBlockCrossing(b *testing.B, sharing bool) {
+	const pools, perPool, maxTokens, bt = 256, 64, 2048, 64
+	pfx := kvcache.Prefix{ID: "system", Tokens: 500}
+	admit := func(p *kvcache.Pool, prompt int) *kvcache.Seq {
+		if !sharing {
+			s, err := p.NewSeq(prompt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return s
+		}
+		s, cached, err := p.NewSeqCached(pfx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Append(prompt - cached); err != nil {
+			b.Fatal(err)
+		}
+		return s
+	}
+	prompt := func(k int) int { return 600 + k*37%1000 }
+	ps := make([]*kvcache.Pool, pools)
+	seqs := make([]*kvcache.Seq, pools*perPool)
+	for i := range ps {
+		ps[i] = kvcache.NewPool(perPool*maxTokens/bt+perPool, bt)
+		if sharing {
+			ps[i].EnableSharing(kvcache.EvictLRU)
+		}
+		for j := 0; j < perPool; j++ {
+			k := i*perPool + j
+			seqs[k] = admit(ps[i], prompt(k))
+		}
+	}
+	rng := uint64(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		k := int(rng>>33) % len(seqs)
+		s := seqs[k]
+		s.Commit(s.Room())
+		if s.Tokens() >= maxTokens {
+			s.Free()
+			seqs[k] = admit(ps[k/perPool], prompt(k+i))
+			continue
+		}
+		if err := s.Append(1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkExperimentPrefix regenerates the -exp prefix grid at quick scale
 // and reports its headline effect.
 func BenchmarkExperimentPrefix(b *testing.B) {

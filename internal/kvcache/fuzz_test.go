@@ -1,0 +1,239 @@
+package kvcache
+
+import (
+	"fmt"
+	"testing"
+)
+
+// FuzzSeqOps decodes bytes into a stream of sequence and pool operations
+// and runs it twice: on a pair of pools where token commits go through
+// Room and Commit, and on a twin pair where the same commits are plain
+// Appends. After every operation it checks each pool's invariants, that
+// every resident sequence holds exactly the blocks its tokens need (each
+// Block reference full, except a tail holding what the token count
+// implies), that each pool's counted-block total is the sum over its live
+// sequences, and that the two runs agree on every pool counter, the
+// sharing stats and every sequence's Room.
+//
+// Input layout: byte 0 picks the sharing mode (off, LRU, FIFO), byte 1 the
+// block size (4, 8 or 16 tokens), byte 2 the pool size; then each
+// operation is an opcode byte followed by two argument bytes. The seed
+// corpus is under testdata/fuzz/FuzzSeqOps.
+func FuzzSeqOps(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		runSeqOps(t, data)
+	})
+}
+
+// opReader hands out the fuzz input a byte at a time, zero once spent.
+type opReader struct{ data []byte }
+
+func (r *opReader) next() int {
+	if len(r.data) == 0 {
+		return 0
+	}
+	b := r.data[0]
+	r.data = r.data[1:]
+	return int(b)
+}
+
+// twinSeq is one sequence in both runs: a in the Room/Commit run, b in
+// the Append-only run; pool indexes the pair both live in.
+type twinSeq struct {
+	a, b *Seq
+	pool int
+}
+
+// maxFuzzOps bounds one input's operation stream.
+const maxFuzzOps = 256
+
+func runSeqOps(t *testing.T, data []byte) {
+	in := &opReader{data: data}
+	mode, bt, total := in.next()%3, 4<<(in.next()%3), in.next()%64+1
+	newPool := func() *Pool {
+		p := NewPool(total, bt)
+		switch mode {
+		case 1:
+			p.EnableSharing(EvictLRU)
+		case 2:
+			p.EnableSharing(EvictFIFO)
+		}
+		return p
+	}
+	// poolsA and poolsB are the two runs' pool pairs; MoveTo moves a
+	// sequence to the other pool of its pair.
+	poolsA := [2]*Pool{newPool(), newPool()}
+	poolsB := [2]*Pool{newPool(), newPool()}
+	// Prefixes end mid-block, on a block edge and inside the first block.
+	prefixes := []Prefix{{"a", 2*bt + bt/2}, {"b", 2 * bt}, {"c", bt / 2}}
+	var seqs []twinSeq
+	pick := func(arg int) (int, bool) {
+		if len(seqs) == 0 {
+			return 0, false
+		}
+		return arg % len(seqs), true
+	}
+	agree := func(op string, errA, errB error) {
+		if (errA == nil) != (errB == nil) {
+			t.Fatalf("%s: Room/Commit run err %v, Append run err %v", op, errA, errB)
+		}
+	}
+	for step := 0; len(in.data) > 0 && step < maxFuzzOps; step++ {
+		op, x, y := in.next()%11, in.next(), in.next()
+		pi := x % 2
+		var desc string
+		switch op {
+		case 0: // NewSeq
+			desc = fmt.Sprintf("NewSeq(%d) in pool %d", y, pi)
+			a, errA := poolsA[pi].NewSeq(y)
+			b, errB := poolsB[pi].NewSeq(y)
+			agree(desc, errA, errB)
+			if errA == nil {
+				seqs = append(seqs, twinSeq{a, b, pi})
+			}
+		case 1: // NewSeqCached
+			pfx := prefixes[y%len(prefixes)]
+			desc = fmt.Sprintf("NewSeqCached(%v) in pool %d", pfx, pi)
+			a, hitA, errA := poolsA[pi].NewSeqCached(pfx)
+			b, hitB, errB := poolsB[pi].NewSeqCached(pfx)
+			agree(desc, errA, errB)
+			if hitA != hitB {
+				t.Fatalf("%s: hits %d vs %d", desc, hitA, hitB)
+			}
+			if errA == nil {
+				seqs = append(seqs, twinSeq{a, b, pi})
+			}
+		case 2: // Append
+			i, ok := pick(x)
+			if !ok {
+				continue
+			}
+			desc = fmt.Sprintf("Append(%d) to seq %d", y, i)
+			agree(desc, seqs[i].a.Append(y), seqs[i].b.Append(y))
+		case 3: // Room/Commit in run A, the same tokens appended in run B
+			i, ok := pick(x)
+			if !ok {
+				continue
+			}
+			n := min(y, seqs[i].a.Room())
+			desc = fmt.Sprintf("Commit(%d) to seq %d", n, i)
+			seqs[i].a.Commit(n)
+			if n > 0 { // Commit(0) is a no-op even on a swapped sequence
+				agree(desc, nil, seqs[i].b.Append(n))
+			}
+		case 4: // SwapOut
+			i, ok := pick(x)
+			if !ok {
+				continue
+			}
+			desc = fmt.Sprintf("SwapOut seq %d", i)
+			agree(desc, seqs[i].a.SwapOut(), seqs[i].b.SwapOut())
+		case 5: // SwapIn
+			i, ok := pick(x)
+			if !ok {
+				continue
+			}
+			desc = fmt.Sprintf("SwapIn seq %d", i)
+			agree(desc, seqs[i].a.SwapIn(), seqs[i].b.SwapIn())
+		case 6: // MoveTo the other pool of the pair
+			i, ok := pick(x)
+			if !ok {
+				continue
+			}
+			s := &seqs[i]
+			dst := 1 - s.pool
+			desc = fmt.Sprintf("MoveTo seq %d to pool %d", i, dst)
+			a, errA := s.a.MoveTo(poolsA[dst])
+			b, errB := s.b.MoveTo(poolsB[dst])
+			agree(desc, errA, errB)
+			if errA == nil {
+				*s = twinSeq{a, b, dst}
+			}
+		case 7: // SetPrefix on a sequence created without one
+			i, ok := pick(x)
+			if !ok || seqs[i].a.Prefix() != (Prefix{}) {
+				continue
+			}
+			pfx := prefixes[y%len(prefixes)]
+			desc = fmt.Sprintf("SetPrefix(%v) on seq %d", pfx, i)
+			seqs[i].a.SetPrefix(pfx)
+			seqs[i].b.SetPrefix(pfx)
+		case 8: // AddBlocks
+			desc = fmt.Sprintf("AddBlocks(%d) to pool %d", y%16, pi)
+			poolsA[pi].AddBlocks(y % 16)
+			poolsB[pi].AddBlocks(y % 16)
+		case 9: // RemoveBlocksEvicting
+			desc = fmt.Sprintf("RemoveBlocksEvicting(%d) from pool %d", y%16, pi)
+			evA, errA := poolsA[pi].RemoveBlocksEvicting(y % 16)
+			evB, errB := poolsB[pi].RemoveBlocksEvicting(y % 16)
+			agree(desc, errA, errB)
+			if evA != evB {
+				t.Fatalf("%s: evicted %d vs %d", desc, evA, evB)
+			}
+		case 10: // Free
+			i, ok := pick(x)
+			if !ok {
+				continue
+			}
+			desc = fmt.Sprintf("Free seq %d", i)
+			seqs[i].a.Free()
+			seqs[i].b.Free()
+			seqs = append(seqs[:i], seqs[i+1:]...)
+		}
+		checkTwinRuns(t, desc, poolsA, poolsB, seqs)
+	}
+}
+
+// checkTwinRuns is the per-operation audit of runSeqOps.
+func checkTwinRuns(t *testing.T, op string, poolsA, poolsB [2]*Pool, seqs []twinSeq) {
+	t.Helper()
+	var countedA, countedB [2]int
+	for i, s := range seqs {
+		for _, q := range []*Seq{s.a, s.b} {
+			want := q.pool.BlocksForTokens(q.Tokens())
+			if q.Swapped() {
+				want = 0
+			}
+			if q.Blocks() != want {
+				t.Fatalf("after %s: seq %d holds %d blocks for %d tokens (swapped %v), want %d",
+					op, i, q.Blocks(), q.Tokens(), q.Swapped(), want)
+			}
+			// Block references carry the fill the token count implies:
+			// full, except a tail's.
+			for k, b := range q.blocks {
+				fill := q.pool.blockTokens
+				if k == q.held()-1 {
+					fill = q.tailFill()
+				}
+				if b.filled != fill {
+					t.Fatalf("after %s: seq %d block %d of %d holds %d tokens, want %d",
+						op, i, k, q.held(), b.filled, fill)
+				}
+			}
+		}
+		if s.a.Tokens() != s.b.Tokens() || s.a.Room() != s.b.Room() {
+			t.Fatalf("after %s: seq %d tokens %d/%d room %d/%d between runs",
+				op, i, s.a.Tokens(), s.b.Tokens(), s.a.Room(), s.b.Room())
+		}
+		countedA[s.pool] += int(s.a.counted)
+		countedB[s.pool] += int(s.b.counted)
+	}
+	for k := range poolsA {
+		a, b := poolsA[k], poolsB[k]
+		for _, p := range []*Pool{a, b} {
+			if err := p.CheckInvariants(); err != nil {
+				t.Fatalf("after %s: pool %d: %v", op, k, err)
+			}
+		}
+		if a.counted != countedA[k] || b.counted != countedB[k] {
+			t.Fatalf("after %s: pool %d counted %d/%d, live sequences hold %d/%d",
+				op, k, a.counted, b.counted, countedA[k], countedB[k])
+		}
+		if a.UsedBlocks() != b.UsedBlocks() || a.FreeBlocks() != b.FreeBlocks() ||
+			a.CachedBlocks() != b.CachedBlocks() || a.Stats() != b.Stats() {
+			t.Fatalf("after %s: pool %d diverged: used %d/%d free %d/%d cached %d/%d stats %+v/%+v",
+				op, k, a.UsedBlocks(), b.UsedBlocks(), a.FreeBlocks(), b.FreeBlocks(),
+				a.CachedBlocks(), b.CachedBlocks(), a.Stats(), b.Stats())
+		}
+	}
+}

@@ -1,21 +1,25 @@
 // Package kvcache implements a vLLM-style paged KVCache block manager.
 //
 // GPU KVCache memory is carved into fixed-size blocks of blockTokens tokens
-// (the evaluation uses 64, the block size the paper tunes vLLM to). Blocks
-// have identity: each sequence holds references to the physical blocks
-// backing its tokens, and blocks whose content is a span of a client's
-// shared prompt prefix are content-hashed by their position in the prefix
-// chain and published to a per-pool shared index with refcounts. New
-// sequences whose prompt starts with the same prefix reference the published
-// blocks instead of recomputing them (prefix caching); freed-but-cached
-// blocks sit on an eviction list (LRU by default) and are reclaimed before
-// any allocation fails; a sequence writing into a block it shares with
-// others triggers copy-on-write.
+// (the evaluation uses 64, the block size the paper tunes vLLM to). Only
+// blocks that can be shared have identity. A block whose span starts inside
+// a sequence's shared prompt prefix is a Block struct: it is content-hashed
+// by its position in the prefix chain and published to a per-pool shared
+// index with refcounts. New sequences whose prompt starts with the same
+// prefix reference the published blocks instead of recomputing them
+// (prefix caching); freed-but-cached blocks sit on an eviction list (LRU by
+// default) and are reclaimed before any allocation fails; a sequence
+// writing into a block it shares with others triggers copy-on-write.
 //
-// With sharing disabled (the default, and always for sequences without a
-// prefix) the allocator degenerates to exact free-block counting: the same
-// arithmetic, the same error messages, the same admission decisions as the
-// original counter implementation.
+// Every block past the prefix span is private to its sequence for life and
+// is never observed by anyone else, so a sequence holds those blocks as a
+// count, not as structs. All of a sequence's blocks but the last are full,
+// so the tail's fill follows from its token count: decode appends, block
+// crossings and frees touch only the sequence and the pool counters. With
+// sharing disabled (the default, and always for sequences without a
+// prefix) every block is counted, and the allocator is exact free-block
+// counting: the same arithmetic, the same error messages, the same
+// admission decisions as the original counter implementation.
 //
 // Sequences can be swapped out (blocks released on GPU, token state retained
 // for the host copy) to support the InferCept baseline — swap-in re-matches
@@ -99,10 +103,13 @@ func (s *Stats) Add(other Stats) {
 	s.ShrinkEvictions += other.ShrinkEvictions
 }
 
-// Block is one physical KVCache page. A block is in exactly one of three
-// states: free (no object exists; counted in freeBlocks), referenced
-// (refs > 0), or cached (refs == 0 but content retained on the eviction
-// list, awaiting reuse or reclamation).
+// Block is one physical KVCache page in a sequence's prefix span, the only
+// pages that can be shared. A page is in exactly one of four states: free
+// (no object exists; counted in freeBlocks), counted (no object exists; a
+// private page past a sequence's prefix span, held as a number on the Seq
+// and in the pool's counted total), referenced (a Block with refs > 0), or
+// cached (a Block with refs == 0 but content retained on the eviction list,
+// awaiting reuse or reclamation).
 type Block struct {
 	// hash is the content hash of (prefix chain, token span); 0 while the
 	// block holds private (unshareable) content.
@@ -133,6 +140,7 @@ type Pool struct {
 	totalBlocks int
 	freeBlocks  int // content-free blocks
 	usedBlocks  int // blocks with refs > 0 (each physical block once)
+	counted     int // the share of usedBlocks sequences hold as counts
 	seqs        int // live sequences, for leak checks
 
 	sharing bool
@@ -410,41 +418,62 @@ func (e *needError) Error() string {
 	return fmt.Sprintf("kvcache: need %d more blocks, %d free", e.need, e.free)
 }
 
-// takeBlock claims one physical block for a new reference, evicting the
-// oldest cached block if no free block exists. Returns nil when the pool is
-// exhausted.
+// takeBlock claims one physical block for a new Block reference, evicting
+// the oldest cached block if no free block exists.
 func (p *Pool) takeBlock() *Block {
-	if p.freeBlocks > 0 {
-		p.freeBlocks--
-		p.usedBlocks++
-		if n := len(p.blockFree); n > 0 {
-			b := p.blockFree[n-1]
-			p.blockFree[n-1] = nil
-			p.blockFree = p.blockFree[:n-1]
-			b.refs = 1
-			return b
+	p.claim(1)
+	return p.newBlock()
+}
+
+// takeCounted claims n physical blocks for a sequence to hold as a count.
+func (p *Pool) takeCounted(n int) {
+	p.claim(n)
+	p.counted += n
+}
+
+// claim moves n physical blocks to used: from the free count in bulk, then
+// by evicting the head of the cached list once per block, as n
+// single-block claims would. The caller has fit-checked n against
+// AvailableBlocks.
+func (p *Pool) claim(n int) {
+	free := min(n, p.freeBlocks)
+	p.freeBlocks -= free
+	for range n - free {
+		if len(p.cachedList) == 0 {
+			panic("kvcache: pool exhausted after fit check")
 		}
-		if len(p.blockSlab) == 0 {
-			n := 256
-			if p.totalBlocks < n {
-				n = p.totalBlocks
-			}
-			p.blockSlab = make([]Block, n)
-		}
-		b := &p.blockSlab[0]
-		p.blockSlab = p.blockSlab[1:]
+		p.recycleBlock(p.evictOne(false))
+	}
+	p.usedBlocks += n
+}
+
+// freeCounted returns n counted blocks to the free count.
+func (p *Pool) freeCounted(n int) {
+	p.freeBlocks += n
+	p.usedBlocks -= n
+	p.counted -= n
+}
+
+// newBlock returns a content-free Block struct holding one reference, for
+// a physical block already claimed.
+func (p *Pool) newBlock() *Block {
+	if n := len(p.blockFree); n > 0 {
+		b := p.blockFree[n-1]
+		p.blockFree[n-1] = nil
+		p.blockFree = p.blockFree[:n-1]
 		b.refs = 1
 		return b
 	}
-	if len(p.cachedList) == 0 {
-		return nil
+	if len(p.blockSlab) == 0 {
+		n := 256
+		if p.totalBlocks < n {
+			n = p.totalBlocks
+		}
+		p.blockSlab = make([]Block, n)
 	}
-	b := p.evictOne(false)
-	b.hash = 0
-	b.filled = 0
+	b := &p.blockSlab[0]
+	p.blockSlab = p.blockSlab[1:]
 	b.refs = 1
-	b.tick = 0
-	p.usedBlocks++
 	return b
 }
 
@@ -489,8 +518,8 @@ func (p *Pool) unref(b *Block) {
 }
 
 // recycleBlock returns a content-free block struct to the free list. Every
-// caller has already accounted the physical slot in freeBlocks; no live
-// sequence or index entry may still reference b.
+// caller has already accounted the physical slot, in freeBlocks or as
+// claimed; no live sequence or index entry may still reference b.
 func (p *Pool) recycleBlock(b *Block) {
 	*b = Block{}
 	p.blockFree = append(p.blockFree, b)
@@ -655,17 +684,25 @@ func (p *Pool) CanFitWithPrefix(pfx Prefix, tokens int) bool {
 	return ok
 }
 
-// Seq is one request's KVCache allocation: an ordered chain of block
-// references. Blocks before the published cursor hold their maximal
-// shareable content.
+// Seq is one request's KVCache allocation: an ordered chain of blocks,
+// every one full but the last. The blocks whose span starts before the
+// shared prefix ends (at most ⌈prefix/blockTokens⌉, and none when the pool
+// does not share or the sequence has no prefix) are Block references,
+// since other sequences and the shared index may hold them too. Every
+// later block is private for life and is held as a count. Blocks before
+// the published cursor hold their maximal shareable content.
 type Seq struct {
-	pool      *Pool
-	prefix    Prefix
-	tokens    int
+	pool   *Pool
+	prefix Prefix
+	tokens int
+	// blocks are the Block references of the prefix span.
 	blocks    []*Block
 	published int // blocks [0, published) need no further publish scan
-	swapped   bool
-	released  bool
+	// counted is the number of private blocks after blocks (int32 keeps
+	// the Seq in the same allocation size class as before it had one).
+	counted  int32
+	swapped  bool
+	released bool
 }
 
 // NewSeq allocates a sequence holding tokens tokens of private content. It
@@ -679,7 +716,7 @@ func (p *Pool) NewSeq(tokens int) (*Seq, error) {
 	if need > p.AvailableBlocks() {
 		return nil, fmt.Errorf("kvcache: need %d blocks, %d free", need, p.AvailableBlocks())
 	}
-	s := &Seq{pool: p, blocks: p.getBlockSlice()}
+	s := &Seq{pool: p}
 	if err := s.fill(0, tokens); err != nil {
 		panic("kvcache: fill after fit check: " + err.Error())
 	}
@@ -687,7 +724,7 @@ func (p *Pool) NewSeq(tokens int) (*Seq, error) {
 	p.seqs++
 	p.trace("alloc", [2]obs.Arg{
 		{Key: "tokens", Val: int64(tokens)},
-		{Key: "blocks", Val: int64(len(s.blocks))}})
+		{Key: "blocks", Val: int64(s.Blocks())}})
 	return s, nil
 }
 
@@ -699,10 +736,10 @@ func (p *Pool) NewSeqCached(pfx Prefix) (*Seq, int, error) {
 	if pfx.Tokens < 0 {
 		return nil, 0, fmt.Errorf("kvcache: NewSeqCached(%d prefix tokens)", pfx.Tokens)
 	}
-	s := &Seq{pool: p, prefix: pfx, blocks: p.getBlockSlice()}
+	s := &Seq{pool: p, prefix: pfx}
 	if p.sharing && pfx.Tokens > 0 {
 		p.stats.Lookups++
-		blocks, tokens := p.matchChain(s.blocks, pfx, pfx.Tokens)
+		blocks, tokens := p.matchChain(p.getBlockSlice(), pfx, pfx.Tokens)
 		if tokens > 0 {
 			p.stats.Hits++
 			p.stats.HitTokens += int64(tokens)
@@ -727,20 +764,64 @@ func (s *Seq) Prefix() Prefix { return s.prefix }
 // SetPrefix attaches a shared-prefix identity to a sequence created without
 // one (migration and reconfiguration transplants allocate wholesale via
 // NewSeq, then restore identity so the content re-enters the destination
-// pool's shared index when the sequence completes). It must be called
-// before the sequence publishes or matches anything.
-func (s *Seq) SetPrefix(pfx Prefix) { s.prefix = pfx }
+// pool's shared index when the sequence completes). The counted blocks the
+// new prefix span covers become Block references, so they can publish. It
+// must be called before the sequence publishes or matches anything.
+func (s *Seq) SetPrefix(pfx Prefix) {
+	s.prefix = pfx
+	n := min(s.spanBlocks()-len(s.blocks), int(s.counted))
+	if n <= 0 {
+		return
+	}
+	p := s.pool
+	s.growBlocks(n)
+	for range n {
+		b := p.newBlock()
+		b.filled = p.blockTokens
+		s.blocks = append(s.blocks, b)
+	}
+	s.counted -= int32(n)
+	p.counted -= n
+	if s.counted == 0 {
+		s.blocks[len(s.blocks)-1].filled = s.tailFill()
+	}
+}
+
+// spanBlocks returns how many leading blocks the sequence keeps as Block
+// references: those whose span starts before its shared prefix ends.
+func (s *Seq) spanBlocks() int {
+	if !s.pool.sharing {
+		return 0
+	}
+	return s.pool.BlocksForTokens(s.prefix.Tokens)
+}
+
+// growBlocks makes room for n more Block references. References cover the
+// prefix span only, so the slice is sized to it once.
+func (s *Seq) growBlocks(n int) {
+	if n <= cap(s.blocks)-len(s.blocks) {
+		return
+	}
+	grown := make([]*Block, len(s.blocks), s.spanBlocks())
+	copy(grown, s.blocks)
+	s.pool.putBlockSlice(s.blocks)
+	s.blocks = grown
+}
+
+// tailFill returns the tokens in the last block: every block before it is
+// full.
+func (s *Seq) tailFill() int {
+	return s.tokens - (s.held()-1)*s.pool.blockTokens
+}
+
+// held returns the blocks the sequence holds, references and counted.
+func (s *Seq) held() int { return len(s.blocks) + int(s.counted) }
 
 // Tokens returns the sequence's token count (valid even while swapped).
 func (s *Seq) Tokens() int { return s.tokens }
 
-// Blocks returns GPU blocks currently referenced (0 while swapped out).
-func (s *Seq) Blocks() int {
-	if s.swapped {
-		return 0
-	}
-	return len(s.blocks)
-}
+// Blocks returns GPU blocks currently held (0 while swapped out).
+func (s *Seq) Blocks() int { return s.held() }
 
 // SharedBlocks returns how many of the sequence's blocks are published in
 // the shared index.
@@ -761,27 +842,30 @@ func (s *Seq) Swapped() bool { return s.swapped }
 // `filled` tokens — copy-on-write when the tail block is shared, eviction
 // when free blocks run out — without touching s.tokens (Append and SwapIn
 // account tokens differently; both know the filled count, so decode
-// appends stay O(1) instead of re-summing the chain). The pool state is
-// unchanged when an error is returned.
+// appends stay O(1) instead of re-summing the chain). New blocks in the
+// prefix span are Block references, later ones are counted. The pool
+// state is unchanged when an error is returned.
 func (s *Seq) fill(filled, n int) error {
 	if n <= 0 {
 		return nil
 	}
 	p := s.pool
 	bt := p.blockTokens
-	var tail *Block
-	tailSpace := 0
-	if len(s.blocks) > 0 {
-		if b := s.blocks[len(s.blocks)-1]; b.filled < bt {
-			tail = b
-			tailSpace = bt - b.filled
-		}
-	}
+	held := s.held()
+	// Every block but the last is full, so the tail's space is what the
+	// chain lacks of held full blocks.
+	tailSpace := held*bt - filled
 	// Common decode append: the tail absorbs every new token, so no new
 	// blocks are needed and the BlocksForTokens division is skipped.
 	need := 0
 	if n > tailSpace {
-		need = p.BlocksForTokens(filled+n) - len(s.blocks)
+		need = p.BlocksForTokens(filled+n) - held
+	}
+	// Only a Block tail can be shared or published; a counted one takes
+	// tokens with no block-level work.
+	var tail *Block
+	if tailSpace > 0 && s.counted == 0 {
+		tail = s.blocks[len(s.blocks)-1]
 	}
 	cow := 0
 	if tail != nil && tail.refs > 1 {
@@ -791,6 +875,7 @@ func (s *Seq) fill(filled, n int) error {
 		p.needErr = needError{need: need + cow, free: p.AvailableBlocks()}
 		return &p.needErr
 	}
+	take := min(tailSpace, n)
 	if tail != nil {
 		if cow == 1 {
 			// Divergence on a shared block: copy it, keep the
@@ -808,41 +893,24 @@ func (s *Seq) fill(filled, n int) error {
 			delete(p.index, tail.hash)
 			tail.hash = 0
 		}
-		// tailSpace stays valid across the CoW branch: the copy inherits
-		// the original's filled count.
-		take := tailSpace
-		if take > n {
-			take = n
-		}
 		tail.filled += take
-		n -= take
 	}
-	// The append loop below adds exactly `need` blocks: tail absorption
-	// consumed tokens but added none.
-	if need > cap(s.blocks)-len(s.blocks) {
-		// Grow once for the whole fill (with doubling slack for later
-		// decode appends) instead of letting append reallocate stepwise.
-		newCap := len(s.blocks) + need
-		if newCap < 2*cap(s.blocks) {
-			newCap = 2 * cap(s.blocks)
+	n -= take
+	// New blocks in chain order: references up to the end of the prefix
+	// span (a sequence holding counted blocks is past it), counts after.
+	refs := min(s.spanBlocks()-len(s.blocks), need)
+	if refs > 0 {
+		s.growBlocks(refs)
+		for range refs {
+			nb := p.takeBlock()
+			nb.filled = min(bt, n)
+			s.blocks = append(s.blocks, nb)
+			n -= nb.filled
 		}
-		grown := make([]*Block, len(s.blocks), newCap)
-		copy(grown, s.blocks)
-		p.putBlockSlice(s.blocks)
-		s.blocks = grown
 	}
-	for n > 0 {
-		nb := p.takeBlock()
-		if nb == nil {
-			panic("kvcache: pool exhausted after fit check")
-		}
-		take := bt
-		if take > n {
-			take = n
-		}
-		nb.filled = take
-		s.blocks = append(s.blocks, nb)
-		n -= take
+	if need > refs {
+		p.takeCounted(need - refs)
+		s.counted += int32(need - refs)
 	}
 	s.publishShared()
 	return nil
@@ -859,15 +927,16 @@ func (s *Seq) publishShared() {
 		return
 	}
 	bt := p.blockTokens
-	for s.published < len(s.blocks) {
+	held := s.held()
+	for s.published < held {
 		k := s.published
-		b := s.blocks[k]
 		start := k * bt
 		if start >= s.prefix.Tokens {
 			// Beyond the shared span: nothing after this publishes.
-			s.published = len(s.blocks)
+			s.published = held
 			return
 		}
+		b := s.blocks[k]
 		end := start + b.filled
 		pure := end <= s.prefix.Tokens
 		maximal := b.filled == bt || end == s.prefix.Tokens
@@ -920,28 +989,38 @@ func (s *Seq) Append(n int) error {
 // unless the only one left is a tail whose content already extends past
 // the shared prefix, which the scan merely steps over. Only this
 // sequence's own appends change the answer, so a caller may count tokens
-// against it and Commit them later.
+// against it and Commit them later. A counted tail (any tail past the
+// prefix span) is answered from the sequence's own fields: no Block is
+// read.
 func (s *Seq) Room() int {
-	if s.swapped || s.released || len(s.blocks) == 0 {
+	// Swapped and released sequences hold no blocks.
+	held := s.held()
+	if held == 0 {
 		return 0
 	}
 	p := s.pool
-	k := len(s.blocks) - 1
-	b := s.blocks[k]
-	if b.filled >= p.blockTokens || b.refs != 1 || b.hash != 0 {
+	k := held - 1
+	fill := s.tokens - k*p.blockTokens
+	if fill >= p.blockTokens {
 		return 0
+	}
+	if s.counted == 0 {
+		if b := s.blocks[k]; b.refs != 1 || b.hash != 0 {
+			return 0
+		}
 	}
 	if p.sharing && s.prefix.Tokens > 0 && s.published <= k &&
-		(s.published < k || k*p.blockTokens+b.filled <= s.prefix.Tokens) {
+		(s.published < k || k*p.blockTokens+fill <= s.prefix.Tokens) {
 		return 0
 	}
-	return p.blockTokens - b.filled
+	return p.blockTokens - fill
 }
 
 // Commit adds n tokens at once, leaving the sequence and the pool as
-// Append(n) would; n must not exceed Room. Only the tail block's and the
-// sequence's token counts move (a publish cursor resting on the tail stays
-// there, and the next scan steps over it as Append's would have).
+// Append(n) would; n must not exceed Room. Only the sequence's token count
+// moves, plus the tail's fill when the tail is a Block reference (a
+// publish cursor resting on the tail stays there, and the next scan steps
+// over it as Append's would have).
 func (s *Seq) Commit(n int) {
 	if n == 0 {
 		return
@@ -949,8 +1028,23 @@ func (s *Seq) Commit(n int) {
 	if room := s.Room(); n < 0 || n > room {
 		panic(fmt.Sprintf("kvcache: Commit(%d) with room %d", n, room))
 	}
-	s.blocks[len(s.blocks)-1].filled += n
+	if s.counted == 0 {
+		s.blocks[len(s.blocks)-1].filled += n
+	}
 	s.tokens += n
+}
+
+// release drops every block the sequence holds: Block references one by
+// one, counted blocks in bulk.
+func (s *Seq) release() {
+	p := s.pool
+	for _, b := range s.blocks {
+		p.unref(b)
+	}
+	p.putBlockSlice(s.blocks)
+	p.freeCounted(int(s.counted))
+	s.blocks = nil
+	s.counted = 0
 }
 
 // SwapOut releases the GPU block references while retaining logical token
@@ -964,15 +1058,10 @@ func (s *Seq) SwapOut() error {
 	if s.swapped {
 		return fmt.Errorf("kvcache: double swap-out")
 	}
-	p := s.pool
-	for _, b := range s.blocks {
-		p.unref(b)
-	}
-	p.putBlockSlice(s.blocks)
-	s.blocks = nil
+	s.release()
 	s.published = 0
 	s.swapped = true
-	p.trace("swap_out", [2]obs.Arg{{Key: "tokens", Val: int64(s.tokens)}})
+	s.pool.trace("swap_out", [2]obs.Arg{{Key: "tokens", Val: int64(s.tokens)}})
 	return nil
 }
 
@@ -995,9 +1084,11 @@ func (s *Seq) SwapIn() error {
 		return fmt.Errorf("kvcache: swap-in needs %d blocks, %d free",
 			need, p.AvailableBlocks())
 	}
-	blocks, cached := p.matchChain(p.getBlockSlice(), s.prefix, s.tokens)
-	s.blocks = blocks
-	s.published = len(blocks)
+	var cached int
+	if s.spanBlocks() > 0 {
+		s.blocks, cached = p.matchChain(p.getBlockSlice(), s.prefix, s.tokens)
+		s.published = len(s.blocks)
+	}
 	if err := s.fill(cached, s.tokens-cached); err != nil {
 		panic("kvcache: fill after fit check: " + err.Error())
 	}
@@ -1025,11 +1116,11 @@ func (s *Seq) MoveTo(dst *Pool) (*Seq, error) {
 	return moved, nil
 }
 
-// Free releases the sequence's block references. Blocks published in the
+// Free releases the sequence's blocks. Block references published in the
 // shared index (including the boundary block, trimmed to its prefix
 // content) move to the cached list instead of the free count, so a
 // completed or preempted request's prefix survives for the next arrival.
-// Free is idempotent.
+// Counted blocks return to the free count in one step. Free is idempotent.
 func (s *Seq) Free() {
 	if s.released {
 		return
@@ -1040,12 +1131,8 @@ func (s *Seq) Free() {
 			s.publishShared()
 			s.trimPublishBoundary()
 		}
-		for _, b := range s.blocks {
-			p.unref(b)
-		}
-		p.putBlockSlice(s.blocks)
+		s.release()
 	}
-	s.blocks = nil
 	s.released = true
 	p.seqs--
 }
@@ -1092,6 +1179,9 @@ func (p *Pool) CheckInvariants() error {
 	if p.freeBlocks+p.usedBlocks+len(p.cachedList) != p.totalBlocks {
 		return fmt.Errorf("kvcache: free %d + used %d + cached %d != total %d",
 			p.freeBlocks, p.usedBlocks, len(p.cachedList), p.totalBlocks)
+	}
+	if p.counted < 0 || p.counted > p.usedBlocks {
+		return fmt.Errorf("kvcache: counted blocks %d outside [0, used %d]", p.counted, p.usedBlocks)
 	}
 	if p.seqs < 0 {
 		return fmt.Errorf("kvcache: negative live sequences")
