@@ -723,9 +723,12 @@ func BenchmarkDispatch512(b *testing.B) {
 						if err != nil {
 							b.Fatal(err)
 						}
+						if scan {
+							// Hiding sched.Keyed forces the scan.
+							return struct{ sched.Router }{r}
+						}
 						return r
 					},
-					ScanDispatch: scan,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -86,14 +86,6 @@ type Config struct {
 	// sets it. Every run schedules each arrival from its predecessor's
 	// callback under sequence numbers reserved up front (see Serve).
 	LazyArrivals bool
-	// ScanDispatch forces Dispatch onto the full candidate scan even when
-	// the router is indexable, rebuilding the slate per request the way
-	// the pre-index dispatcher did. The scan is the semantic oracle: CI
-	// diffs indexed runs against it, and equivalence tests use it to pin
-	// the index to the scan's first-wins tie-break. Off (the default)
-	// lets keyed routers (least-loaded, least-kv, queue-depth) dispatch
-	// from the incremental index in O(log n).
-	ScanDispatch bool
 	// RetryRoundDelay is how long a group sleeps before retrying a
 	// scheduling round in which memory pressure blocked every batch item
 	// and the policy freed nothing synchronously (default 10 ms).
@@ -199,7 +191,6 @@ type Cluster struct {
 	activeStale  bool
 	index        *sched.Index
 	dirtyGroups  []*Group
-	scanDispatch bool
 	routeCands   []sched.Candidate
 
 	// totalDemandTokens mirrors the sum of every open group's
@@ -285,12 +276,9 @@ func New(cfg Config) (*Cluster, error) {
 			return nil, fmt.Errorf("cluster: NewDiscipline returned nil")
 		}
 	}
-	c.scanDispatch = cfg.ScanDispatch
 	c.activeStale = true
-	if !c.scanDispatch {
-		if k, ok := c.router.(sched.Keyed); ok {
-			c.index = sched.NewIndex(k)
-		}
+	if k, ok := c.router.(sched.Keyed); ok {
+		c.index = sched.NewIndex(k)
 	}
 	c.Fabric = network.NewFabric(c.Sim, cfg.Instances, cfg.NetBandwidth, network.DefaultLatency)
 	for i := 0; i < cfg.Instances; i++ {
@@ -427,10 +415,10 @@ func (c *Cluster) syncIndex() {
 
 // IndexedMin returns the dispatcher's current index minimum — the active
 // group minimizing (router key, group ID) — and the keyed router
-// maintaining it. (nil, nil) when dispatch runs on the scan path (non-
-// indexable router or Config.ScanDispatch) or no group is active. The
-// index is synced first, so the result is exactly what the next Dispatch
-// would pick.
+// maintaining it. (nil, nil) when dispatch runs on the scan path (a
+// router that is not sched.Keyed) or no group is active. The index is
+// synced first, so the result is exactly what the next Dispatch would
+// pick.
 func (c *Cluster) IndexedMin() (*Group, sched.Keyed) {
 	if c.index == nil {
 		return nil, nil
@@ -634,17 +622,6 @@ func (c *Cluster) CapacityBytes() int64 {
 	for _, g := range c.groups {
 		if !g.Closed() {
 			tokens += int64(g.CapacityTokens())
-		}
-	}
-	return tokens * c.Model.KVBytesPerToken()
-}
-
-// UsedBytes returns allocated KV bytes cluster-wide.
-func (c *Cluster) UsedBytes() int64 {
-	var tokens int64
-	for _, g := range c.groups {
-		if !g.Closed() {
-			tokens += int64(g.UsedTokens())
 		}
 	}
 	return tokens * c.Model.KVBytesPerToken()

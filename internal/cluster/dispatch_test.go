@@ -42,6 +42,10 @@ func TestClusterDemandTotalInvariant(t *testing.T) {
 	}
 }
 
+// scanRouter hides a router's sched.Keyed method set, so the cluster
+// dispatches through the full candidate scan instead of its index.
+type scanRouter struct{ sched.Router }
+
 // TestScanDispatchByteIdentical locks the tentpole contract at the cluster
 // level: the incremental router index and the full candidate scan make the
 // same pick for every request, so whole runs produce identical metrics.
@@ -59,9 +63,11 @@ func TestScanDispatchByteIdentical(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					if scan {
+						return scanRouter{r}
+					}
 					return r
 				},
-				ScanDispatch: scan,
 			}
 			c, err := New(cfg)
 			if err != nil {

@@ -277,9 +277,9 @@ type Engine struct {
 // In a fast round (see runCollect) collect reserves and advances a fast
 // slot's token in that one visit, and no other stage touches the slot; in
 // any other round collect, reserve and finish each visit the slot through
-// the token's item. A cold slot (prefilling, stalled, or one whose context
-// length would not step by one per token) leaves the Request
-// authoritative, and every stage reads it there.
+// the token's item. A cold slot (prefilling, stalled, or on a prefill
+// role) leaves the Request authoritative, and every stage reads it there;
+// it is never a decode.
 //
 // Write-backs happen where a running request becomes visible outside the
 // engine: Running, EachRunning, Victim, Stall, RemoveRequest,
@@ -479,9 +479,6 @@ func (e *Engine) sortByAdmission(ord []int32) []int32 {
 
 // IsStalled reports whether a request is currently stalled here.
 func (e *Engine) IsStalled(r *request.Request) bool { return e.stalled[r.ID] != nil }
-
-// StalledCount returns how many running requests are stalled.
-func (e *Engine) StalledCount() int { return len(e.stalled) }
 
 // Closed reports whether the engine has been dissolved.
 func (e *Engine) Closed() bool { return e.closed }
@@ -847,28 +844,18 @@ func (e *Engine) shiftLanes(at int) {
 
 // syncSlot re-derives a slot with nothing pending from its request: hot
 // when the request is running unstalled past its prefill on a role that
-// decodes and its context length steps by exactly one per decoded token,
-// cold otherwise.
+// decodes, cold otherwise. Past its prefill, a request's context length
+// steps by exactly one per decoded token.
 func (e *Engine) syncSlot(s *slot) {
 	r := s.req
 	s.hot = e.role.RunsDecode() && r.State() == request.StateRunning && r.Seq != nil &&
-		!r.InPrefill() && !r.Done() && r.Generated > r.PrefillTarget()-r.InputLen
+		!r.InPrefill() && !r.Done()
 	if !s.hot {
 		return
 	}
 	s.ctx = int32(r.ContextLen())
 	s.left = int32(r.OutputLen - r.Generated)
-	s.room = laneRoom(r)
-}
-
-// laneRoom is the tail room a hot slot may fill on its own: the Seq's
-// Room, or zero while the Seq holds less than the prompt (those appends
-// keep the slow path's general demand arithmetic).
-func laneRoom(r *request.Request) int32 {
-	if r.Seq.Tokens() < r.PrefillTarget() {
-		return 0
-	}
-	return int32(r.Seq.Room())
+	s.room = int32(r.Seq.Room())
 }
 
 // writeBack catches a slot's request and Seq up with the tokens the slot
@@ -932,13 +919,14 @@ func (e *Engine) writeBackAll() {
 // slot at its own index, admission numbers are unique, and dead,
 // firstDead and deadTail match the dead slots. Nothing may stay pending
 // but an in-flight fast token, and the slots holding one must number the
-// round's live fast tokens. Every hot slot's context length, remaining
-// output and tail room must equal what its request and Seq report (plus
-// its in-flight fast token), with the Seq holding exactly the committed
-// context (plus the in-flight token while a round executes). It returns
-// how many hot slots it checked. Audits and tests call it between rounds
-// or while one executes; write-backs are invisible to the simulation, so
-// calling it never changes results.
+// round's live fast tokens. On a role that decodes, every running
+// decode-ready request's slot must be hot. Every hot slot's context
+// length, remaining output and tail room must equal what its request and
+// Seq report (plus its in-flight fast token), with the Seq holding exactly
+// the committed context (plus the in-flight token while a round executes).
+// It returns how many hot slots it checked. Audits and tests call it
+// between rounds or while one executes; write-backs are invisible to the
+// simulation, so calling it never changes results.
 func (e *Engine) CheckLane() (hot int, err error) {
 	e.writeBackAll()
 	dead, live := 0, 0
@@ -971,6 +959,10 @@ func (e *Engine) CheckLane() (hot int, err error) {
 			return hot, fmt.Errorf("engine: group %d request %d still pending after write-back", e.groupID, r.ID)
 		}
 		if !s.hot {
+			if e.role.RunsDecode() && r.State() == request.StateRunning && !r.InPrefill() && !r.Done() {
+				return hot, fmt.Errorf("engine: group %d cold slot for running decode-ready request %d",
+					e.groupID, r.ID)
+			}
 			continue
 		}
 		hot++
@@ -988,9 +980,9 @@ func (e *Engine) CheckLane() (hot int, err error) {
 		case int(s.left+fast) != r.OutputLen-r.Generated:
 			return hot, fmt.Errorf("engine: group %d request %d slot has %d tokens left (%d in flight), request %d",
 				e.groupID, r.ID, s.left, fast, r.OutputLen-r.Generated)
-		case s.room != laneRoom(r):
+		case int(s.room) != r.Seq.Room():
 			return hot, fmt.Errorf("engine: group %d request %d slot room %d, Seq %d",
-				e.groupID, r.ID, s.room, laneRoom(r))
+				e.groupID, r.ID, s.room, r.Seq.Room())
 		case r.Seq.Tokens() != r.ContextLen()+inflight:
 			return hot, fmt.Errorf("engine: group %d request %d Seq holds %d tokens, request committed %d",
 				e.groupID, r.ID, r.Seq.Tokens(), r.ContextLen()+inflight)
@@ -1179,25 +1171,19 @@ func (e *Engine) runCollect(rd *round) bool {
 		if r == nil || r.State() != request.StateRunning || r.Done() {
 			continue
 		}
-		if r.InPrefill() {
-			if !e.role.RunsPrefill() {
-				panic(fmt.Sprintf("engine: decode group %d holds prefilling request %d",
-					e.groupID, r.ID))
-			}
-			prefills = append(prefills, int32(i))
-		} else if e.role.RunsDecode() {
-			if stop {
-				fastLimit = 0
-			}
-			items = appendDecode(items, r, int32(i), r.ContextLen())
-		} else {
-			// A decode-ready request on a prefill group must be stalled
-			// mid-handoff; reaching here unstalled means the policy's
-			// Handoff accepted a request without stalling it — fail as
-			// loudly as the mirrored decode-side violation does.
-			panic(fmt.Sprintf("engine: prefill group %d holds unstalled decode-ready request %d",
+		if !r.InPrefill() {
+			// A decode-ready request is hot on a role that decodes and
+			// must be stalled mid-handoff on a prefill group; reaching
+			// here means a slot missed its sync or the policy's Handoff
+			// accepted a request without stalling it.
+			panic(fmt.Sprintf("engine: group %d holds cold unstalled decode-ready request %d",
 				e.groupID, r.ID))
 		}
+		if !e.role.RunsPrefill() {
+			panic(fmt.Sprintf("engine: decode group %d holds prefilling request %d",
+				e.groupID, r.ID))
+		}
+		prefills = append(prefills, int32(i))
 	}
 	rd.items, rd.prefills, rd.fast = items, prefills, fast
 	if fast.N > 0 {
@@ -1321,10 +1307,10 @@ func (e *Engine) runReserve(rd *round) bool {
 }
 
 // reserveSlow claims KV for an item the lane cannot count on its own — a
-// prefill chunk, a cold slot's token, or a token that needs a new block —
-// and reports whether it fits this round, adding any committed-KV growth
-// to *growth. It writes the slot back and goes through Seq.Append and the
-// pressure loop.
+// prefill chunk or a decode token that needs a new block — and reports
+// whether it fits this round, adding any committed-KV growth to *growth.
+// It writes the slot back and goes through Seq.Append and the pressure
+// loop.
 func (e *Engine) reserveSlow(it *batching.Item, growth *int) bool {
 	for attempt := 0; attempt < 64; attempt++ {
 		s := &e.lane[it.Lane]
@@ -1347,7 +1333,7 @@ func (e *Engine) reserveSlow(it *batching.Item, growth *int) bool {
 				*growth += after - max(after-it.Chunk, pt)
 			}
 			if s.hot {
-				s.room = laneRoom(r)
+				s.room = int32(r.Seq.Room())
 			}
 			return true
 		}
@@ -1483,43 +1469,29 @@ func (e *Engine) finishRound(items []batching.Item) {
 			}
 			continue
 		}
+		// A decode item's slot stays hot while its request runs, so a
+		// decode item here was stalled or moved mid-round, and every
+		// item past this check is a prefill chunk.
 		r := it.Req
 		if r.Done() || r.State() != request.StateRunning || r.GroupID != e.groupID {
 			// Stalled mid-round by a policy action.
 			continue
 		}
-		if it.IsPrefill {
-			before := r.Generated
-			r.AdvancePrefill(it.Chunk, now)
-			if r.Generated > before {
-				tokens++
-			}
-			if e.role != RolePrefill && !r.InPrefill() && !r.Done() {
-				e.rt.Transition(now, r.ID, "decode", e.groupID)
-				e.syncSlot(&e.lane[it.Lane])
-			}
-			if e.role == RolePrefill && !r.InPrefill() && !r.Done() {
-				// The prefill is complete but decode belongs to
-				// another pool: the policy stalls the request and
-				// ships its KV.
-				if e.cb.Handoff == nil || !e.cb.Handoff(r) {
-					panic(fmt.Sprintf("engine: prefill group %d has no handoff for request %d",
-						e.groupID, r.ID))
-				}
-			}
-		} else {
-			// decodeReady is nil outside disaggregated serving; skipping
-			// the lookup keeps the collocated decode path map-free.
-			if len(e.decodeReady) > 0 {
-				e.observeDecodeReady(r.ID, now)
-			}
-			if e.rt != nil {
-				e.rt.Transition(now, r.ID, "decode", e.groupID)
-			}
-			r.AdvanceDecode(now)
+		before := r.Generated
+		r.AdvancePrefill(it.Chunk, now)
+		if r.Generated > before {
 			tokens++
-			if !r.Done() {
-				e.syncSlot(&e.lane[it.Lane])
+		}
+		if e.role != RolePrefill && !r.InPrefill() && !r.Done() {
+			e.rt.Transition(now, r.ID, "decode", e.groupID)
+			e.syncSlot(&e.lane[it.Lane])
+		}
+		if e.role == RolePrefill && !r.InPrefill() && !r.Done() {
+			// The prefill is complete but decode belongs to another
+			// pool: the policy stalls the request and ships its KV.
+			if e.cb.Handoff == nil || !e.cb.Handoff(r) {
+				panic(fmt.Sprintf("engine: prefill group %d has no handoff for request %d",
+					e.groupID, r.ID))
 			}
 		}
 		if r.Done() {

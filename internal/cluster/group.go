@@ -227,9 +227,6 @@ func (g *Group) Stall(r *request.Request, st request.State) { g.exec.Stall(r, st
 // Unstall resumes a stalled request.
 func (g *Group) Unstall(r *request.Request) { g.exec.Unstall(r) }
 
-// StalledCount returns how many running requests are stalled.
-func (g *Group) StalledCount() int { return g.exec.StalledCount() }
-
 // MarkDecodeReady stamps a handed-off request as decode-ready so its
 // first decode advance reports the decode-queue stage wait.
 func (g *Group) MarkDecodeReady(r *request.Request) { g.exec.MarkDecodeReady(r) }

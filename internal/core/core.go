@@ -24,7 +24,7 @@ import (
 // Disable*/ UseTokenCountFormer knobs drive the Figure 14 ablation.
 type Options struct {
 	// OverloadThreshold is the demand/capacity ratio that triggers a
-	// drop (default 0.95: "has suffered or is about to suffer").
+	// drop (default 0.70: "has suffered or is about to suffer").
 	OverloadThreshold float64
 	// FreeHeadroom over-frees beyond the deficit (default 0.10 of
 	// capacity) so the next wave does not immediately re-trigger.

@@ -21,7 +21,6 @@ import (
 	"math"
 
 	"kunserve/internal/gpu"
-	"kunserve/internal/sim"
 )
 
 // Model holds the fitted hyperparameters of Eq. 1–3, in seconds.
@@ -71,11 +70,6 @@ func (m *Model) BatchSeconds(chunks []gpu.ChunkWork) float64 {
 		sum = 0
 	}
 	return sum
-}
-
-// BatchDuration is BatchSeconds converted to a simulation duration.
-func (m *Model) BatchDuration(chunks []gpu.ChunkWork) sim.Duration {
-	return sim.DurationFromSeconds(m.BatchSeconds(chunks))
 }
 
 // Sample is one offline profiling observation: a microbatch and its measured

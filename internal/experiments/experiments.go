@@ -100,9 +100,9 @@ type Config struct {
 	// selects FCFS, which reproduces the pre-sched wait queue exactly.
 	Queue string
 	// scanDispatch forces every cell's dispatcher onto the full candidate
-	// scan instead of the incremental router index
-	// (cluster.Config.ScanDispatch). It is the tests' determinism oracle,
-	// byte-identical to the indexed default by contract.
+	// scan instead of the incremental router index (see scanRouter). It is
+	// the tests' determinism oracle, byte-identical to the indexed default
+	// by contract.
 	scanDispatch bool
 	// PrefixCaching enables content-addressed KVCache prefix sharing on
 	// every cell this config runs: requests carrying a shared prefix
@@ -298,7 +298,6 @@ func (c Config) clusterConfig(tr *workload.Trace) cluster.Config {
 		KVProvisionBytes: c.kvProvisionFor(tr),
 		PrefixCaching:    c.PrefixCaching,
 		CacheEvict:       c.CacheEvict,
-		ScanDispatch:     c.scanDispatch,
 	}
 	if c.Stream {
 		cc.MetricsReservoir = runner.DefaultReservoir
@@ -306,12 +305,15 @@ func (c Config) clusterConfig(tr *workload.Trace) cluster.Config {
 	if c.WorkloadSpec != nil {
 		cc.SLOClasses = c.WorkloadSpec.ClassTargets()
 	}
-	if c.Router != "" {
-		name := c.Router
+	if c.Router != "" || c.scanDispatch {
+		name, scan := c.Router, c.scanDispatch
 		cc.NewRouter = func(seed int64) sched.Router {
 			r, err := sched.NewRouterByName(name, seed)
 			if err != nil {
 				panic(err) // unreachable after ValidateSched
+			}
+			if scan {
+				return scanRouter{r}
 			}
 			return r
 		}
@@ -328,6 +330,10 @@ func (c Config) clusterConfig(tr *workload.Trace) cluster.Config {
 	}
 	return cc
 }
+
+// scanRouter hides a router's sched.Keyed method set, so the cluster
+// dispatches through the full candidate scan instead of its index.
+type scanRouter struct{ sched.Router }
 
 // ValidateSched rejects unknown router/queue/eviction names before any
 // cell runs.

@@ -3,13 +3,14 @@
 // GPU KVCache memory is carved into fixed-size blocks of blockTokens tokens
 // (the evaluation uses 64, the block size the paper tunes vLLM to). Only
 // blocks that can be shared have identity. A block whose span starts inside
-// a sequence's shared prompt prefix is a Block struct: it is content-hashed
-// by its position in the prefix chain and published to a per-pool shared
-// index with refcounts. New sequences whose prompt starts with the same
-// prefix reference the published blocks instead of recomputing them
-// (prefix caching); freed-but-cached blocks sit on an eviction list (LRU by
-// default) and are reclaimed before any allocation fails; a sequence
-// writing into a block it shares with others triggers copy-on-write.
+// a sequence's shared prompt prefix is a Block struct: it is named by its
+// (prefix ID, block number) position in the prefix chain and published to
+// a per-pool shared index with refcounts. New sequences whose prompt starts
+// with the same prefix reference the published blocks instead of
+// recomputing them (prefix caching); freed-but-cached blocks sit on an
+// eviction list (LRU by default) and are reclaimed before any allocation
+// fails; a sequence writing into a block it shares with others triggers
+// copy-on-write.
 //
 // Every block past the prefix span is private to its sequence for life and
 // is never observed by anyone else, so a sequence holds those blocks as a
@@ -31,7 +32,6 @@ package kvcache
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 
 	"kunserve/internal/obs"
@@ -103,6 +103,14 @@ func (s *Stats) Add(other Stats) {
 	s.ShrinkEvictions += other.ShrinkEvictions
 }
 
+// chainKey names block k of the chain for prefix id. Every sequence with the
+// same prefix ID carries the same prompt tokens, so equal keys mean equal
+// content.
+type chainKey struct {
+	id string
+	k  int
+}
+
 // Block is one physical KVCache page in a sequence's prefix span, the only
 // pages that can be shared. A page is in exactly one of four states: free
 // (no object exists; counted in freeBlocks), counted (no object exists; a
@@ -111,27 +119,20 @@ func (s *Stats) Add(other Stats) {
 // cached (a Block with refs == 0 but content retained on the eviction list,
 // awaiting reuse or reclamation).
 type Block struct {
-	// hash is the content hash of (prefix chain, token span); 0 while the
-	// block holds private (unshareable) content.
-	hash uint64
+	// key is the block's chain position while published.
+	key chainKey
 	// filled counts tokens of content in the block.
 	filled int
 	// refs counts sequences referencing the block.
 	refs int
+	// published marks membership of the shared index; false while the
+	// block holds private (unshareable) content.
+	published bool
 	// cached marks membership of the freed-but-cached list.
 	cached bool
 	// tick orders the cached list for eviction (assignment policy-driven).
 	tick uint64
 }
-
-// Refs returns the number of sequences referencing the block.
-func (b *Block) Refs() int { return b.refs }
-
-// Filled returns the tokens of content in the block.
-func (b *Block) Filled() int { return b.filled }
-
-// Shared reports whether the block is published in the shared index.
-func (b *Block) Shared() bool { return b.hash != 0 }
 
 // Pool manages the block inventory of one serving instance (or one pipeline
 // stage's share after a drop).
@@ -146,12 +147,9 @@ type Pool struct {
 	sharing bool
 	policy  EvictPolicy
 
-	// index maps chain hashes to published blocks (referenced or cached).
-	index map[uint64]*Block
-	// chainHashes memoizes running FNV-1a states per prefix ID so chain
-	// probes resume hashing from the deepest block already hashed instead
-	// of replaying the whole chain per probe (see Pool.chainHash).
-	chainHashes map[string][]uint64
+	// index maps chain positions to published blocks (referenced or
+	// cached).
+	index map[chainKey]*Block
 	// cachedList holds freed-but-cached blocks sorted by tick ascending;
 	// cachedList[0] is the next eviction victim.
 	cachedList []*Block
@@ -201,7 +199,7 @@ func (p *Pool) EnableSharing(policy EvictPolicy) {
 	p.sharing = true
 	p.policy = policy
 	if p.index == nil {
-		p.index = make(map[uint64]*Block)
+		p.index = make(map[chainKey]*Block)
 	}
 }
 
@@ -225,15 +223,12 @@ func (p *Pool) trace(name string, args [2]obs.Arg) {
 }
 
 // SetResizeHook registers a callback fired after every capacity change
-// (AddBlocks, RemoveBlocks). Reconfiguration resizes live pools — a drop
-// grows the merged group's pool with the freed parameter memory, a restore
-// shrinks it back — and the dispatcher's least-loaded index keys on
-// demand/capacity, so capacity changes must invalidate it like demand
+// (AddBlocks, RemoveBlocksEvicting). Reconfiguration resizes live pools —
+// a drop grows the merged group's pool with the freed parameter memory, a
+// restore shrinks it back — and the dispatcher's least-loaded index keys
+// on demand/capacity, so capacity changes must invalidate it like demand
 // changes do.
 func (p *Pool) SetResizeHook(fn func()) { p.resized = fn }
-
-// SharingEnabled reports whether prefix sharing is on.
-func (p *Pool) SharingEnabled() bool { return p.sharing }
 
 // BlockTokens returns tokens per block.
 func (p *Pool) BlockTokens() int { return p.blockTokens }
@@ -308,20 +303,14 @@ func (p *Pool) AddBlocks(n int) {
 	}
 }
 
-// RemoveBlocks shrinks the pool by n blocks, evicting cached-free blocks
-// when the free count alone does not cover the shrink (restore reclaims
-// only memory no live sequence holds).
-func (p *Pool) RemoveBlocks(n int) error {
-	_, err := p.RemoveBlocksEvicting(n)
-	return err
-}
-
-// RemoveBlocksEvicting is RemoveBlocks reporting how many cached blocks the
-// shrink had to evict — the number the drop/restore planner surfaces in its
-// reconfiguration events.
+// RemoveBlocksEvicting shrinks the pool by n blocks, evicting cached-free
+// blocks when the free count alone does not cover the shrink (restore
+// reclaims only memory no live sequence holds). It reports how many cached
+// blocks the shrink had to evict — the number the drop/restore planner
+// surfaces in its reconfiguration events.
 func (p *Pool) RemoveBlocksEvicting(n int) (evicted int, err error) {
 	if n < 0 {
-		return 0, fmt.Errorf("kvcache: RemoveBlocks(%d)", n)
+		return 0, fmt.Errorf("kvcache: RemoveBlocksEvicting(%d)", n)
 	}
 	if n > p.AvailableBlocks() {
 		return 0, fmt.Errorf("kvcache: remove %d blocks, only %d free", n, p.AvailableBlocks())
@@ -337,76 +326,6 @@ func (p *Pool) RemoveBlocksEvicting(n int) (evicted int, err error) {
 		p.resized()
 	}
 	return evicted, nil
-}
-
-// chainHash hashes the prefix chain up to block index k: the hash of block
-// k covers the prefix identity and every span before it, so equal hashes
-// mean equal content chains. This is the reference definition; the hot
-// paths go through Pool.chainHash, which memoizes the running hash states
-// and must return identical values (locked by TestChainHashMemoEquivalence).
-func chainHash(id string, k int) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(id))
-	var buf [8]byte
-	for i := 0; i <= k; i++ {
-		v := uint64(h.Sum64())
-		for j := 0; j < 8; j++ {
-			buf[j] = byte(v >> (8 * j))
-		}
-		h.Write(buf[:])
-	}
-	return h.Sum64() | 1 // never 0: 0 marks private blocks
-}
-
-// FNV-1a 64-bit parameters (hash/fnv's offset basis and prime). A running
-// FNV-1a state is exactly its Sum64, so hashing can resume from any cached
-// depth — that is what makes the chain-hash memo possible.
-const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
-)
-
-// chainHashStep folds the state's own current value into itself, byte by
-// byte little-endian — the incremental equivalent of one h.Write(Sum64)
-// round in the reference chainHash.
-func chainHashStep(s uint64) uint64 {
-	v := s
-	for j := 0; j < 64; j += 8 {
-		s = (s ^ (v >> j & 0xff)) * fnvPrime64
-	}
-	return s
-}
-
-// chainHashCacheMax bounds the per-pool memo. Prefix IDs are client keys,
-// so real traces stay far below this; the cap only guards synthetic
-// workloads with unbounded distinct prefixes from growing the map forever.
-const chainHashCacheMax = 1 << 16
-
-// chainHash returns chainHash(pfx.ID, k) via the pool's memo. The reference
-// function replays the whole chain — O(k) per call, O(n²) across a chain
-// walk — while the memo extends the deepest cached state, so a walk over n
-// blocks costs O(n) hashing total and repeat probes cost a map lookup.
-func (p *Pool) chainHash(id string, k int) uint64 {
-	states, ok := p.chainHashes[id]
-	if ok && len(states) > k+1 {
-		return states[k+1] | 1
-	}
-	if !ok {
-		s := fnvOffset64
-		for i := 0; i < len(id); i++ {
-			s = (s ^ uint64(id[i])) * fnvPrime64
-		}
-		states = make([]uint64, 1, k+2)
-		states[0] = s
-	}
-	for len(states) <= k+1 {
-		states = append(states, chainHashStep(states[len(states)-1]))
-	}
-	if p.chainHashes == nil || len(p.chainHashes) >= chainHashCacheMax {
-		p.chainHashes = make(map[string][]uint64)
-	}
-	p.chainHashes[id] = states
-	return states[k+1] | 1
 }
 
 // needError is fill's allocation-shortfall error. It formats lazily and
@@ -484,7 +403,7 @@ func (p *Pool) evictOne(shrink bool) *Block {
 	b := p.cachedList[0]
 	p.cachedList = p.cachedList[1:]
 	b.cached = false
-	delete(p.index, b.hash)
+	delete(p.index, b.key)
 	if shrink {
 		p.stats.ShrinkEvictions++
 	} else {
@@ -509,7 +428,7 @@ func (p *Pool) unref(b *Block) {
 		return
 	}
 	p.usedBlocks--
-	if p.sharing && b.hash != 0 {
+	if p.sharing && b.published {
 		p.cacheBlock(b)
 		return
 	}
@@ -595,7 +514,7 @@ func (p *Pool) walkChain(pfx Prefix, fn func(k int, b *Block) bool) {
 		if want > p.blockTokens {
 			want = p.blockTokens
 		}
-		b := p.index[p.chainHash(pfx.ID, k)]
+		b := p.index[chainKey{pfx.ID, k}]
 		if b == nil || b.filled != want {
 			return
 		}
@@ -828,7 +747,7 @@ func (s *Seq) Blocks() int { return s.held() }
 func (s *Seq) SharedBlocks() int {
 	n := 0
 	for _, b := range s.blocks {
-		if b.hash != 0 {
+		if b.published {
 			n++
 		}
 	}
@@ -887,11 +806,11 @@ func (s *Seq) fill(filled, n int) error {
 			tail = nb
 			p.stats.CoWCopies++
 			p.trace("cow", [2]obs.Arg{{Key: "filled", Val: int64(nb.filled)}})
-		} else if tail.hash != 0 {
+		} else if tail.published {
 			// Sole holder writing past the shared span: the content
 			// diverges, so the block leaves the index.
-			delete(p.index, tail.hash)
-			tail.hash = 0
+			delete(p.index, tail.key)
+			tail.published = false
 		}
 		tail.filled += take
 	}
@@ -944,11 +863,12 @@ func (s *Seq) publishShared() {
 			// Mid-prefix partial block: a later fill completes it.
 			return
 		}
-		if pure && b.hash == 0 {
-			h := p.chainHash(s.prefix.ID, k)
-			if p.index[h] == nil {
-				b.hash = h
-				p.index[h] = b
+		if pure && !b.published {
+			key := chainKey{s.prefix.ID, k}
+			if p.index[key] == nil {
+				b.key = key
+				b.published = true
+				p.index[key] = b
 				p.stats.Published++
 			}
 			// An occupied slot means another sequence published the
@@ -1005,7 +925,7 @@ func (s *Seq) Room() int {
 		return 0
 	}
 	if s.counted == 0 {
-		if b := s.blocks[k]; b.refs != 1 || b.hash != 0 {
+		if b := s.blocks[k]; b.refs != 1 || b.published {
 			return 0
 		}
 	}
@@ -1155,16 +1075,17 @@ func (s *Seq) trimPublishBoundary() {
 	}
 	b := s.blocks[k]
 	want := s.prefix.Tokens - k*bt
-	if b.hash != 0 || b.refs != 1 || b.filled < want {
+	if b.published || b.refs != 1 || b.filled < want {
 		return // already published, shared with others, or incomplete
 	}
-	h := p.chainHash(s.prefix.ID, k)
-	if p.index[h] != nil {
+	key := chainKey{s.prefix.ID, k}
+	if p.index[key] != nil {
 		return // another copy already cached
 	}
 	b.filled = want
-	b.hash = h
-	p.index[h] = b
+	b.key = key
+	b.published = true
+	p.index[key] = b
 	p.stats.Published++
 }
 
@@ -1190,16 +1111,16 @@ func (p *Pool) CheckInvariants() error {
 		if !b.cached || b.refs != 0 {
 			return fmt.Errorf("kvcache: cached list entry %d refs=%d cached=%v", i, b.refs, b.cached)
 		}
-		if b.hash == 0 || p.index[b.hash] != b {
+		if !b.published || p.index[b.key] != b {
 			return fmt.Errorf("kvcache: cached list entry %d not indexed", i)
 		}
 		if i > 0 && p.cachedList[i-1].tick > b.tick {
 			return fmt.Errorf("kvcache: cached list out of eviction order at %d", i)
 		}
 	}
-	for h, b := range p.index {
-		if b.hash != h {
-			return fmt.Errorf("kvcache: index entry hash mismatch")
+	for key, b := range p.index {
+		if !b.published || b.key != key {
+			return fmt.Errorf("kvcache: index entry key mismatch")
 		}
 		if b.refs == 0 && !b.cached {
 			return fmt.Errorf("kvcache: indexed block neither referenced nor cached")

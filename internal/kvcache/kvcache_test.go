@@ -201,16 +201,16 @@ func TestGrowShrink(t *testing.T) {
 	if p.TotalBlocks() != 15 || p.FreeBlocks() != 5 {
 		t.Fatal("grow accounting")
 	}
-	if err := p.RemoveBlocks(6); err == nil {
+	if _, err := p.RemoveBlocksEvicting(6); err == nil {
 		t.Error("removing in-use blocks accepted")
 	}
-	if err := p.RemoveBlocks(5); err != nil {
+	if _, err := p.RemoveBlocksEvicting(5); err != nil {
 		t.Fatal(err)
 	}
 	if p.TotalBlocks() != 10 || p.FreeBlocks() != 0 {
 		t.Fatal("shrink accounting")
 	}
-	if err := p.RemoveBlocks(-1); err == nil {
+	if _, err := p.RemoveBlocksEvicting(-1); err == nil {
 		t.Error("negative remove accepted")
 	}
 	s.Free()
@@ -501,7 +501,7 @@ func TestRemoveBlocksEvictsCachedFirst(t *testing.T) {
 		t.Fatalf("cached=%d free=%d used=%d", p.CachedBlocks(), p.FreeBlocks(), p.UsedBlocks())
 	}
 	// Removing more than free+cached (the live block stands in the way).
-	if err := p.RemoveBlocks(8); err == nil {
+	if _, err := p.RemoveBlocksEvicting(8); err == nil {
 		t.Fatal("removed live blocks")
 	}
 	evicted, err := p.RemoveBlocksEvicting(6)
@@ -668,7 +668,7 @@ func TestPropertySharedPoolConservation(t *testing.T) {
 				if op%2 == 0 {
 					p.AddBlocks(int(op % 4))
 				} else {
-					p.RemoveBlocks(int(op % 4))
+					p.RemoveBlocksEvicting(int(op % 4))
 				}
 			}
 			if err := p.CheckInvariants(); err != nil {

@@ -90,9 +90,6 @@ func (l *Link) TransferTime(bytes int64) sim.Duration {
 // Busy reports whether a transfer is in flight.
 func (l *Link) Busy() bool { return l.busy }
 
-// QueueLen returns the number of waiting transfers in the class.
-func (l *Link) QueueLen(p Priority) int { return len(l.queues[p]) }
-
 // BytesSent returns total payload bytes completed.
 func (l *Link) BytesSent() int64 { return l.bytesSent }
 
