@@ -640,14 +640,22 @@ func BenchmarkPreemptReadmit(b *testing.B) {
 	}
 }
 
-// BenchmarkSteadyDecode prices the steady decode token: one instance holds
-// 25 requests in lockstep decode (same prompt, outputs too long to
-// finish), and each iteration runs one scheduling round, so ns/token is
-// the engine's, the pipeline's and the event kernel's per-token cost with
-// nothing else in the way. Every 2000 rounds a fresh cluster replaces the
+// BenchmarkSteadyDecode prices the steady decode token at three lane
+// sizes: one instance holds 8, 25 or 128 requests in lockstep decode (same
+// prompt, outputs too long to finish), and each iteration runs one
+// scheduling round, so ns/token is the engine's, the pipeline's and the
+// event kernel's per-token cost with nothing else in the way. A per-token
+// cost that grows with the lane is work that grows with the running set.
+// Every 50000/n rounds (2000 at 25 requests) a fresh cluster replaces the
 // old one outside the timer, so contexts never grow into memory pressure.
 func BenchmarkSteadyDecode(b *testing.B) {
-	const reqs, episode = 25, 2000
+	for _, reqs := range []int{8, 25, 128} {
+		b.Run(fmt.Sprintf("reqs=%d", reqs), func(b *testing.B) { steadyDecode(b, reqs) })
+	}
+}
+
+func steadyDecode(b *testing.B, reqs int) {
+	episode := 50000 / reqs
 	var cl *cluster.Cluster
 	var g *cluster.Group
 	fresh := func() {
@@ -669,7 +677,7 @@ func BenchmarkSteadyDecode(b *testing.B) {
 			}
 		}
 		g = cl.Groups()[0]
-		for g.RoundsRun() < 4 {
+		for g.RoundsRun() < 8 {
 			cl.Sim.Step()
 		}
 		if g.RunningLen() != reqs {

@@ -163,8 +163,11 @@ func main() {
 	if *seed != 0 {
 		cfg.Seed = *seed
 	}
-	if *duration > 0 {
-		cfg.Duration = sim.DurationFromSeconds(*duration)
+	if d, err := durationOverride(*duration); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	} else if d > 0 {
+		cfg.Duration = d
 	}
 	if *load > 0 {
 		cfg.LoadMultiplier = *load
@@ -279,6 +282,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, runErr)
 		os.Exit(1)
 	}
+}
+
+// durationOverride converts -duration: 0 keeps the experiment's own
+// duration; anything else must be a valid trace duration.
+func durationOverride(s float64) (sim.Duration, error) {
+	if s == 0 {
+		return 0, nil
+	}
+	d, err := workload.DurationSeconds(s)
+	if err != nil {
+		return 0, fmt.Errorf("-duration: %w", err)
+	}
+	return d, nil
 }
 
 func runSweep(key string, values []float64, cfg experiments.Config, jsonOut bool) error {

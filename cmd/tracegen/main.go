@@ -110,7 +110,10 @@ func buildTrace(specFile, dataset, schedule, arrivalName string,
 	if err != nil {
 		return nil, err
 	}
-	d := sim.DurationFromSeconds(duration)
+	d, err := workload.DurationSeconds(duration)
+	if err != nil {
+		return nil, fmt.Errorf("-duration: %w", err)
+	}
 
 	if arrivalName != "" {
 		proc, err := buildProcess(arrivalName, rps, cv, shape, amplitude, period, d)

@@ -203,7 +203,10 @@ func (c *churn) walk() int {
 func (c *churn) pressure(int) bool {
 	c.pressures++
 	c.sync()
-	c.e.Running() // write the lane back so Seqs show the reservations
+	// Victim first, on the lane as the round left it; then write the lane
+	// back so Seqs show the reservations.
+	v := c.e.Victim()
+	c.e.Running()
 	pos := c.walk()
 	for _, r := range c.batch[min(pos+1, len(c.batch)):] {
 		if slices.Contains(c.ref, r) && !c.stalled[r] && holdsReservation(r) {
@@ -212,7 +215,6 @@ func (c *churn) pressure(int) bool {
 		}
 	}
 	want := c.refVictim(pos)
-	v := c.e.Victim()
 	if v != want {
 		c.t.Fatalf("pressure while reserving batch member %d: Victim %v, model %v", pos, id(v), id(want))
 	}
@@ -426,6 +428,10 @@ func (c *churn) check(op string) {
 		c.t.Fatalf("after %s: %s", op, fmt.Sprintf(format, args...))
 	}
 	c.sync()
+	// Victim first, before any write-back materializes the lane.
+	if wv, gv := c.refVictim(len(c.batch)), c.e.Victim(); wv != gv {
+		fail("Victim %v, model %v", id(gv), id(wv))
+	}
 	want := ids(c.ref)
 	if got := ids(c.e.Running()); !slices.Equal(got, want) {
 		fail("Running %v, model %v", got, want)
@@ -460,9 +466,6 @@ func (c *churn) check(op string) {
 				fail("item for request %d points at lane slot %d (request %v)", it.Req.ID, it.Lane, s.req)
 			}
 		}
-	}
-	if wv, gv := c.refVictim(len(c.batch)), c.e.Victim(); wv != gv {
-		fail("Victim %v, model %v", id(gv), id(wv))
 	}
 	if p := c.e.Preemptions(); p != c.preempts {
 		fail("Preemptions %d, model %d", p, c.preempts)

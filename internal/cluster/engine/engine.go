@@ -184,14 +184,15 @@ type Engine struct {
 	order []int32
 	// admitted numbers admissions for slot.adm.
 	admitted uint64
-	// dead counts slots removed while a round was live (see removeAt).
+	// dead counts removed slots awaiting compactLane (see removeAt).
 	// firstDead is the lowest dead index while dead > 0, where compactLane
 	// starts, and deadTail counts the dead slots at the lane's young end,
 	// which Victim skips without a scan: a pressure burst preempts the
-	// youngest requests one after another. remap is compactLane's
-	// old-to-new index scratch.
-	dead, firstDead, deadTail int
-	remap                     []int32
+	// youngest requests one after another. carried is how many dead slots
+	// the current round started with. remap is compactLane's old-to-new
+	// index scratch.
+	dead, firstDead, deadTail, carried int
+	remap                              []int32
 	// hint is the lane index Victim last chose. laneIndex tries it first, by
 	// identity, so the Victim→PreemptRecompute and Victim→Stall pairs
 	// search the lane once; a stale hint costs only the normal search.
@@ -204,6 +205,22 @@ type Engine struct {
 	// pending is set while some slot may hold tokens not yet written back;
 	// writeBackAll skips its walk otherwise.
 	pending bool
+	// The epoch lane (see runCollect). While epochOn holds, every hot slot
+	// is relative (in the fast set, with a wheel entry at its due epoch),
+	// an item of the live round, or loose (its lane index on loose, placed
+	// at the next collect), and every cold slot's lane index is on cold,
+	// kept in lane order. epoch counts epoch rounds; epochStamp is the
+	// stamp of the latest one, which every relative slot advanced in. relN
+	// and relCtx are the fast set's size and Σctx as of epoch. due is
+	// collect's scratch for the round's due slots.
+	epochOn      bool
+	epoch        uint64
+	epochStamp   uint64
+	relN, relCtx int
+	wheel        wheel
+	loose, cold  []int32
+	due          []int32
+
 	stalled map[int]*request.Request
 
 	executing  bool
@@ -274,31 +291,45 @@ type Engine struct {
 // running, unstalled, past its prefill, on a role that decodes — owns the
 // request's decode-hot state, so a steady decode token moves by touching
 // the slot alone; the Request and its Seq catch up at the next write-back.
-// In a fast round (see runCollect) collect reserves and advances a fast
-// slot's token in that one visit, and no other stage touches the slot; in
-// any other round collect, reserve and finish each visit the slot through
-// the token's item. A cold slot (prefilling, stalled, or on a prefill
-// role) leaves the Request authoritative, and every stage reads it there;
-// it is never a decode.
+// A cold slot (prefilling, stalled, or on a prefill role) leaves the
+// Request authoritative, and every stage reads it there; it is never a
+// decode.
+//
+// A relative slot (rel) is a hot slot in the epoch lane's fast set: its
+// counters are as of lane epoch base, and every epoch round since then
+// advanced it by one token, so its current ctx, gen and kv are the stored
+// values plus epoch − base, and its left and room the stored values minus
+// it. materialize applies that delta; nothing else reads a relative slot's
+// counters. Its next check is due at epoch due, the epoch at which
+// min(room, left−1) reaches zero (or sooner: see relate). Any other slot
+// holds its counters as they are. In a walk round (see runCollect) collect
+// reserves and advances a fast slot's token in place; in either kind of
+// round collect, reserve and finish visit every other decode through the
+// token's item.
 //
 // Write-backs happen where a running request becomes visible outside the
 // engine: Running, EachRunning, Victim, Stall, RemoveRequest,
 // PreemptDetach and ExtractRequests, and before a finished request reaches
-// Callbacks.Finished. EachStalled needs none: a stalled slot is cold and
-// was written back by Stall. Prefill-role slots are never hot, so a
-// request passed to Callbacks.Handoff has nothing pending.
+// Callbacks.Finished. Each materializes the slot first. EachStalled needs
+// none: a stalled slot is cold and was written back by Stall. Prefill-role
+// slots are never hot, so a request passed to Callbacks.Handoff has nothing
+// pending.
 type slot struct {
 	// req is nil once the slot is dead: removed during a live round and
 	// awaiting compactLane, with its keys kept so the lane stays sorted.
 	req     *request.Request
 	arrival sim.Time
 	id      int
-	// stamp is the round stamp of the slot's last reservation.
+	// stamp is the round stamp of the slot's last reservation, except on a
+	// relative slot advanced since base, whose stamp is epochStamp (see
+	// stampOf).
 	stamp uint64
 	// adm is the admission sequence number. Sorting live slots by it
 	// recovers admission order, and Victim breaks ties among equal
 	// arrivals by it: the earliest admitted wins.
 	adm uint64
+	// base and due are a relative slot's epochs (see above).
+	base, due uint64
 	// ctx is Request.ContextLen and left is OutputLen − Generated, both
 	// counting the slot's pending tokens (hot slots only).
 	ctx, left int32
@@ -309,11 +340,73 @@ type slot struct {
 	// kv reserved tokens not yet committed to the Seq.
 	gen, kv int32
 	hot     bool
-	// fast marks a slot collect advanced on the fast path in the round
-	// stamped stamp. While that round's fast tokens are in flight (see
-	// inFlight) ctx, left and gen already count the token; a Stall drops it
-	// and an Unstall in the same round takes it back.
+	rel     bool
+	// fast marks a materialized slot that took the round stamped stamp's
+	// token on the fast path. While that round's fast tokens are in flight
+	// (see inFlight) ctx, left and gen already count the token; a Stall
+	// drops it and an Unstall in the same round takes it back.
 	fast bool
+}
+
+// wheelSize is the timing wheel's bucket count, a power of two. A relative
+// slot is checked at most wheelSize−1 epochs out. room ≤ BlockTokens, so at
+// the default 64-token block every check is the slot's real due round; a
+// larger block only costs a re-check per lap.
+const wheelSize = 64
+
+// wheel is a timing wheel of lane indices by due epoch: bucket heads and
+// next links are 1-based indices into ents (0 ends a list), and released
+// entries go on a free list, so a warmed wheel allocates nothing. Entries
+// are never unlinked early; a stale one is skipped when its bucket is
+// taken. Like every lane index the epoch lane holds, an entry's lane
+// follows its slot across lane edits (see remapEpoch), and turns −1 when
+// the slot leaves the lane.
+type wheel struct {
+	head [wheelSize]int32
+	ents []wheelEnt
+	free int32
+}
+
+type wheelEnt struct {
+	lane, next int32
+}
+
+// push files lane index i under epoch at.
+func (w *wheel) push(at uint64, i int32) {
+	n := w.free
+	if n != 0 {
+		w.free = w.ents[n-1].next
+	} else {
+		w.ents = append(w.ents, wheelEnt{})
+		n = int32(len(w.ents))
+	}
+	b := at & (wheelSize - 1)
+	w.ents[n-1] = wheelEnt{lane: i, next: w.head[b]}
+	w.head[b] = n
+}
+
+// take detaches epoch at's bucket and returns its first entry.
+func (w *wheel) take(at uint64) int32 {
+	b := at & (wheelSize - 1)
+	n := w.head[b]
+	w.head[b] = 0
+	return n
+}
+
+// release returns entry n to the free list and returns its successor and
+// lane index.
+func (w *wheel) release(n int32) (next, i int32) {
+	ent := &w.ents[n-1]
+	next, i = ent.next, ent.lane
+	ent.lane, ent.next = -1, w.free
+	w.free = n
+	return next, i
+}
+
+func (w *wheel) reset() {
+	w.head = [wheelSize]int32{}
+	w.ents = w.ents[:0]
+	w.free = 0
 }
 
 // New assembles an engine in the collocated role.
@@ -372,12 +465,13 @@ type stage struct {
 type round struct {
 	prefills []int32
 	items    []batching.Item
-	// fast prices the decode tokens collect reserved and advanced in place
-	// (no items). It is fixed at collect — like a reserved item, a fast
-	// token dropped later in the round is still priced — and cleared when
-	// finishRound begins, so fast.N > 0 marks the fast tokens in flight.
-	// live counts the in-flight fast tokens that still finish: a Stall or
-	// a removal drops one and an Unstall takes it back.
+	// fast prices the decode tokens collect reserved and advanced with no
+	// item: the fast set's tokens in an epoch round, the walk's fast slots
+	// in a walk round. It is fixed at collect — like a reserved item, a
+	// fast token dropped later in the round is still priced — and cleared
+	// when finishRound begins, so fast.N > 0 marks the fast tokens in
+	// flight. live counts the in-flight fast tokens that still finish: a
+	// Stall or a removal drops one and an Unstall takes it back.
 	fast    gpu.DecodeSum
 	live    int
 	hadWork bool
@@ -577,8 +671,12 @@ func (e *Engine) Wake() {
 func (e *Engine) Stall(r *request.Request, st request.State) {
 	if i := e.laneIndex(r); i >= 0 {
 		s := &e.lane[i]
+		e.unrelate(s)
 		e.dropInFlight(s)
 		e.writeBack(s)
+		if s.hot && e.epochOn {
+			e.addCold(int32(i))
+		}
 		s.hot = false
 	}
 	r.SetState(st)
@@ -594,9 +692,8 @@ func (e *Engine) Unstall(r *request.Request) {
 	delete(e.stalled, r.ID)
 	r.SetState(request.StateRunning)
 	if i := e.laneIndex(r); i >= 0 {
-		s := &e.lane[i]
-		e.syncSlot(s)
-		if e.inFlight(s) {
+		e.syncSlot(i)
+		if s := &e.lane[i]; e.inFlight(s) {
 			// Stalled and resumed within its fast round: like a reserved
 			// item's, its token finishes after all.
 			e.takeInFlight(s)
@@ -640,7 +737,7 @@ func (e *Engine) Victim() *request.Request {
 		if v >= 0 && s.arrival != e.lane[v].arrival {
 			break
 		}
-		if s.stamp == e.curStamp || s.req == nil ||
+		if e.stampOf(s) == e.curStamp || s.req == nil ||
 			!s.hot && (s.req.State() != request.StateRunning || s.req.Done()) {
 			continue
 		}
@@ -770,7 +867,11 @@ func (e *Engine) addRunning(r *request.Request) {
 	if e.live() {
 		e.shiftLanes(i)
 	}
-	e.syncSlot(&e.lane[i])
+	if i < len(e.lane)-1 {
+		// An insert at the young end, the usual admission, moves no index.
+		e.remapEpoch(laneEdit{lo: int32(i)})
+	}
+	e.syncSlot(i)
 }
 
 func (e *Engine) removeRunning(r *request.Request) {
@@ -782,27 +883,35 @@ func (e *Engine) removeRunning(r *request.Request) {
 }
 
 // removeAt writes slot i back and drops its request from the running set.
-// While a round is live the slot only dies in place, and compactLane
-// deletes the round's dead slots in one pass: finishes and preemptions
-// come in bursts, and re-indexing every live item per removal would make
-// a burst quadratic in the batch.
+// The slot only dies in place, and compactLane deletes dead slots in bulk
+// (see compactIfSparse): finishes and preemptions come in bursts, and
+// re-indexing the lane per removal would make a burst quadratic in the
+// batch.
 func (e *Engine) removeAt(i int) {
 	s := &e.lane[i]
+	e.unrelate(s)
 	e.dropInFlight(s)
 	e.writeBack(s)
 	e.demandAdd(-committedTokens(s.req))
-	if e.live() {
-		*s = slot{arrival: s.arrival, id: s.id}
-		if e.dead == 0 || i < e.firstDead {
-			e.firstDead = i
-		}
-		e.dead++
-		for n := len(e.lane); e.deadTail < n && e.lane[n-1-e.deadTail].req == nil; {
-			e.deadTail++
-		}
-		return
+	*s = slot{arrival: s.arrival, id: s.id}
+	if e.dead == 0 || i < e.firstDead {
+		e.firstDead = i
 	}
-	e.lane = slices.Delete(e.lane, i, i+1)
+	e.dead++
+	for n := len(e.lane); e.deadTail < n && e.lane[n-1-e.deadTail].req == nil; {
+		e.deadTail++
+	}
+}
+
+// compactIfSparse compacts the lane once dead slots make up an eighth of
+// it. A dead slot costs a lane visit only a skip, while a compaction moves
+// every slot above the first dead one and remaps every lane index the
+// round and the epoch lane hold, so it runs once per burst of removals,
+// not once per round with a finish.
+func (e *Engine) compactIfSparse() {
+	if e.dead > 0 && 8*e.dead >= len(e.lane) {
+		e.compactLane()
+	}
 }
 
 // compactLane deletes dead slots and remaps the current round's item lane
@@ -812,14 +921,19 @@ func (e *Engine) compactLane() {
 	lo := e.firstDead
 	remap := e.remap[:0]
 	w := lo
-	for i := lo; i < len(e.lane); i++ {
+	for i := lo; i < len(e.lane); {
 		if e.lane[i].req == nil {
 			remap = append(remap, -1)
+			i++
 			continue
 		}
-		remap = append(remap, int32(w))
-		e.lane[w] = e.lane[i]
-		w++
+		// Move each run of live slots with one copy.
+		j := i
+		for ; j < len(e.lane) && e.lane[j].req != nil; j++ {
+			remap = append(remap, int32(w+j-i))
+		}
+		w += copy(e.lane[w:], e.lane[i:j])
+		i = j
 	}
 	clear(e.lane[w:])
 	e.lane = e.lane[:w]
@@ -828,6 +942,7 @@ func (e *Engine) compactLane() {
 			it.Lane = remap[int(it.Lane)-lo]
 		}
 	}
+	e.remapEpoch(laneEdit{lo: int32(lo), remap: remap})
 	e.remap = remap
 	e.dead, e.deadTail = 0, 0
 }
@@ -842,26 +957,148 @@ func (e *Engine) shiftLanes(at int) {
 	}
 }
 
-// syncSlot re-derives a slot with nothing pending from its request: hot
-// when the request is running unstalled past its prefill on a role that
-// decodes, cold otherwise. Past its prefill, a request's context length
-// steps by exactly one per decoded token.
-func (e *Engine) syncSlot(s *slot) {
+// laneEdit is one lane edit as remapEpoch applies it: indices below lo
+// keep their slots. At or above lo, index l moves to remap[l−lo] (−1 for a
+// dead slot) when remap is set, by compactLane, and to l+1 otherwise, for
+// an insert at lo.
+type laneEdit struct {
+	lo    int32
+	remap []int32
+}
+
+func (ed *laneEdit) to(l int32) int32 {
+	switch {
+	case l < ed.lo:
+		return l
+	case ed.remap != nil:
+		return ed.remap[l-ed.lo]
+	}
+	return l + 1
+}
+
+// remapEpoch keeps the epoch lane's lane indices valid across a lane
+// edit. Lane edits are membership changes, far rarer than rounds.
+func (e *Engine) remapEpoch(ed laneEdit) {
+	if !e.epochOn {
+		return
+	}
+	for k := range e.wheel.ents {
+		if ent := &e.wheel.ents[k]; ent.lane >= ed.lo {
+			ent.lane = ed.to(ent.lane)
+		}
+	}
+	e.loose = ed.list(e.loose)
+	e.cold = ed.list(e.cold)
+}
+
+// list applies the edit to a list of lane indices in place, dropping the
+// ones whose slot left. The edit is monotonic, so a sorted list stays
+// sorted.
+func (ed *laneEdit) list(l []int32) []int32 {
+	kept := 0
+	for _, i := range l {
+		if i = ed.to(i); i >= 0 {
+			l[kept] = i
+			kept++
+		}
+	}
+	return l[:kept]
+}
+
+// syncSlot re-derives a cold or new slot i from its request: hot when the
+// request is running unstalled past its prefill on a role that decodes,
+// cold otherwise. Past its prefill, a request's context length steps by
+// exactly one per decoded token. In the epoch lane a hot slot goes on
+// loose and a cold one on cold.
+func (e *Engine) syncSlot(i int) {
+	s := &e.lane[i]
 	r := s.req
 	s.hot = e.role.RunsDecode() && r.State() == request.StateRunning && r.Seq != nil &&
 		!r.InPrefill() && !r.Done()
 	if !s.hot {
+		if e.epochOn {
+			e.addCold(int32(i))
+		}
 		return
 	}
 	s.ctx = int32(r.ContextLen())
 	s.left = int32(r.OutputLen - r.Generated)
 	s.room = int32(r.Seq.Room())
+	if e.epochOn {
+		e.loose = append(e.loose, int32(i))
+	}
+}
+
+// addCold puts lane index i on the cold list, in lane order, unless it is
+// there.
+func (e *Engine) addCold(i int32) {
+	if at, found := slices.BinarySearch(e.cold, i); !found {
+		e.cold = slices.Insert(e.cold, at, i)
+	}
+}
+
+// materialize brings a relative slot's counters up to the lane epoch. A
+// slot the epoch moved took the latest epoch round's token on the fast
+// path, so it gets that round's stamp, as the walk would have given it.
+func (e *Engine) materialize(s *slot) {
+	if !s.rel {
+		return
+	}
+	if d := int32(e.epoch - s.base); d > 0 {
+		s.ctx += d
+		s.left -= d
+		s.room -= d
+		s.gen += d
+		s.kv += d
+		s.base = e.epoch
+		s.stamp, s.fast = e.epochStamp, true
+	}
+}
+
+// relate puts hot slot i, with absolute counters, into the fast set, due
+// when min(room, left−1) reaches zero, capped at one lap of the wheel; it
+// reports false, leaving the slot alone, when the slot is due now.
+func (e *Engine) relate(i int32) bool {
+	s := &e.lane[i]
+	d := min(s.room, s.left-1)
+	if d <= 0 {
+		return false
+	}
+	s.rel, s.base, s.due = true, e.epoch, e.epoch+uint64(min(d, wheelSize-1))
+	e.relN++
+	e.relCtx += int(s.ctx)
+	e.wheel.push(s.due, i)
+	return true
+}
+
+// unrelate takes a slot out of the fast set, materialized. Its wheel entry
+// goes stale.
+func (e *Engine) unrelate(s *slot) {
+	if !s.rel {
+		return
+	}
+	e.materialize(s)
+	s.rel = false
+	e.relN--
+	e.relCtx -= int(s.ctx)
+}
+
+// stampOf is s's reservation stamp, materialized or not. Everything else
+// that reads a slot's stamp or fast flag (inFlight, and so dropInFlight
+// and takeInFlight) reads a materialized slot.
+func (e *Engine) stampOf(s *slot) uint64 {
+	if s.rel && s.base != e.epoch {
+		return e.epochStamp
+	}
+	return s.stamp
 }
 
 // writeBack catches a slot's request and Seq up with the tokens the slot
-// counted since its last write-back. An in-flight fast token stays on the
-// slot: its KV is committed, but the request has not decoded it yet.
+// counted since its last write-back, materializing it first. An in-flight
+// fast token stays on the slot: its KV is committed, but the request has
+// not decoded it yet.
 func (e *Engine) writeBack(s *slot) {
+	e.materialize(s)
 	gen := s.gen
 	if e.inFlight(s) {
 		gen--
@@ -876,7 +1113,8 @@ func (e *Engine) writeBack(s *slot) {
 	}
 }
 
-// inFlight reports whether s holds a fast token of the round in flight.
+// inFlight reports whether the materialized slot s holds a fast token of
+// the round in flight.
 func (e *Engine) inFlight(s *slot) bool {
 	return e.rd.fast.N > 0 && s.fast && s.hot && s.stamp == e.curStamp
 }
@@ -924,11 +1162,19 @@ func (e *Engine) writeBackAll() {
 // length, remaining output and tail room must equal what its request and
 // Seq report (plus its in-flight fast token), with the Seq holding exactly
 // the committed context (plus the in-flight token while a round executes).
-// It returns how many hot slots it checked. Audits and tests call it
-// between rounds or while one executes; write-backs are invisible to the
-// simulation, so calling it never changes results.
+// In the epoch lane, the fast set must be exactly the relative slots, with
+// relN and relCtx their count and Σctx, each filed on the wheel at a due
+// epoch no later than its real one; every other hot slot must be on loose
+// or an item of the live round, and every cold slot on the lane-ordered
+// cold list. It returns how many
+// hot slots it checked. Audits and tests call it between rounds or while
+// one executes; write-backs are invisible to the simulation, so calling it
+// never changes results.
 func (e *Engine) CheckLane() (hot int, err error) {
 	e.writeBackAll()
+	if err := e.checkEpoch(); err != nil {
+		return 0, err
+	}
 	dead, live := 0, 0
 	adms := make([]uint64, 0, e.RunningLen())
 	for i := range e.lane {
@@ -1009,6 +1255,69 @@ func (e *Engine) CheckLane() (hot int, err error) {
 		}
 	}
 	return hot, nil
+}
+
+// checkEpoch checks the epoch lane's structures against the materialized
+// lane (see CheckLane).
+func (e *Engine) checkEpoch() error {
+	relN, relCtx := 0, 0
+	for i := range e.lane {
+		s := &e.lane[i]
+		if s.rel {
+			relN++
+			relCtx += int(s.ctx)
+		}
+	}
+	if !e.epochOn {
+		if relN != 0 || e.relN != 0 || len(e.loose)+len(e.cold) != 0 {
+			return fmt.Errorf("engine: group %d holds %d relative slots (counted %d) and %d keys off the epoch lane",
+				e.groupID, relN, e.relN, len(e.loose)+len(e.cold))
+		}
+		return nil
+	}
+	if relN != e.relN || relCtx != e.relCtx {
+		return fmt.Errorf("engine: group %d fast set holds %d slots with Σctx %d, counted %d and %d",
+			e.groupID, relN, relCtx, e.relN, e.relCtx)
+	}
+	for k := 1; k < len(e.cold); k++ {
+		if e.cold[k-1] >= e.cold[k] {
+			return fmt.Errorf("engine: group %d cold list out of lane order", e.groupID)
+		}
+	}
+	for i := range e.lane {
+		s := &e.lane[i]
+		if s.req == nil {
+			continue
+		}
+		k := int32(i)
+		switch {
+		case s.rel:
+			if s.due < e.epoch || s.due-e.epoch > uint64(min(s.room, s.left-1)) || s.due-e.epoch >= wheelSize {
+				return fmt.Errorf("engine: group %d request %d due at epoch %d, now %d, room %d, left %d",
+					e.groupID, s.id, s.due, e.epoch, s.room, s.left)
+			}
+			filed := false
+			for n := e.wheel.head[s.due&(wheelSize-1)]; n != 0 && !filed; n = e.wheel.ents[n-1].next {
+				filed = e.wheel.ents[n-1].lane == k
+			}
+			if !filed {
+				return fmt.Errorf("engine: group %d request %d missing from the wheel at epoch %d",
+					e.groupID, s.id, s.due)
+			}
+		case s.hot:
+			if !slices.Contains(e.loose, k) && !(e.live() && slices.ContainsFunc(e.rd.items,
+				func(it batching.Item) bool { return it.Lane == k })) {
+				return fmt.Errorf("engine: group %d hot request %d neither in the fast set, loose nor an item",
+					e.groupID, s.id)
+			}
+		default:
+			if _, ok := slices.BinarySearch(e.cold, k); !ok {
+				return fmt.Errorf("engine: group %d cold request %d missing from the cold list",
+					e.groupID, s.id)
+			}
+		}
+	}
+	return nil
 }
 
 // DemandTokens estimates the group's memory demand following the standard
@@ -1116,33 +1425,64 @@ func (e *Engine) runAdmit(*round) bool {
 }
 
 // runCollect fills the round's decode and prefill halves: a decode step in
-// rd.items for every schedulable decode-ready running request, and the lane
-// index of every prefilling one in rd.prefills, excluding stalled requests
-// and keeping only the halves the role serves. The lane's (Arrival, ID)
-// order makes collection a single filtered walk: no per-round sort, and a
-// hot slot's step is built without loading its request.
+// rd.items for every schedulable decode-ready running request, in lane
+// order, and the lane index of every prefilling one in rd.prefills, in lane
+// order, excluding stalled requests and keeping only the halves the role
+// serves. Decodes that need no block-level work and do not finish their
+// request are reserved and advanced with no item and summed into rd.fast;
+// fastLimit bounds them to the decodes the iteration budget admits. The
+// lane's (Arrival, ID) order means no per-round sort.
 //
-// With a fastLimit above 0 the walk also reserves and advances fast slots
-// in place, building no item for them, and sums them into rd.fast. A fast
-// slot is hot, its token needs no new block (room ≥ 1) and does not finish
-// its request (left ≥ 2); only decodes among the first fastLimit in lane
-// order are taken, so the budget keeps the same decodes as on the item
-// path. Fast slots take the stamp the round will use (curStamp+1, which
-// runForm makes current), and their ctx, left and gen count the in-flight
-// token from here until finishRound begins. The stop rule: fast
-// reservation stops at the first decode that must stay an item, because
-// reserving younger slots ahead of it would let a pressure callback during
-// its reservation find them stamped, and Victim would choose differently
-// from the item path. The rule is waived when the pool holds a block for
-// every slot.
+// Most rounds are epoch rounds (epochCollect): the fast set is every hot
+// slot with room ≥ 1 and left ≥ 2, and the round touches only its due
+// slots (a wheel bucket and the loose list), which become items, and the
+// cold slots. It falls back to the walk (walkCollect) when the walk could
+// reserve differently: when fastLimit is 0 (a pipelined or traced round,
+// or pending decode-ready stamps), when the running set exceeds fastLimit
+// (the budget could cut the fast set), or when the stop rule is live.
+// Entering the walk materializes every slot once; the next epoch round
+// re-places them.
 func (e *Engine) runCollect(rd *round) bool {
-	items, prefills, fastLimit := rd.items, rd.prefills, e.fastLimit()
-	var fast gpu.DecodeSum
-	stamp := e.curStamp + 1
+	fastLimit := e.fastLimit()
 	// A decode's reservation needs at most one block, so when the pool can
 	// hand every slot one, none reaches the pressure callback and the stop
 	// rule has nothing to protect.
-	stop := fastLimit > 0 && e.pool.AvailableBlocks() < len(e.lane)
+	stop := fastLimit > 0 && e.pool.AvailableBlocks() < e.roundLane()
+	if fastLimit == 0 || stop || e.RunningLen() > fastLimit {
+		e.leaveEpoch()
+		e.walkCollect(rd, fastLimit, stop)
+	} else {
+		e.epochCollect(rd)
+	}
+	if rd.fast.N > 0 {
+		rd.live = rd.fast.N
+		e.fastDecodes += rd.fast.N
+		e.pending = true
+	}
+	return true
+}
+
+// roundLane is the stop rule's count of the round's slots: the lane less
+// the dead slots the round started with. Slots removed during the round
+// still count.
+func (e *Engine) roundLane() int { return len(e.lane) - e.carried }
+
+// walkCollect is collect as one filtered walk over the lane. With a
+// fastLimit above 0 it also reserves and advances fast slots in place: a
+// fast slot is hot, its token needs no new block (room ≥ 1) and does not
+// finish its request (left ≥ 2), and only decodes among the first
+// fastLimit in lane order are taken, so the budget keeps the same decodes
+// as on the item path. Fast slots take the stamp the round will use
+// (curStamp+1, which runForm makes current), and their ctx, left and gen
+// count the in-flight token from here until finishRound begins. The stop
+// rule: fast reservation stops at the first decode that must stay an item,
+// because reserving younger slots ahead of it would let a pressure
+// callback during its reservation find them stamped, and Victim would
+// choose differently from the item path.
+func (e *Engine) walkCollect(rd *round, fastLimit int, stop bool) {
+	items, prefills := rd.items, rd.prefills
+	var fast gpu.DecodeSum
+	stamp := e.curStamp + 1
 	decodes := len(items)
 	for i := range e.lane {
 		s := &e.lane[i]
@@ -1164,34 +1504,128 @@ func (e *Engine) runCollect(rd *round) bool {
 			items = appendDecode(items, s.req, int32(i), int(s.ctx))
 			continue
 		}
-		r := s.req
-		// A non-Running state here means stalled: every stall path goes
-		// through Stall (which sets a stall state) and Unstall restores
-		// StateRunning, so the state check replaces the stalled-map lookup.
-		if r == nil || r.State() != request.StateRunning || r.Done() {
-			continue
+		if e.prefilling(s) {
+			prefills = append(prefills, int32(i))
 		}
-		if !r.InPrefill() {
-			// A decode-ready request is hot on a role that decodes and
-			// must be stalled mid-handoff on a prefill group; reaching
-			// here means a slot missed its sync or the policy's Handoff
-			// accepted a request without stalling it.
-			panic(fmt.Sprintf("engine: group %d holds cold unstalled decode-ready request %d",
-				e.groupID, r.ID))
-		}
-		if !e.role.RunsPrefill() {
-			panic(fmt.Sprintf("engine: decode group %d holds prefilling request %d",
-				e.groupID, r.ID))
-		}
-		prefills = append(prefills, int32(i))
 	}
 	rd.items, rd.prefills, rd.fast = items, prefills, fast
-	if fast.N > 0 {
-		rd.live = fast.N
-		e.fastDecodes += fast.N
-		e.pending = true
+}
+
+// epochCollect is collect on the epoch lane. It places the loose slots,
+// takes the wheel bucket of the current epoch, re-placing the slots
+// checked early, and emits the due slots' items in lane order; finishRound
+// places them again once their round has moved them. It visits the cold
+// list for the prefills, dropping the slots gone or turned hot. Then the
+// whole fast set advances by one token at once: rd.fast is
+// (|F|, Σctx+|F|), and the epoch and Σctx move on.
+func (e *Engine) epochCollect(rd *round) {
+	if !e.epochOn {
+		e.enterEpoch()
+	}
+	due := e.due[:0]
+	for _, i := range e.loose {
+		if s := &e.lane[i]; s.hot && !s.rel && !e.relate(i) {
+			due = append(due, i)
+		}
+	}
+	e.loose = e.loose[:0]
+	for n := e.wheel.take(e.epoch); n != 0; {
+		var i int32
+		n, i = e.wheel.release(n)
+		if i < 0 {
+			continue
+		}
+		if s := &e.lane[i]; s.rel && s.due == e.epoch {
+			e.unrelate(s)
+			if !e.relate(i) {
+				due = append(due, i)
+			}
+		}
+	}
+	if len(due) > 1 {
+		// A slot on loose twice (synced twice since its last placing) is
+		// due once.
+		slices.Sort(due)
+		due = slices.Compact(due)
+	}
+	items := rd.items
+	for _, i := range due {
+		items = appendDecode(items, e.lane[i].req, i, int(e.lane[i].ctx))
+	}
+	e.due = due
+	prefills, kept := rd.prefills, 0
+	for _, i := range e.cold {
+		s := &e.lane[i]
+		if s.req == nil || s.hot {
+			continue
+		}
+		e.cold[kept] = i
+		kept++
+		if e.prefilling(s) {
+			prefills = append(prefills, i)
+		}
+	}
+	e.cold = e.cold[:kept]
+	rd.items, rd.prefills = items, prefills
+	rd.fast = gpu.DecodeSum{N: e.relN, Context: e.relCtx + e.relN}
+	e.relCtx += e.relN
+	e.epoch++
+	e.epochStamp = e.curStamp + 1
+}
+
+// prefilling reports whether a cold slot's request gets a prefill chunk
+// this round: it is live, running and unstalled, and not finished.
+func (e *Engine) prefilling(s *slot) bool {
+	r := s.req
+	// A non-Running state here means stalled: every stall path goes
+	// through Stall (which sets a stall state) and Unstall restores
+	// StateRunning, so the state check replaces the stalled-map lookup.
+	if r == nil || r.State() != request.StateRunning || r.Done() {
+		return false
+	}
+	if !r.InPrefill() {
+		// A decode-ready request is hot on a role that decodes and
+		// must be stalled mid-handoff on a prefill group; reaching
+		// here means a slot missed its sync or the policy's Handoff
+		// accepted a request without stalling it.
+		panic(fmt.Sprintf("engine: group %d holds cold unstalled decode-ready request %d",
+			e.groupID, r.ID))
+	}
+	if !e.role.RunsPrefill() {
+		panic(fmt.Sprintf("engine: decode group %d holds prefilling request %d",
+			e.groupID, r.ID))
 	}
 	return true
+}
+
+// enterEpoch starts the epoch lane from materialized slots: every hot
+// slot goes on loose and every cold one on cold.
+func (e *Engine) enterEpoch() {
+	e.epochOn = true
+	for i := range e.lane {
+		s := &e.lane[i]
+		switch {
+		case s.req == nil:
+		case s.hot:
+			e.loose = append(e.loose, int32(i))
+		default:
+			e.cold = append(e.cold, int32(i))
+		}
+	}
+}
+
+// leaveEpoch materializes every relative slot and empties the epoch
+// lane's structures.
+func (e *Engine) leaveEpoch() {
+	if !e.epochOn {
+		return
+	}
+	for i := range e.lane {
+		e.unrelate(&e.lane[i])
+	}
+	e.epochOn = false
+	e.wheel.reset()
+	e.loose, e.cold = e.loose[:0], e.cold[:0]
 }
 
 // appendDecode appends one decode step, filling the new item in place:
@@ -1287,6 +1721,11 @@ func (e *Engine) runReserve(rd *round) bool {
 			e.pending = true
 			growth += it.Chunk
 		} else if !e.reserveSlow(it, &growth) {
+			if s := &e.lane[it.Lane]; e.epochOn && s.hot && !s.rel {
+				// A decode that got no KV this round is due again next
+				// round.
+				e.loose = append(e.loose, it.Lane)
+			}
 			continue
 		}
 		s := &e.lane[it.Lane]
@@ -1300,9 +1739,7 @@ func (e *Engine) runReserve(rd *round) bool {
 	if growth > 0 {
 		e.demandAdd(growth)
 	}
-	if e.dead > 0 {
-		e.compactLane()
-	}
+	e.compactIfSparse()
 	return true
 }
 
@@ -1398,9 +1835,8 @@ func (e *Engine) startRound() {
 	if e.executing || e.scheduling || e.closed || e.draining {
 		return
 	}
-	if e.dead > 0 {
-		e.compactLane()
-	}
+	e.compactIfSparse()
+	e.carried = e.dead
 	e.scheduling = true
 	defer func() { e.scheduling = false }()
 	rd := &e.rd
@@ -1466,6 +1902,8 @@ func (e *Engine) finishRound(items []batching.Item) {
 			tokens++
 			if s.left == 0 {
 				e.finishRequest(int(it.Lane), now)
+			} else if e.epochOn && !s.rel && !e.relate(it.Lane) {
+				e.loose = append(e.loose, it.Lane)
 			}
 			continue
 		}
@@ -1484,7 +1922,7 @@ func (e *Engine) finishRound(items []batching.Item) {
 		}
 		if e.role != RolePrefill && !r.InPrefill() && !r.Done() {
 			e.rt.Transition(now, r.ID, "decode", e.groupID)
-			e.syncSlot(&e.lane[it.Lane])
+			e.syncSlot(int(it.Lane))
 		}
 		if e.role == RolePrefill && !r.InPrefill() && !r.Done() {
 			// The prefill is complete but decode belongs to another
@@ -1498,9 +1936,7 @@ func (e *Engine) finishRound(items []batching.Item) {
 			e.finishRequest(int(it.Lane), now)
 		}
 	}
-	if e.dead > 0 {
-		e.compactLane()
-	}
+	e.compactIfSparse()
 	if tokens > 0 {
 		e.col.EmitTokens(now, tokens)
 	}
@@ -1581,6 +2017,7 @@ func (e *Engine) ExtractRequests() (running, waiting []*request.Request, stalled
 		panic(fmt.Sprintf("engine: extracting from executing group %d", e.groupID))
 	}
 	running, stalled = e.Running(), e.stalled
+	e.leaveEpoch()
 	e.demandAdd(-e.demandTokens)
 	for e.queue.Len() > 0 {
 		waiting = append(waiting, e.queue.Pop())

@@ -1,0 +1,182 @@
+package engine
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"kunserve/internal/batching"
+	"kunserve/internal/gpu"
+	"kunserve/internal/request"
+)
+
+// refCollect is collect as one walk over the whole lane, the way every
+// round ran before the epoch lane: it builds a round from lane, a
+// materialized copy of the engine's lane, and advances the copy's fast
+// slots in place. Rounds then began on a compacted lane, so the stop rule
+// counts the lane less the carried slots that were dead when the round
+// began. It is the oracle for epochCollect and walkCollect.
+func refCollect(e *Engine, lane []slot, carried int) (items []batching.Item, prefills []int32, fast gpu.DecodeSum) {
+	fastLimit := e.fastLimit()
+	stamp := e.curStamp + 1
+	stop := fastLimit > 0 && e.pool.AvailableBlocks() < len(lane)-carried
+	for i := range lane {
+		s := &lane[i]
+		if s.hot {
+			if fast.N+len(items) < fastLimit && s.room >= 1 && s.left >= 2 {
+				fast.N++
+				fast.Context += int(s.ctx) + 1
+				s.room--
+				s.kv++
+				s.gen++
+				s.ctx++
+				s.left--
+				s.stamp, s.fast = stamp, true
+				continue
+			}
+			if stop {
+				fastLimit = 0
+			}
+			items = append(items, batching.Item{Req: s.req, Lane: int32(i), Chunk: 1, Prefix: int(s.ctx)})
+			continue
+		}
+		r := s.req
+		if r == nil || r.State() != request.StateRunning || r.Done() {
+			continue
+		}
+		prefills = append(prefills, int32(i))
+	}
+	return items, prefills, fast
+}
+
+// oracle replaces the engine's collect stage: it runs refCollect on a
+// materialized copy of the lane, then the engine's own collect, and
+// compares the two rounds and every slot, materialized.
+type oracle struct {
+	t *testing.T
+	// carried is the number of dead slots the round began with, counted
+	// by the round's first stage.
+	carried int
+	// epoch, walk and fastWalk count epoch rounds, walk rounds and walk
+	// rounds with a nonzero fastLimit; switches counts entries into the
+	// epoch lane; due and cold count epoch rounds with due items and with
+	// prefills.
+	epoch, walk, fastWalk, switches, due, cold int
+}
+
+// begin counts the dead slots a round begins with.
+func (o *oracle) begin(e *Engine, rd *round) bool {
+	o.carried = 0
+	for i := range e.lane {
+		if e.lane[i].req == nil {
+			o.carried++
+		}
+	}
+	return true
+}
+
+func (o *oracle) collect(e *Engine, rd *round) bool {
+	o.t.Helper()
+	lane := slices.Clone(e.lane)
+	for i := range lane {
+		e.materialize(&lane[i])
+	}
+	wantItems, wantPrefills, wantFast := refCollect(e, lane, o.carried)
+	was := e.epochOn
+	e.runCollect(rd)
+	switch {
+	case e.epochOn:
+		o.epoch++
+		if !was {
+			o.switches++
+		}
+		if len(rd.items) > 0 {
+			o.due++
+		}
+		if len(rd.prefills) > 0 {
+			o.cold++
+		}
+	case e.fastLimit() > 0:
+		o.fastWalk++
+		o.walk++
+	default:
+		o.walk++
+	}
+	round := fmt.Sprintf("round %d (epoch lane %v)", e.RoundsRun(), e.epochOn)
+	if !slices.Equal(rd.items, wantItems) {
+		o.t.Fatalf("%s: items %v, walk %v", round, lanes(rd.items), lanes(wantItems))
+	}
+	if !slices.Equal(rd.prefills, wantPrefills) {
+		o.t.Fatalf("%s: prefills %v, walk %v", round, rd.prefills, wantPrefills)
+	}
+	if rd.fast != wantFast {
+		o.t.Fatalf("%s: fast %+v, walk %+v", round, rd.fast, wantFast)
+	}
+	for i := range e.lane {
+		got := e.lane[i]
+		e.materialize(&got)
+		want := lane[i]
+		// Only the epoch bookkeeping may differ.
+		got.rel, got.base, got.due = false, 0, 0
+		want.rel, want.base, want.due = false, 0, 0
+		if got != want {
+			o.t.Fatalf("%s: slot %d materializes to %+v, walk %+v", round, i, got, want)
+		}
+	}
+	return true
+}
+
+func lanes(items []batching.Item) []int32 {
+	out := make([]int32, len(items))
+	for k, it := range items {
+		out[k] = it.Lane
+	}
+	return out
+}
+
+// withOracle swaps the churn engine's collect stage for an oracle, and
+// puts the oracle's begin stage first.
+func withOracle(c *churn) *oracle {
+	o := &oracle{t: c.t}
+	i := slices.IndexFunc(c.e.stages, func(st stage) bool { return st.name == "collect" })
+	c.e.stages[i] = stage{"collect", o.collect}
+	c.e.stages = slices.Insert(c.e.stages, 0, stage{"begin", o.begin})
+	return o
+}
+
+// TestEpochLaneMatchesWalk is the epoch lane's property test. Seeded churn
+// (admissions, finishes, stalls and unstalls, adoptions, removals and
+// preemptions, many in the middle of a live round) runs under a budget
+// the running set never exceeds, on pools from tight to roomy, so pool
+// pressure turns the stop rule on and off and rounds switch between the
+// epoch lane and the walk. Every round's collect must build exactly the
+// round refCollect builds from a materialized copy of the lane — items in
+// order, prefills, fast.N and fast.Context — and leave every slot,
+// materialized, as the walk leaves it. After every operation the churn
+// model's checks run too, CheckLane among them.
+func TestEpochLaneMatchesWalk(t *testing.T) {
+	var total oracle
+	ops := 0
+	for seed := int64(1); seed <= 32; seed++ {
+		c := newChurn(t, seed, 24+rand.New(rand.NewSource(seed)).Intn(96), 64, false)
+		o := withOracle(c)
+		for n := 200 + c.rng.Intn(400); n > 0; n-- {
+			op := c.step()
+			c.check(fmt.Sprintf("seed %d op %d (%s)", seed, ops, op))
+			ops++
+		}
+		c.drainAndExtract()
+		total.epoch += o.epoch
+		total.walk += o.walk
+		total.fastWalk += o.fastWalk
+		total.switches += o.switches
+		total.due += o.due
+		total.cold += o.cold
+	}
+	if total.epoch == 0 || total.fastWalk == 0 || total.switches < 2 || total.due == 0 || total.cold == 0 {
+		t.Fatalf("%d ops: %+v; the epoch lane was never exercised against the walk", ops, total)
+	}
+	t.Logf("%d ops: %d epoch rounds (%d entries, %d with due items, %d with prefills), %d walk rounds (%d with a fast limit)",
+		ops, total.epoch, total.switches, total.due, total.cold, total.walk, total.fastWalk)
+}

@@ -1,0 +1,70 @@
+package experiments
+
+import (
+	"slices"
+	"testing"
+
+	"kunserve/internal/cluster"
+	"kunserve/internal/gpu"
+	"kunserve/internal/model"
+	"kunserve/internal/runner"
+	"kunserve/internal/sim"
+	"kunserve/internal/workload"
+	"kunserve/internal/workload/arrival"
+)
+
+// TestFleetCellRoundCounts pins the engine's round and fast-decode counts
+// on a small fleet-diurnal-shaped cell: eight instances under the scale
+// ladder's sine-diurnal trace (four cycles, amplitude 0.5), in streaming
+// mode, served by vLLM (DP) and KunServe, with KV provisioned tight enough
+// that the pools come under pressure. The pinned counts are the ones every
+// round's single walk over the lane produced: the epoch lane must take
+// exactly the tokens the walk took fast, in exactly as many rounds, group
+// by group at the horizon.
+func TestFleetCellRoundCounts(t *testing.T) {
+	const instances = 8
+	dur := 40 * sim.Second
+	proc, err := arrival.NewDiurnal(4.1224*instances, 0.5, dur/4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := workload.GenerateProcess(7, dur, proc, workload.BurstGPTDataset())
+	want := map[System]struct{ fast, rounds []int }{
+		SysVLLMDP: {
+			fast:   []int{36463, 42756, 34242, 45326, 39118, 46863, 41554, 35472},
+			rounds: []int{4298, 4004, 4403, 4063, 4415, 4056, 3686, 3320},
+		},
+		SysKunServe: {
+			fast:   []int{22116, 19122, 10865, 9263, 7516, 8867, 9669, 8235},
+			rounds: []int{2175, 1631, 1863, 1757, 2435, 1927, 2190, 1775},
+		},
+	}
+	for sys, w := range want {
+		res := runner.Run(runner.Cell{
+			Key: string(sys),
+			Cluster: cluster.Config{
+				Seed:             7,
+				Model:            model.Qwen25_14B(),
+				GPU:              gpu.A800(),
+				Instances:        instances,
+				NetBandwidth:     200e9 / 8,
+				KVProvisionBytes: 3e9,
+				MetricsReservoir: runner.DefaultReservoir,
+			},
+			NewPolicy: func() cluster.Policy { return NewPolicy(sys) },
+			Trace:     tr,
+			Horizon:   tr.Duration().Add(60 * sim.Second),
+		})
+		if res.Err != nil {
+			t.Fatalf("%s: %v", sys, res.Err)
+		}
+		var fast, rounds []int
+		for _, g := range res.Cluster.Groups() {
+			fast = append(fast, g.FastDecodes())
+			rounds = append(rounds, g.RoundsRun())
+		}
+		if !slices.Equal(fast, w.fast) || !slices.Equal(rounds, w.rounds) {
+			t.Errorf("%s: fast decodes %v, rounds %v per group; want %#v, %#v", sys, fast, rounds, w.fast, w.rounds)
+		}
+	}
+}

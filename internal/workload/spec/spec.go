@@ -32,6 +32,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -198,15 +199,26 @@ func Load(path string) (*Spec, error) {
 	return s, nil
 }
 
+// finite reports whether v is neither NaN nor infinite. JSON cannot spell
+// either, but a Spec built in Go can hold them, and NaN passes every
+// ordered comparison's negation (NaN <= 0 is false).
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // Validate checks the spec for structural errors.
 func (s *Spec) Validate() error {
-	if s.DurationS <= 0 {
-		return fmt.Errorf("spec: duration_s must be positive, got %v", s.DurationS)
+	if _, err := workload.DurationSeconds(s.DurationS); err != nil {
+		return fmt.Errorf("spec: duration_s: %w", err)
+	}
+	if !finite(s.TotalRPS) {
+		return fmt.Errorf("spec: total_rps must be finite, got %v", s.TotalRPS)
 	}
 	if len(s.Clients) == 0 {
 		return fmt.Errorf("spec: no clients")
 	}
 	for name, c := range s.SLOClasses {
+		if !finite(c.TTFTS) || !finite(c.TBTMS) {
+			return fmt.Errorf("spec: slo class %q: non-finite target", name)
+		}
 		if c.TTFTS < 0 || c.TBTMS < 0 {
 			return fmt.Errorf("spec: slo class %q: negative target", name)
 		}
@@ -237,14 +249,14 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("spec: client %q: negative shared_prefix", name)
 		}
 		if c.TraceFile != "" {
-			if c.Upscale < 0 {
-				return fmt.Errorf("spec: client %q: negative upscale", name)
+			if !finite(c.Upscale) || c.Upscale < 0 {
+				return fmt.Errorf("spec: client %q: upscale must be finite and non-negative, got %v", name, c.Upscale)
 			}
 			continue
 		}
 		generated = true
-		if c.RateFraction <= 0 {
-			return fmt.Errorf("spec: client %q: rate_fraction must be positive, got %v", name, c.RateFraction)
+		if !finite(c.RateFraction) || c.RateFraction <= 0 {
+			return fmt.Errorf("spec: client %q: rate_fraction must be finite and positive, got %v", name, c.RateFraction)
 		}
 		if c.Dataset == "" && (c.Input == nil || c.Output == nil) {
 			return fmt.Errorf("spec: client %q: need dataset or input+output distributions", name)
@@ -324,10 +336,13 @@ func (c Client) lengths() (workload.Dataset, error) {
 	return ds, nil
 }
 
-// Compile generates every client's trace and merges them into one
-// time-ordered trace. Deterministic: the same spec and seed always yield
-// the same trace.
+// Compile validates the spec, then generates every client's trace and
+// merges them into one time-ordered trace. Deterministic: the same spec
+// and seed always yield the same trace.
 func (s *Spec) Compile() (*workload.Trace, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
 	duration := sim.DurationFromSeconds(s.DurationS)
 	var parts []*workload.Trace
 	for i, c := range s.Clients {

@@ -473,3 +473,57 @@ func TestSharedPrefixCSVRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// Durations past sim.Time's range and non-finite numbers are rejected, not
+// compiled: an overflowed duration made the trace silently empty, and NaN
+// passes every "must be positive" check written as v <= 0. JSON cannot
+// spell NaN or Inf, so those cases build the Spec in Go; both Validate and
+// Compile must refuse them.
+func TestValidateRejectsOutOfRange(t *testing.T) {
+	valid := func() *Spec {
+		return &Spec{
+			DurationS: 10,
+			TotalRPS:  1,
+			Clients:   []Client{{Name: "a", RateFraction: 1, Dataset: "burstgpt"}},
+		}
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := map[string]func(s *Spec){
+		"duration past sim.Time": func(s *Spec) { s.DurationS = 1e10 },
+		"duration NaN":           func(s *Spec) { s.DurationS = nan },
+		"duration Inf":           func(s *Spec) { s.DurationS = inf },
+		"total_rps NaN":          func(s *Spec) { s.TotalRPS = nan },
+		"total_rps Inf":          func(s *Spec) { s.TotalRPS = inf },
+		"rate_fraction NaN":      func(s *Spec) { s.Clients[0].RateFraction = nan },
+		"rate_fraction Inf":      func(s *Spec) { s.Clients[0].RateFraction = inf },
+		"upscale NaN": func(s *Spec) {
+			s.Clients[0] = Client{Name: "a", TraceFile: "x.csv", Upscale: nan}
+		},
+		"ttft NaN": func(s *Spec) { s.SLOClasses = map[string]SLOClass{"x": {TTFTS: nan}} },
+		"tbt Inf":  func(s *Spec) { s.SLOClasses = map[string]SLOClass{"x": {TBTMS: inf}} },
+	}
+	if err := valid().Validate(); err != nil {
+		t.Fatalf("base spec: %v", err)
+	}
+	for label, mutate := range cases {
+		s := valid()
+		mutate(s)
+		if err := s.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted", label)
+		}
+		if tr, err := s.Compile(); err == nil {
+			t.Errorf("%s: Compile accepted (%d requests)", label, len(tr.Requests))
+		}
+	}
+	// The JSON path: the largest duration a sim.Time holds passes, one
+	// past it does not.
+	for _, c := range []struct {
+		dur string
+		ok  bool
+	}{{"1e9", true}, {"9223372036", true}, {"9223372037", false}, {"1e10", false}} {
+		js := `{"duration_s": ` + c.dur + `, "total_rps": 1e-6, "clients": [{"name": "a", "rate_fraction": 1, "dataset": "burstgpt"}]}`
+		if _, err := Parse(strings.NewReader(js)); (err == nil) != c.ok {
+			t.Errorf("duration_s %s: Parse error %v, want ok %v", c.dur, err, c.ok)
+		}
+	}
+}

@@ -432,9 +432,20 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// maxArrivalSeconds is the latest arrival ReadCSV accepts: the whole
-// seconds a sim.Time can hold.
-const maxArrivalSeconds = float64(math.MaxInt64 / int64(sim.Second))
+// MaxArrivalSeconds is the latest arrival, and the longest trace duration,
+// in seconds: the whole seconds a sim.Time can hold. ReadCSV rejects later
+// arrivals and DurationSeconds longer durations.
+const MaxArrivalSeconds = float64(math.MaxInt64 / int64(sim.Second))
+
+// DurationSeconds converts a trace duration in seconds, rejecting one that
+// is not positive, not finite, or past MaxArrivalSeconds: converted, it
+// would overflow sim.Time, and the trace would silently come out empty.
+func DurationSeconds(s float64) (sim.Duration, error) {
+	if !(s > 0 && s <= MaxArrivalSeconds) {
+		return 0, fmt.Errorf("workload: duration %v s is outside (0, %v] s", s, MaxArrivalSeconds)
+	}
+	return sim.DurationFromSeconds(s), nil
+}
 
 // ReadCSV parses a trace written by WriteCSV, accepting the legacy
 // four-column, the tagged six-column, and the shared-prefix seven-column
@@ -473,8 +484,8 @@ func ReadCSV(name string, r io.Reader) (*Trace, error) {
 			return nil, fmt.Errorf("workload: row %d: arrival %v is not finite", i+1, at)
 		case at < 0:
 			return nil, fmt.Errorf("workload: row %d: negative arrival %v", i+1, at)
-		case at > maxArrivalSeconds:
-			return nil, fmt.Errorf("workload: row %d: arrival %v s exceeds %v s", i+1, at, maxArrivalSeconds)
+		case at > MaxArrivalSeconds:
+			return nil, fmt.Errorf("workload: row %d: arrival %v s exceeds %v s", i+1, at, MaxArrivalSeconds)
 		case in < 1 || out < 1:
 			return nil, fmt.Errorf("workload: row %d: lengths %d/%d, want >= 1", i+1, in, out)
 		}

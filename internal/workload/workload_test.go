@@ -476,3 +476,28 @@ func TestPropertyGeneratedLengthsInBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// DurationSeconds accepts exactly the durations a sim.Time can hold.
+func TestDurationSeconds(t *testing.T) {
+	for _, c := range []struct {
+		s  float64
+		ok bool
+	}{
+		{128, true},
+		{MaxArrivalSeconds, true},
+		{1e-9, true},
+		{0, false},
+		{-1, false},
+		{1e10, false},
+		{math.NaN(), false},
+		{math.Inf(1), false},
+	} {
+		d, err := DurationSeconds(c.s)
+		if (err == nil) != c.ok {
+			t.Errorf("DurationSeconds(%v): %v, %v; want ok %v", c.s, d, err, c.ok)
+		}
+		if err == nil && d <= 0 {
+			t.Errorf("DurationSeconds(%v) = %v", c.s, d)
+		}
+	}
+}
