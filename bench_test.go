@@ -506,7 +506,7 @@ func BenchmarkLookaheadFormulation(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := f.Form(&s, items, 4); len(got) == 0 {
+		if got := f.Form(&s, nil, items, 4); len(got) == 0 {
 			b.Fatal("no microbatches")
 		}
 	}
@@ -522,7 +522,7 @@ func BenchmarkTokenCountFormulation(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := batching.SplitByTokenCount(&s, items, 8); len(got) == 0 {
+		if got := batching.SplitByTokenCount(&s, nil, items, 8); len(got) == 0 {
 			b.Fatal("no microbatches")
 		}
 	}
@@ -650,11 +650,43 @@ func BenchmarkPreemptReadmit(b *testing.B) {
 // old one outside the timer, so contexts never grow into memory pressure.
 func BenchmarkSteadyDecode(b *testing.B) {
 	for _, reqs := range []int{8, 25, 128} {
-		b.Run(fmt.Sprintf("reqs=%d", reqs), func(b *testing.B) { steadyDecode(b, reqs) })
+		b.Run(fmt.Sprintf("reqs=%d", reqs), func(b *testing.B) { steadyDecode(b, baselines.VLLMDP{}, 1, reqs) })
 	}
 }
 
-func steadyDecode(b *testing.B, reqs int) {
+// BenchmarkSteadyDecodePipelined is BenchmarkSteadyDecode on one two-stage
+// group, vLLM (PP)'s pair of half-model instances, under the token-count
+// and the lookahead former: ns/token adds microbatch formation and the
+// stage-to-stage activation hand-offs to the steady decode token's cost.
+func BenchmarkSteadyDecodePipelined(b *testing.B) {
+	cm, err := costmodel.FitFromTimer(gpu.NewTimer(gpu.A800(), model.Qwen25_14B(), 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, p := range []struct {
+		name string
+		pol  cluster.Policy
+	}{
+		{"token-count", baselines.VLLMPP()},
+		{"lookahead", lookaheadPP{baselines.VLLMPP(), &lookahead.Former{Model: cm}}},
+	} {
+		for _, reqs := range []int{8, 25, 128} {
+			b.Run(fmt.Sprintf("%s/reqs=%d", p.name, reqs), func(b *testing.B) { steadyDecode(b, p.pol, 2, reqs) })
+		}
+	}
+}
+
+// lookaheadPP is vLLM (PP) with KunServe's lookahead former.
+type lookaheadPP struct {
+	baselines.StaticPP
+	former cluster.Former
+}
+
+func (p lookaheadPP) Former() cluster.Former { return p.former }
+
+// steadyDecode runs BenchmarkSteadyDecode's measurement on a cluster of
+// instances serving one group under pol.
+func steadyDecode(b *testing.B, pol cluster.Policy, instances, reqs int) {
 	episode := 50000 / reqs
 	var cl *cluster.Cluster
 	var g *cluster.Group
@@ -664,12 +696,15 @@ func steadyDecode(b *testing.B, reqs int) {
 			Seed:          1,
 			Model:         model.Qwen25_14B(),
 			GPU:           gpu.A800(),
-			Instances:     1,
-			Policy:        baselines.VLLMDP{},
+			Instances:     instances,
+			Policy:        pol,
 			MetricsWindow: 10000 * sim.Second,
 		})
 		if err != nil {
 			b.Fatal(err)
+		}
+		if len(cl.Groups()) != 1 {
+			b.Fatalf("%d groups, want one", len(cl.Groups()))
 		}
 		for i := 0; i < reqs; i++ {
 			if err := cl.Dispatch(request.New(i, 0, 64, 1<<30)); err != nil {

@@ -58,6 +58,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"strings"
@@ -157,6 +158,12 @@ func main() {
 		}
 		cfg.Dataset = ds
 	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkCounts(*instances, set["instances"], *parallel); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	if *instances > 0 {
 		cfg.Instances = *instances
 	}
@@ -169,8 +176,11 @@ func main() {
 	} else if d > 0 {
 		cfg.Duration = d
 	}
-	if *load > 0 {
-		cfg.LoadMultiplier = *load
+	if l, err := loadOverride(*load, set["load"]); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	} else if l > 0 {
+		cfg.LoadMultiplier = l
 	}
 	cfg.Parallel = *parallel
 	cfg.Stream = *stream
@@ -182,8 +192,6 @@ func main() {
 		// The scale sweep targets cluster scale by default: 512 instances
 		// over an hour-class trace, streaming forced on. Explicit
 		// -instances/-duration still win.
-		set := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 		if !set["instances"] {
 			cfg.Instances = 512
 		}
@@ -295,6 +303,33 @@ func durationOverride(s float64) (sim.Duration, error) {
 		return 0, fmt.Errorf("-duration: %w", err)
 	}
 	return d, nil
+}
+
+// loadOverride converts -load: unset keeps the experiment's load; a set
+// value must be a positive, finite multiplier (an infinite one generated
+// arrivals until memory ran out, and a non-positive or NaN one silently
+// ran the default load).
+func loadOverride(v float64, set bool) (float64, error) {
+	if !set {
+		return 0, nil
+	}
+	if !(v > 0) || math.IsInf(v, 1) {
+		return 0, fmt.Errorf("-load must be a positive, finite multiplier, got %v", v)
+	}
+	return v, nil
+}
+
+// checkCounts rejects a negative -instances, an explicit -instances 0
+// (both silently ran the default count, and on -exp scale a 0 shrank the
+// ladder), and a negative -parallel.
+func checkCounts(instances int, instancesSet bool, parallel int) error {
+	if instances < 0 || instancesSet && instances == 0 {
+		return fmt.Errorf("-instances must be positive, got %d", instances)
+	}
+	if parallel < 0 {
+		return fmt.Errorf("-parallel must be 0 (GOMAXPROCS) or positive, got %d", parallel)
+	}
+	return nil
 }
 
 func runSweep(key string, values []float64, cfg experiments.Config, jsonOut bool) error {

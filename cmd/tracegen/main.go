@@ -30,6 +30,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"kunserve/internal/sim"
@@ -70,6 +71,11 @@ func main() {
 		})
 	}
 
+	if *specFile == "" {
+		if err := checkUpscale(*upscale); err != nil {
+			fatal(err)
+		}
+	}
 	tr, err := buildTrace(*specFile, *dataset, *schedule, *arrivalF,
 		*duration, *rps, *cv, *shape, *amplitude, *period, *seed)
 	if err != nil {
@@ -123,6 +129,12 @@ func buildTrace(specFile, dataset, schedule, arrivalName string,
 		return workload.GenerateProcess(seed, d, proc, ds), nil
 	}
 
+	// The schedules scale -rps without the arrival constructors' checks:
+	// a NaN or infinite rate never stops generating, and a non-positive
+	// one wrote an empty trace.
+	if !(rps > 0) || math.IsInf(rps, 1) {
+		return nil, fmt.Errorf("-rps must be positive and finite, got %v", rps)
+	}
 	var sched []workload.RateSegment
 	switch schedule {
 	case "burst":
@@ -163,6 +175,16 @@ func buildProcess(name string, rps, cv, shape, amplitude, period float64,
 		return nil, fmt.Errorf("-arrival %s: %w", name, err)
 	}
 	return proc, nil
+}
+
+// checkUpscale rejects an -upscale that is not a positive, finite factor:
+// NaN and infinite factors wrote an empty trace, and 0 or a negative one
+// panicked.
+func checkUpscale(v float64) error {
+	if !(v > 0) || math.IsInf(v, 1) {
+		return fmt.Errorf("-upscale must be positive and finite, got %v", v)
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -44,12 +44,12 @@ func main() {
 	// Each result lives in its own scratch: a Split's microbatches are
 	// valid only until its next formation.
 	var laSplit, tcSplit batching.Split
-	la := f.Form(&laSplit, items, 2)
-	tc := batching.SplitByTokenCount(&tcSplit, items, 4)
-	report := func(name string, mbs [][]batching.Item) {
+	la := f.Form(&laSplit, nil, items, 2)
+	tc := batching.SplitByTokenCount(&tcSplit, nil, items, 4)
+	report := func(name string, mbs []batching.Microbatch) {
 		fmt.Printf("%s microbatch times:", name)
 		for _, mb := range mbs {
-			fmt.Printf(" %.0fms", timer.MicrobatchTime(batching.ToChunkWork(mb)).Seconds()*1000)
+			fmt.Printf(" %.0fms", timer.Time(batching.ToChunkWork(mb.Items), mb.Dec).Seconds()*1000)
 		}
 		fmt.Println()
 	}

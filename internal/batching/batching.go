@@ -3,6 +3,8 @@
 // — plus the token-count-based microbatch splitting that state-of-the-art
 // pipeline implementations use (and whose imbalance Figure 9 criticizes;
 // the KunServe lookahead former in internal/core/lookahead is the fix).
+// Formers take a round's decode steps as a compact sequence (Decode) and
+// return Microbatches whose steady decodes ride an aggregate term.
 package batching
 
 import (
@@ -58,6 +60,63 @@ func TotalTokens(items []Item) int {
 	}
 	return n
 }
+
+// Decode is one step of a round's decode sequence, the round's decode
+// steps in lane order: the context length of a fast decode, which a
+// microbatch prices in its aggregate Microbatch.Dec term with no Item, or
+// its bitwise complement for a decode that is an Item. A former takes the
+// sequence ahead of the round's items, whose first entries are the item
+// decodes in sequence order, one per complemented step; the items past
+// them (prefill chunks) follow the whole decode run.
+type Decode int32
+
+// FastDecode is a fast decode step over ctx tokens of context.
+func FastDecode(ctx int) Decode { return Decode(ctx) }
+
+// ItemDecode is a decode step over ctx tokens of context that is an Item.
+func ItemDecode(ctx int) Decode { return ^Decode(ctx) }
+
+// IsItem reports whether the step is an Item.
+func (d Decode) IsItem() bool { return d < 0 }
+
+// Ctx returns the step's context length.
+func (d Decode) Ctx() int {
+	if d < 0 {
+		return int(^d)
+	}
+	return int(d)
+}
+
+// SumDecodes sums a decode run's fast steps and counts its item steps.
+func SumDecodes(dec []Decode) (fast gpu.DecodeSum, items int) {
+	ctx := 0
+	for _, d := range dec {
+		m := int(d >> 31) // −1 for an item step, 0 for a fast one
+		items -= m
+		ctx += (int(d) + 1) &^ m
+	}
+	return gpu.DecodeSum{N: len(dec) - items, Context: ctx}, items
+}
+
+// ItemDecodes counts a decode run's item steps.
+func ItemDecodes(dec []Decode) int {
+	n := 0
+	for _, d := range dec {
+		n += int(uint32(d) >> 31)
+	}
+	return n
+}
+
+// Microbatch is one pipeline microbatch: Items, each priced as its own
+// chunk, and Dec, fast decode steps priced as one aggregate term (see
+// gpu.Timer.Time).
+type Microbatch struct {
+	Items []Item
+	Dec   gpu.DecodeSum
+}
+
+// Tokens returns the new tokens the microbatch contributes.
+func (mb Microbatch) Tokens() int { return TotalTokens(mb.Items) + mb.Dec.N }
 
 // Budget bounds one iteration's batch.
 type Budget struct {
@@ -153,9 +212,16 @@ func (p *Packer) Prefill(rem int) (chunk int, ok bool) {
 // value is ready to use; once its buffers have grown to a workload's batch
 // sizes, formation allocates nothing.
 type Split struct {
-	buf  []Item
-	mbs  [][]Item
-	ends []int
+	buf   []Item
+	mbs   []Microbatch
+	ends  []mbEnd
+	costs []float64
+}
+
+// mbEnd is where a microbatch ends in Split.buf, and its fast decodes.
+type mbEnd struct {
+	end int
+	dec gpu.DecodeSum
 }
 
 // Reset empties the scratch for a new formation, keeping its capacity.
@@ -164,19 +230,30 @@ func (s *Split) Reset() {
 	s.buf, s.mbs, s.ends = s.buf[:0], s.mbs[:0], s.ends[:0]
 }
 
-// Whole resets s and returns items as the only microbatch, or nil when
-// items is empty: the unsplit result formers give single-stage groups.
-func (s *Split) Whole(items []Item) [][]Item {
+// Whole resets s and returns the batch as the only microbatch, or nil when
+// it holds no work: the unsplit result formers give single-stage groups.
+func (s *Split) Whole(dec []Decode, items []Item) []Microbatch {
 	s.Reset()
-	if len(items) == 0 {
+	fast, _ := SumDecodes(dec)
+	if len(items) == 0 && fast.N == 0 {
 		return nil
 	}
-	return s.Emit(items)
+	return s.Emit(Microbatch{Items: items, Dec: fast})
+}
+
+// Costs returns n float slots of scratch, valid until the next Costs call
+// on s: room for a former's per-step costs.
+func (s *Split) Costs(n int) []float64 {
+	if cap(s.costs) < n {
+		s.costs = make([]float64, n)
+	}
+	s.costs = s.costs[:n]
+	return s.costs
 }
 
 // Emit appends mb as the next microbatch and returns all microbatches
 // formed since the last Reset.
-func (s *Split) Emit(mb []Item) [][]Item {
+func (s *Split) Emit(mb Microbatch) []Microbatch {
 	s.mbs = append(s.mbs, mb)
 	return s.mbs
 }
@@ -195,28 +272,49 @@ func (s *Split) Join(a []Item, it Item, b []Item) []Item {
 // SplitByTokenCount partitions a batch into at most m microbatches with
 // near-equal token counts, preserving request order and chunking prefill
 // items across the boundary when needed — the state-of-the-art
-// token-count-based formulation (Figure 9 (a)/(b)). Decode items are never
-// split (they are single tokens). The microbatches are formed into s (see
-// Split).
-func SplitByTokenCount(s *Split, items []Item, m int) [][]Item {
+// token-count-based formulation (Figure 9 (a)/(b)). The batch is the
+// decode sequence dec followed by the items past its item decodes (see
+// Decode). Decode steps are single tokens and never split, so the decode
+// run is cut at counts: each side's fast decodes are summed into its
+// Microbatch.Dec and its item decodes copied, with no per-token item. The
+// microbatches are formed into s (see Split).
+func SplitByTokenCount(s *Split, dec []Decode, items []Item, m int) []Microbatch {
 	if m <= 0 {
 		panic(fmt.Sprintf("batching: split into %d microbatches", m))
 	}
-	total := TotalTokens(items)
+	nd := ItemDecodes(dec)
+	total := len(dec) + TotalTokens(items[nd:])
 	if total == 0 || m == 1 {
-		return s.Whole(items)
+		return s.Whole(dec, items)
 	}
 	s.Reset()
 	target := (total + m - 1) / m
 	// The microbatches are consecutive runs of s.buf; s.ends records where
-	// each one ends, and the headers are cut once the buffer stops growing.
+	// each one ends and its fast decodes, and the headers are cut once the
+	// buffer stops growing.
 	start, curTokens := 0, 0
+	var cur gpu.DecodeSum
 	cut := func() {
-		if n := len(s.buf); n > start {
-			s.ends = append(s.ends, n)
+		if n := len(s.buf); n > start || cur.N > 0 {
+			s.ends = append(s.ends, mbEnd{end: n, dec: cur})
 			start = n
 		}
-		curTokens = 0
+		curTokens, cur = 0, gpu.DecodeSum{}
+	}
+	for a := 0; a < len(dec); {
+		space := target - curTokens
+		if space <= 0 {
+			cut()
+			space = target
+		}
+		b := min(a+space, len(dec))
+		run, k := SumDecodes(dec[a:b])
+		cur.N += run.N
+		cur.Context += run.Context
+		s.buf = append(s.buf, items[:k]...)
+		items = items[k:]
+		curTokens += b - a
+		a = b
 	}
 	for _, it := range items {
 		remaining := it
@@ -244,15 +342,20 @@ func SplitByTokenCount(s *Split, items []Item, m int) [][]Item {
 	cut()
 	// Never exceed m microbatches: merge the tail if chunk-splitting
 	// produced an extra one (the runs are adjacent, so dropping the last
-	// interior cut is the merge).
+	// interior cuts and summing their decodes is the merge).
 	if len(s.ends) > m {
-		s.ends[m-1] = s.ends[len(s.ends)-1]
+		last := &s.ends[m-1]
+		for _, e := range s.ends[m:] {
+			last.end = e.end
+			last.dec.N += e.dec.N
+			last.dec.Context += e.dec.Context
+		}
 		s.ends = s.ends[:m]
 	}
 	start = 0
-	for _, end := range s.ends {
-		s.mbs = append(s.mbs, s.buf[start:end:end])
-		start = end
+	for _, e := range s.ends {
+		s.mbs = append(s.mbs, Microbatch{Items: s.buf[start:e.end:e.end], Dec: e.dec})
+		start = e.end
 	}
 	return s.mbs
 }

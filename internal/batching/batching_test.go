@@ -1,9 +1,11 @@
 package batching
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"kunserve/internal/gpu"
 	"kunserve/internal/request"
 )
 
@@ -112,12 +114,12 @@ func TestSplitByTokenCountEven(t *testing.T) {
 		{Req: prefillReq(1, 400), IsPrefill: true, Chunk: 400},
 		{Req: prefillReq(2, 400), IsPrefill: true, Chunk: 400},
 	}
-	mbs := SplitByTokenCount(&Split{}, items, 2)
+	mbs := SplitByTokenCount(&Split{}, nil, items, 2)
 	if len(mbs) != 2 {
 		t.Fatalf("microbatches = %d", len(mbs))
 	}
-	if TotalTokens(mbs[0]) != 400 || TotalTokens(mbs[1]) != 400 {
-		t.Fatalf("token split = %d/%d", TotalTokens(mbs[0]), TotalTokens(mbs[1]))
+	if mbs[0].Tokens() != 400 || mbs[1].Tokens() != 400 {
+		t.Fatalf("token split = %d/%d", mbs[0].Tokens(), mbs[1].Tokens())
 	}
 }
 
@@ -125,44 +127,60 @@ func TestSplitByTokenCountChunksAcrossBoundary(t *testing.T) {
 	// One 1000-token prefill into 4 microbatches: must be chunked with
 	// increasing prefixes.
 	items := []Item{{Req: prefillReq(1, 1000), IsPrefill: true, Chunk: 1000}}
-	mbs := SplitByTokenCount(&Split{}, items, 4)
+	mbs := SplitByTokenCount(&Split{}, nil, items, 4)
 	if len(mbs) != 4 {
 		t.Fatalf("microbatches = %d", len(mbs))
 	}
 	wantPrefix := 0
 	total := 0
 	for i, mb := range mbs {
-		if len(mb) != 1 {
-			t.Fatalf("microbatch %d has %d items", i, len(mb))
+		if len(mb.Items) != 1 || mb.Dec.N != 0 {
+			t.Fatalf("microbatch %d has %d items and %d decodes", i, len(mb.Items), mb.Dec.N)
 		}
-		if mb[0].Prefix != wantPrefix {
-			t.Fatalf("microbatch %d prefix = %d, want %d", i, mb[0].Prefix, wantPrefix)
+		it := mb.Items[0]
+		if it.Prefix != wantPrefix {
+			t.Fatalf("microbatch %d prefix = %d, want %d", i, it.Prefix, wantPrefix)
 		}
-		wantPrefix += mb[0].Chunk
-		total += mb[0].Chunk
+		wantPrefix += it.Chunk
+		total += it.Chunk
 	}
 	if total != 1000 {
 		t.Fatalf("chunks sum to %d", total)
 	}
 }
 
+// Seven decode steps, two of them items, cut at counts into three
+// microbatches of three, three and one step; the fast steps ride each
+// microbatch's aggregate term.
 func TestSplitByTokenCountDecodeNeverSplit(t *testing.T) {
+	var dec []Decode
 	var items []Item
 	for i := 0; i < 7; i++ {
-		items = append(items, Item{Req: decodeReq(i, 50), Chunk: 1, Prefix: 50})
-	}
-	mbs := SplitByTokenCount(&Split{}, items, 3)
-	total := 0
-	for _, mb := range mbs {
-		for _, it := range mb {
-			if it.Chunk != 1 {
-				t.Fatal("decode item was split")
-			}
-			total++
+		if i == 1 || i == 5 {
+			dec = append(dec, ItemDecode(50+i))
+			items = append(items, Item{Req: decodeReq(i, 50+i), Chunk: 1, Prefix: 50 + i})
+		} else {
+			dec = append(dec, FastDecode(50+i))
 		}
 	}
+	mbs := SplitByTokenCount(&Split{}, dec, items, 3)
+	want := []Microbatch{
+		{Items: items[:1], Dec: gpu.DecodeSum{N: 2, Context: 51 + 53}},
+		{Items: items[1:], Dec: gpu.DecodeSum{N: 2, Context: 54 + 55}},
+		{Dec: gpu.DecodeSum{N: 1, Context: 57}},
+	}
+	if len(mbs) != len(want) {
+		t.Fatalf("microbatches = %d, want %d", len(mbs), len(want))
+	}
+	total := 0
+	for i, mb := range mbs {
+		if mb.Dec != want[i].Dec || !slices.Equal(mb.Items, want[i].Items) {
+			t.Fatalf("microbatch %d = %+v, want %+v", i, mb, want[i])
+		}
+		total += mb.Tokens()
+	}
 	if total != 7 {
-		t.Fatalf("items lost: %d", total)
+		t.Fatalf("decodes lost: %d", total)
 	}
 	if len(mbs) > 3 {
 		t.Fatalf("microbatches = %d > 3", len(mbs))
@@ -170,12 +188,12 @@ func TestSplitByTokenCountDecodeNeverSplit(t *testing.T) {
 }
 
 func TestSplitEdgeCases(t *testing.T) {
-	if got := SplitByTokenCount(&Split{}, nil, 4); got != nil {
+	if got := SplitByTokenCount(&Split{}, nil, nil, 4); got != nil {
 		t.Fatal("empty split")
 	}
 	items := []Item{{Req: prefillReq(1, 100), IsPrefill: true, Chunk: 100}}
-	one := SplitByTokenCount(&Split{}, items, 1)
-	if len(one) != 1 || TotalTokens(one[0]) != 100 {
+	one := SplitByTokenCount(&Split{}, nil, items, 1)
+	if len(one) != 1 || one[0].Tokens() != 100 {
 		t.Fatal("m=1 should be identity")
 	}
 	func() {
@@ -184,7 +202,7 @@ func TestSplitEdgeCases(t *testing.T) {
 				t.Error("m=0 did not panic")
 			}
 		}()
-		SplitByTokenCount(&Split{}, items, 0)
+		SplitByTokenCount(&Split{}, nil, items, 0)
 	}()
 }
 
@@ -201,14 +219,14 @@ func TestPropertySplitConservation(t *testing.T) {
 			})
 		}
 		before := TotalTokens(items)
-		mbs := SplitByTokenCount(&Split{}, items, m)
+		mbs := SplitByTokenCount(&Split{}, nil, items, m)
 		if len(mbs) > m {
 			return false
 		}
 		after := 0
 		prefixes := map[*request.Request]int{}
 		for _, mb := range mbs {
-			for _, it := range mb {
+			for _, it := range mb.Items {
 				after += it.Chunk
 				if want, seen := prefixes[it.Req]; seen && it.Prefix != want {
 					return false

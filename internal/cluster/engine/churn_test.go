@@ -8,10 +8,13 @@ import (
 	"testing"
 
 	"kunserve/internal/batching"
+	"kunserve/internal/core/lookahead"
+	"kunserve/internal/costmodel"
 	"kunserve/internal/gpu"
 	"kunserve/internal/kvcache"
 	"kunserve/internal/metrics"
 	"kunserve/internal/model"
+	"kunserve/internal/network"
 	"kunserve/internal/obs"
 	"kunserve/internal/pipeline"
 	"kunserve/internal/request"
@@ -68,7 +71,15 @@ type churn struct {
 	// of its round, and retakes unstalls that put one back (coverage only;
 	// the model never reads them).
 	dropsInFlight, retakes int
+	// cut counts rounds whose budget cut the decodes short, formed
+	// pipelined rounds checked by checkForm, and unreserved the item
+	// decodes reservation took out of a pipelined round's decode sequence
+	// (coverage only).
+	cut, formed, unreserved int
 }
+
+// former forms a two-stage churn engine's microbatches.
+type former func(s *batching.Split, dec []batching.Decode, items []batching.Item, stages int) []batching.Microbatch
 
 // discard is a tracer that drops every event: tracing selects the engine's
 // item path.
@@ -77,6 +88,14 @@ type discard struct{}
 func (discard) Emit(obs.Event) {}
 
 func newChurn(t *testing.T, seed int64, blocks, budget int, traced bool) *churn {
+	return newPipelinedChurn(t, seed, blocks, budget, traced, nil)
+}
+
+// newPipelinedChurn is newChurn on a two-stage pipeline whose microbatches
+// form formed, or on one stage when form is nil. Every pipelined round's
+// microbatches are checked against form over the round expanded to one
+// item per decode step (checkForm).
+func newPipelinedChurn(t *testing.T, seed int64, blocks, budget int, traced bool, form former) *churn {
 	c := &churn{
 		t:        t,
 		rng:      rand.New(rand.NewSource(seed)),
@@ -93,20 +112,37 @@ func newChurn(t *testing.T, seed int64, blocks, budget int, traced bool) *churn 
 	if traced {
 		tr = discard{}
 	}
-	ps := &pipeline.Stage{Timer: gpu.NewTimer(gpu.A800(), model.Qwen25_14B(), 1)}
+	cfg := model.Qwen25_14B()
+	stages := []*pipeline.Stage{{Timer: gpu.NewTimer(gpu.A800(), cfg, 1)}}
+	var formFn former
+	if form != nil {
+		half := cfg.Partial(cfg.Layers / 2)
+		stages = nil
+		for i := 0; i < 2; i++ {
+			stages = append(stages, &pipeline.Stage{InstanceID: i,
+				Timer:  gpu.NewTimer(gpu.A800(), half, 1),
+				Egress: network.NewLink(c.simu, "egress", network.RDMA200, network.DefaultLatency)})
+		}
+		formFn = func(s *batching.Split, dec []batching.Decode, items []batching.Item, n int) []batching.Microbatch {
+			got := form(s, dec, items, n)
+			c.checkForm(form, stages[0].Timer, dec, items, n, got)
+			return got
+		}
+	}
 	c.e = New(Options{
 		Sim:        c.simu,
 		Pool:       c.pool,
-		Pipeline:   pipeline.New(c.simu, []*pipeline.Stage{ps}, 1),
+		Pipeline:   pipeline.New(c.simu, stages, 1),
 		Queue:      sched.NewFCFS(),
 		Collector:  c.col,
 		Budget:     batching.Budget{MaxTokens: budget},
-		Depth:      1,
+		Depth:      len(stages),
 		RetryDelay: sim.Millisecond,
 		Tracer:     tr,
 		Callbacks: Callbacks{
 			BeforeAdmit:    func() {},
 			HandlePressure: c.pressure,
+			Form:           formFn,
 			Finished: func(r *request.Request) {
 				c.leave(r)
 				c.finished++
@@ -117,9 +153,88 @@ func newChurn(t *testing.T, seed int64, blocks, budget int, traced bool) *churn 
 		c.observe()
 		return true
 	}}
-	i := slices.IndexFunc(c.e.stages, func(st stage) bool { return st.name == "admit" })
-	c.e.stages = slices.Insert(slices.Clone(c.e.stages), i+1, observe)
+	decodes := 0
+	before := stage{"before-reserve", func(_ *Engine, rd *round) bool {
+		decodes = len(rd.dec)
+		return true
+	}}
+	after := stage{"after-reserve", func(_ *Engine, rd *round) bool {
+		c.unreserved += decodes - len(rd.dec)
+		return true
+	}}
+	st := slices.Clone(c.e.stages)
+	i := slices.IndexFunc(st, func(st stage) bool { return st.name == "admit" })
+	st = slices.Insert(st, i+1, observe)
+	i = slices.IndexFunc(st, func(st stage) bool { return st.name == "reserve" })
+	st = slices.Insert(st, i+1, after)
+	c.e.stages = slices.Insert(st, i, before)
 	return c
+}
+
+// checkForm checks a pipelined round's decode sequence against the round
+// and its microbatches against the reference: form over the round
+// expanded to one item per decode step, with no decode sequence, in which
+// the expansion's fast steps are the items with no request. The sequence
+// must hold one step per decode the round kept, its item steps matching
+// the leading decode items' contexts one for one and its fast steps
+// summing to the round's fast aggregate. Each microbatch must hold the
+// reference's items less its fast steps, a Dec summing exactly those, the
+// same duration on a stage's timer and the same activation tokens.
+func (c *churn) checkForm(form former, timer *gpu.Timer, dec []batching.Decode, items []batching.Item, stages int, got []batching.Microbatch) {
+	c.t.Helper()
+	c.formed++
+	var expanded []batching.Item
+	var fast gpu.DecodeSum
+	k := 0
+	for _, d := range dec {
+		if d.IsItem() {
+			if k >= len(items) || items[k].IsPrefill || items[k].Prefix != d.Ctx() {
+				c.t.Fatalf("round %d: decode step %d (context %d) has no matching decode item", c.e.RoundsRun(), len(expanded), d.Ctx())
+			}
+			expanded = append(expanded, items[k])
+			k++
+			continue
+		}
+		fast.N++
+		fast.Context += d.Ctx() + 1
+		expanded = append(expanded, batching.Item{Lane: -1, Chunk: 1, Prefix: d.Ctx()})
+	}
+	if fast != c.e.rd.fast {
+		c.t.Fatalf("round %d: decode sequence sums fast decodes to %+v, round %+v", c.e.RoundsRun(), fast, c.e.rd.fast)
+	}
+	for _, it := range items[k:] {
+		if !it.IsPrefill {
+			c.t.Fatalf("round %d: decode item for request %d missing from the decode sequence", c.e.RoundsRun(), it.Req.ID)
+		}
+	}
+	expanded = append(expanded, items[k:]...)
+	want := form(&batching.Split{}, nil, expanded, stages)
+	if len(got) != len(want) {
+		c.t.Fatalf("round %d: %d microbatches, reference %d", c.e.RoundsRun(), len(got), len(want))
+	}
+	for m, ref := range want {
+		var its []batching.Item
+		var dec gpu.DecodeSum
+		for _, it := range ref.Items {
+			if it.Req == nil {
+				dec.N++
+				dec.Context += it.Prefix + 1
+				continue
+			}
+			its = append(its, it)
+		}
+		mb := got[m]
+		if !slices.Equal(mb.Items, its) || mb.Dec != dec || ref.Dec.N != 0 {
+			c.t.Fatalf("round %d: microbatch %d holds %d items and %+v, reference %d items and %+v",
+				c.e.RoundsRun(), m, len(mb.Items), mb.Dec, len(its), dec)
+		}
+		if a, b := timer.Time(batching.ToChunkWork(mb.Items), mb.Dec), timer.Time(batching.ToChunkWork(ref.Items), gpu.DecodeSum{}); a != b {
+			c.t.Fatalf("round %d: microbatch %d times %v, reference %v", c.e.RoundsRun(), m, a, b)
+		}
+		if a, b := mb.Tokens(), ref.Tokens(); a != b {
+			c.t.Fatalf("round %d: microbatch %d forwards %d tokens, reference %d", c.e.RoundsRun(), m, a, b)
+		}
+	}
 }
 
 // sync moves the requests admitted since the last call from the model's
@@ -153,8 +268,12 @@ func (c *churn) observe() {
 			decodes = append(decodes, r)
 		}
 	}
-	pk := batching.NewPacker(c.e.budget)
-	c.batch = append(c.batch[:0], decodes[:pk.Decodes(len(decodes))]...)
+	pk := batching.NewPacker(c.e.iterBudget())
+	kept := pk.Decodes(len(decodes))
+	if kept < len(decodes) {
+		c.cut++
+	}
+	c.batch = append(c.batch[:0], decodes[:kept]...)
 	for _, r := range prefills {
 		chunk, ok := pk.Prefill(r.RemainingPrefill())
 		if !ok {
@@ -520,25 +639,57 @@ func (c *churn) drainAndExtract() {
 // TestChurnMatchesReference runs seeded random admissions, finishes,
 // Victim preemptions (the test's own and the pressure callback's), stalls,
 // unstalls, adoptions and removals — many in the middle of a live round,
-// of reserved requests too — against a plain-slice reference model. Half
-// the episodes run on a pool small enough that decode block crossings hit
-// pressure; the other half on a roomy pool, where the stop rule is
-// waived, under a token budget smaller than the running set. Odd seeds
-// trace (into a discarding tracer), which puts every token on the item
-// path; even seeds run untraced, where steady decodes take the fast path.
-// After every operation the admission-order views, the stalled visit,
-// Victim's choice, the wait queue, the round items' lane indices,
-// CheckLane and token conservation must agree with the model, and inside
-// every pressure callback Victim must match the model's reservation walk;
-// each episode ends by draining the engine and extracting its requests.
+// of reserved requests too — against a plain-slice reference model, on
+// one stage and on two-stage pipelines under the token-count and the
+// lookahead former. Half the episodes run on a pool small enough that
+// decode block crossings hit pressure; the other half on a roomy pool,
+// where the stop rule is waived, under a token budget smaller than the
+// running set. Odd seeds trace (into a discarding tracer), which puts
+// every token on the item path; even seeds run untraced, where steady
+// decodes take the fast path. After every operation the admission-order
+// views, the stalled visit, Victim's choice, the wait queue, the round
+// items' lane indices, CheckLane and token conservation must agree with
+// the model, and inside every pressure callback Victim must match the
+// model's reservation walk; every pipelined round's microbatches must
+// match the former's over the round expanded to one item per decode
+// (checkForm); each episode ends by draining the engine and extracting
+// its requests.
 func TestChurnMatchesReference(t *testing.T) {
-	var ops, live, preempts, finished, pressures, fast, drops, retakes int
+	cm, err := costmodel.FitFromTimer(gpu.NewTimer(gpu.A800(), model.Qwen25_14B(), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	la := &lookahead.Former{Model: cm}
+	for _, tc := range []struct {
+		name string
+		form former
+	}{
+		{"one-stage", nil},
+		{"two-stage/token-count", func(s *batching.Split, dec []batching.Decode, items []batching.Item, stages int) []batching.Microbatch {
+			return batching.SplitByTokenCount(s, dec, items, 2*stages)
+		}},
+		{"two-stage/lookahead", la.Form},
+	} {
+		t.Run(tc.name, func(t *testing.T) { churnMatchesReference(t, tc.form) })
+	}
+}
+
+func churnMatchesReference(t *testing.T, form former) {
+	var ops, live, preempts, finished, pressures, fast, drops, retakes, cut, formed, dropped int
 	for seed := int64(1); seed <= 48; seed++ {
 		blocks, budget := 24, 40
-		if seed > 24 {
+		switch {
+		case seed > 36:
+			// A budget this tight cuts the decodes short in some rounds.
+			blocks, budget = 1<<12, 2
+		case seed > 24:
 			blocks, budget = 1<<12, 16
 		}
-		c := newChurn(t, seed, blocks, budget, seed%2 == 1)
+		if form != nil {
+			// The iteration budget doubles on two stages.
+			budget /= 2
+		}
+		c := newPipelinedChurn(t, seed, blocks, budget, seed%2 == 1, form)
 		for n := 100 + c.rng.Intn(500); n > 0; n-- {
 			if c.e.live() {
 				live++
@@ -557,14 +708,17 @@ func TestChurnMatchesReference(t *testing.T) {
 		fast += c.e.FastDecodes()
 		drops += c.dropsInFlight
 		retakes += c.retakes
+		cut += c.cut
+		formed += c.formed
+		dropped += c.unreserved
 	}
 	if live == 0 || live == ops || preempts == 0 || finished == 0 || pressures == 0 ||
-		fast == 0 || drops == 0 || retakes == 0 {
-		t.Fatalf("%d ops: %d during a live round, %d preemptions, %d finishes, %d pressure calls, %d fast decodes, %d in-flight drops, %d retakes; the churn never bit",
-			ops, live, preempts, finished, pressures, fast, drops, retakes)
+		fast == 0 || drops == 0 || retakes == 0 || cut == 0 || form != nil && (formed == 0 || dropped == 0) {
+		t.Fatalf("%d ops: %d during a live round, %d preemptions, %d finishes, %d pressure calls, %d fast decodes, %d in-flight drops, %d retakes, %d budget cuts, %d pipelined rounds, %d dropped item decodes; the churn never bit",
+			ops, live, preempts, finished, pressures, fast, drops, retakes, cut, formed, dropped)
 	}
-	t.Logf("%d ops (%d during a live round), %d preemptions, %d finishes, %d pressure calls, %d fast decodes, %d in-flight drops, %d retakes",
-		ops, live, preempts, finished, pressures, fast, drops, retakes)
+	t.Logf("%d ops (%d during a live round), %d preemptions, %d finishes, %d pressure calls, %d fast decodes, %d in-flight drops, %d retakes, %d budget cuts, %d pipelined rounds, %d dropped item decodes",
+		ops, live, preempts, finished, pressures, fast, drops, retakes, cut, formed, dropped)
 }
 
 // Warmed, EachRunning and EachStalled sort into the engine's own scratch

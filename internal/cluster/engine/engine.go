@@ -85,10 +85,12 @@ type Callbacks struct {
 	// HandlePressure is invoked when the group is need blocks short of
 	// KVCache; it returns true when blocks were freed immediately.
 	HandlePressure func(need int) bool
-	// Form splits one iteration's items into pipeline microbatches formed
-	// into s (the engine's own scratch, see batching.Split). It runs only
-	// at launch, on the simulation goroutine.
-	Form func(s *batching.Split, items []batching.Item, stages int) [][]batching.Item
+	// Form splits one pipelined iteration into microbatches formed into s
+	// (the engine's own scratch, see batching.Split): dec is the round's
+	// decode steps in lane order and items its item decodes, in the same
+	// order, then its prefill chunks. It runs only at launch, on the
+	// simulation goroutine.
+	Form func(s *batching.Split, dec []batching.Decode, items []batching.Item, stages int) []batching.Microbatch
 	// Finished runs after a request completes and its record is
 	// collected (the cluster decrements its outstanding count and may
 	// recycle the request struct — the engine holds no reference past
@@ -260,7 +262,7 @@ type Engine struct {
 	rd round
 	// mb1 is the persistent single-microbatch header single-stage groups
 	// launch with (no Former call, no per-round slice).
-	mb1 [1][]batching.Item
+	mb1 [1]batching.Microbatch
 	// split is the microbatch scratch pipelined groups form into. The
 	// pipeline holds the microbatches only until the round ends, and one
 	// round runs at a time, so one Split per engine suffices.
@@ -461,10 +463,16 @@ type stage struct {
 // round carries one scheduling round's state between stages: collect
 // leaves the decode steps in items, the prefilling requests' lane indices
 // in prefills and the fast decodes' aggregate in fast, and form completes
-// items.
+// items. In a pipelined round collect also records every decode in dec,
+// in lane order, for the former; form and reserve keep it to the decodes
+// that stay in the round.
 type round struct {
 	prefills []int32
 	items    []batching.Item
+	dec      []batching.Decode
+	// gone is reserve's scratch: the ordinals, among dec's item decodes,
+	// of the ones reservation dropped.
+	gone []int32
 	// fast prices the decode tokens collect reserved and advanced with no
 	// item: the fast set's tokens in an epoch round, the walk's fast slots
 	// in a walk round. It is fixed at collect — like a reserved item, a
@@ -1433,13 +1441,15 @@ func (e *Engine) runAdmit(*round) bool {
 // fastLimit bounds them to the decodes the iteration budget admits. The
 // lane's (Arrival, ID) order means no per-round sort.
 //
-// Most rounds are epoch rounds (epochCollect): the fast set is every hot
-// slot with room ≥ 1 and left ≥ 2, and the round touches only its due
-// slots (a wheel bucket and the loose list), which become items, and the
-// cold slots. It falls back to the walk (walkCollect) when the walk could
-// reserve differently: when fastLimit is 0 (a pipelined or traced round,
+// Most single-stage rounds are epoch rounds (epochCollect): the fast set
+// is every hot slot with room ≥ 1 and left ≥ 2, and the round touches
+// only its due slots (a wheel bucket and the loose list), which become
+// items, and the cold slots. It falls back to the walk (walkCollect) when
+// the walk could reserve differently: when fastLimit is 0 (a traced round,
 // or pending decode-ready stamps), when the running set exceeds fastLimit
-// (the budget could cut the fast set), or when the stop rule is live.
+// (the budget could cut the fast set), or when the stop rule may be live
+// (the pool holds fewer blocks than the lane has slots). Pipelined rounds
+// always walk, and the walk records their decode sequence for the former.
 // Entering the walk materializes every slot once; the next epoch round
 // re-places them.
 func (e *Engine) runCollect(rd *round) bool {
@@ -1448,9 +1458,12 @@ func (e *Engine) runCollect(rd *round) bool {
 	// hand every slot one, none reaches the pressure callback and the stop
 	// rule has nothing to protect.
 	stop := fastLimit > 0 && e.pool.AvailableBlocks() < e.roundLane()
-	if fastLimit == 0 || stop || e.RunningLen() > fastLimit {
+	if e.depth != 1 || fastLimit == 0 || stop || e.RunningLen() > fastLimit {
 		e.leaveEpoch()
-		e.walkCollect(rd, fastLimit, stop)
+		// Only a decode whose token needs block-level work (room < 1)
+		// reaches the pool, so the rule is also waived when the pool can
+		// hand each of those one.
+		e.walkCollect(rd, fastLimit, stop && !e.poolCovers(e.pool.AvailableBlocks()))
 	} else {
 		e.epochCollect(rd)
 	}
@@ -1458,6 +1471,19 @@ func (e *Engine) runCollect(rd *round) bool {
 		rd.live = rd.fast.N
 		e.fastDecodes += rd.fast.N
 		e.pending = true
+	}
+	return true
+}
+
+// poolCovers reports whether avail blocks cover every hot slot whose next
+// token needs block-level work (room < 1). The slots must be materialized.
+func (e *Engine) poolCovers(avail int) bool {
+	for i := range e.lane {
+		if s := &e.lane[i]; s.hot && s.room < 1 {
+			if avail--; avail < 0 {
+				return false
+			}
+		}
 	}
 	return true
 }
@@ -1478,9 +1504,13 @@ func (e *Engine) roundLane() int { return len(e.lane) - e.carried }
 // rule: fast reservation stops at the first decode that must stay an item,
 // because reserving younger slots ahead of it would let a pressure
 // callback during its reservation find them stamped, and Victim would
-// choose differently from the item path.
+// choose differently from the item path. The rule is waived when no decode
+// reservation can reach the pressure callback (see runCollect). In a
+// pipelined round the walk also appends every decode to rd.dec, fast or
+// item, with the context it is priced at.
 func (e *Engine) walkCollect(rd *round, fastLimit int, stop bool) {
-	items, prefills := rd.items, rd.prefills
+	items, prefills, dec := rd.items, rd.prefills, rd.dec
+	seq := e.depth != 1
 	var fast gpu.DecodeSum
 	stamp := e.curStamp + 1
 	decodes := len(items)
@@ -1488,6 +1518,9 @@ func (e *Engine) walkCollect(rd *round, fastLimit int, stop bool) {
 		s := &e.lane[i]
 		if s.hot {
 			if fast.N+len(items)-decodes < fastLimit && s.room >= 1 && s.left >= 2 {
+				if seq {
+					dec = append(dec, batching.FastDecode(int(s.ctx)))
+				}
 				fast.N++
 				fast.Context += int(s.ctx) + 1
 				s.room--
@@ -1501,6 +1534,9 @@ func (e *Engine) walkCollect(rd *round, fastLimit int, stop bool) {
 			if stop {
 				fastLimit = 0
 			}
+			if seq {
+				dec = append(dec, batching.ItemDecode(int(s.ctx)))
+			}
 			items = appendDecode(items, s.req, int32(i), int(s.ctx))
 			continue
 		}
@@ -1508,7 +1544,7 @@ func (e *Engine) walkCollect(rd *round, fastLimit int, stop bool) {
 			prefills = append(prefills, int32(i))
 		}
 	}
-	rd.items, rd.prefills, rd.fast = items, prefills, fast
+	rd.items, rd.prefills, rd.fast, rd.dec = items, prefills, fast, dec
 }
 
 // epochCollect is collect on the epoch lane. It places the loose slots,
@@ -1646,11 +1682,15 @@ func appendDecode(items []batching.Item, r *request.Request, lane int32, ctx int
 // budget admits, then packs prefill chunks FCFS. Each pipeline microbatch
 // carries a full token budget (vLLM gives every in-flight virtual engine
 // max_num_batched_tokens), so the iteration budget scales with pipeline
-// depth. The round's stamp advances here.
+// depth. The fast decodes all precede the first decode past the budget in
+// lane order, so the admitted decodes are a prefix of rd.dec. The round's
+// stamp advances here.
 func (e *Engine) runForm(rd *round) bool {
 	pk := batching.NewPacker(e.iterBudget())
 	pk.Decodes(rd.fast.N)
-	items := rd.items[:pk.Decodes(len(rd.items))]
+	decodes := pk.Decodes(len(rd.items))
+	items := rd.items[:decodes]
+	rd.dec = rd.dec[:min(len(rd.dec), rd.fast.N+decodes)]
 	for _, i := range rd.prefills {
 		r := e.lane[i].req
 		chunk, ok := pk.Prefill(r.RemainingPrefill())
@@ -1679,12 +1719,12 @@ func (e *Engine) iterBudget() batching.Budget {
 }
 
 // fastLimit is how many decodes collect may take on the fast path: none
-// in pipelined rounds (their formers need per-item costs), traced rounds
-// (the tracer sees every token) or rounds with pending decode-ready
-// stamps (the first decode reports its wait); otherwise every decode the
-// iteration budget admits.
+// in traced rounds (the tracer sees every token) or rounds with pending
+// decode-ready stamps (the first decode reports its wait); otherwise every
+// decode the iteration budget admits, single-stage or pipelined (formers
+// cut the decode sequence by count and sum the fast decodes).
 func (e *Engine) fastLimit() int {
-	if e.depth != 1 || e.tr != nil || len(e.decodeReady) > 0 {
+	if e.tr != nil || len(e.decodeReady) > 0 {
 		return 0
 	}
 	b := e.iterBudget()
@@ -1700,16 +1740,23 @@ func (e *Engine) fastLimit() int {
 // round's demand growth is applied as one delta, before any pressure
 // callback (so the policy reads exact demand) and at the end; it starts at
 // the fast decodes collect already reserved, which precede every item in
-// reservation order.
+// reservation order. A pipelined round's dropped item decodes leave its
+// decode sequence too.
 func (e *Engine) runReserve(rd *round) bool {
 	// Filter in place, writing an item back only after a drop shifted the
 	// kept ones: in the common no-pressure round every item survives and
 	// the slice is never rewritten (no redundant copies, no write
 	// barriers).
 	kept, growth := 0, rd.fast.N
+	// The first itemDecs items are rd.dec's item decodes (none in a
+	// single-stage round).
+	itemDecs := len(rd.dec) - rd.fast.N
 	for i := range rd.items {
 		it := &rd.items[i]
 		if it.Lane < 0 {
+			if i < itemDecs {
+				rd.gone = append(rd.gone, int32(i))
+			}
 			continue
 		}
 		if s := &e.lane[it.Lane]; s.hot && !it.IsPrefill && it.Chunk <= int(s.room) {
@@ -1726,6 +1773,9 @@ func (e *Engine) runReserve(rd *round) bool {
 				// round.
 				e.loose = append(e.loose, it.Lane)
 			}
+			if i < itemDecs {
+				rd.gone = append(rd.gone, int32(i))
+			}
 			continue
 		}
 		s := &e.lane[it.Lane]
@@ -1736,11 +1786,33 @@ func (e *Engine) runReserve(rd *round) bool {
 		kept++
 	}
 	rd.items = rd.items[:kept]
+	if len(rd.gone) > 0 {
+		rd.dropDecodes()
+	}
 	if growth > 0 {
 		e.demandAdd(growth)
 	}
 	e.compactIfSparse()
 	return true
+}
+
+// dropDecodes deletes the item decodes rd.gone names from rd.dec and
+// empties rd.gone.
+func (rd *round) dropDecodes() {
+	kept, k, g := 0, int32(0), 0
+	for _, d := range rd.dec {
+		if d.IsItem() {
+			drop := g < len(rd.gone) && rd.gone[g] == k
+			k++
+			if drop {
+				g++
+				continue
+			}
+		}
+		rd.dec[kept] = d
+		kept++
+	}
+	rd.dec, rd.gone = rd.dec[:kept], rd.gone[:0]
 }
 
 // reserveSlow claims KV for an item the lane cannot count on its own — a
@@ -1812,17 +1884,17 @@ func (e *Engine) runLaunch(rd *round) bool {
 		e.counter(now, "batch_size", float64(len(rd.items)))
 		e.counter(now, "running", float64(e.RunningLen()))
 	}
-	var mbs [][]batching.Item
+	var mbs []batching.Microbatch
 	if e.depth == 1 {
 		// Former implementations must return a single-stage batch unsplit
 		// (the interface contract), so skip the call and reuse a
 		// persistent one-element header instead of allocating it per round.
-		e.mb1[0] = rd.items
+		e.mb1[0] = batching.Microbatch{Items: rd.items, Dec: rd.fast}
 		mbs = e.mb1[:]
 	} else {
-		mbs = e.cb.Form(&e.split, rd.items, e.depth)
+		mbs = e.cb.Form(&e.split, rd.dec, rd.items, e.depth)
 	}
-	e.pipe.RunRound(mbs, rd.fast, e.finishFn)
+	e.pipe.RunRound(mbs, e.finishFn)
 	return true
 }
 
@@ -1842,6 +1914,7 @@ func (e *Engine) startRound() {
 	rd := &e.rd
 	rd.prefills = rd.prefills[:0]
 	rd.items = rd.items[:0]
+	rd.dec = rd.dec[:0]
 	rd.hadWork = false
 	for _, st := range e.stages {
 		ok := st.run(e, rd)

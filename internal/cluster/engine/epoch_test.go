@@ -21,6 +21,17 @@ func refCollect(e *Engine, lane []slot, carried int) (items []batching.Item, pre
 	fastLimit := e.fastLimit()
 	stamp := e.curStamp + 1
 	stop := fastLimit > 0 && e.pool.AvailableBlocks() < len(lane)-carried
+	if stop {
+		// Waived too when the pool has a block for every decode that needs
+		// block-level work.
+		crossings := 0
+		for i := range lane {
+			if lane[i].hot && lane[i].room < 1 {
+				crossings++
+			}
+		}
+		stop = e.pool.AvailableBlocks() < crossings
+	}
 	for i := range lane {
 		s := &lane[i]
 		if s.hot {

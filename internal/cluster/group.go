@@ -114,8 +114,8 @@ func newGroup(id int, cl *Cluster, insts []*instance.Instance) (*Group, error) {
 		Callbacks: engine.Callbacks{
 			BeforeAdmit:    func() { cl.Policy.BeforeAdmit(g) },
 			HandlePressure: func(need int) bool { return cl.Policy.HandlePressure(g, need) },
-			Form: func(s *batching.Split, items []batching.Item, stages int) [][]batching.Item {
-				return cl.Policy.Former().Form(s, items, stages)
+			Form: func(s *batching.Split, dec []batching.Decode, items []batching.Item, stages int) []batching.Microbatch {
+				return cl.Policy.Former().Form(s, dec, items, stages)
 			},
 			Finished: cl.requestFinished,
 			Handoff: func(r *request.Request) bool {

@@ -55,8 +55,10 @@ type formerPolicy struct {
 func (p formerPolicy) Former() Former { return p.former }
 
 // A steady pipelined decode round — the same round plus microbatch
-// formation and the stage-to-stage hand-offs — allocates nothing under
-// either former: microbatches are formed into the engine's own scratch.
+// formation and the stage-to-stage hand-offs — takes its decodes on the
+// fast path and allocates nothing under either former: the formers cut
+// the round's decode sequence by count, and microbatches are formed into
+// the engine's own scratch.
 func TestSteadyPipelinedRoundAllocatesNothing(t *testing.T) {
 	cm, err := costmodel.FitFromTimer(gpu.NewTimer(gpu.A800(), model.Qwen25_14B(), 1))
 	if err != nil {
@@ -99,6 +101,7 @@ func TestSteadyPipelinedRoundAllocatesNothing(t *testing.T) {
 			// One measured run of many steps: AllocsPerRun truncates an
 			// average below one to zero.
 			const steps = 500
+			fast := g.FastDecodes()
 			allocs := testing.AllocsPerRun(1, func() {
 				for i := 0; i < steps; i++ {
 					c.Sim.Step()
@@ -106,6 +109,9 @@ func TestSteadyPipelinedRoundAllocatesNothing(t *testing.T) {
 			})
 			if allocs != 0 {
 				t.Fatalf("%d steady pipelined steps allocate %.0f times", steps, allocs)
+			}
+			if g.FastDecodes() == fast {
+				t.Fatal("the steady pipelined rounds took no fast decodes")
 			}
 		})
 	}

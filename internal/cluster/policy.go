@@ -5,16 +5,20 @@ import (
 	"kunserve/internal/request"
 )
 
-// Former partitions one iteration's batch into pipeline microbatches. The
+// Former partitions one pipelined iteration into microbatches. The
 // baseline (token-count) former and KunServe's lookahead former implement
 // it. One policy's Former is shared by all its groups, so it keeps no
 // per-call state: each caller brings its own scratch.
 type Former interface {
-	// Form splits items for a pipeline of the given stage count, forming
-	// into s: the microbatches alias s or items and stay valid until the
-	// next Form on s, and items is never written. For stages == 1
-	// implementations must return the batch unsplit.
-	Form(s *batching.Split, items []batching.Item, stages int) [][]batching.Item
+	// Form splits the batch dec ++ items for a pipeline of the given
+	// stage count, forming into s. dec is the iteration's decode steps in
+	// order, and items starts with its item decodes, one per item step of
+	// dec, followed by the prefill chunks (see batching.Decode). Each
+	// microbatch sums its fast decodes into its Dec and lists its other
+	// work as items. The microbatches alias s or items and stay valid
+	// until the next Form on s, and neither input is written. For
+	// stages == 1 implementations must return the batch unsplit.
+	Form(s *batching.Split, dec []batching.Decode, items []batching.Item, stages int) []batching.Microbatch
 }
 
 // TokenCountFormer is the state-of-the-art token-count-based microbatch
@@ -26,16 +30,17 @@ type TokenCountFormer struct {
 	MicrobatchesPerStage int
 }
 
-// Form implements Former.
-func (f TokenCountFormer) Form(s *batching.Split, items []batching.Item, stages int) [][]batching.Item {
+// Form implements Former: the decode run is cut at counts (see
+// batching.SplitByTokenCount).
+func (f TokenCountFormer) Form(s *batching.Split, dec []batching.Decode, items []batching.Item, stages int) []batching.Microbatch {
 	if stages <= 1 {
-		return s.Whole(items)
+		return s.Whole(dec, items)
 	}
 	per := f.MicrobatchesPerStage
 	if per <= 0 {
 		per = 1
 	}
-	return batching.SplitByTokenCount(s, items, stages*per)
+	return batching.SplitByTokenCount(s, dec, items, stages*per)
 }
 
 // Policy is the overload-handling mechanism under evaluation. All five

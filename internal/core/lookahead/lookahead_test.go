@@ -35,26 +35,38 @@ func decodeItem(id, ctx int) batching.Item {
 	return batching.Item{Req: r, Chunk: 1, Prefix: ctx}
 }
 
-func tokensOf(mbs [][]batching.Item) int {
+func tokensOf(mbs []batching.Microbatch) int {
 	n := 0
 	for _, mb := range mbs {
-		n += batching.TotalTokens(mb)
+		n += mb.Tokens()
 	}
 	return n
+}
+
+// fastDecodes is a decode sequence of n fast steps over ctx, ctx+step, ...
+func fastDecodes(n, ctx, step int) []batching.Decode {
+	dec := make([]batching.Decode, n)
+	for i := range dec {
+		dec[i] = batching.FastDecode(ctx + i*step)
+	}
+	return dec
 }
 
 func TestSingleStageUnsplit(t *testing.T) {
 	f, _ := fittedFormer(t)
 	items := []batching.Item{prefillItem(1, 4096)}
-	mbs := f.Form(&batching.Split{}, items, 1)
-	if len(mbs) != 1 || batching.TotalTokens(mbs[0]) != 4096 {
+	mbs := f.Form(&batching.Split{}, nil, items, 1)
+	if len(mbs) != 1 || mbs[0].Tokens() != 4096 {
 		t.Fatalf("single stage split: %d microbatches", len(mbs))
+	}
+	if f.String() == "" {
+		t.Error("empty String")
 	}
 }
 
 func TestEmptyBatch(t *testing.T) {
 	f, _ := fittedFormer(t)
-	if got := f.Form(&batching.Split{}, nil, 2); got != nil {
+	if got := f.Form(&batching.Split{}, nil, nil, 2); got != nil {
 		t.Fatal("empty batch should return nil")
 	}
 }
@@ -66,7 +78,7 @@ func TestNilModelPanics(t *testing.T) {
 			t.Error("nil model did not panic")
 		}
 	}()
-	f.Form(&batching.Split{}, []batching.Item{prefillItem(1, 100)}, 2)
+	f.Form(&batching.Split{}, nil, []batching.Item{prefillItem(1, 100)}, 2)
 }
 
 func TestConservesTokensAndPrefixes(t *testing.T) {
@@ -76,14 +88,14 @@ func TestConservesTokensAndPrefixes(t *testing.T) {
 		decodeItem(3, 900), decodeItem(4, 4000), prefillItem(5, 6000),
 	}
 	before := batching.TotalTokens(items)
-	mbs := f.Form(&batching.Split{}, items, 2)
+	mbs := f.Form(&batching.Split{}, nil, items, 2)
 	if tokensOf(mbs) != before {
 		t.Fatalf("tokens %d -> %d", before, tokensOf(mbs))
 	}
 	// Chunked prefills keep consecutive prefixes.
 	next := map[*request.Request]int{}
 	for _, mb := range mbs {
-		for _, it := range mb {
+		for _, it := range mb.Items {
 			if want, ok := next[it.Req]; ok && it.Prefix != want {
 				t.Fatalf("request %d prefix %d, want %d", it.Req.ID, it.Prefix, want)
 			}
@@ -105,13 +117,13 @@ func TestBalancesCostBetterThanTokenCount(t *testing.T) {
 	}
 	stages := 2
 
-	la := f.Form(&batching.Split{}, items, stages)
-	tc := batching.SplitByTokenCount(&batching.Split{}, items, stages*2)
+	la := f.Form(&batching.Split{}, nil, items, stages)
+	tc := batching.SplitByTokenCount(&batching.Split{}, nil, items, stages*2)
 
-	spread := func(mbs [][]batching.Item) float64 {
+	spread := func(mbs []batching.Microbatch) float64 {
 		var max, min float64 = 0, 1e18
 		for _, mb := range mbs {
-			d := timer.MicrobatchTime(batching.ToChunkWork(mb)).Seconds()
+			d := timer.Time(batching.ToChunkWork(mb.Items), mb.Dec).Seconds()
 			if d > max {
 				max = d
 			}
@@ -130,7 +142,7 @@ func TestBalancesCostBetterThanTokenCount(t *testing.T) {
 func TestProducesEnoughMicrobatchesForPipeline(t *testing.T) {
 	f, _ := fittedFormer(t)
 	items := []batching.Item{prefillItem(1, 8192)}
-	mbs := f.Form(&batching.Split{}, items, 4)
+	mbs := f.Form(&batching.Split{}, nil, items, 4)
 	if len(mbs) < 4 {
 		t.Errorf("microbatches = %d, want >= stages (4)", len(mbs))
 	}
@@ -140,52 +152,43 @@ func TestMinTokensHaltsRecursion(t *testing.T) {
 	f, _ := fittedFormer(t)
 	f.MinTokens = 100000 // absurdly high: nothing should split (floor shrinks it)
 	items := []batching.Item{prefillItem(1, 2048)}
-	mbs := f.Form(&batching.Split{}, items, 2)
+	mbs := f.Form(&batching.Split{}, nil, items, 2)
 	// The dynamic floor still guarantees the pipeline at least 2.
 	if len(mbs) < 2 {
 		t.Errorf("microbatches = %d", len(mbs))
 	}
-	// With a single tiny decode item nothing can split.
-	one := f.Form(&batching.Split{}, []batching.Item{decodeItem(2, 50)}, 2)
-	if len(one) != 1 {
-		t.Errorf("unsplittable batch split into %d", len(one))
-	}
-}
-
-func TestDecodeOnlyBatchSplits(t *testing.T) {
-	f, _ := fittedFormer(t)
-	var items []batching.Item
-	for i := 0; i < 64; i++ {
-		items = append(items, decodeItem(i, 1000))
-	}
-	mbs := f.Form(&batching.Split{}, items, 2)
-	if len(mbs) < 2 {
-		t.Fatalf("decode batch microbatches = %d", len(mbs))
-	}
-	if tokensOf(mbs) != 64 {
-		t.Fatalf("tokens = %d", tokensOf(mbs))
-	}
-	for _, mb := range mbs {
-		for _, it := range mb {
-			if it.Chunk != 1 {
-				t.Fatal("decode item was split")
-			}
+	// With a single decode step, fast or an item, nothing can split.
+	d := decodeItem(2, 50)
+	for _, dec := range []batching.Decode{batching.FastDecode(50), batching.ItemDecode(50)} {
+		var items []batching.Item
+		if dec.IsItem() {
+			items = []batching.Item{d}
+		}
+		if one := f.Form(&batching.Split{}, []batching.Decode{dec}, items, 2); len(one) != 1 || one[0].Tokens() != 1 {
+			t.Errorf("unsplittable batch split into %d", len(one))
 		}
 	}
 }
 
-func TestImbalanceDiagnostic(t *testing.T) {
+// A batch of 64 fast decode steps splits into aggregate-only microbatches
+// that together carry every step exactly once.
+func TestDecodeOnlyBatchSplits(t *testing.T) {
 	f, _ := fittedFormer(t)
-	balanced := [][]batching.Item{{prefillItem(1, 1000)}, {prefillItem(2, 1000)}}
-	skewed := [][]batching.Item{{prefillItem(3, 100)}, {prefillItem(4, 4000)}}
-	if f.Imbalance(balanced) >= f.Imbalance(skewed) {
-		t.Error("imbalance metric ordering wrong")
+	dec := fastDecodes(64, 1000, 0)
+	mbs := f.Form(&batching.Split{}, dec, nil, 2)
+	if len(mbs) < 2 {
+		t.Fatalf("decode batch microbatches = %d", len(mbs))
 	}
-	if f.Imbalance(nil) != 1 {
-		t.Error("empty imbalance")
+	var sum gpu.DecodeSum
+	for _, mb := range mbs {
+		if len(mb.Items) != 0 {
+			t.Fatalf("fast decodes became %d items", len(mb.Items))
+		}
+		sum.N += mb.Dec.N
+		sum.Context += mb.Dec.Context
 	}
-	if f.String() == "" {
-		t.Error("String")
+	if want := (gpu.DecodeSum{N: 64, Context: 64 * 1001}); sum != want {
+		t.Fatalf("microbatches sum to %+v, want %+v", sum, want)
 	}
 }
 
@@ -195,6 +198,7 @@ func TestPropertyFormConservation(t *testing.T) {
 	f, _ := fittedFormer(t)
 	check := func(pLens []uint16, nDecode uint8, stages8 uint8) bool {
 		stages := 1 + int(stages8)%4
+		dec := fastDecodes(int(nDecode)%32, 100, 1)
 		var items []batching.Item
 		for i, l := range pLens {
 			if i >= 16 {
@@ -202,23 +206,20 @@ func TestPropertyFormConservation(t *testing.T) {
 			}
 			items = append(items, prefillItem(i, 1+int(l)%8000))
 		}
-		for i := 0; i < int(nDecode)%32; i++ {
-			items = append(items, decodeItem(1000+i, 100+i))
-		}
-		if len(items) == 0 {
+		if len(dec)+len(items) == 0 {
 			return true
 		}
-		before := batching.TotalTokens(items)
-		mbs := f.Form(&batching.Split{}, items, stages)
+		before := len(dec) + batching.TotalTokens(items)
+		mbs := f.Form(&batching.Split{}, dec, items, stages)
 		if tokensOf(mbs) != before {
 			return false
 		}
 		next := map[*request.Request]int{}
 		for _, mb := range mbs {
-			if len(mb) == 0 {
+			if len(mb.Items) == 0 && mb.Dec.N == 0 {
 				return false
 			}
-			for _, it := range mb {
+			for _, it := range mb.Items {
 				if it.Chunk <= 0 {
 					return false
 				}
@@ -245,16 +246,18 @@ func TestPropertyFormConservation(t *testing.T) {
 func TestSharedFormerConcurrentForm(t *testing.T) {
 	f, _ := fittedFormer(t)
 
+	dec := fastDecodes(24, 256, 64)
 	var items []batching.Item
-	for i := 0; i < 24; i++ {
+	for i := 0; i < 24; i += 6 {
+		dec[i] = batching.ItemDecode(256 + 64*i)
 		items = append(items, decodeItem(i, 256+64*i))
 	}
 	items = append(items, prefillItem(100, 3000), prefillItem(101, 1200))
 
-	want := f.Form(&batching.Split{}, items, 2)
+	want := f.Form(&batching.Split{}, dec, items, 2)
 
 	const workers = 8
-	got := make([][][]batching.Item, workers)
+	got := make([][]batching.Microbatch, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -262,7 +265,7 @@ func TestSharedFormerConcurrentForm(t *testing.T) {
 			defer wg.Done()
 			var s batching.Split
 			for iter := 0; iter < 50; iter++ {
-				got[w] = f.Form(&s, items, 2)
+				got[w] = f.Form(&s, dec, items, 2)
 			}
 		}(w)
 	}

@@ -20,7 +20,10 @@ import (
 // that the pools come under pressure. The pinned counts are the ones every
 // round's single walk over the lane produced: the epoch lane must take
 // exactly the tokens the walk took fast, in exactly as many rounds, group
-// by group at the horizon.
+// by group at the horizon. The walk's stop rule is waived when the pool
+// has a block for every slot whose token needs block-level work, which
+// raised vLLM (DP)'s fast counts (its rounds, and every output, stayed
+// the same).
 func TestFleetCellRoundCounts(t *testing.T) {
 	const instances = 8
 	dur := 40 * sim.Second
@@ -31,7 +34,7 @@ func TestFleetCellRoundCounts(t *testing.T) {
 	tr := workload.GenerateProcess(7, dur, proc, workload.BurstGPTDataset())
 	want := map[System]struct{ fast, rounds []int }{
 		SysVLLMDP: {
-			fast:   []int{36463, 42756, 34242, 45326, 39118, 46863, 41554, 35472},
+			fast:   []int{38700, 46807, 36576, 49209, 41694, 51798, 45960, 38079},
 			rounds: []int{4298, 4004, 4403, 4063, 4415, 4056, 3686, 3320},
 		},
 		SysKunServe: {

@@ -164,8 +164,9 @@ func (t *Timer) MicrobatchTime(chunks []ChunkWork) sim.Duration {
 // n(n+1)/2 and p+n), so while the sums stay below 2^53 every term and
 // partial sum is exact and the order of addition cannot change the value.
 // For decodes the terms are attnFactor·(ctx+1)·layers and kvBytes·(ctx+1),
-// which sum to attnFactor·Σ(ctx+1)·layers and kvBytes·Σ(ctx+1). Time
-// panics when a sum reaches 2^53.
+// which sum to attnFactor·Σ(ctx+1)·layers and kvBytes·Σ(ctx+1). So any
+// split of a microbatch's decodes between chunks and dec prices to the same
+// bits. Time panics when a sum reaches 2^53.
 func (t *Timer) Time(chunks []ChunkWork, dec DecodeSum) sim.Duration {
 	n := len(chunks) + dec.N
 	if n == 0 {

@@ -53,12 +53,8 @@ func (st *Stage) BusyTime() sim.Duration { return st.busyTotal }
 
 // flight is one microbatch traversing the pipeline.
 type flight struct {
-	items []batching.Item
-	work  []gpu.ChunkWork
-	// dec is the round's aggregate decode term, carried by the first
-	// microbatch's flight (see RunRound).
-	dec   gpu.DecodeSum
-	index int // microbatch index within the round, for deterministic order
+	mb   batching.Microbatch
+	work []gpu.ChunkWork
 }
 
 // Engine executes rounds over a fixed stage list.
@@ -113,8 +109,7 @@ func (e *Engine) getFlight() *flight {
 }
 
 func (e *Engine) putFlight(f *flight) {
-	f.items = nil
-	f.dec = gpu.DecodeSum{}
+	f.mb = batching.Microbatch{}
 	e.flightFree = append(e.flightFree, f)
 }
 
@@ -146,21 +141,20 @@ func (e *Engine) BubbleRatio() float64 {
 }
 
 // RunRound pipelines the microbatches through all stages and calls done
-// when the last one leaves the last stage. dec is decode work the caller
-// prices as one aggregate term instead of as items (gpu.DecodeSum); it
-// rides with the first microbatch, which runs even when it holds no items.
-// The engine processes one round at a time; overlapping rounds is the
-// caller's bug.
-func (e *Engine) RunRound(microbatches [][]batching.Item, dec gpu.DecodeSum, done func()) {
+// when the last one leaves the last stage. A microbatch's Dec holds the
+// decode steps its former summed rather than listed as items: each stage
+// prices them with its items as one aggregate term (gpu.Timer.Time, with
+// the same bits as pricing them as items), and they count toward the
+// activations forwarded. A microbatch with neither items nor decodes is
+// skipped. The engine processes one round at a time; overlapping rounds is
+// the caller's bug.
+func (e *Engine) RunRound(microbatches []batching.Microbatch, done func()) {
 	if e.running {
 		panic("pipeline: round already running")
 	}
-	if dec.N > 0 && len(microbatches) == 0 {
-		panic("pipeline: aggregate decodes with no microbatch to carry them")
-	}
 	n := 0
-	for i, mb := range microbatches {
-		if len(mb) > 0 || i == 0 && dec.N > 0 {
+	for _, mb := range microbatches {
+		if len(mb.Items) > 0 || mb.Dec.N > 0 {
 			n++
 		}
 	}
@@ -172,19 +166,13 @@ func (e *Engine) RunRound(microbatches [][]batching.Item, dec gpu.DecodeSum, don
 	e.inFlight = n
 	e.roundDone = done
 	e.spanStart = e.simu.Now()
-	idx := 0
-	for i, mb := range microbatches {
-		if len(mb) == 0 && (i > 0 || dec.N == 0) {
+	for _, mb := range microbatches {
+		if len(mb.Items) == 0 && mb.Dec.N == 0 {
 			continue
 		}
 		f := e.getFlight()
-		f.items = mb
-		f.work = batching.AppendChunkWork(f.work[:0], mb)
-		if i == 0 {
-			f.dec = dec
-		}
-		f.index = idx
-		idx++
+		f.mb = mb
+		f.work = batching.AppendChunkWork(f.work[:0], mb.Items)
 		e.enqueue(0, f)
 	}
 }
@@ -207,7 +195,7 @@ func (e *Engine) pump(stage int) {
 	st.busy = true
 	st.active = f
 	st.busySince = e.simu.Now()
-	d := st.Timer.Time(f.work, f.dec)
+	d := st.Timer.Time(f.work, f.mb.Dec)
 	e.simu.After(d, "pipeline:exec", st.execDone)
 }
 
@@ -253,7 +241,7 @@ func (e *Engine) advance(stage int, f *flight) {
 	}
 	// Forward activations to the next stage over the NIC. The payload is
 	// proportional to the microbatch's new tokens.
-	bytes := int64(batching.TotalTokens(f.items)+f.dec.N) * e.activationBytesPerToken
+	bytes := int64(f.mb.Tokens()) * e.activationBytesPerToken
 	st := e.stages[stage]
 	st.transit = append(st.transit, f)
 	st.Egress.Send(bytes, network.PriorityActivation, "act", st.arrived)

@@ -31,6 +31,15 @@ func twoStage(s *sim.Simulation) *Engine {
 	return New(s, stages, int64(cfg.HiddenDim)*2)
 }
 
+// mbsOf wraps item lists as microbatches with no aggregate decodes.
+func mbsOf(items ...[]batching.Item) []batching.Microbatch {
+	mbs := make([]batching.Microbatch, len(items))
+	for i, it := range items {
+		mbs[i] = batching.Microbatch{Items: it}
+	}
+	return mbs
+}
+
 func prefillItems(id, tokens int) []batching.Item {
 	r := request.New(id, 0, tokens, 10)
 	return []batching.Item{{Req: r, IsPrefill: true, Chunk: tokens, Prefix: 0}}
@@ -40,8 +49,7 @@ func TestRoundCompletes(t *testing.T) {
 	s := sim.New(1)
 	e := twoStage(s)
 	done := false
-	e.RunRound([][]batching.Item{prefillItems(1, 1024), prefillItems(2, 1024)},
-		gpu.DecodeSum{}, func() { done = true })
+	e.RunRound(mbsOf(prefillItems(1, 1024), prefillItems(2, 1024)), func() { done = true })
 	s.Run()
 	if !done {
 		t.Fatal("round never completed")
@@ -62,7 +70,7 @@ func TestPipeliningOverlaps(t *testing.T) {
 	e := twoStage(s)
 	mb := 1024
 	stageTime := e.Stage(0).Timer.PrefillTime(0, mb)
-	e.RunRound([][]batching.Item{prefillItems(1, mb), prefillItems(2, mb)}, gpu.DecodeSum{}, func() {})
+	e.RunRound(mbsOf(prefillItems(1, mb), prefillItems(2, mb)), func() {})
 	s.Run()
 	elapsed := s.Now()
 	// Perfect pipeline: 3 stage-slots (mb1: s0+s1, mb2 overlapped, +1).
@@ -85,7 +93,7 @@ func TestImbalanceCreatesBubbles(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		balanced = append(balanced, prefillItems(i, 1024))
 	}
-	eBal.RunRound(balanced, gpu.DecodeSum{}, func() {})
+	eBal.RunRound(mbsOf(balanced...), func() {})
 	sBal.Run()
 
 	sImb := sim.New(1)
@@ -94,7 +102,7 @@ func TestImbalanceCreatesBubbles(t *testing.T) {
 		prefillItems(0, 128), prefillItems(1, 128), prefillItems(2, 128),
 		prefillItems(3, 128), prefillItems(4, 128), prefillItems(5, 5504),
 	}
-	eImb.RunRound(imbalanced, gpu.DecodeSum{}, func() {})
+	eImb.RunRound(mbsOf(imbalanced...), func() {})
 	sImb.Run()
 
 	if eImb.BubbleRatio() <= eBal.BubbleRatio() {
@@ -107,11 +115,11 @@ func TestEmptyRoundFiresImmediately(t *testing.T) {
 	s := sim.New(1)
 	e := twoStage(s)
 	done := false
-	e.RunRound(nil, gpu.DecodeSum{}, func() { done = true })
+	e.RunRound(nil, func() { done = true })
 	if !done {
 		t.Fatal("empty round must complete synchronously")
 	}
-	e.RunRound([][]batching.Item{{}, {}}, gpu.DecodeSum{}, func() { done = true })
+	e.RunRound(mbsOf(nil, nil), func() { done = true })
 	if !done {
 		t.Fatal("all-empty microbatches must complete synchronously")
 	}
@@ -125,10 +133,10 @@ func TestSequentialRounds(t *testing.T) {
 	runNext = func() {
 		rounds++
 		if rounds < 3 {
-			e.RunRound([][]batching.Item{prefillItems(rounds, 512)}, gpu.DecodeSum{}, runNext)
+			e.RunRound(mbsOf(prefillItems(rounds, 512)), runNext)
 		}
 	}
-	e.RunRound([][]batching.Item{prefillItems(0, 512)}, gpu.DecodeSum{}, runNext)
+	e.RunRound(mbsOf(prefillItems(0, 512)), runNext)
 	s.Run()
 	if rounds != 3 {
 		t.Fatalf("rounds = %d", rounds)
@@ -138,13 +146,13 @@ func TestSequentialRounds(t *testing.T) {
 func TestOverlappingRoundsPanic(t *testing.T) {
 	s := sim.New(1)
 	e := twoStage(s)
-	e.RunRound([][]batching.Item{prefillItems(1, 512)}, gpu.DecodeSum{}, func() {})
+	e.RunRound(mbsOf(prefillItems(1, 512)), func() {})
 	defer func() {
 		if recover() == nil {
 			t.Error("overlapping round did not panic")
 		}
 	}()
-	e.RunRound([][]batching.Item{prefillItems(2, 512)}, gpu.DecodeSum{}, func() {})
+	e.RunRound(mbsOf(prefillItems(2, 512)), func() {})
 }
 
 func TestOnStageBusyObserved(t *testing.T) {
@@ -157,7 +165,7 @@ func TestOnStageBusyObserved(t *testing.T) {
 		}
 		intervals++
 	}
-	e.RunRound([][]batching.Item{prefillItems(1, 512), prefillItems(2, 512)}, gpu.DecodeSum{}, func() {})
+	e.RunRound(mbsOf(prefillItems(1, 512), prefillItems(2, 512)), func() {})
 	s.Run()
 	// 2 microbatches x 2 stages.
 	if intervals != 4 {
@@ -168,7 +176,7 @@ func TestOnStageBusyObserved(t *testing.T) {
 func TestBusyTimeAccounted(t *testing.T) {
 	s := sim.New(1)
 	e := twoStage(s)
-	e.RunRound([][]batching.Item{prefillItems(1, 2048)}, gpu.DecodeSum{}, func() {})
+	e.RunRound(mbsOf(prefillItems(1, 2048)), func() {})
 	s.Run()
 	want := e.Stage(0).Timer.PrefillTime(0, 2048)
 	if got := e.Stage(0).BusyTime(); got != want {
@@ -193,7 +201,7 @@ func TestActivationDelayedByLinkContention(t *testing.T) {
 	s.At(sim.Time(actTime)-sim.Time(sim.Millisecond), "bulk", func() {
 		stage0.Egress.Send(bulk, network.PriorityBulk, "bulk", nil)
 	})
-	e.RunRound([][]batching.Item{prefillItems(1, 512)}, gpu.DecodeSum{}, func() {})
+	e.RunRound(mbsOf(prefillItems(1, 512)), func() {})
 	s.Run()
 	// The activation had to wait ~39 ms behind the bulk transfer.
 	minEnd := sim.Time(actTime) + sim.Time(39*sim.Millisecond)
@@ -211,7 +219,7 @@ func TestSingleStageActsAsPlainExecutor(t *testing.T) {
 	}}
 	e := New(s, st, int64(cfg.HiddenDim)*2)
 	done := false
-	e.RunRound([][]batching.Item{prefillItems(1, 1024)}, gpu.DecodeSum{}, func() { done = true })
+	e.RunRound(mbsOf(prefillItems(1, 1024)), func() { done = true })
 	s.Run()
 	if !done {
 		t.Fatal("single-stage round")
@@ -222,25 +230,48 @@ func TestSingleStageActsAsPlainExecutor(t *testing.T) {
 	}
 }
 
-// Aggregate decodes ride with the first microbatch, priced by the timer's
-// aggregate term, and run even when that microbatch holds no items.
-func TestAggregateDecodesRideFirstMicrobatch(t *testing.T) {
+// Each microbatch's aggregate decodes ride with it: priced with its items
+// by the timer's aggregate term, forwarded as activations, and run even
+// when the microbatch holds no items.
+func TestAggregateDecodesRideTheirMicrobatch(t *testing.T) {
 	cfg := model.Qwen25_14B()
 	dec := gpu.DecodeSum{N: 3, Context: 301 + 512 + 1025}
-	for _, mbs := range [][][]batching.Item{{{}}, {prefillItems(1, 256)}} {
+	for _, items := range [][]batching.Item{nil, prefillItems(1, 256)} {
 		s := sim.New(1)
 		st := []*Stage{{Timer: gpu.NewTimer(gpu.A800(), cfg, 1)}}
 		e := New(s, st, int64(cfg.HiddenDim)*2)
 		done := false
-		e.RunRound(mbs, dec, func() { done = true })
+		e.RunRound([]batching.Microbatch{{Items: items, Dec: dec}}, func() { done = true })
 		s.Run()
 		if !done {
-			t.Fatalf("%d-item round with aggregate decodes never completed", len(mbs[0]))
+			t.Fatalf("%d-item round with aggregate decodes never completed", len(items))
 		}
-		want := st[0].Timer.Time(batching.ToChunkWork(mbs[0]), dec)
+		want := st[0].Timer.Time(batching.ToChunkWork(items), dec)
 		if s.Now() != sim.Time(want) {
-			t.Errorf("%d-item round took %v, want %v", len(mbs[0]), s.Now(), want)
+			t.Errorf("%d-item round took %v, want %v", len(items), s.Now(), want)
 		}
+	}
+	// On two stages, a decode-only microbatch behind a prefill one crosses
+	// the link with its decodes' activations: the round ends when the
+	// second stage finishes it, after it waited for both the first stage
+	// and its own payload.
+	s := sim.New(1)
+	e := twoStage(s)
+	var end sim.Time
+	e.RunRound([]batching.Microbatch{{Items: prefillItems(1, 512)}, {Dec: dec}}, func() { end = s.Now() })
+	s.Run()
+	t0, t1 := e.Stage(0).Timer, e.Stage(1).Timer
+	first := t0.Time(batching.ToChunkWork(prefillItems(1, 512)), gpu.DecodeSum{})
+	second := t0.Time(nil, dec)
+	link := e.Stage(0).Egress.TransferTime(int64(dec.N) * int64(model.Qwen25_14B().HiddenDim) * 2)
+	if min := sim.Time(first + second + link + t1.Time(nil, dec)); end < min {
+		t.Errorf("round ended at %v, before the decode microbatch could (%v)", end, min)
+	}
+	if got, want := e.Stage(0).Egress.BytesSent(), int64(512+dec.N)*int64(model.Qwen25_14B().HiddenDim)*2; got != want {
+		t.Errorf("stage 0 forwarded %d activation bytes, want %d", got, want)
+	}
+	if e.Stage(1).BusyTime() < t1.Time(nil, dec) {
+		t.Errorf("stage 1 busy %v, less than the decode microbatch alone", e.Stage(1).BusyTime())
 	}
 }
 
@@ -274,7 +305,7 @@ func TestMoreMicrobatchesFewerBubbles(t *testing.T) {
 		for i := 0; i < n; i++ {
 			mbs = append(mbs, prefillItems(i, 1024))
 		}
-		e.RunRound(mbs, gpu.DecodeSum{}, func() {})
+		e.RunRound(mbsOf(mbs...), func() {})
 		s.Run()
 		return e.BubbleRatio()
 	}

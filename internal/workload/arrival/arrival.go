@@ -19,10 +19,16 @@
 package arrival
 
 import (
+	"math"
 	"math/rand"
 
 	"kunserve/internal/sim"
 )
+
+// positive reports whether v is a positive, finite number. A NaN or
+// infinite rate passes a v <= 0 check, and generating arrivals at it never
+// ends.
+func positive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // Process generates a monotone sequence of arrival times. Next returns the
 // first arrival strictly after now, drawing all randomness from rng; ok is

@@ -288,3 +288,44 @@ func TestConstructorValidation(t *testing.T) {
 		t.Error("zero-sojourn mmpp accepted")
 	}
 }
+
+// A NaN or infinite parameter passes a v <= 0 check, and generating at a
+// NaN or infinite rate never ends: every constructor rejects non-finite
+// parameters, and still accepts a finite valid one.
+func TestConstructorsRejectNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	build := map[string]func(v float64) error{
+		"poisson rate": func(v float64) error { _, err := NewPoisson(v); return err },
+		"gamma rate":   func(v float64) error { _, err := NewGamma(v, 1); return err },
+		"gamma cv":     func(v float64) error { _, err := NewGamma(10, v); return err },
+		"weibull rate": func(v float64) error { _, err := NewWeibull(v, 1); return err },
+		"weibull shape": func(v float64) error {
+			_, err := NewWeibull(10, v)
+			return err
+		},
+		"diurnal base": func(v float64) error { _, err := NewDiurnal(v, 0.5, sim.Second, 0); return err },
+		"diurnal amplitude": func(v float64) error {
+			_, err := NewDiurnal(10, v/(1+v), sim.Second, 0)
+			return err
+		},
+		"diurnal phase": func(v float64) error { _, err := NewDiurnal(10, 0.5, sim.Second, v); return err },
+		"piecewise rate": func(v float64) error {
+			_, err := NewPiecewise([]Segment{{RPS: v}})
+			return err
+		},
+		"mmpp rate": func(v float64) error {
+			_, err := NewMMPP([]MMPPState{{Rate: 1, MeanSojourn: sim.Second}, {Rate: v, MeanSojourn: sim.Second}})
+			return err
+		},
+	}
+	for name, f := range build {
+		if err := f(2); err != nil {
+			t.Errorf("%s 2 rejected: %v", name, err)
+		}
+		for _, v := range []float64{nan, inf, -inf} {
+			if err := f(v); err == nil {
+				t.Errorf("%s %v accepted", name, v)
+			}
+		}
+	}
+}

@@ -23,11 +23,14 @@ type Diurnal struct {
 
 // NewDiurnal validates and builds a sine-modulated Poisson process.
 func NewDiurnal(base, amplitude float64, period sim.Duration, phase float64) (*Diurnal, error) {
-	if base <= 0 {
-		return nil, fmt.Errorf("arrival: diurnal base rate must be positive, got %v", base)
+	if !positive(base) {
+		return nil, fmt.Errorf("arrival: diurnal base rate must be positive and finite, got %v", base)
 	}
-	if amplitude < 0 || amplitude > 1 {
+	if !(amplitude >= 0 && amplitude <= 1) {
 		return nil, fmt.Errorf("arrival: diurnal amplitude must be in [0,1], got %v", amplitude)
+	}
+	if math.IsNaN(phase) || math.IsInf(phase, 0) {
+		return nil, fmt.Errorf("arrival: diurnal phase must be finite, got %v", phase)
 	}
 	if period <= 0 {
 		return nil, fmt.Errorf("arrival: diurnal period must be positive, got %v", period)

@@ -2,6 +2,7 @@ package arrival
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"kunserve/internal/sim"
@@ -34,8 +35,8 @@ func NewMMPP(states []MMPPState) (*MMPP, error) {
 	}
 	anyPositive := false
 	for i, s := range states {
-		if s.Rate < 0 {
-			return nil, fmt.Errorf("arrival: mmpp state %d has negative rate %v", i, s.Rate)
+		if !(s.Rate >= 0) || math.IsInf(s.Rate, 1) {
+			return nil, fmt.Errorf("arrival: mmpp state %d has rate %v, want non-negative and finite", i, s.Rate)
 		}
 		if s.Rate > 0 {
 			anyPositive = true

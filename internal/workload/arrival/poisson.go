@@ -2,6 +2,7 @@ package arrival
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"kunserve/internal/sim"
@@ -22,8 +23,8 @@ func NewPiecewise(segs []Segment) (*Piecewise, error) {
 		return nil, fmt.Errorf("arrival: empty rate schedule")
 	}
 	for i, s := range segs {
-		if s.RPS < 0 {
-			return nil, fmt.Errorf("arrival: segment %d has negative rate %v", i, s.RPS)
+		if !(s.RPS >= 0) || math.IsInf(s.RPS, 1) {
+			return nil, fmt.Errorf("arrival: segment %d has rate %v, want non-negative and finite", i, s.RPS)
 		}
 		if i > 0 && s.Start < segs[i-1].Start {
 			return nil, fmt.Errorf("arrival: segments not sorted at %d", i)
@@ -78,8 +79,8 @@ type Poisson struct {
 
 // NewPoisson validates and builds a constant-rate Poisson process.
 func NewPoisson(rps float64) (*Poisson, error) {
-	if rps <= 0 {
-		return nil, fmt.Errorf("arrival: poisson rate must be positive, got %v", rps)
+	if !positive(rps) {
+		return nil, fmt.Errorf("arrival: poisson rate must be positive and finite, got %v", rps)
 	}
 	return &Poisson{Rate: rps}, nil
 }

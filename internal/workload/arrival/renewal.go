@@ -24,11 +24,11 @@ type Gamma struct {
 
 // NewGamma validates and builds a gamma renewal process.
 func NewGamma(rps, cv float64) (*Gamma, error) {
-	if rps <= 0 {
-		return nil, fmt.Errorf("arrival: gamma rate must be positive, got %v", rps)
+	if !positive(rps) {
+		return nil, fmt.Errorf("arrival: gamma rate must be positive and finite, got %v", rps)
 	}
-	if cv <= 0 {
-		return nil, fmt.Errorf("arrival: gamma cv must be positive, got %v", cv)
+	if !positive(cv) {
+		return nil, fmt.Errorf("arrival: gamma cv must be positive and finite, got %v", cv)
 	}
 	return &Gamma{Rate: rps, CV: cv, shape: 1 / (cv * cv), scale: cv * cv / rps}, nil
 }
@@ -89,11 +89,11 @@ type Weibull struct {
 
 // NewWeibull validates and builds a Weibull renewal process.
 func NewWeibull(rps, shape float64) (*Weibull, error) {
-	if rps <= 0 {
-		return nil, fmt.Errorf("arrival: weibull rate must be positive, got %v", rps)
+	if !positive(rps) {
+		return nil, fmt.Errorf("arrival: weibull rate must be positive and finite, got %v", rps)
 	}
-	if shape <= 0 {
-		return nil, fmt.Errorf("arrival: weibull shape must be positive, got %v", shape)
+	if !positive(shape) {
+		return nil, fmt.Errorf("arrival: weibull shape must be positive and finite, got %v", shape)
 	}
 	return &Weibull{Rate: rps, Shape: shape, lambda: 1 / (rps * math.Gamma(1+1/shape))}, nil
 }
