@@ -201,9 +201,9 @@ type Engine struct {
 	hint int
 	// preemptions counts PreemptDetach calls (diagnostics only).
 	preemptions int
-	// fastDecodes counts decode tokens collect took on the fast path
-	// (diagnostics only).
-	fastDecodes int
+	// fastDecodes counts decode tokens collect took on the fast path, and
+	// walkRounds the collects that walked the lane (diagnostics only).
+	fastDecodes, walkRounds int
 	// pending is set while some slot may hold tokens not yet written back;
 	// writeBackAll skips its walk otherwise.
 	pending bool
@@ -604,6 +604,10 @@ func (e *Engine) FastDecodes() int { return e.fastDecodes }
 
 // RoundsRun returns completed scheduling rounds (diagnostics).
 func (e *Engine) RoundsRun() int { return e.roundsRun }
+
+// WalkRounds returns how many collects walked the whole lane instead of
+// taking the epoch lane (diagnostics only).
+func (e *Engine) WalkRounds() int { return e.walkRounds }
 
 // demandAdd is the single mutation point for demandTokens; the first delta
 // since the last AckLoadNotify raises the edge-triggered LoadChanged so the
@@ -1447,25 +1451,27 @@ func (e *Engine) runAdmit(*round) bool {
 // items, and the cold slots. It falls back to the walk (walkCollect) when
 // the walk could reserve differently: when fastLimit is 0 (a traced round,
 // or pending decode-ready stamps), when the running set exceeds fastLimit
-// (the budget could cut the fast set), or when the stop rule may be live
-// (the pool holds fewer blocks than the lane has slots). Pipelined rounds
-// always walk, and the walk records their decode sequence for the former.
-// Entering the walk materializes every slot once; the next epoch round
-// re-places them.
+// (the budget could cut the fast set), or when the stop rule is live and
+// the pool does not cover the round's block crossings (see epochCollect).
+// Pipelined rounds always walk, and the walk records their decode sequence
+// for the former. Entering the walk materializes every slot once; the next
+// epoch round re-places them.
 func (e *Engine) runCollect(rd *round) bool {
 	fastLimit := e.fastLimit()
 	// A decode's reservation needs at most one block, so when the pool can
 	// hand every slot one, none reaches the pressure callback and the stop
 	// rule has nothing to protect.
 	stop := fastLimit > 0 && e.pool.AvailableBlocks() < e.roundLane()
-	if e.depth != 1 || fastLimit == 0 || stop || e.RunningLen() > fastLimit {
+	switch {
+	case e.depth != 1 || fastLimit == 0 || e.RunningLen() > fastLimit:
 		e.leaveEpoch()
 		// Only a decode whose token needs block-level work (room < 1)
 		// reaches the pool, so the rule is also waived when the pool can
 		// hand each of those one.
 		e.walkCollect(rd, fastLimit, stop && !e.poolCovers(e.pool.AvailableBlocks()))
-	} else {
-		e.epochCollect(rd)
+	case !e.epochCollect(rd, stop):
+		e.leaveEpoch()
+		e.walkCollect(rd, fastLimit, true)
 	}
 	if rd.fast.N > 0 {
 		rd.live = rd.fast.N
@@ -1509,6 +1515,7 @@ func (e *Engine) roundLane() int { return len(e.lane) - e.carried }
 // pipelined round the walk also appends every decode to rd.dec, fast or
 // item, with the context it is priced at.
 func (e *Engine) walkCollect(rd *round, fastLimit int, stop bool) {
+	e.walkRounds++
 	items, prefills, dec := rd.items, rd.prefills, rd.dec
 	seq := e.depth != 1
 	var fast gpu.DecodeSum
@@ -1554,8 +1561,22 @@ func (e *Engine) walkCollect(rd *round, fastLimit int, stop bool) {
 // list for the prefills, dropping the slots gone or turned hot. Then the
 // whole fast set advances by one token at once: rd.fast is
 // (|F|, Σctx+|F|), and the epoch and Σctx move on.
-func (e *Engine) epochCollect(rd *round) {
+//
+// With the stop rule live (stop), the round is an epoch round only when
+// the pool covers its block crossings, as the walk's waiver demands (see
+// poolCovers). Every hot slot with room < 1 is due, so the test counts
+// the due set alone. An uncovered round reports false before it has
+// emitted anything, and the caller leaves the epoch lane, which
+// materializes the slots placed here, and walks.
+func (e *Engine) epochCollect(rd *round, stop bool) bool {
+	avail := e.pool.AvailableBlocks()
 	if !e.epochOn {
+		// Every slot is materialized: test the whole lane rather than
+		// enter the epoch lane only to leave it.
+		if stop && !e.poolCovers(avail) {
+			return false
+		}
+		stop = false
 		e.enterEpoch()
 	}
 	due := e.due[:0]
@@ -1584,11 +1605,20 @@ func (e *Engine) epochCollect(rd *round) {
 		slices.Sort(due)
 		due = slices.Compact(due)
 	}
+	e.due = due
+	if stop {
+		for _, i := range due {
+			if e.lane[i].room < 1 {
+				if avail--; avail < 0 {
+					return false
+				}
+			}
+		}
+	}
 	items := rd.items
 	for _, i := range due {
 		items = appendDecode(items, e.lane[i].req, i, int(e.lane[i].ctx))
 	}
-	e.due = due
 	prefills, kept := rd.prefills, 0
 	for _, i := range e.cold {
 		s := &e.lane[i]
@@ -1607,6 +1637,7 @@ func (e *Engine) epochCollect(rd *round) {
 	e.relCtx += e.relN
 	e.epoch++
 	e.epochStamp = e.curStamp + 1
+	return true
 }
 
 // prefilling reports whether a cold slot's request gets a prefill chunk

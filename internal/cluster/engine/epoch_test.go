@@ -72,8 +72,12 @@ type oracle struct {
 	// epoch, walk and fastWalk count epoch rounds, walk rounds and walk
 	// rounds with a nonzero fastLimit; switches counts entries into the
 	// epoch lane; due and cold count epoch rounds with due items and with
-	// prefills.
+	// prefills. covered and uncovered count the single-stage rounds within
+	// fastLimit that began with the stop rule live: the ones whose block
+	// crossings the pool covered, taken on the epoch lane, and the ones it
+	// did not, which fell back to the walk.
 	epoch, walk, fastWalk, switches, due, cold int
+	covered, uncovered                         int
 }
 
 // begin counts the dead slots a round begins with.
@@ -93,9 +97,28 @@ func (o *oracle) collect(e *Engine, rd *round) bool {
 	for i := range lane {
 		e.materialize(&lane[i])
 	}
+	fastLimit, avail := e.fastLimit(), e.pool.AvailableBlocks()
+	stopLive := e.depth == 1 && fastLimit > 0 && e.RunningLen() <= fastLimit && avail < len(lane)-o.carried
+	crossings := 0
+	for i := range lane {
+		if lane[i].hot && lane[i].room < 1 {
+			crossings++
+		}
+	}
 	wantItems, wantPrefills, wantFast := refCollect(e, lane, o.carried)
 	was := e.epochOn
 	e.runCollect(rd)
+	if stopLive {
+		if e.epochOn {
+			o.covered++
+		} else {
+			o.uncovered++
+		}
+		if e.epochOn != (crossings <= avail) {
+			o.t.Fatalf("round %d: stop rule live, %d crossings, %d blocks available, epoch lane %v",
+				e.RoundsRun(), crossings, avail, e.epochOn)
+		}
+	}
 	switch {
 	case e.epochOn:
 		o.epoch++
@@ -161,7 +184,9 @@ func withOracle(c *churn) *oracle {
 // preemptions, many in the middle of a live round) runs under a budget
 // the running set never exceeds, on pools from tight to roomy, so pool
 // pressure turns the stop rule on and off and rounds switch between the
-// epoch lane and the walk. Every round's collect must build exactly the
+// epoch lane and the walk. Under a live stop rule both branches must run:
+// rounds whose block crossings the pool covers stay on the epoch lane, and
+// the rest walk with the rule in force. Every round's collect must build exactly the
 // round refCollect builds from a materialized copy of the lane — items in
 // order, prefills, fast.N and fast.Context — and leave every slot,
 // materialized, as the walk leaves it. After every operation the churn
@@ -184,10 +209,18 @@ func TestEpochLaneMatchesWalk(t *testing.T) {
 		total.switches += o.switches
 		total.due += o.due
 		total.cold += o.cold
+		total.covered += o.covered
+		total.uncovered += o.uncovered
 	}
 	if total.epoch == 0 || total.fastWalk == 0 || total.switches < 2 || total.due == 0 || total.cold == 0 {
 		t.Fatalf("%d ops: %+v; the epoch lane was never exercised against the walk", ops, total)
 	}
-	t.Logf("%d ops: %d epoch rounds (%d entries, %d with due items, %d with prefills), %d walk rounds (%d with a fast limit)",
-		ops, total.epoch, total.switches, total.due, total.cold, total.walk, total.fastWalk)
+	if total.covered == 0 || total.uncovered == 0 {
+		t.Fatalf("%d ops: %d covered and %d uncovered stop-rule rounds; both branches must run",
+			ops, total.covered, total.uncovered)
+	}
+	t.Logf("%d ops: %d epoch rounds (%d entries, %d with due items, %d with prefills, %d under the stop rule), "+
+		"%d walk rounds (%d with a fast limit, %d under an uncovered stop rule)",
+		ops, total.epoch, total.switches, total.due, total.cold, total.covered,
+		total.walk, total.fastWalk, total.uncovered)
 }

@@ -206,6 +206,10 @@ func (g *Group) Preemptions() int { return g.exec.Preemptions() }
 // its fast path, with no item (diagnostics only).
 func (g *Group) FastDecodes() int { return g.exec.FastDecodes() }
 
+// WalkRounds returns how many of the group's collects walked the whole
+// lane instead of taking the epoch lane (diagnostics only).
+func (g *Group) WalkRounds() int { return g.exec.WalkRounds() }
+
 // RoundsRun returns completed scheduling rounds (diagnostics only).
 func (g *Group) RoundsRun() int { return g.exec.RoundsRun() }
 

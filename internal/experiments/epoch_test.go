@@ -71,3 +71,46 @@ func TestFleetCellRoundCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestPressuredCellRoundCounts pins the engine's counters on Figure 2's
+// cell set (vLLM (DP), InferCept and Llumnix at quick scale), whose pools
+// come under pressure: in 15–23% of each group's rounds the pool
+// holds fewer blocks than the lane has slots, so the walk's stop rule is
+// live. Rounds and fast decodes are pinned at the counts the walk gave
+// when every such round walked. Now a stop-rule round walks only when the
+// pool does not cover its block crossings, so the walk rounds are exactly
+// those uncovered ones, measured by counting them in that walk.
+func TestPressuredCellRoundCounts(t *testing.T) {
+	cfg := Quick().withDefaults()
+	tr, err := cfg.BuildTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[System]struct{ rounds, fast, walks []int }{
+		SysVLLMDP:    {[]int{3038, 3191}, []int{76426, 91038}, []int{42, 52}},
+		SysInferCept: {[]int{3038, 3368}, []int{80847, 87787}, []int{31, 33}},
+		SysLlumnix:   {[]int{3146, 3143}, []int{77176, 84026}, []int{132, 100}},
+	}
+	for sys, w := range want {
+		res := runner.Run(runner.Cell{
+			Key:       string(sys),
+			Cluster:   cfg.clusterConfig(tr),
+			NewPolicy: func() cluster.Policy { return NewPolicy(sys) },
+			Trace:     tr,
+			Horizon:   tr.Duration().Add(cfg.HorizonSlack),
+		})
+		if res.Err != nil {
+			t.Fatalf("%s: %v", sys, res.Err)
+		}
+		var rounds, fast, walks []int
+		for _, g := range res.Cluster.Groups() {
+			rounds = append(rounds, g.RoundsRun())
+			fast = append(fast, g.FastDecodes())
+			walks = append(walks, g.WalkRounds())
+		}
+		if !slices.Equal(rounds, w.rounds) || !slices.Equal(fast, w.fast) || !slices.Equal(walks, w.walks) {
+			t.Errorf("%s: rounds %v, fast decodes %v, walk rounds %v per group; want %v, %v, %v",
+				sys, rounds, fast, walks, w.rounds, w.fast, w.walks)
+		}
+	}
+}

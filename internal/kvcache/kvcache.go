@@ -5,9 +5,12 @@
 // blocks that can be shared have identity. A block whose span starts inside
 // a sequence's shared prompt prefix is a Block struct: it is named by its
 // (prefix ID, block number) position in the prefix chain and published to
-// a per-pool shared index with refcounts. New sequences whose prompt starts
-// with the same prefix reference the published blocks instead of
-// recomputing them (prefix caching); freed-but-cached blocks sit on an
+// a per-pool shared index with refcounts. The index holds one chain per
+// prefix ID, a slice whose slot k is the published block k or nil, so a
+// lookup hashes the prefix ID once and then walks the chain in order. New
+// sequences whose prompt starts with the same prefix reference the
+// published blocks instead of recomputing them (prefix caching);
+// freed-but-cached blocks sit on an
 // eviction list (LRU by default) and are reclaimed before any allocation
 // fails; a sequence writing into a block it shares with others triggers
 // copy-on-write.
@@ -147,9 +150,10 @@ type Pool struct {
 	sharing bool
 	policy  EvictPolicy
 
-	// index maps chain positions to published blocks (referenced or
-	// cached).
-	index map[chainKey]*Block
+	// index maps each prefix ID to its chain: slot k holds the published
+	// block k (referenced or cached), or nil. Go through lookup, publish and
+	// unpublish.
+	index map[string][]*Block
 	// cachedList holds freed-but-cached blocks sorted by tick ascending;
 	// cachedList[0] is the next eviction victim.
 	cachedList []*Block
@@ -199,7 +203,7 @@ func (p *Pool) EnableSharing(policy EvictPolicy) {
 	p.sharing = true
 	p.policy = policy
 	if p.index == nil {
-		p.index = make(map[chainKey]*Block)
+		p.index = make(map[string][]*Block)
 	}
 }
 
@@ -255,9 +259,11 @@ func (p *Pool) UsedBlocks() int { return p.usedBlocks }
 // index (the "pinned" share of the cache).
 func (p *Pool) SharedBlocks() int {
 	n := 0
-	for _, b := range p.index {
-		if b.refs > 0 {
-			n++
+	for _, chain := range p.index {
+		for _, b := range chain {
+			if b != nil && b.refs > 0 {
+				n++
+			}
 		}
 	}
 	return n
@@ -403,7 +409,7 @@ func (p *Pool) evictOne(shrink bool) *Block {
 	b := p.cachedList[0]
 	p.cachedList = p.cachedList[1:]
 	b.cached = false
-	delete(p.index, b.key)
+	p.unpublish(b)
 	if shrink {
 		p.stats.ShrinkEvictions++
 	} else {
@@ -499,29 +505,64 @@ func (p *Pool) uncache(b *Block) {
 	panic("kvcache: uncache of block not on cached list")
 }
 
-// walkChain visits the published chain for pfx in order, stopping at the
-// first gap. A block belongs to the chain only when it holds exactly the
-// expected span (full blocks mid-chain; the trimmed boundary block may
-// match partially filled). fn returns false to stop early. Every chain
-// consumer — probing, admission fit checks, claiming — goes through this
-// one walk so their match rules cannot drift apart.
-func (p *Pool) walkChain(pfx Prefix, fn func(k int, b *Block) bool) {
+// lookup returns the published block at key, or nil.
+func (p *Pool) lookup(key chainKey) *Block {
+	if chain := p.index[key.id]; key.k < len(chain) {
+		return chain[key.k]
+	}
+	return nil
+}
+
+// publish enters b into the shared index at key, which must be empty.
+func (p *Pool) publish(b *Block, key chainKey) {
+	chain := p.index[key.id]
+	if key.k >= len(chain) {
+		chain = append(chain, make([]*Block, key.k+1-len(chain))...)
+		p.index[key.id] = chain
+	}
+	chain[key.k] = b
+	b.key = key
+	b.published = true
+	p.stats.Published++
+}
+
+// unpublish takes published block b out of the shared index. A chain left
+// with no block leaves the index.
+func (p *Pool) unpublish(b *Block) {
+	chain := p.index[b.key.id]
+	chain[b.key.k] = nil
+	if b.key.k == len(chain)-1 {
+		for len(chain) > 0 && chain[len(chain)-1] == nil {
+			chain = chain[:len(chain)-1]
+		}
+		if len(chain) == 0 {
+			delete(p.index, b.key.id)
+		} else {
+			p.index[b.key.id] = chain
+		}
+	}
+	b.published = false
+}
+
+// walkChain returns the published chain for pfx up to its first gap: the
+// blocks that hold exactly their expected span (full blocks mid-chain; the
+// trimmed boundary block may match partially filled). The result aliases
+// the index, so callers read it before the next publish or unpublish.
+// Every chain consumer — probing, admission fit checks, claiming — starts
+// from this one walk so their match rules cannot drift apart.
+func (p *Pool) walkChain(pfx Prefix) []*Block {
 	if !p.sharing || pfx.Tokens <= 0 {
-		return
+		return nil
 	}
-	for k := 0; k*p.blockTokens < pfx.Tokens; k++ {
-		want := pfx.Tokens - k*p.blockTokens
-		if want > p.blockTokens {
-			want = p.blockTokens
-		}
-		b := p.index[chainKey{pfx.ID, k}]
+	chain := p.index[pfx.ID]
+	n := min(len(chain), p.BlocksForTokens(pfx.Tokens))
+	for k, b := range chain[:n] {
+		want := min(pfx.Tokens-k*p.blockTokens, p.blockTokens)
 		if b == nil || b.filled != want {
-			return
-		}
-		if !fn(k, b) {
-			return
+			return chain[:k]
 		}
 	}
+	return chain[:n]
 }
 
 // matchChain claims the published chain for pfx, appending every matched
@@ -531,9 +572,9 @@ func (p *Pool) walkChain(pfx Prefix, fn func(k int, b *Block) bool) {
 // logically has); pass pfx.Tokens or more for an unbounded match.
 func (p *Pool) matchChain(dst []*Block, pfx Prefix, maxTokens int) (blocks []*Block, tokens int) {
 	blocks = dst
-	p.walkChain(pfx, func(_ int, b *Block) bool {
+	for _, b := range p.walkChain(pfx) {
 		if tokens+b.filled > maxTokens {
-			return false
+			break
 		}
 		if b.cached {
 			p.uncache(b)
@@ -542,8 +583,7 @@ func (p *Pool) matchChain(dst []*Block, pfx Prefix, maxTokens int) (blocks []*Bl
 		b.refs++
 		blocks = append(blocks, b)
 		tokens += b.filled
-		return true
-	})
+	}
 	return blocks, tokens
 }
 
@@ -551,10 +591,9 @@ func (p *Pool) matchChain(dst []*Block, pfx Prefix, maxTokens int) (blocks []*Bl
 // served from cache, without allocating anything.
 func (p *Pool) CachedPrefixTokens(pfx Prefix) int {
 	tokens := 0
-	p.walkChain(pfx, func(_ int, b *Block) bool {
+	for _, b := range p.walkChain(pfx) {
 		tokens += b.filled
-		return true
-	})
+	}
 	return tokens
 }
 
@@ -569,9 +608,9 @@ func (p *Pool) CachedPrefixTokens(pfx Prefix) int {
 func (p *Pool) fitWithPrefix(pfx Prefix, tokens, maxMatch int) (need int, ok bool) {
 	matched, cachedTok, fromCache := 0, 0, 0
 	cowRisk := false
-	p.walkChain(pfx, func(_ int, b *Block) bool {
+	for _, b := range p.walkChain(pfx) {
 		if cachedTok+b.filled > maxMatch {
-			return false
+			break
 		}
 		matched++
 		cachedTok += b.filled
@@ -579,8 +618,7 @@ func (p *Pool) fitWithPrefix(pfx Prefix, tokens, maxMatch int) (need int, ok boo
 			fromCache++
 		}
 		cowRisk = b.filled < p.blockTokens && !b.cached
-		return true
-	})
+	}
 	need = p.BlocksForTokens(tokens) - matched
 	if need < 0 {
 		need = 0
@@ -809,8 +847,7 @@ func (s *Seq) fill(filled, n int) error {
 		} else if tail.published {
 			// Sole holder writing past the shared span: the content
 			// diverges, so the block leaves the index.
-			delete(p.index, tail.key)
-			tail.published = false
+			p.unpublish(tail)
 		}
 		tail.filled += take
 	}
@@ -864,12 +901,8 @@ func (s *Seq) publishShared() {
 			return
 		}
 		if pure && !b.published {
-			key := chainKey{s.prefix.ID, k}
-			if p.index[key] == nil {
-				b.key = key
-				b.published = true
-				p.index[key] = b
-				p.stats.Published++
+			if key := (chainKey{s.prefix.ID, k}); p.lookup(key) == nil {
+				p.publish(b, key)
 			}
 			// An occupied slot means another sequence published the
 			// same content first; this copy stays private.
@@ -1079,14 +1112,11 @@ func (s *Seq) trimPublishBoundary() {
 		return // already published, shared with others, or incomplete
 	}
 	key := chainKey{s.prefix.ID, k}
-	if p.index[key] != nil {
+	if p.lookup(key) != nil {
 		return // another copy already cached
 	}
 	b.filled = want
-	b.key = key
-	b.published = true
-	p.index[key] = b
-	p.stats.Published++
+	p.publish(b, key)
 }
 
 // CheckInvariants validates pool accounting.
@@ -1111,19 +1141,28 @@ func (p *Pool) CheckInvariants() error {
 		if !b.cached || b.refs != 0 {
 			return fmt.Errorf("kvcache: cached list entry %d refs=%d cached=%v", i, b.refs, b.cached)
 		}
-		if !b.published || p.index[b.key] != b {
-			return fmt.Errorf("kvcache: cached list entry %d not indexed", i)
+		if !b.published || p.lookup(b.key) != b {
+			return fmt.Errorf("kvcache: cached list entry %d not reachable through its chain", i)
 		}
 		if i > 0 && p.cachedList[i-1].tick > b.tick {
 			return fmt.Errorf("kvcache: cached list out of eviction order at %d", i)
 		}
 	}
-	for key, b := range p.index {
-		if !b.published || b.key != key {
-			return fmt.Errorf("kvcache: index entry key mismatch")
+	for id, chain := range p.index {
+		if len(chain) == 0 || chain[len(chain)-1] == nil {
+			return fmt.Errorf("kvcache: chain %q ends in an empty slot", id)
 		}
-		if b.refs == 0 && !b.cached {
-			return fmt.Errorf("kvcache: indexed block neither referenced nor cached")
+		for k, b := range chain {
+			if b == nil {
+				continue
+			}
+			if !b.published || b.key != (chainKey{id, k}) {
+				return fmt.Errorf("kvcache: chain %q slot %d holds a block keyed %q/%d (published %v)",
+					id, k, b.key.id, b.key.k, b.published)
+			}
+			if b.refs == 0 && !b.cached {
+				return fmt.Errorf("kvcache: chain %q slot %d neither referenced nor cached", id, k)
+			}
 		}
 	}
 	return nil

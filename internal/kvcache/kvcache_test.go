@@ -1,6 +1,9 @@
 package kvcache
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -804,4 +807,110 @@ func TestSwapInCapsMatchAtOwnTokens(t *testing.T) {
 	if p.LiveSequences() != 0 || p.UsedBlocks() != 0 {
 		t.Fatal("leak")
 	}
+}
+
+// indexShape renders the shared index, chains in prefix-ID order: one
+// character per chain slot, 'r' for a referenced block, 'c' for a cached
+// one and '.' for an empty slot.
+func indexShape(p *Pool) string {
+	ids := make([]string, 0, len(p.index))
+	for id := range p.index {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	var sb strings.Builder
+	for _, id := range ids {
+		fmt.Fprintf(&sb, "%s:", id)
+		for _, b := range p.index[id] {
+			switch {
+			case b == nil:
+				sb.WriteByte('.')
+			case b.cached:
+				sb.WriteByte('c')
+			default:
+				sb.WriteByte('r')
+			}
+		}
+		sb.WriteByte(' ')
+	}
+	return strings.TrimSpace(sb.String())
+}
+
+// TestChainIndexTwoPrefixes follows two prefixes' chains through one pool
+// across every index edit — publish, copy-on-write, the sole holder's
+// tail unpublish, the boundary trim at free, eviction under allocation
+// pressure and eviction by a shrink — checking the index's shape and the
+// pool's invariants after each step. A chain whose last block leaves the
+// index is cut back to its last published block, and an empty one goes.
+func TestChainIndexTwoPrefixes(t *testing.T) {
+	p := newSharedPool(t, 16, 64, EvictLRU)
+	pa := Prefix{ID: "a", Tokens: 100} // a full block and a 36-token boundary
+	pb := Prefix{ID: "b", Tokens: 128} // two full blocks
+	step := func(what, want string) {
+		t.Helper()
+		if err := p.CheckInvariants(); err != nil {
+			t.Fatalf("after %s: %v", what, err)
+		}
+		if got := indexShape(p); got != want {
+			t.Fatalf("after %s: index %q, want %q", what, got, want)
+		}
+	}
+	a1, _ := prefill(t, p, pa, 200)
+	step("prefilling a", "a:r")
+	b1, _ := prefill(t, p, pb, 130)
+	step("prefilling b", "a:r b:rr")
+	a1.Free()
+	step("freeing a (boundary trimmed and published)", "a:cc b:rr")
+	a2, c2, _ := p.NewSeqCached(pa)
+	a3, c3, _ := p.NewSeqCached(pa)
+	if c2 != 100 || c3 != 100 {
+		t.Fatalf("matched %d and %d tokens of a, want 100", c2, c3)
+	}
+	step("matching a twice", "a:rr b:rr")
+	if err := a2.Append(10); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.CoWCopies != 1 {
+		t.Fatalf("CoW copies %d, want 1", st.CoWCopies)
+	}
+	step("copy-on-write of a's boundary", "a:rr b:rr")
+	if err := a3.Append(10); err != nil {
+		t.Fatal(err)
+	}
+	step("the sole holder writing past a's boundary", "a:r b:rr")
+	a2.Free()
+	step("freeing the copy (trimmed and published)", "a:rc b:rr")
+	a3.Free()
+	step("freeing the unpublished boundary", "a:cc b:rr")
+	if got := p.CachedPrefixTokens(pa); got != 100 {
+		t.Fatalf("a probes %d cached tokens, want 100", got)
+	}
+	// 3 blocks held by b1 and 2 cached leave 11 free: 12 evict the LRU
+	// head, a's boundary copy (cached while a3 still held block 0), which
+	// cuts a's chain back to block 0.
+	big, err := p.NewSeq(12 * 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step("evicting under allocation pressure", "a:c b:rr")
+	if got := p.CachedPrefixTokens(pa); got != 64 {
+		t.Fatalf("a probes %d cached tokens, want 64", got)
+	}
+	big.Free()
+	b1.Free()
+	step("freeing b", "a:c b:cc")
+	if _, err := p.RemoveBlocksEvicting(p.FreeBlocks() + 2); err != nil {
+		t.Fatal(err)
+	}
+	step("a shrink evicting a's block and b's first", "b:.c")
+	if got := p.CachedPrefixTokens(pb); got != 0 {
+		t.Fatalf("b probes %d cached tokens past a gap, want 0", got)
+	}
+	if st := p.Stats(); st.Evictions != 1 || st.ShrinkEvictions != 2 {
+		t.Fatalf("stats %+v, want 1 eviction and 2 shrink evictions", st)
+	}
+	if _, err := p.RemoveBlocksEvicting(p.AvailableBlocks()); err != nil {
+		t.Fatal(err)
+	}
+	step("a shrink evicting the rest", "")
 }
