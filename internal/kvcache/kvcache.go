@@ -10,10 +10,9 @@
 // lookup hashes the prefix ID once and then walks the chain in order. New
 // sequences whose prompt starts with the same prefix reference the
 // published blocks instead of recomputing them (prefix caching);
-// freed-but-cached blocks sit on an
-// eviction list (LRU by default) and are reclaimed before any allocation
-// fails; a sequence writing into a block it shares with others triggers
-// copy-on-write.
+// freed-but-cached blocks sit on an eviction list (LRU by default) and are
+// reclaimed before any allocation fails; a sequence writing into a block
+// it shares with others triggers copy-on-write.
 //
 // Every block past the prefix span is private to its sequence for life and
 // is never observed by anyone else, so a sequence holds those blocks as a
