@@ -45,10 +45,7 @@ func main() {
 	}
 
 	timer := gpu.NewTimer(spec, cfg, cfg.GPUsPerInstance)
-	prefixes := []int{0, 512, 1024, 2048, 4096, 8192}
-	chunks := []int{128, 256, 512, 1024, 2048, 4096, 8192}
-	samples := costmodel.ProfileSingle(timer, prefixes, chunks)
-	samples = append(samples, costmodel.ProfileBatches(timer, []int{2, 4, 8, 16, 32}, 512)...)
+	samples := costmodel.ProfileGrid(timer)
 
 	ours, err := costmodel.Fit(samples)
 	if err != nil {

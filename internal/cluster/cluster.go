@@ -214,10 +214,6 @@ type Cluster struct {
 	// whole run instead of one per arrival / per monitor tick).
 	arriveFn func(arg any)
 	tickFn   func()
-
-	// HostParamReplica reflects §4.4 fault tolerance: parameters are
-	// replicated in host DRAM so restoration always succeeds.
-	HostParamReplica bool
 }
 
 // New builds the cluster and runs the policy's Setup to form initial
@@ -237,33 +233,32 @@ func New(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
+	targets := make(map[string]metrics.SLOTarget, len(cfg.SLOClasses))
+	for name, t := range cfg.SLOClasses {
+		targets[name] = metrics.SLOTarget{TTFT: t.TTFT, TBT: t.TBT}
+	}
 	c := &Cluster{
-		Sim:              sim.New(cfg.Seed),
-		Model:            cfg.Model,
-		GPU:              cfg.GPU,
-		Policy:           cfg.Policy,
-		SLOClasses:       cfg.SLOClasses,
-		BlockTokens:      cfg.BlockTokens,
-		Budget:           cfg.Budget,
-		PrefixCaching:    cfg.PrefixCaching,
-		cacheEvict:       evict,
-		retryRoundDelay:  cfg.RetryRoundDelay,
-		monitorInterval:  cfg.MonitorInterval,
-		Collector:        metrics.NewCollector(cfg.MetricsWindow),
-		HostParamReplica: true,
-		router:           sched.NewLeastLoaded(),
-		newDiscipline:    sched.NewFCFS,
-		tracer:           cfg.Tracer,
-		reqTrack:         obs.NewReqTracker(cfg.Tracer),
+		Sim:             sim.New(cfg.Seed),
+		Model:           cfg.Model,
+		GPU:             cfg.GPU,
+		Policy:          cfg.Policy,
+		SLOClasses:      cfg.SLOClasses,
+		BlockTokens:     cfg.BlockTokens,
+		Budget:          cfg.Budget,
+		PrefixCaching:   cfg.PrefixCaching,
+		cacheEvict:      evict,
+		retryRoundDelay: cfg.RetryRoundDelay,
+		monitorInterval: cfg.MonitorInterval,
+		Collector:       metrics.NewCollector(cfg.MetricsWindow, targets),
+		router:          sched.NewLeastLoaded(),
+		newDiscipline:   sched.NewFCFS,
+		tracer:          cfg.Tracer,
+		reqTrack:        obs.NewReqTracker(cfg.Tracer),
 	}
 	c.arriveFn = c.arrive
 	c.tickFn = c.monitorTick
 	if cfg.MetricsReservoir > 0 {
-		targets := make(map[string]metrics.SLOTarget, len(cfg.SLOClasses))
-		for name, t := range cfg.SLOClasses {
-			targets[name] = metrics.SLOTarget{TTFT: t.TTFT, TBT: t.TBT}
-		}
-		c.Collector.Bound(cfg.MetricsReservoir, cfg.Seed, targets)
+		c.Collector.Bound(cfg.MetricsReservoir, cfg.Seed)
 	}
 	if cfg.NewRouter != nil {
 		if c.router = cfg.NewRouter(cfg.Seed); c.router == nil {

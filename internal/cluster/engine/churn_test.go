@@ -101,7 +101,7 @@ func newPipelinedChurn(t *testing.T, seed int64, blocks, budget int, traced bool
 		rng:      rand.New(rand.NewSource(seed)),
 		simu:     sim.New(seed),
 		pool:     kvcache.NewPool(blocks, 16),
-		col:      metrics.NewCollector(sim.Second),
+		col:      metrics.NewCollector(sim.Second, nil),
 		reqs:     make(map[int]*request.Request),
 		stalled:  make(map[*request.Request]bool),
 		heldAt:   make(map[*request.Request]int),
@@ -555,9 +555,6 @@ func (c *churn) check(op string) {
 	if got := ids(c.e.Running()); !slices.Equal(got, want) {
 		fail("Running %v, model %v", got, want)
 	}
-	if got := ids(collect(c.e.EachRunning)); !slices.Equal(got, want) {
-		fail("EachRunning %v, model %v", got, want)
-	}
 	var wantStalled []int
 	for _, r := range c.ref {
 		if c.stalled[r] {
@@ -721,8 +718,8 @@ func churnMatchesReference(t *testing.T, form former) {
 		ops, live, preempts, finished, pressures, fast, drops, retakes, cut, formed, dropped)
 }
 
-// Warmed, EachRunning and EachStalled sort into the engine's own scratch
-// and allocate nothing.
+// Warmed, EachStalled sorts into the engine's own scratch and allocates
+// nothing.
 func TestEachVisitAllocatesNothing(t *testing.T) {
 	c := newChurn(t, 1, 1<<12, 48, false)
 	for i := 0; i < 32; i++ {
@@ -735,14 +732,9 @@ func TestEachVisitAllocatesNothing(t *testing.T) {
 	}
 	n := 0
 	count := func(*request.Request) { n++ }
-	for name, each := range map[string]func(func(*request.Request)){
-		"EachRunning": c.e.EachRunning,
-		"EachStalled": c.e.EachStalled,
-	} {
-		each(count)
-		if avg := testing.AllocsPerRun(100, func() { each(count) }); avg != 0 {
-			t.Errorf("%s allocates %.2f times", name, avg)
-		}
+	c.e.EachStalled(count)
+	if avg := testing.AllocsPerRun(100, func() { c.e.EachStalled(count) }); avg != 0 {
+		t.Errorf("EachStalled allocates %.2f times", avg)
 	}
 	if n == 0 {
 		t.Fatal("nothing visited")

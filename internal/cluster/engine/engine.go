@@ -179,9 +179,9 @@ type Engine struct {
 	// owning each request's decode-hot state (see slot). Membership changes
 	// (admissions, finishes, preemptions) are far rarer than scheduling
 	// rounds, so keeping the order under insert/remove beats re-sorting
-	// every round. Admission order, which Running, EachRunning, EachStalled
-	// and ExtractRequests expose, is recovered on demand by sorting live
-	// slot indices by slot.adm into order.
+	// every round. Admission order, which Running, EachStalled and
+	// ExtractRequests expose, is recovered on demand by sorting live slot
+	// indices by slot.adm into order.
 	lane  []slot
 	order []int32
 	// admitted numbers admissions for slot.adm.
@@ -190,11 +190,10 @@ type Engine struct {
 	// firstDead is the lowest dead index while dead > 0, where compactLane
 	// starts, and deadTail counts the dead slots at the lane's young end,
 	// which Victim skips without a scan: a pressure burst preempts the
-	// youngest requests one after another. carried is how many dead slots
-	// the current round started with. remap is compactLane's old-to-new
-	// index scratch.
-	dead, firstDead, deadTail, carried int
-	remap                              []int32
+	// youngest requests one after another. remap is compactLane's
+	// old-to-new index scratch.
+	dead, firstDead, deadTail int
+	remap                     []int32
 	// hint is the lane index Victim last chose. laneIndex tries it first, by
 	// identity, so the Victim→PreemptRecompute and Victim→Stall pairs
 	// search the lane once; a stale hint costs only the normal search.
@@ -310,8 +309,8 @@ type Engine struct {
 // token's item.
 //
 // Write-backs happen where a running request becomes visible outside the
-// engine: Running, EachRunning, Victim, Stall, RemoveRequest,
-// PreemptDetach and ExtractRequests, and before a finished request reaches
+// engine: Running, Victim, Stall, RemoveRequest, PreemptDetach and
+// ExtractRequests, and before a finished request reaches
 // Callbacks.Finished. Each materializes the slot first. EachStalled needs
 // none: a stalled slot is cold and was written back by Stall. Prefill-role
 // slots are never hot, so a request passed to Callbacks.Handoff has nothing
@@ -529,21 +528,11 @@ func (e *Engine) Running() []*request.Request {
 	return out
 }
 
-// EachRunning visits the running set in admission order without copying
-// it, written back first. fn must not admit, remove, or re-queue requests
-// — policies that mutate the running set while iterating use Running's
-// copy instead — nor call Running, EachRunning or EachStalled, which sort
-// into the scratch the visit walks.
-func (e *Engine) EachRunning(fn func(r *request.Request)) {
-	e.writeBackAll()
-	for _, i := range e.liveByAdmission() {
-		fn(e.lane[i].req)
-	}
-}
-
-// EachStalled visits the stalled running requests in admission order,
-// under the same contract as EachRunning. It writes nothing back: Stall
-// wrote each one back and left its slot cold.
+// EachStalled visits the stalled running requests in admission order
+// without copying them. fn must not admit, remove, or re-queue requests,
+// nor call Running or EachStalled, which sort into the scratch the visit
+// walks. It writes nothing back: Stall wrote each one back and left its
+// slot cold.
 func (e *Engine) EachStalled(fn func(r *request.Request)) {
 	if len(e.stalled) == 0 {
 		return
@@ -1459,9 +1448,9 @@ func (e *Engine) runAdmit(*round) bool {
 func (e *Engine) runCollect(rd *round) bool {
 	fastLimit := e.fastLimit()
 	// A decode's reservation needs at most one block, so when the pool can
-	// hand every slot one, none reaches the pressure callback and the stop
-	// rule has nothing to protect.
-	stop := fastLimit > 0 && e.pool.AvailableBlocks() < e.roundLane()
+	// hand every running request one, none reaches the pressure callback
+	// and the stop rule has nothing to protect.
+	stop := fastLimit > 0 && e.pool.AvailableBlocks() < e.RunningLen()
 	switch {
 	case e.depth != 1 || fastLimit == 0 || e.RunningLen() > fastLimit:
 		e.leaveEpoch()
@@ -1493,11 +1482,6 @@ func (e *Engine) poolCovers(avail int) bool {
 	}
 	return true
 }
-
-// roundLane is the stop rule's count of the round's slots: the lane less
-// the dead slots the round started with. Slots removed during the round
-// still count.
-func (e *Engine) roundLane() int { return len(e.lane) - e.carried }
 
 // walkCollect is collect as one filtered walk over the lane. With a
 // fastLimit above 0 it also reserves and advances fast slots in place: a
@@ -1939,7 +1923,6 @@ func (e *Engine) startRound() {
 		return
 	}
 	e.compactIfSparse()
-	e.carried = e.dead
 	e.scheduling = true
 	defer func() { e.scheduling = false }()
 	rd := &e.rd

@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"kunserve/internal/cluster"
+	"kunserve/internal/core/lookahead"
 	"kunserve/internal/costmodel"
 	"kunserve/internal/instance"
 	"kunserve/internal/obs"
@@ -36,8 +37,6 @@ type Options struct {
 	// restoration is considered, so a brief post-drop lull does not
 	// bounce the cluster straight back (default 20s).
 	RestoreHoldoff sim.Duration
-	// MinLookaheadTokens floors the lookahead recursion (§4.3).
-	MinLookaheadTokens int
 	// ExchangeChunkBytes sizes coordinated-exchange chunks so one chunk
 	// transfers in about a pipeline-stage time (default 256 MiB).
 	ExchangeChunkBytes int64
@@ -183,7 +182,9 @@ func (p *Policy) Setup(c *cluster.Cluster) error {
 	if p.opts.UseTokenCountFormer {
 		p.former = cluster.TokenCountFormer{MicrobatchesPerStage: 2}
 	} else {
-		p.former = newLookaheadFormer(m, p.opts.MinLookaheadTokens)
+		// The cost model is read-only, so one policy's Former serves all
+		// its groups, each forming into its engine's own scratch.
+		p.former = &lookahead.Former{Model: m}
 	}
 	return nil
 }

@@ -4,20 +4,11 @@ import (
 	"fmt"
 
 	"kunserve/internal/cluster"
-	"kunserve/internal/core/lookahead"
 	"kunserve/internal/core/planner"
-	"kunserve/internal/costmodel"
 	"kunserve/internal/network"
 	"kunserve/internal/request"
 	"kunserve/internal/sim"
 )
-
-// newLookaheadFormer adapts the lookahead former to the cluster interface.
-// The cost model is read-only, so one policy's Former serves all its
-// groups, each forming into its engine's own scratch.
-func newLookaheadFormer(m *costmodel.Model, minTokens int) cluster.Former {
-	return &lookahead.Former{Model: m, MinTokens: minTokens}
-}
 
 // maybeDrop checks the overload condition and, when triggered, derives and
 // executes a drop plan. It returns true when a reconfiguration started.

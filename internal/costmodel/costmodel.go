@@ -179,16 +179,20 @@ func ProfileBatches(t *gpu.Timer, batchSizes []int, chunkLen int) []Sample {
 	return out
 }
 
-// FitFromTimer runs the full offline procedure against a ground-truth timer:
-// a prefill grid for α/β/γ plus batched samples for λ. This is what the
-// system does at deployment time before serving (§4.3).
-func FitFromTimer(t *gpu.Timer) (*Model, error) {
+// ProfileGrid profiles a ground-truth timer over the offline grid: a
+// prefill grid of prefix x chunk lengths for α/β/γ plus batched samples
+// for λ. FitFromTimer, Figure 15 and cmd/costfit all fit these samples.
+func ProfileGrid(t *gpu.Timer) []Sample {
 	prefixes := []int{0, 512, 1024, 2048, 4096, 8192}
 	chunks := []int{128, 256, 512, 1024, 2048, 4096, 8192}
 	samples := ProfileSingle(t, prefixes, chunks)
-	samples = append(samples, ProfileBatches(t, []int{2, 4, 8, 16, 32}, 512)...)
-	return Fit(samples)
+	return append(samples, ProfileBatches(t, []int{2, 4, 8, 16, 32}, 512)...)
 }
+
+// FitFromTimer runs the full offline procedure against a ground-truth
+// timer: Fit over ProfileGrid. This is what the system does at deployment
+// time before serving (§4.3).
+func FitFromTimer(t *gpu.Timer) (*Model, error) { return Fit(ProfileGrid(t)) }
 
 // Deviation returns |predicted−actual|/actual for one sample.
 func (m *Model) Deviation(s Sample) float64 {

@@ -236,13 +236,6 @@ func (c Config) provisionFromStats(rps, in, out float64) int64 {
 	return provision
 }
 
-// capacityTokensOf computes one full-copy instance's KV token capacity.
-func capacityTokensOf(m *model.Config, g *gpu.Spec) int {
-	total := g.HBMBytes * int64(m.GPUsPerInstance)
-	reserved := int64(float64(total) * 0.10)
-	return int((total - reserved - m.ParamBytes()) / m.KVBytesPerToken())
-}
-
 // Quick returns a reduced-scale config for tests and benchmarks: 2
 // instances and a 64 s trace run slightly hotter so the burst overloads
 // within the shorter window. Comparative shapes survive the shrink; wall

@@ -34,10 +34,7 @@ type Figure15Result struct {
 func Figure15(cfg Config) (*Figure15Result, error) {
 	cfg = cfg.withDefaults()
 	timer := gpu.NewTimer(cfg.GPU, cfg.Model, cfg.Model.GPUsPerInstance)
-	prefixes := []int{0, 512, 1024, 2048, 4096, 8192}
-	chunks := []int{128, 256, 512, 1024, 2048, 4096, 8192}
-	samples := costmodel.ProfileSingle(timer, prefixes, chunks)
-	samples = append(samples, costmodel.ProfileBatches(timer, []int{2, 4, 8, 16, 32}, 512)...)
+	samples := costmodel.ProfileGrid(timer)
 
 	ours, err := costmodel.Fit(samples)
 	if err != nil {

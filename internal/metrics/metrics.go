@@ -1,7 +1,10 @@
 // Package metrics collects the serving metrics the paper's evaluation
 // reports: TTFT and TPOT distributions (P50/P90/P99/P999), mean-latency and
-// throughput time series (Figure 12/16 panels), SLO-violation ratios under
-// scale factors (Figure 13), and GPU bubble-time ratios (Figure 14).
+// throughput time series (Figure 12/16 panels), and per-class SLO
+// attainment. The derived figures live with their inputs: SLO-violation
+// ratios under scale factors (Figure 13) in experiments.Figure13From, which
+// also counts unserved requests, and GPU bubble ratios (Figure 14) in
+// pipeline.Engine.BubbleRatio.
 package metrics
 
 import (
@@ -125,20 +128,6 @@ func (d *Dist) Percentile(p float64) float64 {
 // Max returns the largest sample.
 func (d *Dist) Max() float64 { return d.Percentile(100) }
 
-// ViolationRatio returns the fraction of samples exceeding the limit.
-func (d *Dist) ViolationRatio(limit float64) float64 {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	n := 0
-	for _, v := range d.samples {
-		if v > limit {
-			n++
-		}
-	}
-	return float64(n) / float64(len(d.samples))
-}
-
 // Series accumulates values into fixed-width time windows.
 type Series struct {
 	window sim.Duration
@@ -207,7 +196,7 @@ func (s *Series) RatePerSecond() []float64 {
 	return out
 }
 
-// MaxPerBinSeries tracks the maximum observation per window (memory demand
+// MaxSeries tracks the maximum observation per window (memory demand
 // panels use this).
 type MaxSeries struct {
 	window sim.Duration
@@ -297,13 +286,14 @@ type Collector struct {
 	StageWaits map[string]*Dist
 
 	// Bounded-memory mode (Bound): rcap > 0 turns every latency Dist into
-	// a capacity-capped reservoir, stops retaining Records, and maintains
-	// per-class SLO attainment incrementally instead of by record replay.
-	rcap    int
-	seed    int64
-	targets map[string]SLOTarget
+	// a capacity-capped reservoir and stops retaining Records.
+	rcap int
+	seed int64
+	// targets are the per-class SLO targets given at construction;
 	// classAttained counts finished requests per class that met every
-	// declared target (exact — updated per finish, not sampled).
+	// declared target (exact in both modes — updated per finish, not
+	// sampled).
+	targets       map[string]SLOTarget
 	classAttained map[string]int
 }
 
@@ -332,25 +322,26 @@ const (
 	StageDecodeQueue = "decode_queue"
 )
 
-// NewCollector creates a collector with the given time-series window.
-func NewCollector(window sim.Duration) *Collector {
+// NewCollector creates a collector with the given time-series window that
+// counts per-class SLO attainment against targets (nil for none).
+func NewCollector(window sim.Duration, targets map[string]SLOTarget) *Collector {
 	return &Collector{
 		MeanTTFT: NewSeries(window),
 		Tokens:   NewSeries(window),
 		KVDemand: NewMaxSeries(window),
+		targets:  targets,
 	}
 }
 
 // Bound switches the collector to bounded-memory mode before any
 // observation: latency distributions become capacity-capped reservoirs
 // (seed-deterministic; per-class reservoirs derive their seeds from the
-// class name so map iteration order cannot matter), per-request Records are
-// not retained, and per-class SLO attainment against targets is maintained
-// incrementally. Mean, Count, and attainment stay exact; percentiles become
-// reservoir approximations. Calling Bound after observations have been
-// recorded panics — mixing exact and sampled state would silently skew
+// class name so map iteration order cannot matter) and per-request Records
+// are not retained. Mean, Count, and attainment stay exact; percentiles
+// become reservoir approximations. Calling Bound after observations have
+// been recorded panics — mixing exact and sampled state would silently skew
 // percentiles.
-func (c *Collector) Bound(capacity int, seed int64, targets map[string]SLOTarget) {
+func (c *Collector) Bound(capacity int, seed int64) {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("metrics: reservoir capacity %d", capacity))
 	}
@@ -359,18 +350,12 @@ func (c *Collector) Bound(capacity int, seed int64, targets map[string]SLOTarget
 	}
 	c.rcap = capacity
 	c.seed = seed
-	c.targets = targets
 	c.TTFT = *NewReservoirDist(capacity, seed)
 	c.TPOT = *NewReservoirDist(capacity, seed+1)
-	c.classAttained = map[string]int{}
 }
 
-// Bounded reports whether the collector runs in bounded-memory mode.
-func (c *Collector) Bounded() bool { return c.rcap > 0 }
-
 // ClassAttained returns the exact number of finished requests in the class
-// that met every declared SLO target. Only maintained in bounded mode;
-// unbounded consumers replay Records instead.
+// that met every declared SLO target.
 func (c *Collector) ClassAttained(class string) int { return c.classAttained[class] }
 
 // newDist builds one named latency distribution in the collector's mode:
@@ -398,6 +383,7 @@ func (c *Collector) Finish(r RequestRecord) {
 		if c.ClassTTFT == nil {
 			c.ClassTTFT = map[string]*Dist{}
 			c.ClassTPOT = map[string]*Dist{}
+			c.classAttained = map[string]int{}
 		}
 		d := c.ClassTTFT[r.Class]
 		if d == nil {
@@ -409,12 +395,10 @@ func (c *Collector) Finish(r RequestRecord) {
 		if r.OutputTokens > 1 {
 			c.ClassTPOT[r.Class].Add(r.TPOT())
 		}
-		if c.rcap > 0 {
-			tgt := c.targets[r.Class]
-			if (tgt.TTFT <= 0 || r.TTFT() <= tgt.TTFT) &&
-				(tgt.TBT <= 0 || r.OutputTokens <= 1 || r.TPOT() <= tgt.TBT) {
-				c.classAttained[r.Class]++
-			}
+		tgt := c.targets[r.Class]
+		if (tgt.TTFT <= 0 || r.TTFT() <= tgt.TTFT) &&
+			(tgt.TBT <= 0 || r.OutputTokens <= 1 || r.TPOT() <= tgt.TBT) {
+			c.classAttained[r.Class]++
 		}
 	}
 }
@@ -490,110 +474,4 @@ func (c *Collector) ThroughputTokensPerSec() float64 {
 		total += v
 	}
 	return total / (float64(len(sums)) * c.Tokens.Window().Seconds())
-}
-
-// SLOResult is the violation outcome at one SLO scale (Figure 13 last
-// column).
-type SLOResult struct {
-	Scale          float64
-	TTFTLimit      float64
-	TPOTLimit      float64
-	ViolationRatio float64
-}
-
-// SLOViolations computes, per scale, the fraction of requests whose TTFT or
-// TPOT exceeds scale x the reference P50 (the paper's definition: reference
-// is the best baseline's P50).
-func (c *Collector) SLOViolations(refP50TTFT, refP50TPOT float64, scales []float64) []SLOResult {
-	out := make([]SLOResult, 0, len(scales))
-	for _, scale := range scales {
-		tl, pl := scale*refP50TTFT, scale*refP50TPOT
-		viol := 0
-		for _, r := range c.Records {
-			if r.TTFT() > tl || (r.OutputTokens > 1 && r.TPOT() > pl) {
-				viol++
-			}
-		}
-		ratio := 0.0
-		if len(c.Records) > 0 {
-			ratio = float64(viol) / float64(len(c.Records))
-		}
-		out = append(out, SLOResult{Scale: scale, TTFTLimit: tl, TPOTLimit: pl, ViolationRatio: ratio})
-	}
-	return out
-}
-
-// BubbleTracker measures GPU idle ("bubble") time during pipelined
-// execution: the Figure 14 bottom panel. Busy intervals are reported by the
-// executor; everything else inside the tracked span is a bubble.
-//
-// Semantics: the tracked span is [Start's t, end], where end is the latest
-// time seen — the largest busy-interval endpoint or Stop time. The span
-// only grows: a Stop earlier than a recorded busy interval leaves the end
-// at that interval (the executor already proved the GPU was busy then),
-// and busy time outside the span is clamped away rather than counted.
-// Start must precede AddBusy and Stop; both panic otherwise — silently
-// dropping busy time would report phantom bubbles.
-type BubbleTracker struct {
-	started bool
-	start   sim.Time
-	busy    sim.Duration
-	end     sim.Time
-}
-
-// Start begins tracking at t, resetting any prior span.
-func (b *BubbleTracker) Start(t sim.Time) {
-	b.started = true
-	b.start = t
-	b.end = t
-	b.busy = 0
-}
-
-// AddBusy records a busy interval [from, to). The part before the span
-// start does not count (the tracker only measures its own span), and
-// degenerate intervals (to <= from after clamping) are ignored. Calling
-// AddBusy before Start panics.
-func (b *BubbleTracker) AddBusy(from, to sim.Time) {
-	if !b.started {
-		panic("metrics: BubbleTracker.AddBusy before Start")
-	}
-	if from < b.start {
-		from = b.start
-	}
-	if to <= from {
-		return
-	}
-	b.busy += to.Sub(from)
-	if to > b.end {
-		b.end = to
-	}
-}
-
-// Stop closes the tracked span at t. The span never shrinks: a t earlier
-// than the latest recorded busy interval (or earlier than Start) leaves
-// the end where the evidence already put it. Calling Stop before Start
-// panics.
-func (b *BubbleTracker) Stop(t sim.Time) {
-	if !b.started {
-		panic("metrics: BubbleTracker.Stop before Start")
-	}
-	if t > b.end {
-		b.end = t
-	}
-}
-
-// BubbleRatio returns idle fraction in [0,1] over the tracked span.
-func (b *BubbleTracker) BubbleRatio() float64 {
-	if !b.started {
-		return 0
-	}
-	span := b.end.Sub(b.start)
-	if span <= 0 {
-		return 0
-	}
-	busy := b.busy
-	if busy > span {
-		busy = span
-	}
-	return 1 - busy.Seconds()/span.Seconds()
 }

@@ -52,9 +52,6 @@ func TestDistEmptyEdgeCases(t *testing.T) {
 	if d.Mean() != 0 || d.Max() != 0 {
 		t.Error("empty mean/max")
 	}
-	if d.ViolationRatio(0) != 0 || d.ViolationRatio(1e18) != 0 {
-		t.Error("empty violation ratio")
-	}
 }
 
 func TestDistPercentileBounds(t *testing.T) {
@@ -149,20 +146,6 @@ func TestDistPercentileNearestRank(t *testing.T) {
 	}
 }
 
-func TestViolationRatio(t *testing.T) {
-	var d Dist
-	for i := 1; i <= 10; i++ {
-		d.Add(float64(i))
-	}
-	if got := d.ViolationRatio(7); got != 0.3 {
-		t.Fatalf("violation ratio = %v", got)
-	}
-	var empty Dist
-	if empty.ViolationRatio(1) != 0 {
-		t.Fatal("empty violation ratio")
-	}
-}
-
 func TestSeries(t *testing.T) {
 	s := NewSeries(10 * sim.Second)
 	s.Observe(sim.FromSeconds(5), 2)
@@ -238,7 +221,7 @@ func TestRequestRecord(t *testing.T) {
 }
 
 func TestCollectorFlow(t *testing.T) {
-	c := NewCollector(10 * sim.Second)
+	c := NewCollector(10*sim.Second, nil)
 	c.Finish(RequestRecord{
 		ID: 1, Arrival: 0, FirstToken: sim.FromSeconds(0.2),
 		Completed: sim.FromSeconds(5), OutputTokens: 50,
@@ -265,7 +248,10 @@ func TestCollectorFlow(t *testing.T) {
 }
 
 func TestCollectorPerClassBreakdown(t *testing.T) {
-	c := NewCollector(10 * sim.Second)
+	c := NewCollector(10*sim.Second, map[string]SLOTarget{
+		"strict": {TTFT: 1, TBT: 0.2},
+		"batch":  {TTFT: 2},
+	})
 	c.Finish(RequestRecord{
 		ID: 1, Arrival: 0, FirstToken: sim.FromSeconds(0.5),
 		Completed: sim.FromSeconds(2), OutputTokens: 10,
@@ -302,10 +288,16 @@ func TestCollectorPerClassBreakdown(t *testing.T) {
 	if c.TTFT.Count() != 3 {
 		t.Error("overall TTFT count")
 	}
+	// strict meets both targets (TTFT 0.5 s, TPOT 1.5/9 s); batch misses
+	// its TTFT target (3 s > 2 s).
+	if c.ClassAttained("strict") != 1 || c.ClassAttained("batch") != 0 {
+		t.Errorf("attained strict %d batch %d, want 1 and 0",
+			c.ClassAttained("strict"), c.ClassAttained("batch"))
+	}
 }
 
 func TestCollectorNoClassesWhenUntagged(t *testing.T) {
-	c := NewCollector(10 * sim.Second)
+	c := NewCollector(10*sim.Second, nil)
 	c.Finish(RequestRecord{
 		ID: 1, Arrival: 0, FirstToken: sim.FromSeconds(1),
 		Completed: sim.FromSeconds(2), OutputTokens: 2,
@@ -316,92 +308,9 @@ func TestCollectorNoClassesWhenUntagged(t *testing.T) {
 }
 
 func TestCollectorEmptyThroughput(t *testing.T) {
-	c := NewCollector(sim.Second)
+	c := NewCollector(sim.Second, nil)
 	if c.ThroughputTokensPerSec() != 0 {
 		t.Fatal("empty throughput")
-	}
-}
-
-func TestSLOViolations(t *testing.T) {
-	c := NewCollector(sim.Second)
-	// Ten requests: TTFTs 0.1..1.0s, all TPOT 10ms over 11 tokens.
-	for i := 1; i <= 10; i++ {
-		ttft := float64(i) * 0.1
-		c.Finish(RequestRecord{
-			ID:           i,
-			Arrival:      0,
-			FirstToken:   sim.FromSeconds(ttft),
-			Completed:    sim.FromSeconds(ttft + 0.1),
-			OutputTokens: 11,
-		})
-	}
-	// Reference P50: 0.1s TTFT, 50ms TPOT. Scale 5 -> limit 0.5s.
-	res := c.SLOViolations(0.1, 0.05, []float64{5, 10})
-	if len(res) != 2 {
-		t.Fatal("result count")
-	}
-	if res[0].TTFTLimit != 0.5 {
-		t.Fatalf("limit = %v", res[0].TTFTLimit)
-	}
-	// TTFT > 0.5: requests 6..10 -> 50%.
-	if res[0].ViolationRatio != 0.5 {
-		t.Fatalf("scale-5 violations = %v", res[0].ViolationRatio)
-	}
-	if res[1].ViolationRatio != 0 {
-		t.Fatalf("scale-10 violations = %v", res[1].ViolationRatio)
-	}
-}
-
-func TestSLOViolationsTPOTCounts(t *testing.T) {
-	c := NewCollector(sim.Second)
-	// Fast TTFT but terrible TPOT.
-	c.Finish(RequestRecord{
-		Arrival: 0, FirstToken: sim.FromSeconds(0.01),
-		Completed: sim.FromSeconds(10), OutputTokens: 11,
-	})
-	res := c.SLOViolations(0.1, 0.05, []float64{5})
-	if res[0].ViolationRatio != 1 {
-		t.Fatal("TPOT violation not counted")
-	}
-}
-
-func TestSLOViolationsEmpty(t *testing.T) {
-	c := NewCollector(sim.Second)
-	res := c.SLOViolations(0.1, 0.05, []float64{5})
-	if res[0].ViolationRatio != 0 {
-		t.Fatal("empty collector violations")
-	}
-}
-
-func TestBubbleTracker(t *testing.T) {
-	var b BubbleTracker
-	if b.BubbleRatio() != 0 {
-		t.Fatal("unstarted tracker")
-	}
-	b.Start(sim.FromSeconds(10))
-	b.AddBusy(sim.FromSeconds(10), sim.FromSeconds(13))
-	b.AddBusy(sim.FromSeconds(15), sim.FromSeconds(19))
-	b.Stop(sim.FromSeconds(20))
-	// busy 7s over span 10s -> 30% bubbles.
-	if got := b.BubbleRatio(); math.Abs(got-0.3) > 1e-9 {
-		t.Fatalf("bubble ratio = %v", got)
-	}
-	// Degenerate intervals ignored.
-	b.AddBusy(sim.FromSeconds(19), sim.FromSeconds(19))
-	if got := b.BubbleRatio(); math.Abs(got-0.3) > 1e-9 {
-		t.Fatalf("ratio moved on empty interval: %v", got)
-	}
-}
-
-func TestBubbleTrackerClampsOverBusy(t *testing.T) {
-	var b BubbleTracker
-	b.Start(0)
-	// Overlapping busy reports may exceed the span; ratio clamps at 0.
-	b.AddBusy(0, sim.FromSeconds(8))
-	b.AddBusy(0, sim.FromSeconds(8))
-	b.Stop(sim.FromSeconds(8))
-	if got := b.BubbleRatio(); got != 0 {
-		t.Fatalf("ratio = %v, want clamp to 0", got)
 	}
 }
 
@@ -447,7 +356,7 @@ func TestPropertyPercentiles(t *testing.T) {
 }
 
 func TestStageWaits(t *testing.T) {
-	c := NewCollector(sim.Second)
+	c := NewCollector(sim.Second, nil)
 	if c.StageWaits != nil || len(c.StageNames()) != 0 {
 		t.Fatal("fresh collector carries stage state")
 	}
@@ -466,59 +375,6 @@ func TestStageWaits(t *testing.T) {
 	}
 	if c.StageWaits[StageDecodeQueue] != nil {
 		t.Error("unobserved stage materialized")
-	}
-}
-
-func TestBubbleTrackerPanicsBeforeStart(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s before Start did not panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("AddBusy", func() {
-		var b BubbleTracker
-		b.AddBusy(0, sim.FromSeconds(1))
-	})
-	mustPanic("Stop", func() {
-		var b BubbleTracker
-		b.Stop(sim.FromSeconds(1))
-	})
-}
-
-func TestBubbleTrackerClampsEarlyBusy(t *testing.T) {
-	var b BubbleTracker
-	b.Start(sim.FromSeconds(10))
-	// Busy time before the span start is clamped away: only [10,12) counts.
-	b.AddBusy(sim.FromSeconds(5), sim.FromSeconds(12))
-	b.Stop(sim.FromSeconds(20))
-	if got := b.BubbleRatio(); math.Abs(got-0.8) > 1e-9 {
-		t.Fatalf("ratio = %v, want 0.8 (2s busy over 10s span)", got)
-	}
-	// An interval entirely before the span clamps to nothing at all.
-	b.AddBusy(0, sim.FromSeconds(10))
-	if got := b.BubbleRatio(); math.Abs(got-0.8) > 1e-9 {
-		t.Fatalf("ratio moved on pre-span busy: %v", got)
-	}
-}
-
-func TestBubbleTrackerSpanNeverShrinks(t *testing.T) {
-	var b BubbleTracker
-	b.Start(0)
-	b.AddBusy(0, sim.FromSeconds(6))
-	// A Stop earlier than the latest busy evidence leaves the end at 6s:
-	// the executor already proved the GPU was busy then.
-	b.Stop(sim.FromSeconds(3))
-	if got := b.BubbleRatio(); got != 0 {
-		t.Fatalf("ratio = %v, want 0 over the [0,6s] span", got)
-	}
-	// A later Stop still extends it.
-	b.Stop(sim.FromSeconds(12))
-	if got := b.BubbleRatio(); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("ratio = %v, want 0.5 over [0,12s]", got)
 	}
 }
 
@@ -613,7 +469,7 @@ func TestReservoirDistCapacityPanics(t *testing.T) {
 }
 
 func TestStageWaitsUnknownLabels(t *testing.T) {
-	c := NewCollector(sim.Second)
+	c := NewCollector(sim.Second, nil)
 	// Labels outside the Stage* constants are first-class: the map is
 	// open-ended and StageNames reports whatever was observed, sorted.
 	c.ObserveStageWait("warmup", 0.25)
@@ -630,8 +486,8 @@ func TestStageWaitsUnknownLabels(t *testing.T) {
 
 func TestStageWaitsOrderInsensitive(t *testing.T) {
 	stages := []string{StageKVTransfer, StagePrefillQueue, StageDecodeQueue, StageHandoffPending}
-	forward := NewCollector(sim.Second)
-	backward := NewCollector(sim.Second)
+	forward := NewCollector(sim.Second, nil)
+	backward := NewCollector(sim.Second, nil)
 	for i, s := range stages {
 		forward.ObserveStageWait(s, float64(i))
 		backward.ObserveStageWait(stages[len(stages)-1-i], float64(i))
@@ -646,7 +502,7 @@ func TestStageWaitsOrderInsensitive(t *testing.T) {
 }
 
 func TestStageWaitsIndependentOfPerClass(t *testing.T) {
-	c := NewCollector(sim.Second)
+	c := NewCollector(sim.Second, nil)
 	c.Finish(RequestRecord{
 		ID: 1, Class: "interactive", Arrival: 0,
 		FirstToken: sim.FromSeconds(0.5), Completed: sim.FromSeconds(2),
@@ -670,7 +526,7 @@ func TestStageWaitsIndependentOfPerClass(t *testing.T) {
 }
 
 func TestObservePrefillHitRate(t *testing.T) {
-	c := NewCollector(sim.Second)
+	c := NewCollector(sim.Second, nil)
 	if c.PrefixHitRate() != 0 {
 		t.Fatal("hit rate without prefill")
 	}

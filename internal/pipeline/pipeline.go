@@ -66,10 +66,6 @@ type Engine struct {
 	// forwarded between stages (hidden dim x 2 bytes for BF16).
 	activationBytesPerToken int64
 
-	// OnStageBusy, when set, observes every busy interval (bubble-time
-	// experiments bin these).
-	OnStageBusy func(stage int, from, to sim.Time)
-
 	inFlight  int
 	roundDone func()
 	spanStart sim.Time
@@ -207,9 +203,6 @@ func (e *Engine) stageExecDone(stage int) {
 	now := e.simu.Now()
 	st.busy = false
 	st.busyTotal += now.Sub(st.busySince)
-	if e.OnStageBusy != nil {
-		e.OnStageBusy(stage, st.busySince, now)
-	}
 	e.advance(stage, f)
 	e.pump(stage)
 }

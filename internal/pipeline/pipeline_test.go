@@ -155,21 +155,22 @@ func TestOverlappingRoundsPanic(t *testing.T) {
 	e.RunRound(mbsOf(prefillItems(2, 512)), func() {})
 }
 
-func TestOnStageBusyObserved(t *testing.T) {
+// Each of two microbatches occupies each of two stages for a nonzero
+// time, and BusyTime sums both.
+func TestStageBusyTimeCountsEachMicrobatch(t *testing.T) {
 	s := sim.New(1)
 	e := twoStage(s)
-	var intervals int
-	e.OnStageBusy = func(stage int, from, to sim.Time) {
-		if to <= from {
-			t.Error("empty busy interval")
-		}
-		intervals++
-	}
 	e.RunRound(mbsOf(prefillItems(1, 512), prefillItems(2, 512)), func() {})
 	s.Run()
-	// 2 microbatches x 2 stages.
-	if intervals != 4 {
-		t.Fatalf("intervals = %d", intervals)
+	for i := 0; i < e.Stages(); i++ {
+		st := e.Stage(i)
+		each := st.Timer.PrefillTime(0, 512)
+		if each <= 0 {
+			t.Fatalf("stage %d: microbatch time %v", i, each)
+		}
+		if got := st.BusyTime(); got != 2*each {
+			t.Errorf("stage %d busy %v, want 2 x %v", i, got, each)
+		}
 	}
 }
 

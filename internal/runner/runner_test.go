@@ -192,7 +192,10 @@ func TestRunRecoversPanic(t *testing.T) {
 // per-class breakdown with zero attainment and goodput — total starvation
 // is the headline failure a discipline comparison exists to expose.
 func TestClassBreakdownIncludesStarvedClasses(t *testing.T) {
-	col := metrics.NewCollector(sim.Second)
+	col := metrics.NewCollector(sim.Second, map[string]metrics.SLOTarget{
+		"interactive": {TTFT: 1},
+		"batch":       {TTFT: 8},
+	})
 	col.Finish(metrics.RequestRecord{
 		ID: 1, Arrival: 0, FirstToken: sim.FromSeconds(0.5),
 		Completed: sim.FromSeconds(1), OutputTokens: 2, Class: "interactive",
@@ -246,14 +249,14 @@ func TestDeriveSeed(t *testing.T) {
 	}
 }
 
-// Bounded-memory collectors retain no records, so classBreakdown must read
-// the incrementally maintained attainment counters instead of replaying the
-// (empty) record slice — which would report zero attainment for everything.
+// Bounded-memory collectors retain no records; classBreakdown reads the
+// attainment counters the collector keeps per finish, so attainment stays
+// exact with no records to replay.
 func TestClassBreakdownBounded(t *testing.T) {
-	col := metrics.NewCollector(sim.Second)
-	col.Bound(8, 42, map[string]metrics.SLOTarget{
+	col := metrics.NewCollector(sim.Second, map[string]metrics.SLOTarget{
 		"interactive": {TTFT: 1, TBT: 0.1},
 	})
+	col.Bound(8, 42)
 	// One request attains both targets (TTFT 0.5 s, TPOT 50 ms)...
 	col.Finish(metrics.RequestRecord{
 		ID: 1, Arrival: 0, FirstToken: sim.FromSeconds(0.5),

@@ -142,10 +142,10 @@ type ClassSummary struct {
 }
 
 // classBreakdown computes the per-class summaries from the collector's
-// records against the cluster's class targets. Declared classes that
-// finished nothing (total starvation — exactly what a discipline
-// comparison must expose) still get a row, with zero attainment and
-// goodput, rather than silently vanishing.
+// per-class distributions and attained counts, echoing the cluster's class
+// targets. Declared classes that finished nothing (total starvation —
+// exactly what a discipline comparison must expose) still get a row, with
+// zero attainment and goodput, rather than silently vanishing.
 func classBreakdown(col *metrics.Collector, targets sched.ClassTargets, spanSeconds float64) []ClassSummary {
 	names := col.ClassNames()
 	seen := make(map[string]bool, len(names))
@@ -158,30 +158,6 @@ func classBreakdown(col *metrics.Collector, targets sched.ClassTargets, spanSeco
 		}
 	}
 	sort.Strings(names)
-	// One pass over the records buckets SLO-attaining counts per class. In
-	// bounded-memory mode the collector retains no records and instead
-	// maintains the attained counts incrementally; replaying the (empty)
-	// record slice would report zero attainment for everything.
-	attained := make(map[string]int, len(names))
-	if col.Bounded() {
-		for _, n := range names {
-			attained[n] = col.ClassAttained(n)
-		}
-	} else {
-		for _, rec := range col.Records {
-			if rec.Class == "" {
-				continue
-			}
-			tgt := targets[rec.Class]
-			if tgt.TTFT > 0 && rec.TTFT() > tgt.TTFT {
-				continue
-			}
-			if tgt.TBT > 0 && rec.OutputTokens > 1 && rec.TPOT() > tgt.TBT {
-				continue
-			}
-			attained[rec.Class]++
-		}
-	}
 	// emptyDist backs classes with no finished requests. The collector's
 	// dists are read through their pointers — copying a Dist by value
 	// would share its sample array but drop the sorted memo, re-sorting
@@ -207,11 +183,12 @@ func classBreakdown(col *metrics.Collector, targets sched.ClassTargets, spanSeco
 			TTFTTarget: targets[name].TTFT,
 			TBTTarget:  targets[name].TBT,
 		}
+		attained := float64(col.ClassAttained(name))
 		if cs.Finished > 0 {
-			cs.Attainment = float64(attained[name]) / float64(cs.Finished)
+			cs.Attainment = attained / float64(cs.Finished)
 		}
 		if spanSeconds > 0 {
-			cs.Goodput = float64(attained[name]) / spanSeconds
+			cs.Goodput = attained / spanSeconds
 		}
 		out = append(out, cs)
 	}
