@@ -6,7 +6,7 @@
 //	kunserve-sim -exp table1|fig2|fig5|fig12|fig13|fig12+13|fig14|fig15|fig16|fig17|slo|prefix|disagg|scale|all \
 //	    [-scale quick|full|clusterb] [-dataset burstgpt|sharegpt|longbench] \
 //	    [-instances N] [-seed N] [-duration SECONDS] [-load MULT] \
-//	    [-parallel N] [-stream] [-json] [-list-exps] [-sweep key=lo:hi:step] [-spec workload.json] \
+//	    [-parallel N] [-json] [-list-exps] [-sweep key=lo:hi:step] [-spec workload.json] \
 //	    [-router least-loaded|round-robin|p2c|least-kv|affinity|queue-depth] \
 //	    [-queue fcfs|priority|edf] [-prefix-caching] [-cache-evict lru|fifo] \
 //	    [-trace out.json] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
@@ -37,12 +37,10 @@
 // runs the cluster-scale streaming sweep (a fleet ladder up to -instances,
 // default 512, each serving an hour-class diurnal trace in bounded-memory
 // mode). None of the four is part of "all" so that "all" output stays
-// comparable across versions. -stream runs any experiment in bounded-memory
-// streaming mode: the collector keeps reservoir samples instead of every
-// record, so memory scales with live requests rather than trace length
-// (percentiles become reservoir estimates; off by default, which
-// reproduces full-retention output byte-for-byte). -list-exps prints each experiment with its description
-// and exits.
+// comparable across versions. Only -exp scale bounds its metrics (reservoir
+// percentiles, no per-request records); every other experiment keeps every
+// record, which Figure 13's SLO ratios are computed from. -list-exps prints
+// each experiment with its description and exits.
 //
 // -trace writes a Chrome trace-event / Perfetto JSON record of every
 // simulation the experiment ran (per-request lifecycle spans, dispatch
@@ -117,7 +115,6 @@ func main() {
 		specFile  = flag.String("spec", "", "workload spec JSON driving the experiment trace")
 		router    = flag.String("router", "", "dispatch router: "+strings.Join(sched.RouterNames, ", ")+" (default least-loaded)")
 		queue     = flag.String("queue", "", "wait-queue discipline: "+strings.Join(sched.DisciplineNames, ", ")+" (default fcfs)")
-		stream    = flag.Bool("stream", false, "bounded-memory streaming mode: reservoir percentiles, no per-request records (always on for -exp scale)")
 		prefixOn  = flag.Bool("prefix-caching", false, "enable content-addressed KVCache prefix sharing (default off; off reproduces the identity-free allocator byte-for-byte)")
 		evict     = flag.String("cache-evict", "", "cached-block eviction policy: lru (default), fifo; only meaningful with -prefix-caching")
 		tracePath = flag.String("trace", "", "write a Chrome trace-event / Perfetto JSON trace of every simulation to this file (load it at ui.perfetto.dev)")
@@ -183,14 +180,13 @@ func main() {
 		cfg.LoadMultiplier = l
 	}
 	cfg.Parallel = *parallel
-	cfg.Stream = *stream
 	cfg.Router = *router
 	cfg.Queue = *queue
 	cfg.PrefixCaching = *prefixOn
 	cfg.CacheEvict = *evict
 	if *exp == "scale" {
 		// The scale sweep targets cluster scale by default: 512 instances
-		// over an hour-class trace, streaming forced on. Explicit
+		// over an hour-class trace, with bounded metrics. Explicit
 		// -instances/-duration still win.
 		if !set["instances"] {
 			cfg.Instances = 512

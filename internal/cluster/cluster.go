@@ -36,9 +36,6 @@ type Config struct {
 	BlockTokens int
 	// Budget bounds each iteration batch.
 	Budget batching.Budget
-	// MonitorInterval is the global monitor's fixed sampling period
-	// (§4.1, Figure 4 ➀).
-	MonitorInterval sim.Duration
 	// MetricsWindow is the time-series bin width.
 	MetricsWindow sim.Duration
 	// KVProvisionBytes caps each instance's KVCache region (0 = all free
@@ -80,23 +77,28 @@ type Config struct {
 	// bounded-memory mode: latency distributions become capacity-capped
 	// reservoir samples (seeded from the cluster seed) and per-request
 	// records are not retained — summaries only. Zero (the default) keeps
-	// the exact, unbounded collector.
+	// the exact, unbounded collector; the scale sweep sets it.
 	MetricsReservoir int
 	// LazyArrivals is ignored; it is kept only because bench/workload.go
 	// sets it. Every run schedules each arrival from its predecessor's
 	// callback under sequence numbers reserved up front (see Serve).
 	LazyArrivals bool
-	// RetryRoundDelay is how long a group sleeps before retrying a
-	// scheduling round in which memory pressure blocked every batch item
-	// and the policy freed nothing synchronously (default 10 ms).
-	//
-	// Determinism note: the delay is simulated time, so any fixed value
-	// is fully reproducible — but it participates in event ordering.
-	// Changing it reorders retry wakes against swap completions,
-	// migrations, and drops, and thereby changes results; treat it as
-	// part of the experiment configuration, not a free tuning knob.
-	RetryRoundDelay sim.Duration
 }
+
+// MonitorInterval is the global monitor's fixed sampling period (§4.1,
+// Figure 4 ➀).
+const MonitorInterval = sim.Second
+
+// RetryRoundDelay is how long a group sleeps before retrying a scheduling
+// round in which memory pressure blocked every batch item and the policy
+// freed nothing synchronously.
+//
+// Determinism note: the delay is simulated time, so it is fully
+// reproducible — but it participates in event ordering. Changing it
+// reorders retry wakes against swap completions, migrations, and drops,
+// and thereby changes results; it is part of the experiment
+// configuration, not a free tuning knob.
+const RetryRoundDelay = 10 * sim.Millisecond
 
 func (c *Config) withDefaults() Config {
 	out := *c
@@ -109,14 +111,8 @@ func (c *Config) withDefaults() Config {
 	if out.Budget.MaxTokens == 0 {
 		out.Budget = batching.DefaultBudget()
 	}
-	if out.MonitorInterval == 0 {
-		out.MonitorInterval = sim.Second
-	}
 	if out.MetricsWindow == 0 {
 		out.MetricsWindow = 4 * sim.Second
-	}
-	if out.RetryRoundDelay == 0 {
-		out.RetryRoundDelay = 10 * sim.Millisecond
 	}
 	return out
 }
@@ -142,8 +138,7 @@ type Cluster struct {
 	// their pools when it is set.
 	PrefixCaching bool
 
-	cacheEvict      kvcache.EvictPolicy
-	retryRoundDelay sim.Duration
+	cacheEvict kvcache.EvictPolicy
 
 	router        sched.Router
 	newDiscipline func() sched.Discipline
@@ -165,9 +160,8 @@ type Cluster struct {
 	groups      []*Group
 	nextGroupID int
 
-	monitorInterval sim.Duration
-	outstanding     int
-	horizonReached  bool
+	outstanding    int
+	horizonReached bool
 
 	// Dispatch failures (no live group) are recorded here instead of
 	// crashing the run; the runner surfaces them per cell.
@@ -238,22 +232,20 @@ func New(cfg Config) (*Cluster, error) {
 		targets[name] = metrics.SLOTarget{TTFT: t.TTFT, TBT: t.TBT}
 	}
 	c := &Cluster{
-		Sim:             sim.New(cfg.Seed),
-		Model:           cfg.Model,
-		GPU:             cfg.GPU,
-		Policy:          cfg.Policy,
-		SLOClasses:      cfg.SLOClasses,
-		BlockTokens:     cfg.BlockTokens,
-		Budget:          cfg.Budget,
-		PrefixCaching:   cfg.PrefixCaching,
-		cacheEvict:      evict,
-		retryRoundDelay: cfg.RetryRoundDelay,
-		monitorInterval: cfg.MonitorInterval,
-		Collector:       metrics.NewCollector(cfg.MetricsWindow, targets),
-		router:          sched.NewLeastLoaded(),
-		newDiscipline:   sched.NewFCFS,
-		tracer:          cfg.Tracer,
-		reqTrack:        obs.NewReqTracker(cfg.Tracer),
+		Sim:           sim.New(cfg.Seed),
+		Model:         cfg.Model,
+		GPU:           cfg.GPU,
+		Policy:        cfg.Policy,
+		SLOClasses:    cfg.SLOClasses,
+		BlockTokens:   cfg.BlockTokens,
+		Budget:        cfg.Budget,
+		PrefixCaching: cfg.PrefixCaching,
+		cacheEvict:    evict,
+		Collector:     metrics.NewCollector(cfg.MetricsWindow, targets),
+		router:        sched.NewLeastLoaded(),
+		newDiscipline: sched.NewFCFS,
+		tracer:        cfg.Tracer,
+		reqTrack:      obs.NewReqTracker(cfg.Tracer),
 	}
 	c.arriveFn = c.arrive
 	c.tickFn = c.monitorTick
@@ -353,8 +345,8 @@ func (c *Cluster) syncDemand() {
 	for i, g := range c.dirtyGroups {
 		g.idxDirty = false
 		c.dirtyGroups[i] = nil
-		g.exec.AckLoadNotify()
-		d := g.exec.DemandTokens()
+		g.AckLoadNotify()
+		d := g.DemandTokens()
 		c.totalDemandTokens += int64(d - g.lastDemandTokens)
 		g.lastDemandTokens = d
 		if indexLive && g.inActive {
@@ -447,12 +439,14 @@ func (c *Cluster) EachGroup(fn func(*Group)) {
 	}
 }
 
-// GroupByID finds a live group.
+// GroupByID finds a live group: nil for an ID never issued, or whose
+// group was closed or removed.
 func (c *Cluster) GroupByID(id int) *Group {
-	for _, g := range c.groups {
-		if g.ID == id && !g.Closed() {
-			return g
-		}
+	if id < 0 || id >= len(c.byID) {
+		return nil
+	}
+	if g := c.byID[id]; g != nil && !g.Closed() {
+		return g
 	}
 	return nil
 }
@@ -659,7 +653,7 @@ func (c *Cluster) monitorTick() {
 		}
 	}
 	if c.outstanding > 0 || !c.horizonReached {
-		c.Sim.After(c.monitorInterval, "monitor", c.tickFn)
+		c.Sim.After(MonitorInterval, "monitor", c.tickFn)
 	}
 }
 
@@ -678,7 +672,7 @@ func (c *Cluster) Serve(tr *workload.Trace, horizon sim.Time) *metrics.Collector
 	c.nextArrival = 0
 	c.arrivalSeq = c.Sim.Reserve(len(tr.Requests))
 	c.queueArrival()
-	c.Sim.After(c.monitorInterval, "monitor", c.tickFn)
+	c.Sim.After(MonitorInterval, "monitor", c.tickFn)
 	c.Sim.RunUntil(horizon)
 	c.horizonReached = true
 	return c.Collector
@@ -753,14 +747,14 @@ func TransplantRequests(dst *Group, running, waiting []*request.Request, stalled
 		r.Seq = seq
 		dst.AdoptRunning(r)
 		if s, ok := stalled[r.ID]; ok && s != nil {
-			dst.exec.RestoreStalled(r)
+			dst.RestoreStalled(r)
 		}
 	}
 	for _, r := range waiting {
 		r.GroupID = dst.ID
 		dst.Queue().Push(r)
 		// Direct discipline pushes bypass Enqueue's demand accounting.
-		dst.exec.AccountQueuedDemand(r)
+		dst.AccountQueuedDemand(r)
 	}
 }
 

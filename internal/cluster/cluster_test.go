@@ -224,7 +224,7 @@ func TestPipelinedGroupServes(t *testing.T) {
 	if col.TTFT.Count() != 10 {
 		t.Fatalf("finished = %d", col.TTFT.Count())
 	}
-	if g.Engine().BubbleRatio() <= 0 {
+	if g.Pipeline().BubbleRatio() <= 0 {
 		t.Error("pipelined execution should report bubbles")
 	}
 }
@@ -363,8 +363,24 @@ func TestGroupByIDAndRemove(t *testing.T) {
 	if c.GroupByID(g.ID) != g {
 		t.Error("GroupByID")
 	}
-	if c.GroupByID(999) != nil {
-		t.Error("phantom group")
+	for _, id := range []int{-1, 999} {
+		if c.GroupByID(id) != nil {
+			t.Errorf("GroupByID(%d): phantom group", id)
+		}
+	}
+	// A closed group is not live even before it is removed, and a removed
+	// one stays gone.
+	closed := c.Groups()[1]
+	closed.ExtractRequests()
+	if c.GroupByID(closed.ID) != nil {
+		t.Error("GroupByID returned a closed group")
+	}
+	c.RemoveGroup(closed)
+	if c.GroupByID(closed.ID) != nil {
+		t.Error("GroupByID returned a removed group")
+	}
+	if c.GroupByID(g.ID) != g {
+		t.Error("GroupByID lost a live group after a removal")
 	}
 }
 
@@ -642,21 +658,7 @@ func TestPrefixClampLeavesOnePrivateToken(t *testing.T) {
 	}
 }
 
-func TestRetryRoundDelayConfig(t *testing.T) {
-	c := prefixCluster(t, false)
-	if c.retryRoundDelay != 10*sim.Millisecond {
-		t.Fatalf("default retry delay = %v", c.retryRoundDelay)
-	}
-	c2, err := New(Config{
-		Seed: 1, Model: model.Qwen25_14B(), GPU: gpu.A800(), Instances: 1,
-		Policy: recomputePolicy{}, RetryRoundDelay: 25 * sim.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2.retryRoundDelay != 25*sim.Millisecond {
-		t.Fatalf("configured retry delay = %v", c2.retryRoundDelay)
-	}
+func TestNewRejectsUnknownEviction(t *testing.T) {
 	if _, err := New(Config{
 		Seed: 1, Model: model.Qwen25_14B(), GPU: gpu.A800(), Instances: 1,
 		Policy: recomputePolicy{}, CacheEvict: "nope",

@@ -76,8 +76,9 @@ func (r Role) RunsPrefill() bool { return r != RoleDecode }
 // RunsDecode reports whether the role schedules decode steps.
 func (r Role) RunsDecode() bool { return r != RolePrefill }
 
-// Callbacks connect the engine to the policy layer. All fields except
-// Handoff are required.
+// Callbacks connect the engine to the policy layer; cluster.Group, which
+// embeds the engine, routes each one to the cluster or its Policy. All
+// fields except Handoff are required.
 type Callbacks struct {
 	// BeforeAdmit runs at the start of every scheduling round (the
 	// cluster routes it to Policy.BeforeAdmit).
@@ -500,17 +501,6 @@ func stagesFor(role Role) []stage {
 		return []stage{beforeAdmitStage, collectStage, formStage, reserveStage, launchStage}
 	}
 	return []stage{beforeAdmitStage, admitStage, collectStage, formStage, reserveStage, launchStage}
-}
-
-// StageNames returns the role's stage pipeline in execution order
-// (diagnostics and tests).
-func StageNames(role Role) []string {
-	st := stagesFor(role)
-	out := make([]string, len(st))
-	for i, s := range st {
-		out[i] = s.name
-	}
-	return out
 }
 
 // Queue returns the wait-queue discipline.
@@ -1880,7 +1870,7 @@ func (e *Engine) runLaunch(rd *round) bool {
 		if rd.hadWork {
 			// Memory pressure blocked every item and the policy
 			// could not free anything synchronously; retry after
-			// Config.RetryRoundDelay (asynchronous relief — swap-out
+			// Options.RetryDelay (asynchronous relief — swap-out
 			// completion, a migration, a drop — will land in the
 			// meantime).
 			e.simu.After(e.retryDelay, "retry-round", e.wakeFn)

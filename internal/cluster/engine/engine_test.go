@@ -39,15 +39,22 @@ func TestRoleSemantics(t *testing.T) {
 // stage (their work arrives by handoff adoption), everyone else runs the
 // full pipeline in the same order the monolithic loop used.
 func TestStagePipelineSelection(t *testing.T) {
+	names := func(role Role) []string {
+		var out []string
+		for _, s := range stagesFor(role) {
+			out = append(out, s.name)
+		}
+		return out
+	}
 	full := []string{"policy", "admit", "collect", "form", "reserve", "launch"}
-	if got := StageNames(RoleCollocated); !reflect.DeepEqual(got, full) {
+	if got := names(RoleCollocated); !reflect.DeepEqual(got, full) {
 		t.Errorf("collocated stages = %v", got)
 	}
-	if got := StageNames(RolePrefill); !reflect.DeepEqual(got, full) {
+	if got := names(RolePrefill); !reflect.DeepEqual(got, full) {
 		t.Errorf("prefill stages = %v", got)
 	}
 	noAdmit := []string{"policy", "collect", "form", "reserve", "launch"}
-	if got := StageNames(RoleDecode); !reflect.DeepEqual(got, noAdmit) {
+	if got := names(RoleDecode); !reflect.DeepEqual(got, noAdmit) {
 		t.Errorf("decode stages = %v", got)
 	}
 }

@@ -83,7 +83,7 @@ func TestSteadyPipelinedRoundAllocatesNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 			g := c.Groups()[0]
-			if len(c.Groups()) != 1 || g.Engine().Stages() != 2 {
+			if len(c.Groups()) != 1 || g.Pipeline().Stages() != 2 {
 				t.Fatalf("want one two-stage group, got %d groups", len(c.Groups()))
 			}
 			const n = 8

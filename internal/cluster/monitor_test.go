@@ -23,8 +23,7 @@ func (p *tickRecorder) OnTick(c *Cluster) {
 }
 
 const (
-	drainInterval = sim.Second
-	drainTicks    = 300
+	drainTicks = 300
 )
 
 // serveDrainedTrace serves five short requests on one instance up to a
@@ -33,16 +32,15 @@ const (
 // tenth of the horizon, so the monitor runs over a long idle tail.
 func serveDrainedTrace(t *testing.T) (*tickRecorder, *metrics.Collector) {
 	t.Helper()
-	horizon := sim.Time(0).Add(drainTicks * drainInterval)
+	horizon := sim.Time(0).Add(drainTicks * MonitorInterval)
 	pol := &tickRecorder{}
 	c, err := New(Config{
-		Seed:            1,
-		Model:           model.Qwen25_14B(),
-		GPU:             gpu.A800(),
-		Instances:       1,
-		Policy:          pol,
-		MonitorInterval: drainInterval,
-		MetricsWindow:   drainInterval,
+		Seed:          1,
+		Model:         model.Qwen25_14B(),
+		GPU:           gpu.A800(),
+		Instances:     1,
+		Policy:        pol,
+		MetricsWindow: MonitorInterval,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +67,7 @@ func TestNonQuiescentPolicyKeepsDenseCadence(t *testing.T) {
 		t.Fatalf("%d monitor ticks up to the horizon, want %d", len(pol.at), drainTicks)
 	}
 	for k, at := range pol.at {
-		if want := sim.Time(0).Add(sim.Duration(k+1) * drainInterval); at != want {
+		if want := sim.Time(0).Add(sim.Duration(k+1) * MonitorInterval); at != want {
 			t.Fatalf("tick %d at %v, want %v", k, at, want)
 		}
 	}
@@ -129,12 +127,11 @@ func TestSameInstantArrivalsPrecedeMonitorTick(t *testing.T) {
 	const burst = 4
 	pol := &admittedRecorder{}
 	c, err := New(Config{
-		Seed:            1,
-		Model:           model.Qwen25_14B(),
-		GPU:             gpu.A800(),
-		Instances:       1,
-		Policy:          pol,
-		MonitorInterval: sim.Second,
+		Seed:      1,
+		Model:     model.Qwen25_14B(),
+		GPU:       gpu.A800(),
+		Instances: 1,
+		Policy:    pol,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -15,8 +15,8 @@ import (
 
 // TestFleetCellRoundCounts pins the engine's round and fast-decode counts
 // on a small fleet-diurnal-shaped cell: eight instances under the scale
-// ladder's sine-diurnal trace (four cycles, amplitude 0.5), in streaming
-// mode, served by vLLM (DP) and KunServe, with KV provisioned tight enough
+// ladder's sine-diurnal trace (four cycles, amplitude 0.5), with bounded
+// metrics, served by vLLM (DP) and KunServe, with KV provisioned tight enough
 // that the pools come under pressure. The pinned counts are the ones every
 // round's single walk over the lane produced: the epoch lane must take
 // exactly the tokens the walk took fast, in exactly as many rounds, group

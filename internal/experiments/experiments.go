@@ -121,13 +121,6 @@ type Config struct {
 	// each simulation is a self-contained deterministic world, and the
 	// runner returns results in submission order.
 	Parallel int
-	// Stream runs every cell in bounded-memory streaming mode: reservoir
-	// percentiles (runner.DefaultReservoir samples per distribution)
-	// instead of full record retention. It is the one definition of
-	// streaming. Required for cluster-scale sweeps (-exp scale); off by
-	// default because the figure experiments recompute SLOs from the
-	// per-record latencies that streaming discards.
-	Stream bool
 	// TraceSink, when set, collects a per-cell observability trace from
 	// every simulation this config runs (the CLI's -trace flag exports it
 	// as Chrome trace-event JSON). Nil — the default — disables tracing.
@@ -291,9 +284,6 @@ func (c Config) clusterConfig(tr *workload.Trace) cluster.Config {
 		KVProvisionBytes: c.kvProvisionFor(tr),
 		PrefixCaching:    c.PrefixCaching,
 		CacheEvict:       c.CacheEvict,
-	}
-	if c.Stream {
-		cc.MetricsReservoir = runner.DefaultReservoir
 	}
 	if c.WorkloadSpec != nil {
 		cc.SLOClasses = c.WorkloadSpec.ClassTargets()

@@ -91,6 +91,25 @@ func TestFigure5MoreDropsMoreLatency(t *testing.T) {
 	}
 }
 
+// Figure 13's SLO-violation ratios are recomputed from per-request
+// records, so every run of the figure experiments keeps them: one
+// TTFT/TPOT/output entry per finished request.
+func TestFigure13InputsKeepRecords(t *testing.T) {
+	runs, err := RunAllSystems(Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sr := range runs.Systems {
+		if sr.Finished == 0 {
+			t.Errorf("%s finished nothing", sr.System)
+		}
+		if len(sr.TTFTs) != sr.Finished || len(sr.TPOTs) != sr.Finished || len(sr.Outputs) != sr.Finished {
+			t.Errorf("%s: %d/%d/%d TTFT/TPOT/output records for %d finished requests",
+				sr.System, len(sr.TTFTs), len(sr.TPOTs), len(sr.Outputs), sr.Finished)
+		}
+	}
+}
+
 func TestFigure12And13EndToEnd(t *testing.T) {
 	runs, err := RunAllSystems(Quick())
 	if err != nil {

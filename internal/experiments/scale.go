@@ -120,8 +120,9 @@ var scaleSystems = []System{SysVLLMDP, SysKunServe}
 // ExperimentScale runs the cluster-scale streaming sweep: for each rung of
 // the fleet ladder, an hour-class sine-modulated diurnal trace (4 load
 // cycles over the configured duration) is served by vLLM (DP) and KunServe
-// with streaming metrics forced on, so memory stays bounded by the live
-// request population rather than the trace length.
+// with bounded metrics (runner.DefaultReservoir samples per distribution),
+// so memory stays bounded by the live request population rather than the
+// trace length.
 // Every (rung x system) cell joins one shared run set, so small rungs
 // overlap the big one across cores instead of idling behind it; the sweep's
 // wall clock approaches the slowest single cell at 4+ workers. The price is
@@ -138,7 +139,6 @@ func ExperimentScale(cfg Config) (*ScaleResult, error) {
 	for _, n := range scaleLadder(cfg.Instances) {
 		rc := cfg
 		rc.Instances = n
-		rc.Stream = true
 		// Re-derive the rate for this rung's fleet so every rung runs at
 		// the same per-instance load (the ladder scales the cluster, not
 		// the pressure).
@@ -157,11 +157,15 @@ func ExperimentScale(cfg Config) (*ScaleResult, error) {
 			Requests:  len(tr.Requests),
 			AvgRPS:    tr.AvgRPS(),
 		})
+		// Bounded metrics: reservoir percentiles and no per-request
+		// records, so memory follows the live requests, not the trace.
+		cc := rc.clusterConfig(tr)
+		cc.MetricsReservoir = runner.DefaultReservoir
 		for _, sys := range scaleSystems {
 			sys := sys
 			set.Add(runner.Cell{
 				Key:       fmt.Sprintf("scale/%d/%s", n, sys),
-				Cluster:   rc.clusterConfig(tr),
+				Cluster:   cc,
 				NewPolicy: func() cluster.Policy { return NewPolicy(sys) },
 				Trace:     tr,
 				Horizon:   tr.Duration().Add(rc.HorizonSlack),

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"kunserve/internal/cluster"
 	"kunserve/internal/runner"
 	"kunserve/internal/sim"
 	"kunserve/internal/workload"
@@ -28,10 +29,10 @@ func TestScaleLadder(t *testing.T) {
 	}
 }
 
-// Streaming mode (bounded reservoirs) must not perturb the simulation
-// itself: below reservoir capacity the reservoir retains every sample, so
-// the summary — counts, percentiles, series — is identical to full record
-// retention. The second input replays the trace at whole-second
+// Bounded metrics (the reservoirs -exp scale runs with) must not perturb
+// the simulation itself: below reservoir capacity the reservoir retains
+// every sample, so the summary — counts, percentiles, series — is
+// identical to full record retention. The second input replays the trace at whole-second
 // resolution, so arrivals tie with each other and with the 1 s monitor
 // ticks; that holds only because every run schedules arrivals under the
 // same reserved sequence numbers.
@@ -49,15 +50,25 @@ func TestStreamingMatchesExact(t *testing.T) {
 		r := &whole.Requests[i]
 		r.Arrival -= r.Arrival % sim.Time(sim.Second)
 	}
-	run := func(c Config, sys System, tr *workload.Trace) runner.Summary {
-		cl, err := c.Run(sys, tr)
-		if err != nil {
-			t.Fatal(err)
+	// run serves tr exactly, or with the bounded collector built the way
+	// ExperimentScale builds it.
+	run := func(bounded bool, sys System, tr *workload.Trace) runner.Summary {
+		cc := cfg.withDefaults().clusterConfig(tr)
+		if bounded {
+			cc.MetricsReservoir = runner.DefaultReservoir
 		}
-		return runner.Summarize(cl)
+		res := runner.Run(runner.Cell{
+			Key:       string(sys),
+			Cluster:   cc,
+			NewPolicy: func() cluster.Policy { return NewPolicy(sys) },
+			Trace:     tr,
+			Horizon:   tr.Duration().Add(cfg.HorizonSlack),
+		})
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		return res.Summary
 	}
-	scfg := cfg
-	scfg.Stream = true
 	cases := []struct {
 		tr   *workload.Trace
 		syss []System
@@ -67,23 +78,23 @@ func TestStreamingMatchesExact(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, sys := range c.syss {
-			exact := run(cfg, sys, c.tr)
-			stream := run(scfg, sys, c.tr)
+			exact := run(false, sys, c.tr)
+			bounded := run(true, sys, c.tr)
 			if exact.Finished == 0 {
 				t.Fatalf("%s/%s: exact run finished nothing; test trace too small", c.tr.Name, sys)
 			}
-			// Streaming keeps no per-record slices; below reservoir
+			// Bounded metrics keep no per-record slices; below reservoir
 			// capacity everything else matches.
 			exact.TTFTs, exact.TPOTs, exact.Outputs = nil, nil, nil
-			if !reflect.DeepEqual(stream, exact) {
-				t.Errorf("%s/%s: streaming summary differs from exact:\nstream %+v\nexact  %+v",
-					c.tr.Name, sys, stream, exact)
+			if !reflect.DeepEqual(bounded, exact) {
+				t.Errorf("%s/%s: bounded summary differs from exact:\nbounded %+v\nexact   %+v",
+					c.tr.Name, sys, bounded, exact)
 			}
 		}
 	}
-	// Streaming is itself deterministic: a second run is identical.
-	if !reflect.DeepEqual(run(scfg, SysVLLMDP, tr), run(scfg, SysVLLMDP, tr)) {
-		t.Error("streaming run not deterministic across repetitions")
+	// A bounded run is itself deterministic: a second run is identical.
+	if !reflect.DeepEqual(run(true, SysVLLMDP, tr), run(true, SysVLLMDP, tr)) {
+		t.Error("bounded run not deterministic across repetitions")
 	}
 }
 

@@ -96,8 +96,9 @@ func Run(c Cell) (res Result) {
 	return res
 }
 
-// DefaultReservoir is the per-distribution sample capacity of streaming
-// mode (experiments.Config.Stream): large enough for stable tail
+// DefaultReservoir is the per-distribution sample capacity of bounded
+// metrics (cluster.Config.MetricsReservoir), which the cluster-scale sweep
+// (experiments.ExperimentScale) runs with: large enough for stable tail
 // percentiles (p99.9 of 4096 uniform samples), small enough that a
 // thousand-cell sweep's metrics stay in the tens of megabytes.
 const DefaultReservoir = 4096

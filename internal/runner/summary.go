@@ -261,8 +261,8 @@ func Summarize(cl *cluster.Cluster) Summary {
 	}
 	var ratios []float64
 	for _, g := range cl.Groups() {
-		if g.Stages() > 1 && g.Engine().SpanTime() > 0 {
-			ratios = append(ratios, g.Engine().BubbleRatio())
+		if g.Stages() > 1 && g.Pipeline().SpanTime() > 0 {
+			ratios = append(ratios, g.Pipeline().BubbleRatio())
 		}
 	}
 	for _, r := range ratios {
