@@ -24,6 +24,11 @@ import (
 	"kunserve/internal/sim"
 )
 
+// kvChunkBytes sizes the chunks of the bulk KV transfers (Llumnix
+// migrations, disaggregated handoffs), so co-located pipeline activations
+// are not starved behind one transfer.
+const kvChunkBytes = 4 << 20
+
 // VLLMDP is vLLM's default deployment: data-parallel full replicas,
 // recompute on memory pressure.
 type VLLMDP struct{ cluster.BasePolicy }
@@ -103,11 +108,6 @@ func (p StaticPP) Setup(c *cluster.Cluster) error {
 // HandlePressure implements cluster.Policy.
 func (StaticPP) HandlePressure(g *cluster.Group, need int) bool {
 	return recomputeVictim(g)
-}
-
-// Former fills the pipeline with two microbatches per stage.
-func (StaticPP) Former() cluster.Former {
-	return cluster.TokenCountFormer{MicrobatchesPerStage: 2}
 }
 
 // VLLMPP returns the vLLM (PP) baseline: pairwise halved parameters.
@@ -337,10 +337,8 @@ func (p *Llumnix) migrate(src, dst *cluster.Group, v *request.Request) {
 	src.Stall(v, request.StateMigrating)
 	bytes := kvBytes(src, v.Seq.Tokens())
 	egress := c.Fabric.Egress(src.Instances()[0].ID)
-	// Chunked so co-located pipelined traffic is not starved.
-	chunk := int64(4 << 20)
 	m := p.getMigration(src, dst, v)
-	egress.SendChunked(bytes, chunk, network.PriorityBulk, "migrate", m.done)
+	egress.SendChunked(bytes, kvChunkBytes, network.PriorityBulk, "migrate", m.done)
 }
 
 // finish lands a completed migration transfer and recycles the record.

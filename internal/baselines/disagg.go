@@ -36,9 +36,6 @@ type Disagg struct {
 	// to the cluster's instance count and each be at least 1.
 	Prefill int
 	Decode  int
-	// ChunkBytes sizes the handoff's bulk-transfer chunks (default 4 MiB,
-	// the coordinated-exchange chunking that keeps activations flowing).
-	ChunkBytes int64
 
 	// pending holds prefill-complete requests stalled at their source
 	// because no decode group currently fits their KV; retried on every
@@ -228,18 +225,14 @@ func (p *Disagg) decodeDestination(c *cluster.Cluster, pfx kvcache.Prefix, token
 // returning false when no decode group currently fits the request.
 func (p *Disagg) tryHandoff(c *cluster.Cluster, src *cluster.Group, r *request.Request) bool {
 	tokens := r.Seq.Tokens()
-	pfx := r.Prefix
-	if !c.PrefixCaching {
-		pfx = kvcache.Prefix{}
-	}
-	dst := p.decodeDestination(c, pfx, tokens)
+	dst := p.decodeDestination(c, r.Prefix, tokens)
 	if dst == nil {
 		return false
 	}
 	// Admission-side reservation on the destination pool: match the
 	// shared-prefix chain first (blocks already cached there need neither
 	// allocation nor transfer), then allocate the uncached remainder.
-	seq, cached, err := dst.Pool().NewSeqCached(pfx)
+	seq, cached, err := dst.Pool().NewSeqCached(r.Prefix)
 	if err != nil {
 		return false
 	}
@@ -249,17 +242,13 @@ func (p *Disagg) tryHandoff(c *cluster.Cluster, src *cluster.Group, r *request.R
 		return false
 	}
 	bytes := int64(tokens-cached) * c.Model.KVBytesPerToken()
-	chunk := p.ChunkBytes
-	if chunk <= 0 {
-		chunk = 4 << 20
-	}
 	start := c.Sim.Now()
 	if ts, ok := p.stalledAt[r.ID]; ok {
 		c.Collector.ObserveStageWait(metrics.StageHandoffPending, start.Sub(ts).Seconds())
 		delete(p.stalledAt, r.ID)
 	}
 	egress := c.Fabric.Egress(src.Instances()[0].ID)
-	bt := egress.SendChunked(bytes, chunk, network.PriorityBulk,
+	bt := egress.SendChunked(bytes, kvChunkBytes, network.PriorityBulk,
 		fmt.Sprintf("handoff:%d", r.ID), func() {
 			p.finishHandoff(c, src, dst, r, seq, start, tokens, cached)
 		})

@@ -136,8 +136,6 @@ type Options struct {
 	Budget batching.Budget
 	// Depth is the pipeline stage count (1 = plain execution).
 	Depth int
-	// PrefixCaching gates admission-time prefix-chain matching.
-	PrefixCaching bool
 	// RetryDelay is the sleep before retrying a fully pressure-blocked
 	// round.
 	RetryDelay sim.Duration
@@ -170,10 +168,9 @@ type Engine struct {
 	// can emit its duration slice. Only maintained while tracing.
 	roundStart sim.Time
 
-	budget        batching.Budget
-	depth         int
-	prefixCaching bool
-	retryDelay    sim.Duration
+	budget     batching.Budget
+	depth      int
+	retryDelay sim.Duration
 
 	// lane is the engine's only membership structure: one slot per running
 	// request in (Arrival, ID) order — the order runCollect schedules in —
@@ -414,22 +411,21 @@ func (w *wheel) reset() {
 // New assembles an engine in the collocated role.
 func New(opts Options) *Engine {
 	e := &Engine{
-		role:          RoleCollocated,
-		groupID:       opts.GroupID,
-		simu:          opts.Sim,
-		pool:          opts.Pool,
-		pipe:          opts.Pipeline,
-		queue:         opts.Queue,
-		col:           opts.Collector,
-		cb:            opts.Callbacks,
-		budget:        opts.Budget,
-		depth:         opts.Depth,
-		prefixCaching: opts.PrefixCaching,
-		retryDelay:    opts.RetryDelay,
-		tr:            opts.Tracer,
-		rt:            opts.Req,
-		stalled:       make(map[int]*request.Request),
-		curStamp:      uint64(opts.GroupID+1) << 40,
+		role:       RoleCollocated,
+		groupID:    opts.GroupID,
+		simu:       opts.Sim,
+		pool:       opts.Pool,
+		pipe:       opts.Pipeline,
+		queue:      opts.Queue,
+		col:        opts.Collector,
+		cb:         opts.Callbacks,
+		budget:     opts.Budget,
+		depth:      opts.Depth,
+		retryDelay: opts.RetryDelay,
+		tr:         opts.Tracer,
+		rt:         opts.Req,
+		stalled:    make(map[int]*request.Request),
+		curStamp:   uint64(opts.GroupID+1) << 40,
 	}
 	e.stages = stagesFor(e.role)
 	e.finishFn = func() { e.finishRound(e.rd.items) }
@@ -1373,14 +1369,11 @@ func (e *Engine) runAdmit(*round) bool {
 			delete(e.queuedAt, r.ID)
 			continue
 		}
-		pfx := r.Prefix
-		if !e.prefixCaching {
-			pfx = kvcache.Prefix{}
-		}
-		if !e.pool.CanFitWithPrefix(pfx, r.PrefillTarget()) {
+		// A pool without sharing ignores the prefix.
+		if !e.pool.CanFitWithPrefix(r.Prefix, r.PrefillTarget()) {
 			return true
 		}
-		seq, hit, err := e.pool.NewSeqCached(pfx)
+		seq, hit, err := e.pool.NewSeqCached(r.Prefix)
 		if err != nil {
 			return true
 		}

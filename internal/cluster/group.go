@@ -102,18 +102,17 @@ func newGroup(id int, cl *Cluster, insts []*instance.Instance) (*Group, error) {
 	}
 	g.pipe = pipeline.New(cl.Sim, stages, int64(m.HiddenDim)*m.BytesPerParam)
 	g.Engine = engine.New(engine.Options{
-		GroupID:       id,
-		Sim:           cl.Sim,
-		Pool:          g.pool,
-		Pipeline:      g.pipe,
-		Queue:         cl.newDiscipline(),
-		Collector:     cl.Collector,
-		Budget:        cl.Budget,
-		Depth:         len(insts),
-		PrefixCaching: cl.PrefixCaching,
-		RetryDelay:    RetryRoundDelay,
-		Tracer:        cl.tracer,
-		Req:           cl.reqTrack,
+		GroupID:    id,
+		Sim:        cl.Sim,
+		Pool:       g.pool,
+		Pipeline:   g.pipe,
+		Queue:      cl.newDiscipline(),
+		Collector:  cl.Collector,
+		Budget:     cl.Budget,
+		Depth:      len(insts),
+		RetryDelay: RetryRoundDelay,
+		Tracer:     cl.tracer,
+		Req:        cl.reqTrack,
 		Callbacks: engine.Callbacks{
 			BeforeAdmit:    func() { cl.Policy.BeforeAdmit(g) },
 			HandlePressure: func(need int) bool { return cl.Policy.HandlePressure(g, need) },

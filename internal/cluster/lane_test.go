@@ -65,7 +65,7 @@ func TestSteadyPipelinedRoundAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	formers := map[string]Former{
-		"token-count": TokenCountFormer{MicrobatchesPerStage: 2},
+		"token-count": TokenCountFormer{},
 		"lookahead":   &lookahead.Former{Model: cm},
 	}
 	for name, f := range formers {

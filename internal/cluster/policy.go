@@ -24,23 +24,20 @@ type Former interface {
 // TokenCountFormer is the state-of-the-art token-count-based microbatch
 // formulation (Sarathi-Serve/vLLM): near-equal token counts per microbatch,
 // blind to the quadratic attention cost (Figure 9 (b)).
-type TokenCountFormer struct {
-	// MicrobatchesPerStage scales how many microbatches fill the
-	// pipeline; vLLM uses one in-flight microbatch per stage.
-	MicrobatchesPerStage int
-}
+type TokenCountFormer struct{}
+
+// microbatchesPerStage is how many microbatches TokenCountFormer cuts per
+// pipeline stage: two fill the pipeline, so a stage has the next
+// microbatch ready while its neighbour runs the previous one.
+const microbatchesPerStage = 2
 
 // Form implements Former: the decode run is cut at counts (see
 // batching.SplitByTokenCount).
-func (f TokenCountFormer) Form(s *batching.Split, dec []batching.Decode, items []batching.Item, stages int) []batching.Microbatch {
+func (TokenCountFormer) Form(s *batching.Split, dec []batching.Decode, items []batching.Item, stages int) []batching.Microbatch {
 	if stages <= 1 {
 		return s.Whole(dec, items)
 	}
-	per := f.MicrobatchesPerStage
-	if per <= 0 {
-		per = 1
-	}
-	return batching.SplitByTokenCount(s, dec, items, stages*per)
+	return batching.SplitByTokenCount(s, dec, items, stages*microbatchesPerStage)
 }
 
 // Policy is the overload-handling mechanism under evaluation. All five

@@ -21,34 +21,36 @@ import (
 	"kunserve/internal/sim"
 )
 
-// Options tune the policy; zero values select the paper's defaults. The
-// Disable*/ UseTokenCountFormer knobs drive the Figure 14 ablation.
-type Options struct {
-	// OverloadThreshold is the demand/capacity ratio that triggers a
-	// drop (default 0.70: "has suffered or is about to suffer").
-	OverloadThreshold float64
-	// FreeHeadroom over-frees beyond the deficit (default 0.10 of
+// The paper's policy settings. Each has one value in every experiment.
+const (
+	// overloadThreshold is the demand/capacity ratio that triggers a
+	// drop. Proactive ("has suffered or is about to suffer", §3): with
+	// KVCache provisioned at ~2x average demand, baseline sits near 0.5,
+	// so 0.7 fires early in a burst without false-triggering in steady
+	// state.
+	overloadThreshold = 0.70
+	// freeHeadroom over-frees beyond the deficit (a fraction of
 	// capacity) so the next wave does not immediately re-trigger.
-	FreeHeadroom float64
-	// RestoreThreshold is the usage fraction of *restored* capacity
+	freeHeadroom = 0.10
+	// restoreThreshold is the usage fraction of *restored* capacity
 	// below which parameters are restored (the paper uses 50%).
-	RestoreThreshold float64
-	// RestoreHoldoff is the minimum time a drop stays in effect before
+	restoreThreshold = 0.50
+	// restoreHoldoff is the minimum time a drop stays in effect before
 	// restoration is considered, so a brief post-drop lull does not
-	// bounce the cluster straight back (default 20s).
-	RestoreHoldoff sim.Duration
-	// ExchangeChunkBytes sizes coordinated-exchange chunks so one chunk
-	// transfers in about a pipeline-stage time (default 256 MiB).
-	ExchangeChunkBytes int64
-	// MaxStages bounds merged-group pipeline depth (default 2): Figure 5
-	// shows every extra stage costs latency, so the planner prefers wide
-	// shallow merges and falls back to KVCache-centric handling beyond
-	// the cap. Raise it for extreme-burst scenarios (§5.6).
-	MaxStages int
+	// bounce the cluster straight back.
+	restoreHoldoff = 20 * sim.Second
+	// exchangeChunkBytes sizes coordinated-exchange chunks so one chunk
+	// transfers in about a pipeline-stage time.
+	exchangeChunkBytes = 256 << 20
+	// maxStages bounds merged-group pipeline depth: Figure 5 shows every
+	// extra stage costs latency, so the planner prefers wide shallow
+	// merges and falls back to KVCache-centric handling beyond the cap.
+	maxStages = 2
+)
 
-	// DisableDrop turns off parameter dropping entirely (degenerates to
-	// vLLM (DP)); the Figure 14 baseline rung.
-	DisableDrop bool
+// Options select the Figure 14 ablation rungs and Figure 16's
+// "KunServe w/o restore"; the zero value is the full policy.
+type Options struct {
 	// DisableCoordinatedExchange sends KVCache exchanges as monolithic
 	// transfers that block activations (ablation rung 2).
 	DisableCoordinatedExchange bool
@@ -58,32 +60,6 @@ type Options struct {
 	// DisableRestore keeps groups pipelined forever (Figure 16's
 	// "KunServe w/o restore").
 	DisableRestore bool
-}
-
-func (o Options) withDefaults() Options {
-	if o.OverloadThreshold == 0 {
-		// Proactive ("has suffered or is about to suffer", §3): with
-		// KVCache provisioned at ~2x average demand, baseline sits
-		// near 0.5, so 0.7 fires early in a burst without
-		// false-triggering in steady state.
-		o.OverloadThreshold = 0.70
-	}
-	if o.FreeHeadroom == 0 {
-		o.FreeHeadroom = 0.10
-	}
-	if o.RestoreThreshold == 0 {
-		o.RestoreThreshold = 0.50
-	}
-	if o.RestoreHoldoff == 0 {
-		o.RestoreHoldoff = 20 * sim.Second
-	}
-	if o.ExchangeChunkBytes == 0 {
-		o.ExchangeChunkBytes = 256 << 20
-	}
-	if o.MaxStages == 0 {
-		o.MaxStages = 2
-	}
-	return o
 }
 
 // Event records one reconfiguration for the experiment timelines (Figure 16
@@ -120,14 +96,11 @@ type Policy struct {
 
 // New creates the policy.
 func New(opts Options) *Policy {
-	return &Policy{opts: opts.withDefaults(), failed: make(map[int]bool)}
+	return &Policy{opts: opts, failed: make(map[int]bool)}
 }
 
 // Name implements cluster.Policy.
 func (p *Policy) Name() string { return "KunServe" }
-
-// Options returns the active options (after defaulting).
-func (p *Policy) Options() Options { return p.opts }
 
 // Events returns the reconfiguration log.
 func (p *Policy) Events() []Event { return p.events }
@@ -180,7 +153,7 @@ func (p *Policy) Setup(c *cluster.Cluster) error {
 	}
 	p.costModel = m
 	if p.opts.UseTokenCountFormer {
-		p.former = cluster.TokenCountFormer{MicrobatchesPerStage: 2}
+		p.former = cluster.TokenCountFormer{}
 	} else {
 		// The cost model is read-only, so one policy's Former serves all
 		// its groups, each forming into its engine's own scratch.
@@ -220,7 +193,8 @@ func (p *Policy) OnTick(c *cluster.Cluster) {
 // the deployment's KV provisioning.
 func singletonCapacityTokens(in *instance.Instance) int {
 	missingParams := in.Model.ParamBytes() - in.ParamBytes()
-	// Restoration claims unmapped memory first; only the remainder comes
+	// Restoration claims unmapped memory (HBM outside the KVCache
+	// provision that no drop has claimed) first; only the remainder comes
 	// out of the KVCache region.
 	fromKV := missingParams - in.FreeBytes()
 	if fromKV < 0 {

@@ -13,12 +13,9 @@ import (
 // maybeDrop checks the overload condition and, when triggered, derives and
 // executes a drop plan. It returns true when a reconfiguration started.
 func (p *Policy) maybeDrop(c *cluster.Cluster) bool {
-	if p.opts.DisableDrop {
-		return false
-	}
 	demand := c.DemandBytes()
 	capacity := c.CapacityBytes()
-	if float64(demand) <= float64(capacity)*p.opts.OverloadThreshold {
+	if float64(demand) <= float64(capacity)*overloadThreshold {
 		return false
 	}
 	groups := c.Groups()
@@ -42,10 +39,13 @@ func (p *Policy) maybeDrop(c *cluster.Cluster) bool {
 	if over := demand - capacity; over > 0 {
 		required += over
 	}
-	required += int64(float64(capacity) * p.opts.FreeHeadroom)
+	required += int64(float64(capacity) * freeHeadroom)
 
-	// Memory left unmapped by earlier bounded drops is claimed first —
-	// extending a live group's KVCache needs no cooperation at all.
+	// HBM left outside the KVCache provision (instance.NewProvisioned) is
+	// claimed first — extending a live group's KVCache needs no
+	// cooperation at all. The baselines never map this memory, so
+	// KunServe serves with more KVCache than they do once it has been
+	// claimed.
 	required -= p.extendExistingGroups(c, required)
 	if required <= 0 {
 		return true
@@ -55,7 +55,7 @@ func (p *Policy) maybeDrop(c *cluster.Cluster) bool {
 	for i, g := range groups {
 		states[i] = planner.GroupState{ID: g.ID, Size: g.Stages()}
 	}
-	plan, err := planner.DeriveCapped(states, c.Model.ParamBytes(), required, p.opts.MaxStages)
+	plan, err := planner.DeriveCapped(states, c.Model.ParamBytes(), required, maxStages)
 	if err != nil && plan == nil {
 		return false
 	}
@@ -73,13 +73,12 @@ func (p *Policy) maybeDrop(c *cluster.Cluster) bool {
 	})
 	eventIdx := len(p.events) - 1
 	// Figure 6 semantics: a merge drops the whole duplicated copy and the
-	// local managers map all of it into KVCache (requiredKV < 0 =
-	// unbounded) — the burst's continued growth is absorbed without
-	// another reconfiguration.
+	// local managers map all of it into KVCache — the burst's continued
+	// growth is absorbed without another reconfiguration.
 	pending := len(changed)
 	for _, m := range changed {
 		m := m
-		p.executeMerge(c, m, -1, func(freed int64, evictedCached int) {
+		p.executeMerge(c, m, func(freed int64, evictedCached int) {
 			p.events[eventIdx].FreedBytes += freed
 			p.events[eventIdx].EvictedCachedBlocks += evictedCached
 			pending--
@@ -94,8 +93,9 @@ func (p *Policy) maybeDrop(c *cluster.Cluster) bool {
 	return true
 }
 
-// extendExistingGroups claims unmapped instance memory (left by earlier
-// bounded drops) for live groups' KVCache, returning the bytes claimed.
+// extendExistingGroups maps unmapped instance memory (the HBM outside the
+// KVCache provision; drops leave none) into live groups' KVCache,
+// returning the bytes claimed.
 func (p *Policy) extendExistingGroups(c *cluster.Cluster, required int64) int64 {
 	var claimed int64
 	perLayer := c.Model.KVBytesPerTokenPerLayer()
@@ -141,7 +141,7 @@ func (p *Policy) extendExistingGroups(c *cluster.Cluster, required int64) int64 
 // pipelined successor group, transplants requests, and launches the KVCache
 // exchange. done receives the parameter bytes freed and the cached prefix
 // blocks that died with the dissolved pools.
-func (p *Policy) executeMerge(c *cluster.Cluster, m planner.Merge, requiredKV int64, done func(freed int64, evictedCached int)) {
+func (p *Policy) executeMerge(c *cluster.Cluster, m planner.Merge, done func(freed int64, evictedCached int)) {
 	groups := make([]*cluster.Group, 0, len(m.GroupIDs))
 	for _, id := range m.GroupIDs {
 		g := c.GroupByID(id)
@@ -156,14 +156,14 @@ func (p *Policy) executeMerge(c *cluster.Cluster, m planner.Merge, requiredKV in
 		if remaining > 0 {
 			return
 		}
-		p.mergeDrained(c, groups, requiredKV, done)
+		p.mergeDrained(c, groups, done)
 	}
 	for _, g := range groups {
 		g.Drain(onDrained)
 	}
 }
 
-func (p *Policy) mergeDrained(c *cluster.Cluster, groups []*cluster.Group, requiredKV int64, done func(freed int64, evictedCached int)) {
+func (p *Policy) mergeDrained(c *cluster.Cluster, groups []*cluster.Group, done func(freed int64, evictedCached int)) {
 	// Collect member instances in stage order and their old group sizes
 	// (for exchange-volume accounting).
 	type carried struct {
@@ -195,16 +195,6 @@ func (p *Policy) mergeDrained(c *cluster.Cluster, groups []*cluster.Group, requi
 	}
 
 	split := planner.SplitLayers(c.Model.Layers, len(insts))
-	// The plan frees one parameter copy, but only the R-share of it is
-	// mapped into KVCache now; the surplus stays unmapped and is claimed
-	// by extendExistingGroups if demand keeps growing. Each new token
-	// costs every stage its per-layer share, so the per-instance KV
-	// growth is proportional to the layers it keeps.
-	growTokens := int64(0)
-	if requiredKV > 0 {
-		growTokens = requiredKV / c.Model.KVBytesPerToken()
-	}
-	perLayer := c.Model.KVBytesPerTokenPerLayer()
 	var maxRemap sim.Duration
 	for i, id := range insts {
 		in := c.Instances[id]
@@ -212,13 +202,8 @@ func (p *Policy) mergeDrained(c *cluster.Cluster, groups []*cluster.Group, requi
 		if dropN <= 0 {
 			continue
 		}
-		dropped := in.Model.ParamBytesPerLayer() * int64(dropN)
-		freed += dropped
-		kvGrow := dropped // unbounded: map the whole share
-		if requiredKV >= 0 {
-			kvGrow = perLayer * int64(split[i]) * growTokens
-		}
-		d, err := in.DropLayersBounded(dropN, kvGrow)
+		freed += in.Model.ParamBytesPerLayer() * int64(dropN)
+		d, err := in.DropLayers(dropN)
 		if err != nil {
 			panic(fmt.Sprintf("kunserve: drop on instance %d: %v", id, err))
 		}
@@ -299,13 +284,6 @@ func (p *Policy) startExchange(c *cluster.Cluster, g *cluster.Group,
 		egress.Send(bytes, network.PriorityBulk, "exchange", finish)
 		return
 	}
-	egress.SendChunked(bytes, p.opts.ExchangeChunkBytes, network.PriorityBulk,
+	egress.SendChunked(bytes, exchangeChunkBytes, network.PriorityBulk,
 		"exchange", finish)
-}
-
-// KVExchangeSeconds estimates the stall for a given token volume — used by
-// experiments to report exchange cost (§4.2's 1–2 s on 200 Gbps).
-func KVExchangeSeconds(c *cluster.Cluster, tokens int64, frac float64) float64 {
-	bytes := float64(tokens*c.Model.KVBytesPerToken()) * frac
-	return bytes / c.Fabric.Egress(0).Bandwidth()
 }

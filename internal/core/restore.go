@@ -21,7 +21,7 @@ func (p *Policy) maybeRestore(c *cluster.Cluster) {
 	// Hysteresis: hold the dropped configuration for a while before
 	// restoring, or a momentary lull bounces the cluster back and forth.
 	for _, e := range p.events {
-		if e.Kind == "drop" && c.Sim.Now().Sub(e.End) < p.opts.RestoreHoldoff {
+		if e.Kind == "drop" && c.Sim.Now().Sub(e.End) < restoreHoldoff {
 			return
 		}
 	}
@@ -37,7 +37,7 @@ func (p *Policy) maybeRestore(c *cluster.Cluster) {
 		if g.QueueLen() > 0 {
 			continue // queued demand: restoring now would re-trigger a drop
 		}
-		if float64(used) >= float64(restoredCap)*p.opts.RestoreThreshold {
+		if float64(used) >= float64(restoredCap)*restoreThreshold {
 			continue
 		}
 		p.restoreGroup(c, g)
@@ -99,7 +99,7 @@ func (p *Policy) restoreGroup(c *cluster.Cluster, g *cluster.Group) {
 		restoredBytes += bytes
 		pulls++
 		in := in
-		c.Fabric.Egress(in.ID).SendChunked(bytes, p.opts.ExchangeChunkBytes,
+		c.Fabric.Egress(in.ID).SendChunked(bytes, exchangeChunkBytes,
 			network.PriorityParameter, fmt.Sprintf("restore:%d", in.ID),
 			onePullDone)
 	}
@@ -176,7 +176,7 @@ func (p *Policy) startGather(c *cluster.Cluster, g *cluster.Group, r *request.Re
 	bytes := tokens * c.Model.KVBytesPerToken()
 	g.Stall(r, request.StateExchanging)
 	c.Fabric.Egress(g.Instances()[0].ID).SendChunked(bytes,
-		p.opts.ExchangeChunkBytes, network.PriorityBulk,
+		exchangeChunkBytes, network.PriorityBulk,
 		fmt.Sprintf("gather:%d", r.ID), func() {
 			if r.State() == request.StateExchanging {
 				g.Unstall(r)

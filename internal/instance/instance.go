@@ -117,48 +117,27 @@ func (in *Instance) KVTokenCapacity(layers int) int {
 // released and their physical memory is remapped into the KVCache range
 // (§4.1). It returns the remap latency to charge to the simulation clock.
 func (in *Instance) DropLayers(n int) (sim.Duration, error) {
-	return in.DropLayersBounded(n, int64(n)*in.Model.ParamBytesPerLayer())
-}
-
-// DropLayersBounded drops n layers but maps at most kvGrow of the freed
-// physical memory into the KVCache range; the remainder stays unmapped
-// (free), claimable later by ExtendKV when demand keeps growing. This is
-// how an R-driven plan avoids over-extending capacity beyond the
-// requirement.
-func (in *Instance) DropLayersBounded(n int, kvGrow int64) (sim.Duration, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("instance %d: drop %d layers", in.ID, n)
 	}
 	if n > in.layersHeld {
 		return 0, fmt.Errorf("instance %d: drop %d of %d held layers", in.ID, n, in.layersHeld)
 	}
-	bytes := in.Model.ParamBytesPerLayer() * int64(n)
-	if kvGrow < 0 {
-		kvGrow = 0
-	}
-	if kvGrow > bytes {
-		kvGrow = bytes
-	}
-	d, err := in.Mem.MoveBetween(RegionParams, RegionKVCache, bytes)
+	d, err := in.Mem.MoveBetween(RegionParams, RegionKVCache, in.Model.ParamBytesPerLayer()*int64(n))
 	if err != nil {
 		return 0, err
-	}
-	if surplus := bytes - kvGrow; surplus > 0 {
-		d2, err := in.Mem.Shrink(RegionKVCache, surplus)
-		if err != nil {
-			return 0, err
-		}
-		d += d2
 	}
 	in.layersHeld -= n
 	return d, nil
 }
 
-// FreeBytes returns unmapped physical memory available to ExtendKV.
+// FreeBytes returns unmapped physical memory available to ExtendKV: the
+// HBM NewProvisioned left outside the KVCache provision. Drops map all
+// they free, so they leave none.
 func (in *Instance) FreeBytes() int64 { return in.Mem.FreeBytes() }
 
-// ExtendKV maps free physical memory into the KVCache range (claiming
-// memory earlier drops left unmapped).
+// ExtendKV maps free physical memory (HBM outside the KVCache provision)
+// into the KVCache range.
 func (in *Instance) ExtendKV(bytes int64) (sim.Duration, error) {
 	return in.Mem.Extend(RegionKVCache, bytes)
 }
@@ -179,8 +158,8 @@ func (in *Instance) RestoreLayers(n int) (sim.Duration, error) {
 	}
 	bytes := in.Model.ParamBytesPerLayer() * int64(n)
 	var total sim.Duration
-	// Claim unmapped memory first (from a bounded drop), then reclaim
-	// the KVCache tail.
+	// Claim unmapped memory first (HBM outside the KVCache provision
+	// that ExtendKV has not taken), then reclaim the KVCache tail.
 	if free := in.Mem.FreeBytes(); free > 0 {
 		take := free
 		if take > bytes {
