@@ -640,6 +640,74 @@ func BenchmarkPreemptReadmit(b *testing.B) {
 	}
 }
 
+// BenchmarkStallCycle prices InferCept's bookkeeping for one swap at two
+// lane sizes with the youngest quarter of the lane swapped out: Victim
+// finds the youngest unstalled request past the swapped tail, Stall swaps
+// it out, EachStalled visits every swapped request, as InferCept's swap-in
+// scan does each round, and Unstall resumes the victim. The group is
+// draining, so no round runs and Unstall's wake-up starts none.
+func BenchmarkStallCycle(b *testing.B) {
+	for _, n := range []int{64, 512} {
+		b.Run(fmt.Sprintf("lane=%d", n), func(b *testing.B) {
+			cl, err := cluster.New(cluster.Config{
+				Seed:          1,
+				Model:         model.Qwen25_14B(),
+				GPU:           gpu.A800(),
+				Instances:     1,
+				Policy:        baselines.VLLMDP{},
+				Budget:        batching.Budget{MaxTokens: 32},
+				MetricsWindow: 10000 * sim.Second,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				if err := cl.Dispatch(request.New(i, sim.Time(i), 16, 1<<30)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			g := cl.Groups()[0]
+			for step := 0; step < 200; step++ {
+				cl.Sim.Step()
+			}
+			if g.RunningLen() != n {
+				b.Fatalf("%d of %d requests running", g.RunningLen(), n)
+			}
+			g.Drain(func() {})
+			for i := 0; i < n/4; i++ {
+				v := g.Victim()
+				if v == nil {
+					b.Fatal("no victim")
+				}
+				g.Stall(v, request.StateSwapped)
+			}
+			swapped := 0
+			visit := func(*request.Request) { swapped++ }
+			cycle := func() {
+				v := g.Victim()
+				if v == nil {
+					b.Fatal("no victim")
+				}
+				g.Stall(v, request.StateSwapped)
+				g.EachStalled(visit)
+				g.Unstall(v)
+			}
+			// One cycle outside the timer grows EachStalled's scratch.
+			cycle()
+			swapped = 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cycle()
+			}
+			b.StopTimer()
+			if want := b.N * (n/4 + 1); swapped != want {
+				b.Fatalf("EachStalled visited %d swapped requests, want %d", swapped, want)
+			}
+		})
+	}
+}
+
 // BenchmarkSteadyDecode prices the steady decode token at three lane
 // sizes: one instance holds 8, 25 or 128 requests in lockstep decode (same
 // prompt, outputs too long to finish), and each iteration runs one

@@ -119,10 +119,11 @@ func VLLMPP() StaticPP { return StaticPP{Width: 2} }
 // write-back to land plus the read-back transfer.
 type InferCept struct {
 	cluster.BasePolicy
-	// swapOutDone records when each victim's host copy is complete.
-	swapOutDone map[int]sim.Time
-	// swapIn marks requests whose swap-in transfer is in flight.
-	swapIn map[int]bool
+	// swapped counts the requests between swap-out and the landing of
+	// their swap-in: each carries its host copy's completion time in
+	// Request.SwapOutDone, and Request.SwapInFlight while its swap-in
+	// transfer is in flight.
+	swapped int
 	// candidates is BeforeAdmit's reusable swap-in scan buffer and scanFn
 	// its persistent collector closure (a per-round literal would allocate).
 	candidates []*request.Request
@@ -141,12 +142,9 @@ type swapInRec struct {
 
 // NewInferCept creates the swap policy.
 func NewInferCept() *InferCept {
-	p := &InferCept{
-		swapOutDone: make(map[int]sim.Time),
-		swapIn:      make(map[int]bool),
-	}
+	p := &InferCept{}
 	p.scanFn = func(r *request.Request) {
-		if r.State() == request.StateSwapped && !p.swapIn[r.ID] {
+		if r.State() == request.StateSwapped && !r.SwapInFlight {
 			p.candidates = append(p.candidates, r)
 		}
 	}
@@ -155,8 +153,8 @@ func NewInferCept() *InferCept {
 		g, r := s.g, s.r
 		s.g, s.r = nil, nil
 		p.sfree = append(p.sfree, s)
-		delete(p.swapIn, r.ID)
-		delete(p.swapOutDone, r.ID)
+		r.SwapInFlight, r.SwapOutDone = false, 0
+		p.swapped--
 		if r.State() == request.StateSwapped {
 			g.Unstall(r)
 		}
@@ -190,7 +188,8 @@ func (p *InferCept) HandlePressure(g *cluster.Group, need int) bool {
 	g.Stall(v, request.StateSwapped)
 	c := g.Cluster()
 	pcie := c.GPU.PCIeBandwidth * float64(c.Model.GPUsPerInstance)
-	p.swapOutDone[v.ID] = c.Sim.Now().Add(sim.DurationFromSeconds(float64(bytes) / pcie))
+	v.SwapOutDone = c.Sim.Now().Add(sim.DurationFromSeconds(float64(bytes) / pcie))
+	p.swapped++
 	return true
 }
 
@@ -212,7 +211,7 @@ func (p *InferCept) BeforeAdmit(g *cluster.Group) {
 		}
 	}
 	for _, r := range candidates {
-		if now < p.swapOutDone[r.ID] {
+		if now < r.SwapOutDone {
 			continue
 		}
 		if r.Seq == nil || !g.Pool().CanFit(r.Seq.Tokens()) {
@@ -221,7 +220,7 @@ func (p *InferCept) BeforeAdmit(g *cluster.Group) {
 		if err := r.Seq.SwapIn(); err != nil {
 			continue
 		}
-		p.swapIn[r.ID] = true
+		r.SwapInFlight = true
 		bytes := kvBytes(g, r.Seq.Tokens())
 		pcie := c.GPU.PCIeBandwidth * float64(c.Model.GPUsPerInstance)
 		var rec *swapInRec
@@ -244,8 +243,9 @@ func (p *InferCept) BeforeAdmit(g *cluster.Group) {
 // back to recompute when no destination fits.
 type Llumnix struct {
 	cluster.BasePolicy
-	// migrating tracks in-flight migrations to bound concurrency.
-	migrating map[int]bool
+	// migrations counts the migrations in flight; each marks its request
+	// with Request.MigrationInFlight until the transfer lands.
+	migrations int
 	// ImbalanceGap triggers proactive rebalancing migration when the
 	// most- and least-loaded groups differ by more than this ratio.
 	ImbalanceGap float64
@@ -267,7 +267,7 @@ type migration struct {
 
 // NewLlumnix creates the migration policy.
 func NewLlumnix() *Llumnix {
-	return &Llumnix{migrating: make(map[int]bool), ImbalanceGap: 0.25}
+	return &Llumnix{ImbalanceGap: 0.25}
 }
 
 func (p *Llumnix) getMigration(src, dst *cluster.Group, v *request.Request) *migration {
@@ -320,7 +320,7 @@ func (p *Llumnix) HandlePressure(g *cluster.Group, need int) bool {
 	if v == nil {
 		return false
 	}
-	if v.Seq == nil || p.migrating[v.ID] {
+	if v.Seq == nil || v.MigrationInFlight {
 		return recomputeVictim(g)
 	}
 	dst := spareDestination(g.Cluster(), g, v.Seq.Tokens())
@@ -333,7 +333,8 @@ func (p *Llumnix) HandlePressure(g *cluster.Group, need int) bool {
 
 func (p *Llumnix) migrate(src, dst *cluster.Group, v *request.Request) {
 	c := src.Cluster()
-	p.migrating[v.ID] = true
+	v.MigrationInFlight = true
+	p.migrations++
 	src.Stall(v, request.StateMigrating)
 	bytes := kvBytes(src, v.Seq.Tokens())
 	egress := c.Fabric.Egress(src.Instances()[0].ID)
@@ -346,7 +347,8 @@ func (m *migration) finish() {
 	p, src, dst, v := m.p, m.src, m.dst, m.v
 	m.src, m.dst, m.v = nil, nil, nil
 	p.mfree = append(p.mfree, m)
-	delete(p.migrating, v.ID)
+	v.MigrationInFlight = false
+	p.migrations--
 	if v.State() != request.StateMigrating || v.Seq == nil {
 		return // finished or preempted during transfer
 	}
@@ -384,7 +386,7 @@ func (p *Llumnix) OnTick(c *cluster.Cluster) {
 		return
 	}
 	v := hi.Victim()
-	if v == nil || v.Seq == nil || p.migrating[v.ID] {
+	if v == nil || v.Seq == nil || v.MigrationInFlight {
 		return
 	}
 	if !lo.Pool().CanFit(v.Seq.Tokens()) {

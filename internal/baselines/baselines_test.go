@@ -6,6 +6,7 @@ import (
 	"kunserve/internal/cluster"
 	"kunserve/internal/gpu"
 	"kunserve/internal/model"
+	"kunserve/internal/request"
 	"kunserve/internal/sim"
 	"kunserve/internal/workload"
 )
@@ -110,14 +111,44 @@ func TestVLLMPPServes(t *testing.T) {
 	checkHealthy(t, c, 12)
 }
 
+// victims wraps a policy and records each request its HandlePressure
+// finds as the group's victim, counting the ones the policy stalled (swap
+// or migration) rather than recomputed.
+type victims struct {
+	cluster.Policy
+	seen    []*request.Request
+	stalled int
+}
+
+func (v *victims) HandlePressure(g *cluster.Group, need int) bool {
+	r := g.Victim()
+	ok := v.Policy.HandlePressure(g, need)
+	if r != nil {
+		v.seen = append(v.seen, r)
+		if r.State().Stalled() {
+			v.stalled++
+		}
+	}
+	return ok
+}
+
 func TestInferCeptSwapsUnderOverload(t *testing.T) {
 	p := NewInferCept()
-	c := newCluster(t, 1, p)
+	rec := &victims{Policy: p}
+	c := newCluster(t, 1, rec)
 	tr := overloadTrace(c, 4)
 	c.Serve(tr, sim.FromSeconds(5000))
 	checkHealthy(t, c, 4)
-	if len(p.swapOutDone) != 0 || len(p.swapIn) != 0 {
-		t.Error("swap bookkeeping leaked")
+	if p.swapped != 0 {
+		t.Errorf("%d swaps still in flight at the horizon", p.swapped)
+	}
+	if rec.stalled == 0 {
+		t.Fatal("nothing was swapped out")
+	}
+	for _, r := range rec.seen {
+		if r.SwapOutDone != 0 || r.SwapInFlight {
+			t.Errorf("request %d carries swap state at the horizon", r.ID)
+		}
 	}
 }
 
@@ -143,16 +174,25 @@ func TestInferCeptTPOTPenalty(t *testing.T) {
 
 func TestLlumnixMigratesToSpareInstance(t *testing.T) {
 	p := NewLlumnix()
-	c := newCluster(t, 2, p)
+	rec := &victims{Policy: p}
+	c := newCluster(t, 2, rec)
 	g0 := c.Groups()[0]
 	capTokens := g0.CapacityTokens()
-	// All requests land on one instance initially (dispatch balances,
-	// but make the first huge so pressure concentrates).
-	tr := burstTrace(6, 0.02, capTokens/4, capTokens/16)
+	// Three requests per instance overflow both pools mid-decode, so
+	// victims migrate to whichever pool has room.
+	tr := burstTrace(6, 0.02, capTokens/3, capTokens/8)
 	c.Serve(tr, sim.FromSeconds(5000))
 	checkHealthy(t, c, 6)
-	if len(p.migrating) != 0 {
-		t.Error("migration bookkeeping leaked")
+	if p.migrations != 0 {
+		t.Errorf("%d migrations still in flight at the horizon", p.migrations)
+	}
+	if rec.stalled == 0 {
+		t.Fatal("nothing migrated")
+	}
+	for _, r := range rec.seen {
+		if r.MigrationInFlight {
+			t.Errorf("request %d carries a migration mark at the horizon", r.ID)
+		}
 	}
 }
 

@@ -716,10 +716,10 @@ func (c *Cluster) admitArrival(wr *workload.Request) {
 
 // TransplantRequests moves extracted requests into a successor group:
 // running requests get fresh sequences sized to their current KV footprint
-// (the physical copy is the exchange engine's job); requests whose KV does
-// not fit are preempted for recompute; waiting requests join the queue in
-// order.
-func TransplantRequests(dst *Group, running, waiting []*request.Request, stalled map[int]*request.Request) {
+// (the physical copy is the exchange engine's job), and one in a stall
+// state stays stalled there; requests whose KV does not fit are preempted
+// for recompute; waiting requests join the queue in order.
+func TransplantRequests(dst *Group, running, waiting []*request.Request) {
 	for _, r := range running {
 		if r.Seq == nil {
 			// Lost its sequence mid-reconfiguration: recompute.
@@ -746,9 +746,6 @@ func TransplantRequests(dst *Group, running, waiting []*request.Request, stalled
 		seq.SetPrefix(r.Prefix)
 		r.Seq = seq
 		dst.AdoptRunning(r)
-		if s, ok := stalled[r.ID]; ok && s != nil {
-			dst.RestoreStalled(r)
-		}
 	}
 	for _, r := range waiting {
 		r.GroupID = dst.ID

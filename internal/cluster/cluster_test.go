@@ -296,8 +296,8 @@ func TestDrainAndTransplant(t *testing.T) {
 			if _, err := b.DropLayers(half); err != nil {
 				t.Error(err)
 			}
-			r0, w0, s0 := g0.ExtractRequests()
-			r1, w1, s1 := g1.ExtractRequests()
+			r0, w0 := g0.ExtractRequests()
+			r1, w1 := g1.ExtractRequests()
 			c.RemoveGroup(g0)
 			c.RemoveGroup(g1)
 			ng, err := c.NewGroup([]int{a.ID, b.ID})
@@ -305,8 +305,8 @@ func TestDrainAndTransplant(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			TransplantRequests(ng, r0, w0, s0)
-			TransplantRequests(ng, r1, w1, s1)
+			TransplantRequests(ng, r0, w0)
+			TransplantRequests(ng, r1, w1)
 			merged = true
 			ng.Wake()
 		}
@@ -480,8 +480,8 @@ func TestServeCarriesClientAndClassTags(t *testing.T) {
 
 // TransplantRequests edge paths: a running request that lost its sequence
 // recomputes, one whose KV cannot fit the destination falls back to
-// recompute, a stalled request keeps its stall bookkeeping, and waiting
-// requests join in order.
+// recompute, a swapped request stays stalled on the destination while a
+// healthy one does not, and waiting requests join in order.
 func TestTransplantRequestsEdgePaths(t *testing.T) {
 	c := testCluster(t, 2, recomputePolicy{})
 	g0, g1 := c.Groups()[0], c.Groups()[1]
@@ -492,7 +492,7 @@ func TestTransplantRequestsEdgePaths(t *testing.T) {
 	// Nil-Seq recompute path.
 	lost := request.New(1, 0, 512, 32)
 	lost.SetState(request.StateRunning)
-	TransplantRequests(g1, []*request.Request{lost}, nil, nil)
+	TransplantRequests(g1, []*request.Request{lost}, nil)
 	if lost.State() != request.StateQueued || lost.GroupID != g1.ID {
 		t.Errorf("nil-Seq: state %v group %d", lost.State(), lost.GroupID)
 	}
@@ -510,7 +510,7 @@ func TestTransplantRequestsEdgePaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	huge.Seq = seq
-	TransplantRequests(g1, []*request.Request{huge}, nil, nil)
+	TransplantRequests(g1, []*request.Request{huge}, nil)
 	if huge.Seq != nil || huge.State() != request.StateQueued || huge.Preemptions != 1 {
 		t.Errorf("fallback: seq %v state %v preemptions %d",
 			huge.Seq, huge.State(), huge.Preemptions)
@@ -519,8 +519,8 @@ func TestTransplantRequestsEdgePaths(t *testing.T) {
 		t.Error("fallback leaked the source sequence")
 	}
 
-	// Stalled request keeps its stall bookkeeping; a healthy running
-	// request is adopted unstalled.
+	// A swapped request stays stalled; a healthy running request is
+	// adopted unstalled.
 	mkRunning := func(id int) *request.Request {
 		r := request.New(id, 0, 128, 16)
 		r.SetState(request.StateRunning)
@@ -533,22 +533,38 @@ func TestTransplantRequestsEdgePaths(t *testing.T) {
 	}
 	stalledReq, runningReq := mkRunning(3), mkRunning(4)
 	stalledReq.SetState(request.StateSwapped)
-	TransplantRequests(g1,
-		[]*request.Request{stalledReq, runningReq}, nil,
-		map[int]*request.Request{stalledReq.ID: stalledReq})
-	if !g1.IsStalled(stalledReq) {
-		t.Error("stalled request lost its stall bookkeeping")
+	TransplantRequests(g1, []*request.Request{stalledReq, runningReq}, nil)
+	var stalled []*request.Request
+	g1.EachStalled(func(r *request.Request) { stalled = append(stalled, r) })
+	if len(stalled) != 1 || stalled[0] != stalledReq {
+		t.Errorf("stalled after the transplant: %v, want request %d alone", stalled, stalledReq.ID)
 	}
-	if g1.IsStalled(runningReq) {
-		t.Error("healthy request became stalled")
+	if g1.Victim() != runningReq {
+		t.Error("healthy request is not the preemption victim")
 	}
 	if g1.RunningLen() != 2 {
 		t.Errorf("running len %d, want 2", g1.RunningLen())
 	}
+	if _, err := g1.CheckLane(); err != nil {
+		t.Error(err)
+	}
+	// Only a stalled request unstalls: the healthy one panics.
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Unstall of a healthy request did not panic")
+			}
+		}()
+		g1.Unstall(runningReq)
+	}()
+	g1.Unstall(stalledReq)
+	if stalledReq.State() != request.StateRunning {
+		t.Errorf("unstalled request in state %v", stalledReq.State())
+	}
 
 	// Waiting requests join the queue in order behind earlier arrivals.
 	w1, w2 := request.New(5, 0, 128, 16), request.New(6, 0, 128, 16)
-	TransplantRequests(g1, nil, []*request.Request{w1, w2}, nil)
+	TransplantRequests(g1, nil, []*request.Request{w1, w2})
 	waiting := g1.WaitingRequests()
 	if len(waiting) != 4 {
 		t.Fatalf("queue len %d, want 4", len(waiting))

@@ -220,7 +220,8 @@ type Engine struct {
 	loose, cold  []int32
 	due          []int32
 
-	stalled map[int]*request.Request
+	// nStalled counts the live slots whose stalled bit is set.
+	nStalled int
 
 	executing  bool
 	scheduling bool // guards re-entrant startRound from policy callbacks
@@ -306,6 +307,13 @@ type Engine struct {
 // round collect, reserve and finish visit every other decode through the
 // token's item.
 //
+// A stalled slot (stalled) holds a request in a stall state: swapped,
+// migrating, exchanging or handing off. Stall sets the bit and Unstall
+// clears it, and an adopted request brings it in its state, so the bit
+// always mirrors the request's state (CheckLane checks it). It lets Victim,
+// EachStalled and collect pass a stalled slot by without loading its
+// Request.
+//
 // Write-backs happen where a running request becomes visible outside the
 // engine: Running, Victim, Stall, RemoveRequest, PreemptDetach and
 // ExtractRequests, and before a finished request reaches
@@ -340,6 +348,7 @@ type slot struct {
 	gen, kv int32
 	hot     bool
 	rel     bool
+	stalled bool
 	// fast marks a materialized slot that took the round stamped stamp's
 	// token on the fast path. While that round's fast tokens are in flight
 	// (see inFlight) ctx, left and gen already count the token; a Stall
@@ -424,7 +433,6 @@ func New(opts Options) *Engine {
 		retryDelay: opts.RetryDelay,
 		tr:         opts.Tracer,
 		rt:         opts.Req,
-		stalled:    make(map[int]*request.Request),
 		curStamp:   uint64(opts.GroupID+1) << 40,
 	}
 	e.stages = stagesFor(e.role)
@@ -518,17 +526,21 @@ func (e *Engine) Running() []*request.Request {
 // without copying them. fn must not admit, remove, or re-queue requests,
 // nor call Running or EachStalled, which sort into the scratch the visit
 // walks. It writes nothing back: Stall wrote each one back and left its
-// slot cold.
+// slot cold. The search runs from the lane's young end, where victims
+// stall, and stops at the nStalled-th stalled slot. Lane order is nearly
+// always admission order, so the slots found are reversed into it before
+// the sort.
 func (e *Engine) EachStalled(fn func(r *request.Request)) {
-	if len(e.stalled) == 0 {
+	if e.nStalled == 0 {
 		return
 	}
 	ord := e.order[:0]
-	for i := range e.lane {
-		if s := &e.lane[i]; !s.hot && s.req != nil && e.stalled[s.id] == s.req {
+	for i := len(e.lane) - 1; i >= 0 && len(ord) < e.nStalled; i-- {
+		if e.lane[i].stalled {
 			ord = append(ord, int32(i))
 		}
 	}
+	slices.Reverse(ord)
 	for _, i := range e.sortByAdmission(ord) {
 		fn(e.lane[i].req)
 	}
@@ -553,9 +565,6 @@ func (e *Engine) sortByAdmission(ord []int32) []int32 {
 	e.order = ord
 	return ord
 }
-
-// IsStalled reports whether a request is currently stalled here.
-func (e *Engine) IsStalled(r *request.Request) bool { return e.stalled[r.ID] != nil }
 
 // Closed reports whether the engine has been dissolved.
 func (e *Engine) Closed() bool { return e.closed }
@@ -652,39 +661,48 @@ func (e *Engine) Wake() {
 	e.startRound()
 }
 
-// Stall excludes a running request from scheduling (swap, migration,
-// KVCache exchange, or handoff in flight) after moving it to the given
-// state. Its slot is written back and turns cold.
+// Stall excludes a request running here from scheduling (swap,
+// migration, KVCache exchange, or handoff in flight) after moving it to
+// the given stall state. Its slot is written back, turns cold and is
+// marked stalled.
 func (e *Engine) Stall(r *request.Request, st request.State) {
-	if i := e.laneIndex(r); i >= 0 {
-		s := &e.lane[i]
-		e.unrelate(s)
-		e.dropInFlight(s)
-		e.writeBack(s)
-		if s.hot && e.epochOn {
-			e.addCold(int32(i))
-		}
-		s.hot = false
+	if !st.Stalled() {
+		panic(fmt.Sprintf("engine: stall of request %d to %v, not a stall state", r.ID, st))
 	}
+	i := e.laneIndex(r)
+	if i < 0 {
+		panic(fmt.Sprintf("engine: stall of request %d not running in group %d", r.ID, e.groupID))
+	}
+	s := &e.lane[i]
+	e.unrelate(s)
+	e.dropInFlight(s)
+	e.writeBack(s)
+	if s.hot && e.epochOn {
+		e.addCold(int32(i))
+	}
+	s.hot = false
 	r.SetState(st)
-	e.stalled[r.ID] = r
+	s.stalled = true
+	e.nStalled++
 	e.rt.Transition(e.simu.Now(), r.ID, st.String(), e.groupID)
 }
 
-// Unstall resumes a stalled request.
+// Unstall resumes a request stalled here. It panics unless the request
+// has a stalled slot in this engine's lane.
 func (e *Engine) Unstall(r *request.Request) {
-	if _, ok := e.stalled[r.ID]; !ok {
+	i := e.laneIndex(r)
+	if i < 0 || !e.lane[i].stalled {
 		panic(fmt.Sprintf("engine: unstall of non-stalled request %d", r.ID))
 	}
-	delete(e.stalled, r.ID)
+	s := &e.lane[i]
+	s.stalled = false
+	e.nStalled--
 	r.SetState(request.StateRunning)
-	if i := e.laneIndex(r); i >= 0 {
-		e.syncSlot(i)
-		if s := &e.lane[i]; e.inFlight(s) {
-			// Stalled and resumed within its fast round: like a reserved
-			// item's, its token finishes after all.
-			e.takeInFlight(s)
-		}
+	e.syncSlot(i)
+	if e.inFlight(s) {
+		// Stalled and resumed within its fast round: like a reserved
+		// item's, its token finishes after all.
+		e.takeInFlight(s)
 	}
 	if r.InPrefill() {
 		e.rt.Transition(e.simu.Now(), r.ID, "prefill", e.groupID)
@@ -692,13 +710,6 @@ func (e *Engine) Unstall(r *request.Request) {
 		e.rt.Transition(e.simu.Now(), r.ID, "decode", e.groupID)
 	}
 	e.Wake()
-}
-
-// RestoreStalled re-registers a transplanted request's stall bookkeeping
-// without touching its state (it already carries a stalled state, so its
-// slot is cold).
-func (e *Engine) RestoreStalled(r *request.Request) {
-	e.stalled[r.ID] = r
 }
 
 // MarkDecodeReady stamps a handed-off request as decode-ready now; the
@@ -724,8 +735,7 @@ func (e *Engine) Victim() *request.Request {
 		if v >= 0 && s.arrival != e.lane[v].arrival {
 			break
 		}
-		if e.stampOf(s) == e.curStamp || s.req == nil ||
-			!s.hot && (s.req.State() != request.StateRunning || s.req.Done()) {
+		if s.stalled || e.stampOf(s) == e.curStamp || s.req == nil || !s.hot && s.req.Done() {
 			continue
 		}
 		if v < 0 || s.adm < e.lane[v].adm {
@@ -778,12 +788,12 @@ func (e *Engine) PreemptDetach(r *request.Request) {
 // its sequence (migration and handoff hand both to the destination).
 func (e *Engine) RemoveRequest(r *request.Request) {
 	e.removeRunning(r)
-	delete(e.stalled, r.ID)
 	delete(e.decodeReady, r.ID)
 }
 
 // AdoptRunning adds an already-admitted request (with a live Seq in this
-// group's pool) to the running set.
+// group's pool) to the running set. A request adopted in a stall state
+// stays stalled here.
 func (e *Engine) AdoptRunning(r *request.Request) {
 	r.GroupID = e.groupID
 	e.addRunning(r)
@@ -841,8 +851,12 @@ func (e *Engine) live() bool { return e.scheduling || e.executing }
 func (e *Engine) addRunning(r *request.Request) {
 	e.demandAdd(committedTokens(r))
 	i := e.search(r)
-	e.lane = slices.Insert(e.lane, i, slot{req: r, arrival: r.Arrival, id: r.ID, adm: e.admitted})
+	stalled := r.State().Stalled()
+	e.lane = slices.Insert(e.lane, i, slot{req: r, arrival: r.Arrival, id: r.ID, adm: e.admitted, stalled: stalled})
 	e.admitted++
+	if stalled {
+		e.nStalled++
+	}
 	if e.dead > 0 && i <= e.firstDead {
 		e.firstDead++
 	}
@@ -859,6 +873,9 @@ func (e *Engine) addRunning(r *request.Request) {
 		e.remapEpoch(laneEdit{lo: int32(i)})
 	}
 	e.syncSlot(i)
+	if e.epochOn && !e.lane[i].hot {
+		e.addCold(int32(i))
+	}
 }
 
 func (e *Engine) removeRunning(r *request.Request) {
@@ -880,6 +897,9 @@ func (e *Engine) removeAt(i int) {
 	e.dropInFlight(s)
 	e.writeBack(s)
 	e.demandAdd(-committedTokens(s.req))
+	if s.stalled {
+		e.nStalled--
+	}
 	*s = slot{arrival: s.arrival, id: s.id}
 	if e.dead == 0 || i < e.firstDead {
 		e.firstDead = i
@@ -996,16 +1016,13 @@ func (ed *laneEdit) list(l []int32) []int32 {
 // request is running unstalled past its prefill on a role that decodes,
 // cold otherwise. Past its prefill, a request's context length steps by
 // exactly one per decoded token. In the epoch lane a hot slot goes on
-// loose and a cold one on cold.
+// loose; a cold one is on cold already, unless it is new (see addRunning).
 func (e *Engine) syncSlot(i int) {
 	s := &e.lane[i]
 	r := s.req
 	s.hot = e.role.RunsDecode() && r.State() == request.StateRunning && r.Seq != nil &&
 		!r.InPrefill() && !r.Done()
 	if !s.hot {
-		if e.epochOn {
-			e.addCold(int32(i))
-		}
 		return
 	}
 	s.ctx = int32(r.ContextLen())
@@ -1141,11 +1158,12 @@ func (e *Engine) writeBackAll() {
 
 // CheckLane writes every slot back and checks the lane against ground
 // truth: its slots stay in (Arrival, ID) order, laneIndex finds every live
-// slot at its own index, admission numbers are unique, and dead,
-// firstDead and deadTail match the dead slots. Nothing may stay pending
-// but an in-flight fast token, and the slots holding one must number the
-// round's live fast tokens. On a role that decodes, every running
-// decode-ready request's slot must be hot. Every hot slot's context
+// slot at its own index, admission numbers are unique, and dead, firstDead
+// and deadTail match the dead slots. Each live slot's stalled bit must
+// match its request's state, and nStalled must count the set bits. Nothing
+// may stay pending but an in-flight fast token, and the slots holding one
+// must number the round's live fast tokens. On a role that decodes, every
+// running decode-ready request's slot must be hot. Every hot slot's context
 // length, remaining output and tail room must equal what its request and
 // Seq report (plus its in-flight fast token), with the Seq holding exactly
 // the committed context (plus the in-flight token while a round executes).
@@ -1153,16 +1171,15 @@ func (e *Engine) writeBackAll() {
 // relN and relCtx their count and Σctx, each filed on the wheel at a due
 // epoch no later than its real one; every other hot slot must be on loose
 // or an item of the live round, and every cold slot on the lane-ordered
-// cold list. It returns how many
-// hot slots it checked. Audits and tests call it between rounds or while
-// one executes; write-backs are invisible to the simulation, so calling it
-// never changes results.
+// cold list. It returns how many hot slots it checked. Audits and tests
+// call it between rounds or while one executes; write-backs are invisible
+// to the simulation, so calling it never changes results.
 func (e *Engine) CheckLane() (hot int, err error) {
 	e.writeBackAll()
 	if err := e.checkEpoch(); err != nil {
 		return 0, err
 	}
-	dead, live := 0, 0
+	dead, live, stalled := 0, 0, 0
 	adms := make([]uint64, 0, e.RunningLen())
 	for i := range e.lane {
 		s := &e.lane[i]
@@ -1183,6 +1200,13 @@ func (e *Engine) CheckLane() (hot int, err error) {
 				e.groupID, r.ID, i, j)
 		}
 		adms = append(adms, s.adm)
+		if s.stalled != r.State().Stalled() {
+			return hot, fmt.Errorf("engine: group %d request %d in state %v has stalled bit %v",
+				e.groupID, r.ID, r.State(), s.stalled)
+		}
+		if s.stalled {
+			stalled++
+		}
 		fast := int32(0)
 		if e.inFlight(s) {
 			fast = 1
@@ -1223,6 +1247,9 @@ func (e *Engine) CheckLane() (hot int, err error) {
 	}
 	if dead != e.dead {
 		return hot, fmt.Errorf("engine: group %d lane holds %d dead slots, counted %d", e.groupID, dead, e.dead)
+	}
+	if stalled != e.nStalled {
+		return hot, fmt.Errorf("engine: group %d lane holds %d stalled slots, counted %d", e.groupID, stalled, e.nStalled)
 	}
 	if live != e.rd.live {
 		return hot, fmt.Errorf("engine: group %d lane holds %d in-flight fast tokens, round counts %d",
@@ -1611,10 +1638,10 @@ func (e *Engine) epochCollect(rd *round, stop bool) bool {
 // this round: it is live, running and unstalled, and not finished.
 func (e *Engine) prefilling(s *slot) bool {
 	r := s.req
-	// A non-Running state here means stalled: every stall path goes
-	// through Stall (which sets a stall state) and Unstall restores
-	// StateRunning, so the state check replaces the stalled-map lookup.
-	if r == nil || r.State() != request.StateRunning || r.Done() {
+	// A live slot that is not stalled holds a running request (CheckLane
+	// checks the stalled bit against the state), so a stalled slot is
+	// passed by without loading its request.
+	if r == nil || s.stalled || r.Done() {
 		return false
 	}
 	if !r.InPrefill() {
@@ -2081,20 +2108,20 @@ func (e *Engine) fireDrainedIfIdle() {
 
 // ExtractRequests empties the engine's request sets for transplantation
 // into a successor group, marking the engine closed. Stalled requests are
-// returned within running; callers must preserve their stall bookkeeping.
-func (e *Engine) ExtractRequests() (running, waiting []*request.Request, stalled map[int]*request.Request) {
+// returned within running, still in their stall state, so the engine that
+// adopts them keeps them stalled.
+func (e *Engine) ExtractRequests() (running, waiting []*request.Request) {
 	if e.executing {
 		panic(fmt.Sprintf("engine: extracting from executing group %d", e.groupID))
 	}
-	running, stalled = e.Running(), e.stalled
+	running = e.Running()
 	e.leaveEpoch()
 	e.demandAdd(-e.demandTokens)
 	for e.queue.Len() > 0 {
 		waiting = append(waiting, e.queue.Pop())
 	}
 	e.lane = nil
-	e.dead, e.deadTail = 0, 0
-	e.stalled = make(map[int]*request.Request)
+	e.dead, e.deadTail, e.nStalled = 0, 0, 0
 	e.closed = true
-	return running, waiting, stalled
+	return running, waiting
 }

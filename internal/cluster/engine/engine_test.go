@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestRoleSemantics(t *testing.T) {
@@ -56,5 +57,13 @@ func TestStagePipelineSelection(t *testing.T) {
 	noAdmit := []string{"policy", "collect", "form", "reserve", "launch"}
 	if got := names(RoleDecode); !reflect.DeepEqual(got, noAdmit) {
 		t.Errorf("decode stages = %v", got)
+	}
+}
+
+// The lane's slot stays 80 bytes: its flags, the stalled bit among them,
+// share the padding after the counters.
+func TestSlotSize(t *testing.T) {
+	if n := unsafe.Sizeof(slot{}); n != 80 {
+		t.Errorf("slot is %d bytes, want 80", n)
 	}
 }

@@ -176,18 +176,14 @@ func (p *Policy) mergeDrained(c *cluster.Cluster, groups []*cluster.Group, done 
 	var freed int64
 
 	var waiting []*request.Request
-	stalledAll := make(map[int]*request.Request)
 	for _, g := range groups {
-		run, wait, stalled := g.ExtractRequests()
+		run, wait := g.ExtractRequests()
 		carry = append(carry, carried{
 			running: run,
 			oldSize: g.Stages(),
 			srcID:   g.Instances()[0].ID,
 		})
 		waiting = append(waiting, wait...)
-		for id, r := range stalled {
-			stalledAll[id] = r
-		}
 		for _, in := range g.Instances() {
 			insts = append(insts, in.ID)
 		}
@@ -218,13 +214,13 @@ func (p *Policy) mergeDrained(c *cluster.Cluster, groups []*cluster.Group, done 
 	}
 	newSize := len(insts)
 	for _, cr := range carry {
-		cluster.TransplantRequests(ng, cr.running, nil, stalledAll)
+		cluster.TransplantRequests(ng, cr.running, nil)
 		// §4.2: ongoing requests' KVCache is coupled to the dropped
 		// layers; exchange it between group members before they can
 		// execute. New/queued requests are unaffected.
 		p.startExchange(c, ng, cr.running, cr.oldSize, newSize, cr.srcID)
 	}
-	cluster.TransplantRequests(ng, nil, waiting, nil)
+	cluster.TransplantRequests(ng, nil, waiting)
 
 	// The merged pool starts cold: whatever prefix blocks the dissolved
 	// pools still cached (including blocks the transplants just freed
@@ -252,7 +248,7 @@ func (p *Policy) startExchange(c *cluster.Cluster, g *cluster.Group,
 	for _, r := range reqs {
 		// Requests that lost their sequence were requeued by the
 		// transplant; only live ones exchange.
-		if r.State() == request.StateRunning && r.Seq != nil && !g.IsStalled(r) {
+		if r.State() == request.StateRunning && r.Seq != nil {
 			stall = append(stall, r)
 			tokens += int64(r.Seq.Tokens())
 		}

@@ -40,7 +40,7 @@ func (p *Policy) FailInstance(c *cluster.Cluster, instanceID int) error {
 }
 
 func (p *Policy) recoverGroup(c *cluster.Cluster, g *cluster.Group, deadID int) {
-	running, waiting, _ := g.ExtractRequests()
+	running, waiting := g.ExtractRequests()
 	insts := g.Instances()
 	c.RemoveGroup(g)
 

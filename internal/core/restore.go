@@ -110,7 +110,7 @@ func (p *Policy) restoreGroup(c *cluster.Cluster, g *cluster.Group) {
 }
 
 func (p *Policy) splitRestoredGroup(c *cluster.Cluster, g *cluster.Group, eventIdx int) {
-	running, waiting, _ := g.ExtractRequests()
+	running, waiting := g.ExtractRequests()
 	insts := g.Instances()
 	c.RemoveGroup(g)
 
@@ -138,7 +138,7 @@ func (p *Policy) splitRestoredGroup(c *cluster.Cluster, g *cluster.Group, eventI
 	// waiting requests likewise.
 	for i, r := range running {
 		dst := newGroups[i%len(newGroups)]
-		cluster.TransplantRequests(dst, []*request.Request{r}, nil, nil)
+		cluster.TransplantRequests(dst, []*request.Request{r}, nil)
 		if r.State() == request.StateRunning && r.Seq != nil {
 			p.startGather(c, dst, r)
 		}

@@ -32,7 +32,14 @@ const (
 	StateHandoff
 )
 
-var stateNames = map[State]string{
+// numStates bounds the State values; SetState rejects anything outside
+// [0, numStates).
+const numStates = StateHandoff + 1
+
+// valid reports whether s is one of the states above.
+func (s State) valid() bool { return s >= 0 && s < numStates }
+
+var stateNames = [numStates]string{
 	StateQueued:     "queued",
 	StateRunning:    "running",
 	StateFinished:   "finished",
@@ -44,26 +51,38 @@ var stateNames = map[State]string{
 }
 
 func (s State) String() string {
-	if n, ok := stateNames[s]; ok {
-		return n
+	if s.valid() {
+		return stateNames[s]
 	}
 	return fmt.Sprintf("state(%d)", int(s))
 }
 
-// validNext enumerates the legal state transitions.
-var validNext = map[State][]State{
-	StateQueued:    {StateRunning},
-	StateRunning:   {StateFinished, StatePreempted, StateSwapped, StateMigrating, StateExchanging, StateHandoff, StateQueued},
-	StatePreempted: {StateRunning, StateQueued},
+// bit is s's bit in a state set; s must be valid.
+func (s State) bit() uint16 { return 1 << s }
+
+// validNext holds each state's legal successors as a set of state bits.
+var validNext = [numStates]uint16{
+	StateQueued: StateRunning.bit(),
+	StateRunning: StateFinished.bit() | StatePreempted.bit() | StateSwapped.bit() |
+		StateMigrating.bit() | StateExchanging.bit() | StateHandoff.bit() | StateQueued.bit(),
+	StatePreempted: StateRunning.bit() | StateQueued.bit(),
 	// Swapped/migrating/exchanging/handoff requests can be demoted to
 	// queued by failure recovery or reconfiguration (their KVCache is
 	// recomputed).
-	StateSwapped:    {StateRunning, StateQueued},
-	StateMigrating:  {StateRunning, StateQueued},
-	StateExchanging: {StateRunning, StateQueued},
-	StateHandoff:    {StateRunning, StateQueued},
-	StateFinished:   {},
+	StateSwapped:    StateRunning.bit() | StateQueued.bit(),
+	StateMigrating:  StateRunning.bit() | StateQueued.bit(),
+	StateExchanging: StateRunning.bit() | StateQueued.bit(),
+	StateHandoff:    StateRunning.bit() | StateQueued.bit(),
+	StateFinished:   0,
 }
+
+// stallStates are the states of a running request excluded from
+// scheduling while its KVCache is elsewhere or in transit.
+var stallStates = StateSwapped.bit() | StateMigrating.bit() | StateExchanging.bit() | StateHandoff.bit()
+
+// Stalled reports whether s is a stall state: swapped, migrating,
+// exchanging or handoff.
+func (s State) Stalled() bool { return s.valid() && stallStates&s.bit() != 0 }
 
 // Request tracks one inference request through the serving system.
 // Field order is deliberate: every scheduling round the engine walks the
@@ -101,6 +120,16 @@ type Request struct {
 	ID       int
 	Arrival  sim.Time
 	InputLen int
+
+	// Per-request policy state for the KVCache-centric baselines, kept on
+	// the request so no policy needs a map keyed by ID. SwapOutDone is
+	// when InferCept's host copy of the swapped-out KVCache is complete,
+	// SwapInFlight marks its swap-in transfer in flight, and
+	// MigrationInFlight marks a Llumnix migration in flight. The policy
+	// that sets one clears it when its transfer lands; Renew clears all.
+	SwapOutDone       sim.Time
+	SwapInFlight      bool
+	MigrationInFlight bool
 
 	// Client names the originating workload client and Class its SLO
 	// class (spec-tagged traces; empty otherwise). Routers and queue
@@ -194,11 +223,9 @@ func (r *Request) State() State { return r.state }
 // those are always scheduler bugs, and silent corruption would invalidate
 // experiment results.
 func (r *Request) SetState(next State) {
-	for _, ok := range validNext[r.state] {
-		if next == ok {
-			r.state = next
-			return
-		}
+	if r.state.valid() && next.valid() && validNext[r.state]&next.bit() != 0 {
+		r.state = next
+		return
 	}
 	panic(fmt.Sprintf("request %d: illegal transition %v -> %v", r.ID, r.state, next))
 }

@@ -1,6 +1,8 @@
 package request
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -228,6 +230,66 @@ func TestStateTransitions(t *testing.T) {
 		if !panicked {
 			t.Errorf("illegal path %d accepted", i)
 		}
+	}
+}
+
+// TestStateTableExhaustive pins SetState on every (from, to) pair, and
+// String and Stalled on every state, out-of-range states included, to the
+// tables as they stood when they were maps: a transition is legal exactly
+// when the successor list holds it.
+func TestStateTableExhaustive(t *testing.T) {
+	next := map[State][]State{
+		StateQueued:     {StateRunning},
+		StateRunning:    {StateFinished, StatePreempted, StateSwapped, StateMigrating, StateExchanging, StateHandoff, StateQueued},
+		StatePreempted:  {StateRunning, StateQueued},
+		StateSwapped:    {StateRunning, StateQueued},
+		StateMigrating:  {StateRunning, StateQueued},
+		StateExchanging: {StateRunning, StateQueued},
+		StateHandoff:    {StateRunning, StateQueued},
+		StateFinished:   {},
+	}
+	names := map[State]string{
+		StateQueued: "queued", StateRunning: "running", StateFinished: "finished",
+		StatePreempted: "preempted", StateSwapped: "swapped", StateMigrating: "migrating",
+		StateExchanging: "exchanging", StateHandoff: "handoff",
+	}
+	legal := 0
+	for from := State(-3); from <= StateHandoff+3; from++ {
+		for to := State(-3); to <= StateHandoff+3; to++ {
+			want := slices.Contains(next[from], to)
+			r := newReq()
+			r.state = from
+			ok := true
+			func() {
+				defer func() { ok = recover() == nil }()
+				r.SetState(to)
+			}()
+			if ok != want {
+				t.Errorf("%v -> %v: legal %v, want %v", from, to, ok, want)
+			}
+			if want {
+				legal++
+				if r.State() != to {
+					t.Errorf("%v -> %v: state %v after the transition", from, to, r.State())
+				}
+			} else if r.State() != from {
+				t.Errorf("%v -> %v: rejected transition moved the state to %v", from, to, r.State())
+			}
+		}
+		name, ok := names[from]
+		if !ok {
+			name = fmt.Sprintf("state(%d)", int(from))
+		}
+		if from.String() != name {
+			t.Errorf("State(%d).String() = %q, want %q", int(from), from.String(), name)
+		}
+		stalled := from == StateSwapped || from == StateMigrating || from == StateExchanging || from == StateHandoff
+		if from.Stalled() != stalled {
+			t.Errorf("%v.Stalled() = %v, want %v", from, from.Stalled(), stalled)
+		}
+	}
+	if legal != 18 {
+		t.Errorf("%d legal transitions, want 18", legal)
 	}
 }
 
