@@ -42,10 +42,6 @@ type Disagg struct {
 	// decode scheduling round and monitor tick.
 	pending []pendingHandoff
 
-	// stalledAt stamps each handoff's prefill-completion time so the
-	// wait for decode capacity lands in the handoff_pending stage.
-	stalledAt map[int]sim.Time
-
 	stats DisaggStats
 }
 
@@ -154,13 +150,10 @@ func (p *Disagg) OnTick(c *cluster.Cluster) { p.drainPending(c) }
 // a prefill-role group's completed prefill. The request stalls in the
 // handoff state (its KV must stay resident until shipped) and the
 // transfer starts immediately when a decode group fits it, otherwise it
-// joins the pending list.
+// joins the pending list. Its WaitStart times the handoff_pending stage.
 func (p *Disagg) HandoffPrefill(g *cluster.Group, r *request.Request) bool {
 	g.Stall(r, request.StateHandoff)
-	if p.stalledAt == nil {
-		p.stalledAt = make(map[int]sim.Time)
-	}
-	p.stalledAt[r.ID] = g.Cluster().Sim.Now()
+	r.WaitStart = g.Cluster().Sim.Now()
 	if !p.tryHandoff(g.Cluster(), g, r) {
 		p.stats.PendingStalls++
 		p.pending = append(p.pending, pendingHandoff{src: g, r: r})
@@ -243,15 +236,13 @@ func (p *Disagg) tryHandoff(c *cluster.Cluster, src *cluster.Group, r *request.R
 	}
 	bytes := int64(tokens-cached) * c.Model.KVBytesPerToken()
 	start := c.Sim.Now()
-	if ts, ok := p.stalledAt[r.ID]; ok {
-		c.Collector.ObserveStageWait(metrics.StageHandoffPending, start.Sub(ts).Seconds())
-		delete(p.stalledAt, r.ID)
+	if waited, ok := r.EndWait(start); ok {
+		c.Collector.ObserveStageWait(metrics.StageHandoffPending, waited.Seconds())
 	}
 	egress := c.Fabric.Egress(src.Instances()[0].ID)
-	bt := egress.SendChunked(bytes, kvChunkBytes, network.PriorityBulk,
-		fmt.Sprintf("handoff:%d", r.ID), func() {
-			p.finishHandoff(c, src, dst, r, seq, start, tokens, cached)
-		})
+	bt := egress.SendChunked(bytes, kvChunkBytes, network.PriorityBulk, func() {
+		p.finishHandoff(c, src, dst, r, seq, start, tokens, cached)
+	})
 	if tr := c.Tracer(); tr != nil {
 		tr.Emit(obs.Event{Phase: obs.PhaseInstant, Time: start,
 			Cat: obs.CatHandoff, Name: "handoff_start", Group: src.ID,
@@ -322,7 +313,6 @@ func (p *Disagg) drainPending(c *cluster.Cluster) {
 	blocked := false
 	for _, h := range p.pending {
 		if h.r.State() != request.StateHandoff {
-			delete(p.stalledAt, h.r.ID)
 			continue // rerouted or dropped while pending
 		}
 		if blocked || !p.tryHandoff(c, h.src, h.r) {

@@ -72,6 +72,46 @@ func TestPrefillRoleRequiresHandoffPolicy(t *testing.T) {
 // pool, hands its KV off over the fabric, decodes on the decode pool, and
 // the per-stage waits (prefill queue, KV transfer, decode queue) land in
 // the collector.
+// stageCount is how many waits the collector observed in stage.
+func stageCount(col *metrics.Collector, stage string) int {
+	if d := col.StageWaits[stage]; d != nil {
+		return d.Count()
+	}
+	return 0
+}
+
+// checkStageAccounting checks the stage-wait counts against the policy's
+// counters after a run of n requests. Every prefill-queue entry is
+// observed once at admission: each arrival, each decode victim rerouted
+// to a prefill group, and each prefill-side recompute. Each completed
+// handoff observed its pending wait and its transfer. Each finished
+// request decoded after its last handoff, and no handoff is observed
+// twice in the decode queue.
+func checkStageAccounting(t *testing.T, c *cluster.Cluster, pol *Disagg, n int) {
+	t.Helper()
+	col, st := c.Collector, pol.Stats()
+	prefillPreempts := 0
+	for _, g := range c.Groups() {
+		if g.Role() == engine.RolePrefill {
+			prefillPreempts += g.Preemptions()
+		}
+	}
+	if got, want := stageCount(col, metrics.StagePrefillQueue), n+st.DecodeRecomputes+prefillPreempts; got != want {
+		t.Errorf("prefill_queue count %d, want %d requests + %d decode recomputes + %d prefill preemptions",
+			got, n, st.DecodeRecomputes, prefillPreempts)
+	}
+	for _, stage := range []string{metrics.StageHandoffPending, metrics.StageKVTransfer} {
+		if got := stageCount(col, stage); got != st.Handoffs {
+			t.Errorf("%s count %d, want %d handoffs", stage, got, st.Handoffs)
+		}
+	}
+	finished, decodeQueue := col.TTFT.Count(), stageCount(col, metrics.StageDecodeQueue)
+	if finished > decodeQueue || decodeQueue > st.Handoffs {
+		t.Errorf("decode_queue count %d outside [%d finished, %d handoffs]",
+			decodeQueue, finished, st.Handoffs)
+	}
+}
+
 func TestDisaggServesEndToEnd(t *testing.T) {
 	c, pol := disaggCluster(t, 1, 1, false, 0)
 	tr := burstTrace(10, 0.4, 512, 32)
@@ -91,9 +131,10 @@ func TestDisaggServesEndToEnd(t *testing.T) {
 	}
 	for _, stage := range []string{metrics.StagePrefillQueue, metrics.StageHandoffPending,
 		metrics.StageKVTransfer, metrics.StageDecodeQueue} {
+		// Each request waits in each stage exactly once.
 		d := col.StageWaits[stage]
-		if d == nil || d.Count() == 0 {
-			t.Errorf("stage %q never observed", stage)
+		if d == nil || d.Count() != 10 {
+			t.Errorf("stage %q observed %d times, want 10", stage, stageCount(col, stage))
 			continue
 		}
 		// Queue/pending waits may legitimately be zero under light load;
@@ -177,6 +218,7 @@ func TestDisaggDecodePressureReroutesToPrefill(t *testing.T) {
 	if st.Handoffs <= 3 {
 		t.Errorf("handoffs = %d, want re-handoffs after recompute", st.Handoffs)
 	}
+	checkStageAccounting(t, c, pol, 3)
 	for _, g := range c.Groups() {
 		if g.Pool().LiveSequences() != 0 {
 			t.Errorf("group %d leaked sequences", g.ID)
@@ -209,6 +251,7 @@ func TestDisaggPendingHandoffDrains(t *testing.T) {
 	if d := col.StageWaits[metrics.StageHandoffPending]; d == nil || d.Max() <= 0 {
 		t.Fatal("handoff back-pressure left no handoff_pending observation")
 	}
+	checkStageAccounting(t, c, pol, 3)
 }
 
 func TestDisaggName(t *testing.T) {

@@ -310,7 +310,7 @@ func (c *Cluster) NewGroup(instanceIDs []int) (*Group, error) {
 
 // invalidateActive marks the dispatcher's cached candidate set stale; the
 // next dispatch (or index read) rebuilds it. Fired on group creation and
-// removal, role changes, and closes.
+// removal and on role changes.
 func (c *Cluster) invalidateActive() { c.activeStale = true }
 
 // noteLoadChanged queues a group whose demand accounting changed (the

@@ -501,9 +501,14 @@ func TestTransplantRequestsEdgePaths(t *testing.T) {
 	}
 
 	// NewSeq-failure fallback: the request's KV footprint exceeds the
-	// destination pool, so it frees its sequence and recomputes.
+	// destination pool, so it frees its sequence and recomputes: its
+	// prefill progress resets, and the re-prefill covers the prompt plus
+	// the output tokens it already consumed.
 	huge := request.New(2, 0, 512, 32)
 	huge.SetState(request.StateRunning)
+	huge.AdvancePrefill(512, 0)
+	huge.AdvanceDecodeBy(1)
+	huge.AdvanceDecodeBy(1)
 	srcPool := kvcache.NewPool(g1.CapacityTokens()/64+8, 64)
 	seq, err := srcPool.NewSeq(g1.CapacityTokens() + 64)
 	if err != nil {
@@ -511,9 +516,10 @@ func TestTransplantRequestsEdgePaths(t *testing.T) {
 	}
 	huge.Seq = seq
 	TransplantRequests(g1, []*request.Request{huge}, nil)
-	if huge.Seq != nil || huge.State() != request.StateQueued || huge.Preemptions != 1 {
-		t.Errorf("fallback: seq %v state %v preemptions %d",
-			huge.Seq, huge.State(), huge.Preemptions)
+	if huge.Seq != nil || huge.State() != request.StateQueued || huge.PrefilledTokens != 0 ||
+		huge.PrefillTarget() != huge.InputLen+huge.Generated-1 {
+		t.Errorf("fallback: seq %v state %v prefilled %d target %d",
+			huge.Seq, huge.State(), huge.PrefilledTokens, huge.PrefillTarget())
 	}
 	if srcPool.LiveSequences() != 0 {
 		t.Error("fallback leaked the source sequence")

@@ -111,10 +111,6 @@ type Callbacks struct {
 	// and re-arms the notification — so neither the fleet demand total
 	// nor the dispatch index is recomputed by scanning the fleet.
 	LoadChanged func()
-	// MembershipChanged, when set, fires when the engine's dispatcher
-	// visibility changes — a role switch or a close — invalidating any
-	// cached candidate set the cluster keeps.
-	MembershipChanged func()
 }
 
 // Options assemble an engine for one group.
@@ -222,6 +218,11 @@ type Engine struct {
 
 	// nStalled counts the live slots whose stalled bit is set.
 	nStalled int
+	// nAwaitDecode counts the running requests that await their first
+	// decode after a handoff: MarkDecodeReady stamped their WaitStart,
+	// and that decode reads and clears it. Only decode-role engines
+	// count any.
+	nAwaitDecode int
 
 	executing  bool
 	scheduling bool // guards re-entrant startRound from policy callbacks
@@ -240,17 +241,6 @@ type Engine struct {
 
 	// roundsRun counts completed scheduling rounds (diagnostics only).
 	roundsRun int
-
-	// decodeReady stamps when a handed-off request became decode-ready so
-	// the first decode advance can report its decode-queue wait. Empty in
-	// collocated serving.
-	decodeReady map[int]sim.Time
-
-	// queuedAt stamps when each waiting request entered this queue, so a
-	// re-queued request's prefill-queue wait measures from its re-queue,
-	// not its original arrival. Only maintained in the prefill role (the
-	// sole consumer of the metric).
-	queuedAt map[int]sim.Time
 
 	stages []stage
 
@@ -452,9 +442,6 @@ func (e *Engine) SetRole(role Role) error {
 	}
 	e.role = role
 	e.stages = stagesFor(role)
-	if e.cb.MembershipChanged != nil {
-		e.cb.MembershipChanged()
-	}
 	return nil
 }
 
@@ -614,10 +601,14 @@ func (e *Engine) demandAdd(delta int) {
 func (e *Engine) AckLoadNotify() { e.loadNotified = false }
 
 // Enqueue adds a request to the wait queue under the group's discipline.
+// A prefill-role engine stamps the request's WaitStart, so its
+// prefill-queue wait measures from this queue entry.
 func (e *Engine) Enqueue(r *request.Request) {
 	r.GroupID = e.groupID
 	e.demandAdd(r.PrefillTarget())
-	e.stampQueued(r)
+	if e.role == RolePrefill {
+		r.WaitStart = e.simu.Now()
+	}
 	e.queue.Push(r)
 	e.traceQueued(r, "enqueue")
 	e.Wake()
@@ -628,7 +619,9 @@ func (e *Engine) Enqueue(r *request.Request) {
 func (e *Engine) EnqueueFront(r *request.Request) {
 	r.GroupID = e.groupID
 	e.demandAdd(r.PrefillTarget())
-	e.stampQueued(r)
+	if e.role == RolePrefill {
+		r.WaitStart = e.simu.Now()
+	}
 	e.queue.PushFront(r)
 	e.traceQueued(r, "requeue")
 }
@@ -641,16 +634,6 @@ func (e *Engine) traceQueued(r *request.Request, name string) {
 			Args: [2]obs.Arg{{Key: "depth", Val: int64(e.queue.Len())}}})
 	}
 	e.rt.Transition(e.simu.Now(), r.ID, "queued", e.groupID)
-}
-
-func (e *Engine) stampQueued(r *request.Request) {
-	if e.role != RolePrefill {
-		return
-	}
-	if e.queuedAt == nil {
-		e.queuedAt = make(map[int]sim.Time)
-	}
-	e.queuedAt[r.ID] = e.simu.Now()
 }
 
 // Wake starts a scheduling round if the group is idle.
@@ -712,14 +695,25 @@ func (e *Engine) Unstall(r *request.Request) {
 	e.Wake()
 }
 
-// MarkDecodeReady stamps a handed-off request as decode-ready now; the
-// first decode advance reports the elapsed wait as the decode-queue stage
-// delay.
+// MarkDecodeReady stamps a handed-off request running in this
+// decode-role engine as decode-ready now; its first decode advance
+// reports the elapsed wait as the decode-queue stage delay.
 func (e *Engine) MarkDecodeReady(r *request.Request) {
-	if e.decodeReady == nil {
-		e.decodeReady = make(map[int]sim.Time)
+	if e.role != RoleDecode || r.WaitStart != request.NoWait {
+		panic(fmt.Sprintf("engine: decode-ready mark of request %d in %v group %d",
+			r.ID, e.role, e.groupID))
 	}
-	e.decodeReady[r.ID] = e.simu.Now()
+	r.WaitStart = e.simu.Now()
+	e.nAwaitDecode++
+}
+
+// forgetDecodeWait clears the decode-ready stamp of a request leaving
+// this engine before its first decode.
+func (e *Engine) forgetDecodeWait(r *request.Request) {
+	if e.nAwaitDecode > 0 && r.WaitStart != request.NoWait {
+		r.WaitStart = request.NoWait
+		e.nAwaitDecode--
+	}
 }
 
 // Victim returns the youngest running, unstalled request whose KV was not
@@ -769,7 +763,7 @@ func (e *Engine) PreemptRecompute(r *request.Request) {
 func (e *Engine) PreemptDetach(r *request.Request) {
 	e.removeRunning(r)
 	e.preemptions++
-	delete(e.decodeReady, r.ID)
+	e.forgetDecodeWait(r)
 	if r.Seq != nil {
 		r.Seq.Free()
 	}
@@ -788,7 +782,7 @@ func (e *Engine) PreemptDetach(r *request.Request) {
 // its sequence (migration and handoff hand both to the destination).
 func (e *Engine) RemoveRequest(r *request.Request) {
 	e.removeRunning(r)
-	delete(e.decodeReady, r.ID)
+	e.forgetDecodeWait(r)
 }
 
 // AdoptRunning adds an already-admitted request (with a live Seq in this
@@ -1108,7 +1102,7 @@ func (e *Engine) writeBack(s *slot) {
 		gen--
 	}
 	if gen > 0 {
-		s.req.AdvanceDecodeBy(int(gen), e.simu.Now())
+		s.req.AdvanceDecodeBy(int(gen))
 		s.gen -= gen
 	}
 	if s.kv > 0 {
@@ -1160,7 +1154,9 @@ func (e *Engine) writeBackAll() {
 // truth: its slots stay in (Arrival, ID) order, laneIndex finds every live
 // slot at its own index, admission numbers are unique, and dead, firstDead
 // and deadTail match the dead slots. Each live slot's stalled bit must
-// match its request's state, and nStalled must count the set bits. Nothing
+// match its request's state, and nStalled must count the set bits. On a
+// decode role, nAwaitDecode must count the requests whose decode-ready
+// WaitStart stamp is set; on any other role it must be zero. Nothing
 // may stay pending but an in-flight fast token, and the slots holding one
 // must number the round's live fast tokens. On a role that decodes, every
 // running decode-ready request's slot must be hot. Every hot slot's context
@@ -1179,7 +1175,7 @@ func (e *Engine) CheckLane() (hot int, err error) {
 	if err := e.checkEpoch(); err != nil {
 		return 0, err
 	}
-	dead, live, stalled := 0, 0, 0
+	dead, live, stalled, awaiting := 0, 0, 0, 0
 	adms := make([]uint64, 0, e.RunningLen())
 	for i := range e.lane {
 		s := &e.lane[i]
@@ -1206,6 +1202,9 @@ func (e *Engine) CheckLane() (hot int, err error) {
 		}
 		if s.stalled {
 			stalled++
+		}
+		if e.role == RoleDecode && r.WaitStart != request.NoWait {
+			awaiting++
 		}
 		fast := int32(0)
 		if e.inFlight(s) {
@@ -1250,6 +1249,10 @@ func (e *Engine) CheckLane() (hot int, err error) {
 	}
 	if stalled != e.nStalled {
 		return hot, fmt.Errorf("engine: group %d lane holds %d stalled slots, counted %d", e.groupID, stalled, e.nStalled)
+	}
+	if awaiting != e.nAwaitDecode {
+		return hot, fmt.Errorf("engine: group %d lane holds %d requests awaiting their first decode, counted %d",
+			e.groupID, awaiting, e.nAwaitDecode)
 	}
 	if live != e.rd.live {
 		return hot, fmt.Errorf("engine: group %d lane holds %d in-flight fast tokens, round counts %d",
@@ -1393,7 +1396,6 @@ func (e *Engine) runAdmit(*round) bool {
 			// Finished elsewhere (shouldn't happen) — drop defensively.
 			e.queue.Pop()
 			e.demandAdd(-r.PrefillTarget())
-			delete(e.queuedAt, r.ID)
 			continue
 		}
 		// A pool without sharing ignores the prefix.
@@ -1414,13 +1416,11 @@ func (e *Engine) runAdmit(*round) bool {
 		if e.role == RolePrefill {
 			// Wait measured from this queue entry, not original arrival:
 			// a rerouted decode victim's prior lifetime is not queueing.
-			since := r.Arrival
-			if ts, ok := e.queuedAt[r.ID]; ok {
-				since = ts
-				delete(e.queuedAt, r.ID)
+			waited, ok := r.EndWait(e.simu.Now())
+			if !ok {
+				waited = e.simu.Now().Sub(r.Arrival)
 			}
-			e.col.ObserveStageWait(metrics.StagePrefillQueue,
-				e.simu.Now().Sub(since).Seconds())
+			e.col.ObserveStageWait(metrics.StagePrefillQueue, waited.Seconds())
 		}
 		r.SetState(request.StateRunning)
 		e.addRunning(r)
@@ -1749,7 +1749,7 @@ func (e *Engine) iterBudget() batching.Budget {
 // decode the iteration budget admits, single-stage or pipelined (formers
 // cut the decode sequence by count and sum the fast decodes).
 func (e *Engine) fastLimit() int {
-	if e.tr != nil || len(e.decodeReady) > 0 {
+	if e.tr != nil || e.nAwaitDecode > 0 {
 		return 0
 	}
 	b := e.iterBudget()
@@ -1986,8 +1986,12 @@ func (e *Engine) finishRound(items []batching.Item) {
 		}
 		if s.hot && !it.IsPrefill {
 			// Steady decode: the token is counted on the slot alone.
-			if len(e.decodeReady) > 0 {
-				e.observeDecodeReady(s.id, now)
+			if e.nAwaitDecode > 0 {
+				// The first decode after a handoff ends the decode-queue wait.
+				if waited, ok := s.req.EndWait(now); ok {
+					e.col.ObserveStageWait(metrics.StageDecodeQueue, waited.Seconds())
+					e.nAwaitDecode--
+				}
 			}
 			if e.rt != nil {
 				e.rt.Transition(now, s.id, "decode", e.groupID)
@@ -2057,21 +2061,12 @@ func (e *Engine) finishRound(items []batching.Item) {
 	e.startRound()
 }
 
-// observeDecodeReady reports a handed-off request's decode-queue wait at
-// its first decode advance.
-func (e *Engine) observeDecodeReady(id int, now sim.Time) {
-	if ts, ok := e.decodeReady[id]; ok {
-		e.col.ObserveStageWait(metrics.StageDecodeQueue, now.Sub(ts).Seconds())
-		delete(e.decodeReady, id)
-	}
-}
-
 // finishRequest retires the request in lane slot i: the slot is written
 // back, so Callbacks.Finished sees the request complete.
 func (e *Engine) finishRequest(i int, now sim.Time) {
 	r := e.lane[i].req
 	e.removeAt(i)
-	delete(e.decodeReady, r.ID)
+	e.forgetDecodeWait(r)
 	if r.Seq != nil {
 		r.Seq.Free()
 		r.Seq = nil
@@ -2121,7 +2116,7 @@ func (e *Engine) ExtractRequests() (running, waiting []*request.Request) {
 		waiting = append(waiting, e.queue.Pop())
 	}
 	e.lane = nil
-	e.dead, e.deadTail, e.nStalled = 0, 0, 0
+	e.dead, e.deadTail, e.nStalled, e.nAwaitDecode = 0, 0, 0, 0
 	e.closed = true
 	return running, waiting
 }

@@ -127,8 +127,7 @@ func newGroup(id int, cl *Cluster, insts []*instance.Instance) (*Group, error) {
 				}
 				return pf.HandoffPrefill(g, r)
 			},
-			LoadChanged:       func() { cl.noteLoadChanged(g) },
-			MembershipChanged: cl.invalidateActive,
+			LoadChanged: func() { cl.noteLoadChanged(g) },
 		},
 	})
 	return g, nil
@@ -143,7 +142,8 @@ func (g *Group) Instances() []*instance.Instance { return g.instances }
 // SetRole assigns the group's execution role. It must be called during
 // policy Setup, before any request reaches the group, and a Prefill role
 // requires the cluster's policy to implement PrefillFinisher (something
-// has to take the completed prefills).
+// has to take the completed prefills). The role decides whether the
+// group admits arrivals, so it invalidates the dispatch candidates.
 func (g *Group) SetRole(role engine.Role) error {
 	if role == engine.RolePrefill {
 		if _, ok := g.cl.Policy.(PrefillFinisher); !ok {
@@ -151,7 +151,11 @@ func (g *Group) SetRole(role engine.Role) error {
 				g.cl.Policy.Name())
 		}
 	}
-	return g.Engine.SetRole(role)
+	if err := g.Engine.SetRole(role); err != nil {
+		return err
+	}
+	g.cl.invalidateActive()
+	return nil
 }
 
 // WaitingRequests returns a copy of the wait queue in dispatch order.

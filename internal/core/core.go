@@ -91,12 +91,12 @@ type Policy struct {
 
 	reconfiguring bool
 	events        []Event
-	failed        map[int]bool // failed instance IDs
+	failed        []bool // indexed by instance ID
 }
 
 // New creates the policy.
 func New(opts Options) *Policy {
-	return &Policy{opts: opts, failed: make(map[int]bool)}
+	return &Policy{opts: opts}
 }
 
 // Name implements cluster.Policy.
@@ -152,6 +152,7 @@ func (p *Policy) Setup(c *cluster.Cluster) error {
 		return fmt.Errorf("kunserve: offline profiling: %w", err)
 	}
 	p.costModel = m
+	p.failed = make([]bool, len(c.Instances))
 	if p.opts.UseTokenCountFormer {
 		p.former = cluster.TokenCountFormer{}
 	} else {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"kunserve/internal/baselines"
@@ -272,6 +273,43 @@ func TestFailInstanceRecovers(t *testing.T) {
 	// Double-fail is rejected.
 	if err := p.FailInstance(c, p.FailedInstances()[0]); err == nil {
 		t.Error("double failure accepted")
+	}
+}
+
+// FailedInstances lists failed instances in ascending ID order, whatever
+// order they failed in.
+func TestFailedInstancesAscending(t *testing.T) {
+	c, p := newCluster(t, 3, Options{DisableRestore: true})
+	groupOf := func(id int) int {
+		for _, g := range c.Groups() {
+			for _, in := range g.Instances() {
+				if in.ID == id {
+					return g.ID
+				}
+			}
+		}
+		return -1
+	}
+	if groupOf(0) == groupOf(2) {
+		t.Fatalf("instances 0 and 2 share group %d", groupOf(0))
+	}
+	for _, at := range []struct {
+		sec float64
+		id  int
+	}{{5, 2}, {10, 0}} {
+		c.Sim.At(sim.FromSeconds(at.sec), "fail", func() {
+			if err := p.FailInstance(c, at.id); err != nil {
+				t.Errorf("fail %d: %v", at.id, err)
+			}
+		})
+	}
+	tr := flatTrace(40, 0.5, 256, 32)
+	c.Serve(tr, sim.FromSeconds(600))
+	if c.Outstanding() != 0 {
+		t.Fatalf("outstanding = %d after failover", c.Outstanding())
+	}
+	if got := p.FailedInstances(); !slices.Equal(got, []int{0, 2}) {
+		t.Fatalf("failed instances = %v, want [0 2]", got)
 	}
 }
 

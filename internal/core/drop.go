@@ -277,9 +277,8 @@ func (p *Policy) startExchange(c *cluster.Cluster, g *cluster.Group,
 	if p.opts.DisableCoordinatedExchange {
 		// Ablation: one monolithic transfer monopolizes the NIC and
 		// blocks pipeline activations behind it.
-		egress.Send(bytes, network.PriorityBulk, "exchange", finish)
+		egress.Send(bytes, network.PriorityBulk, finish)
 		return
 	}
-	egress.SendChunked(bytes, exchangeChunkBytes, network.PriorityBulk,
-		"exchange", finish)
+	egress.SendChunked(bytes, exchangeChunkBytes, network.PriorityBulk, finish)
 }

@@ -15,7 +15,7 @@ import (
 // copies — always possible because parameters are replicated in host DRAM —
 // and recomputes the group's in-flight requests.
 func (p *Policy) FailInstance(c *cluster.Cluster, instanceID int) error {
-	if p.failed[instanceID] {
+	if instanceID >= 0 && instanceID < len(p.failed) && p.failed[instanceID] {
 		return fmt.Errorf("kunserve: instance %d already failed", instanceID)
 	}
 	var g *cluster.Group
@@ -112,7 +112,7 @@ func (p *Policy) recoverGroup(c *cluster.Cluster, g *cluster.Group, deadID int) 
 	})
 }
 
-// FailedInstances returns the IDs of failed instances.
+// FailedInstances returns the IDs of failed instances in ascending order.
 func (p *Policy) FailedInstances() []int {
 	var out []int
 	for id, dead := range p.failed {

@@ -100,8 +100,7 @@ func (p *Policy) restoreGroup(c *cluster.Cluster, g *cluster.Group) {
 		pulls++
 		in := in
 		c.Fabric.Egress(in.ID).SendChunked(bytes, exchangeChunkBytes,
-			network.PriorityParameter, fmt.Sprintf("restore:%d", in.ID),
-			onePullDone)
+			network.PriorityParameter, onePullDone)
 	}
 	p.events[eventIdx].FreedBytes = -restoredBytes
 	if pulls == 0 {
@@ -176,8 +175,7 @@ func (p *Policy) startGather(c *cluster.Cluster, g *cluster.Group, r *request.Re
 	bytes := tokens * c.Model.KVBytesPerToken()
 	g.Stall(r, request.StateExchanging)
 	c.Fabric.Egress(g.Instances()[0].ID).SendChunked(bytes,
-		exchangeChunkBytes, network.PriorityBulk,
-		fmt.Sprintf("gather:%d", r.ID), func() {
+		exchangeChunkBytes, network.PriorityBulk, func() {
 			if r.State() == request.StateExchanging {
 				g.Unstall(r)
 			}

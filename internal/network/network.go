@@ -106,7 +106,7 @@ func (l *Link) Sends(p Priority) int64 { return l.sendsByPri[p] }
 
 // Send enqueues a transfer; done runs when the last byte arrives. Zero-byte
 // sends complete after the link latency only (they still serialize).
-func (l *Link) Send(bytes int64, pri Priority, label string, done func()) {
+func (l *Link) Send(bytes int64, pri Priority, done func()) {
 	if bytes < 0 {
 		panic(fmt.Sprintf("network: negative send %d", bytes))
 	}
@@ -173,7 +173,6 @@ type BulkTransfer struct {
 	remaining int64
 	chunk     int64
 	pri       Priority
-	label     string
 	done      func()
 	inflight  bool
 
@@ -196,7 +195,7 @@ type BulkTransfer struct {
 // negative bytes are always a caller's accounting bug. A zero total is
 // legal and completes after one zero-byte tail send (like Send, it still
 // serializes through the link).
-func (l *Link) SendChunked(totalBytes, chunkBytes int64, pri Priority, label string, done func()) *BulkTransfer {
+func (l *Link) SendChunked(totalBytes, chunkBytes int64, pri Priority, done func()) *BulkTransfer {
 	if totalBytes < 0 {
 		panic(fmt.Sprintf("network: negative chunked send %d", totalBytes))
 	}
@@ -205,7 +204,7 @@ func (l *Link) SendChunked(totalBytes, chunkBytes int64, pri Priority, label str
 	}
 	bt := &BulkTransfer{
 		link: l, remaining: totalBytes, chunk: chunkBytes,
-		pri: pri, label: label, done: done,
+		pri: pri, done: done,
 	}
 	bt.next()
 	return bt
@@ -236,7 +235,7 @@ func (bt *BulkTransfer) next() {
 		if bt.done != nil {
 			d := bt.done
 			bt.done = nil
-			bt.link.Send(0, bt.pri, bt.label+":done", d)
+			bt.link.Send(0, bt.pri, d)
 		}
 		return
 	}

@@ -26,7 +26,7 @@ func TestSendCompletesAfterSerialization(t *testing.T) {
 	s := sim.New(1)
 	l := newTestLink(s)
 	var at sim.Time
-	l.Send(2_000_000, PriorityBulk, "x", func() { at = s.Now() })
+	l.Send(2_000_000, PriorityBulk, func() { at = s.Now() })
 	s.Run()
 	if at != sim.FromSeconds(0.002) {
 		t.Errorf("completed at %v, want 2ms", at)
@@ -42,7 +42,7 @@ func TestFIFOWithinClass(t *testing.T) {
 	var order []string
 	for _, name := range []string{"a", "b", "c"} {
 		name := name
-		l.Send(1_000_000, PriorityBulk, name, func() { order = append(order, name) })
+		l.Send(1_000_000, PriorityBulk, func() { order = append(order, name) })
 	}
 	s.Run()
 	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {
@@ -56,11 +56,11 @@ func TestActivationPriority(t *testing.T) {
 	s := sim.New(1)
 	l := newTestLink(s)
 	var order []string
-	l.Send(1_000_000, PriorityBulk, "bulk1", func() { order = append(order, "bulk1") })
-	l.Send(1_000_000, PriorityBulk, "bulk2", func() { order = append(order, "bulk2") })
+	l.Send(1_000_000, PriorityBulk, func() { order = append(order, "bulk1") })
+	l.Send(1_000_000, PriorityBulk, func() { order = append(order, "bulk2") })
 	var actAt sim.Time
 	s.After(100*sim.Microsecond, "inject", func() {
-		l.Send(10_000, PriorityActivation, "act", func() {
+		l.Send(10_000, PriorityActivation, func() {
 			order = append(order, "act")
 			actAt = s.Now()
 		})
@@ -79,11 +79,11 @@ func TestParameterBetweenActivationAndBulk(t *testing.T) {
 	s := sim.New(1)
 	l := newTestLink(s)
 	var order []string
-	l.Send(1_000_000, PriorityBulk, "b", func() { order = append(order, "bulk") })
+	l.Send(1_000_000, PriorityBulk, func() { order = append(order, "bulk") })
 	s.After(10*sim.Microsecond, "inject", func() {
-		l.Send(1000, PriorityBulk, "b2", func() { order = append(order, "bulk2") })
-		l.Send(1000, PriorityParameter, "p", func() { order = append(order, "param") })
-		l.Send(1000, PriorityActivation, "a", func() { order = append(order, "act") })
+		l.Send(1000, PriorityBulk, func() { order = append(order, "bulk2") })
+		l.Send(1000, PriorityParameter, func() { order = append(order, "param") })
+		l.Send(1000, PriorityActivation, func() { order = append(order, "act") })
 	})
 	s.Run()
 	want := []string{"bulk", "act", "param", "bulk2"}
@@ -98,7 +98,7 @@ func TestZeroByteSend(t *testing.T) {
 	s := sim.New(1)
 	l := NewLink(s, "l", 1e9, 3*sim.Microsecond)
 	fired := false
-	l.Send(0, PriorityActivation, "z", func() { fired = true })
+	l.Send(0, PriorityActivation, func() { fired = true })
 	s.Run()
 	if !fired {
 		t.Fatal("zero-byte send never completed")
@@ -111,7 +111,7 @@ func TestZeroByteSend(t *testing.T) {
 func TestBusyAndStats(t *testing.T) {
 	s := sim.New(1)
 	l := newTestLink(s)
-	l.Send(1_000_000, PriorityBulk, "x", nil)
+	l.Send(1_000_000, PriorityBulk, nil)
 	if !l.Busy() {
 		t.Error("link not busy after send")
 	}
@@ -131,7 +131,7 @@ func TestChunkedTransferCompletes(t *testing.T) {
 	s := sim.New(1)
 	l := newTestLink(s)
 	done := false
-	bt := l.SendChunked(10_000_000, 1_000_000, PriorityBulk, "kv", func() { done = true })
+	bt := l.SendChunked(10_000_000, 1_000_000, PriorityBulk, func() { done = true })
 	s.Run()
 	if !done || !bt.Done() {
 		t.Fatal("chunked transfer incomplete")
@@ -153,13 +153,13 @@ func TestChunkedTransferCompletes(t *testing.T) {
 func TestChunkedTransferYieldsToActivations(t *testing.T) {
 	s := sim.New(1)
 	l := newTestLink(s)
-	l.SendChunked(100_000_000, 1_000_000, PriorityBulk, "kv", nil) // 100 chunks x 1ms
+	l.SendChunked(100_000_000, 1_000_000, PriorityBulk, nil) // 100 chunks x 1ms
 	var waits []sim.Duration
 	for i := 0; i < 5; i++ {
 		at := sim.FromSeconds(0.0105 + float64(i)*0.01)
 		s.At(at, "inject", func() {
 			sent := s.Now()
-			l.Send(1000, PriorityActivation, "act", func() {
+			l.Send(1000, PriorityActivation, func() {
 				waits = append(waits, s.Now().Sub(sent))
 			})
 		})
@@ -180,7 +180,7 @@ func TestChunkedPartialLastChunk(t *testing.T) {
 	s := sim.New(1)
 	l := newTestLink(s)
 	done := false
-	l.SendChunked(1_500_000, 1_000_000, PriorityBulk, "kv", func() { done = true })
+	l.SendChunked(1_500_000, 1_000_000, PriorityBulk, func() { done = true })
 	s.Run()
 	if !done {
 		t.Fatal("incomplete")
@@ -198,7 +198,7 @@ func TestChunkedZeroBytesFiresAsynchronously(t *testing.T) {
 	s := sim.New(1)
 	l := newTestLink(s)
 	done := false
-	bt := l.SendChunked(0, 1024, PriorityBulk, "kv", func() { done = true })
+	bt := l.SendChunked(0, 1024, PriorityBulk, func() { done = true })
 	if done {
 		t.Fatal("zero-byte chunked transfer completed synchronously (re-entrancy hazard)")
 	}
@@ -217,7 +217,7 @@ func TestRemainingDoneInvariants(t *testing.T) {
 	s := sim.New(1)
 	l := newTestLink(s)
 	fired := 0
-	bt := l.SendChunked(total, 1_000_000, PriorityBulk, "kv", func() { fired++ })
+	bt := l.SendChunked(total, 1_000_000, PriorityBulk, func() { fired++ })
 	last := bt.Remaining()
 	if last != total {
 		t.Fatalf("initial remaining = %d", last)
@@ -255,8 +255,8 @@ func TestFabric(t *testing.T) {
 	}
 	// Links are independent: parallel sends overlap.
 	var doneAt [2]sim.Time
-	f.Egress(0).Send(50_000_000, PriorityBulk, "a", func() { doneAt[0] = s.Now() })
-	f.Egress(1).Send(50_000_000, PriorityBulk, "b", func() { doneAt[1] = s.Now() })
+	f.Egress(0).Send(50_000_000, PriorityBulk, func() { doneAt[0] = s.Now() })
+	f.Egress(1).Send(50_000_000, PriorityBulk, func() { doneAt[1] = s.Now() })
 	s.Run()
 	if doneAt[0] != doneAt[1] {
 		t.Errorf("parallel sends: %v vs %v", doneAt[0], doneAt[1])
@@ -268,11 +268,11 @@ func TestPanics(t *testing.T) {
 	l := newTestLink(s)
 	cases := []func(){
 		func() { NewLink(s, "x", 0, 0) },
-		func() { l.Send(-1, PriorityBulk, "x", nil) },
-		func() { l.Send(1, Priority(99), "x", nil) },
-		func() { l.SendChunked(10, 0, PriorityBulk, "x", nil) },
-		func() { l.SendChunked(10, -4, PriorityBulk, "x", nil) },
-		func() { l.SendChunked(-1, 1024, PriorityBulk, "x", nil) },
+		func() { l.Send(-1, PriorityBulk, nil) },
+		func() { l.Send(1, Priority(99), nil) },
+		func() { l.SendChunked(10, 0, PriorityBulk, nil) },
+		func() { l.SendChunked(10, -4, PriorityBulk, nil) },
+		func() { l.SendChunked(-1, 1024, PriorityBulk, nil) },
 	}
 	for i, fn := range cases {
 		func() {
@@ -298,7 +298,7 @@ func TestPropertyByteConservation(t *testing.T) {
 			b := int64(sz)
 			want += b
 			pri := Priority(i % int(numPriorities))
-			l.Send(b, pri, "p", func() { completed++ })
+			l.Send(b, pri, func() { completed++ })
 		}
 		s.Run()
 		return l.BytesSent() == want && completed == len(sizes)
@@ -315,7 +315,7 @@ func TestPropertyChunkedConservation(t *testing.T) {
 		l := newTestLink(s)
 		c := int64(chunk)*16 + 1
 		done := false
-		l.SendChunked(int64(total), c, PriorityBulk, "kv", func() { done = true })
+		l.SendChunked(int64(total), c, PriorityBulk, func() { done = true })
 		s.Run()
 		return done && l.BytesSent() == int64(total)
 	}

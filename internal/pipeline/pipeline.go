@@ -237,5 +237,5 @@ func (e *Engine) advance(stage int, f *flight) {
 	bytes := int64(f.mb.Tokens()) * e.activationBytesPerToken
 	st := e.stages[stage]
 	st.transit = append(st.transit, f)
-	st.Egress.Send(bytes, network.PriorityActivation, "act", st.arrived)
+	st.Egress.Send(bytes, network.PriorityActivation, st.arrived)
 }

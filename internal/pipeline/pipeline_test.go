@@ -200,7 +200,7 @@ func TestActivationDelayedByLinkContention(t *testing.T) {
 	stage0 := e.Stage(0)
 	actTime := stage0.Timer.PrefillTime(0, 512)
 	s.At(sim.Time(actTime)-sim.Time(sim.Millisecond), "bulk", func() {
-		stage0.Egress.Send(bulk, network.PriorityBulk, "bulk", nil)
+		stage0.Egress.Send(bulk, network.PriorityBulk, nil)
 	})
 	e.RunRound(mbsOf(prefillItems(1, 512)), func() {})
 	s.Run()

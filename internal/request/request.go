@@ -148,24 +148,21 @@ type Request struct {
 	// endpoint); zero until then.
 	FirstTokenAt sim.Time
 
-	// FinishedAt is when the last token was emitted.
-	FinishedAt sim.Time
-
-	// Preemptions counts recompute-preemptions (vLLM baseline) for
-	// diagnostics.
-	Preemptions int
+	// WaitStart is when the request began its current disaggregation
+	// stage wait — prefill queue, pending handoff or decode queue; it is
+	// in at most one at a time — and EndWait's reader clears it. Unset,
+	// it is NoWait: negative, so no real stamp (zero included) equals it.
+	WaitStart sim.Time
 }
+
+// NoWait is Request.WaitStart's unset value.
+const NoWait sim.Time = -1
 
 // New creates a queued request.
 func New(id int, arrival sim.Time, inputLen, outputLen int) *Request {
-	if inputLen <= 0 || outputLen <= 0 {
-		panic(fmt.Sprintf("request %d: lens %d/%d", id, inputLen, outputLen))
-	}
-	return &Request{
-		ID: id, Arrival: arrival, InputLen: inputLen, OutputLen: outputLen,
-		prefillTarget: inputLen,
-		state:         StateQueued,
-	}
+	r := new(Request)
+	r.Renew(id, arrival, inputLen, outputLen)
+	return r
 }
 
 // Renew re-initializes a recycled request struct exactly as New would,
@@ -180,6 +177,7 @@ func (r *Request) Renew(id int, arrival sim.Time, inputLen, outputLen int) {
 		ID: id, Arrival: arrival, InputLen: inputLen, OutputLen: outputLen,
 		prefillTarget: inputLen,
 		state:         StateQueued,
+		WaitStart:     NoWait,
 	}
 }
 
@@ -295,19 +293,12 @@ func (r *Request) AdvancePrefill(n int, now sim.Time) {
 		// rebuilds the dropped KV; decode resumes next iteration.
 		r.FirstTokenAt = now
 		r.Generated = 1
-		if r.Done() {
-			r.FinishedAt = now
-		}
 	}
 }
 
-// AdvanceDecode records one decode token emitted at time now.
-func (r *Request) AdvanceDecode(now sim.Time) { r.AdvanceDecodeBy(1, now) }
-
-// AdvanceDecodeBy records n decode tokens at once, stamping now as the
-// finish time when they complete the output: the write-back of an engine
-// that counts steady decode tokens itself.
-func (r *Request) AdvanceDecodeBy(n int, now sim.Time) {
+// AdvanceDecodeBy records n decode tokens at once: the write-back of an
+// engine that counts steady decode tokens itself.
+func (r *Request) AdvanceDecodeBy(n int) {
 	if r.InPrefill() {
 		panic(fmt.Sprintf("request %d: decode during prefill", r.ID))
 	}
@@ -318,9 +309,17 @@ func (r *Request) AdvanceDecodeBy(n int, now sim.Time) {
 		panic(fmt.Sprintf("request %d: decode after done", r.ID))
 	}
 	r.Generated += n
-	if r.Done() {
-		r.FinishedAt = now
+}
+
+// EndWait clears WaitStart and returns the wait's length at now; ok is
+// false when no wait was stamped.
+func (r *Request) EndWait(now sim.Time) (waited sim.Duration, ok bool) {
+	if r.WaitStart == NoWait {
+		return 0, false
 	}
+	waited = now.Sub(r.WaitStart)
+	r.WaitStart = NoWait
+	return waited, true
 }
 
 // ResetForRecompute drops all prefill progress (the KVCache was dropped)
@@ -333,5 +332,4 @@ func (r *Request) ResetForRecompute() {
 		r.prefillTarget = r.InputLen + r.Generated - 1
 	}
 	r.Seq = nil
-	r.Preemptions++
 }
