@@ -80,29 +80,15 @@ func (p StaticPP) Setup(c *cluster.Cluster) error {
 		return fmt.Errorf("static PP: %d instances not divisible by width %d",
 			len(c.Instances), w)
 	}
-	layers := c.Model.Layers
-	split := make([]int, w)
-	base, extra := layers/w, layers%w
-	for i := range split {
-		split[i] = base
-		if i < extra {
-			split[i]++
-		}
-	}
-	for i := 0; i+w-1 < len(c.Instances); i += w {
+	shapes := make([][]int, 0, len(c.Instances)/w)
+	for i := 0; i < len(c.Instances); i += w {
 		ids := make([]int, w)
-		for j := 0; j < w; j++ {
-			in := c.Instances[i+j]
-			if _, err := in.DropLayers(layers - split[j]); err != nil {
-				return err
-			}
-			ids[j] = in.ID
+		for j := range ids {
+			ids[j] = i + j
 		}
-		if _, err := c.NewGroup(ids); err != nil {
-			return err
-		}
+		shapes = append(shapes, ids)
 	}
-	return nil
+	return c.Regroup(nil, shapes, nil)
 }
 
 // HandlePressure implements cluster.Policy.
@@ -246,9 +232,6 @@ type Llumnix struct {
 	// migrations counts the migrations in flight; each marks its request
 	// with Request.MigrationInFlight until the transfer lands.
 	migrations int
-	// ImbalanceGap triggers proactive rebalancing migration when the
-	// most- and least-loaded groups differ by more than this ratio.
-	ImbalanceGap float64
 	// mfree recycles migration records (and their completion closures)
 	// across the policy's many in-flight transfers.
 	mfree []*migration
@@ -265,10 +248,12 @@ type migration struct {
 	done     func()
 }
 
+// imbalanceGap triggers Llumnix's proactive rebalancing migration when the
+// most- and least-loaded groups' demand ratios differ by at least it.
+const imbalanceGap = 0.25
+
 // NewLlumnix creates the migration policy.
-func NewLlumnix() *Llumnix {
-	return &Llumnix{ImbalanceGap: 0.25}
-}
+func NewLlumnix() *Llumnix { return &Llumnix{} }
 
 func (p *Llumnix) getMigration(src, dst *cluster.Group, v *request.Request) *migration {
 	if n := len(p.mfree); n > 0 {
@@ -371,7 +356,7 @@ func (m *migration) finish() {
 }
 
 // OnTick rebalances proactively: when the spread between the most- and
-// least-loaded groups exceeds ImbalanceGap, one victim migrates.
+// least-loaded groups reaches imbalanceGap, one victim migrates.
 func (p *Llumnix) OnTick(c *cluster.Cluster) {
 	var hi, lo *cluster.Group
 	c.EachGroup(func(g *cluster.Group) {
@@ -382,7 +367,7 @@ func (p *Llumnix) OnTick(c *cluster.Cluster) {
 			lo = g
 		}
 	})
-	if hi == nil || hi == lo || load(hi)-load(lo) < p.ImbalanceGap {
+	if hi == nil || hi == lo || load(hi)-load(lo) < imbalanceGap {
 		return
 	}
 	v := hi.Victim()

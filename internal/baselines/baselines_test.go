@@ -7,6 +7,7 @@ import (
 	"kunserve/internal/gpu"
 	"kunserve/internal/model"
 	"kunserve/internal/request"
+	"kunserve/internal/sched"
 	"kunserve/internal/sim"
 	"kunserve/internal/workload"
 )
@@ -196,15 +197,44 @@ func TestLlumnixMigratesToSpareInstance(t *testing.T) {
 	}
 }
 
+// firstGroup routes every arrival to the first candidate, loading one
+// group while the others idle.
+type firstGroup struct{}
+
+func (firstGroup) Name() string                                  { return "first" }
+func (firstGroup) Route(*request.Request, []sched.Candidate) int { return 0 }
+
+// rebalances counts the migrations Llumnix's OnTick starts.
+type rebalances struct {
+	*Llumnix
+	started int
+}
+
+func (p *rebalances) OnTick(c *cluster.Cluster) {
+	before := p.migrations
+	p.Llumnix.OnTick(c)
+	p.started += p.migrations - before
+}
+
 func TestLlumnixRebalanceOnTick(t *testing.T) {
-	p := NewLlumnix()
-	p.ImbalanceGap = 0.05
-	c := newCluster(t, 2, p)
+	p := &rebalances{Llumnix: NewLlumnix()}
+	c, err := cluster.New(cluster.Config{
+		Seed: 1, Model: model.Qwen25_14B(), GPU: gpu.A800(),
+		Instances: 2, Policy: p,
+		NewRouter: func(int64) sched.Router { return firstGroup{} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every request lands on group 0, which holds them all without memory
+	// pressure, while group 1 idles: at the first tick the groups' demand
+	// ratios differ by more than imbalanceGap.
 	capTokens := c.Groups()[0].CapacityTokens()
-	// Load group 0 heavily then let OnTick rebalance.
-	tr := burstTrace(8, 0.01, capTokens/6, capTokens/20)
-	c.Serve(tr, sim.FromSeconds(5000))
-	checkHealthy(t, c, 8)
+	c.Serve(burstTrace(4, 0.01, capTokens/10, capTokens/40), sim.FromSeconds(5000))
+	checkHealthy(t, c, 4)
+	if p.started == 0 {
+		t.Fatal("OnTick started no rebalancing migration")
+	}
 }
 
 func TestAllBaselinesOnSharedBurst(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"kunserve/internal/network"
 	"kunserve/internal/obs"
 	"kunserve/internal/request"
-	"kunserve/internal/sched"
 	"kunserve/internal/sim"
 )
 
@@ -165,17 +164,6 @@ func (p *Disagg) HandoffPrefill(g *cluster.Group, r *request.Request) bool {
 // wait queue (ties keep the earliest) — the same signal the queue-depth
 // router uses for new arrivals.
 func leastQueuedPrefill(c *cluster.Cluster) *cluster.Group {
-	// Index fast path: under the queue-depth router the dispatcher's
-	// incremental index already orders the arrival-admitting groups by
-	// (queue depth, group ID) — the scan's exact tie-break. A prefill-role
-	// minimum beats every other prefill group by transitivity, so the
-	// answer needs no fleet walk; any other minimum (a collocated group
-	// admits arrivals too) falls back to the filtered scan.
-	if g, keyed := c.IndexedMin(); g != nil {
-		if _, ok := keyed.(*sched.QueueDepth); ok && g.Role() == engine.RolePrefill {
-			return g
-		}
-	}
 	var best *cluster.Group
 	c.EachGroup(func(g *cluster.Group) {
 		if g.Role() != engine.RolePrefill {

@@ -389,35 +389,6 @@ func (c *Cluster) rebuildActive() {
 	}
 }
 
-// syncIndex brings the index up to date with every change since the last
-// dispatch: a membership rebuild if one is pending, then the dirty-key
-// flush.
-func (c *Cluster) syncIndex() {
-	if c.activeStale {
-		c.rebuildActive()
-		return
-	}
-	c.syncDemand()
-}
-
-// IndexedMin returns the dispatcher's current index minimum — the active
-// group minimizing (router key, group ID) — and the keyed router
-// maintaining it. (nil, nil) when dispatch runs on the scan path (a
-// router that is not sched.Keyed) or no group is active. The index is
-// synced first, so the result is exactly what the next Dispatch would
-// pick.
-func (c *Cluster) IndexedMin() (*Group, sched.Keyed) {
-	if c.index == nil {
-		return nil, nil
-	}
-	c.syncIndex()
-	id, ok := c.index.Min()
-	if !ok {
-		return nil, nil
-	}
-	return c.byID[id], c.index.Keyed()
-}
-
 // Groups returns the live groups.
 func (c *Cluster) Groups() []*Group {
 	out := make([]*Group, 0, len(c.groups))
@@ -451,10 +422,10 @@ func (c *Cluster) GroupByID(id int) *Group {
 	return nil
 }
 
-// RemoveGroup unregisters a closed group. Its block pool is retired, not
+// removeGroup unregisters a closed group. Its block pool is retired, not
 // forgotten: the sharing stats survive into KVCacheReport, and cached
 // blocks that die with the pool count as reconfiguration evictions.
-func (c *Cluster) RemoveGroup(g *Group) {
+func (c *Cluster) removeGroup(g *Group) {
 	for i, x := range c.groups {
 		if x == g {
 			c.groups = append(c.groups[:i], c.groups[i+1:]...)
@@ -810,9 +781,3 @@ func (c *Cluster) KVCacheReport() KVCacheReport {
 	r.HitRate = c.Collector.PrefixHitRate()
 	return r
 }
-
-// Seq re-exported types for policies.
-type (
-	// Seq aliases the KV sequence type for policy implementations.
-	Seq = kvcache.Seq
-)

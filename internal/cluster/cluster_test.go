@@ -35,20 +35,11 @@ type ppSetupPolicy struct{ recomputePolicy }
 
 func (ppSetupPolicy) Name() string { return "pp" }
 func (ppSetupPolicy) Setup(c *Cluster) error {
+	var shapes [][]int
 	for i := 0; i+1 < len(c.Instances); i += 2 {
-		a, b := c.Instances[i], c.Instances[i+1]
-		half := a.Model.Layers / 2
-		if _, err := a.DropLayers(a.Model.Layers - half); err != nil {
-			return err
-		}
-		if _, err := b.DropLayers(half); err != nil {
-			return err
-		}
-		if _, err := c.NewGroup([]int{a.ID, b.ID}); err != nil {
-			return err
-		}
+		shapes = append(shapes, []int{i, i + 1})
 	}
-	return nil
+	return c.Regroup(nil, shapes, nil)
 }
 
 func testCluster(t *testing.T, instances int, pol Policy) *Cluster {
@@ -280,38 +271,20 @@ func TestDrainAndTransplant(t *testing.T) {
 	}
 	merged := false
 	c.Sim.At(sim.FromSeconds(1), "merge", func() {
-		drained := 0
-		onDrained := func() {
-			drained++
-			if drained != 2 {
-				return
-			}
-			// Reshape layers: g0's instance keeps first half, g1's
-			// keeps second half.
-			a, b := g0.Instances()[0], g1.Instances()[0]
-			half := a.Model.Layers / 2
-			if _, err := a.DropLayers(a.Model.Layers - half); err != nil {
-				t.Error(err)
-			}
-			if _, err := b.DropLayers(half); err != nil {
-				t.Error(err)
-			}
-			r0, w0 := g0.ExtractRequests()
-			r1, w1 := g1.ExtractRequests()
-			c.RemoveGroup(g0)
-			c.RemoveGroup(g1)
-			ng, err := c.NewGroup([]int{a.ID, b.ID})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			TransplantRequests(ng, r0, w0)
-			TransplantRequests(ng, r1, w1)
-			merged = true
-			ng.Wake()
+		shape := []int{g0.Instances()[0].ID, g1.Instances()[0].ID}
+		err := c.Regroup([]*Group{g0, g1}, [][]int{shape},
+			func(groups []*Group, running [][]*request.Request, waiting []*request.Request, _ sim.Duration) {
+				ng := groups[0]
+				for _, run := range running {
+					TransplantRequests(ng, run, nil)
+				}
+				TransplantRequests(ng, nil, waiting)
+				merged = true
+				ng.Wake()
+			})
+		if err != nil {
+			t.Error(err)
 		}
-		g0.Drain(onDrained)
-		g1.Drain(onDrained)
 	})
 	c.Sim.RunUntil(sim.FromSeconds(600))
 	if !merged {
@@ -375,7 +348,7 @@ func TestGroupByIDAndRemove(t *testing.T) {
 	if c.GroupByID(closed.ID) != nil {
 		t.Error("GroupByID returned a closed group")
 	}
-	c.RemoveGroup(closed)
+	c.removeGroup(closed)
 	if c.GroupByID(closed.ID) != nil {
 		t.Error("GroupByID returned a removed group")
 	}
@@ -391,7 +364,7 @@ func TestDispatchNoLiveGroupsErrors(t *testing.T) {
 	c := testCluster(t, 1, recomputePolicy{})
 	g := c.Groups()[0]
 	g.ExtractRequests()
-	c.RemoveGroup(g)
+	c.removeGroup(g)
 	if err := c.Dispatch(request.New(1, 0, 128, 8)); err == nil {
 		t.Fatal("dispatch with no live groups must error")
 	}

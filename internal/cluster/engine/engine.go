@@ -556,6 +556,9 @@ func (e *Engine) sortByAdmission(ord []int32) []int32 {
 // Closed reports whether the engine has been dissolved.
 func (e *Engine) Closed() bool { return e.closed }
 
+// Draining reports whether Drain has been called.
+func (e *Engine) Draining() bool { return e.draining }
+
 // Executing reports whether a round is in flight.
 func (e *Engine) Executing() bool { return e.executing }
 
@@ -2086,7 +2089,8 @@ func (e *Engine) finishRequest(i int, now sim.Time) {
 }
 
 // Drain freezes the engine after the in-flight round and calls then once
-// idle. Used by reconfiguration (merge on drop, split on restore).
+// idle. Used by reconfiguration (cluster.Regroup), which drains a group
+// only once.
 func (e *Engine) Drain(then func()) {
 	e.draining = true
 	e.onDrained = then

@@ -121,14 +121,26 @@ func (p *Policy) countEvents(kind string) int {
 	return n
 }
 
-// traceEvent emits a completed reconfiguration as a duration slice on the
-// cluster's reconfig track. Called once per event, when its End is set.
-func (p *Policy) traceEvent(c *cluster.Cluster, eventIdx int) {
+// beginEvent opens a reconfiguration event of the given kind and returns
+// its index. The policy reconfigures until endEvent closes it.
+func (p *Policy) beginEvent(c *cluster.Cluster, kind string) int {
+	p.reconfiguring = true
+	p.events = append(p.events, Event{Kind: kind, Start: c.Sim.Now()})
+	return len(p.events) - 1
+}
+
+// endEvent closes event i once its new groups serve: it records the end
+// and the group count, ends the reconfiguration, and emits the event as a
+// duration slice on the cluster's reconfig track.
+func (p *Policy) endEvent(c *cluster.Cluster, i int) {
+	ev := &p.events[i]
+	ev.End = c.Sim.Now()
+	ev.Groups = len(c.Groups())
+	p.reconfiguring = false
 	tr := c.Tracer()
 	if tr == nil {
 		return
 	}
-	ev := p.events[eventIdx]
 	tr.Emit(obs.Event{Phase: obs.PhaseComplete, Time: ev.Start,
 		Dur: ev.End.Sub(ev.Start), Cat: obs.CatCore, Name: ev.Kind,
 		Group: obs.GroupCluster, Track: "reconfig", Req: obs.ReqNone,

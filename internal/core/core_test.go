@@ -276,6 +276,66 @@ func TestFailInstanceRecovers(t *testing.T) {
 	}
 }
 
+// §4.4's pipelined failure path: once the drop has merged both instances
+// into one two-stage group, failing a stage leaves the survivor to reload
+// its missing layers from the host replica and recompute the group's
+// in-flight requests. The finished count and the exact P99 TTFT pin the
+// run, since no CLI gate fails an instance.
+func TestFailInstanceInPipelinedGroup(t *testing.T) {
+	c, p := newCluster(t, 2, Options{DisableRestore: true})
+	tr := overload(c, 1.5)
+	// The run's only drop ends at 47.05 s.
+	c.Sim.At(sim.FromSeconds(50), "fail", func() {
+		groups := c.Groups()
+		if p.Drops() != 1 || len(groups) != 1 || groups[0].Stages() != 2 {
+			t.Fatalf("at the failure: %d drops, %d groups", p.Drops(), len(groups))
+		}
+		if err := p.FailInstance(c, groups[0].Instances()[0].ID); err != nil {
+			t.Fatal(err)
+		}
+	})
+	c.Serve(tr, sim.FromSeconds(12000))
+	checkDone(t, c, 12)
+	groups := c.Groups()
+	if len(groups) != 1 || groups[0].Stages() != 1 || !groups[0].Instances()[0].HoldsFullCopy() {
+		t.Fatalf("survivor groups = %d, want one full-copy singleton", len(groups))
+	}
+	if got := p.FailedInstances(); !slices.Equal(got, []int{0}) {
+		t.Fatalf("failed instances = %v, want [0]", got)
+	}
+	if got, want := c.Collector.TTFT.Percentile(99), 1529.105603225; got != want {
+		t.Errorf("P99 TTFT = %v s, want %v s", got, want)
+	}
+}
+
+// A failure while a restore pulls its layers: the failover takes the group,
+// so the restore is abandoned when its pulls land, and the failed instance
+// never rejoins service.
+func TestFailInstanceMidRestore(t *testing.T) {
+	c, p := newCluster(t, 2, Options{})
+	tr := overload(c, 1.5)
+	// The run's restore starts at 1691 s and its pulls take 0.62 s.
+	c.Sim.At(sim.FromSeconds(1691.2), "fail", func() {
+		ev := p.Events()
+		if last := ev[len(ev)-1]; last.Kind != "restore" || last.End != 0 {
+			t.Fatalf("no restore in flight at the failure: %+v", ev)
+		}
+		if err := p.FailInstance(c, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	c.Serve(tr, sim.FromSeconds(8000))
+	checkDone(t, c, len(tr.Requests))
+	if p.Restores() != 0 {
+		t.Errorf("restores = %d, want the interrupted one abandoned", p.Restores())
+	}
+	groups := c.Groups()
+	if len(groups) != 1 || groups[0].Stages() != 1 || groups[0].Instances()[0].ID != 1 ||
+		!groups[0].Instances()[0].HoldsFullCopy() {
+		t.Fatalf("groups after the failover = %d, want instance 1 alone with a full copy", len(groups))
+	}
+}
+
 // FailedInstances lists failed instances in ascending ID order, whatever
 // order they failed in.
 func TestFailedInstancesAscending(t *testing.T) {

@@ -66,27 +66,17 @@ func (p *Policy) maybeDrop(c *cluster.Cluster) bool {
 	if len(changed) == 0 {
 		return false
 	}
-	p.reconfiguring = true
-	p.events = append(p.events, Event{
-		Kind:  "drop",
-		Start: c.Sim.Now(),
-	})
-	eventIdx := len(p.events) - 1
+	eventIdx := p.beginEvent(c, "drop")
 	// Figure 6 semantics: a merge drops the whole duplicated copy and the
 	// local managers map all of it into KVCache — the burst's continued
 	// growth is absorbed without another reconfiguration.
 	pending := len(changed)
 	for _, m := range changed {
-		m := m
-		p.executeMerge(c, m, func(freed int64, evictedCached int) {
+		p.merge(c, m.GroupIDs, func(freed int64, evictedCached int) {
 			p.events[eventIdx].FreedBytes += freed
 			p.events[eventIdx].EvictedCachedBlocks += evictedCached
-			pending--
-			if pending == 0 {
-				p.events[eventIdx].End = c.Sim.Now()
-				p.events[eventIdx].Groups = len(c.Groups())
-				p.reconfiguring = false
-				p.traceEvent(c, eventIdx)
+			if pending--; pending == 0 {
+				p.endEvent(c, eventIdx)
 			}
 		})
 	}
@@ -137,105 +127,53 @@ func (p *Policy) extendExistingGroups(c *cluster.Cluster, required int64) int64 
 	return claimed
 }
 
-// executeMerge drains the groups of one merge, reshapes layers, builds the
-// pipelined successor group, transplants requests, and launches the KVCache
-// exchange. done receives the parameter bytes freed and the cached prefix
-// blocks that died with the dissolved pools.
-func (p *Policy) executeMerge(c *cluster.Cluster, m planner.Merge, done func(freed int64, evictedCached int)) {
-	groups := make([]*cluster.Group, 0, len(m.GroupIDs))
-	for _, id := range m.GroupIDs {
-		g := c.GroupByID(id)
-		if g == nil {
-			panic(fmt.Sprintf("kunserve: plan references dead group %d", id))
-		}
-		groups = append(groups, g)
-	}
-	remaining := len(groups)
-	onDrained := func() {
-		remaining--
-		if remaining > 0 {
-			return
-		}
-		p.mergeDrained(c, groups, done)
-	}
-	for _, g := range groups {
-		g.Drain(onDrained)
-	}
-}
-
-func (p *Policy) mergeDrained(c *cluster.Cluster, groups []*cluster.Group, done func(freed int64, evictedCached int)) {
-	// Collect member instances in stage order and their old group sizes
-	// (for exchange-volume accounting).
-	type carried struct {
-		running []*request.Request
-		oldSize int
-		srcID   int // a representative source instance for the transfer
-	}
+// merge regroups one merge's groups into a pipelined successor, carries
+// their requests over and launches the KVCache exchange. done runs once
+// the layer remap has passed, with the parameter bytes freed and the
+// cached prefix blocks that died with the dissolved pools.
+func (p *Policy) merge(c *cluster.Cluster, ids []int, done func(freed int64, evictedCached int)) {
+	groups := make([]*cluster.Group, len(ids))
 	var insts []int
-	var carry []carried
-	var freed int64
-
-	var waiting []*request.Request
-	for _, g := range groups {
-		run, wait := g.ExtractRequests()
-		carry = append(carry, carried{
-			running: run,
-			oldSize: g.Stages(),
-			srcID:   g.Instances()[0].ID,
-		})
-		waiting = append(waiting, wait...)
-		for _, in := range g.Instances() {
+	for i, id := range ids {
+		groups[i] = c.GroupByID(id)
+		for _, in := range groups[i].Instances() {
 			insts = append(insts, in.ID)
 		}
-		c.RemoveGroup(g)
 	}
-
-	split := planner.SplitLayers(c.Model.Layers, len(insts))
-	var maxRemap sim.Duration
-	for i, id := range insts {
-		in := c.Instances[id]
-		dropN := in.LayersHeld() - split[i]
-		if dropN <= 0 {
-			continue
+	// Every merged group holds a complete copy; the successor keeps one.
+	freed := int64(len(groups)-1) * int64(c.Model.Layers) * c.Model.ParamBytesPerLayer()
+	err := c.Regroup(groups, [][]int{insts}, func(merged []*cluster.Group,
+		running [][]*request.Request, waiting []*request.Request, remap sim.Duration) {
+		ng := merged[0]
+		for i, run := range running {
+			cluster.TransplantRequests(ng, run, nil)
+			// §4.2: ongoing requests' KVCache is coupled to the dropped
+			// layers; exchange it between group members before they can
+			// execute. New/queued requests are unaffected.
+			p.startExchange(c, ng, run, groups[i].Stages(), ng.Stages(), groups[i].Instances()[0].ID)
 		}
-		freed += in.Model.ParamBytesPerLayer() * int64(dropN)
-		d, err := in.DropLayers(dropN)
-		if err != nil {
-			panic(fmt.Sprintf("kunserve: drop on instance %d: %v", id, err))
+		cluster.TransplantRequests(ng, nil, waiting)
+
+		// The merged pool starts cold: whatever prefix blocks the dissolved
+		// pools still cached (including blocks the transplants just freed
+		// into them) are destroyed by the reshape.
+		evictedCached := 0
+		for _, g := range groups {
+			evictedCached += g.Pool().CachedBlocks()
 		}
-		if d > maxRemap {
-			maxRemap = d
-		}
-	}
 
-	ng, err := c.NewGroup(insts)
-	if err != nil {
-		panic(fmt.Sprintf("kunserve: merged group: %v", err))
-	}
-	newSize := len(insts)
-	for _, cr := range carry {
-		cluster.TransplantRequests(ng, cr.running, nil)
-		// §4.2: ongoing requests' KVCache is coupled to the dropped
-		// layers; exchange it between group members before they can
-		// execute. New/queued requests are unaffected.
-		p.startExchange(c, ng, cr.running, cr.oldSize, newSize, cr.srcID)
-	}
-	cluster.TransplantRequests(ng, nil, waiting)
-
-	// The merged pool starts cold: whatever prefix blocks the dissolved
-	// pools still cached (including blocks the transplants just freed
-	// into them) are destroyed by the reshape.
-	evictedCached := 0
-	for _, g := range groups {
-		evictedCached += g.Pool().CachedBlocks()
-	}
-
-	// The remap (cuMemUnmap/cuMemMap pass) gates the first post-drop
-	// round (§4.1: ~5 ms, negligible vs inference).
-	c.Sim.After(maxRemap, "drop-remap", func() {
-		ng.Wake()
-		done(freed, evictedCached)
+		// The remap (cuMemUnmap/cuMemMap pass) gates the first post-drop
+		// round (§4.1: ~5 ms, negligible vs inference).
+		c.Sim.After(remap, "drop-remap", func() {
+			ng.Wake()
+			done(freed, evictedCached)
+		})
 	})
+	if err != nil {
+		// maybeDrop plans only while no reconfiguration is in flight, so
+		// no planned group can be draining.
+		panic(fmt.Sprintf("kunserve: drop: %v", err))
+	}
 }
 
 // startExchange stalls the carried requests and transfers the displaced

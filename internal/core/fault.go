@@ -33,18 +33,41 @@ func (p *Policy) FailInstance(c *cluster.Cluster, instanceID int) error {
 	if g == nil {
 		return fmt.Errorf("kunserve: instance %d not in any live group", instanceID)
 	}
-	p.failed[instanceID] = true
+	// Survivors restore to full copies from the host DRAM replica; the
+	// PCIe reload, not the remap, gates their return to service.
+	var survivors [][]int
+	var reload sim.Duration
+	for _, in := range g.Instances() {
+		if in.ID == instanceID {
+			continue
+		}
+		survivors = append(survivors, []int{in.ID})
+		if missing := in.Model.Layers - in.LayersHeld(); missing > 0 {
+			pcie := in.Spec.PCIeBandwidth * float64(in.Model.GPUsPerInstance)
+			reload = max(reload, sim.DurationFromSeconds(float64(in.LayerTransferBytes(missing))/pcie))
+		}
+	}
+	// The regroup may run before Regroup returns, and its recovery ends
+	// the reconfiguration.
+	wasReconfiguring := p.reconfiguring
 	p.reconfiguring = true
-	g.Drain(func() { p.recoverGroup(c, g, instanceID) })
+	err := c.Regroup([]*cluster.Group{g}, survivors, func(groups []*cluster.Group,
+		running [][]*request.Request, waiting []*request.Request, _ sim.Duration) {
+		p.recover(c, groups, running[0], waiting, reload)
+	})
+	if err != nil {
+		p.reconfiguring = wasReconfiguring
+		return fmt.Errorf("kunserve: fail instance %d: %w", instanceID, err)
+	}
+	p.failed[instanceID] = true
 	return nil
 }
 
-func (p *Policy) recoverGroup(c *cluster.Cluster, g *cluster.Group, deadID int) {
-	running, waiting := g.ExtractRequests()
-	insts := g.Instances()
-	c.RemoveGroup(g)
-
-	// Every in-flight request lost the dead node's KV shard: recompute.
+// recover requeues a failed group's requests on its survivors once they
+// have reloaded. Every in-flight request lost the dead node's KV shard, so
+// it recomputes.
+func (p *Policy) recover(c *cluster.Cluster, survivors []*cluster.Group,
+	running, waiting []*request.Request, reload sim.Duration) {
 	var requeue []*request.Request
 	for _, r := range running {
 		if r.Seq != nil {
@@ -62,31 +85,6 @@ func (p *Policy) recoverGroup(c *cluster.Cluster, g *cluster.Group, deadID int) 
 	}
 	requeue = append(requeue, waiting...)
 
-	// Survivors restore to full copies from the host DRAM replica; the
-	// PCIe reload gates their return to service.
-	var survivors []*cluster.Group
-	var maxReload sim.Duration
-	for _, in := range insts {
-		if in.ID == deadID {
-			continue
-		}
-		if missing := in.Model.Layers - in.LayersHeld(); missing > 0 {
-			bytes := in.LayerTransferBytes(missing)
-			pcie := in.Spec.PCIeBandwidth * float64(in.Model.GPUsPerInstance)
-			reload := sim.DurationFromSeconds(float64(bytes) / pcie)
-			if reload > maxReload {
-				maxReload = reload
-			}
-			if _, err := in.RestoreLayers(missing); err != nil {
-				panic(fmt.Sprintf("kunserve: recovery restore on %d: %v", in.ID, err))
-			}
-		}
-		ng, err := c.NewGroup([]int{in.ID})
-		if err != nil {
-			panic(fmt.Sprintf("kunserve: recovery group: %v", err))
-		}
-		survivors = append(survivors, ng)
-	}
 	if len(survivors) == 0 {
 		// The dead node's group had no other members; its requests go
 		// back through the dispatcher to the remaining cluster.
@@ -104,7 +102,7 @@ func (p *Policy) recoverGroup(c *cluster.Cluster, g *cluster.Group, deadID int) 
 	for i, r := range requeue {
 		survivors[i%len(survivors)].Enqueue(r)
 	}
-	c.Sim.After(maxReload, "failover-reload", func() {
+	c.Sim.After(reload, "failover-reload", func() {
 		for _, ng := range survivors {
 			ng.Wake()
 		}

@@ -159,21 +159,3 @@ func DeriveCapped(groups []GroupState, paramBytes, required int64, maxSize int) 
 	}
 	return plan, nil
 }
-
-// SplitLayers assigns layers contiguous, near-equal shares across n
-// instances (the stage shapes after a merge). The first layers%n stages get
-// one extra layer.
-func SplitLayers(layers, n int) []int {
-	if layers <= 0 || n <= 0 || n > layers {
-		panic(fmt.Sprintf("planner: SplitLayers(%d, %d)", layers, n))
-	}
-	out := make([]int, n)
-	base, extra := layers/n, layers%n
-	for i := range out {
-		out[i] = base
-		if i < extra {
-			out[i]++
-		}
-	}
-	return out
-}

@@ -136,43 +136,6 @@ func TestPlanCoversAllGroups(t *testing.T) {
 	}
 }
 
-func TestSplitLayers(t *testing.T) {
-	cases := []struct {
-		layers, n int
-		want      []int
-	}{
-		{48, 2, []int{24, 24}},
-		{48, 3, []int{16, 16, 16}},
-		{7, 2, []int{4, 3}},
-		{7, 7, []int{1, 1, 1, 1, 1, 1, 1}},
-		{80, 3, []int{27, 27, 26}},
-	}
-	for _, c := range cases {
-		got := SplitLayers(c.layers, c.n)
-		if len(got) != len(c.want) {
-			t.Fatalf("SplitLayers(%d,%d) = %v", c.layers, c.n, got)
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Fatalf("SplitLayers(%d,%d) = %v, want %v", c.layers, c.n, got, c.want)
-			}
-		}
-	}
-}
-
-func TestSplitLayersPanics(t *testing.T) {
-	for _, c := range [][2]int{{0, 1}, {4, 0}, {2, 3}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("SplitLayers(%d,%d) did not panic", c[0], c[1])
-				}
-			}()
-			SplitLayers(c[0], c[1])
-		}()
-	}
-}
-
 // Property: freed bytes always equal (inputGroups - outputGroups) copies,
 // instance counts are conserved, and the plan meets the requirement
 // whenever it is feasible.
@@ -216,29 +179,6 @@ func TestPropertyPlanAccounting(t *testing.T) {
 			return false
 		}
 		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: SplitLayers conserves layers and is balanced within one.
-func TestPropertySplitLayers(t *testing.T) {
-	f := func(l8, n8 uint8) bool {
-		layers := 1 + int(l8)
-		n := 1 + int(n8)%layers
-		parts := SplitLayers(layers, n)
-		sum, min, max := 0, layers, 0
-		for _, p := range parts {
-			sum += p
-			if p < min {
-				min = p
-			}
-			if p > max {
-				max = p
-			}
-		}
-		return sum == layers && max-min <= 1 && min >= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"kunserve/internal/cluster"
 	"kunserve/internal/network"
 	"kunserve/internal/request"
@@ -69,12 +67,8 @@ func (p *Policy) restoreGroup(c *cluster.Cluster, g *cluster.Group) {
 		}
 		evictedCached = ev
 	}
-	p.reconfiguring = true
-	p.events = append(p.events, Event{
-		Kind: "restore", Start: c.Sim.Now(),
-		EvictedCachedBlocks: evictedCached,
-	})
-	eventIdx := len(p.events) - 1
+	eventIdx := p.beginEvent(c, "restore")
+	p.events[eventIdx].EvictedCachedBlocks = evictedCached
 
 	// Phase 1: pull missing layers, overlapped with serving. Parameters
 	// come from peer instances whenever possible (§4.4); each member
@@ -83,12 +77,9 @@ func (p *Policy) restoreGroup(c *cluster.Cluster, g *cluster.Group) {
 	pulls := 0
 	var restoredBytes int64
 	onePullDone := func() {
-		pulls--
-		if pulls > 0 {
-			return
+		if pulls--; pulls == 0 {
+			p.split(c, g, eventIdx)
 		}
-		// Phase 2: brief drain, remap, split.
-		g.Drain(func() { p.splitRestoredGroup(c, g, eventIdx) })
 	}
 	for _, in := range g.Instances() {
 		missing := in.Model.Layers - in.LayersHeld()
@@ -98,67 +89,52 @@ func (p *Policy) restoreGroup(c *cluster.Cluster, g *cluster.Group) {
 		bytes := in.LayerTransferBytes(missing)
 		restoredBytes += bytes
 		pulls++
-		in := in
 		c.Fabric.Egress(in.ID).SendChunked(bytes, exchangeChunkBytes,
 			network.PriorityParameter, onePullDone)
 	}
 	p.events[eventIdx].FreedBytes = -restoredBytes
 	if pulls == 0 {
-		g.Drain(func() { p.splitRestoredGroup(c, g, eventIdx) })
+		p.split(c, g, eventIdx)
 	}
 }
 
-func (p *Policy) splitRestoredGroup(c *cluster.Cluster, g *cluster.Group, eventIdx int) {
-	running, waiting := g.ExtractRequests()
-	insts := g.Instances()
-	c.RemoveGroup(g)
-
-	var maxRemap sim.Duration
-	newGroups := make([]*cluster.Group, 0, len(insts))
-	for _, in := range insts {
-		if missing := in.Model.Layers - in.LayersHeld(); missing > 0 {
-			d, err := in.RestoreLayers(missing)
-			if err != nil {
-				panic(fmt.Sprintf("kunserve: restore on instance %d: %v", in.ID, err))
+// split is phase 2 of a restoration: a brief drain, the remap, and one
+// singleton group per member. Running requests go round-robin to the new
+// groups (their KV gathers onto the owning instance, a bulk transfer that
+// stalls only them), and waiting requests likewise.
+func (p *Policy) split(c *cluster.Cluster, g *cluster.Group, eventIdx int) {
+	shapes := make([][]int, g.Stages())
+	for i, in := range g.Instances() {
+		shapes[i] = []int{in.ID}
+	}
+	// Regroup fails only when FailInstance has taken the group while its
+	// layers were in flight. The failover's recovery then owns the
+	// instances and ends the reconfiguration, so the restore is abandoned
+	// and its event never ends.
+	_ = c.Regroup([]*cluster.Group{g}, shapes, func(groups []*cluster.Group,
+		running [][]*request.Request, waiting []*request.Request, remap sim.Duration) {
+		for i, r := range running[0] {
+			dst := groups[i%len(groups)]
+			cluster.TransplantRequests(dst, running[0][i:i+1], nil)
+			if r.State() == request.StateRunning && r.Seq != nil {
+				p.startGather(c, dst, r)
 			}
-			if d > maxRemap {
-				maxRemap = d
+		}
+		for i, r := range waiting {
+			groups[i%len(groups)].Enqueue(r)
+		}
+
+		// Whatever prefix blocks were still cached in the dissolved
+		// pipeline pool (including blocks the transplants just freed into
+		// it) die with it; attribute them to this restoration.
+		p.events[eventIdx].EvictedCachedBlocks += g.Pool().CachedBlocks()
+
+		c.Sim.After(remap, "restore-remap", func() {
+			for _, ng := range groups {
+				ng.Wake()
 			}
-		}
-		ng, err := c.NewGroup([]int{in.ID})
-		if err != nil {
-			panic(fmt.Sprintf("kunserve: singleton group: %v", err))
-		}
-		newGroups = append(newGroups, ng)
-	}
-
-	// Redistribute: running requests round-robin (their KV gathers onto
-	// the owning instance — a bulk transfer that stalls only them),
-	// waiting requests likewise.
-	for i, r := range running {
-		dst := newGroups[i%len(newGroups)]
-		cluster.TransplantRequests(dst, []*request.Request{r}, nil)
-		if r.State() == request.StateRunning && r.Seq != nil {
-			p.startGather(c, dst, r)
-		}
-	}
-	for i, r := range waiting {
-		newGroups[i%len(newGroups)].Enqueue(r)
-	}
-
-	// Whatever prefix blocks were still cached in the dissolved pipeline
-	// pool (including blocks the transplants just freed into it) die with
-	// it; attribute them to this restoration.
-	p.events[eventIdx].EvictedCachedBlocks += g.Pool().CachedBlocks()
-
-	c.Sim.After(maxRemap, "restore-remap", func() {
-		for _, ng := range newGroups {
-			ng.Wake()
-		}
-		p.events[eventIdx].End = c.Sim.Now()
-		p.events[eventIdx].Groups = len(c.Groups())
-		p.reconfiguring = false
-		p.traceEvent(c, eventIdx)
+			p.endEvent(c, eventIdx)
+		})
 	})
 }
 

@@ -136,8 +136,9 @@ func (p *vanishPolicy) OnTick(c *cluster.Cluster) {
 	}
 	for _, g := range c.Groups() {
 		if !g.Executing() {
-			g.ExtractRequests()
-			c.RemoveGroup(g)
+			// An idle group drains at once, so Regroup dissolves it
+			// before returning.
+			_ = c.Regroup([]*cluster.Group{g}, nil, nil)
 		}
 	}
 	p.done = len(c.Groups()) == 0

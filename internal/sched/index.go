@@ -75,9 +75,6 @@ func (x *Index) setSlot(id int, i int32) {
 	x.pos[id] = i
 }
 
-// Keyed returns the router whose key orders the index.
-func (x *Index) Keyed() Keyed { return x.keyed }
-
 // Len returns the number of indexed candidates.
 func (x *Index) Len() int { return len(x.heap) }
 

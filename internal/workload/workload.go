@@ -20,6 +20,7 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
+	"strings"
 
 	"kunserve/internal/sim"
 	"kunserve/internal/workload/arrival"
@@ -451,7 +452,8 @@ func DurationSeconds(s float64) (sim.Duration, error) {
 // four-column, the tagged six-column, and the shared-prefix seven-column
 // layouts. It rejects rows the simulator cannot serve: an arrival that is
 // not finite, negative or beyond what a sim.Time holds, input or output
-// lengths below 1, and a negative shared prefix.
+// lengths below 1, and a negative shared prefix. It also rejects a client
+// or slo_class holding a carriage return or line feed.
 func ReadCSV(name string, r io.Reader) (*Trace, error) {
 	cr := csv.NewReader(r)
 	rows, err := cr.ReadAll()
@@ -493,6 +495,11 @@ func ReadCSV(name string, r io.Reader) (*Trace, error) {
 			ID: id, Arrival: sim.FromSeconds(at), InputLen: in, OutputLen: out,
 		}
 		if cols >= 6 {
+			// encoding/csv reads a quoted "\r\n" back as "\n", so a line
+			// break would not survive a WriteCSV round trip.
+			if strings.ContainsAny(row[4], "\r\n") || strings.ContainsAny(row[5], "\r\n") {
+				return nil, fmt.Errorf("workload: row %d: client or slo_class holds a carriage return or line feed", i+1)
+			}
 			req.Client, req.Class = row[4], row[5]
 		}
 		if cols == 7 {

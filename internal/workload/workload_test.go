@@ -266,6 +266,8 @@ func TestReadCSVErrors(t *testing.T) {
 		{"zero output", h4 + "0,1,2,3\n1,1,2,0\n", "row 2"},
 		{"negative input", h4 + "0,1,-4,3\n", "row 1"},
 		{"negative shared prefix", h7 + "0,1,2,3,a,b,-1\n", "row 1"},
+		{"carriage return in client", ",,,,,\n0,0,1,1,\"0\r\r\n\",\n", "row 1"},
+		{"line feed in slo_class", h7 + "0,1,2,3,a,b,1\n1,1,2,3,a,\"b\nc\",1\n", "row 2"},
 	}
 	for _, c := range cases {
 		_, err := ReadCSV("x", strings.NewReader(c.csv))
