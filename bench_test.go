@@ -752,22 +752,47 @@ type lookaheadPP struct {
 
 func (p lookaheadPP) Former() cluster.Former { return p.former }
 
+// BenchmarkBlockCrossing prices the decode token that crosses into a new
+// KV block: one instance with 4-token blocks holds 64 or 512 requests in
+// lockstep decode, their prompts staggered over a block (61–64 tokens), so
+// every round a quarter of the lane crosses. Each iteration runs one
+// scheduling round; ns/token is BenchmarkSteadyDecode's with a crossing
+// every fourth token.
+func BenchmarkBlockCrossing(b *testing.B) {
+	for _, reqs := range []int{64, 512} {
+		b.Run(fmt.Sprintf("lane=%d", reqs), func(b *testing.B) {
+			decodeRounds(b, cluster.Config{Instances: 1, Policy: baselines.VLLMDP{}, BlockTokens: 4},
+				reqs, func(i int) int { return 61 + i%4 })
+		})
+	}
+}
+
 // steadyDecode runs BenchmarkSteadyDecode's measurement on a cluster of
 // instances serving one group under pol.
 func steadyDecode(b *testing.B, pol cluster.Policy, instances, reqs int) {
-	episode := 50000 / reqs
+	decodeRounds(b, cluster.Config{Instances: instances, Policy: pol}, reqs, func(int) int { return 64 })
+}
+
+// decodeRounds times scheduling rounds of reqs requests in steady decode
+// on one group of a cluster built from cfg (seed, model, GPU and metrics
+// window filled in), request i with a prompt of prompt(i) tokens and an
+// output too long to finish. Timing starts once every prompt is prefilled
+// (the default budget prefills 2048 tokens a round) and at least eight
+// rounds ran. Every 50000/reqs rounds a fresh cluster replaces the old one
+// outside the timer, so contexts never grow into memory pressure.
+func decodeRounds(b *testing.B, cfg cluster.Config, reqs int, prompt func(i int) int) {
+	episode := max(50000/reqs, 1)
+	cfg.Seed, cfg.Model, cfg.GPU, cfg.MetricsWindow = 1, model.Qwen25_14B(), gpu.A800(), 10000*sim.Second
+	prompts := 0
+	for i := range reqs {
+		prompts += prompt(i)
+	}
+	warm := 8 + prompts/batching.DefaultBudget().MaxTokens
 	var cl *cluster.Cluster
 	var g *cluster.Group
 	fresh := func() {
 		var err error
-		cl, err = cluster.New(cluster.Config{
-			Seed:          1,
-			Model:         model.Qwen25_14B(),
-			GPU:           gpu.A800(),
-			Instances:     instances,
-			Policy:        pol,
-			MetricsWindow: 10000 * sim.Second,
-		})
+		cl, err = cluster.New(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -775,12 +800,12 @@ func steadyDecode(b *testing.B, pol cluster.Policy, instances, reqs int) {
 			b.Fatalf("%d groups, want one", len(cl.Groups()))
 		}
 		for i := 0; i < reqs; i++ {
-			if err := cl.Dispatch(request.New(i, 0, 64, 1<<30)); err != nil {
+			if err := cl.Dispatch(request.New(i, 0, prompt(i), 1<<30)); err != nil {
 				b.Fatal(err)
 			}
 		}
 		g = cl.Groups()[0]
-		for g.RoundsRun() < 8 {
+		for g.RoundsRun() < warm {
 			cl.Sim.Step()
 		}
 		if g.RunningLen() != reqs {

@@ -179,24 +179,16 @@ func (p *InferCept) HandlePressure(g *cluster.Group, need int) bool {
 	return true
 }
 
-// BeforeAdmit swaps requests back in (oldest first) when their host copy is
-// complete and GPU memory is available — ahead of new admissions, matching
-// vLLM's swapped-queue priority.
+// BeforeAdmit swaps requests back in (oldest first: EachStalled visits by
+// arrival, then ID) when their host copy is complete and GPU memory is
+// available — ahead of new admissions, matching vLLM's swapped-queue
+// priority.
 func (p *InferCept) BeforeAdmit(g *cluster.Group) {
 	c := g.Cluster()
 	now := c.Sim.Now()
 	p.candidates = p.candidates[:0]
 	g.EachStalled(p.scanFn)
-	candidates := p.candidates
-	// Oldest (earliest arrival) first.
-	for i := 0; i < len(candidates); i++ {
-		for j := i + 1; j < len(candidates); j++ {
-			if candidates[j].Arrival < candidates[i].Arrival {
-				candidates[i], candidates[j] = candidates[j], candidates[i]
-			}
-		}
-	}
-	for _, r := range candidates {
+	for _, r := range p.candidates {
 		if now < r.SwapOutDone {
 			continue
 		}

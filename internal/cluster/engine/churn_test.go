@@ -73,9 +73,10 @@ type churn struct {
 	dropsInFlight, retakes int
 	// cut counts rounds whose budget cut the decodes short, formed
 	// pipelined rounds checked by checkForm, and unreserved the item
-	// decodes reservation took out of a pipelined round's decode sequence
-	// (coverage only).
-	cut, formed, unreserved int
+	// decodes reservation took out of a pipelined round's decode sequence;
+	// unbooked counts checks that found blocks slots had claimed for
+	// crossings and their Seqs had not booked yet (coverage only).
+	cut, formed, unreserved, unbooked int
 }
 
 // former forms a two-stage churn engine's microbatches.
@@ -251,15 +252,8 @@ func (c *churn) sync() {
 // within the budget, then the prefill chunks packed FCFS in lane order.
 func (c *churn) observe() {
 	c.sync()
-	lane := slices.Clone(c.ref)
-	slices.SortFunc(lane, func(a, b *request.Request) int {
-		if a.Arrival != b.Arrival {
-			return cmp.Compare(a.Arrival, b.Arrival)
-		}
-		return a.ID - b.ID
-	})
 	var decodes, prefills []*request.Request
-	for _, r := range lane {
+	for _, r := range laneOrder(c.ref) {
 		switch {
 		case c.stalled[r] || r.Done():
 		case r.InPrefill():
@@ -284,6 +278,19 @@ func (c *churn) observe() {
 		}
 	}
 	clear(c.dropped)
+}
+
+// laneOrder returns a copy of rs in the engine's lane order: by arrival,
+// then ID.
+func laneOrder(rs []*request.Request) []*request.Request {
+	lane := slices.Clone(rs)
+	slices.SortFunc(lane, func(a, b *request.Request) int {
+		if a.Arrival != b.Arrival {
+			return cmp.Compare(a.Arrival, b.Arrival)
+		}
+		return a.ID - b.ID
+	})
+	return lane
 }
 
 // holdsReservation reports whether r's Seq holds a token its request has
@@ -378,7 +385,8 @@ func (c *churn) preempt(r *request.Request) {
 
 // adopt adds a fresh request straight to the running set, as a handoff or
 // migration does: half of them arrive prefilled and decode-ready (hot),
-// half with an empty Seq still to prefill.
+// half with an empty Seq still to prefill, and a quarter of each arrive
+// swapped, as a transplant carries a stalled request.
 func (c *churn) adopt() {
 	r := c.fresh()
 	prompt := 0
@@ -395,9 +403,17 @@ func (c *churn) adopt() {
 		c.adopted += r.Generated
 	}
 	r.SetState(request.StateRunning)
+	stalled := c.rng.Intn(4) == 0
+	if stalled {
+		r.SetState(request.StateSwapped)
+	}
 	c.sync()
 	c.e.AdoptRunning(r)
 	c.ref = append(c.ref, r)
+	if stalled {
+		c.stalled[r] = true
+		c.stallGen[r] = r.Generated
+	}
 }
 
 // pick returns a random running request the test has (or has not)
@@ -547,6 +563,17 @@ func (c *churn) check(op string) {
 		c.t.Fatalf("after %s: %s", op, fmt.Sprintf(format, args...))
 	}
 	c.sync()
+	// The pool has used exactly the blocks the Seqs hold, plus, until the
+	// write-back books them, the blocks slots claimed for crossings.
+	if err := c.pool.CheckInvariants(); err != nil {
+		fail("%v", err)
+	}
+	switch unbooked := c.pool.UsedBlocks() - c.heldBlocks(); {
+	case unbooked < 0:
+		fail("pool uses %d blocks, Seqs hold %d", c.pool.UsedBlocks(), c.heldBlocks())
+	case unbooked > 0:
+		c.unbooked++
+	}
 	// Victim first, before any write-back materializes the lane.
 	if wv, gv := c.refVictim(len(c.batch)), c.e.Victim(); wv != gv {
 		fail("Victim %v, model %v", id(gv), id(wv))
@@ -556,7 +583,7 @@ func (c *churn) check(op string) {
 		fail("Running %v, model %v", got, want)
 	}
 	var wantStalled []int
-	for _, r := range c.ref {
+	for _, r := range laneOrder(c.ref) {
 		if c.stalled[r] {
 			wantStalled = append(wantStalled, r.ID)
 		}
@@ -572,6 +599,12 @@ func (c *churn) check(op string) {
 	}
 	if _, err := c.e.CheckLane(); err != nil {
 		fail("%v", err)
+	}
+	if err := c.pool.CheckInvariants(); err != nil {
+		fail("after write-back: %v", err)
+	}
+	if used, held := c.pool.UsedBlocks(), c.heldBlocks(); used != held {
+		fail("after write-back the pool uses %d blocks, Seqs hold %d", used, held)
 	}
 	if c.e.live() {
 		for _, it := range c.e.rd.items {
@@ -602,6 +635,17 @@ func (c *churn) check(op string) {
 	if int(emitted) != gen {
 		fail("engine reported %v tokens, requests generated %d", emitted, gen)
 	}
+}
+
+// heldBlocks sums the blocks every request's Seq holds.
+func (c *churn) heldBlocks() int {
+	n := 0
+	for _, r := range c.reqs {
+		if r.Seq != nil {
+			n += r.Seq.Blocks()
+		}
+	}
+	return n
 }
 
 // drainAndExtract freezes the engine after its in-flight round, extracts
@@ -680,7 +724,7 @@ func TestChurnMatchesReference(t *testing.T) {
 }
 
 func churnMatchesReference(t *testing.T, form former) {
-	var ops, live, preempts, finished, pressures, fast, drops, retakes, cut, formed, dropped int
+	var ops, live, preempts, finished, pressures, fast, drops, retakes, cut, formed, dropped, unbooked int
 	for seed := int64(1); seed <= 48; seed++ {
 		blocks, budget := 24, 40
 		switch {
@@ -716,25 +760,26 @@ func churnMatchesReference(t *testing.T, form former) {
 		cut += c.cut
 		formed += c.formed
 		dropped += c.unreserved
+		unbooked += c.unbooked
 	}
 	if live == 0 || live == ops || preempts == 0 || finished == 0 || pressures == 0 ||
-		fast == 0 || drops == 0 || retakes == 0 || cut == 0 || form != nil && (formed == 0 || dropped == 0) {
-		t.Fatalf("%d ops: %d during a live round, %d preemptions, %d finishes, %d pressure calls, %d fast decodes, %d in-flight drops, %d retakes, %d budget cuts, %d pipelined rounds, %d dropped item decodes; the churn never bit",
-			ops, live, preempts, finished, pressures, fast, drops, retakes, cut, formed, dropped)
+		fast == 0 || drops == 0 || retakes == 0 || cut == 0 || unbooked == 0 || form != nil && (formed == 0 || dropped == 0) {
+		t.Fatalf("%d ops: %d during a live round, %d preemptions, %d finishes, %d pressure calls, %d fast decodes, %d in-flight drops, %d retakes, %d budget cuts, %d checks with unbooked crossings, %d pipelined rounds, %d dropped item decodes; the churn never bit",
+			ops, live, preempts, finished, pressures, fast, drops, retakes, cut, unbooked, formed, dropped)
 	}
-	t.Logf("%d ops (%d during a live round), %d preemptions, %d finishes, %d pressure calls, %d fast decodes, %d in-flight drops, %d retakes, %d budget cuts, %d pipelined rounds, %d dropped item decodes",
-		ops, live, preempts, finished, pressures, fast, drops, retakes, cut, formed, dropped)
+	t.Logf("%d ops (%d during a live round), %d preemptions, %d finishes, %d pressure calls, %d fast decodes, %d in-flight drops, %d retakes, %d budget cuts, %d checks with unbooked crossings, %d pipelined rounds, %d dropped item decodes",
+		ops, live, preempts, finished, pressures, fast, drops, retakes, cut, unbooked, formed, dropped)
 }
 
-// Warmed, EachStalled sorts into the engine's own scratch and allocates
-// nothing.
+// Warmed, EachStalled collects into the engine's own scratch and
+// allocates nothing.
 func TestEachVisitAllocatesNothing(t *testing.T) {
 	c := newChurn(t, 1, 1<<12, 48, false)
 	for i := 0; i < 32; i++ {
 		c.adopt()
 	}
 	for i, r := range c.ref {
-		if i%3 == 0 {
+		if i%3 == 0 && !c.stalled[r] {
 			c.e.Stall(r, request.StateSwapped)
 		}
 	}
@@ -751,17 +796,21 @@ func TestEachVisitAllocatesNothing(t *testing.T) {
 
 // A fast round keeps the decodes the item path keeps: the first
 // budget-many in lane order, with the stop rule waived on a roomy pool.
-// Request 2's token crosses a block and stays an item; traced and
-// untraced, the first round advances exactly requests 0–7.
+// Request 1's token crosses into a counted block on the fast path, and
+// request 2's finishes it, so it stays an item; traced and untraced, the
+// first round advances exactly requests 0–7.
 func TestFastRoundKeepsTheBudget(t *testing.T) {
 	for _, traced := range []bool{false, true} {
 		c := newChurn(t, 1, 1<<12, 8, traced)
 		for id := 0; id < 12; id++ {
-			prompt := 17
-			if id == 2 {
+			prompt, output := 17, 100
+			switch id {
+			case 1:
 				prompt = 16 // a full tail block: the next token needs a new one
+			case 2:
+				output = 2 // the next token is the last
 			}
-			r := request.New(id, 0, prompt, 100)
+			r := request.New(id, 0, prompt, output)
 			seq, err := c.pool.NewSeq(prompt)
 			if err != nil {
 				t.Fatal(err)
@@ -786,7 +835,9 @@ func TestFastRoundKeepsTheBudget(t *testing.T) {
 					traced, r.ID, r.Generated, want)
 			}
 		}
-		if fast := c.e.FastDecodes(); traced != (fast == 0) {
+		// Untraced, the first round's seven fast tokens include request 1's
+		// crossing, and the second round's eight fill the budget.
+		if fast := c.e.FastDecodes(); traced != (fast == 0) || !traced && fast != 15 {
 			t.Errorf("traced %v: %d fast decodes", traced, fast)
 		}
 	}

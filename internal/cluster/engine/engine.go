@@ -173,20 +173,20 @@ type Engine struct {
 	// owning each request's decode-hot state (see slot). Membership changes
 	// (admissions, finishes, preemptions) are far rarer than scheduling
 	// rounds, so keeping the order under insert/remove beats re-sorting
-	// every round. Admission order, which Running, EachStalled and
-	// ExtractRequests expose, is recovered on demand by sorting live slot
-	// indices by slot.adm into order.
+	// every round. Admission order, which Running and ExtractRequests
+	// expose, is recovered on demand by sorting live slot indices by
+	// slot.adm into order.
 	lane  []slot
 	order []int32
 	// admitted numbers admissions for slot.adm.
 	admitted uint64
 	// dead counts removed slots awaiting compactLane (see removeAt).
 	// firstDead is the lowest dead index while dead > 0, where compactLane
-	// starts, and deadTail counts the dead slots at the lane's young end,
-	// which Victim skips without a scan: a pressure burst preempts the
-	// youngest requests one after another. remap is compactLane's
-	// old-to-new index scratch.
-	dead, firstDead, deadTail int
+	// starts, and skipTail counts the dead or stalled slots at the lane's
+	// young end, which Victim skips without a visit: a pressure burst
+	// preempts or swaps out the youngest requests one after another.
+	// remap is compactLane's old-to-new index scratch.
+	dead, firstDead, skipTail int
 	remap                     []int32
 	// hint is the lane index Victim last chose. laneIndex tries it first, by
 	// identity, so the Victim→PreemptRecompute and Victim→Stall pairs
@@ -285,7 +285,15 @@ type Engine struct {
 // Request authoritative, and every stage reads it there; it is never a
 // decode.
 //
-// A relative slot (rel) is a hot slot in the epoch lane's fast set: its
+// A hot slot whose Seq has a counted tail (slotCounted, see
+// kvcache.Seq.CountedTail) takes its block crossings on the slot too,
+// whenever no reservation of the round can reach the pressure callback:
+// it claims the next block from the pool (kvcache.Pool.ClaimCounted) and
+// resets room to the block size, and the write-back books the blocks its
+// tokens crossed into. Between write-backs the Seq's block count lags the
+// pool's, as its token count lags the slot's.
+//
+// A relative slot (slotRel) is a hot slot in the epoch lane's fast set: its
 // counters are as of lane epoch base, and every epoch round since then
 // advanced it by one token, so its current ctx, gen and kv are the stored
 // values plus epoch − base, and its left and room the stored values minus
@@ -293,11 +301,11 @@ type Engine struct {
 // counters. Its next check is due at epoch due, the epoch at which
 // min(room, left−1) reaches zero (or sooner: see relate). Any other slot
 // holds its counters as they are. In a walk round (see runCollect) collect
-// reserves and advances a fast slot's token in place; in either kind of
-// round collect, reserve and finish visit every other decode through the
-// token's item.
+// reserves and advances a fast slot's token in place, and in an epoch
+// round a due slot's crossing; in either kind of round collect, reserve
+// and finish visit every other decode through the token's item.
 //
-// A stalled slot (stalled) holds a request in a stall state: swapped,
+// A stalled slot (slotStalled) holds a request in a stall state: swapped,
 // migrating, exchanging or handing off. Stall sets the bit and Unstall
 // clears it, and an adopted request brings it in its state, so the bit
 // always mirrors the request's state (CheckLane checks it). It lets Victim,
@@ -307,8 +315,8 @@ type Engine struct {
 // Write-backs happen where a running request becomes visible outside the
 // engine: Running, Victim, Stall, RemoveRequest, PreemptDetach and
 // ExtractRequests, and before a finished request reaches
-// Callbacks.Finished. Each materializes the slot first. EachStalled needs
-// none: a stalled slot is cold and was written back by Stall. Prefill-role
+// Callbacks.Finished. Each materializes the slot first, then commits its
+// tokens and books its crossings. EachStalled needs none: a stalled slot is cold and was written back by Stall. Prefill-role
 // slots are never hot, so a request passed to Callbacks.Handoff has nothing
 // pending.
 type slot struct {
@@ -331,19 +339,39 @@ type slot struct {
 	// counting the slot's pending tokens (hot slots only).
 	ctx, left int32
 	// room is how many more tokens the Seq's tail block takes with no
-	// block-level work: Seq.Room net of kv.
+	// block-level work: Seq.Room net of kv, or, past a crossing the slot
+	// took, what the block it claimed has left.
 	room int32
 	// gen counts decoded tokens not yet added to Request.Generated, and
 	// kv reserved tokens not yet committed to the Seq.
 	gen, kv int32
-	hot     bool
-	rel     bool
-	stalled bool
-	// fast marks a materialized slot that took the round stamped stamp's
-	// token on the fast path. While that round's fast tokens are in flight
-	// (see inFlight) ctx, left and gen already count the token; a Stall
-	// drops it and an Unstall in the same round takes it back.
-	fast bool
+	flags   slotFlags
+}
+
+// slotFlags are a slot's bits, one byte so the slot stays 80 bytes.
+type slotFlags uint8
+
+const (
+	slotHot slotFlags = 1 << iota
+	slotRel
+	slotStalled
+	// slotFast marks a materialized slot that took the round stamped
+	// stamp's token on the fast path. While that round's fast tokens are in
+	// flight (see inFlight) ctx, left and gen already count the token; a
+	// Stall drops it and an Unstall in the same round takes it back.
+	slotFast
+	// slotCounted marks a hot slot whose Seq has a counted tail.
+	slotCounted
+)
+
+func (s *slot) is(f slotFlags) bool { return s.flags&f != 0 }
+
+func (s *slot) set(f slotFlags, on bool) {
+	if on {
+		s.flags |= f
+	} else {
+		s.flags &^= f
+	}
 }
 
 // wheelSize is the timing wheel's bucket count, a power of two. A relative
@@ -465,8 +493,8 @@ type round struct {
 	// of the ones reservation dropped.
 	gone []int32
 	// fast prices the decode tokens collect reserved and advanced with no
-	// item: the fast set's tokens in an epoch round, the walk's fast slots
-	// in a walk round. It is fixed at collect — like a reserved item, a
+	// item: the fast set's tokens and the due slots' crossings in an epoch
+	// round, the walk's fast slots in a walk round. It is fixed at collect — like a reserved item, a
 	// fast token dropped later in the round is still priced — and cleared
 	// when finishRound begins, so fast.N > 0 marks the fast tokens in
 	// flight. live counts the in-flight fast tokens that still finish: a
@@ -509,26 +537,26 @@ func (e *Engine) Running() []*request.Request {
 	return out
 }
 
-// EachStalled visits the stalled running requests in admission order
-// without copying them. fn must not admit, remove, or re-queue requests,
-// nor call Running or EachStalled, which sort into the scratch the visit
-// walks. It writes nothing back: Stall wrote each one back and left its
-// slot cold. The search runs from the lane's young end, where victims
-// stall, and stops at the nStalled-th stalled slot. Lane order is nearly
-// always admission order, so the slots found are reversed into it before
-// the sort.
+// EachStalled visits the stalled running requests in lane order, by
+// (Arrival, ID), without copying them. fn must not admit, remove, or
+// re-queue requests, nor call Running or EachStalled, which collect into
+// the scratch the visit walks. It writes nothing back: Stall wrote each
+// one back and left its slot cold. The search runs from the lane's young
+// end, where victims stall, and stops at the nStalled-th stalled slot;
+// the slots found are reversed into lane order.
 func (e *Engine) EachStalled(fn func(r *request.Request)) {
 	if e.nStalled == 0 {
 		return
 	}
 	ord := e.order[:0]
 	for i := len(e.lane) - 1; i >= 0 && len(ord) < e.nStalled; i-- {
-		if e.lane[i].stalled {
+		if e.lane[i].is(slotStalled) {
 			ord = append(ord, int32(i))
 		}
 	}
 	slices.Reverse(ord)
-	for _, i := range e.sortByAdmission(ord) {
+	e.order = ord
+	for _, i := range ord {
 		fn(e.lane[i].req)
 	}
 }
@@ -542,12 +570,6 @@ func (e *Engine) liveByAdmission() []int32 {
 			ord = append(ord, int32(i))
 		}
 	}
-	return e.sortByAdmission(ord)
-}
-
-// sortByAdmission sorts lane indices by their slots' admission numbers and
-// keeps ord as the engine's order scratch.
-func (e *Engine) sortByAdmission(ord []int32) []int32 {
 	slices.SortFunc(ord, func(a, b int32) int { return cmp.Compare(e.lane[a].adm, e.lane[b].adm) })
 	e.order = ord
 	return ord
@@ -663,13 +685,14 @@ func (e *Engine) Stall(r *request.Request, st request.State) {
 	e.unrelate(s)
 	e.dropInFlight(s)
 	e.writeBack(s)
-	if s.hot && e.epochOn {
+	if s.is(slotHot) && e.epochOn {
 		e.addCold(int32(i))
 	}
-	s.hot = false
+	s.set(slotHot|slotCounted, false)
 	r.SetState(st)
-	s.stalled = true
+	s.set(slotStalled, true)
 	e.nStalled++
+	e.growSkipTail()
 	e.rt.Transition(e.simu.Now(), r.ID, st.String(), e.groupID)
 }
 
@@ -677,12 +700,17 @@ func (e *Engine) Stall(r *request.Request, st request.State) {
 // has a stalled slot in this engine's lane.
 func (e *Engine) Unstall(r *request.Request) {
 	i := e.laneIndex(r)
-	if i < 0 || !e.lane[i].stalled {
+	if i < 0 || !e.lane[i].is(slotStalled) {
 		panic(fmt.Sprintf("engine: unstall of non-stalled request %d", r.ID))
 	}
 	s := &e.lane[i]
-	s.stalled = false
+	s.set(slotStalled, false)
 	e.nStalled--
+	if n := len(e.lane); i >= n-e.skipTail {
+		// Resumed inside the skipped tail: it is the youngest slot Victim
+		// must visit now.
+		e.skipTail = n - 1 - i
+	}
 	r.SetState(request.StateRunning)
 	e.syncSlot(i)
 	if e.inFlight(s) {
@@ -722,17 +750,18 @@ func (e *Engine) forgetDecodeWait(r *request.Request) {
 // Victim returns the youngest running, unstalled request whose KV was not
 // reserved in the current round — the standard preemption victim — or nil.
 // Among equal arrivals the earliest admitted wins. The scan starts at the
-// lane's youngest end and stops once arrivals fall below the first
-// eligible one's; only the chosen slot is written back, and its index
-// becomes laneIndex's hint for the preemption or stall that follows.
+// lane's youngest end, past the dead or stalled slots that end it
+// (skipTail), and stops once arrivals fall below the first eligible one's;
+// only the chosen slot is written back, and its index becomes laneIndex's
+// hint for the preemption or stall that follows.
 func (e *Engine) Victim() *request.Request {
 	v := -1
-	for i := len(e.lane) - 1 - e.deadTail; i >= 0; i-- {
+	for i := len(e.lane) - 1 - e.skipTail; i >= 0; i-- {
 		s := &e.lane[i]
 		if v >= 0 && s.arrival != e.lane[v].arrival {
 			break
 		}
-		if s.stalled || e.stampOf(s) == e.curStamp || s.req == nil || !s.hot && s.req.Done() {
+		if s.is(slotStalled) || e.stampOf(s) == e.curStamp || s.req == nil || !s.is(slotHot) && s.req.Done() {
 			continue
 		}
 		if v < 0 || s.adm < e.lane[v].adm {
@@ -849,18 +878,23 @@ func (e *Engine) addRunning(r *request.Request) {
 	e.demandAdd(committedTokens(r))
 	i := e.search(r)
 	stalled := r.State().Stalled()
-	e.lane = slices.Insert(e.lane, i, slot{req: r, arrival: r.Arrival, id: r.ID, adm: e.admitted, stalled: stalled})
+	e.lane = slices.Insert(e.lane, i, slot{req: r, arrival: r.Arrival, id: r.ID, adm: e.admitted})
 	e.admitted++
 	if stalled {
+		e.lane[i].set(slotStalled, true)
 		e.nStalled++
 	}
 	if e.dead > 0 && i <= e.firstDead {
 		e.firstDead++
 	}
-	if n := len(e.lane); i >= n-1-e.deadTail {
-		// Inserted into (or just past) the dead tail: the new slot is now
-		// the youngest live one.
-		e.deadTail = n - 1 - i
+	if n := len(e.lane); i >= n-1-e.skipTail {
+		// Inserted into (or just past) the skipped tail: a stalled slot
+		// lengthens it, and any other is now the youngest Victim visits.
+		if stalled {
+			e.skipTail++
+		} else {
+			e.skipTail = n - 1 - i
+		}
 	}
 	if e.live() {
 		e.shiftLanes(i)
@@ -870,7 +904,7 @@ func (e *Engine) addRunning(r *request.Request) {
 		e.remapEpoch(laneEdit{lo: int32(i)})
 	}
 	e.syncSlot(i)
-	if e.epochOn && !e.lane[i].hot {
+	if e.epochOn && !e.lane[i].is(slotHot) {
 		e.addCold(int32(i))
 	}
 }
@@ -894,7 +928,7 @@ func (e *Engine) removeAt(i int) {
 	e.dropInFlight(s)
 	e.writeBack(s)
 	e.demandAdd(-committedTokens(s.req))
-	if s.stalled {
+	if s.is(slotStalled) {
 		e.nStalled--
 	}
 	*s = slot{arrival: s.arrival, id: s.id}
@@ -902,8 +936,16 @@ func (e *Engine) removeAt(i int) {
 		e.firstDead = i
 	}
 	e.dead++
-	for n := len(e.lane); e.deadTail < n && e.lane[n-1-e.deadTail].req == nil; {
-		e.deadTail++
+	e.growSkipTail()
+}
+
+// growSkipTail extends skipTail over the dead or stalled slots that now
+// end the lane.
+func (e *Engine) growSkipTail() {
+	for n := len(e.lane); e.skipTail < n; e.skipTail++ {
+		if s := &e.lane[n-1-e.skipTail]; s.req != nil && !s.is(slotStalled) {
+			return
+		}
 	}
 }
 
@@ -948,7 +990,8 @@ func (e *Engine) compactLane() {
 	}
 	e.remapEpoch(laneEdit{lo: int32(lo), remap: remap})
 	e.remap = remap
-	e.dead, e.deadTail = 0, 0
+	e.dead, e.skipTail = 0, 0
+	e.growSkipTail()
 }
 
 // shiftLanes keeps the current round's item lane indices valid across a
@@ -1017,17 +1060,27 @@ func (ed *laneEdit) list(l []int32) []int32 {
 func (e *Engine) syncSlot(i int) {
 	s := &e.lane[i]
 	r := s.req
-	s.hot = e.role.RunsDecode() && r.State() == request.StateRunning && r.Seq != nil &&
+	hot := e.role.RunsDecode() && r.State() == request.StateRunning && r.Seq != nil &&
 		!r.InPrefill() && !r.Done()
-	if !s.hot {
+	s.set(slotHot, hot)
+	if !hot {
+		s.set(slotCounted, false)
 		return
 	}
 	s.ctx = int32(r.ContextLen())
 	s.left = int32(r.OutputLen - r.Generated)
-	s.room = int32(r.Seq.Room())
+	e.syncTail(s)
 	if e.epochOn {
 		e.loose = append(e.loose, int32(i))
 	}
+}
+
+// syncTail re-reads a hot slot's room and counted-tail bit from its Seq,
+// which holds every token the slot reserved.
+func (e *Engine) syncTail(s *slot) {
+	seq := s.req.Seq
+	s.room = int32(seq.Room())
+	s.set(slotCounted, seq.CountedTail())
 }
 
 // addCold puts lane index i on the cold list, in lane order, unless it is
@@ -1042,7 +1095,7 @@ func (e *Engine) addCold(i int32) {
 // slot the epoch moved took the latest epoch round's token on the fast
 // path, so it gets that round's stamp, as the walk would have given it.
 func (e *Engine) materialize(s *slot) {
-	if !s.rel {
+	if !s.is(slotRel) {
 		return
 	}
 	if d := int32(e.epoch - s.base); d > 0 {
@@ -1052,7 +1105,8 @@ func (e *Engine) materialize(s *slot) {
 		s.gen += d
 		s.kv += d
 		s.base = e.epoch
-		s.stamp, s.fast = e.epochStamp, true
+		s.stamp = e.epochStamp
+		s.set(slotFast, true)
 	}
 }
 
@@ -1065,7 +1119,8 @@ func (e *Engine) relate(i int32) bool {
 	if d <= 0 {
 		return false
 	}
-	s.rel, s.base, s.due = true, e.epoch, e.epoch+uint64(min(d, wheelSize-1))
+	s.set(slotRel, true)
+	s.base, s.due = e.epoch, e.epoch+uint64(min(d, wheelSize-1))
 	e.relN++
 	e.relCtx += int(s.ctx)
 	e.wheel.push(s.due, i)
@@ -1075,11 +1130,11 @@ func (e *Engine) relate(i int32) bool {
 // unrelate takes a slot out of the fast set, materialized. Its wheel entry
 // goes stale.
 func (e *Engine) unrelate(s *slot) {
-	if !s.rel {
+	if !s.is(slotRel) {
 		return
 	}
 	e.materialize(s)
-	s.rel = false
+	s.set(slotRel, false)
 	e.relN--
 	e.relCtx -= int(s.ctx)
 }
@@ -1088,16 +1143,18 @@ func (e *Engine) unrelate(s *slot) {
 // that reads a slot's stamp or fast flag (inFlight, and so dropInFlight
 // and takeInFlight) reads a materialized slot.
 func (e *Engine) stampOf(s *slot) uint64 {
-	if s.rel && s.base != e.epoch {
+	if s.is(slotRel) && s.base != e.epoch {
 		return e.epochStamp
 	}
 	return s.stamp
 }
 
 // writeBack catches a slot's request and Seq up with the tokens the slot
-// counted since its last write-back, materializing it first. An in-flight
-// fast token stays on the slot: its KV is committed, but the request has
-// not decoded it yet.
+// counted since its last write-back, materializing it first: the Seq
+// commits the reserved tokens and books the counted blocks the slot
+// claimed for them (kvcache.Seq.Commit). An in-flight fast token
+// stays on the slot: its KV is committed, but the request has not decoded
+// it yet.
 func (e *Engine) writeBack(s *slot) {
 	e.materialize(s)
 	gen := s.gen
@@ -1117,7 +1174,7 @@ func (e *Engine) writeBack(s *slot) {
 // inFlight reports whether the materialized slot s holds a fast token of
 // the round in flight.
 func (e *Engine) inFlight(s *slot) bool {
-	return e.rd.fast.N > 0 && s.fast && s.hot && s.stamp == e.curStamp
+	return e.rd.fast.N > 0 && s.flags&(slotFast|slotHot) == slotFast|slotHot && s.stamp == e.curStamp
 }
 
 // dropInFlight takes an in-flight fast token off a slot leaving the round
@@ -1156,16 +1213,18 @@ func (e *Engine) writeBackAll() {
 // CheckLane writes every slot back and checks the lane against ground
 // truth: its slots stay in (Arrival, ID) order, laneIndex finds every live
 // slot at its own index, admission numbers are unique, and dead, firstDead
-// and deadTail match the dead slots. Each live slot's stalled bit must
-// match its request's state, and nStalled must count the set bits. On a
+// match the dead slots, and skipTail the dead or stalled slots that end
+// the lane. Each live slot's stalled bit must match its request's state,
+// and nStalled must count the set bits. On a
 // decode role, nAwaitDecode must count the requests whose decode-ready
 // WaitStart stamp is set; on any other role it must be zero. Nothing
 // may stay pending but an in-flight fast token, and the slots holding one
 // must number the round's live fast tokens. On a role that decodes, every
 // running decode-ready request's slot must be hot. Every hot slot's context
-// length, remaining output and tail room must equal what its request and
-// Seq report (plus its in-flight fast token), with the Seq holding exactly
-// the committed context (plus the in-flight token while a round executes).
+// length, remaining output, tail room and counted-tail bit must equal what
+// its request and Seq report (plus its in-flight fast token), with the Seq
+// holding exactly the committed context (plus the in-flight token while a
+// round executes); so the write-back booked every block the slot claimed.
 // In the epoch lane, the fast set must be exactly the relative slots, with
 // relN and relCtx their count and Σctx, each filed on the wheel at a due
 // epoch no later than its real one; every other hot slot must be on loose
@@ -1199,11 +1258,11 @@ func (e *Engine) CheckLane() (hot int, err error) {
 				e.groupID, r.ID, i, j)
 		}
 		adms = append(adms, s.adm)
-		if s.stalled != r.State().Stalled() {
+		if s.is(slotStalled) != r.State().Stalled() {
 			return hot, fmt.Errorf("engine: group %d request %d in state %v has stalled bit %v",
-				e.groupID, r.ID, r.State(), s.stalled)
+				e.groupID, r.ID, r.State(), s.is(slotStalled))
 		}
-		if s.stalled {
+		if s.is(slotStalled) {
 			stalled++
 		}
 		if e.role == RoleDecode && r.WaitStart != request.NoWait {
@@ -1217,7 +1276,7 @@ func (e *Engine) CheckLane() (hot int, err error) {
 		if s.gen != fast || s.kv != 0 {
 			return hot, fmt.Errorf("engine: group %d request %d still pending after write-back", e.groupID, r.ID)
 		}
-		if !s.hot {
+		if !s.is(slotHot) {
 			if e.role.RunsDecode() && r.State() == request.StateRunning && !r.InPrefill() && !r.Done() {
 				return hot, fmt.Errorf("engine: group %d cold slot for running decode-ready request %d",
 					e.groupID, r.ID)
@@ -1242,6 +1301,9 @@ func (e *Engine) CheckLane() (hot int, err error) {
 		case int(s.room) != r.Seq.Room():
 			return hot, fmt.Errorf("engine: group %d request %d slot room %d, Seq %d",
 				e.groupID, r.ID, s.room, r.Seq.Room())
+		case s.is(slotCounted) != r.Seq.CountedTail():
+			return hot, fmt.Errorf("engine: group %d request %d slot counted-tail bit %v, Seq %v",
+				e.groupID, r.ID, s.is(slotCounted), r.Seq.CountedTail())
 		case r.Seq.Tokens() != r.ContextLen()+inflight:
 			return hot, fmt.Errorf("engine: group %d request %d Seq holds %d tokens, request committed %d",
 				e.groupID, r.ID, r.Seq.Tokens(), r.ContextLen()+inflight)
@@ -1262,11 +1324,14 @@ func (e *Engine) CheckLane() (hot int, err error) {
 			e.groupID, live, e.rd.live)
 	}
 	tail := 0
-	for tail < len(e.lane) && e.lane[len(e.lane)-1-tail].req == nil {
-		tail++
+	for ; tail < len(e.lane); tail++ {
+		if s := &e.lane[len(e.lane)-1-tail]; s.req != nil && !s.is(slotStalled) {
+			break
+		}
 	}
-	if tail != e.deadTail {
-		return hot, fmt.Errorf("engine: group %d lane ends in %d dead slots, counted %d", e.groupID, tail, e.deadTail)
+	if tail != e.skipTail {
+		return hot, fmt.Errorf("engine: group %d lane ends in %d dead or stalled slots, counted %d",
+			e.groupID, tail, e.skipTail)
 	}
 	slices.Sort(adms)
 	for k := 1; k < len(adms); k++ {
@@ -1283,7 +1348,7 @@ func (e *Engine) checkEpoch() error {
 	relN, relCtx := 0, 0
 	for i := range e.lane {
 		s := &e.lane[i]
-		if s.rel {
+		if s.is(slotRel) {
 			relN++
 			relCtx += int(s.ctx)
 		}
@@ -1311,7 +1376,7 @@ func (e *Engine) checkEpoch() error {
 		}
 		k := int32(i)
 		switch {
-		case s.rel:
+		case s.is(slotRel):
 			if s.due < e.epoch || s.due-e.epoch > uint64(min(s.room, s.left-1)) || s.due-e.epoch >= wheelSize {
 				return fmt.Errorf("engine: group %d request %d due at epoch %d, now %d, room %d, left %d",
 					e.groupID, s.id, s.due, e.epoch, s.room, s.left)
@@ -1324,7 +1389,7 @@ func (e *Engine) checkEpoch() error {
 				return fmt.Errorf("engine: group %d request %d missing from the wheel at epoch %d",
 					e.groupID, s.id, s.due)
 			}
-		case s.hot:
+		case s.is(slotHot):
 			if !slices.Contains(e.loose, k) && !(e.live() && slices.ContainsFunc(e.rd.items,
 				func(it batching.Item) bool { return it.Lane == k })) {
 				return fmt.Errorf("engine: group %d hot request %d neither in the fast set, loose nor an item",
@@ -1442,15 +1507,18 @@ func (e *Engine) runAdmit(*round) bool {
 // rd.items for every schedulable decode-ready running request, in lane
 // order, and the lane index of every prefilling one in rd.prefills, in lane
 // order, excluding stalled requests and keeping only the halves the role
-// serves. Decodes that need no block-level work and do not finish their
-// request are reserved and advanced with no item and summed into rd.fast;
-// fastLimit bounds them to the decodes the iteration budget admits. The
-// lane's (Arrival, ID) order means no per-round sort.
+// serves. Decodes that do not finish their request and need no
+// block-level work, or cross into a counted block while no reservation of
+// the round can reach the pressure callback, are reserved and advanced
+// with no item and summed into rd.fast; fastLimit bounds them to the
+// decodes the iteration budget admits. The lane's (Arrival, ID) order
+// means no per-round sort.
 //
 // Most single-stage rounds are epoch rounds (epochCollect): the fast set
 // is every hot slot with room ≥ 1 and left ≥ 2, and the round touches
-// only its due slots (a wheel bucket and the loose list), which become
-// items, and the cold slots. It falls back to the walk (walkCollect) when
+// only its due slots (a wheel bucket and the loose list), which take
+// their crossings on the slot or become items, and the cold slots. It
+// falls back to the walk (walkCollect) when
 // the walk could reserve differently: when fastLimit is 0 (a traced round,
 // or pending decode-ready stamps), when the running set exceeds fastLimit
 // (the budget could cut the fast set), or when the stop rule is live and
@@ -1487,7 +1555,7 @@ func (e *Engine) runCollect(rd *round) bool {
 // token needs block-level work (room < 1). The slots must be materialized.
 func (e *Engine) poolCovers(avail int) bool {
 	for i := range e.lane {
-		if s := &e.lane[i]; s.hot && s.room < 1 {
+		if s := &e.lane[i]; s.is(slotHot) && s.room < 1 {
 			if avail--; avail < 0 {
 				return false
 			}
@@ -1498,19 +1566,22 @@ func (e *Engine) poolCovers(avail int) bool {
 
 // walkCollect is collect as one filtered walk over the lane. With a
 // fastLimit above 0 it also reserves and advances fast slots in place: a
-// fast slot is hot, its token needs no new block (room ≥ 1) and does not
-// finish its request (left ≥ 2), and only decodes among the first
-// fastLimit in lane order are taken, so the budget keeps the same decodes
-// as on the item path. Fast slots take the stamp the round will use
-// (curStamp+1, which runForm makes current), and their ctx, left and gen
-// count the in-flight token from here until finishRound begins. The stop
-// rule: fast reservation stops at the first decode that must stay an item,
-// because reserving younger slots ahead of it would let a pressure
-// callback during its reservation find them stamped, and Victim would
-// choose differently from the item path. The rule is waived when no decode
-// reservation can reach the pressure callback (see runCollect). In a
-// pipelined round the walk also appends every decode to rd.dec, fast or
-// item, with the context it is priced at.
+// fast slot is hot, its token does not finish its request (left ≥ 2), and
+// it needs no new block (room ≥ 1) or, with the stop rule waived, crosses
+// into a counted one (see cross); only decodes among the first fastLimit
+// in lane order are taken, so the budget keeps the same decodes as on the
+// item path. Fast slots take the stamp the round will use (curStamp+1,
+// which runForm makes current), and their ctx, left and gen count the
+// in-flight token from here until finishRound begins. The stop rule: fast
+// reservation stops at the first decode that must stay an item, because
+// reserving younger slots ahead of it would let a pressure callback during
+// its reservation find them stamped, and Victim would choose differently
+// from the item path. The rule is waived when no decode reservation can
+// reach the pressure callback (see runCollect), and only then may a
+// crossing leave the item path: a crossing that reached the pressure
+// callback as an item must stay one. In a pipelined round the walk also
+// appends every decode to rd.dec, fast or item, with the context it is
+// priced at.
 func (e *Engine) walkCollect(rd *round, fastLimit int, stop bool) {
 	e.walkRounds++
 	items, prefills, dec := rd.items, rd.prefills, rd.dec
@@ -1520,19 +1591,14 @@ func (e *Engine) walkCollect(rd *round, fastLimit int, stop bool) {
 	decodes := len(items)
 	for i := range e.lane {
 		s := &e.lane[i]
-		if s.hot {
-			if fast.N+len(items)-decodes < fastLimit && s.room >= 1 && s.left >= 2 {
+		if s.is(slotHot) {
+			if fast.N+len(items)-decodes < fastLimit && s.left >= 2 && (s.room >= 1 || !stop && e.cross(s)) {
 				if seq {
 					dec = append(dec, batching.FastDecode(int(s.ctx)))
 				}
 				fast.N++
 				fast.Context += int(s.ctx) + 1
-				s.room--
-				s.kv++
-				s.gen++
-				s.ctx++
-				s.left--
-				s.stamp, s.fast = stamp, true
+				advance(s, stamp)
 				continue
 			}
 			if stop {
@@ -1551,20 +1617,53 @@ func (e *Engine) walkCollect(rd *round, fastLimit int, stop bool) {
 	rd.items, rd.prefills, rd.fast, rd.dec = items, prefills, fast, dec
 }
 
+// cross takes the block crossing of a hot slot with no room left on the
+// slot, when its Seq has a counted tail: it claims the next block from the
+// pool, in the round and order the item's reservation would, and resets
+// room to the block size, reporting true. The Seq books the block at the
+// next write-back. Any other crossing stays an item, and reserveSlow
+// appends it through the Seq. The caller has ruled out the pressure
+// callback for every decode reservation of the round.
+func (e *Engine) cross(s *slot) bool {
+	if !s.is(slotCounted) {
+		return false
+	}
+	e.pool.ClaimCounted(1)
+	s.room = int32(e.pool.BlockTokens())
+	return true
+}
+
+// advance reserves and advances a materialized hot slot's token on the
+// fast path, under the round stamp stamp.
+func advance(s *slot, stamp uint64) {
+	s.room--
+	s.kv++
+	s.gen++
+	s.ctx++
+	s.left--
+	s.stamp = stamp
+	s.set(slotFast, true)
+}
+
 // epochCollect is collect on the epoch lane. It places the loose slots,
 // takes the wheel bucket of the current epoch, re-placing the slots
-// checked early, and emits the due slots' items in lane order; finishRound
-// places them again once their round has moved them. It visits the cold
-// list for the prefills, dropping the slots gone or turned hot. Then the
-// whole fast set advances by one token at once: rd.fast is
-// (|F|, Σctx+|F|), and the epoch and Σctx move on.
+// checked early, and visits the due slots in lane order: a due slot that
+// crosses into a counted block takes the crossing on the slot (see cross)
+// and joins the round's fast tokens, and every other one becomes an item;
+// finishRound places the items again once their round has moved them. It
+// visits the cold list for the prefills, dropping the slots gone or turned
+// hot. Then the whole fast set advances by one token at once: rd.fast is
+// (|F|, Σctx+|F|) plus the crossings, the epoch and Σctx move on, and the
+// crossed slots are placed from the new epoch.
 //
 // With the stop rule live (stop), the round is an epoch round only when
 // the pool covers its block crossings, as the walk's waiver demands (see
 // poolCovers). Every hot slot with room < 1 is due, so the test counts
 // the due set alone. An uncovered round reports false before it has
-// emitted anything, and the caller leaves the epoch lane, which
-// materializes the slots placed here, and walks.
+// emitted anything or claimed a block, and the caller leaves the epoch
+// lane, which materializes the slots placed here, and walks. A covered
+// round, or one with the rule waived, has no decode reservation that can
+// reach the pressure callback, so its crossings may leave the item path.
 func (e *Engine) epochCollect(rd *round, stop bool) bool {
 	avail := e.pool.AvailableBlocks()
 	if !e.epochOn {
@@ -1578,7 +1677,7 @@ func (e *Engine) epochCollect(rd *round, stop bool) bool {
 	}
 	due := e.due[:0]
 	for _, i := range e.loose {
-		if s := &e.lane[i]; s.hot && !s.rel && !e.relate(i) {
+		if s := &e.lane[i]; s.is(slotHot) && !s.is(slotRel) && !e.relate(i) {
 			due = append(due, i)
 		}
 	}
@@ -1589,7 +1688,7 @@ func (e *Engine) epochCollect(rd *round, stop bool) bool {
 		if i < 0 {
 			continue
 		}
-		if s := &e.lane[i]; s.rel && s.due == e.epoch {
+		if s := &e.lane[i]; s.is(slotRel) && s.due == e.epoch {
 			e.unrelate(s)
 			if !e.relate(i) {
 				due = append(due, i)
@@ -1613,13 +1712,25 @@ func (e *Engine) epochCollect(rd *round, stop bool) bool {
 		}
 	}
 	items := rd.items
+	var crossings gpu.DecodeSum
+	stamp := e.curStamp + 1
+	// The crossed slots' indices overwrite the due ones already visited.
+	crossed := due[:0]
 	for _, i := range due {
-		items = appendDecode(items, e.lane[i].req, i, int(e.lane[i].ctx))
+		s := &e.lane[i]
+		if s.left >= 2 && s.room < 1 && e.cross(s) {
+			crossings.N++
+			crossings.Context += int(s.ctx) + 1
+			advance(s, stamp)
+			crossed = append(crossed, i)
+			continue
+		}
+		items = appendDecode(items, s.req, i, int(s.ctx))
 	}
 	prefills, kept := rd.prefills, 0
 	for _, i := range e.cold {
 		s := &e.lane[i]
-		if s.req == nil || s.hot {
+		if s.req == nil || s.is(slotHot) {
 			continue
 		}
 		e.cold[kept] = i
@@ -1630,10 +1741,15 @@ func (e *Engine) epochCollect(rd *round, stop bool) bool {
 	}
 	e.cold = e.cold[:kept]
 	rd.items, rd.prefills = items, prefills
-	rd.fast = gpu.DecodeSum{N: e.relN, Context: e.relCtx + e.relN}
+	rd.fast = gpu.DecodeSum{N: e.relN + crossings.N, Context: e.relCtx + e.relN + crossings.Context}
 	e.relCtx += e.relN
 	e.epoch++
-	e.epochStamp = e.curStamp + 1
+	e.epochStamp = stamp
+	for _, i := range crossed {
+		if !e.relate(i) {
+			e.loose = append(e.loose, i)
+		}
+	}
 	return true
 }
 
@@ -1644,7 +1760,7 @@ func (e *Engine) prefilling(s *slot) bool {
 	// A live slot that is not stalled holds a running request (CheckLane
 	// checks the stalled bit against the state), so a stalled slot is
 	// passed by without loading its request.
-	if r == nil || s.stalled || r.Done() {
+	if r == nil || s.is(slotStalled) || r.Done() {
 		return false
 	}
 	if !r.InPrefill() {
@@ -1670,7 +1786,7 @@ func (e *Engine) enterEpoch() {
 		s := &e.lane[i]
 		switch {
 		case s.req == nil:
-		case s.hot:
+		case s.is(slotHot):
 			e.loose = append(e.loose, int32(i))
 		default:
 			e.cold = append(e.cold, int32(i))
@@ -1787,7 +1903,7 @@ func (e *Engine) runReserve(rd *round) bool {
 			}
 			continue
 		}
-		if s := &e.lane[it.Lane]; s.hot && !it.IsPrefill && it.Chunk <= int(s.room) {
+		if s := &e.lane[it.Lane]; s.is(slotHot) && !it.IsPrefill && it.Chunk <= int(s.room) {
 			// Steady decode: the tail block has room, so the token is only
 			// counted on the slot. A hot slot's Seq already holds its
 			// whole prompt, so every token grows the committed KV.
@@ -1796,7 +1912,7 @@ func (e *Engine) runReserve(rd *round) bool {
 			e.pending = true
 			growth += it.Chunk
 		} else if !e.reserveSlow(it, &growth) {
-			if s := &e.lane[it.Lane]; e.epochOn && s.hot && !s.rel {
+			if s := &e.lane[it.Lane]; e.epochOn && s.is(slotHot) && !s.is(slotRel) {
 				// A decode that got no KV this round is due again next
 				// round.
 				e.loose = append(e.loose, it.Lane)
@@ -1807,7 +1923,8 @@ func (e *Engine) runReserve(rd *round) bool {
 			continue
 		}
 		s := &e.lane[it.Lane]
-		s.stamp, s.fast = e.curStamp, false
+		s.stamp = e.curStamp
+		s.set(slotFast, false)
 		if kept != i {
 			rd.items[kept] = *it
 		}
@@ -1844,10 +1961,11 @@ func (rd *round) dropDecodes() {
 }
 
 // reserveSlow claims KV for an item the lane cannot count on its own — a
-// prefill chunk or a decode token that needs a new block — and reports
-// whether it fits this round, adding any committed-KV growth to *growth.
-// It writes the slot back and goes through Seq.Append and the pressure
-// loop.
+// prefill chunk, or a decode token that needs a new block and did not
+// take its crossing on the slot — and reports whether it fits this round,
+// adding any committed-KV growth to *growth. It writes the slot back and
+// goes through Seq.Append and the pressure loop, then refreshes a hot
+// slot's room and counted-tail bit from the Seq.
 func (e *Engine) reserveSlow(it *batching.Item, growth *int) bool {
 	for attempt := 0; attempt < 64; attempt++ {
 		s := &e.lane[it.Lane]
@@ -1869,8 +1987,8 @@ func (e *Engine) reserveSlow(it *batching.Item, growth *int) bool {
 			if after, pt := r.Seq.Tokens(), r.PrefillTarget(); after > pt {
 				*growth += after - max(after-it.Chunk, pt)
 			}
-			if s.hot {
-				s.room = int32(r.Seq.Room())
+			if s.is(slotHot) {
+				e.syncTail(s)
 			}
 			return true
 		}
@@ -1987,7 +2105,7 @@ func (e *Engine) finishRound(items []batching.Item) {
 			// Finished, preempted or rerouted earlier in the round.
 			continue
 		}
-		if s.hot && !it.IsPrefill {
+		if s.is(slotHot) && !it.IsPrefill {
 			// Steady decode: the token is counted on the slot alone.
 			if e.nAwaitDecode > 0 {
 				// The first decode after a handoff ends the decode-queue wait.
@@ -2006,7 +2124,7 @@ func (e *Engine) finishRound(items []batching.Item) {
 			tokens++
 			if s.left == 0 {
 				e.finishRequest(int(it.Lane), now)
-			} else if e.epochOn && !s.rel && !e.relate(it.Lane) {
+			} else if e.epochOn && !s.is(slotRel) && !e.relate(it.Lane) {
 				e.loose = append(e.loose, it.Lane)
 			}
 			continue
@@ -2120,7 +2238,7 @@ func (e *Engine) ExtractRequests() (running, waiting []*request.Request) {
 		waiting = append(waiting, e.queue.Pop())
 	}
 	e.lane = nil
-	e.dead, e.deadTail, e.nStalled, e.nAwaitDecode = 0, 0, 0, 0
+	e.dead, e.skipTail, e.nStalled, e.nAwaitDecode = 0, 0, 0, 0
 	e.closed = true
 	return running, waiting
 }

@@ -16,8 +16,11 @@ import (
 // materialized copy of the engine's lane, and advances the copy's fast
 // slots in place. Rounds then began on a compacted lane, so the stop rule
 // counts the lane less the carried slots that were dead when the round
-// began. It is the oracle for epochCollect and walkCollect.
-func refCollect(e *Engine, lane []slot, carried int) (items []batching.Item, prefills []int32, fast gpu.DecodeSum) {
+// began. With the rule waived, a slot with no room and a counted tail
+// crosses on the fast path: its room restarts at the block size before
+// the token (the engine also claims the block from the pool, which the
+// copy does not). It is the oracle for epochCollect and walkCollect.
+func refCollect(e *Engine, lane []slot, carried int) (items []batching.Item, prefills []int32, fast gpu.DecodeSum, crossed int) {
 	fastLimit := e.fastLimit()
 	stamp := e.curStamp + 1
 	stop := fastLimit > 0 && e.pool.AvailableBlocks() < len(lane)-carried
@@ -26,7 +29,7 @@ func refCollect(e *Engine, lane []slot, carried int) (items []batching.Item, pre
 		// block-level work.
 		crossings := 0
 		for i := range lane {
-			if lane[i].hot && lane[i].room < 1 {
+			if lane[i].is(slotHot) && lane[i].room < 1 {
 				crossings++
 			}
 		}
@@ -34,8 +37,13 @@ func refCollect(e *Engine, lane []slot, carried int) (items []batching.Item, pre
 	}
 	for i := range lane {
 		s := &lane[i]
-		if s.hot {
-			if fast.N+len(items) < fastLimit && s.room >= 1 && s.left >= 2 {
+		if s.is(slotHot) {
+			crossing := !stop && s.room < 1 && s.is(slotCounted)
+			if fast.N+len(items) < fastLimit && (s.room >= 1 || crossing) && s.left >= 2 {
+				if crossing {
+					s.room = int32(e.pool.BlockTokens())
+					crossed++
+				}
 				fast.N++
 				fast.Context += int(s.ctx) + 1
 				s.room--
@@ -43,7 +51,8 @@ func refCollect(e *Engine, lane []slot, carried int) (items []batching.Item, pre
 				s.gen++
 				s.ctx++
 				s.left--
-				s.stamp, s.fast = stamp, true
+				s.stamp = stamp
+				s.set(slotFast, true)
 				continue
 			}
 			if stop {
@@ -58,7 +67,7 @@ func refCollect(e *Engine, lane []slot, carried int) (items []batching.Item, pre
 		}
 		prefills = append(prefills, int32(i))
 	}
-	return items, prefills, fast
+	return items, prefills, fast, crossed
 }
 
 // oracle replaces the engine's collect stage: it runs refCollect on a
@@ -75,9 +84,10 @@ type oracle struct {
 	// prefills. covered and uncovered count the single-stage rounds within
 	// fastLimit that began with the stop rule live: the ones whose block
 	// crossings the pool covered, taken on the epoch lane, and the ones it
-	// did not, which fell back to the walk.
+	// did not, which fell back to the walk. crossed counts the block
+	// crossings epoch rounds took on the fast path.
 	epoch, walk, fastWalk, switches, due, cold int
-	covered, uncovered                         int
+	covered, uncovered, crossed                int
 }
 
 // begin counts the dead slots a round begins with.
@@ -101,11 +111,11 @@ func (o *oracle) collect(e *Engine, rd *round) bool {
 	stopLive := e.depth == 1 && fastLimit > 0 && e.RunningLen() <= fastLimit && avail < len(lane)-o.carried
 	crossings := 0
 	for i := range lane {
-		if lane[i].hot && lane[i].room < 1 {
+		if lane[i].is(slotHot) && lane[i].room < 1 {
 			crossings++
 		}
 	}
-	wantItems, wantPrefills, wantFast := refCollect(e, lane, o.carried)
+	wantItems, wantPrefills, wantFast, crossed := refCollect(e, lane, o.carried)
 	was := e.epochOn
 	e.runCollect(rd)
 	if stopLive {
@@ -122,6 +132,7 @@ func (o *oracle) collect(e *Engine, rd *round) bool {
 	switch {
 	case e.epochOn:
 		o.epoch++
+		o.crossed += crossed
 		if !was {
 			o.switches++
 		}
@@ -147,13 +158,17 @@ func (o *oracle) collect(e *Engine, rd *round) bool {
 	if rd.fast != wantFast {
 		o.t.Fatalf("%s: fast %+v, walk %+v", round, rd.fast, wantFast)
 	}
+	if claimed := avail - e.pool.AvailableBlocks(); claimed != crossed {
+		o.t.Fatalf("%s: collect claimed %d blocks for %d crossings", round, claimed, crossed)
+	}
 	for i := range e.lane {
 		got := e.lane[i]
 		e.materialize(&got)
 		want := lane[i]
 		// Only the epoch bookkeeping may differ.
-		got.rel, got.base, got.due = false, 0, 0
-		want.rel, want.base, want.due = false, 0, 0
+		got.set(slotRel, false)
+		want.set(slotRel, false)
+		got.base, got.due, want.base, want.due = 0, 0, 0, 0
 		if got != want {
 			o.t.Fatalf("%s: slot %d materializes to %+v, walk %+v", round, i, got, want)
 		}
@@ -186,11 +201,13 @@ func withOracle(c *churn) *oracle {
 // pressure turns the stop rule on and off and rounds switch between the
 // epoch lane and the walk. Under a live stop rule both branches must run:
 // rounds whose block crossings the pool covers stay on the epoch lane, and
-// the rest walk with the rule in force. Every round's collect must build exactly the
-// round refCollect builds from a materialized copy of the lane — items in
-// order, prefills, fast.N and fast.Context — and leave every slot,
-// materialized, as the walk leaves it. After every operation the churn
-// model's checks run too, CheckLane among them.
+// the rest walk with the rule in force. Every round's collect must build
+// exactly the round refCollect builds from a materialized copy of the
+// lane — items in order, prefills, fast.N and fast.Context — claim one
+// block from the pool per crossing it took on the fast path, and leave
+// every slot, materialized, as the walk leaves it; epoch rounds must take
+// crossings. After every operation the churn model's checks run too,
+// CheckLane and the block accounting among them.
 func TestEpochLaneMatchesWalk(t *testing.T) {
 	var total oracle
 	ops := 0
@@ -211,16 +228,17 @@ func TestEpochLaneMatchesWalk(t *testing.T) {
 		total.cold += o.cold
 		total.covered += o.covered
 		total.uncovered += o.uncovered
+		total.crossed += o.crossed
 	}
-	if total.epoch == 0 || total.fastWalk == 0 || total.switches < 2 || total.due == 0 || total.cold == 0 {
+	if total.epoch == 0 || total.fastWalk == 0 || total.switches < 2 || total.due == 0 || total.cold == 0 || total.crossed == 0 {
 		t.Fatalf("%d ops: %+v; the epoch lane was never exercised against the walk", ops, total)
 	}
 	if total.covered == 0 || total.uncovered == 0 {
 		t.Fatalf("%d ops: %d covered and %d uncovered stop-rule rounds; both branches must run",
 			ops, total.covered, total.uncovered)
 	}
-	t.Logf("%d ops: %d epoch rounds (%d entries, %d with due items, %d with prefills, %d under the stop rule), "+
+	t.Logf("%d ops: %d epoch rounds (%d entries, %d with due items, %d with prefills, %d under the stop rule, %d fast crossings), "+
 		"%d walk rounds (%d with a fast limit, %d under an uncovered stop rule)",
-		ops, total.epoch, total.switches, total.due, total.cold, total.covered,
+		ops, total.epoch, total.switches, total.due, total.cold, total.covered, total.crossed,
 		total.walk, total.fastWalk, total.uncovered)
 }

@@ -7,13 +7,20 @@ import (
 
 // FuzzSeqOps decodes bytes into a stream of sequence and pool operations
 // and runs it twice: on a pair of pools where token commits go through
-// Room and Commit, and on a twin pair where the same commits are plain
-// Appends. After every operation it checks each pool's invariants, that
-// every resident sequence holds exactly the blocks its tokens need (each
-// Block reference full, except a tail holding what the token count
-// implies), that each pool's counted-block total is the sum over its live
-// sequences, and that the two runs agree on every pool counter, the
-// sharing stats and every sequence's Room.
+// Room and Commit, or through the engine's lane slot, and on a twin pair
+// where the same commits are plain Appends. The slot decodes a token at a
+// time against Room; at a crossing with a counted tail (CountedTail) it
+// claims the block from the pool (ClaimCounted), and at any other it
+// writes back and appends through the Seq. Its tokens and claimed blocks
+// stay pending until an operation on the same sequence writes them back
+// (Commit), as the engine's write-backs do. After every operation
+// it checks each pool's invariants, that every resident sequence holds
+// exactly the blocks its tokens need, pending ones included (each Block
+// reference full, except a tail holding what the token count implies),
+// that each pool's counted-block total is the sum over its live sequences
+// plus the pending claims, which its claimed total counts, and that the two runs agree on every pool
+// counter, the sharing stats, every sequence's Room (the slot's, while it
+// has tokens pending) and its counted tail.
 //
 // Input layout: byte 0 picks the sharing mode (off, LRU, FIFO), byte 1 the
 // block size (4, 8 or 16 tokens), byte 2 the pool size; then each
@@ -38,10 +45,20 @@ func (r *opReader) next() int {
 }
 
 // twinSeq is one sequence in both runs: a in the Room/Commit run, b in
-// the Append-only run; pool indexes the pair both live in.
+// the Append-only run; pool indexes the pair both live in. pending and
+// claimed are the tokens and counted blocks a's slot holds unbooked, and
+// room the slot's room while it holds any.
 type twinSeq struct {
-	a, b *Seq
-	pool int
+	a, b                   *Seq
+	pool                   int
+	pending, claimed, room int
+}
+
+// writeBack books a's pending slot tokens, as the engine's write-back
+// does.
+func (s *twinSeq) writeBack() {
+	s.a.Commit(s.pending)
+	s.pending, s.claimed = 0, 0
 }
 
 // maxFuzzOps bounds one input's operation stream.
@@ -67,11 +84,15 @@ func runSeqOps(t *testing.T, data []byte) {
 	// Prefixes end mid-block, on a block edge and inside the first block.
 	prefixes := []Prefix{{"a", 2*bt + bt/2}, {"b", 2 * bt}, {"c", bt / 2}}
 	var seqs []twinSeq
+	// pick chooses a sequence for an operation, writing its slot back
+	// first.
 	pick := func(arg int) (int, bool) {
 		if len(seqs) == 0 {
 			return 0, false
 		}
-		return arg % len(seqs), true
+		i := arg % len(seqs)
+		seqs[i].writeBack()
+		return i, true
 	}
 	agree := func(op string, errA, errB error) {
 		if (errA == nil) != (errB == nil) {
@@ -79,7 +100,7 @@ func runSeqOps(t *testing.T, data []byte) {
 		}
 	}
 	for step := 0; len(in.data) > 0 && step < maxFuzzOps; step++ {
-		op, x, y := in.next()%11, in.next(), in.next()
+		op, x, y := in.next()%12, in.next(), in.next()
 		pi := x % 2
 		var desc string
 		switch op {
@@ -89,7 +110,7 @@ func runSeqOps(t *testing.T, data []byte) {
 			b, errB := poolsB[pi].NewSeq(y)
 			agree(desc, errA, errB)
 			if errA == nil {
-				seqs = append(seqs, twinSeq{a, b, pi})
+				seqs = append(seqs, twinSeq{a: a, b: b, pool: pi})
 			}
 		case 1: // NewSeqCached
 			pfx := prefixes[y%len(prefixes)]
@@ -101,7 +122,7 @@ func runSeqOps(t *testing.T, data []byte) {
 				t.Fatalf("%s: hits %d vs %d", desc, hitA, hitB)
 			}
 			if errA == nil {
-				seqs = append(seqs, twinSeq{a, b, pi})
+				seqs = append(seqs, twinSeq{a: a, b: b, pool: pi})
 			}
 		case 2: // Append
 			i, ok := pick(x)
@@ -147,7 +168,7 @@ func runSeqOps(t *testing.T, data []byte) {
 			b, errB := s.b.MoveTo(poolsB[dst])
 			agree(desc, errA, errB)
 			if errA == nil {
-				*s = twinSeq{a, b, dst}
+				*s = twinSeq{a: a, b: b, pool: dst}
 			}
 		case 7: // SetPrefix on a sequence created without one
 			i, ok := pick(x)
@@ -179,24 +200,78 @@ func runSeqOps(t *testing.T, data []byte) {
 			seqs[i].a.Free()
 			seqs[i].b.Free()
 			seqs = append(seqs[:i], seqs[i+1:]...)
+		case 11: // decode tokens on the engine's lane slot in run A
+			if len(seqs) == 0 {
+				continue
+			}
+			s := &seqs[x%len(seqs)]
+			n := y%48 + 1
+			desc = fmt.Sprintf("slot decode of %d tokens on seq %d", n, x%len(seqs))
+			slotDecode(t, desc, s, poolsA[s.pool], n)
 		}
 		checkTwinRuns(t, desc, poolsA, poolsB, seqs)
+	}
+	for i := range seqs {
+		seqs[i].writeBack()
+	}
+	checkTwinRuns(t, "the final write-back", poolsA, poolsB, seqs)
+}
+
+// slotDecode decodes n tokens one at a time on s the way the engine's lane
+// slot does in run A, and appends each in run B: a token within the
+// slot's room is counted on the slot; at a crossing with a counted tail
+// the slot claims the next block from pool; any other crossing writes
+// the slot back and appends through the Seq, in both runs. It stops at
+// the first failed append, which must fail in both runs.
+func slotDecode(t *testing.T, desc string, s *twinSeq, pool *Pool, n int) {
+	t.Helper()
+	if s.pending == 0 {
+		s.room = s.a.Room()
+	}
+	for range n {
+		switch {
+		case s.room >= 1:
+		case s.a.CountedTail() && pool.AvailableBlocks() >= 1:
+			pool.ClaimCounted(1)
+			s.claimed++
+			s.room = pool.BlockTokens()
+		default:
+			s.writeBack()
+			errA, errB := s.a.Append(1), s.b.Append(1)
+			if (errA == nil) != (errB == nil) {
+				t.Fatalf("%s: slot run err %v, Append run err %v", desc, errA, errB)
+			}
+			if errA != nil {
+				return
+			}
+			s.room = s.a.Room()
+			continue
+		}
+		s.room--
+		s.pending++
+		if err := s.b.Append(1); err != nil {
+			t.Fatalf("%s: the slot took a token the Append run cannot: %v", desc, err)
+		}
 	}
 }
 
 // checkTwinRuns is the per-operation audit of runSeqOps.
 func checkTwinRuns(t *testing.T, op string, poolsA, poolsB [2]*Pool, seqs []twinSeq) {
 	t.Helper()
-	var countedA, countedB [2]int
+	var countedA, countedB, claimed [2]int
 	for i, s := range seqs {
 		for _, q := range []*Seq{s.a, s.b} {
-			want := q.pool.BlocksForTokens(q.Tokens())
+			held, tokens := q.Blocks(), q.Tokens()
+			if q == s.a {
+				held, tokens = held+s.claimed, tokens+s.pending
+			}
+			want := q.pool.BlocksForTokens(tokens)
 			if q.Swapped() {
 				want = 0
 			}
-			if q.Blocks() != want {
+			if held != want {
 				t.Fatalf("after %s: seq %d holds %d blocks for %d tokens (swapped %v), want %d",
-					op, i, q.Blocks(), q.Tokens(), q.Swapped(), want)
+					op, i, held, tokens, q.Swapped(), want)
 			}
 			// Block references carry the fill the token count implies:
 			// full, except a tail's.
@@ -211,11 +286,16 @@ func checkTwinRuns(t *testing.T, op string, poolsA, poolsB [2]*Pool, seqs []twin
 				}
 			}
 		}
-		if s.a.Tokens() != s.b.Tokens() || s.a.Room() != s.b.Room() {
-			t.Fatalf("after %s: seq %d tokens %d/%d room %d/%d between runs",
-				op, i, s.a.Tokens(), s.b.Tokens(), s.a.Room(), s.b.Room())
+		room := s.a.Room()
+		if s.pending > 0 {
+			room = s.room
 		}
-		countedA[s.pool] += int(s.a.counted)
+		if s.a.Tokens()+s.pending != s.b.Tokens() || room != s.b.Room() || s.a.CountedTail() != s.b.CountedTail() {
+			t.Fatalf("after %s: seq %d tokens %d+%d/%d room %d/%d counted tail %v/%v between runs",
+				op, i, s.a.Tokens(), s.pending, s.b.Tokens(), room, s.b.Room(), s.a.CountedTail(), s.b.CountedTail())
+		}
+		countedA[s.pool] += int(s.a.counted) + s.claimed
+		claimed[s.pool] += s.claimed
 		countedB[s.pool] += int(s.b.counted)
 	}
 	for k := range poolsA {
@@ -228,6 +308,10 @@ func checkTwinRuns(t *testing.T, op string, poolsA, poolsB [2]*Pool, seqs []twin
 		if a.counted != countedA[k] || b.counted != countedB[k] {
 			t.Fatalf("after %s: pool %d counted %d/%d, live sequences hold %d/%d",
 				op, k, a.counted, b.counted, countedA[k], countedB[k])
+		}
+		if a.claimed != claimed[k] || b.claimed != 0 {
+			t.Fatalf("after %s: pool %d holds %d/%d claimed blocks unbooked, slots %d",
+				op, k, a.claimed, b.claimed, claimed[k])
 		}
 		if a.UsedBlocks() != b.UsedBlocks() || a.FreeBlocks() != b.FreeBlocks() ||
 			a.CachedBlocks() != b.CachedBlocks() || a.Stats() != b.Stats() {

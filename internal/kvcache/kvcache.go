@@ -144,6 +144,7 @@ type Pool struct {
 	freeBlocks  int // content-free blocks
 	usedBlocks  int // blocks with refs > 0 (each physical block once)
 	counted     int // the share of usedBlocks sequences hold as counts
+	claimed     int // the share of counted that ClaimCounted claimed and no Commit booked yet
 	seqs        int // live sequences, for leak checks
 
 	sharing bool
@@ -353,6 +354,20 @@ func (p *Pool) takeBlock() *Block {
 func (p *Pool) takeCounted(n int) {
 	p.claim(n)
 	p.counted += n
+}
+
+// ClaimCounted claims n physical blocks that a sequence with a counted
+// tail (Seq.CountedTail) is about to cross into, ahead of the tokens that
+// fill them: the pool's counters, eviction order and Stats move as the
+// Appends that cross would move them, and the sequence books the blocks
+// at its next Commit. It panics when the pool cannot supply them; the
+// caller fit-checks against AvailableBlocks.
+func (p *Pool) ClaimCounted(n int) {
+	if n < 0 || n > p.AvailableBlocks() {
+		panic(fmt.Sprintf("kvcache: claim of %d counted blocks, %d available", n, p.AvailableBlocks()))
+	}
+	p.takeCounted(n)
+	p.claimed += n
 }
 
 // claim moves n physical blocks to used: from the free count in bulk, then
@@ -968,22 +983,52 @@ func (s *Seq) Room() int {
 	return p.blockTokens - fill
 }
 
+// CountedTail reports whether the tail is a counted block whose Room only
+// its fill bounds: once Room is spent, the next token crosses into a new
+// counted block, which a caller counting tokens against Room may claim
+// with Pool.ClaimCounted and book with Commit. A sequence whose
+// publish scan lags (a transplant that SetPrefix gave a prefix) has no
+// counted tail until an Append runs the scan. The answer holds until the
+// sequence is swapped, moved or freed: its own appends keep the tail
+// counted and the scan caught up.
+func (s *Seq) CountedTail() bool {
+	if s.counted == 0 {
+		return false
+	}
+	p := s.pool
+	return !p.sharing || s.prefix.Tokens <= 0 || s.published >= s.held()-1
+}
+
 // Commit adds n tokens at once, leaving the sequence and the pool as
-// Append(n) would; n must not exceed Room. Only the sequence's token count
-// moves, plus the tail's fill when the tail is a Block reference (a
-// publish cursor resting on the tail stays there, and the next scan steps
-// over it as Append's would have).
+// Append(n) would. Tokens up to Room need no block-level work: only the
+// token count moves, plus the tail's fill when the tail is a Block
+// reference. Tokens past Room need a counted tail (CountedTail) and the
+// blocks they cross into already claimed from the pool with ClaimCounted;
+// Commit books those blocks on the sequence, their number following from
+// the token count against the blocks held. The publish scan then runs as
+// Append's does. It panics on a negative n, on tokens past Room without a
+// counted tail, and on crossings the pool holds no claimed blocks for.
 func (s *Seq) Commit(n int) {
 	if n == 0 {
 		return
 	}
-	if room := s.Room(); n < 0 || n > room {
-		panic(fmt.Sprintf("kvcache: Commit(%d) with room %d", n, room))
+	p := s.pool
+	room := s.Room()
+	if n < 0 || n > room && !s.CountedTail() {
+		panic(fmt.Sprintf("kvcache: Commit(%d) with room %d and no counted tail", n, room))
 	}
-	if s.counted == 0 {
+	if n > room {
+		crossed := p.BlocksForTokens(s.tokens+n) - s.held()
+		if crossed > p.claimed {
+			panic(fmt.Sprintf("kvcache: Commit(%d) crosses %d blocks, %d claimed", n, crossed, p.claimed))
+		}
+		p.claimed -= crossed
+		s.counted += int32(crossed)
+	} else if s.counted == 0 {
 		s.blocks[len(s.blocks)-1].filled += n
 	}
 	s.tokens += n
+	s.publishShared()
 }
 
 // release drops every block the sequence holds: Block references one by
@@ -1132,6 +1177,9 @@ func (p *Pool) CheckInvariants() error {
 	}
 	if p.counted < 0 || p.counted > p.usedBlocks {
 		return fmt.Errorf("kvcache: counted blocks %d outside [0, used %d]", p.counted, p.usedBlocks)
+	}
+	if p.claimed < 0 || p.claimed > p.counted {
+		return fmt.Errorf("kvcache: claimed blocks %d outside [0, counted %d]", p.claimed, p.counted)
 	}
 	if p.seqs < 0 {
 		return fmt.Errorf("kvcache: negative live sequences")

@@ -4,7 +4,8 @@ import "testing"
 
 // Room is the contract the engine's decode lane builds on: nonzero exactly
 // when an append needs no block-level work, and Commit of up to Room
-// tokens is that append.
+// tokens is that append. Past Room, Commit needs blocks claimed with
+// ClaimCounted (see TestSlotCrossingsPublishLikeAppend).
 func TestRoomAndCommit(t *testing.T) {
 	p := NewPool(10, 64)
 	s, err := p.NewSeq(100) // the tail block holds 36 of 64
@@ -155,6 +156,108 @@ func TestCommitMatchesAppend(t *testing.T) {
 			t.Fatalf("sharing=%v: pools differ after free", sharing)
 		}
 		if err := pb.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// A transplanted sequence (MoveTo, then SetPrefix) decoded the way the
+// engine's lane slot decodes — tokens counted against Room, a crossing
+// with a counted tail claimed from the pool (ClaimCounted), any other
+// crossing written back and appended — must leave its pool exactly where
+// one Append per token leaves a twin: the same counters and sharing stats
+// after every token, and, once Commit books the claimed blocks,
+// the same published blocks, the same prefix hit for a new sequence and
+// the same cache after both free. The transplant's publish scan lags, so
+// it has no counted tail until its first Append publishes the prefix,
+// and Commit refuses a crossing before then.
+func TestSlotCrossingsPublishLikeAppend(t *testing.T) {
+	const bt = 16
+	pfx := Prefix{ID: "p", Tokens: 100}
+	transplant := func() (*Pool, *Seq) {
+		src, dst := NewPool(64, bt), NewPool(64, bt)
+		src.EnableSharing(EvictLRU)
+		dst.EnableSharing(EvictLRU)
+		s, err := src.NewSeq(150)
+		if err != nil {
+			t.Fatal(err)
+		}
+		moved, err := s.MoveTo(dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		moved.SetPrefix(pfx)
+		return dst, moved
+	}
+	pa, a := transplant() // the slot's
+	pb, b := transplant() // one Append per token
+	if a.Room() != 0 || a.CountedTail() {
+		t.Fatalf("transplant: room %d, counted tail %v; its publish scan lags", a.Room(), a.CountedTail())
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Commit crossed on a sequence with no counted tail")
+			}
+		}()
+		a.Commit(1)
+	}()
+	pending, claims, appends := 0, 0, 0
+	room, counted := a.Room(), a.CountedTail()
+	for tok := 0; tok < 100; tok++ {
+		switch {
+		case room >= 1:
+		case counted:
+			pa.ClaimCounted(1)
+			claims++
+			room = bt
+		default:
+			a.Commit(pending)
+			pending = 0
+			if err := a.Append(1); err != nil {
+				t.Fatal(err)
+			}
+			appends++
+			room, counted = a.Room(), a.CountedTail()
+			if err := b.Append(1); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		room--
+		pending++
+		if err := b.Append(1); err != nil {
+			t.Fatal(err)
+		}
+		if pa.UsedBlocks() != pb.UsedBlocks() || pa.FreeBlocks() != pb.FreeBlocks() || pa.Stats() != pb.Stats() {
+			t.Fatalf("token %d: slot pool used %d free %d %+v, Append pool used %d free %d %+v", tok,
+				pa.UsedBlocks(), pa.FreeBlocks(), pa.Stats(), pb.UsedBlocks(), pb.FreeBlocks(), pb.Stats())
+		}
+	}
+	a.Commit(pending)
+	if appends != 1 || claims == 0 {
+		t.Fatalf("%d appends and %d claimed crossings; want the publishing append, then claims", appends, claims)
+	}
+	if a.Tokens() != b.Tokens() || a.Blocks() != b.Blocks() || a.Room() != b.Room() ||
+		a.SharedBlocks() != b.SharedBlocks() || a.SharedBlocks() == 0 || pa.Stats() != pb.Stats() {
+		t.Fatalf("booked: tokens %d/%d blocks %d/%d room %d/%d shared %d/%d stats %+v/%+v",
+			a.Tokens(), b.Tokens(), a.Blocks(), b.Blocks(), a.Room(), b.Room(),
+			a.SharedBlocks(), b.SharedBlocks(), pa.Stats(), pb.Stats())
+	}
+	_, hitA, _ := pa.NewSeqCached(pfx)
+	_, hitB, _ := pb.NewSeqCached(pfx)
+	if hitA != hitB || hitA == 0 {
+		t.Fatalf("prefix hits %d and %d", hitA, hitB)
+	}
+	a.Free()
+	b.Free()
+	if pa.CachedBlocks() != pb.CachedBlocks() || pa.UsedBlocks() != pb.UsedBlocks() ||
+		pa.CachedPrefixTokens(pfx) != pb.CachedPrefixTokens(pfx) {
+		t.Fatalf("after free: cached %d/%d used %d/%d", pa.CachedBlocks(), pb.CachedBlocks(),
+			pa.UsedBlocks(), pb.UsedBlocks())
+	}
+	for _, p := range []*Pool{pa, pb} {
+		if err := p.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
 	}
