@@ -315,3 +315,60 @@ func TestMoreMicrobatchesFewerBubbles(t *testing.T) {
 		t.Errorf("bubbles with 8 mbs (%.2f) >= with 2 (%.2f)", r8, r2)
 	}
 }
+
+// TestScheduleWithContendedEgressPinned pins a whole round's schedule: three
+// unequal stages, four unequal microbatches (one carrying aggregate decodes), and a
+// chunked bulk transfer on stage 0's egress that the activations must
+// interleave with. Each stage's busy time, the engine's span and the round's
+// end are pinned to the nanosecond, so a rewrite of the stage hand-offs that
+// changes any start, completion or link order fails here.
+func TestScheduleWithContendedEgressPinned(t *testing.T) {
+	s := sim.New(1)
+	cfg := model.Qwen25_14B()
+	layers := []int{20, 16, 12}
+	stages := make([]*Stage, len(layers))
+	for i, l := range layers {
+		stages[i] = &Stage{
+			InstanceID: i,
+			Timer:      gpu.NewTimer(gpu.A800(), cfg.Partial(l), 1),
+			Egress:     network.NewLink(s, "e", network.RDMA200, network.DefaultLatency),
+		}
+	}
+	e := New(s, stages, int64(cfg.HiddenDim)*2)
+	// 20,000 MB in 100 MB chunks (4.2 ms each), starting just before the
+	// first activation leaves stage 0 and on the wire for the whole round:
+	// every activation waits behind a chunk.
+	first := stages[0].Timer.PrefillTime(0, 1536)
+	s.At(sim.Time(first)-sim.Time(50*sim.Microsecond), "bulk", func() {
+		stages[0].Egress.SendChunked(20000<<20, 100<<20, network.PriorityBulk, nil)
+	})
+	mbs := []batching.Microbatch{
+		{Items: prefillItems(1, 1536)},
+		{Items: prefillItems(2, 256), Dec: gpu.DecodeSum{N: 5, Context: 5 * 900}},
+		{Items: prefillItems(3, 3072)},
+		{Items: prefillItems(4, 64)},
+	}
+	var end sim.Time
+	e.RunRound(mbs, func() { end = s.Now() })
+	// The caller may reuse its microbatch slice once RunRound returns.
+	for i := range mbs {
+		mbs[i] = batching.Microbatch{}
+	}
+	s.Run()
+	var busy []sim.Duration
+	for i := 0; i < e.Stages(); i++ {
+		busy = append(busy, e.Stage(i).BusyTime())
+	}
+	wantBusy := []sim.Duration{243152516, 194525613, 145898710}
+	for i, w := range wantBusy {
+		if busy[i] != w {
+			t.Errorf("stage %d busy %d ns, want %d", i, busy[i], w)
+		}
+	}
+	if got, want := e.SpanTime(), sim.Duration(454659623); got != want {
+		t.Errorf("span %d ns, want %d", got, want)
+	}
+	if want := sim.Time(454659623); end != want {
+		t.Errorf("round ended at %d ns, want %d", end, want)
+	}
+}
