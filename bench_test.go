@@ -9,6 +9,7 @@ package kunserve
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -892,12 +893,63 @@ func BenchmarkDispatch512(b *testing.B) {
 	b.Run("round-robin", bench("round-robin", false))
 }
 
+// BenchmarkSimKernel times one event's schedule and fire. "single" keeps one
+// event pending; "pending=N" holds N events, each rescheduling itself 16–33 ms
+// ahead when it fires, the spread of fleet-scale engine rounds; "burst" fires
+// cohorts of 128 same-instant events, each cohort scheduled in a row.
 func BenchmarkSimKernel(b *testing.B) {
-	s := sim.New(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.After(sim.Microsecond, "e", func() {})
-		s.Step()
+	perEvent := func(b *testing.B, s *sim.Simulation) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
+		b.ReportMetric(float64(s.Processed), "events")
 	}
-	b.ReportMetric(float64(s.Processed), "events")
+	b.Run("single", func(b *testing.B) {
+		s := sim.New(1)
+		for i := 0; i < b.N; i++ {
+			s.After(sim.Microsecond, "e", func() {})
+			s.Step()
+		}
+		perEvent(b, s)
+	})
+	// Delays drawn once, uniform over [16.8, 33.5) ms.
+	rng := rand.New(rand.NewSource(1))
+	delays := make([]sim.Duration, 4096)
+	for i := range delays {
+		delays[i] = 16800*sim.Microsecond + sim.Duration(rng.Int63n(int64(16700*sim.Microsecond)))
+	}
+	for _, depth := range []int{8, 128, 512, 2048} {
+		b.Run(fmt.Sprintf("pending=%d", depth), func(b *testing.B) {
+			s := sim.New(1)
+			next := 0
+			var again func()
+			again = func() {
+				s.After(delays[next&(len(delays)-1)], "e", again)
+				next++
+			}
+			for i := 0; i < depth; i++ {
+				again()
+			}
+			// Reach the steady spread before timing.
+			for i := 0; i < 4*depth; i++ {
+				s.Step()
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Step()
+			}
+			perEvent(b, s)
+		})
+	}
+	b.Run("burst", func(b *testing.B) {
+		s := sim.New(1)
+		fn := func() {}
+		for i := 0; i < b.N; i++ {
+			if s.Pending() == 0 {
+				for j := 0; j < 128; j++ {
+					s.After(sim.Millisecond, "burst", fn)
+				}
+			}
+			s.Step()
+		}
+		perEvent(b, s)
+	})
 }

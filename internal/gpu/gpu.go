@@ -100,6 +100,15 @@ type Timer struct {
 	attnFactor float64
 	layersF    float64
 	kvBytesF   float64
+	// flops, membw, linearPerToken, weightLoad and launch are Time's
+	// per-microbatch constants, computed once with the same operations in
+	// the same order as Time once did per call, so they have the same
+	// bits. Neither a Spec nor a model.Config changes after a timer is
+	// built from it (Partial copies its config).
+	flops, membw   float64
+	linearPerToken float64
+	weightLoad     float64
+	launch         sim.Duration
 }
 
 // NewTimer builds a timer for cfg running on tpDegree GPUs of the given
@@ -108,12 +117,18 @@ func NewTimer(spec *Spec, cfg *model.Config, tpDegree int) *Timer {
 	if tpDegree <= 0 {
 		panic(fmt.Sprintf("gpu: tpDegree = %d", tpDegree))
 	}
-	return &Timer{
+	t := &Timer{
 		spec: spec, cfg: cfg, tpDegree: tpDegree,
-		attnFactor: 4 * float64(cfg.NumHeads) * float64(cfg.HeadDim),
-		layersF:    float64(cfg.Layers),
-		kvBytesF:   float64(cfg.KVBytesPerToken()),
+		attnFactor:     4 * float64(cfg.NumHeads) * float64(cfg.HeadDim),
+		layersF:        float64(cfg.Layers),
+		kvBytesF:       float64(cfg.KVBytesPerToken()),
+		flops:          spec.PeakFLOPS * spec.ComputeEff * float64(tpDegree),
+		membw:          spec.MemBandwidth * spec.MemEff * float64(tpDegree),
+		linearPerToken: cfg.LinearFlopsPerToken(),
+		launch:         sim.Duration(cfg.Layers) * spec.KernelLaunch,
 	}
+	t.weightLoad = float64(cfg.ParamBytes()) / t.membw
+	return t
 }
 
 // Spec returns the underlying GPU spec.
@@ -121,14 +136,6 @@ func (t *Timer) Spec() *Spec { return t.spec }
 
 // Config returns the model (or partial model) being timed.
 func (t *Timer) Config() *model.Config { return t.cfg }
-
-func (t *Timer) flops() float64 {
-	return t.spec.PeakFLOPS * t.spec.ComputeEff * float64(t.tpDegree)
-}
-
-func (t *Timer) membw() float64 {
-	return t.spec.MemBandwidth * t.spec.MemEff * float64(t.tpDegree)
-}
 
 // DecodeSum is N decode steps priced as one aggregate term. Context is
 // the sum of (context+1) over the steps: a decode step attends to its
@@ -172,27 +179,28 @@ func (t *Timer) Time(chunks []ChunkWork, dec DecodeSum) sim.Duration {
 	if n == 0 {
 		return 0
 	}
-	totalNew, attnFlops, kvReadBytes := t.sums(chunks, dec)
+	overhead := t.launch + sim.Duration(n)*2*sim.Microsecond
+	return sim.DurationFromSeconds(t.seconds(t.sums(chunks, dec))) + overhead
+}
 
-	linearFlops := t.cfg.LinearFlopsPerToken() * float64(totalNew)
-	linearCompute := linearFlops / t.flops()
-	weightLoad := float64(t.cfg.ParamBytes()) / t.membw()
+// seconds is the roofline part of Time for a microbatch's sums: the
+// linear layers' compute or weight-load time plus the attention's compute
+// or KV-read time.
+func (t *Timer) seconds(totalNew int, attnFlops, kvReadBytes float64) float64 {
+	linearFlops := t.linearPerToken * float64(totalNew)
+	linearCompute := linearFlops / t.flops
 	linear := linearCompute
-	if weightLoad > linear {
-		linear = weightLoad
+	if t.weightLoad > linear {
+		linear = t.weightLoad
 	}
 
-	attnCompute := attnFlops / t.flops()
-	kvRead := kvReadBytes / t.membw()
+	attnCompute := attnFlops / t.flops
+	kvRead := kvReadBytes / t.membw
 	attn := attnCompute
 	if kvRead > attn {
 		attn = kvRead
 	}
-
-	overhead := sim.Duration(t.cfg.Layers)*t.spec.KernelLaunch +
-		sim.Duration(n)*2*sim.Microsecond
-
-	return sim.DurationFromSeconds(linear+attn) + overhead
+	return linear + attn
 }
 
 // sums returns a microbatch's new tokens and its attention-FLOP and

@@ -284,3 +284,57 @@ func TestExactBoundAsserted(t *testing.T) {
 		}()
 	}
 }
+
+// unhoistedSeconds is Time's roofline term as it read before its
+// per-microbatch constants moved into NewTimer: every call derives them
+// from the spec and config.
+func unhoistedSeconds(t *Timer, totalNew int, attnFlops, kvReadBytes float64) float64 {
+	flops := func() float64 { return t.spec.PeakFLOPS * t.spec.ComputeEff * float64(t.tpDegree) }
+	membw := func() float64 { return t.spec.MemBandwidth * t.spec.MemEff * float64(t.tpDegree) }
+	linearCompute := t.cfg.LinearFlopsPerToken() * float64(totalNew) / flops()
+	weightLoad := float64(t.cfg.ParamBytes()) / membw()
+	linear := linearCompute
+	if weightLoad > linear {
+		linear = weightLoad
+	}
+	attn := attnFlops / flops()
+	if kvRead := kvReadBytes / membw(); kvRead > attn {
+		attn = kvRead
+	}
+	return linear + attn
+}
+
+// Property: the constants NewTimer hoists price random microbatches to the
+// same bits as deriving them on every call — the roofline seconds before
+// their rounding to nanoseconds, and the duration — on every zoo model's
+// full and stage timers, for prefill-heavy, decode-only and mixed chunk
+// sets.
+func TestHoistedConstantsPriceLikeUnhoisted(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	for _, tm := range zooTimers() {
+		for trial := 0; trial < 200; trial++ {
+			var chunks []ChunkWork
+			for n := rng.Intn(64); n > 0; n-- {
+				chunks = append(chunks, ChunkWork{PrefixLen: rng.Intn(16384), ChunkLen: 1 + rng.Intn(2048)>>rng.Intn(12)})
+			}
+			var dec DecodeSum
+			if rng.Intn(2) == 0 {
+				dec.N = 1 + rng.Intn(256)
+				dec.Context = dec.N + rng.Intn(dec.N*8192)
+			}
+			n := len(chunks) + dec.N
+			if n == 0 {
+				continue
+			}
+			totalNew, attnFlops, kvReadBytes := tm.sums(chunks, dec)
+			got, want := tm.seconds(totalNew, attnFlops, kvReadBytes), unhoistedSeconds(tm, totalNew, attnFlops, kvReadBytes)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s (tp %d) trial %d: hoisted %v s, unhoisted %v s", tm.cfg.Name, tm.tpDegree, trial, got, want)
+			}
+			wantD := sim.DurationFromSeconds(want) + sim.Duration(tm.cfg.Layers)*tm.spec.KernelLaunch + sim.Duration(n)*2*sim.Microsecond
+			if d := tm.Time(chunks, dec); d != wantD {
+				t.Fatalf("%s (tp %d) trial %d: hoisted %v, unhoisted %v", tm.cfg.Name, tm.tpDegree, trial, d, wantD)
+			}
+		}
+	}
+}

@@ -30,15 +30,14 @@ type Stage struct {
 	// the next stage; unused on the last stage.
 	Egress *network.Link
 
-	busy  bool
-	queue []*flight
-
-	// active is the flight executing on the stage (busy == true).
-	active *flight
-	// transit holds flights whose activations are on the wire to the next
-	// stage, in send order — the link delivers same-priority transfers
-	// FIFO, so the head is always the next to arrive.
-	transit []*flight
+	// Microbatches run on every stage in round order: stage 0 takes them
+	// in order, and activations of one priority class land on the next
+	// stage in send order (the link serves a class FIFO). So two counters
+	// are the stage's whole queue: next is the round index of the
+	// microbatch the stage runs next (or is running, while busy), and
+	// ready counts the round's microbatches whose input is on the stage.
+	next, ready int
+	busy        bool
 	// execDone/arrived are this stage's persistent completion callbacks
 	// (built by New), so steady-state execution schedules no closures.
 	execDone func()
@@ -51,12 +50,6 @@ type Stage struct {
 // BusyTime returns the stage's cumulative execution time.
 func (st *Stage) BusyTime() sim.Duration { return st.busyTotal }
 
-// flight is one microbatch traversing the pipeline.
-type flight struct {
-	mb   batching.Microbatch
-	work []gpu.ChunkWork
-}
-
 // Engine executes rounds over a fixed stage list.
 type Engine struct {
 	simu   *sim.Simulation
@@ -66,15 +59,15 @@ type Engine struct {
 	// forwarded between stages (hidden dim x 2 bytes for BF16).
 	activationBytesPerToken int64
 
-	inFlight  int
+	// mbs holds the running round's nonempty microbatches in order and
+	// work[i] the chunk list of mbs[i]; both are reused across rounds, so
+	// a steady-state round allocates nothing per microbatch.
+	mbs       []batching.Microbatch
+	work      [][]gpu.ChunkWork
 	roundDone func()
 	spanStart sim.Time
 	spanTotal sim.Duration
 	running   bool
-
-	// flightFree recycles flight structs (and their work slices) across
-	// rounds, so a steady-state round allocates nothing per microbatch.
-	flightFree []*flight
 }
 
 // New creates an engine over the given stages.
@@ -92,21 +85,6 @@ func New(s *sim.Simulation, stages []*Stage, activationBytesPerToken int64) *Eng
 		st.arrived = func() { e.stageArrived(i) }
 	}
 	return e
-}
-
-func (e *Engine) getFlight() *flight {
-	if n := len(e.flightFree); n > 0 {
-		f := e.flightFree[n-1]
-		e.flightFree[n-1] = nil
-		e.flightFree = e.flightFree[:n-1]
-		return f
-	}
-	return &flight{}
-}
-
-func (e *Engine) putFlight(f *flight) {
-	f.mb = batching.Microbatch{}
-	e.flightFree = append(e.flightFree, f)
 }
 
 // Stages returns the stage count.
@@ -142,100 +120,81 @@ func (e *Engine) BubbleRatio() float64 {
 // prices them with its items as one aggregate term (gpu.Timer.Time, with
 // the same bits as pricing them as items), and they count toward the
 // activations forwarded. A microbatch with neither items nor decodes is
-// skipped. The engine processes one round at a time; overlapping rounds is
-// the caller's bug.
+// skipped. The engine copies the microbatches, so the caller may reuse
+// the slice once RunRound returns. The engine processes one round at a
+// time; overlapping rounds is the caller's bug.
 func (e *Engine) RunRound(microbatches []batching.Microbatch, done func()) {
 	if e.running {
 		panic("pipeline: round already running")
 	}
-	n := 0
 	for _, mb := range microbatches {
 		if len(mb.Items) > 0 || mb.Dec.N > 0 {
-			n++
+			e.mbs = append(e.mbs, mb)
 		}
 	}
+	n := len(e.mbs)
 	if n == 0 {
 		done()
 		return
 	}
+	for len(e.work) < n {
+		e.work = append(e.work, nil)
+	}
+	for i, mb := range e.mbs {
+		e.work[i] = batching.AppendChunkWork(e.work[i][:0], mb.Items)
+	}
 	e.running = true
-	e.inFlight = n
 	e.roundDone = done
 	e.spanStart = e.simu.Now()
-	for _, mb := range microbatches {
-		if len(mb.Items) == 0 && mb.Dec.N == 0 {
-			continue
-		}
-		f := e.getFlight()
-		f.mb = mb
-		f.work = batching.AppendChunkWork(f.work[:0], mb.Items)
-		e.enqueue(0, f)
+	for _, st := range e.stages {
+		st.next, st.ready = 0, 0
 	}
+	e.stages[0].ready = n
+	e.pump(0)
 }
 
-func (e *Engine) enqueue(stage int, f *flight) {
-	st := e.stages[stage]
-	st.queue = append(st.queue, f)
-	e.pump(stage)
-}
-
+// pump starts the stage's next microbatch if the stage is free and the
+// microbatch's input has arrived.
 func (e *Engine) pump(stage int) {
 	st := e.stages[stage]
-	if st.busy || len(st.queue) == 0 {
+	if st.busy || st.next == st.ready {
 		return
 	}
-	f := st.queue[0]
-	copy(st.queue, st.queue[1:])
-	st.queue[len(st.queue)-1] = nil
-	st.queue = st.queue[:len(st.queue)-1]
 	st.busy = true
-	st.active = f
 	st.busySince = e.simu.Now()
-	d := st.Timer.Time(f.work, f.mb.Dec)
+	d := st.Timer.Time(e.work[st.next], e.mbs[st.next].Dec)
 	e.simu.After(d, "pipeline:exec", st.execDone)
 }
 
-// stageExecDone completes the stage's active microbatch execution.
+// stageExecDone completes the stage's running microbatch: the last stage
+// retires it (ending the round after the last one), any other forwards its
+// activations to the next stage over the NIC, with a payload proportional
+// to the microbatch's new tokens.
 func (e *Engine) stageExecDone(stage int) {
 	st := e.stages[stage]
-	f := st.active
-	st.active = nil
-	now := e.simu.Now()
+	m := st.next
+	st.next++
 	st.busy = false
-	st.busyTotal += now.Sub(st.busySince)
-	e.advance(stage, f)
+	st.busyTotal += e.simu.Now().Sub(st.busySince)
+	if stage < len(e.stages)-1 {
+		bytes := int64(e.mbs[m].Tokens()) * e.activationBytesPerToken
+		st.Egress.Send(bytes, network.PriorityActivation, st.arrived)
+	} else if st.next == len(e.mbs) {
+		e.running = false
+		e.spanTotal += e.simu.Now().Sub(e.spanStart)
+		// Drop the round's items so they do not outlive it.
+		clear(e.mbs)
+		e.mbs = e.mbs[:0]
+		done := e.roundDone
+		e.roundDone = nil
+		done()
+	}
 	e.pump(stage)
 }
 
-// stageArrived lands the stage's oldest in-transit activation transfer on
-// the next stage. Transfers of one priority class complete in send order on
-// a link, so the transit head is always the one that arrived.
+// stageArrived lands the stage's oldest activation transfer on the next
+// stage.
 func (e *Engine) stageArrived(stage int) {
-	st := e.stages[stage]
-	f := st.transit[0]
-	copy(st.transit, st.transit[1:])
-	st.transit[len(st.transit)-1] = nil
-	st.transit = st.transit[:len(st.transit)-1]
-	e.enqueue(stage+1, f)
-}
-
-func (e *Engine) advance(stage int, f *flight) {
-	if stage == len(e.stages)-1 {
-		e.putFlight(f)
-		e.inFlight--
-		if e.inFlight == 0 {
-			e.running = false
-			e.spanTotal += e.simu.Now().Sub(e.spanStart)
-			done := e.roundDone
-			e.roundDone = nil
-			done()
-		}
-		return
-	}
-	// Forward activations to the next stage over the NIC. The payload is
-	// proportional to the microbatch's new tokens.
-	bytes := int64(f.mb.Tokens()) * e.activationBytesPerToken
-	st := e.stages[stage]
-	st.transit = append(st.transit, f)
-	st.Egress.Send(bytes, network.PriorityActivation, st.arrived)
+	e.stages[stage+1].ready++
+	e.pump(stage + 1)
 }

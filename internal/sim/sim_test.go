@@ -211,6 +211,41 @@ func TestAllocsSteadyStateScheduleFire(t *testing.T) {
 		t.Fatalf("recycled events fired %d times with %d pending, want 101 and 0",
 			fires, s.Pending())
 	}
+
+	// At fleet depth: 128 events, each rescheduling itself 16.8–33.4 ms
+	// ahead as engine rounds do, and a 1 s tick past the ring's window.
+	// Once the window has swept the ring a few times, the buckets' shared
+	// backing array and the far heap hold every event: no step allocates.
+	deep := New(1)
+	next := 0
+	var round func()
+	round = func() {
+		deep.After(16800*Microsecond+Duration(next*7919%128)*130*Microsecond, "round", round)
+		next++
+	}
+	var tick func()
+	tick = func() { deep.After(Second, "tick", tick) }
+	for i := 0; i < 128; i++ {
+		round()
+	}
+	tick()
+	for i := 0; i < 20000; i++ {
+		deep.Step()
+	}
+	const steps = 20000
+	start := deep.Now()
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < steps; i++ {
+			deep.Step()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%d steps with 129 events pending allocated %.0f times", steps, allocs)
+	}
+	if deep.Pending() != 129 || deep.Now().Sub(start) < 2*Second {
+		t.Fatalf("%d events pending after %v, want 129 after at least 2 s of ticks",
+			deep.Pending(), deep.Now().Sub(start))
+	}
 }
 
 // An event scheduled late under a reserved sequence number ties with
