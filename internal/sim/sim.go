@@ -222,13 +222,15 @@ func (s *Simulation) fire(e *Event) {
 // total order — seq is unique per event — the firing order is the one any
 // exact priority queue gives, so the layout cannot change simulated output.
 //
-// The sizes come from the delay histogram of fleet-diurnal (the -exp scale
-// trace of 128 instances) at seed 42: 86% of schedules land 16.8–33.5 ms
-// ahead (engine rounds), about 124 events are pending (at most 130), and
-// 0.1–3% of schedules per workload, monitor ticks among them, land past the
-// 134 ms window. At this width the fullest bucket holds 7 events on
-// fleet-diurnal and 4 on prefix-agentic; paper-burst piles up to 76
-// same-instant events into one bucket, which grows past bucketCap once.
+// The sizes come from the schedule-delay histogram of kbench's workloads at
+// seed 42. On fleet-diurnal (128 instances) 86% of schedules land
+// 16.8–33.5 ms ahead (engine rounds), 124 events are pending on average (at
+// most 130), and 2.0% of schedules land past the 134 ms window, the 1 s
+// monitor ticks among them; that share is 1.1% on paper-burst and 3.0% on
+// prefix-agentic. At this width the fullest bucket holds 7 events on
+// fleet-diurnal and 4 on prefix-agentic. paper-burst piles up to 76
+// same-instant events into one bucket; a bucket that outgrows bucketCap
+// reallocates once and keeps its larger array.
 const (
 	bucketShift = 17 // bucket width 2^17 ns ≈ 131 µs
 	ringSize    = 1024
