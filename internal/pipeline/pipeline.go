@@ -33,9 +33,10 @@ type Stage struct {
 	// Microbatches run on every stage in round order: stage 0 takes them
 	// in order, and activations of one priority class land on the next
 	// stage in send order (the link serves a class FIFO). So two counters
-	// are the stage's whole queue: next is the round index of the
-	// microbatch the stage runs next (or is running, while busy), and
-	// ready counts the round's microbatches whose input is on the stage.
+	// of microbatches since the engine was built are the stage's whole
+	// queue: next counts those the stage started, and ready those whose
+	// input is on the stage. Every stage ends a round with both at the
+	// engine's base.
 	next, ready int
 	busy        bool
 	// execDone/arrived are this stage's persistent completion callbacks
@@ -61,8 +62,10 @@ type Engine struct {
 
 	// mbs holds the running round's nonempty microbatches in order and
 	// work[i] the chunk list of mbs[i]; both are reused across rounds, so
-	// a steady-state round allocates nothing per microbatch.
+	// a steady-state round allocates nothing per microbatch. Microbatch
+	// mbs[i] is the stages' microbatch base+i.
 	mbs       []batching.Microbatch
+	base      int
 	work      [][]gpu.ChunkWork
 	roundDone func()
 	spanStart sim.Time
@@ -80,9 +83,19 @@ func New(s *sim.Simulation, stages []*Stage, activationBytesPerToken int64) *Eng
 	}
 	e := &Engine{simu: s, stages: stages, activationBytesPerToken: activationBytesPerToken}
 	for i, st := range stages {
-		i, st := i, st
-		st.execDone = func() { e.stageExecDone(i) }
-		st.arrived = func() { e.stageArrived(i) }
+		st.next, st.ready = 0, 0
+		if i == len(stages)-1 {
+			st.execDone = func() { e.stageExecDone(st, true) }
+			continue
+		}
+		st.execDone = func() { e.stageExecDone(st, false) }
+		// An activation transfer landed: the oldest, since the link serves
+		// a priority class in send order.
+		next := stages[i+1]
+		st.arrived = func() {
+			next.ready++
+			e.pump(next)
+		}
 	}
 	return e
 }
@@ -146,23 +159,20 @@ func (e *Engine) RunRound(microbatches []batching.Microbatch, done func()) {
 	e.running = true
 	e.roundDone = done
 	e.spanStart = e.simu.Now()
-	for _, st := range e.stages {
-		st.next, st.ready = 0, 0
-	}
-	e.stages[0].ready = n
-	e.pump(0)
+	e.stages[0].ready += n
+	e.pump(e.stages[0])
 }
 
 // pump starts the stage's next microbatch if the stage is free and the
 // microbatch's input has arrived.
-func (e *Engine) pump(stage int) {
-	st := e.stages[stage]
+func (e *Engine) pump(st *Stage) {
 	if st.busy || st.next == st.ready {
 		return
 	}
 	st.busy = true
 	st.busySince = e.simu.Now()
-	d := st.Timer.Time(e.work[st.next], e.mbs[st.next].Dec)
+	m := st.next - e.base
+	d := st.Timer.Time(e.work[m], e.mbs[m].Dec)
 	e.simu.After(d, "pipeline:exec", st.execDone)
 }
 
@@ -170,31 +180,22 @@ func (e *Engine) pump(stage int) {
 // retires it (ending the round after the last one), any other forwards its
 // activations to the next stage over the NIC, with a payload proportional
 // to the microbatch's new tokens.
-func (e *Engine) stageExecDone(stage int) {
-	st := e.stages[stage]
-	m := st.next
+func (e *Engine) stageExecDone(st *Stage, last bool) {
+	m := st.next - e.base
 	st.next++
 	st.busy = false
 	st.busyTotal += e.simu.Now().Sub(st.busySince)
-	if stage < len(e.stages)-1 {
+	if !last {
 		bytes := int64(e.mbs[m].Tokens()) * e.activationBytesPerToken
 		st.Egress.Send(bytes, network.PriorityActivation, st.arrived)
-	} else if st.next == len(e.mbs) {
+	} else if m+1 == len(e.mbs) {
 		e.running = false
+		e.base = st.next
 		e.spanTotal += e.simu.Now().Sub(e.spanStart)
-		// Drop the round's items so they do not outlive it.
-		clear(e.mbs)
 		e.mbs = e.mbs[:0]
 		done := e.roundDone
 		e.roundDone = nil
 		done()
 	}
-	e.pump(stage)
-}
-
-// stageArrived lands the stage's oldest activation transfer on the next
-// stage.
-func (e *Engine) stageArrived(stage int) {
-	e.stages[stage+1].ready++
-	e.pump(stage + 1)
+	e.pump(st)
 }
