@@ -25,11 +25,13 @@ type Event struct {
 // Simulation is a deterministic discrete-event simulator. It is not safe for
 // concurrent use; the entire simulated world runs on one goroutine.
 type Simulation struct {
-	now Time
-	// ring, occupied and far are the event queue (see push).
-	ring     [ringSize][]*Event
+	// ring, fill, occupied and far are the event queue (see push). ring
+	// comes first, so each bucket is one cache line.
+	ring     [ringSize][bucketCap]*Event
+	fill     [ringSize]uint8
 	occupied [ringSize / 64]uint64
 	far      []*Event
+	now      Time
 	pending  int
 	free     []*Event // recycled event structs awaiting reuse
 	seq      uint64
@@ -42,15 +44,7 @@ type Simulation struct {
 
 // New creates a simulation with a deterministic RNG derived from seed.
 func New(seed int64) *Simulation {
-	s := &Simulation{rng: rand.New(rand.NewSource(seed))}
-	// Every bucket starts with room for bucketCap events in one shared
-	// backing array; the full slice expression makes a bucket that
-	// outgrows its share reallocate rather than spill into its neighbour.
-	back := make([]*Event, ringSize*bucketCap)
-	for i := range s.ring {
-		s.ring[i] = back[i*bucketCap : i*bucketCap : (i+1)*bucketCap]
-	}
-	return s
+	return &Simulation{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -211,16 +205,18 @@ func (s *Simulation) fire(e *Event) {
 // The event queue is a calendar queue. Virtual time is cut into buckets
 // 2^bucketShift ns wide, and the ring holds the ringSize buckets starting
 // at the one that contains now: an event lands in ring slot
-// (at >> bucketShift) mod ringSize when it is due within that window, and
-// in the far heap otherwise. Every pending event is due at or after now, so
-// the ring's events always lie in the window of the current now, one
-// absolute bucket per slot, and slot order from now's slot (wrapping) is
-// time order. Each bucket, like the far heap, is a binary min-heap over
-// (at, seq): a same-instant burst lands in one bucket. The earliest event
-// is the lesser of the first occupied bucket's top (found through the
-// occupancy bitmap) and the far heap's top. Because (at, seq) is a strict
-// total order — seq is unique per event — the firing order is the one any
-// exact priority queue gives, so the layout cannot change simulated output.
+// (at >> bucketShift) mod ringSize when it is due within that window and
+// the bucket has room, and in the far heap otherwise. Every pending event
+// is due at or after now, so the ring's events always lie in the window of
+// the current now, one absolute bucket per slot, and slot order from now's
+// slot (wrapping) is time order. Each bucket, like the far heap, is a
+// binary min-heap over (at, seq). The earliest event is the lesser of the
+// first occupied bucket's top (found through the occupancy bitmap) and the
+// far heap's top. Because (at, seq) is a strict total order — seq is
+// unique per event — the firing order is the one any exact priority queue
+// gives, so the layout cannot change simulated output. Buckets are fixed
+// arrays inside the Simulation, so the queue allocates only when the far
+// heap outgrows its largest depth so far.
 //
 // The sizes come from the schedule-delay histogram of kbench's workloads at
 // seed 42. On fleet-diurnal (128 instances) 86% of schedules land
@@ -228,29 +224,29 @@ func (s *Simulation) fire(e *Event) {
 // most 130), and 2.0% of schedules land past the 134 ms window, the 1 s
 // monitor ticks among them; that share is 1.1% on paper-burst and 3.0% on
 // prefix-agentic. At this width the fullest bucket holds 7 events on
-// fleet-diurnal and 4 on prefix-agentic. paper-burst piles up to 76
-// same-instant events into one bucket; a bucket that outgrows bucketCap
-// reallocates once and keeps its larger array.
+// fleet-diurnal and 4 on prefix-agentic. paper-burst's InferCept swap-ins
+// pile up to 76 same-instant events into one bucket; all but bucketCap of
+// them wait in the far heap.
 const (
 	bucketShift = 17 // bucket width 2^17 ns ≈ 131 µs
 	ringSize    = 1024
 	ringMask    = ringSize - 1
-	// bucketCap is each bucket's preallocated room, so a steady state of
-	// shallow buckets never allocates as the window sweeps the ring.
-	bucketCap = 8
+	bucketCap   = 8 // one 64-byte cache line of event pointers
 )
 
 // push enqueues e in its ring bucket, or in the far heap when e is due
-// past the ring's window.
+// past the ring's window or its bucket is full.
 func (s *Simulation) push(e *Event) {
 	s.pending++
 	b := int64(e.at) >> bucketShift
-	if b-int64(s.now)>>bucketShift >= ringSize {
+	i := b & ringMask
+	n := s.fill[i]
+	if b-int64(s.now)>>bucketShift >= ringSize || n == bucketCap {
 		s.far = heapPush(s.far, e)
 		return
 	}
-	i := b & ringMask
-	s.ring[i] = heapPush(s.ring[i], e)
+	heapPush(s.ring[i][:n], e)
+	s.fill[i] = n + 1
 	s.occupied[i>>6] |= 1 << (i & 63)
 }
 
@@ -275,9 +271,10 @@ func (s *Simulation) take(e *Event, slot int) *Event {
 		s.far = heapPop(s.far)
 		return e
 	}
-	b := heapPop(s.ring[slot])
-	s.ring[slot] = b
-	if len(b) == 0 {
+	n := s.fill[slot] - 1
+	heapPop(s.ring[slot][:n+1])
+	s.fill[slot] = n
+	if n == 0 {
 		s.occupied[slot>>6] &^= 1 << (slot & 63)
 	}
 	return e

@@ -214,8 +214,8 @@ func TestAllocsSteadyStateScheduleFire(t *testing.T) {
 
 	// At fleet depth: 128 events, each rescheduling itself 16.8–33.4 ms
 	// ahead as engine rounds do, and a 1 s tick past the ring's window.
-	// Once the window has swept the ring a few times, the buckets' shared
-	// backing array and the far heap hold every event: no step allocates.
+	// Once the far heap has reached its depth, no step allocates: the
+	// buckets are fixed arrays.
 	deep := New(1)
 	next := 0
 	var round func()
