@@ -253,10 +253,12 @@ func (s *Simulation) push(e *Event) {
 // head returns the earliest pending event and the ring slot holding it, or
 // slot -1 when it is the far heap's top. The queue must not be empty.
 func (s *Simulation) head() (*Event, int) {
-	slot := s.firstSlot()
-	if slot < 0 {
+	if len(s.far) == s.pending {
+		// The ring is empty: a same-instant burst spilled into the far
+		// heap, or only far events are left.
 		return s.far[0], -1
 	}
+	slot := s.firstSlot()
 	e := s.ring[slot][0]
 	if len(s.far) > 0 && eventLess(s.far[0], e) {
 		return s.far[0], -1
@@ -281,7 +283,7 @@ func (s *Simulation) take(e *Event, slot int) *Event {
 }
 
 // firstSlot returns the first occupied ring slot in time order, starting
-// at now's slot and wrapping, or -1 when the ring is empty.
+// at now's slot and wrapping. The ring must not be empty.
 func (s *Simulation) firstSlot() int {
 	c := int(int64(s.now)>>bucketShift) & ringMask
 	w := c >> 6
