@@ -101,10 +101,9 @@ type Timer struct {
 	layersF    float64
 	kvBytesF   float64
 	// flops, membw, linearPerToken, weightLoad and launch are Time's
-	// per-microbatch constants, computed once with the same operations in
-	// the same order as Time once did per call, so they have the same
-	// bits. Neither a Spec nor a model.Config changes after a timer is
-	// built from it (Partial copies its config).
+	// per-microbatch constants. Computing them once is exact because
+	// neither a Spec nor a model.Config changes after a timer is built
+	// from it (Partial copies its config).
 	flops, membw   float64
 	linearPerToken float64
 	weightLoad     float64

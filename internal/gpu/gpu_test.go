@@ -285,9 +285,8 @@ func TestExactBoundAsserted(t *testing.T) {
 	}
 }
 
-// unhoistedSeconds is Time's roofline term as it read before its
-// per-microbatch constants moved into NewTimer: every call derives them
-// from the spec and config.
+// unhoistedSeconds is the reference for Time's roofline term: every call
+// derives the per-microbatch constants from the spec and config.
 func unhoistedSeconds(t *Timer, totalNew int, attnFlops, kvReadBytes float64) float64 {
 	flops := func() float64 { return t.spec.PeakFLOPS * t.spec.ComputeEff * float64(t.tpDegree) }
 	membw := func() float64 { return t.spec.MemBandwidth * t.spec.MemEff * float64(t.tpDegree) }

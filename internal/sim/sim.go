@@ -159,7 +159,8 @@ func (s *Simulation) Step() bool {
 		return false
 	}
 	e, slot := s.head()
-	s.fire(s.take(e, slot))
+	s.take(slot)
+	s.fire(e)
 	return true
 }
 
@@ -177,7 +178,8 @@ func (s *Simulation) RunUntil(deadline Time) {
 		if deadline.Before(e.at) {
 			break
 		}
-		s.fire(s.take(e, slot))
+		s.take(slot)
+		s.fire(e)
 	}
 	if s.now.Before(deadline) {
 		s.now = deadline
@@ -266,12 +268,12 @@ func (s *Simulation) head() (*Event, int) {
 	return e, slot
 }
 
-// take removes head's event from where head found it.
-func (s *Simulation) take(e *Event, slot int) *Event {
+// take removes head's event from the slot head found it in.
+func (s *Simulation) take(slot int) {
 	s.pending--
 	if slot < 0 {
 		s.far = heapPop(s.far)
-		return e
+		return
 	}
 	n := s.fill[slot] - 1
 	heapPop(s.ring[slot][:n+1])
@@ -279,7 +281,6 @@ func (s *Simulation) take(e *Event, slot int) *Event {
 	if n == 0 {
 		s.occupied[slot>>6] &^= 1 << (slot & 63)
 	}
-	return e
 }
 
 // firstSlot returns the first occupied ring slot in time order, starting
