@@ -904,6 +904,7 @@ func BenchmarkSimKernel(b *testing.B) {
 	}
 	b.Run("single", func(b *testing.B) {
 		s := sim.New(1)
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			s.After(sim.Microsecond, "e", func() {})
 			s.Step()
@@ -942,6 +943,7 @@ func BenchmarkSimKernel(b *testing.B) {
 	b.Run("burst", func(b *testing.B) {
 		s := sim.New(1)
 		fn := func() {}
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if s.Pending() == 0 {
 				for j := 0; j < 128; j++ {

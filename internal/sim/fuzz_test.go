@@ -76,7 +76,7 @@ func (m *simModel) fire(arg any) {
 	m.pending = append(m.pending[:i], m.pending[i+1:]...)
 	m.fired++
 	if e.follow >= 0 {
-		m.after(delay(e.follow, int(e.seq)), -1, false)
+		m.schedule(delay(e.follow, int(e.seq)), -1, 0)
 	}
 }
 
@@ -87,16 +87,19 @@ func (m *simModel) describe(i int) string {
 	return fmt.Sprintf("(%d, %d)", m.pending[i].at, m.pending[i].seq)
 }
 
-// after schedules an event d from now through At (or AtCall when call is
-// set) and records it in the reference.
-func (m *simModel) after(d Duration, follow int, call bool) {
+// schedule schedules an event d from now through At (form 0), After (1)
+// or AtCall (2) and records it in the reference.
+func (m *simModel) schedule(d Duration, follow, form int) {
 	e := &refEvent{at: m.s.Now().Add(d), seq: m.seq, follow: follow}
 	m.seq++
 	m.pending = append(m.pending, e)
-	if call {
-		m.s.AtCall(e.at, "fuzz", m.fire, e)
-	} else {
+	switch form {
+	case 0:
 		m.s.At(e.at, "fuzz", func() { m.fire(e) })
+	case 1:
+		m.s.After(d, "fuzz", func() { m.fire(e) })
+	default:
+		m.s.AtCall(e.at, "fuzz", m.fire, e)
 	}
 }
 
@@ -146,16 +149,9 @@ func runSimOps(t *testing.T, data []byte) {
 			if follow%2 == 1 {
 				f = follow / 2
 			}
-			if class%2 == 0 {
-				m.after(delay(class/2, mag), f, false)
-			} else {
-				e := &refEvent{at: s.Now().Add(delay(class/2, mag)), seq: m.seq, follow: f}
-				m.seq++
-				m.pending = append(m.pending, e)
-				s.After(e.at.Sub(s.Now()), "fuzz", func() { m.fire(e) })
-			}
+			m.schedule(delay(class/2, mag), f, class%2)
 		case 2: // AtCall
-			m.after(delay(in.next(), in.next()), -1, true)
+			m.schedule(delay(in.next(), in.next()), -1, 2)
 		case 3: // Reserve
 			n := in.next()%8 + 1
 			if base := s.Reserve(n); base != m.seq {
@@ -182,7 +178,7 @@ func runSimOps(t *testing.T, data []byte) {
 				break
 			}
 			for k := 0; k < n; k++ {
-				m.after(d, -1, k%2 == 0)
+				m.schedule(d, -1, 2-2*(k%2))
 			}
 		case 6: // Step a few times
 			for k := in.next()%16 + 1; k > 0; k-- {
