@@ -25,9 +25,11 @@ type Event struct {
 // Simulation is a deterministic discrete-event simulator. It is not safe for
 // concurrent use; the entire simulated world runs on one goroutine.
 type Simulation struct {
-	// ring, fill, occupied and far are the event queue (see push). ring
-	// comes first, so each bucket is one cache line.
-	ring     [ringSize][bucketCap]*Event
+	// ring, fill, occupied and far are the event queue (see push). The
+	// ring (64 KB) is allocated by the first schedule that lands in it, so
+	// building a simulation costs no more than the RNG; as a large object
+	// it is page-aligned, so each bucket is one cache line.
+	ring     *[ringSize][bucketCap]*Event
 	fill     [ringSize]uint8
 	occupied [ringSize / 64]uint64
 	far      []*Event
@@ -246,6 +248,9 @@ func (s *Simulation) push(e *Event) {
 	if b-int64(s.now)>>bucketShift >= ringSize || n == bucketCap {
 		s.far = heapPush(s.far, e)
 		return
+	}
+	if s.ring == nil {
+		s.ring = new([ringSize][bucketCap]*Event)
 	}
 	heapPush(s.ring[i][:n], e)
 	s.fill[i] = n + 1
