@@ -581,7 +581,7 @@ func BenchmarkCoordinatedExchange(b *testing.B) {
 		l := network.NewLink(s, "x", network.RDMA200, network.DefaultLatency)
 		// 10 GB exchange in 256 MiB chunks with interleaved activations.
 		done := false
-		l.SendChunked(10<<30, 256<<20, network.PriorityBulk, func() { done = true })
+		l.SendChunked(10<<30, 256<<20, network.PriorityBulk, nil, func() { done = true })
 		for j := 0; j < 100; j++ {
 			l.Send(1<<20, network.PriorityActivation, nil)
 		}

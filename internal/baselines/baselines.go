@@ -316,7 +316,7 @@ func (p *Llumnix) migrate(src, dst *cluster.Group, v *request.Request) {
 	bytes := kvBytes(src, v.Seq.Tokens())
 	egress := c.Fabric.Egress(src.Instances()[0].ID)
 	m := p.getMigration(src, dst, v)
-	egress.SendChunked(bytes, kvChunkBytes, network.PriorityBulk, m.done)
+	egress.SendChunked(bytes, kvChunkBytes, network.PriorityBulk, nil, m.done)
 }
 
 // finish lands a completed migration transfer and recycles the record.

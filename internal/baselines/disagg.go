@@ -227,10 +227,7 @@ func (p *Disagg) tryHandoff(c *cluster.Cluster, src *cluster.Group, r *request.R
 	if waited, ok := r.EndWait(start); ok {
 		c.Collector.ObserveStageWait(metrics.StageHandoffPending, waited.Seconds())
 	}
-	egress := c.Fabric.Egress(src.Instances()[0].ID)
-	bt := egress.SendChunked(bytes, kvChunkBytes, network.PriorityBulk, func() {
-		p.finishHandoff(c, src, dst, r, seq, start, tokens, cached)
-	})
+	var onChunk func(int64)
 	if tr := c.Tracer(); tr != nil {
 		tr.Emit(obs.Event{Phase: obs.PhaseInstant, Time: start,
 			Cat: obs.CatHandoff, Name: "handoff_start", Group: src.ID,
@@ -239,7 +236,7 @@ func (p *Disagg) tryHandoff(c *cluster.Cluster, src *cluster.Group, r *request.R
 				{Key: "bytes", Val: bytes},
 				{Key: "dst", Val: int64(dst.ID)},
 			}})
-		bt.OnChunk = func(chunkBytes int64) {
+		onChunk = func(chunkBytes int64) {
 			tr.Emit(obs.Event{Phase: obs.PhaseInstant, Time: c.Sim.Now(),
 				Cat: obs.CatHandoff, Name: "handoff_chunk", Group: src.ID,
 				Track: "handoff", Req: r.ID,
@@ -247,6 +244,10 @@ func (p *Disagg) tryHandoff(c *cluster.Cluster, src *cluster.Group, r *request.R
 		}
 		c.ReqTrack().Transition(start, r.ID, "kv_transfer", src.ID)
 	}
+	egress := c.Fabric.Egress(src.Instances()[0].ID)
+	egress.SendChunked(bytes, kvChunkBytes, network.PriorityBulk, onChunk, func() {
+		p.finishHandoff(c, src, dst, r, seq, start, tokens, cached)
+	})
 	return true
 }
 

@@ -424,11 +424,13 @@ func (c *Cluster) GroupByID(id int) *Group {
 
 // removeGroup unregisters a closed group. Its block pool is retired, not
 // forgotten: the sharing stats survive into KVCacheReport, and cached
-// blocks that die with the pool count as reconfiguration evictions.
+// blocks that die with the pool count as reconfiguration evictions. The
+// pool keeps no recycled structs (kvcache.Pool.Retire).
 func (c *Cluster) removeGroup(g *Group) {
 	for i, x := range c.groups {
 		if x == g {
 			c.groups = append(c.groups[:i], c.groups[i+1:]...)
+			g.pool.Retire()
 			c.retiredPools = append(c.retiredPools, g.pool)
 			g.inActive = false
 			if g.ID < len(c.byID) {
@@ -635,6 +637,7 @@ func (c *Cluster) monitorTick() {
 // rather than panicking mid-simulation.
 func (c *Cluster) Serve(tr *workload.Trace, horizon sim.Time) *metrics.Collector {
 	c.outstanding = len(tr.Requests)
+	c.Collector.Reserve(len(tr.Requests))
 	// Each arrival schedules its successor, so the event queue holds one
 	// arrival instead of the whole trace. The sequence numbers reserved
 	// here make every arrival break same-time ties exactly as it would

@@ -218,5 +218,5 @@ func (p *Policy) startExchange(c *cluster.Cluster, g *cluster.Group,
 		egress.Send(bytes, network.PriorityBulk, finish)
 		return
 	}
-	egress.SendChunked(bytes, exchangeChunkBytes, network.PriorityBulk, finish)
+	egress.SendChunked(bytes, exchangeChunkBytes, network.PriorityBulk, nil, finish)
 }

@@ -90,7 +90,7 @@ func (p *Policy) restoreGroup(c *cluster.Cluster, g *cluster.Group) {
 		restoredBytes += bytes
 		pulls++
 		c.Fabric.Egress(in.ID).SendChunked(bytes, exchangeChunkBytes,
-			network.PriorityParameter, onePullDone)
+			network.PriorityParameter, nil, onePullDone)
 	}
 	p.events[eventIdx].FreedBytes = -restoredBytes
 	if pulls == 0 {
@@ -151,7 +151,7 @@ func (p *Policy) startGather(c *cluster.Cluster, g *cluster.Group, r *request.Re
 	bytes := tokens * c.Model.KVBytesPerToken()
 	g.Stall(r, request.StateExchanging)
 	c.Fabric.Egress(g.Instances()[0].ID).SendChunked(bytes,
-		exchangeChunkBytes, network.PriorityBulk, func() {
+		exchangeChunkBytes, network.PriorityBulk, nil, func() {
 			if r.State() == request.StateExchanging {
 				g.Unstall(r)
 			}

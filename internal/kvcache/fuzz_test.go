@@ -20,7 +20,11 @@ import (
 // that each pool's counted-block total is the sum over its live sequences
 // plus the pending claims, which its claimed total counts, and that the two runs agree on every pool
 // counter, the sharing stats, every sequence's Room (the slot's, while it
-// has tokens pending) and its counted tail.
+// has tokens pending) and its counted tail. Freed sequences return to their
+// pool for reuse, so every operation also checks that the live sequences
+// are distinct, unreleased Seqs, a second Free of a freed sequence must
+// panic, a free-then-reallocate must hand the freed Seq straight back, and
+// each pool's live count must equal the sequences the run holds in it.
 //
 // Input layout: byte 0 picks the sharing mode (off, LRU, FIFO), byte 1 the
 // block size (4, 8 or 16 tokens), byte 2 the pool size; then each
@@ -100,7 +104,7 @@ func runSeqOps(t *testing.T, data []byte) {
 		}
 	}
 	for step := 0; len(in.data) > 0 && step < maxFuzzOps; step++ {
-		op, x, y := in.next()%12, in.next(), in.next()
+		op, x, y := in.next()%13, in.next(), in.next()
 		pi := x % 2
 		var desc string
 		switch op {
@@ -199,6 +203,16 @@ func runSeqOps(t *testing.T, data []byte) {
 			desc = fmt.Sprintf("Free seq %d", i)
 			seqs[i].a.Free()
 			seqs[i].b.Free()
+			for _, q := range []*Seq{seqs[i].a, seqs[i].b} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatalf("%s: a second Free did not panic", desc)
+						}
+					}()
+					q.Free()
+				}()
+			}
 			seqs = append(seqs[:i], seqs[i+1:]...)
 		case 11: // decode tokens on the engine's lane slot in run A
 			if len(seqs) == 0 {
@@ -208,6 +222,40 @@ func runSeqOps(t *testing.T, data []byte) {
 			n := y%48 + 1
 			desc = fmt.Sprintf("slot decode of %d tokens on seq %d", n, x%len(seqs))
 			slotDecode(t, desc, s, poolsA[s.pool], n)
+		case 12: // Free, then reallocate in the same pool: the freed Seq comes back
+			i, ok := pick(x)
+			if !ok {
+				continue
+			}
+			old := seqs[i]
+			pa, pb := poolsA[old.pool], poolsB[old.pool]
+			old.a.Free()
+			old.b.Free()
+			var a, b *Seq
+			var errA, errB error
+			if y%2 == 0 {
+				pfx := prefixes[y/2%len(prefixes)]
+				desc = fmt.Sprintf("Free seq %d, then NewSeqCached(%v) in pool %d", i, pfx, old.pool)
+				var hitA, hitB int
+				a, hitA, errA = pa.NewSeqCached(pfx)
+				b, hitB, errB = pb.NewSeqCached(pfx)
+				if hitA != hitB {
+					t.Fatalf("%s: hits %d vs %d", desc, hitA, hitB)
+				}
+			} else {
+				desc = fmt.Sprintf("Free seq %d, then NewSeq(%d) in pool %d", i, y/2, old.pool)
+				a, errA = pa.NewSeq(y / 2)
+				b, errB = pb.NewSeq(y / 2)
+			}
+			agree(desc, errA, errB)
+			if errA != nil {
+				seqs = append(seqs[:i], seqs[i+1:]...)
+				break
+			}
+			if a != old.a || b != old.b {
+				t.Fatalf("%s: the freed Seq was not reused", desc)
+			}
+			seqs[i] = twinSeq{a: a, b: b, pool: old.pool}
 		}
 		checkTwinRuns(t, desc, poolsA, poolsB, seqs)
 	}
@@ -258,9 +306,17 @@ func slotDecode(t *testing.T, desc string, s *twinSeq, pool *Pool, n int) {
 // checkTwinRuns is the per-operation audit of runSeqOps.
 func checkTwinRuns(t *testing.T, op string, poolsA, poolsB [2]*Pool, seqs []twinSeq) {
 	t.Helper()
-	var countedA, countedB, claimed [2]int
+	var countedA, countedB, claimed, held [2]int
+	live := make(map[*Seq]int, 2*len(seqs))
 	for i, s := range seqs {
 		for _, q := range []*Seq{s.a, s.b} {
+			if j, dup := live[q]; dup {
+				t.Fatalf("after %s: seqs %d and %d share one Seq", op, j, i)
+			}
+			live[q] = i
+			if q.released {
+				t.Fatalf("after %s: live seq %d is released", op, i)
+			}
 			held, tokens := q.Blocks(), q.Tokens()
 			if q == s.a {
 				held, tokens = held+s.claimed, tokens+s.pending
@@ -294,9 +350,10 @@ func checkTwinRuns(t *testing.T, op string, poolsA, poolsB [2]*Pool, seqs []twin
 			t.Fatalf("after %s: seq %d tokens %d+%d/%d room %d/%d counted tail %v/%v between runs",
 				op, i, s.a.Tokens(), s.pending, s.b.Tokens(), room, s.b.Room(), s.a.CountedTail(), s.b.CountedTail())
 		}
-		countedA[s.pool] += int(s.a.counted) + s.claimed
+		countedA[s.pool] += s.a.counted + s.claimed
 		claimed[s.pool] += s.claimed
-		countedB[s.pool] += int(s.b.counted)
+		countedB[s.pool] += s.b.counted
+		held[s.pool]++
 	}
 	for k := range poolsA {
 		a, b := poolsA[k], poolsB[k]
@@ -304,6 +361,10 @@ func checkTwinRuns(t *testing.T, op string, poolsA, poolsB [2]*Pool, seqs []twin
 			if err := p.CheckInvariants(); err != nil {
 				t.Fatalf("after %s: pool %d: %v", op, k, err)
 			}
+		}
+		if a.LiveSequences() != held[k] || b.LiveSequences() != held[k] {
+			t.Fatalf("after %s: pool %d counts %d/%d live sequences, the run holds %d",
+				op, k, a.LiveSequences(), b.LiveSequences(), held[k])
 		}
 		if a.counted != countedA[k] || b.counted != countedB[k] {
 			t.Fatalf("after %s: pool %d counted %d/%d, live sequences hold %d/%d",

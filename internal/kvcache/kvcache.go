@@ -161,16 +161,20 @@ type Pool struct {
 
 	stats Stats
 
-	// blockFree recycles Block structs whose physical slot returned to the
-	// free count, and sliceFree recycles freed sequences' block slices, so
-	// steady-state sequence churn allocates no per-block objects. blockSlab
+	// seqFree recycles released Seq structs, blockFree Block structs whose
+	// physical slot returned to the free count, and sliceFree freed
+	// sequences' block slices, so steady-state sequence churn (admission,
+	// preemption, migration, transplant) allocates no objects. blockSlab
 	// is the warm-up arena: fresh blocks are carved from it in slabs so
 	// growing to the working set costs one allocation per slab, not per
-	// block. needErr is the reusable allocation-shortfall error (callers
-	// nil-check and drop it on the pressure-retry hot path).
+	// block. A retired pool recycles nothing (Retire). needErr is the
+	// reusable allocation-shortfall error (callers nil-check and drop it
+	// on the pressure-retry hot path).
+	seqFree   []*Seq
 	blockFree []*Block
 	sliceFree [][]*Block
 	blockSlab []Block
+	retired   bool
 	needErr   needError
 
 	// tr/traceNow/traceGroup carry the observability hookup (SetTracer).
@@ -461,7 +465,9 @@ func (p *Pool) unref(b *Block) {
 // claimed; no live sequence or index entry may still reference b.
 func (p *Pool) recycleBlock(b *Block) {
 	*b = Block{}
-	p.blockFree = append(p.blockFree, b)
+	if !p.retired {
+		p.blockFree = append(p.blockFree, b)
+	}
 }
 
 // getBlockSlice returns a recycled block-slice backing array (or nil).
@@ -477,7 +483,7 @@ func (p *Pool) getBlockSlice() []*Block {
 
 // putBlockSlice recycles a released sequence's block slice.
 func (p *Pool) putBlockSlice(s []*Block) {
-	if cap(s) == 0 {
+	if cap(s) == 0 || p.retired {
 		return
 	}
 	s = s[:cap(s)]
@@ -669,11 +675,25 @@ type Seq struct {
 	// blocks are the Block references of the prefix span.
 	blocks    []*Block
 	published int // blocks [0, published) need no further publish scan
-	// counted is the number of private blocks after blocks (int32 keeps
-	// the Seq in the same allocation size class as before it had one).
-	counted  int32
+	// counted is the number of private blocks after blocks.
+	counted  int
 	swapped  bool
 	released bool
+}
+
+// takeSeq returns an empty sequence with the given prefix identity,
+// recycled from seqFree when one is there.
+func (p *Pool) takeSeq(pfx Prefix) *Seq {
+	p.seqs++
+	n := len(p.seqFree)
+	if n == 0 {
+		return &Seq{pool: p, prefix: pfx}
+	}
+	s := p.seqFree[n-1]
+	p.seqFree[n-1] = nil
+	p.seqFree = p.seqFree[:n-1]
+	*s = Seq{pool: p, prefix: pfx}
+	return s
 }
 
 // NewSeq allocates a sequence holding tokens tokens of private content. It
@@ -687,12 +707,11 @@ func (p *Pool) NewSeq(tokens int) (*Seq, error) {
 	if need > p.AvailableBlocks() {
 		return nil, fmt.Errorf("kvcache: need %d blocks, %d free", need, p.AvailableBlocks())
 	}
-	s := &Seq{pool: p}
+	s := p.takeSeq(Prefix{})
 	if err := s.fill(0, tokens); err != nil {
 		panic("kvcache: fill after fit check: " + err.Error())
 	}
 	s.tokens = tokens
-	p.seqs++
 	p.trace("alloc", [2]obs.Arg{
 		{Key: "tokens", Val: int64(tokens)},
 		{Key: "blocks", Val: int64(s.Blocks())}})
@@ -707,7 +726,7 @@ func (p *Pool) NewSeqCached(pfx Prefix) (*Seq, int, error) {
 	if pfx.Tokens < 0 {
 		return nil, 0, fmt.Errorf("kvcache: NewSeqCached(%d prefix tokens)", pfx.Tokens)
 	}
-	s := &Seq{pool: p, prefix: pfx}
+	s := p.takeSeq(pfx)
 	if p.sharing && pfx.Tokens > 0 {
 		p.stats.Lookups++
 		blocks, tokens := p.matchChain(p.getBlockSlice(), pfx, pfx.Tokens)
@@ -719,7 +738,6 @@ func (p *Pool) NewSeqCached(pfx Prefix) (*Seq, int, error) {
 		s.published = len(blocks)
 		s.tokens = tokens
 	}
-	p.seqs++
 	p.trace("alloc", [2]obs.Arg{{Key: "tokens", Val: int64(s.tokens)}})
 	if s.tokens > 0 {
 		p.trace("hit", [2]obs.Arg{
@@ -740,7 +758,7 @@ func (s *Seq) Prefix() Prefix { return s.prefix }
 // must be called before the sequence publishes or matches anything.
 func (s *Seq) SetPrefix(pfx Prefix) {
 	s.prefix = pfx
-	n := min(s.spanBlocks()-len(s.blocks), int(s.counted))
+	n := min(s.spanBlocks()-len(s.blocks), s.counted)
 	if n <= 0 {
 		return
 	}
@@ -751,7 +769,7 @@ func (s *Seq) SetPrefix(pfx Prefix) {
 		b.filled = p.blockTokens
 		s.blocks = append(s.blocks, b)
 	}
-	s.counted -= int32(n)
+	s.counted -= n
 	p.counted -= n
 	if s.counted == 0 {
 		s.blocks[len(s.blocks)-1].filled = s.tailFill()
@@ -786,7 +804,7 @@ func (s *Seq) tailFill() int {
 }
 
 // held returns the blocks the sequence holds, references and counted.
-func (s *Seq) held() int { return len(s.blocks) + int(s.counted) }
+func (s *Seq) held() int { return len(s.blocks) + s.counted }
 
 // Tokens returns the sequence's token count (valid even while swapped).
 func (s *Seq) Tokens() int { return s.tokens }
@@ -880,7 +898,7 @@ func (s *Seq) fill(filled, n int) error {
 	}
 	if need > refs {
 		p.takeCounted(need - refs)
-		s.counted += int32(need - refs)
+		s.counted += need - refs
 	}
 	s.publishShared()
 	return nil
@@ -1023,7 +1041,7 @@ func (s *Seq) Commit(n int) {
 			panic(fmt.Sprintf("kvcache: Commit(%d) crosses %d blocks, %d claimed", n, crossed, p.claimed))
 		}
 		p.claimed -= crossed
-		s.counted += int32(crossed)
+		s.counted += crossed
 	} else if s.counted == 0 {
 		s.blocks[len(s.blocks)-1].filled += n
 	}
@@ -1039,7 +1057,7 @@ func (s *Seq) release() {
 		p.unref(b)
 	}
 	p.putBlockSlice(s.blocks)
-	p.freeCounted(int(s.counted))
+	p.freeCounted(s.counted)
 	s.blocks = nil
 	s.counted = 0
 }
@@ -1117,10 +1135,12 @@ func (s *Seq) MoveTo(dst *Pool) (*Seq, error) {
 // shared index (including the boundary block, trimmed to its prefix
 // content) move to the cached list instead of the free count, so a
 // completed or preempted request's prefix survives for the next arrival.
-// Counted blocks return to the free count in one step. Free is idempotent.
+// Counted blocks return to the free count in one step. The Seq itself
+// returns to the pool for reuse by a later NewSeq or NewSeqCached, so the
+// caller must drop its pointer; freeing a released sequence panics.
 func (s *Seq) Free() {
 	if s.released {
-		return
+		panic("kvcache: free of a released seq")
 	}
 	p := s.pool
 	if !s.swapped {
@@ -1132,6 +1152,22 @@ func (s *Seq) Free() {
 	}
 	s.released = true
 	p.seqs--
+	if !p.retired {
+		p.seqFree = append(p.seqFree, s)
+	}
+}
+
+// Retire marks a pool whose group has dissolved: it drops its recycled
+// Seq, Block and slice structs and its warm-up arena, and recycles nothing
+// freed from now on, so a retired pool pins no spare memory. Its Stats and
+// cached blocks stay readable, and sequences still live on it work as
+// before.
+func (p *Pool) Retire() {
+	p.retired = true
+	p.seqFree = nil
+	p.blockFree = nil
+	p.sliceFree = nil
+	p.blockSlab = nil
 }
 
 // trimPublishBoundary publishes the block straddling the prefix boundary at
@@ -1183,6 +1219,16 @@ func (p *Pool) CheckInvariants() error {
 	}
 	if p.seqs < 0 {
 		return fmt.Errorf("kvcache: negative live sequences")
+	}
+	recycled := make(map[*Seq]bool, len(p.seqFree))
+	for i, s := range p.seqFree {
+		if !s.released || s.pool != p {
+			return fmt.Errorf("kvcache: recycled seq %d not released to this pool", i)
+		}
+		if recycled[s] {
+			return fmt.Errorf("kvcache: recycled seq %d listed twice", i)
+		}
+		recycled[s] = true
 	}
 	for i, b := range p.cachedList {
 		if !b.cached || b.refs != 0 {

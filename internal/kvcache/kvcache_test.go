@@ -62,9 +62,94 @@ func TestSeqLifecycle(t *testing.T) {
 	if p.FreeBlocks() != 10 || p.LiveSequences() != 0 {
 		t.Fatal("free did not return blocks")
 	}
-	s.Free() // idempotent
-	if p.FreeBlocks() != 10 {
+	// The freed Seq is back in the pool for reuse, so a second Free is a
+	// caller's bug and panics without touching the accounting.
+	mustPanic(t, "second Free", s.Free)
+	if p.FreeBlocks() != 10 || p.LiveSequences() != 0 {
 		t.Fatal("double free corrupted pool")
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// mustPanic runs fn and fails the test unless it panics.
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	fn()
+}
+
+// A freed Seq is the next one allocated, reset to its new identity: no
+// token count, block, prefix, swap or release state carries over.
+func TestFreedSeqIsReused(t *testing.T) {
+	p := newSharedPool(t, 16, 64, EvictLRU)
+	a, _ := prefill(t, p, Prefix{ID: "c", Tokens: 100}, 300)
+	if err := a.SwapOut(); err != nil {
+		t.Fatal(err)
+	}
+	a.Free()
+	b, err := p.NewSeq(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b != a {
+		t.Fatal("NewSeq did not reuse the freed Seq")
+	}
+	if b.Tokens() != 10 || b.Blocks() != 1 || b.Swapped() || b.Prefix() != (Prefix{}) || b.SharedBlocks() != 0 {
+		t.Fatalf("reused seq: tokens=%d blocks=%d swapped=%v prefix=%v shared=%d",
+			b.Tokens(), b.Blocks(), b.Swapped(), b.Prefix(), b.SharedBlocks())
+	}
+	b.Free()
+	pfx := Prefix{ID: "c", Tokens: 100}
+	want := p.CachedPrefixTokens(pfx) // the full first block published before the swap-out
+	c, hit, err := p.NewSeqCached(pfx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c != a || want != 64 || hit != want || c.Tokens() != hit || c.Prefix() != pfx {
+		t.Fatalf("reused cached seq: same=%v hit=%d tokens=%d prefix=%v", c == a, hit, c.Tokens(), c.Prefix())
+	}
+	if p.LiveSequences() != 1 {
+		t.Fatalf("live = %d", p.LiveSequences())
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	c.Free()
+}
+
+// A retired pool drops its recycled structs and recycles nothing freed
+// later, while its accounting, stats and cached blocks stay as they were.
+func TestRetiredPoolRecyclesNothing(t *testing.T) {
+	p := newSharedPool(t, 16, 64, EvictLRU)
+	pfx := Prefix{ID: "c", Tokens: 100}
+	a, _ := prefill(t, p, pfx, 300)
+	b, _ := prefill(t, p, pfx, 300)
+	a.Free()
+	stats, cached := p.Stats(), p.CachedBlocks()
+	p.Retire()
+	if len(p.seqFree)+len(p.blockFree)+len(p.sliceFree)+len(p.blockSlab) != 0 {
+		t.Fatalf("retired pool holds %d seqs, %d blocks, %d slices, %d slab blocks",
+			len(p.seqFree), len(p.blockFree), len(p.sliceFree), len(p.blockSlab))
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	b.Free()
+	if len(p.seqFree)+len(p.blockFree)+len(p.sliceFree) != 0 {
+		t.Fatal("retired pool recycled a freed sequence")
+	}
+	if p.Stats() != stats || p.CachedBlocks() < cached || p.LiveSequences() != 0 || p.UsedBlocks() != 0 {
+		t.Fatalf("retired pool accounting: stats %+v/%+v cached %d/%d live %d used %d",
+			p.Stats(), stats, p.CachedBlocks(), cached, p.LiveSequences(), p.UsedBlocks())
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -564,7 +649,7 @@ func TestSwapOutPartiallyFilledLastBlockWithSharing(t *testing.T) {
 	}
 }
 
-// Satellite edge path: double-free must not leak or double-credit the live
+// A double free panics, and must not leak or double-credit the live
 // sequence count, including interleaved with sharing.
 func TestDoubleFreeLiveSequenceAccounting(t *testing.T) {
 	p := newSharedPool(t, 8, 64, EvictLRU)
@@ -575,12 +660,12 @@ func TestDoubleFreeLiveSequenceAccounting(t *testing.T) {
 		t.Fatal("live count")
 	}
 	a.Free()
-	a.Free()
+	mustPanic(t, "double free of a", a.Free)
 	if p.LiveSequences() != 1 {
 		t.Fatalf("double free corrupted live count: %d", p.LiveSequences())
 	}
 	b.Free()
-	b.Free()
+	mustPanic(t, "double free of b", b.Free)
 	if p.LiveSequences() != 0 || p.UsedBlocks() != 0 {
 		t.Fatalf("live=%d used=%d after double frees", p.LiveSequences(), p.UsedBlocks())
 	}

@@ -12,6 +12,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"kunserve/internal/sim"
@@ -352,6 +353,19 @@ func (c *Collector) Bound(capacity int, seed int64) {
 	c.seed = seed
 	c.TTFT = *NewReservoirDist(capacity, seed)
 	c.TPOT = *NewReservoirDist(capacity, seed+1)
+}
+
+// Reserve sizes the exact collector's Records, TTFT and TPOT for n finished
+// requests, so a run that knows its request count never regrows them. A
+// bounded collector keeps its fixed reservoirs and retains no Records, so
+// Reserve leaves it unchanged.
+func (c *Collector) Reserve(n int) {
+	if c.rcap > 0 {
+		return
+	}
+	c.Records = slices.Grow(c.Records, max(n-len(c.Records), 0))
+	c.TTFT.samples = slices.Grow(c.TTFT.samples, max(n-len(c.TTFT.samples), 0))
+	c.TPOT.samples = slices.Grow(c.TPOT.samples, max(n-len(c.TPOT.samples), 0))
 }
 
 // ClassAttained returns the exact number of finished requests in the class

@@ -220,6 +220,32 @@ func TestRequestRecord(t *testing.T) {
 	}
 }
 
+// Reserve sizes an exact collector's Records, TTFT and TPOT up front and
+// never shrinks them; a bounded collector keeps its reservoirs and stores
+// no Records.
+func TestReserveSizesExactOnly(t *testing.T) {
+	c := NewCollector(sim.Second, nil)
+	c.Reserve(100)
+	if cap(c.Records) < 100 || cap(c.TTFT.samples) < 100 || cap(c.TPOT.samples) < 100 {
+		t.Fatalf("reserved caps %d/%d/%d, want >= 100",
+			cap(c.Records), cap(c.TTFT.samples), cap(c.TPOT.samples))
+	}
+	c.Finish(RequestRecord{FirstToken: sim.FromSeconds(1), Completed: sim.FromSeconds(2), OutputTokens: 3})
+	c.Reserve(0)
+	if len(c.Records) != 1 || cap(c.Records) < 100 || c.TTFT.Count() != 1 || c.TPOT.Count() != 1 {
+		t.Fatalf("Reserve(0) after a finish: %d records (cap %d), TTFT %d, TPOT %d",
+			len(c.Records), cap(c.Records), c.TTFT.Count(), c.TPOT.Count())
+	}
+
+	b := NewCollector(sim.Second, nil)
+	b.Bound(8, 1)
+	b.Reserve(100)
+	if b.Records != nil || cap(b.TTFT.samples) != 8 || cap(b.TPOT.samples) != 8 {
+		t.Fatalf("bounded Reserve: records cap %d, reservoir caps %d/%d",
+			cap(b.Records), cap(b.TTFT.samples), cap(b.TPOT.samples))
+	}
+}
+
 func TestCollectorFlow(t *testing.T) {
 	c := NewCollector(10*sim.Second, nil)
 	c.Finish(RequestRecord{

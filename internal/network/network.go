@@ -33,13 +33,13 @@ const (
 	numPriorities
 )
 
-// Transfer is one queued send. Chunk sends of a BulkTransfer carry bulk
+// Transfer is one queued send. Chunk sends of a bulk transfer carry bulk
 // instead of done: completion dispatches to the bulk stream directly, so a
 // long chunked transfer schedules no per-chunk closures at all.
 type transfer struct {
 	bytes int64
 	done  func()
-	bulk  *BulkTransfer
+	bulk  *bulkTransfer
 }
 
 // Link is a unidirectional bandwidth resource (one instance's NIC egress).
@@ -57,6 +57,9 @@ type Link struct {
 	cur    transfer
 	curPri Priority
 	onDone func()
+
+	// bulkFree recycles finished bulk transfer records (SendChunked).
+	bulkFree []*bulkTransfer
 
 	// Stats.
 	bytesSent  int64
@@ -118,7 +121,7 @@ func (l *Link) Send(bytes int64, pri Priority, done func()) {
 }
 
 // sendBulk enqueues one chunk of a bulk stream (no per-chunk closure).
-func (l *Link) sendBulk(bytes int64, pri Priority, bt *BulkTransfer) {
+func (l *Link) sendBulk(bytes int64, pri Priority, bt *bulkTransfer) {
 	l.queues[pri] = append(l.queues[pri], transfer{bytes: bytes, bulk: bt})
 	l.pump()
 }
@@ -165,85 +168,82 @@ func (l *Link) transferDone() {
 	l.pump()
 }
 
-// BulkTransfer is a chunked send used for KVCache exchange and parameter
+// bulkTransfer is a chunked send used for KVCache exchange and parameter
 // restoration. Each chunk is a separate link transfer, so higher-priority
 // traffic interleaves between chunks — the coordinated transfer of §4.2.
-type BulkTransfer struct {
+type bulkTransfer struct {
 	link      *Link
 	remaining int64
 	chunk     int64
 	pri       Priority
 	done      func()
-	inflight  bool
+	onChunk   func(chunkBytes int64)
 
 	// curN is the in-flight chunk's size; the link dispatches chunk
 	// completion straight to chunkLanded, so long bulk streams schedule no
 	// per-chunk closures.
 	curN int64
-
-	// OnChunk, when set, fires after each chunk lands with that chunk's
-	// byte count (observability). Set it right after SendChunked returns:
-	// the first chunk's completion is a scheduled event, so no chunk can
-	// land before the caller regains control.
-	OnChunk func(chunkBytes int64)
 }
 
 // SendChunked starts a chunked bulk transfer of totalBytes in chunkBytes
-// pieces. done fires once after the final chunk; the returned handle
-// reports progress. Negative totals and non-positive chunk sizes panic — a
-// silently accepted bad chunk size would loop the transfer forever, and
-// negative bytes are always a caller's accounting bug. A zero total is
-// legal and completes after one zero-byte tail send (like Send, it still
-// serializes through the link).
-func (l *Link) SendChunked(totalBytes, chunkBytes int64, pri Priority, done func()) *BulkTransfer {
+// pieces. onChunk, unless nil, fires after each chunk lands with that
+// chunk's byte count (observability); done, unless nil, fires once after
+// the final chunk. Neither fires before SendChunked returns. The link
+// recycles the transfer's record once its completion send is queued, so
+// steady-state transfers allocate nothing. Negative totals and
+// non-positive chunk sizes panic — a silently accepted bad chunk size
+// would loop the transfer forever, and negative bytes are always a
+// caller's accounting bug. A zero total is legal and completes after one
+// zero-byte tail send (like Send, it still serializes through the link).
+func (l *Link) SendChunked(totalBytes, chunkBytes int64, pri Priority, onChunk func(chunkBytes int64), done func()) {
 	if totalBytes < 0 {
 		panic(fmt.Sprintf("network: negative chunked send %d", totalBytes))
 	}
 	if chunkBytes <= 0 {
 		panic(fmt.Sprintf("network: chunk size %d", chunkBytes))
 	}
-	bt := &BulkTransfer{
-		link: l, remaining: totalBytes, chunk: chunkBytes,
-		pri: pri, done: done,
+	var bt *bulkTransfer
+	if n := len(l.bulkFree); n > 0 {
+		bt = l.bulkFree[n-1]
+		l.bulkFree[n-1] = nil
+		l.bulkFree = l.bulkFree[:n-1]
+	} else {
+		bt = &bulkTransfer{link: l}
 	}
+	bt.remaining, bt.chunk, bt.pri = totalBytes, chunkBytes, pri
+	bt.onChunk, bt.done = onChunk, done
 	bt.next()
-	return bt
 }
 
 // chunkLanded completes the in-flight chunk and issues the next one.
-func (bt *BulkTransfer) chunkLanded() {
-	bt.inflight = false
+func (bt *bulkTransfer) chunkLanded() {
 	bt.remaining -= bt.curN
-	if bt.OnChunk != nil {
-		bt.OnChunk(bt.curN)
+	if bt.onChunk != nil {
+		bt.onChunk(bt.curN)
 	}
 	bt.next()
 }
 
-// Remaining returns bytes not yet sent.
-func (bt *BulkTransfer) Remaining() int64 { return bt.remaining }
-
-// Done reports whether the transfer has fully completed.
-func (bt *BulkTransfer) Done() bool { return bt.remaining <= 0 && !bt.inflight }
-
-func (bt *BulkTransfer) next() {
+func (bt *bulkTransfer) next() {
 	if bt.remaining <= 0 {
 		// Completion always goes through the link (a zero-byte tail
 		// send) so done never fires synchronously inside the caller —
 		// re-entrant completion would let a policy callback interleave
-		// with the scheduling round that started the transfer.
+		// with the scheduling round that started the transfer. The
+		// queued send holds done itself, so the record is free to reuse;
+		// it drops its callbacks so the free list pins nothing.
+		l := bt.link
 		if bt.done != nil {
-			d := bt.done
-			bt.done = nil
-			bt.link.Send(0, bt.pri, d)
+			l.Send(0, bt.pri, bt.done)
 		}
+		bt.done, bt.onChunk = nil, nil
+		l.bulkFree = append(l.bulkFree, bt)
 		return
 	}
 	n := bt.chunk
 	if n > bt.remaining {
 		n = bt.remaining
 	}
-	bt.inflight = true
 	bt.curN = n
 	bt.link.sendBulk(n, bt.pri, bt)
 }

@@ -131,13 +131,15 @@ func TestChunkedTransferCompletes(t *testing.T) {
 	s := sim.New(1)
 	l := newTestLink(s)
 	done := false
-	bt := l.SendChunked(10_000_000, 1_000_000, PriorityBulk, func() { done = true })
+	var landed int64
+	l.SendChunked(10_000_000, 1_000_000, PriorityBulk,
+		func(n int64) { landed += n }, func() { done = true })
 	s.Run()
-	if !done || !bt.Done() {
+	if !done {
 		t.Fatal("chunked transfer incomplete")
 	}
-	if bt.Remaining() != 0 {
-		t.Errorf("remaining = %d", bt.Remaining())
+	if landed != 10_000_000 || l.BytesSent() != 10_000_000 {
+		t.Errorf("chunks landed %d bytes, link sent %d, want 10000000", landed, l.BytesSent())
 	}
 	if s.Now() != sim.FromSeconds(0.01) {
 		t.Errorf("finished at %v, want 10ms", s.Now())
@@ -153,7 +155,7 @@ func TestChunkedTransferCompletes(t *testing.T) {
 func TestChunkedTransferYieldsToActivations(t *testing.T) {
 	s := sim.New(1)
 	l := newTestLink(s)
-	l.SendChunked(100_000_000, 1_000_000, PriorityBulk, nil) // 100 chunks x 1ms
+	l.SendChunked(100_000_000, 1_000_000, PriorityBulk, nil, nil) // 100 chunks x 1ms
 	var waits []sim.Duration
 	for i := 0; i < 5; i++ {
 		at := sim.FromSeconds(0.0105 + float64(i)*0.01)
@@ -180,7 +182,7 @@ func TestChunkedPartialLastChunk(t *testing.T) {
 	s := sim.New(1)
 	l := newTestLink(s)
 	done := false
-	l.SendChunked(1_500_000, 1_000_000, PriorityBulk, func() { done = true })
+	l.SendChunked(1_500_000, 1_000_000, PriorityBulk, nil, func() { done = true })
 	s.Run()
 	if !done {
 		t.Fatal("incomplete")
@@ -197,50 +199,100 @@ func TestChunkedPartialLastChunk(t *testing.T) {
 func TestChunkedZeroBytesFiresAsynchronously(t *testing.T) {
 	s := sim.New(1)
 	l := newTestLink(s)
-	done := false
-	bt := l.SendChunked(0, 1024, PriorityBulk, func() { done = true })
-	if done {
+	done, chunks := 0, 0
+	l.SendChunked(0, 1024, PriorityBulk, func(int64) { chunks++ }, func() { done++ })
+	if done != 0 {
 		t.Fatal("zero-byte chunked transfer completed synchronously (re-entrancy hazard)")
 	}
 	s.Run()
-	if !done || !bt.Done() {
-		t.Fatal("zero-byte chunked transfer never completed")
+	if done != 1 || chunks != 0 || l.BytesSent() != 0 {
+		t.Fatalf("zero-byte chunked transfer: done fired %d times, %d chunks, %d bytes sent",
+			done, chunks, l.BytesSent())
 	}
 }
 
-// Remaining is non-increasing chunk by chunk, counts the in-flight chunk
-// until it lands (so Remaining + BytesSent is the total at every step), and
-// Done flips only at zero; done fires exactly once. These are the
-// invariants every handoff/exchange caller leans on.
+// The bytes still to send (total less the chunks landed, as the chunk
+// observer reports them) are non-increasing chunk by chunk, count the
+// in-flight chunk until it lands (so remaining + BytesSent is the total at
+// every step), and reach zero before done fires; done fires exactly once.
+// These are the invariants every handoff/exchange caller leans on.
 func TestRemainingDoneInvariants(t *testing.T) {
-	const total = 3_500_000
+	const total, chunk = 3_500_000, 1_000_000
 	s := sim.New(1)
 	l := newTestLink(s)
-	fired := 0
-	bt := l.SendChunked(total, 1_000_000, PriorityBulk, func() { fired++ })
-	last := bt.Remaining()
-	if last != total {
-		t.Fatalf("initial remaining = %d", last)
+	fired, chunks := 0, 0
+	var remaining int64 = total
+	onChunk := func(n int64) {
+		chunks++
+		if n <= 0 || n > chunk || n > remaining {
+			t.Fatalf("chunk %d landed %d bytes with %d remaining", chunks, n, remaining)
+		}
+		if fired > 0 {
+			t.Fatal("chunk landed after done fired")
+		}
+		remaining -= n
 	}
-	if bt.Done() {
-		t.Fatal("transfer with a chunk in flight reports Done")
+	l.SendChunked(total, chunk, PriorityBulk, onChunk, func() {
+		if remaining != 0 {
+			t.Fatalf("done fired with %d bytes remaining", remaining)
+		}
+		fired++
+	})
+	if fired != 0 || chunks != 0 {
+		t.Fatal("chunked transfer progressed before SendChunked returned")
 	}
+	last := remaining
 	for s.Step() {
-		rem := bt.Remaining()
-		if rem > last {
-			t.Fatalf("remaining grew: %d -> %d", last, rem)
+		if remaining > last {
+			t.Fatalf("remaining grew: %d -> %d", last, remaining)
 		}
-		if rem+l.BytesSent() != total {
-			t.Fatalf("remaining %d + sent %d != %d", rem, l.BytesSent(), total)
+		if remaining+l.BytesSent() != total {
+			t.Fatalf("remaining %d + sent %d != %d", remaining, l.BytesSent(), total)
 		}
-		if bt.Done() && rem > 0 {
-			t.Fatalf("Done with %d remaining", rem)
-		}
-		last = rem
+		last = remaining
 	}
-	if !bt.Done() || bt.Remaining() != 0 || fired != 1 {
-		t.Fatalf("final state: Done=%v remaining=%d done fired %d times",
-			bt.Done(), bt.Remaining(), fired)
+	if remaining != 0 || chunks != 4 || fired != 1 {
+		t.Fatalf("final state: remaining=%d after %d chunks, done fired %d times",
+			remaining, chunks, fired)
+	}
+	// 4 payload chunks plus the zero-byte completion send.
+	if l.Sends(PriorityBulk) != 5 {
+		t.Errorf("sends = %d, want 5", l.Sends(PriorityBulk))
+	}
+}
+
+// A record recycled after one transfer carries nothing into the next:
+// back-to-back transfers on one link, each with its own observer, see
+// only their own chunks and complete once each.
+func TestChunkedRecordReuse(t *testing.T) {
+	s := sim.New(1)
+	l := newTestLink(s)
+	var landed [3]int64
+	var fired [3]int
+	sizes := [3]int64{2_500_000, 0, 1_000_000}
+	var start func(i int)
+	start = func(i int) {
+		l.SendChunked(sizes[i], 1_000_000, PriorityBulk,
+			func(n int64) { landed[i] += n },
+			func() {
+				fired[i]++
+				if i+1 < len(sizes) {
+					start(i + 1)
+				}
+			})
+	}
+	start(0)
+	// A concurrent transfer without an observer or completion.
+	l.SendChunked(700_000, 300_000, PriorityBulk, nil, nil)
+	s.Run()
+	for i := range sizes {
+		if landed[i] != sizes[i] || fired[i] != 1 {
+			t.Errorf("transfer %d: %d of %d bytes landed, done fired %d times",
+				i, landed[i], sizes[i], fired[i])
+		}
+	}
+	if l.BytesSent() != 2_500_000+1_000_000+700_000 {
+		t.Errorf("bytes sent = %d", l.BytesSent())
 	}
 }
 
@@ -270,9 +322,9 @@ func TestPanics(t *testing.T) {
 		func() { NewLink(s, "x", 0, 0) },
 		func() { l.Send(-1, PriorityBulk, nil) },
 		func() { l.Send(1, Priority(99), nil) },
-		func() { l.SendChunked(10, 0, PriorityBulk, nil) },
-		func() { l.SendChunked(10, -4, PriorityBulk, nil) },
-		func() { l.SendChunked(-1, 1024, PriorityBulk, nil) },
+		func() { l.SendChunked(10, 0, PriorityBulk, nil, nil) },
+		func() { l.SendChunked(10, -4, PriorityBulk, nil, nil) },
+		func() { l.SendChunked(-1, 1024, PriorityBulk, nil, nil) },
 	}
 	for i, fn := range cases {
 		func() {
@@ -315,9 +367,10 @@ func TestPropertyChunkedConservation(t *testing.T) {
 		l := newTestLink(s)
 		c := int64(chunk)*16 + 1
 		done := false
-		l.SendChunked(int64(total), c, PriorityBulk, func() { done = true })
+		var landed int64
+		l.SendChunked(int64(total), c, PriorityBulk, func(n int64) { landed += n }, func() { done = true })
 		s.Run()
-		return done && l.BytesSent() == int64(total)
+		return done && landed == int64(total) && l.BytesSent() == int64(total)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -340,7 +340,7 @@ func TestScheduleWithContendedEgressPinned(t *testing.T) {
 	// every activation waits behind a chunk.
 	first := stages[0].Timer.PrefillTime(0, 1536)
 	s.At(sim.Time(first)-sim.Time(50*sim.Microsecond), "bulk", func() {
-		stages[0].Egress.SendChunked(20000<<20, 100<<20, network.PriorityBulk, nil)
+		stages[0].Egress.SendChunked(20000<<20, 100<<20, network.PriorityBulk, nil, nil)
 	})
 	mbs := []batching.Microbatch{
 		{Items: prefillItems(1, 1536)},
