@@ -203,16 +203,8 @@ func runSeqOps(t *testing.T, data []byte) {
 			desc = fmt.Sprintf("Free seq %d", i)
 			seqs[i].a.Free()
 			seqs[i].b.Free()
-			for _, q := range []*Seq{seqs[i].a, seqs[i].b} {
-				func() {
-					defer func() {
-						if recover() == nil {
-							t.Fatalf("%s: a second Free did not panic", desc)
-						}
-					}()
-					q.Free()
-				}()
-			}
+			mustPanic(t, desc+": a second Free", seqs[i].a.Free)
+			mustPanic(t, desc+": a second Free", seqs[i].b.Free)
 			seqs = append(seqs[:i], seqs[i+1:]...)
 		case 11: // decode tokens on the engine's lane slot in run A
 			if len(seqs) == 0 {
@@ -306,7 +298,7 @@ func slotDecode(t *testing.T, desc string, s *twinSeq, pool *Pool, n int) {
 // checkTwinRuns is the per-operation audit of runSeqOps.
 func checkTwinRuns(t *testing.T, op string, poolsA, poolsB [2]*Pool, seqs []twinSeq) {
 	t.Helper()
-	var countedA, countedB, claimed, held [2]int
+	var countedA, countedB, claimed, inPool [2]int
 	live := make(map[*Seq]int, 2*len(seqs))
 	for i, s := range seqs {
 		for _, q := range []*Seq{s.a, s.b} {
@@ -353,7 +345,7 @@ func checkTwinRuns(t *testing.T, op string, poolsA, poolsB [2]*Pool, seqs []twin
 		countedA[s.pool] += s.a.counted + s.claimed
 		claimed[s.pool] += s.claimed
 		countedB[s.pool] += s.b.counted
-		held[s.pool]++
+		inPool[s.pool]++
 	}
 	for k := range poolsA {
 		a, b := poolsA[k], poolsB[k]
@@ -362,9 +354,9 @@ func checkTwinRuns(t *testing.T, op string, poolsA, poolsB [2]*Pool, seqs []twin
 				t.Fatalf("after %s: pool %d: %v", op, k, err)
 			}
 		}
-		if a.LiveSequences() != held[k] || b.LiveSequences() != held[k] {
+		if a.LiveSequences() != inPool[k] || b.LiveSequences() != inPool[k] {
 			t.Fatalf("after %s: pool %d counts %d/%d live sequences, the run holds %d",
-				op, k, a.LiveSequences(), b.LiveSequences(), held[k])
+				op, k, a.LiveSequences(), b.LiveSequences(), inPool[k])
 		}
 		if a.counted != countedA[k] || b.counted != countedB[k] {
 			t.Fatalf("after %s: pool %d counted %d/%d, live sequences hold %d/%d",

@@ -33,6 +33,7 @@ func BenchmarkCollectorFinish(b *testing.B) {
 	c.Reserve(b.N + 1)
 	c.Finish(finishRecord)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for range b.N {
 		c.Finish(finishRecord)
 	}
