@@ -836,15 +836,12 @@ func decodeRounds(b *testing.B, cfg cluster.Config, reqs int, prompt func(i int)
 // BenchmarkDispatch512 prices pure routing on a 512-group fleet: each
 // iteration stands up a fresh DP cluster and pushes a batch of requests
 // through Cluster.Dispatch with no simulation time advancing, so the cost
-// measured is candidate-set maintenance plus the router's pick. Keyed
-// routers (least-loaded, least-kv, queue-depth) ride the incremental
-// index — O(log n) per dispatch; the scan variant forces the same router
-// through the full O(n) candidate scan (the oracle the index must match
-// byte for byte); p2c and round-robin always scan.
+// measured is candidate-set maintenance plus the index pick, O(log n) per
+// dispatch, under each of the two routers.
 func BenchmarkDispatch512(b *testing.B) {
 	const fleet = 512
 	const batch = 4096
-	bench := func(router string, scan bool) func(b *testing.B) {
+	bench := func(router sched.Router) func(b *testing.B) {
 		return func(b *testing.B) {
 			dispatched := 0
 			for i := 0; i < b.N; i++ {
@@ -855,17 +852,7 @@ func BenchmarkDispatch512(b *testing.B) {
 					GPU:       gpu.A800(),
 					Instances: fleet,
 					Policy:    baselines.VLLMDP{},
-					NewRouter: func(seed int64) sched.Router {
-						r, err := sched.NewRouterByName(router, seed)
-						if err != nil {
-							b.Fatal(err)
-						}
-						if scan {
-							// Hiding sched.Keyed forces the scan.
-							return struct{ sched.Router }{r}
-						}
-						return r
-					},
+					Router:    router,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -885,12 +872,9 @@ func BenchmarkDispatch512(b *testing.B) {
 			b.ReportMetric(float64(dispatched)/b.Elapsed().Seconds(), "dispatch/s")
 		}
 	}
-	b.Run("least-loaded", bench("least-loaded", false))
-	b.Run("least-loaded-scan", bench("least-loaded", true))
-	b.Run("least-kv", bench("least-kv", false))
-	b.Run("queue-depth", bench("queue-depth", false))
-	b.Run("p2c", bench("p2c", false))
-	b.Run("round-robin", bench("round-robin", false))
+	for _, r := range []sched.Router{sched.NewLeastLoaded(), sched.NewQueueDepth()} {
+		b.Run(r.Name(), bench(r))
+	}
 }
 
 // BenchmarkSimKernel times one event's schedule and fire. "single" keeps one

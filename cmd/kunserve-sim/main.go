@@ -7,7 +7,6 @@
 //	    [-scale quick|full|clusterb] [-dataset burstgpt|sharegpt|longbench] \
 //	    [-instances N] [-seed N] [-duration SECONDS] [-load MULT] \
 //	    [-parallel N] [-json] [-list-exps] [-sweep key=lo:hi:step] [-spec workload.json] \
-//	    [-router least-loaded|round-robin|p2c|least-kv|affinity|queue-depth] \
 //	    [-queue fcfs|priority|edf] [-prefix-caching] [-cache-evict lru|fifo] \
 //	    [-trace out.json] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
@@ -20,9 +19,8 @@
 // spec (multi-client mixes, gamma/weibull/diurnal/mmpp arrivals, trace
 // replay, per-class SLO targets; see internal/workload/spec and
 // examples/specs/) instead of the default BurstGPT burst schedule.
-// -router and -queue select the scheduling layer's dispatch router and
-// per-group wait-queue discipline (internal/sched); the defaults reproduce
-// the original least-loaded + FCFS path byte-identically. -prefix-caching
+// -queue selects the per-group wait-queue discipline (internal/sched); the
+// default reproduces the original FCFS path byte-identically. -prefix-caching
 // turns on content-addressed KVCache prefix sharing (spec clients with
 // shared_prefix deduplicate their system prompts; summaries gain a
 // PrefixCache section) and -cache-evict picks its cached-block eviction
@@ -113,7 +111,6 @@ func main() {
 		jsonOut   = flag.Bool("json", false, "emit machine-readable JSON summaries instead of paper-style text")
 		sweepFlag = flag.String("sweep", "", "run a parameter sweep key=lo:hi:step (keys: "+strings.Join(experiments.SweepKeys, ", ")+") over the five systems")
 		specFile  = flag.String("spec", "", "workload spec JSON driving the experiment trace")
-		router    = flag.String("router", "", "dispatch router: "+strings.Join(sched.RouterNames, ", ")+" (default least-loaded)")
 		queue     = flag.String("queue", "", "wait-queue discipline: "+strings.Join(sched.DisciplineNames, ", ")+" (default fcfs)")
 		prefixOn  = flag.Bool("prefix-caching", false, "enable content-addressed KVCache prefix sharing (default off; off reproduces the identity-free allocator byte-for-byte)")
 		evict     = flag.String("cache-evict", "", "cached-block eviction policy: lru (default), fifo; only meaningful with -prefix-caching")
@@ -180,7 +177,6 @@ func main() {
 		cfg.LoadMultiplier = l
 	}
 	cfg.Parallel = *parallel
-	cfg.Router = *router
 	cfg.Queue = *queue
 	cfg.PrefixCaching = *prefixOn
 	cfg.CacheEvict = *evict
@@ -207,9 +203,6 @@ func main() {
 	}
 	if *exp == "prefix" && (*prefixOn || *evict != "") {
 		fmt.Fprintln(os.Stderr, "note: -exp prefix compares every cache policy (off, lru, fifo); -prefix-caching/-cache-evict are ignored there")
-	}
-	if *exp == "disagg" && *router != "" {
-		fmt.Fprintln(os.Stderr, "note: -exp disagg routes its disaggregated cells with the queue-depth router; -router applies to the collocated baseline cells only")
 	}
 	if *specFile != "" {
 		// The spec's own seed, duration, and rates govern the trace;

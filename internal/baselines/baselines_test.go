@@ -197,12 +197,12 @@ func TestLlumnixMigratesToSpareInstance(t *testing.T) {
 	}
 }
 
-// firstGroup routes every arrival to the first candidate, loading one
+// firstGroup routes every arrival to the lowest-ID candidate, loading one
 // group while the others idle.
 type firstGroup struct{}
 
-func (firstGroup) Name() string                                  { return "first" }
-func (firstGroup) Route(*request.Request, []sched.Candidate) int { return 0 }
+func (firstGroup) Name() string                  { return "first" }
+func (firstGroup) Key(c sched.Candidate) float64 { return float64(c.ID) }
 
 // rebalances counts the migrations Llumnix's OnTick starts.
 type rebalances struct {
@@ -221,7 +221,7 @@ func TestLlumnixRebalanceOnTick(t *testing.T) {
 	c, err := cluster.New(cluster.Config{
 		Seed: 1, Model: model.Qwen25_14B(), GPU: gpu.A800(),
 		Instances: 2, Policy: p,
-		NewRouter: func(int64) sched.Router { return firstGroup{} },
+		Router: firstGroup{},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -43,11 +43,10 @@ type Config struct {
 	KVProvisionBytes int64
 	// Policy is the overload-handling mechanism under test.
 	Policy Policy
-	// NewRouter builds the dispatch router; nil selects the default
-	// least-loaded router. Called once per cluster with the cluster seed,
-	// so stateful routers (round-robin cursors, p2c RNGs) are never
-	// shared across concurrently executing cells.
-	NewRouter func(seed int64) sched.Router
+	// Router keys the dispatcher's pick; nil selects the least-loaded
+	// router every system shares. The disaggregated baseline sets the
+	// queue-depth router.
+	Router sched.Router
 	// NewDiscipline builds a group's wait-queue discipline; nil selects
 	// FCFS. Called once per group (including groups formed by
 	// reconfiguration), so disciplines are never shared.
@@ -173,19 +172,15 @@ type Cluster struct {
 	// group ID — registration order); it is rebuilt only when membership
 	// or a role changes (activeStale), never per request. byID resolves
 	// an index pick back to its group (a dense slice — group IDs are
-	// small monotonic ints). index is the keyed router's incremental
-	// (key, ID) ordering, nil on the scan path; dirtyGroups queues groups
-	// whose key inputs changed since the last sync (edge-triggered engine
-	// load notifications, pool resizes). routeCands is the scan
-	// fallback's value slate, reused per call (a cluster is
-	// single-threaded inside its simulation; the scan path stays
-	// allocation-free).
+	// small monotonic ints). index is the router's incremental (key, ID)
+	// ordering of the active set; dirtyGroups queues groups whose key
+	// inputs changed since the last sync (edge-triggered engine load
+	// notifications, pool resizes).
 	activeGroups []*Group
 	byID         []*Group
 	activeStale  bool
 	index        *sched.Index
 	dirtyGroups  []*Group
-	routeCands   []sched.Candidate
 
 	// totalDemandTokens mirrors the sum of every open group's
 	// DemandTokens, synced from the dirty list at each read so the
@@ -252,10 +247,8 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.MetricsReservoir > 0 {
 		c.Collector.Bound(cfg.MetricsReservoir, cfg.Seed)
 	}
-	if cfg.NewRouter != nil {
-		if c.router = cfg.NewRouter(cfg.Seed); c.router == nil {
-			return nil, fmt.Errorf("cluster: NewRouter returned nil")
-		}
+	if cfg.Router != nil {
+		c.router = cfg.Router
 	}
 	if cfg.NewDiscipline != nil {
 		c.newDiscipline = cfg.NewDiscipline
@@ -264,9 +257,7 @@ func New(cfg Config) (*Cluster, error) {
 		}
 	}
 	c.activeStale = true
-	if k, ok := c.router.(sched.Keyed); ok {
-		c.index = sched.NewIndex(k)
-	}
+	c.index = sched.NewIndex(c.router)
 	c.Fabric = network.NewFabric(c.Sim, cfg.Instances, cfg.NetBandwidth, network.DefaultLatency)
 	for i := 0; i < cfg.Instances; i++ {
 		in, err := instance.NewProvisioned(i, cfg.GPU, cfg.Model, cfg.KVProvisionBytes)
@@ -315,8 +306,8 @@ func (c *Cluster) invalidateActive() { c.activeStale = true }
 
 // noteLoadChanged queues a group whose demand accounting changed (the
 // engine's edge-triggered LoadChanged); the exact value is read back at
-// the next sync point. Queued on the scan path too: the fleet demand
-// total is synced from the same dirty list.
+// the next sync point. The fleet demand total and the dispatch index are
+// both synced from the dirty list.
 func (c *Cluster) noteLoadChanged(g *Group) { c.markDirty(g) }
 
 // markDirty queues a group whose routing key inputs (demand, queue depth,
@@ -333,15 +324,15 @@ func (c *Cluster) markDirty(g *Group) {
 
 // syncDemand drains the dirty list: per group, re-arm the engine's load
 // notification, fold the group's exact DemandTokens into the fleet total
-// (replacing its previous contribution), and — when the index is live and
-// the candidate set is current — apply the key change to the index.
-// O(d log n) for d dirty groups. While the candidate set is stale the
-// index updates are skipped; rebuildActive reloads the index wholesale.
+// (replacing its previous contribution), and — when the candidate set is
+// current — apply the key change to the index. O(d log n) for d dirty
+// groups. While the candidate set is stale the index updates are skipped;
+// rebuildActive reloads the index wholesale.
 func (c *Cluster) syncDemand() {
 	if len(c.dirtyGroups) == 0 {
 		return
 	}
-	indexLive := c.index != nil && !c.activeStale
+	indexLive := !c.activeStale
 	for i, g := range c.dirtyGroups {
 		g.idxDirty = false
 		c.dirtyGroups[i] = nil
@@ -356,10 +347,10 @@ func (c *Cluster) syncDemand() {
 	c.dirtyGroups = c.dirtyGroups[:0]
 }
 
-// rebuildActive refreshes the persistent active candidate set (and, on the
-// index path, reloads the index) after a membership or role change. The
-// freed tail of the reused backing array is cleared so closed groups'
-// pointers do not outlive their removal.
+// rebuildActive refreshes the persistent active candidate set and reloads
+// the index after a membership or role change. The freed tail of the
+// reused backing array is cleared so closed groups' pointers do not
+// outlive their removal.
 func (c *Cluster) rebuildActive() {
 	// Fold pending demand first (activeStale suppresses index updates;
 	// the reload below subsumes them).
@@ -380,9 +371,6 @@ func (c *Cluster) rebuildActive() {
 	}
 	c.activeGroups = act
 	c.activeStale = false
-	if c.index == nil {
-		return
-	}
 	c.index.Reset()
 	for _, g := range act {
 		c.index.Update(g.candidate())
@@ -450,9 +438,6 @@ func (c *Cluster) requestFinished(r *request.Request) {
 	c.reqPool.Put(r)
 }
 
-// Router returns the dispatch router in use.
-func (c *Cluster) Router() sched.Router { return c.router }
-
 // Tracer returns the cluster's tracer (nil when tracing is off). Policies
 // nil-check it before emitting.
 func (c *Cluster) Tracer() obs.Tracer { return c.tracer }
@@ -479,50 +464,77 @@ func (g *Group) candidate() sched.Candidate {
 // instead of crashing when no live candidate exists; Serve aggregates
 // such errors into Err.
 //
-// Keyed routers dispatch from the incremental index: the active candidate
+// The pick is the index minimum by (key, group ID). The active candidate
 // set persists across requests (invalidated only on membership or role
-// change), engine load deltas queue point updates, and the pick is the
-// index minimum — byte-identical to the full scan by the (key, group ID)
-// tie-break contract, at O(d log n) per request instead of O(n). Other
-// routers (p2c, round-robin, affinity) refresh the scan slate over the
-// same persistent active set.
+// change) and engine load deltas queue point updates, so a dispatch costs
+// O(d log n) for d groups changed since the last one.
+// CheckDispatchIndex audits the index against the active set.
 func (c *Cluster) Dispatch(r *request.Request) error {
 	if c.activeStale {
 		c.rebuildActive()
 	}
-	var target *Group
-	ncands := len(c.activeGroups)
-	if c.index != nil {
-		c.syncDemand()
-		if id, ok := c.index.Min(); ok {
-			target = c.byID[id]
-		}
-	} else if ncands > 0 {
-		cands := c.routeCands[:0]
-		for _, g := range c.activeGroups {
-			cands = append(cands, g.candidate())
-		}
-		c.routeCands = cands
-		idx := c.router.Route(r, cands)
-		if idx < 0 || idx >= len(cands) {
-			return fmt.Errorf("cluster: router %s chose candidate %d of %d",
-				c.router.Name(), idx, len(cands))
-		}
-		target = c.activeGroups[idx]
-	}
-	if target == nil {
+	c.syncDemand()
+	id, ok := c.index.Min()
+	if !ok {
 		return fmt.Errorf("cluster: no live groups to dispatch request %d to", r.ID)
 	}
+	target := c.byID[id]
 	if c.tracer != nil {
 		c.tracer.Emit(obs.Event{Phase: obs.PhaseInstant, Time: c.Sim.Now(),
 			Cat: obs.CatDispatch, Name: c.router.Name(),
 			Group: obs.GroupCluster, Track: "dispatch", Req: r.ID,
 			Args: [2]obs.Arg{
 				{Key: "group", Val: int64(target.ID)},
-				{Key: "candidates", Val: int64(ncands)},
+				{Key: "candidates", Val: int64(len(c.activeGroups))},
 			}})
 	}
 	target.Enqueue(r)
+	return nil
+}
+
+// CheckDispatchIndex audits the dispatcher. It folds the dirty groups (a
+// stale candidate set is rebuilt, as the next Dispatch would), then
+// requires that every open group whose role admits arrivals is in the
+// active set and indexed under its current key, that no other group is
+// indexed, and that the index minimum is the (key, group ID) minimum over
+// the active set. Folding early leaves every later pick unchanged.
+func (c *Cluster) CheckDispatchIndex() error {
+	if c.activeStale {
+		c.rebuildActive()
+	}
+	c.syncDemand()
+	active, best := 0, -1
+	var bestKey float64
+	for id, g := range c.byID {
+		key, indexed := c.index.Key(id)
+		if g == nil || g.Closed() || !g.Role().AdmitsNewArrivals() {
+			if indexed {
+				return fmt.Errorf("cluster: group %d is indexed but cannot take arrivals", id)
+			}
+			continue
+		}
+		if !g.inActive {
+			return fmt.Errorf("cluster: group %d takes arrivals but is not in the active set", id)
+		}
+		want := c.router.Key(g.candidate())
+		if !indexed {
+			return fmt.Errorf("cluster: active group %d is not indexed", id)
+		}
+		if key != want {
+			return fmt.Errorf("cluster: group %d indexed under %s key %v, current key %v",
+				id, c.router.Name(), key, want)
+		}
+		active++
+		if best < 0 || want < bestKey {
+			best, bestKey = id, want
+		}
+	}
+	if n := c.index.Len(); n != active {
+		return fmt.Errorf("cluster: index holds %d groups, %d are active", n, active)
+	}
+	if got, ok := c.index.Min(); ok != (best >= 0) || (ok && got != best) {
+		return fmt.Errorf("cluster: index minimum %d (ok %v), argmin over the active set %d", got, ok, best)
+	}
 	return nil
 }
 

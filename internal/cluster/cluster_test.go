@@ -384,12 +384,13 @@ func TestDispatchNoLiveGroupsErrors(t *testing.T) {
 	}
 }
 
-// The cluster builds its router and per-group disciplines from the config
-// factories, defaulting to least-loaded + FCFS, and rejects nil factories.
+// The cluster takes its router from the config and builds per-group
+// disciplines from the config factory, defaulting to least-loaded + FCFS,
+// and rejects a nil-returning factory.
 func TestRouterAndDisciplineWiring(t *testing.T) {
 	def := testCluster(t, 1, recomputePolicy{})
-	if def.Router().Name() != "least-loaded" {
-		t.Errorf("default router %q", def.Router().Name())
+	if def.router.Name() != "least-loaded" {
+		t.Errorf("default router %q", def.router.Name())
 	}
 	if def.Groups()[0].Queue().Name() != "fcfs" {
 		t.Errorf("default discipline %q", def.Groups()[0].Queue().Name())
@@ -397,15 +398,15 @@ func TestRouterAndDisciplineWiring(t *testing.T) {
 	cfg := Config{
 		Seed: 1, Model: model.Qwen25_14B(), GPU: gpu.A800(), Instances: 2,
 		Policy:        recomputePolicy{},
-		NewRouter:     func(int64) sched.Router { return sched.NewRoundRobin() },
+		Router:        sched.NewQueueDepth(),
 		NewDiscipline: func() sched.Discipline { return sched.NewPriority(nil) },
 	}
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Router().Name() != "round-robin" {
-		t.Errorf("router %q", c.Router().Name())
+	if c.router.Name() != "queue-depth" {
+		t.Errorf("router %q", c.router.Name())
 	}
 	for _, g := range c.Groups() {
 		if g.Queue().Name() != "priority" {
@@ -413,11 +414,6 @@ func TestRouterAndDisciplineWiring(t *testing.T) {
 		}
 	}
 	bad := cfg
-	bad.NewRouter = func(int64) sched.Router { return nil }
-	if _, err := New(bad); err == nil {
-		t.Error("nil router accepted")
-	}
-	bad = cfg
 	bad.NewDiscipline = func() sched.Discipline { return nil }
 	if _, err := New(bad); err == nil {
 		t.Error("nil discipline accepted")
@@ -544,7 +540,8 @@ func TestTransplantRequestsEdgePaths(t *testing.T) {
 	// Waiting requests join the queue in order behind earlier arrivals.
 	w1, w2 := request.New(5, 0, 128, 16), request.New(6, 0, 128, 16)
 	TransplantRequests(g1, nil, []*request.Request{w1, w2})
-	waiting := g1.WaitingRequests()
+	var waiting []*request.Request
+	g1.Queue().Each(func(r *request.Request) { waiting = append(waiting, r) })
 	if len(waiting) != 4 {
 		t.Fatalf("queue len %d, want 4", len(waiting))
 	}

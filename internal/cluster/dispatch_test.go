@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"reflect"
+	"fmt"
 	"testing"
 
 	"kunserve/internal/gpu"
@@ -22,70 +22,57 @@ func checkDemandInvariant(t *testing.T, c *Cluster, when string) {
 	}
 }
 
-func TestClusterDemandTotalInvariant(t *testing.T) {
-	c := testCluster(t, 2, recomputePolicy{})
-	checkDemandInvariant(t, c, "fresh cluster")
-	tr := smallTrace(16, 0.02, 1024, 48)
-	for _, wr := range tr.Requests {
-		if err := c.Dispatch(request.New(wr.ID, wr.Arrival, wr.InputLen, wr.OutputLen)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	checkDemandInvariant(t, c, "after dispatch")
-	// Mid-flight: queues partially drained, running sets populated.
-	c.Sim.RunUntil(sim.FromSeconds(2))
-	checkDemandInvariant(t, c, "mid-serve")
-	c.Sim.RunUntil(sim.FromSeconds(300))
-	checkDemandInvariant(t, c, "after serve")
-	if c.DemandBytes() != 0 {
-		t.Fatalf("idle cluster reports %d demand bytes", c.DemandBytes())
+// checkDispatchIndex fails the test when the dispatch index disagrees with
+// the active groups' current keys.
+func checkDispatchIndex(t *testing.T, c *Cluster, when string) {
+	t.Helper()
+	if err := c.CheckDispatchIndex(); err != nil {
+		t.Fatalf("%s: %v", when, err)
 	}
 }
 
-// scanRouter hides a router's sched.Keyed method set, so the cluster
-// dispatches through the full candidate scan instead of its index.
-type scanRouter struct{ sched.Router }
-
-// TestScanDispatchByteIdentical locks the tentpole contract at the cluster
-// level: the incremental router index and the full candidate scan make the
-// same pick for every request, so whole runs produce identical metrics.
-func TestScanDispatchByteIdentical(t *testing.T) {
-	for _, router := range []string{"least-loaded", "least-kv", "queue-depth"} {
-		run := func(scan bool) []float64 {
-			cfg := Config{
-				Seed:      1,
-				Model:     model.Qwen25_14B(),
-				GPU:       gpu.A800(),
-				Instances: 4,
-				Policy:    recomputePolicy{},
-				NewRouter: func(seed int64) sched.Router {
-					r, err := sched.NewRouterByName(router, seed)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if scan {
-						return scanRouter{r}
-					}
-					return r
-				},
-			}
-			c, err := New(cfg)
-			if err != nil {
+// TestClusterDemandTotalInvariant pins the incremental demand total and
+// the dispatch index to their ground truths after every dispatch, every
+// simulation step of a serve, and a pool resize, under both routers.
+func TestClusterDemandTotalInvariant(t *testing.T) {
+	for _, router := range []sched.Router{nil, sched.NewQueueDepth()} {
+		c, err := New(Config{
+			Seed:      1,
+			Model:     model.Qwen25_14B(),
+			GPU:       gpu.A800(),
+			Instances: 2,
+			Policy:    recomputePolicy{},
+			Router:    router,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := c.router.Name()
+		check := func(when string) {
+			t.Helper()
+			checkDemandInvariant(t, c, name+" "+when)
+			checkDispatchIndex(t, c, name+" "+when)
+		}
+		check("fresh cluster")
+		tr := smallTrace(16, 0.02, 1024, 48)
+		for _, wr := range tr.Requests {
+			if err := c.Dispatch(request.New(wr.ID, wr.Arrival, wr.InputLen, wr.OutputLen)); err != nil {
 				t.Fatal(err)
 			}
-			if scan != (c.index == nil) {
-				t.Fatalf("router %s scan=%v: index wiring wrong", router, scan)
-			}
-			col := c.Serve(smallTrace(32, 0.05, 1024, 32), sim.FromSeconds(300))
-			ttfts := make([]float64, 0, len(col.Records))
-			for _, rec := range col.Records {
-				ttfts = append(ttfts, rec.TTFT())
-			}
-			return ttfts
+			check(fmt.Sprintf("after dispatching request %d", wr.ID))
 		}
-		indexed, scanned := run(false), run(true)
-		if !reflect.DeepEqual(indexed, scanned) {
-			t.Errorf("router %s: indexed and scan dispatch diverged", router)
+		// A resize of a loaded group changes only its capacity, which
+		// least-loaded keys on.
+		c.Groups()[0].Pool().AddBlocks(64)
+		check("after a pool resize")
+		// Mid-flight: queues partially drained, running sets populated.
+		for c.Sim.Now().Before(sim.FromSeconds(2)) && c.Sim.Step() {
+			check(fmt.Sprintf("at %v", c.Sim.Now()))
+		}
+		c.Sim.RunUntil(sim.FromSeconds(300))
+		check("after serve")
+		if c.DemandBytes() != 0 {
+			t.Fatalf("%s: idle cluster reports %d demand bytes", name, c.DemandBytes())
 		}
 	}
 }

@@ -594,7 +594,7 @@ func (c *churn) check(op string) {
 	if n := c.e.RunningLen(); n != len(c.ref) {
 		fail("RunningLen %d, model %d", n, len(c.ref))
 	}
-	if got, want := ids(c.e.Queue().Items()), ids(c.queue); !slices.Equal(got, want) {
+	if got, want := ids(collect(c.e.Queue().Each)), ids(c.queue); !slices.Equal(got, want) {
 		fail("queue %v, model %v", got, want)
 	}
 	if _, err := c.e.CheckLane(); err != nil {

@@ -158,9 +158,6 @@ func (g *Group) SetRole(role engine.Role) error {
 	return nil
 }
 
-// WaitingRequests returns a copy of the wait queue in dispatch order.
-func (g *Group) WaitingRequests() []*request.Request { return g.Queue().Items() }
-
 // Stages returns the pipeline depth (1 = plain execution).
 func (g *Group) Stages() int { return len(g.instances) }
 

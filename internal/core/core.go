@@ -129,13 +129,20 @@ func (p *Policy) beginEvent(c *cluster.Cluster, kind string) int {
 	return len(p.events) - 1
 }
 
+// liveGroups counts the cluster's live groups without copying them.
+func liveGroups(c *cluster.Cluster) int {
+	n := 0
+	c.EachGroup(func(*cluster.Group) { n++ })
+	return n
+}
+
 // endEvent closes event i once its new groups serve: it records the end
 // and the group count, ends the reconfiguration, and emits the event as a
 // duration slice on the cluster's reconfig track.
 func (p *Policy) endEvent(c *cluster.Cluster, i int) {
 	ev := &p.events[i]
 	ev.End = c.Sim.Now()
-	ev.Groups = len(c.Groups())
+	ev.Groups = liveGroups(c)
 	p.reconfiguring = false
 	tr := c.Tracer()
 	if tr == nil {

@@ -18,8 +18,8 @@ func (p *Policy) maybeDrop(c *cluster.Cluster) bool {
 	if float64(demand) <= float64(capacity)*overloadThreshold {
 		return false
 	}
-	groups := c.Groups()
-	if len(groups) < 2 {
+	groups := liveGroups(c)
+	if groups < 2 {
 		return false // nothing to merge; fallback handles pressure
 	}
 	// R is the memory requirement of the queued requests (§4.1, Figure 6
@@ -27,11 +27,11 @@ func (p *Policy) maybeDrop(c *cluster.Cluster) bool {
 	// queued backlog also stops drop cascades: once a drop has absorbed
 	// the queue, demand alone does not trigger deeper merges.
 	var queuedTokens int64
-	for _, g := range groups {
-		for _, r := range g.WaitingRequests() {
+	c.EachGroup(func(g *cluster.Group) {
+		g.Queue().Each(func(r *request.Request) {
 			queuedTokens += int64(r.TotalTokens())
-		}
-	}
+		})
+	})
 	if queuedTokens == 0 {
 		return false
 	}
@@ -51,10 +51,10 @@ func (p *Policy) maybeDrop(c *cluster.Cluster) bool {
 		return true
 	}
 
-	states := make([]planner.GroupState, len(groups))
-	for i, g := range groups {
-		states[i] = planner.GroupState{ID: g.ID, Size: g.Stages()}
-	}
+	states := make([]planner.GroupState, 0, groups)
+	c.EachGroup(func(g *cluster.Group) {
+		states = append(states, planner.GroupState{ID: g.ID, Size: g.Stages()})
+	})
 	plan, err := planner.DeriveCapped(states, c.Model.ParamBytes(), required, maxStages)
 	if err != nil && plan == nil {
 		return false
@@ -89,9 +89,9 @@ func (p *Policy) maybeDrop(c *cluster.Cluster) bool {
 func (p *Policy) extendExistingGroups(c *cluster.Cluster, required int64) int64 {
 	var claimed int64
 	perLayer := c.Model.KVBytesPerTokenPerLayer()
-	for _, g := range c.Groups() {
+	c.EachGroup(func(g *cluster.Group) {
 		if claimed >= required {
-			break
+			return
 		}
 		// Every stage must hold its layers' share of each new token, so
 		// the addable tokens are bounded by the tightest member.
@@ -107,23 +107,18 @@ func (p *Policy) extendExistingGroups(c *cluster.Cluster, required int64) int64 
 		}
 		blocks := tokens / g.Pool().BlockTokens()
 		if blocks <= 0 {
-			continue
+			return
 		}
 		tokens = blocks * g.Pool().BlockTokens()
-		ok := true
 		for _, in := range g.Instances() {
 			grow := perLayer * int64(in.LayersHeld()) * int64(tokens)
 			if _, err := in.ExtendKV(grow); err != nil {
-				ok = false
-				break
+				return
 			}
-		}
-		if !ok {
-			continue
 		}
 		g.Pool().AddBlocks(blocks)
 		claimed += int64(tokens) * c.Model.KVBytesPerToken()
-	}
+	})
 	return claimed
 }
 

@@ -88,7 +88,7 @@ func (p *Policy) recover(c *cluster.Cluster, survivors []*cluster.Group,
 	if len(survivors) == 0 {
 		// The dead node's group had no other members; its requests go
 		// back through the dispatcher to the remaining cluster.
-		if len(c.Groups()) > 0 {
+		if liveGroups(c) > 0 {
 			for _, r := range requeue {
 				if err := c.Dispatch(r); err != nil {
 					// Guarded by the live-group check above.

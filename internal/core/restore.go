@@ -23,9 +23,12 @@ func (p *Policy) maybeRestore(c *cluster.Cluster) {
 			return
 		}
 	}
-	for _, g := range c.Groups() {
-		if g.Stages() < 2 {
-			continue
+	// One restoration per tick: the first eligible group. It starts after
+	// the walk because a restoration may regroup synchronously.
+	var target *cluster.Group
+	c.EachGroup(func(g *cluster.Group) {
+		if target != nil || g.Stages() < 2 {
+			return
 		}
 		restoredCap := 0
 		for _, in := range g.Instances() {
@@ -33,13 +36,15 @@ func (p *Policy) maybeRestore(c *cluster.Cluster) {
 		}
 		used := g.UsedTokens()
 		if g.QueueLen() > 0 {
-			continue // queued demand: restoring now would re-trigger a drop
+			return // queued demand: restoring now would re-trigger a drop
 		}
 		if float64(used) >= float64(restoredCap)*restoreThreshold {
-			continue
+			return
 		}
-		p.restoreGroup(c, g)
-		return // one restoration per tick
+		target = g
+	})
+	if target != nil {
+		p.restoreGroup(c, target)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"kunserve/internal/cluster"
+	"kunserve/internal/request"
 	"kunserve/internal/sim"
 )
 
@@ -18,9 +19,9 @@ func walkDemand(g *cluster.Group) int {
 		}
 		d += c
 	}
-	for _, r := range g.WaitingRequests() {
+	g.Queue().Each(func(r *request.Request) {
 		d += r.PrefillTarget()
-	}
+	})
 	return d
 }
 

@@ -8,6 +8,7 @@ import (
 	"kunserve/internal/cluster"
 	"kunserve/internal/metrics"
 	"kunserve/internal/runner"
+	"kunserve/internal/sched"
 )
 
 // DisaggLoadPoints are the load multipliers (on the config's derived base
@@ -156,8 +157,8 @@ func ExperimentDisagg(cfg Config) (*DisaggResult, error) {
 		}
 		for _, split := range splits {
 			split := split
-			cellCfg := loadCfg
-			cellCfg.Router = "queue-depth"
+			cc := loadCfg.clusterConfig(tr)
+			cc.Router = sched.NewQueueDepth()
 			// Each cell records its policy so the handoff byte counters
 			// survive the runner dropping the cluster. Slots are
 			// per-cell, so concurrent workers never share one.
@@ -165,14 +166,14 @@ func ExperimentDisagg(cfg Config) (*DisaggResult, error) {
 			pols = append(pols, nil)
 			set.Add(runner.Cell{
 				Key:     fmt.Sprintf("disagg-%s/load=%.2f", split, load),
-				Cluster: cellCfg.clusterConfig(tr),
+				Cluster: cc,
 				NewPolicy: func() cluster.Policy {
 					p := baselines.NewDisagg(split.Prefill, split.Decode)
 					pols[slot] = p
 					return p
 				},
 				Trace:   tr,
-				Horizon: tr.Duration().Add(cellCfg.HorizonSlack),
+				Horizon: tr.Duration().Add(loadCfg.HorizonSlack),
 			})
 			metas = append(metas, cellMeta{
 				fmt.Sprintf("Disagg (%s)", split), split.String(), load})

@@ -92,18 +92,9 @@ type Config struct {
 	// bespoke traces (Figure 16's long run) ignore it. Its slo_classes
 	// feed the scheduling layer and per-class metrics.
 	WorkloadSpec *spec.Spec
-	// Router names the dispatch router (sched.RouterNames); "" selects
-	// the default least-loaded router, which reproduces the pre-sched
-	// dispatcher exactly.
-	Router string
 	// Queue names the wait-queue discipline (sched.DisciplineNames); ""
 	// selects FCFS, which reproduces the pre-sched wait queue exactly.
 	Queue string
-	// scanDispatch forces every cell's dispatcher onto the full candidate
-	// scan instead of the incremental router index (see scanRouter). It is
-	// the tests' determinism oracle, byte-identical to the indexed default
-	// by contract.
-	scanDispatch bool
 	// PrefixCaching enables content-addressed KVCache prefix sharing on
 	// every cell this config runs: requests carrying a shared prefix
 	// (spec clients with shared_prefix) deduplicate their system-prompt
@@ -270,10 +261,11 @@ func (c Config) BuildTrace() (*workload.Trace, error) {
 }
 
 // clusterConfig assembles the cluster configuration for one run on tr. The
-// policy slot is filled per cell by the runner; the named router and queue
-// discipline become per-cluster factories so concurrent cells never share
-// scheduler state. The receiver must already have defaults applied and
-// carry valid router/queue names (ValidateSched).
+// policy slot is filled per cell by the runner; the named queue discipline
+// becomes a per-group factory so concurrent cells never share scheduler
+// state. The cluster's router is left at its least-loaded default. The
+// receiver must already have defaults applied and carry valid queue and
+// eviction names (ValidateSched).
 func (c Config) clusterConfig(tr *workload.Trace) cluster.Config {
 	cc := cluster.Config{
 		Seed:             c.Seed,
@@ -288,19 +280,6 @@ func (c Config) clusterConfig(tr *workload.Trace) cluster.Config {
 	if c.WorkloadSpec != nil {
 		cc.SLOClasses = c.WorkloadSpec.ClassTargets()
 	}
-	if c.Router != "" || c.scanDispatch {
-		name, scan := c.Router, c.scanDispatch
-		cc.NewRouter = func(seed int64) sched.Router {
-			r, err := sched.NewRouterByName(name, seed)
-			if err != nil {
-				panic(err) // unreachable after ValidateSched
-			}
-			if scan {
-				return scanRouter{r}
-			}
-			return r
-		}
-	}
 	if c.Queue != "" {
 		name, targets := c.Queue, cc.SLOClasses
 		cc.NewDiscipline = func() sched.Discipline {
@@ -314,16 +293,8 @@ func (c Config) clusterConfig(tr *workload.Trace) cluster.Config {
 	return cc
 }
 
-// scanRouter hides a router's sched.Keyed method set, so the cluster
-// dispatches through the full candidate scan instead of its index.
-type scanRouter struct{ sched.Router }
-
-// ValidateSched rejects unknown router/queue/eviction names before any
-// cell runs.
+// ValidateSched rejects unknown queue/eviction names before any cell runs.
 func (c Config) ValidateSched() error {
-	if _, err := sched.NewRouterByName(c.Router, 0); err != nil {
-		return err
-	}
 	if _, err := sched.NewDisciplineByName(c.Queue, nil); err != nil {
 		return err
 	}

@@ -8,7 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"kunserve/internal/cluster"
 	"kunserve/internal/runner"
+	"kunserve/internal/sched"
 	"kunserve/internal/sim"
 	"kunserve/internal/workload"
 	"kunserve/internal/workload/spec"
@@ -434,53 +436,47 @@ func TestDefaultRouterAndQueueByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Quick()
-	cfg.Router = "least-loaded"
 	cfg.Queue = "fcfs"
 	explicit, err := RunAllSystems(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(base, explicit) {
-		t.Fatal("explicit least-loaded/fcfs differs from the zero-value default")
+		t.Fatal("explicit fcfs differs from the zero-value default")
+	}
+	// A nil cluster router is least-loaded: setting it explicitly changes
+	// no cell's summary.
+	run := Quick().withDefaults()
+	tr, err := run.BuildTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sys := range AllSystems() {
+		serve := func(router sched.Router) runner.Summary {
+			cc := run.clusterConfig(tr)
+			cc.Router = router
+			res := runner.Run(runner.Cell{
+				Key:       string(sys),
+				Cluster:   cc,
+				NewPolicy: func() cluster.Policy { return NewPolicy(sys) },
+				Trace:     tr,
+				Horizon:   tr.Duration().Add(run.HorizonSlack),
+			})
+			if res.Err != nil {
+				t.Fatalf("%s: %v", sys, res.Err)
+			}
+			return res.Summary
+		}
+		if a, b := serve(nil), serve(sched.NewLeastLoaded()); !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: explicit least-loaded router differs from the nil default", sys)
+		}
 	}
 	if err := cfg.ValidateSched(); err != nil {
 		t.Errorf("valid names rejected: %v", err)
 	}
-	cfg.Router = "nope"
-	if err := cfg.ValidateSched(); err == nil {
-		t.Error("unknown router accepted")
-	}
-	cfg.Router, cfg.Queue = "", "nope"
+	cfg.Queue = "nope"
 	if err := cfg.ValidateSched(); err == nil {
 		t.Error("unknown queue accepted")
-	}
-}
-
-// Alternative routers produce valid (and generally different) runs on the
-// same trace through the same experiment path.
-func TestRouterChangesPlacement(t *testing.T) {
-	run := func(router string) *Figure12Result {
-		cfg := Quick()
-		cfg.Router = router
-		runs, err := RunAllSystems(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return runs
-	}
-	def := run("")
-	rr := run("round-robin")
-	for _, runs := range []*Figure12Result{def, rr} {
-		for _, sr := range runs.Systems {
-			if sr.Finished == 0 {
-				t.Fatalf("router run finished nothing: %+v", sr.System)
-			}
-		}
-	}
-	// Round-robin ignores load, so under the burst at least one system's
-	// latency profile must move.
-	if reflect.DeepEqual(def, rr) {
-		t.Error("round-robin routing produced runs identical to least-loaded")
 	}
 }
 

@@ -9,13 +9,14 @@ import (
 	"kunserve/internal/obs"
 	"kunserve/internal/request"
 	"kunserve/internal/runner"
+	"kunserve/internal/sched"
 	"kunserve/internal/sim"
 	"kunserve/internal/workload"
 )
 
 // laneAudit wraps a policy so that every monitor tick, after the policy's
-// own tick, audits each live group's lane. It forwards the prefill handoff
-// so role-split policies still serve.
+// own tick, audits each live group's lane and the dispatch index. It
+// forwards the prefill handoff so role-split policies still serve.
 type laneAudit struct {
 	cluster.Policy
 	t          *testing.T
@@ -25,6 +26,9 @@ type laneAudit struct {
 func (a laneAudit) OnTick(c *cluster.Cluster) {
 	a.Policy.OnTick(c)
 	*a.ticks++
+	if err := c.CheckDispatchIndex(); err != nil {
+		a.t.Errorf("%s tick %d: %v", a.Name(), *a.ticks, err)
+	}
 	c.EachGroup(func(g *cluster.Group) {
 		n, err := g.CheckLane()
 		if err != nil {
@@ -39,11 +43,12 @@ func (a laneAudit) HandoffPrefill(g *cluster.Group, r *request.Request) bool {
 }
 
 // overloadCell is one system of the overload setup: a policy constructor
-// (each run needs a fresh policy) and the router it serves under.
+// (each run needs a fresh policy) and the router it serves under (nil for
+// the least-loaded default).
 type overloadCell struct {
 	name   string
 	pol    func() cluster.Policy
-	router string
+	router sched.Router
 }
 
 // overloadSetup is four instances at 3× overload: all five §5 systems
@@ -62,11 +67,32 @@ func overloadSetup(t *testing.T) (Config, *workload.Trace, []overloadCell) {
 	}
 	var cells []overloadCell
 	for _, s := range AllSystems() {
-		cells = append(cells, overloadCell{string(s), func() cluster.Policy { return NewPolicy(s) }, cfg.Router})
+		cells = append(cells, overloadCell{string(s), func() cluster.Policy { return NewPolicy(s) }, nil})
 	}
 	cells = append(cells, overloadCell{"Disagg (2P:2D)",
-		func() cluster.Policy { return baselines.NewDisagg(2, 2) }, "queue-depth"})
+		func() cluster.Policy { return baselines.NewDisagg(2, 2) }, sched.NewQueueDepth()})
 	return cfg, tr, cells
+}
+
+// serve runs pol on tr under the cell's router, with tracer attached when
+// non-nil.
+func (c overloadCell) serve(t *testing.T, cfg Config, tr *workload.Trace, pol cluster.Policy, tracer obs.Tracer) *cluster.Cluster {
+	t.Helper()
+	run := cfg.withDefaults()
+	cc := run.clusterConfig(tr)
+	cc.Router = c.router
+	cc.Tracer = tracer
+	res := runner.Run(runner.Cell{
+		Key:       c.name,
+		Cluster:   cc,
+		NewPolicy: func() cluster.Policy { return pol },
+		Trace:     tr,
+		Horizon:   tr.Duration().Add(run.HorizonSlack),
+	})
+	if res.Err != nil {
+		t.Fatalf("%s (traced %v): %v", c.name, tracer != nil, res.Err)
+	}
+	return res.Cluster
 }
 
 // TestLaneMatchesRequests pins the engine's lane to ground truth under the
@@ -75,17 +101,14 @@ func overloadSetup(t *testing.T) (Config, *workload.Trace, []overloadCell) {
 // KV handoffs all run. At every monitor tick each group forces a
 // write-back and checks each slot against its request and Seq
 // (engine.Engine.CheckLane): context length, tokens left, tail room, and
-// the Seq's committed token count.
+// the Seq's committed token count. The same ticks audit the dispatch
+// index (Cluster.CheckDispatchIndex) under least-loaded and, for Disagg,
+// queue-depth keys.
 func TestLaneMatchesRequests(t *testing.T) {
 	cfg, tr, cells := overloadSetup(t)
 	for _, c := range cells {
 		ticks, hot := 0, 0
-		pol := c.pol()
-		run := cfg
-		run.Router = c.router
-		if _, err := run.RunPolicy(laneAudit{pol, t, &ticks, &hot}, tr); err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
+		c.serve(t, cfg, tr, laneAudit{c.pol(), t, &ticks, &hot}, nil)
 		if ticks == 0 || hot == 0 {
 			t.Errorf("%s: %d ticks audited %d hot slots; the audit never bit", c.name, ticks, hot)
 		}
@@ -111,26 +134,12 @@ func (discard) Emit(obs.Event) {}
 func TestTracedMatchesUntraced(t *testing.T) {
 	cfg, tr, cells := overloadSetup(t)
 	serve := func(c overloadCell, tracer obs.Tracer) (runner.Summary, int) {
-		run := cfg
-		run.Router = c.router
-		run = run.withDefaults()
-		cc := run.clusterConfig(tr)
-		cc.Tracer = tracer
-		res := runner.Run(runner.Cell{
-			Key:       c.name,
-			Cluster:   cc,
-			NewPolicy: c.pol,
-			Trace:     tr,
-			Horizon:   tr.Duration().Add(run.HorizonSlack),
-		})
-		if res.Err != nil {
-			t.Fatalf("%s (traced %v): %v", c.name, tracer != nil, res.Err)
-		}
+		cl := c.serve(t, cfg, tr, c.pol(), tracer)
 		fast := 0
-		for _, g := range res.Cluster.Groups() {
+		for _, g := range cl.Groups() {
 			fast += g.FastDecodes()
 		}
-		return runner.Summarize(res.Cluster), fast
+		return runner.Summarize(cl), fast
 	}
 	for _, c := range cells {
 		plain, fast := serve(c, nil)

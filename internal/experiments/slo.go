@@ -6,6 +6,7 @@ import (
 
 	"kunserve/internal/cluster"
 	"kunserve/internal/runner"
+	"kunserve/internal/sched"
 	"kunserve/internal/sim"
 	"kunserve/internal/workload/spec"
 )
@@ -85,8 +86,8 @@ func TwoClassSpec(seed int64, duration sim.Duration, totalRPS float64) *spec.Spe
 
 // ExperimentSLO serves one class-tagged trace — the config's workload spec
 // if it declares one, else the built-in two-class mix — under every
-// (discipline × system) combination as one concurrent run matrix. The
-// dispatch router follows cfg.Router for every cell.
+// (discipline × system) combination as one concurrent run matrix. Every
+// cell dispatches with the default least-loaded router.
 func ExperimentSLO(cfg Config) (*SLOResult, error) {
 	cfg = cfg.withDefaults()
 	if cfg.WorkloadSpec == nil {
@@ -105,12 +106,8 @@ func ExperimentSLO(cfg Config) (*SLOResult, error) {
 			"slo experiment: workload spec %q declares no slo_classes (per-class TTFT/TBT targets drive the disciplines and the attainment metrics)",
 			cfg.WorkloadSpec.Name)
 	}
-	router := cfg.Router
-	if router == "" {
-		router = "least-loaded"
-	}
 	res := &SLOResult{
-		Router:      router,
+		Router:      sched.NewLeastLoaded().Name(),
 		Classes:     targets.Names(),
 		Systems:     SLOSystems,
 		Disciplines: SLODisciplines,

@@ -82,13 +82,6 @@ func (f *FCFS) Pop() *request.Request {
 // Len implements Discipline.
 func (f *FCFS) Len() int { return len(f.q) - f.head }
 
-// Items implements Discipline.
-func (f *FCFS) Items() []*request.Request {
-	out := make([]*request.Request, f.Len())
-	copy(out, f.q[f.head:])
-	return out
-}
-
 // Each implements Discipline.
 func (f *FCFS) Each(fn func(*request.Request)) {
 	for _, r := range f.q[f.head:] {
@@ -143,13 +136,6 @@ func (o *ordered) Pop() *request.Request {
 
 // Len implements Discipline.
 func (o *ordered) Len() int { return len(o.q) }
-
-// Items implements Discipline.
-func (o *ordered) Items() []*request.Request {
-	out := make([]*request.Request, len(o.q))
-	copy(out, o.q)
-	return out
-}
 
 // Each implements Discipline.
 func (o *ordered) Each(fn func(*request.Request)) {

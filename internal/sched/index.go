@@ -1,42 +1,10 @@
 package sched
 
-// Keyed marks routers whose Route is equivalent to taking the candidate
-// with the smallest scalar key, first candidate winning ties. Because the
-// dispatcher presents candidates in ascending group-ID order, that scan
-// contract is exactly "lexicographic minimum of (Key, group ID)" — which
-// is what an incremental Index maintains, so a keyed router can be served
-// from the index without rebuilding the slate per request. Keys must be
-// totally ordered (never NaN): every candidate has positive KV capacity.
-//
-// Routers with per-request state (round-robin cursors, p2c sampling,
-// client affinity hashing) are deliberately not Keyed: their pick depends
-// on more than a per-candidate scalar, and they stay on the scan path.
-type Keyed interface {
-	Router
-	// Key returns c's ranking key. Route(r, cands) must equal the index of
-	// the candidate minimizing (Key(c), position) over the slate for every
-	// request r.
-	Key(c Candidate) float64
-}
-
-// Key implements Keyed: the demand/capacity ratio LeastLoaded scans for.
-func (*LeastLoaded) Key(c Candidate) float64 { return c.Load() }
-
-// Key implements Keyed. The int→float64 conversion is exact for any
-// demand below 2^53 tokens, far past any simulated pool.
-func (*LeastKVDemand) Key(c Candidate) float64 { return float64(c.DemandTokens) }
-
-// Key implements Keyed.
-func (*QueueDepth) Key(c Candidate) float64 { return float64(c.QueueLen) }
-
 // Index is an incrementally maintained ordering of the dispatcher's
-// active candidates under a Keyed router: a binary min-heap on
+// active candidates under a Router's key: a binary min-heap on
 // (key, group ID) with a position table so point updates are O(log n).
-// Min reproduces the full scan's pick exactly — the scan keeps the first
-// strictly-smaller candidate, candidates arrive in ascending group-ID
-// order, so its winner is the lexicographic (key, ID) minimum, which is
-// the heap root by construction (the tie-break contract the equivalence
-// tests pin).
+// Min is the dispatch pick: the smallest key, the lowest group ID winning
+// ties.
 //
 // The index holds plain (key, ID) pairs, never group pointers: membership
 // is the cluster's business, and a Reset drops every entry without
@@ -44,9 +12,9 @@ func (*QueueDepth) Key(c Candidate) float64 { return float64(c.QueueLen) }
 // small monotonic ints), keeping the per-update bookkeeping map-free on
 // the dispatch hot path.
 type Index struct {
-	keyed Keyed
-	heap  []indexEntry
-	pos   []int32 // group ID -> heap slot, -1 when absent
+	router Router
+	heap   []indexEntry
+	pos    []int32 // group ID -> heap slot, -1 when absent
 }
 
 type indexEntry struct {
@@ -54,9 +22,9 @@ type indexEntry struct {
 	id  int
 }
 
-// NewIndex builds an empty index maintained under k's key.
-func NewIndex(k Keyed) *Index {
-	return &Index{keyed: k}
+// NewIndex builds an empty index maintained under r's key.
+func NewIndex(r Router) *Index {
+	return &Index{router: r}
 }
 
 // slot returns id's heap position, or -1 when unindexed.
@@ -94,9 +62,17 @@ func (x *Index) Min() (int, bool) {
 	return x.heap[0].id, true
 }
 
+// Key returns id's indexed key, false when id is unindexed.
+func (x *Index) Key(id int) (float64, bool) {
+	if i := x.slot(id); i >= 0 {
+		return x.heap[i].key, true
+	}
+	return 0, false
+}
+
 // Update inserts c or repositions it under its current key.
 func (x *Index) Update(c Candidate) {
-	key := x.keyed.Key(c)
+	key := x.router.Key(c)
 	if i := x.slot(c.ID); i >= 0 {
 		old := x.heap[i].key
 		x.heap[i].key = key
@@ -136,8 +112,7 @@ func (x *Index) Remove(id int) {
 	}
 }
 
-// less orders the heap: by key, then by group ID — the scan's first-wins
-// tie-break over ascending-ID slates.
+// less orders the heap: by key, then by group ID.
 func (x *Index) less(a, b indexEntry) bool {
 	if a.key != b.key {
 		return a.key < b.key

@@ -5,41 +5,45 @@ import (
 	"testing"
 )
 
-func TestKeyedRouterRegistry(t *testing.T) {
-	// Exactly the scalar-key routers are Keyed; stateful ones must stay on
-	// the scan path (their picks are not a per-candidate minimum).
-	keyed := map[string]bool{"least-loaded": true, "least-kv": true, "queue-depth": true}
-	for _, name := range RouterNames {
-		r, err := NewRouterByName(name, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := r.(Keyed); ok != keyed[name] {
-			t.Errorf("router %s: Keyed = %v, want %v", name, ok, keyed[name])
+// argmin is the dispatch oracle: the candidate minimizing (Key, ID),
+// found by a plain scan. It returns -1 for an empty slate.
+func argmin(r Router, cs []Candidate) int {
+	best, bestKey := -1, 0.0
+	for _, c := range cs {
+		k := r.Key(c)
+		if best < 0 || k < bestKey || (k == bestKey && c.ID < best) {
+			best, bestKey = c.ID, k
 		}
 	}
+	return best
 }
 
 func TestIndexBasicOps(t *testing.T) {
-	x := NewIndex(NewLeastKVDemand())
+	x := NewIndex(NewQueueDepth())
 	if _, ok := x.Min(); ok {
 		t.Fatal("empty index has a min")
 	}
-	x.Update(Candidate{ID: 3, DemandTokens: 30, CapacityTokens: 100})
-	x.Update(Candidate{ID: 1, DemandTokens: 50, CapacityTokens: 100})
-	x.Update(Candidate{ID: 2, DemandTokens: 30, CapacityTokens: 100})
+	x.Update(Candidate{ID: 3, QueueLen: 30, CapacityTokens: 100})
+	x.Update(Candidate{ID: 1, QueueLen: 50, CapacityTokens: 100})
+	x.Update(Candidate{ID: 2, QueueLen: 30, CapacityTokens: 100})
 	if id, _ := x.Min(); id != 2 {
 		t.Fatalf("Min = %d, want 2 (key tie broken by lowest ID)", id)
 	}
 	// Repositioning under a new key.
-	x.Update(Candidate{ID: 1, DemandTokens: 5, CapacityTokens: 100})
+	x.Update(Candidate{ID: 1, QueueLen: 5, CapacityTokens: 100})
 	if id, _ := x.Min(); id != 1 {
 		t.Fatalf("Min after update = %d, want 1", id)
+	}
+	if k, ok := x.Key(1); !ok || k != 5 {
+		t.Fatalf("Key(1) = %v, %v; want 5, true", k, ok)
 	}
 	x.Remove(1)
 	x.Remove(99) // unknown IDs are a no-op
 	if id, _ := x.Min(); id != 2 {
 		t.Fatalf("Min after remove = %d, want 2", id)
+	}
+	if _, ok := x.Key(1); ok {
+		t.Fatal("removed ID still has a key")
 	}
 	if x.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", x.Len())
@@ -58,27 +62,18 @@ type oracleGroup struct {
 
 // TestIndexMatchesScanOracle is the dispatch-equivalence property test:
 // over randomized demand/queue/capacity/close/role-change sequences on a
-// 512-group fleet, every keyed router's incrementally maintained index
-// must pick exactly what its full scan over the ascending-ID slate picks,
-// at every step. The non-keyed routers (round-robin, p2c, affinity) ride
-// along on the same slates: two identically seeded instances must make
-// identical, in-range picks — the scan fallback's determinism contract.
+// 512-group fleet, each router's incrementally maintained index must pick
+// exactly what argmin finds by scanning the active slate, at every step.
 func TestIndexMatchesScanOracle(t *testing.T) {
 	const nGroups = 512
-	keyedNames := []string{"least-loaded", "least-kv", "queue-depth"}
+	routers := []Router{NewLeastLoaded(), NewQueueDepth()}
 	for _, seed := range []int64{1, 7, 42} {
 		rng := rand.New(rand.NewSource(seed))
 
 		groups := make([]oracleGroup, nGroups)
-		keyed := make([]Keyed, len(keyedNames))
-		indexes := make([]*Index, len(keyedNames))
-		for i, name := range keyedNames {
-			r, err := NewRouterByName(name, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			keyed[i] = r.(Keyed)
-			indexes[i] = NewIndex(keyed[i])
+		indexes := make([]*Index, len(routers))
+		for i, r := range routers {
+			indexes[i] = NewIndex(r)
 		}
 		update := func(g *oracleGroup) {
 			for _, x := range indexes {
@@ -97,17 +92,6 @@ func TestIndexMatchesScanOracle(t *testing.T) {
 			}
 			update(&groups[i])
 		}
-
-		// Identically seeded scan-router pairs must agree step for step.
-		type pair struct{ a, b Router }
-		scanPairs := map[string]pair{}
-		for _, name := range []string{"round-robin", "p2c", "affinity"} {
-			a, _ := NewRouterByName(name, seed)
-			b, _ := NewRouterByName(name, seed)
-			scanPairs[name] = pair{a, b}
-		}
-		r := req(1, 0, "")
-		r.Client = "tenant-a"
 
 		var slate []Candidate
 		for step := 0; step < 3000; step++ {
@@ -153,29 +137,20 @@ func TestIndexMatchesScanOracle(t *testing.T) {
 			if len(slate) == 0 {
 				continue
 			}
-			for i, k := range keyed {
-				want := slate[k.Route(r, slate)].ID
+			for i, r := range routers {
+				want := argmin(r, slate)
 				got, ok := indexes[i].Min()
 				if !ok {
 					t.Fatalf("seed %d step %d: %s index empty with %d active",
-						seed, step, k.Name(), len(slate))
+						seed, step, r.Name(), len(slate))
 				}
 				if got != want {
 					t.Fatalf("seed %d step %d: %s index picked %d, scan picked %d",
-						seed, step, k.Name(), got, want)
+						seed, step, r.Name(), got, want)
 				}
 				if indexes[i].Len() != len(slate) {
 					t.Fatalf("seed %d step %d: %s index holds %d of %d active",
-						seed, step, k.Name(), indexes[i].Len(), len(slate))
-				}
-			}
-			for name, p := range scanPairs {
-				ia, ib := p.a.Route(r, slate), p.b.Route(r, slate)
-				if ia != ib {
-					t.Fatalf("seed %d step %d: %s diverged: %d vs %d", seed, step, name, ia, ib)
-				}
-				if ia < 0 || ia >= len(slate) {
-					t.Fatalf("seed %d step %d: %s out of range: %d", seed, step, name, ia)
+						seed, step, r.Name(), indexes[i].Len(), len(slate))
 				}
 			}
 		}

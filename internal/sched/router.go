@@ -1,17 +1,8 @@
 package sched
 
-import (
-	"encoding/binary"
-	"hash/fnv"
-	"math/rand"
-
-	"kunserve/internal/request"
-)
-
 // LeastLoaded routes to the group with the lowest demand/capacity ratio —
 // the Llumnix-style load-balancing dispatcher every evaluated system
-// shares (§3), and the cluster's default. Ties keep the earliest
-// candidate, reproducing the original inlined loop exactly.
+// shares (§3), and the cluster's default.
 type LeastLoaded struct{}
 
 // NewLeastLoaded returns the default least-loaded router.
@@ -20,110 +11,14 @@ func NewLeastLoaded() *LeastLoaded { return &LeastLoaded{} }
 // Name implements Router.
 func (*LeastLoaded) Name() string { return "least-loaded" }
 
-// Route implements Router.
-func (*LeastLoaded) Route(_ *request.Request, cands []Candidate) int {
-	best := 0
-	bestLoad := cands[0].Load()
-	for i := 1; i < len(cands); i++ {
-		if load := cands[i].Load(); load < bestLoad {
-			best, bestLoad = i, load
-		}
-	}
-	return best
-}
-
-// RoundRobin cycles through the live groups in registration order,
-// ignoring load. The cursor survives group churn: it indexes the current
-// candidate set modulo its size, so reconfiguration merely rotates the
-// cycle rather than resetting it.
-type RoundRobin struct {
-	next int
-}
-
-// NewRoundRobin returns a round-robin router.
-func NewRoundRobin() *RoundRobin { return &RoundRobin{} }
-
-// Name implements Router.
-func (*RoundRobin) Name() string { return "round-robin" }
-
-// Route implements Router.
-func (r *RoundRobin) Route(_ *request.Request, cands []Candidate) int {
-	i := r.next % len(cands)
-	r.next = (i + 1) % len(cands)
-	return i
-}
-
-// PowerOfTwo samples two distinct groups uniformly and routes to the less
-// loaded of the pair (the classic load-balancing compromise: near-optimal
-// balance at O(1) state). Sampling comes from its own seeded RNG, so runs
-// are reproducible.
-type PowerOfTwo struct {
-	rng *rand.Rand
-}
-
-// NewPowerOfTwo returns a power-of-two-choices router seeded
-// deterministically from seed.
-func NewPowerOfTwo(seed int64) *PowerOfTwo {
-	// Decorrelate from the simulation kernel, which is seeded with the
-	// same cluster seed (splitmix64-style finalizer).
-	x := uint64(seed) + 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	return &PowerOfTwo{rng: rand.New(rand.NewSource(int64(x >> 1)))}
-}
-
-// Name implements Router.
-func (*PowerOfTwo) Name() string { return "p2c" }
-
-// Route implements Router.
-func (p *PowerOfTwo) Route(_ *request.Request, cands []Candidate) int {
-	n := len(cands)
-	if n == 1 {
-		return 0
-	}
-	i := p.rng.Intn(n)
-	j := p.rng.Intn(n - 1)
-	if j >= i {
-		j++
-	}
-	// Lower load wins; ties keep the lower index for determinism.
-	li, lj := cands[i].Load(), cands[j].Load()
-	if lj < li || (lj == li && j < i) {
-		return j
-	}
-	return i
-}
-
-// LeastKVDemand routes to the group with the smallest absolute KV demand
-// in tokens. Unlike LeastLoaded it ignores capacity, so after a parameter
-// drop reshapes capacities it steers new prompts toward the group with the
-// least queued KV work rather than the proportionally emptiest one.
-type LeastKVDemand struct{}
-
-// NewLeastKVDemand returns a least-KV-demand router.
-func NewLeastKVDemand() *LeastKVDemand { return &LeastKVDemand{} }
-
-// Name implements Router.
-func (*LeastKVDemand) Name() string { return "least-kv" }
-
-// Route implements Router.
-func (*LeastKVDemand) Route(_ *request.Request, cands []Candidate) int {
-	best := 0
-	for i := 1; i < len(cands); i++ {
-		if cands[i].DemandTokens < cands[best].DemandTokens {
-			best = i
-		}
-	}
-	return best
-}
+// Key implements Router: the candidate's demand/capacity ratio.
+func (*LeastLoaded) Key(c Candidate) float64 { return c.Load() }
 
 // QueueDepth routes to the candidate with the fewest waiting requests,
-// ignoring KV demand; ties keep the earliest candidate. This is the
-// disaggregated prefill dispatcher: a prefill pool's queues drain at
-// prompt-processing speed, so queue depth — not resident KV, which
-// prefill groups shed at every handoff — is the congestion signal that
-// predicts a new prompt's wait.
+// ignoring KV demand. This is the disaggregated prefill dispatcher: a
+// prefill pool's queues drain at prompt-processing speed, so queue depth —
+// not resident KV, which prefill groups shed at every handoff — is the
+// congestion signal that predicts a new prompt's wait.
 type QueueDepth struct{}
 
 // NewQueueDepth returns a queue-depth router.
@@ -132,49 +27,5 @@ func NewQueueDepth() *QueueDepth { return &QueueDepth{} }
 // Name implements Router.
 func (*QueueDepth) Name() string { return "queue-depth" }
 
-// Route implements Router.
-func (*QueueDepth) Route(_ *request.Request, cands []Candidate) int {
-	best := 0
-	for i := 1; i < len(cands); i++ {
-		if cands[i].QueueLen < cands[best].QueueLen {
-			best = i
-		}
-	}
-	return best
-}
-
-// ClientAffinity pins each client's requests to a stable group via
-// rendezvous (highest-random-weight) hashing over (client, group ID),
-// giving per-tenant locality (KV reuse, noisy-neighbor isolation) at the
-// price of balance. Rendezvous hashing keeps placements stable under
-// group churn: when reconfiguration dissolves a group, only the clients
-// that lived on it move. Untagged requests fall back to least-loaded
-// routing.
-type ClientAffinity struct {
-	fallback LeastLoaded
-}
-
-// NewClientAffinity returns a client-affinity router.
-func NewClientAffinity() *ClientAffinity { return &ClientAffinity{} }
-
-// Name implements Router.
-func (*ClientAffinity) Name() string { return "affinity" }
-
-// Route implements Router.
-func (a *ClientAffinity) Route(r *request.Request, cands []Candidate) int {
-	if r == nil || r.Client == "" {
-		return a.fallback.Route(r, cands)
-	}
-	best, bestW := 0, uint64(0)
-	for i, c := range cands {
-		h := fnv.New64a()
-		h.Write([]byte(r.Client))
-		var id [8]byte
-		binary.LittleEndian.PutUint64(id[:], uint64(c.ID))
-		h.Write(id[:])
-		if w := h.Sum64(); i == 0 || w > bestW {
-			best, bestW = i, w
-		}
-	}
-	return best
-}
+// Key implements Router.
+func (*QueueDepth) Key(c Candidate) float64 { return float64(c.QueueLen) }

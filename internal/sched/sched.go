@@ -1,12 +1,11 @@
-// Package sched is the pluggable scheduling layer: routers decide which
-// serving group a dispatched request joins, disciplines order each group's
-// wait queue, and SLO class targets parameterize both the deadline-driven
-// disciplines and the per-class attainment metrics. The cluster wires a
-// Router into its dispatcher and a Discipline into every group, the same
-// way cluster.Policy plugs in overload handling — so multi-tenant and
-// SLO-differentiated scenarios swap scheduling policies atop one shared
-// engine. Every implementation is seed-deterministic: the same seed and
-// request stream always produce the same placement and order.
+// Package sched is the scheduling layer: routers rank the serving groups a
+// dispatched request may join, disciplines order each group's wait queue,
+// and SLO class targets parameterize both the deadline-driven disciplines
+// and the per-class attainment metrics. A router is a scalar key per
+// candidate; the cluster keeps its candidates in an Index under that key
+// and dispatches to the (key, group ID) minimum. Every group gets its own
+// Discipline. Every implementation is deterministic: the same request
+// stream always produces the same placement and order.
 package sched
 
 import (
@@ -19,9 +18,8 @@ import (
 
 // Candidate is one live serving group as the router sees it: its identity,
 // its current KV memory demand/capacity in tokens, and its wait-queue
-// depth. Candidates are presented in stable group-registration order, and
-// only groups whose role admits new arrivals appear (the dispatcher
-// filters decode-role groups out before routing).
+// depth. Only groups whose role admits new arrivals are candidates: decode
+// groups receive work by KV handoff, never from the dispatcher.
 type Candidate struct {
 	ID             int
 	DemandTokens   int
@@ -36,13 +34,15 @@ func (c Candidate) Load() float64 {
 	return float64(c.DemandTokens) / float64(c.CapacityTokens)
 }
 
-// Router picks the serving group a dispatched request joins.
+// Router ranks the groups a dispatched request may join: the request goes
+// to the candidate with the smallest key, the lowest group ID winning
+// ties. Keys must be totally ordered (never NaN): every candidate has
+// positive KV capacity.
 type Router interface {
-	// Name identifies the router in flags and output.
+	// Name identifies the router in trace events and output.
 	Name() string
-	// Route returns the index into cands of the chosen group. cands is
-	// never empty; the result must be in range.
-	Route(r *request.Request, cands []Candidate) int
+	// Key returns c's ranking key.
+	Key(c Candidate) float64
 }
 
 // Discipline orders one group's wait queue. The group admits from the head
@@ -64,8 +64,6 @@ type Discipline interface {
 	Pop() *request.Request
 	// Len returns the queued-request count.
 	Len() int
-	// Items returns the queued requests in dispatch order (a copy).
-	Items() []*request.Request
 	// Each visits every queued request in dispatch order without copying.
 	Each(fn func(*request.Request))
 }
@@ -95,34 +93,8 @@ func (t ClassTargets) Names() []string {
 	return out
 }
 
-// RouterNames lists the built-in routers in NewRouterByName's canonical
-// spelling.
-var RouterNames = []string{"least-loaded", "round-robin", "p2c", "least-kv", "affinity", "queue-depth"}
-
 // DisciplineNames lists the built-in queue disciplines.
 var DisciplineNames = []string{"fcfs", "priority", "edf"}
-
-// NewRouterByName builds a named router. seed drives any internal
-// randomness (power-of-two-choices sampling), so equal seeds reproduce
-// equal placements.
-func NewRouterByName(name string, seed int64) (Router, error) {
-	switch name {
-	case "", "least-loaded":
-		return NewLeastLoaded(), nil
-	case "round-robin", "rr":
-		return NewRoundRobin(), nil
-	case "p2c", "power-of-two", "power-of-two-choices":
-		return NewPowerOfTwo(seed), nil
-	case "least-kv", "least-kv-demand":
-		return NewLeastKVDemand(), nil
-	case "affinity", "client-affinity":
-		return NewClientAffinity(), nil
-	case "queue-depth", "least-queued":
-		return NewQueueDepth(), nil
-	}
-	return nil, fmt.Errorf("sched: unknown router %q (valid: %s)",
-		name, strings.Join(RouterNames, ", "))
-}
 
 // NewDisciplineByName builds a named queue discipline against the given
 // class targets (deadline- and priority-driven disciplines read them; FCFS

@@ -24,69 +24,32 @@ func cands(loads ...[2]int) []Candidate {
 	return out
 }
 
+// pick dispatches over cs through an Index, inserting in reverse ID order
+// so a tie cannot fall to whichever candidate arrived first.
+func pick(t *testing.T, r Router, cs []Candidate) int {
+	t.Helper()
+	x := NewIndex(r)
+	for i := len(cs) - 1; i >= 0; i-- {
+		x.Update(cs[i])
+	}
+	id, ok := x.Min()
+	if !ok {
+		t.Fatal("index empty")
+	}
+	if want := argmin(r, cs); id != want {
+		t.Fatalf("%s: index picked %d, argmin over Key %d", r.Name(), id, want)
+	}
+	return id
+}
+
 func TestLeastLoadedPicksStrictMinKeepingFirstTie(t *testing.T) {
 	r := NewLeastLoaded()
 	// loads: 0.5, 0.25, 0.25 — tie between 1 and 2 keeps 1.
-	got := r.Route(nil, cands([2]int{50, 100}, [2]int{25, 100}, [2]int{25, 100}))
-	if got != 1 {
-		t.Errorf("Route = %d, want 1", got)
+	if got := pick(t, r, cands([2]int{50, 100}, [2]int{25, 100}, [2]int{25, 100})); got != 1 {
+		t.Errorf("pick = %d, want 1", got)
 	}
-	if r.Route(nil, cands([2]int{10, 100})) != 0 {
+	if pick(t, r, cands([2]int{10, 100})) != 0 {
 		t.Error("single candidate must route to 0")
-	}
-}
-
-func TestRoundRobinCyclesAndSurvivesChurn(t *testing.T) {
-	r := NewRoundRobin()
-	cs := cands([2]int{0, 1}, [2]int{0, 1}, [2]int{0, 1})
-	var got []int
-	for i := 0; i < 5; i++ {
-		got = append(got, r.Route(nil, cs))
-	}
-	if want := []int{0, 1, 2, 0, 1}; !reflect.DeepEqual(got, want) {
-		t.Errorf("cycle = %v, want %v", got, want)
-	}
-	// Shrinking the candidate set must not index out of range.
-	if i := r.Route(nil, cands([2]int{0, 1})); i != 0 {
-		t.Errorf("after churn Route = %d", i)
-	}
-}
-
-func TestPowerOfTwoDeterministicPerSeedAndInRange(t *testing.T) {
-	cs := cands([2]int{90, 100}, [2]int{10, 100}, [2]int{50, 100}, [2]int{70, 100})
-	a, b := NewPowerOfTwo(7), NewPowerOfTwo(7)
-	for i := 0; i < 64; i++ {
-		ia, ib := a.Route(nil, cs), b.Route(nil, cs)
-		if ia != ib {
-			t.Fatalf("same seed diverged at step %d: %d vs %d", i, ia, ib)
-		}
-		if ia < 0 || ia >= len(cs) {
-			t.Fatalf("out of range: %d", ia)
-		}
-	}
-	// Of two sampled groups it must take the less loaded: group 0 (90%)
-	// should be chosen far less often than group 1 (10%).
-	counts := make([]int, 4)
-	p := NewPowerOfTwo(3)
-	for i := 0; i < 400; i++ {
-		counts[p.Route(nil, cs)]++
-	}
-	if counts[1] <= counts[0] {
-		t.Errorf("p2c did not prefer the lightly loaded group: %v", counts)
-	}
-	if counts[0]+counts[1]+counts[2]+counts[3] != 400 {
-		t.Errorf("counts lost routes: %v", counts)
-	}
-}
-
-func TestLeastKVDemandIgnoresCapacity(t *testing.T) {
-	// Group 0 has less absolute demand but is proportionally fuller.
-	cs := cands([2]int{40, 50}, [2]int{60, 1000})
-	if got := NewLeastKVDemand().Route(nil, cs); got != 0 {
-		t.Errorf("Route = %d, want 0 (least absolute demand)", got)
-	}
-	if got := NewLeastLoaded().Route(nil, cs); got != 1 {
-		t.Errorf("least-loaded sanity: Route = %d, want 1", got)
 	}
 }
 
@@ -97,67 +60,12 @@ func TestQueueDepthPicksShortestQueueKeepingFirstTie(t *testing.T) {
 		{ID: 1, QueueLen: 1, DemandTokens: 99, CapacityTokens: 100},
 		{ID: 2, QueueLen: 1, DemandTokens: 0, CapacityTokens: 100},
 	}
-	// Shortest queue wins regardless of KV load; ties keep the earliest.
-	if got := r.Route(nil, cands); got != 1 {
-		t.Errorf("route = %d, want 1", got)
+	// Shortest queue wins regardless of KV load; ties keep the lowest ID.
+	if got := pick(t, r, cands); got != 1 {
+		t.Errorf("pick = %d, want 1", got)
 	}
-	if got := r.Route(nil, cands[:1]); got != 0 {
+	if got := pick(t, r, cands[:1]); got != 0 {
 		t.Errorf("single candidate = %d", got)
-	}
-}
-
-func TestClientAffinityStableAndFallsBack(t *testing.T) {
-	r := NewClientAffinity()
-	cs := cands([2]int{90, 100}, [2]int{10, 100}, [2]int{50, 100})
-	ra := req(1, 0, "")
-	ra.Client = "tenant-a"
-	first := r.Route(ra, cs)
-	for i := 0; i < 8; i++ {
-		if got := r.Route(ra, cs); got != first {
-			t.Fatalf("affinity moved: %d != %d", got, first)
-		}
-	}
-	rb := req(2, 0, "")
-	rb.Client = "tenant-b"
-	_ = r.Route(rb, cs) // must be in range; may or may not collide
-	// Untagged requests fall back to least-loaded.
-	if got := r.Route(req(3, 0, ""), cs); got != 1 {
-		t.Errorf("untagged Route = %d, want least-loaded 1", got)
-	}
-}
-
-// Rendezvous hashing keeps affinity stable under group churn: removing a
-// group a client does not live on must not move that client.
-func TestClientAffinityStableUnderChurn(t *testing.T) {
-	r := NewClientAffinity()
-	full := make([]Candidate, 8)
-	for i := range full {
-		full[i] = Candidate{ID: i, DemandTokens: 10, CapacityTokens: 100}
-	}
-	clients := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j"}
-	home := map[string]int{} // client -> group ID
-	for i, name := range clients {
-		rq := req(i, 0, "")
-		rq.Client = name
-		home[name] = full[r.Route(rq, full)].ID
-	}
-	// Dissolve group 3: every client homed elsewhere must stay put.
-	churned := make([]Candidate, 0, 7)
-	for _, c := range full {
-		if c.ID != 3 {
-			churned = append(churned, c)
-		}
-	}
-	for i, name := range clients {
-		if home[name] == 3 {
-			continue
-		}
-		rq := req(100+i, 0, "")
-		rq.Client = name
-		if got := churned[r.Route(rq, churned)].ID; got != home[name] {
-			t.Errorf("client %s moved %d -> %d when an unrelated group dissolved",
-				name, home[name], got)
-		}
 	}
 }
 
@@ -180,7 +88,7 @@ func TestFCFSOrderAndPushFront(t *testing.T) {
 }
 
 // FCFS matches a plain-slice model under seeded random Push, PushFront
-// and Pop, with Items, Each, Peek and Len checked after every operation,
+// and Pop, with Each, Peek and Len checked after every operation,
 // and every slot outside the queue stays nil (no retained requests).
 func TestFCFSMatchesSliceModel(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
@@ -220,8 +128,8 @@ func TestFCFSMatchesSliceModel(t *testing.T) {
 			}
 			var each []*request.Request
 			f.Each(func(r *request.Request) { each = append(each, r) })
-			if items := f.Items(); !slices.Equal(items, model) || !slices.Equal(each, model) {
-				t.Fatalf("seed %d op %d: Items %v / Each %v, model %v", seed, op, items, each, model)
+			if !slices.Equal(each, model) {
+				t.Fatalf("seed %d op %d: Each %v, model %v", seed, op, each, model)
 			}
 			for i, r := range f.q[:cap(f.q)] {
 				if (i < f.head || i >= len(f.q)) && r != nil {
@@ -298,9 +206,6 @@ func TestPriorityOrdersByClassThenArrival(t *testing.T) {
 	if want := []int{2, 4, 1, 5, 3}; !reflect.DeepEqual(ids, want) {
 		t.Errorf("order = %v, want %v", ids, want)
 	}
-	if got := q.Items(); len(got) != 5 || got[0].ID != 2 {
-		t.Errorf("Items = %v", got)
-	}
 }
 
 func TestEDFOrdersByDeadline(t *testing.T) {
@@ -326,14 +231,6 @@ func TestEDFOrdersByDeadline(t *testing.T) {
 }
 
 func TestRegistries(t *testing.T) {
-	for _, name := range RouterNames {
-		r, err := NewRouterByName(name, 1)
-		if err != nil || r == nil {
-			t.Errorf("router %q: %v", name, err)
-		} else if r.Name() != name {
-			t.Errorf("router %q reports name %q", name, r.Name())
-		}
-	}
 	for _, name := range DisciplineNames {
 		d, err := NewDisciplineByName(name, nil)
 		if err != nil || d == nil {
@@ -342,15 +239,9 @@ func TestRegistries(t *testing.T) {
 			t.Errorf("discipline %q reports name %q", name, d.Name())
 		}
 	}
-	// Empty names select the defaults.
-	if r, err := NewRouterByName("", 1); err != nil || r.Name() != "least-loaded" {
-		t.Errorf("default router: %v %v", r, err)
-	}
+	// The empty name selects the default.
 	if d, err := NewDisciplineByName("", nil); err != nil || d.Name() != "fcfs" {
 		t.Errorf("default discipline: %v %v", d, err)
-	}
-	if _, err := NewRouterByName("nope", 1); err == nil {
-		t.Error("unknown router accepted")
 	}
 	if _, err := NewDisciplineByName("nope", nil); err == nil {
 		t.Error("unknown discipline accepted")
