@@ -2,7 +2,7 @@
 // artifact at reduced scale and reporting its headline metrics via
 // b.ReportMetric) plus micro-benchmarks for the design choices DESIGN.md
 // calls out (drop-plan generation, lookahead formulation, cost-model
-// fitting, virtual-memory remap, coordinated transfer, event kernel).
+// fitting, coordinated transfer, event kernel).
 //
 // Run: go test -bench=. -benchmem
 package kunserve
@@ -23,7 +23,6 @@ import (
 	"kunserve/internal/experiments"
 	"kunserve/internal/gpu"
 	"kunserve/internal/kvcache"
-	"kunserve/internal/memory"
 	"kunserve/internal/model"
 	"kunserve/internal/network"
 	"kunserve/internal/obs"
@@ -552,25 +551,6 @@ func BenchmarkCostModelEval(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if m.BatchSeconds(work) <= 0 {
 			b.Fatal("degenerate")
-		}
-	}
-}
-
-func BenchmarkMemoryRemap(b *testing.B) {
-	mgr := memory.NewManager(80 << 30)
-	if _, err := mgr.Reserve("params", 28<<30); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := mgr.Reserve("kvcache", 40<<30); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mgr.MoveBetween("params", "kvcache", 14<<30); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := mgr.MoveBetween("kvcache", "params", 14<<30); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

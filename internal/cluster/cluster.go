@@ -167,26 +167,16 @@ type Cluster struct {
 	dispatchErr     error
 	dispatchDropped int
 
-	// Dispatch candidate state. activeGroups is the persistent active
-	// candidate set (open groups whose role admits arrivals, ascending
-	// group ID — registration order); it is rebuilt only when membership
-	// or a role changes (activeStale), never per request. byID resolves
-	// an index pick back to its group (a dense slice — group IDs are
-	// small monotonic ints). index is the router's incremental (key, ID)
-	// ordering of the active set; dirtyGroups queues groups whose key
-	// inputs changed since the last sync (edge-triggered engine load
-	// notifications, pool resizes).
-	activeGroups []*Group
-	byID         []*Group
-	activeStale  bool
-	index        *sched.Index
-	dirtyGroups  []*Group
-
-	// totalDemandTokens mirrors the sum of every open group's
-	// DemandTokens, synced from the dirty list at each read so the
-	// monitor's DemandBytes is O(d) in dirty groups instead of a fleet
-	// walk.
-	totalDemandTokens int64
+	// Dispatch candidate state. index is the router's incremental
+	// (key, ID) ordering of the open groups whose role admits arrivals:
+	// NewGroup inserts a group, and SetRole and removeGroup take out one
+	// that stops admitting them. byID resolves an index pick back to its
+	// group (a dense slice — group IDs are small monotonic ints).
+	// dirtyGroups queues groups whose key inputs changed since the last
+	// sync (edge-triggered engine load notifications, pool resizes).
+	byID        []*Group
+	index       *sched.Index
+	dirtyGroups []*Group
 
 	// reqPool recycles finished request structs: live request memory
 	// scales with concurrency, not trace length.
@@ -256,7 +246,6 @@ func New(cfg Config) (*Cluster, error) {
 			return nil, fmt.Errorf("cluster: NewDiscipline returned nil")
 		}
 	}
-	c.activeStale = true
 	c.index = sched.NewIndex(c.router)
 	c.Fabric = network.NewFabric(c.Sim, cfg.Instances, cfg.NetBandwidth, network.DefaultLatency)
 	for i := 0; i < cfg.Instances; i++ {
@@ -295,25 +284,20 @@ func (c *Cluster) NewGroup(instanceIDs []int) (*Group, error) {
 		c.byID = append(c.byID, nil)
 	}
 	c.byID[g.ID] = g
-	c.invalidateActive()
+	// A new group's role is collocated, which admits arrivals.
+	c.index.Update(g.candidate())
 	return g, nil
 }
 
-// invalidateActive marks the dispatcher's cached candidate set stale; the
-// next dispatch (or index read) rebuilds it. Fired on group creation and
-// removal and on role changes.
-func (c *Cluster) invalidateActive() { c.activeStale = true }
-
 // noteLoadChanged queues a group whose demand accounting changed (the
 // engine's edge-triggered LoadChanged); the exact value is read back at
-// the next sync point. The fleet demand total and the dispatch index are
-// both synced from the dirty list.
+// the next dispatch.
 func (c *Cluster) noteLoadChanged(g *Group) { c.markDirty(g) }
 
 // markDirty queues a group whose routing key inputs (demand, queue depth,
 // capacity) changed since the last sync. O(1) per change: the flush at
-// the next dispatch (or DemandBytes read) coalesces however many deltas a
-// round produced into one demand fold and one index update per group.
+// the next dispatch coalesces however many deltas a round produced into
+// one index update per group.
 func (c *Cluster) markDirty(g *Group) {
 	if g.idxDirty {
 		return
@@ -322,59 +306,19 @@ func (c *Cluster) markDirty(g *Group) {
 	c.dirtyGroups = append(c.dirtyGroups, g)
 }
 
-// syncDemand drains the dirty list: per group, re-arm the engine's load
-// notification, fold the group's exact DemandTokens into the fleet total
-// (replacing its previous contribution), and — when the candidate set is
-// current — apply the key change to the index. O(d log n) for d dirty
-// groups. While the candidate set is stale the index updates are skipped;
-// rebuildActive reloads the index wholesale.
-func (c *Cluster) syncDemand() {
-	if len(c.dirtyGroups) == 0 {
-		return
-	}
-	indexLive := !c.activeStale
+// syncIndex drains the dirty list: per group, re-arm the engine's load
+// notification and re-key the group in the index if it is there. O(d log n)
+// for d dirty groups.
+func (c *Cluster) syncIndex() {
 	for i, g := range c.dirtyGroups {
 		g.idxDirty = false
 		c.dirtyGroups[i] = nil
 		g.AckLoadNotify()
-		d := g.DemandTokens()
-		c.totalDemandTokens += int64(d - g.lastDemandTokens)
-		g.lastDemandTokens = d
-		if indexLive && g.inActive {
+		if g.admitsArrivals() {
 			c.index.Update(g.candidate())
 		}
 	}
 	c.dirtyGroups = c.dirtyGroups[:0]
-}
-
-// rebuildActive refreshes the persistent active candidate set and reloads
-// the index after a membership or role change. The freed tail of the
-// reused backing array is cleared so closed groups' pointers do not
-// outlive their removal.
-func (c *Cluster) rebuildActive() {
-	// Fold pending demand first (activeStale suppresses index updates;
-	// the reload below subsumes them).
-	c.syncDemand()
-	old := c.activeGroups
-	act := old[:0]
-	for _, g := range c.groups {
-		g.inActive = !g.Closed() && g.Role().AdmitsNewArrivals()
-		if g.inActive {
-			act = append(act, g)
-		}
-	}
-	// A shrink stays in the shared backing array (append never reallocates
-	// below the old length), so clearing the tail releases the dropped
-	// *Group pointers.
-	if len(act) < len(old) {
-		clear(old[len(act):])
-	}
-	c.activeGroups = act
-	c.activeStale = false
-	c.index.Reset()
-	for _, g := range act {
-		c.index.Update(g.candidate())
-	}
 }
 
 // Groups returns the live groups.
@@ -420,11 +364,10 @@ func (c *Cluster) removeGroup(g *Group) {
 			c.groups = append(c.groups[:i], c.groups[i+1:]...)
 			g.pool.Retire()
 			c.retiredPools = append(c.retiredPools, g.pool)
-			g.inActive = false
 			if g.ID < len(c.byID) {
 				c.byID[g.ID] = nil
 			}
-			c.invalidateActive()
+			c.index.Remove(g.ID)
 			return
 		}
 	}
@@ -464,16 +407,12 @@ func (g *Group) candidate() sched.Candidate {
 // instead of crashing when no live candidate exists; Serve aggregates
 // such errors into Err.
 //
-// The pick is the index minimum by (key, group ID). The active candidate
-// set persists across requests (invalidated only on membership or role
-// change) and engine load deltas queue point updates, so a dispatch costs
-// O(d log n) for d groups changed since the last one.
-// CheckDispatchIndex audits the index against the active set.
+// The pick is the index minimum by (key, group ID). Membership changes
+// where groups are formed, removed or change role, and engine load deltas
+// queue point updates, so a dispatch costs O(d log n) for d groups changed
+// since the last one. CheckDispatchIndex audits the index.
 func (c *Cluster) Dispatch(r *request.Request) error {
-	if c.activeStale {
-		c.rebuildActive()
-	}
-	c.syncDemand()
+	c.syncIndex()
 	id, ok := c.index.Min()
 	if !ok {
 		return fmt.Errorf("cluster: no live groups to dispatch request %d to", r.ID)
@@ -485,36 +424,29 @@ func (c *Cluster) Dispatch(r *request.Request) error {
 			Group: obs.GroupCluster, Track: "dispatch", Req: r.ID,
 			Args: [2]obs.Arg{
 				{Key: "group", Val: int64(target.ID)},
-				{Key: "candidates", Val: int64(len(c.activeGroups))},
+				{Key: "candidates", Val: int64(c.index.Len())},
 			}})
 	}
 	target.Enqueue(r)
 	return nil
 }
 
-// CheckDispatchIndex audits the dispatcher. It folds the dirty groups (a
-// stale candidate set is rebuilt, as the next Dispatch would), then
-// requires that every open group whose role admits arrivals is in the
-// active set and indexed under its current key, that no other group is
-// indexed, and that the index minimum is the (key, group ID) minimum over
-// the active set. Folding early leaves every later pick unchanged.
+// CheckDispatchIndex audits the dispatcher. It folds the dirty groups, as
+// the next Dispatch would, then requires that every open group whose role
+// admits arrivals is indexed under its current key, that no other group
+// is indexed, and that the index minimum is the (key, group ID) minimum
+// over those groups. Folding early leaves every later pick unchanged.
 func (c *Cluster) CheckDispatchIndex() error {
-	if c.activeStale {
-		c.rebuildActive()
-	}
-	c.syncDemand()
+	c.syncIndex()
 	active, best := 0, -1
 	var bestKey float64
 	for id, g := range c.byID {
 		key, indexed := c.index.Key(id)
-		if g == nil || g.Closed() || !g.Role().AdmitsNewArrivals() {
+		if g == nil || !g.admitsArrivals() {
 			if indexed {
 				return fmt.Errorf("cluster: group %d is indexed but cannot take arrivals", id)
 			}
 			continue
-		}
-		if !g.inActive {
-			return fmt.Errorf("cluster: group %d takes arrivals but is not in the active set", id)
 		}
 		want := c.router.Key(g.candidate())
 		if !indexed {
@@ -533,7 +465,7 @@ func (c *Cluster) CheckDispatchIndex() error {
 		return fmt.Errorf("cluster: index holds %d groups, %d are active", n, active)
 	}
 	if got, ok := c.index.Min(); ok != (best >= 0) || (ok && got != best) {
-		return fmt.Errorf("cluster: index minimum %d (ok %v), argmin over the active set %d", got, ok, best)
+		return fmt.Errorf("cluster: index minimum %d (ok %v), argmin over the active groups %d", got, ok, best)
 	}
 	return nil
 }
@@ -567,27 +499,17 @@ func (c *Cluster) Err() error {
 // bench/.
 func (c *Cluster) MonitorSkipped() int { return 0 }
 
-// DemandBytes returns cluster-wide KV memory demand in bytes. O(d) in
-// groups whose demand changed since the last sync: the total is folded
-// from the engines' edge-triggered load notifications (a closing group's
-// engine zeroes its contribution), so the monitor's per-tick read no
-// longer walks the fleet. TestClusterDemandTotalInvariant pins it to the
-// ground-truth walk.
+// DemandBytes returns cluster-wide KV memory demand in bytes: the engines'
+// incrementally kept DemandTokens, summed over the live groups once per
+// monitor tick.
 func (c *Cluster) DemandBytes() int64 {
-	c.syncDemand()
-	return c.totalDemandTokens * c.Model.KVBytesPerToken()
-}
-
-// demandTokensWalk recomputes the demand total by walking the open groups
-// (the invariant tests' oracle for the incremental DemandBytes).
-func (c *Cluster) demandTokensWalk() int64 {
 	var tokens int64
 	for _, g := range c.groups {
 		if !g.Closed() {
 			tokens += int64(g.DemandTokens())
 		}
 	}
-	return tokens
+	return tokens * c.Model.KVBytesPerToken()
 }
 
 // CapacityBytes returns cluster-wide KV capacity in bytes.

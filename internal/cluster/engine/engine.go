@@ -107,9 +107,9 @@ type Callbacks struct {
 	// decode growth) since the cluster last acknowledged with
 	// AckLoadNotify. The edge-triggered contract keeps the hot mutation
 	// path to one local branch per delta: the cluster marks the group
-	// dirty once, reads the exact DemandTokens at its next sync point,
-	// and re-arms the notification — so neither the fleet demand total
-	// nor the dispatch index is recomputed by scanning the fleet.
+	// dirty once, re-keys it in the dispatch index at its next sync point,
+	// and re-arms the notification — so the index is never rebuilt by
+	// scanning the fleet.
 	LoadChanged func()
 }
 
@@ -607,8 +607,7 @@ func (e *Engine) WalkRounds() int { return e.walkRounds }
 
 // demandAdd is the single mutation point for demandTokens; the first delta
 // since the last AckLoadNotify raises the edge-triggered LoadChanged so the
-// cluster's incremental totals and the dispatch index stay in lockstep with
-// the accounting. Queue-depth changes always ride along: every queue
+// dispatch index stays in lockstep with the accounting. Queue-depth changes always ride along: every queue
 // push/pop moves demand by the request's prompt, so one notification covers
 // both signals. In the steady state (a round's burst of deltas between two
 // cluster syncs) this is one predictable branch per delta, not a callback.

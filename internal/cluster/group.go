@@ -37,14 +37,9 @@ type Group struct {
 	pool      *kvcache.Pool
 
 	// idxDirty marks the group as queued on the cluster's dirty list for
-	// a demand fold and index key refresh (set by the first load/capacity
-	// change since the last sync, cleared by the flush). inActive mirrors
-	// membership in the cluster's persistent active candidate set, and
-	// lastDemandTokens is the group's contribution currently folded into
-	// the cluster demand total (both maintained by the cluster's sync).
-	idxDirty         bool
-	inActive         bool
-	lastDemandTokens int
+	// an index key refresh (set by the first load/capacity change since
+	// the last sync, cleared by the flush).
+	idxDirty bool
 }
 
 // newGroup wires a group over instances that must already hold the layer
@@ -143,7 +138,8 @@ func (g *Group) Instances() []*instance.Instance { return g.instances }
 // policy Setup, before any request reaches the group, and a Prefill role
 // requires the cluster's policy to implement PrefillFinisher (something
 // has to take the completed prefills). The role decides whether the
-// group admits arrivals, so it invalidates the dispatch candidates.
+// group admits arrivals, so it decides the group's place in the dispatch
+// index.
 func (g *Group) SetRole(role engine.Role) error {
 	if role == engine.RolePrefill {
 		if _, ok := g.cl.Policy.(PrefillFinisher); !ok {
@@ -154,8 +150,18 @@ func (g *Group) SetRole(role engine.Role) error {
 	if err := g.Engine.SetRole(role); err != nil {
 		return err
 	}
-	g.cl.invalidateActive()
+	if g.admitsArrivals() {
+		g.cl.index.Update(g.candidate())
+	} else {
+		g.cl.index.Remove(g.ID)
+	}
 	return nil
+}
+
+// admitsArrivals reports whether the dispatcher may route to the group: it
+// is open and its role takes new requests.
+func (g *Group) admitsArrivals() bool {
+	return !g.Closed() && g.Role().AdmitsNewArrivals()
 }
 
 // Stages returns the pipeline depth (1 = plain execution).

@@ -53,7 +53,7 @@ func TestRegroupMergeThenSplit(t *testing.T) {
 		if !in.HoldsFullCopy() {
 			t.Errorf("instance %d holds %d of %d layers after the split", in.ID, in.LayersHeld(), layers)
 		}
-		if err := in.Mem.CheckInvariants(); err != nil {
+		if err := in.CheckInvariants(); err != nil {
 			t.Error(err)
 		}
 	}

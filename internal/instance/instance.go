@@ -1,31 +1,48 @@
 // Package instance models one serving instance: the minimal GPU set holding
-// a complete copy of the model (§2.1). An instance aggregates its GPUs' HBM
-// into one memory.Manager partitioned into a framework reservation
-// (activations, workspace), the parameter region, and the KVCache region.
-// The local memory manager of §4.1 lives here: executing a drop plan moves
-// physical memory from the parameter range into the KVCache range at layer
-// granularity; restoration moves it back.
+// a complete copy of the model (§2.1), and its share of the local memory
+// manager of §4.1.
+//
+// Real KunServe allocates all GPU physical memory with cuMemCreate and binds
+// it to virtual ranges with cuMemMap/cuMemUnmap, so the attention kernels,
+// written against one contiguous KVCache range, can use physical memory
+// freed by dropped parameters without modification. An instance aggregates
+// its GPUs' HBM and counts it in 2 MiB physical chunks (ChunkSize, the CUDA
+// VMM granularity) split between a framework reservation (activations,
+// workspace), the parameter range, the KVCache range and unmapped memory.
+// Executing a drop plan remaps chunks from the parameter range onto the
+// KVCache tail at layer granularity; restoration remaps them back. Each
+// remap costs 2 µs per chunk with a 5 ms floor, so it appears in the
+// simulation timeline (the paper measures about 5 ms per drop, negligible
+// against inference time).
 package instance
 
 import (
 	"fmt"
 
 	"kunserve/internal/gpu"
-	"kunserve/internal/memory"
 	"kunserve/internal/model"
 	"kunserve/internal/sim"
-)
-
-// Region names inside the instance's memory manager.
-const (
-	RegionReserved = "reserved"
-	RegionParams   = "params"
-	RegionKVCache  = "kvcache"
 )
 
 // DefaultReservedFraction is the HBM share kept for activations and
 // framework workspace (vLLM's gpu_memory_utilization headroom).
 const DefaultReservedFraction = 0.10
+
+// ChunkSize is the physical allocation granularity (CUDA VMM uses 2 MiB).
+const ChunkSize = int64(2) << 20
+
+// chunksFor rounds bytes up to whole chunks: every region and every remap
+// maps whole chunks.
+func chunksFor(bytes int64) int64 {
+	return (bytes + ChunkSize - 1) / ChunkSize
+}
+
+// remapLatency is the simulated cost of one remap of the given chunks:
+// 2 µs per cuMemMap/cuMemUnmap call, floored at 5 ms for driver entry and
+// TLB shootdowns.
+func remapLatency(chunks int64) sim.Duration {
+	return max(sim.Duration(chunks)*2*sim.Microsecond, 5*sim.Millisecond)
+}
 
 // Instance is one model replica's worth of GPUs.
 type Instance struct {
@@ -34,8 +51,10 @@ type Instance struct {
 	// Model is the full model this instance can serve when holding all
 	// layers.
 	Model *model.Config
-	// Mem manages the instance's aggregate physical HBM.
-	Mem *memory.Manager
+
+	// The instance's aggregate HBM in chunks: total is conserved as
+	// reserved + params + kv + unmapped (CheckInvariants).
+	total, reserved, params, kv, unmapped int64
 
 	layersHeld int
 }
@@ -51,7 +70,8 @@ func New(id int, spec *gpu.Spec, cfg *model.Config) (*Instance, error) {
 // everything). The paper's evaluation provisions KVCache relative to the
 // average demand ("2.1x higher than the average requirement", §2.2) rather
 // than always dedicating all free HBM; memory freed by parameter drops is
-// still available on top of the provision.
+// still available on top of the provision. The total rounds down to whole
+// chunks, and each region rounds up.
 func NewProvisioned(id int, spec *gpu.Spec, cfg *model.Config, kvProvision int64) (*Instance, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -66,24 +86,36 @@ func NewProvisioned(id int, spec *gpu.Spec, cfg *model.Config, kvProvision int64
 		return nil, fmt.Errorf("instance %d: model %s (%d GB params) does not fit %d GB HBM",
 			id, cfg.Name, params/model.GiB, total/model.GiB)
 	}
-	m := memory.NewManager(total)
-	if _, err := m.Reserve(RegionReserved, reserved); err != nil {
-		return nil, err
+	in := &Instance{ID: id, Spec: spec, Model: cfg, layersHeld: cfg.Layers,
+		total: total / ChunkSize, reserved: chunksFor(reserved), params: chunksFor(params)}
+	in.unmapped = in.total - in.reserved - in.params
+	if in.unmapped < 0 {
+		return nil, fmt.Errorf("instance %d: reserved %d and parameter %d chunks exceed %d",
+			id, in.reserved, in.params, in.total)
 	}
-	if _, err := m.Reserve(RegionParams, params); err != nil {
-		return nil, err
+	// Unprovisioned memory stays unmapped (the driver would hand it out
+	// for other allocations); drops still extend the KVCache region
+	// beyond the provision.
+	in.kv = in.unmapped
+	if kvProvision > 0 && kvProvision < in.unmapped*ChunkSize {
+		in.kv = chunksFor(kvProvision)
 	}
-	kv := m.FreeBytes()
-	if kvProvision > 0 && kvProvision < kv {
-		// Unprovisioned memory stays unmapped (the driver would hand
-		// it out for other allocations); drops still extend the
-		// KVCache region beyond the provision.
-		kv = kvProvision
+	in.unmapped -= in.kv
+	return in, nil
+}
+
+// CheckInvariants verifies that the chunk counts are non-negative and
+// conserve the total.
+func (in *Instance) CheckInvariants() error {
+	if in.reserved < 0 || in.params < 0 || in.kv < 0 || in.unmapped < 0 {
+		return fmt.Errorf("instance %d: negative chunks: reserved %d params %d kv %d unmapped %d",
+			in.ID, in.reserved, in.params, in.kv, in.unmapped)
 	}
-	if _, err := m.Reserve(RegionKVCache, kv); err != nil {
-		return nil, err
+	if sum := in.reserved + in.params + in.kv + in.unmapped; sum != in.total {
+		return fmt.Errorf("instance %d: leak: mapped %d + unmapped %d != total %d",
+			in.ID, sum-in.unmapped, in.unmapped, in.total)
 	}
-	return &Instance{ID: id, Spec: spec, Model: cfg, Mem: m, layersHeld: cfg.Layers}, nil
+	return nil
 }
 
 // LayersHeld returns the number of resident layers.
@@ -93,14 +125,10 @@ func (in *Instance) LayersHeld() int { return in.layersHeld }
 func (in *Instance) HoldsFullCopy() bool { return in.layersHeld == in.Model.Layers }
 
 // KVBytes returns the KVCache region size.
-func (in *Instance) KVBytes() int64 {
-	return in.Mem.Range(RegionKVCache).Bytes()
-}
+func (in *Instance) KVBytes() int64 { return in.kv * ChunkSize }
 
 // ParamBytes returns the parameter region size.
-func (in *Instance) ParamBytes() int64 {
-	return in.Mem.Range(RegionParams).Bytes()
-}
+func (in *Instance) ParamBytes() int64 { return in.params * ChunkSize }
 
 // KVTokenCapacity returns how many tokens of KV this instance can hold when
 // serving `layers` of the model's layers per token (its pipeline-stage
@@ -114,8 +142,9 @@ func (in *Instance) KVTokenCapacity(layers int) int {
 }
 
 // DropLayers executes this instance's share of a drop plan: n layers are
-// released and their physical memory is remapped into the KVCache range
-// (§4.1). It returns the remap latency to charge to the simulation clock.
+// released and their physical memory, rounded up to chunks, is remapped
+// onto the KVCache tail (§4.1). It returns the remap latency to charge to
+// the simulation clock.
 func (in *Instance) DropLayers(n int) (sim.Duration, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("instance %d: drop %d layers", in.ID, n)
@@ -123,7 +152,7 @@ func (in *Instance) DropLayers(n int) (sim.Duration, error) {
 	if n > in.layersHeld {
 		return 0, fmt.Errorf("instance %d: drop %d of %d held layers", in.ID, n, in.layersHeld)
 	}
-	d, err := in.Mem.MoveBetween(RegionParams, RegionKVCache, in.Model.ParamBytesPerLayer()*int64(n))
+	d, err := in.remap(&in.params, &in.kv, "params", in.Model.ParamBytesPerLayer()*int64(n))
 	if err != nil {
 		return 0, err
 	}
@@ -131,15 +160,28 @@ func (in *Instance) DropLayers(n int) (sim.Duration, error) {
 	return d, nil
 }
 
+// remap moves bytes, rounded up to chunks, from the src count to the dst
+// count, failing when src is short.
+func (in *Instance) remap(src, dst *int64, from string, bytes int64) (sim.Duration, error) {
+	n := chunksFor(bytes)
+	if n > *src {
+		return 0, fmt.Errorf("instance %d: move %d chunks from %s, only %d mapped",
+			in.ID, n, from, *src)
+	}
+	*src -= n
+	*dst += n
+	return remapLatency(n), nil
+}
+
 // FreeBytes returns unmapped physical memory available to ExtendKV: the
 // HBM NewProvisioned left outside the KVCache provision. Drops map all
 // they free, so they leave none.
-func (in *Instance) FreeBytes() int64 { return in.Mem.FreeBytes() }
+func (in *Instance) FreeBytes() int64 { return in.unmapped * ChunkSize }
 
 // ExtendKV maps free physical memory (HBM outside the KVCache provision)
-// into the KVCache range.
+// onto the KVCache tail.
 func (in *Instance) ExtendKV(bytes int64) (sim.Duration, error) {
-	return in.Mem.Extend(RegionKVCache, bytes)
+	return in.remap(&in.unmapped, &in.kv, "unmapped", bytes)
 }
 
 // RestoreLayers reverses a drop: KVCache tail memory is unmapped and
@@ -160,12 +202,9 @@ func (in *Instance) RestoreLayers(n int) (sim.Duration, error) {
 	var total sim.Duration
 	// Claim unmapped memory first (HBM outside the KVCache provision
 	// that ExtendKV has not taken), then reclaim the KVCache tail.
-	if free := in.Mem.FreeBytes(); free > 0 {
-		take := free
-		if take > bytes {
-			take = bytes
-		}
-		d, err := in.Mem.Extend(RegionParams, take)
+	if in.unmapped > 0 {
+		take := min(in.FreeBytes(), bytes)
+		d, err := in.remap(&in.unmapped, &in.params, "unmapped", take)
 		if err != nil {
 			return 0, err
 		}
@@ -173,7 +212,7 @@ func (in *Instance) RestoreLayers(n int) (sim.Duration, error) {
 		bytes -= take
 	}
 	if bytes > 0 {
-		d, err := in.Mem.MoveBetween(RegionKVCache, RegionParams, bytes)
+		d, err := in.remap(&in.kv, &in.params, "kvcache", bytes)
 		if err != nil {
 			return 0, err
 		}

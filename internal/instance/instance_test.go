@@ -5,8 +5,8 @@ import (
 	"testing/quick"
 
 	"kunserve/internal/gpu"
-	"kunserve/internal/memory"
 	"kunserve/internal/model"
+	"kunserve/internal/sim"
 )
 
 func newInst(t *testing.T) *Instance {
@@ -28,7 +28,7 @@ func TestNewInstanceLayout(t *testing.T) {
 	if kvGB < 40 || kvGB > 50 {
 		t.Errorf("KV region = %.1f GB, want ~45", kvGB)
 	}
-	if err := in.Mem.CheckInvariants(); err != nil {
+	if err := in.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -38,6 +38,16 @@ func TestModelTooBigRejected(t *testing.T) {
 	cfg.GPUsPerInstance = 1 // 136 GB params on one 80 GB GPU
 	if _, err := New(0, gpu.A800(), cfg); err == nil {
 		t.Fatal("oversized model accepted")
+	}
+	// The bytes fit (1.05 + 8.5 of 10.5 chunks), but the regions round up
+	// to 2 + 9 chunks and the total down to 10.
+	spec := gpu.A800()
+	spec.HBMBytes = 21 * ChunkSize / 2
+	small := model.Qwen25_14B()
+	small.GPUsPerInstance = 1
+	small.InstanceParamBytesOverride = 17 * ChunkSize / 2
+	if _, err := New(0, spec, small); err == nil {
+		t.Fatal("regions that exceed the chunks accepted")
 	}
 }
 
@@ -82,7 +92,7 @@ func TestDropLayersGrowsKV(t *testing.T) {
 	}
 	freed := in.Model.ParamBytesPerLayer() * 24
 	growth := in.KVBytes() - kvBefore
-	if growth < freed-int64(memory.ChunkSize) || growth > freed+int64(memory.ChunkSize) {
+	if growth < freed-ChunkSize || growth > freed+ChunkSize {
 		t.Errorf("KV grew %d, want ~%d", growth, freed)
 	}
 	// Serving only 24 layers per token, capacity per token halves and the
@@ -92,7 +102,7 @@ func TestDropLayersGrowsKV(t *testing.T) {
 	if capAfter <= 2*capBefore {
 		t.Errorf("token capacity %d -> %d, want > 2x", capBefore, capAfter)
 	}
-	if err := in.Mem.CheckInvariants(); err != nil {
+	if err := in.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -169,31 +179,166 @@ func TestLayerTransferBytes(t *testing.T) {
 	}
 }
 
-// Property: any drop/restore sequence preserves memory invariants and layer
-// bounds.
+// Provisions, drops, extends and restores map whole chunks: a 14B layer
+// (615,416,666 bytes) moves 294 chunks.
+func TestRemapsRoundUpToChunks(t *testing.T) {
+	in, err := NewProvisioned(0, gpu.A800(), model.Qwen25_14B(), 20*model.GiB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	odd, err := NewProvisioned(0, gpu.A800(), model.Qwen25_14B(), 20*model.GiB+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if odd.KVBytes() != 20*model.GiB+ChunkSize {
+		t.Errorf("a 20 GiB + 1 byte provision maps %d bytes, want one chunk more than 20 GiB", odd.KVBytes())
+	}
+	layer := chunksFor(in.Model.ParamBytesPerLayer()) * ChunkSize
+	if layer != 294*ChunkSize {
+		t.Fatalf("a layer rounds to %d bytes, want 294 chunks", layer)
+	}
+	kv, params, free := in.KVBytes(), in.ParamBytes(), in.FreeBytes()
+	if _, err := in.DropLayers(1); err != nil {
+		t.Fatal(err)
+	}
+	if in.KVBytes() != kv+layer || in.ParamBytes() != params-layer {
+		t.Errorf("drop: kv %d -> %d, params %d -> %d; want one %d-byte layer moved",
+			kv, in.KVBytes(), params, in.ParamBytes(), layer)
+	}
+	if _, err := in.ExtendKV(ChunkSize + 1); err != nil {
+		t.Fatal(err)
+	}
+	if in.KVBytes() != kv+layer+2*ChunkSize || in.FreeBytes() != free-2*ChunkSize {
+		t.Errorf("extend by a chunk and a byte: kv %d, free %d; want two chunks mapped",
+			in.KVBytes(), in.FreeBytes())
+	}
+	if _, err := in.RestoreLayers(1); err != nil {
+		t.Fatal(err)
+	}
+	if in.ParamBytes() != params || in.FreeBytes() != free-2*ChunkSize-layer {
+		t.Errorf("restore: params %d, free %d; want one layer claimed from unmapped memory",
+			in.ParamBytes(), in.FreeBytes())
+	}
+	if err := in.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A remap costs 2 µs per chunk above the 5 ms floor and the floor below
+// it; a 14B single-layer drop sits on the floor.
+func TestRemapLatency(t *testing.T) {
+	for _, c := range []struct {
+		chunks int64
+		want   sim.Duration
+	}{
+		{1, 5 * sim.Millisecond},
+		{2500, 5 * sim.Millisecond},
+		{2501, 5002 * sim.Microsecond},
+		{20480, 40960 * sim.Microsecond}, // 40 GiB
+	} {
+		if got := remapLatency(c.chunks); got != c.want {
+			t.Errorf("remapLatency(%d) = %v, want %v", c.chunks, got, c.want)
+		}
+	}
+	in := newInst(t)
+	if d, err := in.DropLayers(1); err != nil || d != 5*sim.Millisecond {
+		t.Errorf("14B single-layer drop = %v, %v; want 5ms", d, err)
+	}
+}
+
+func TestExtendKVNeedsUnmappedMemory(t *testing.T) {
+	in := newInst(t)
+	if in.FreeBytes() != 0 {
+		t.Fatalf("unprovisioned instance leaves %d bytes unmapped", in.FreeBytes())
+	}
+	if _, err := in.ExtendKV(1); err == nil {
+		t.Error("extend with no unmapped memory accepted")
+	}
+	in, err := NewProvisioned(0, gpu.A800(), model.Qwen25_14B(), 20*model.GiB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kv, free := in.KVBytes(), in.FreeBytes()
+	if _, err := in.ExtendKV(free + 1); err == nil {
+		t.Error("extend beyond unmapped memory accepted")
+	}
+	if in.KVBytes() != kv || in.FreeBytes() != free {
+		t.Error("a failed extend changed the regions")
+	}
+	if _, err := in.ExtendKV(free); err != nil || in.FreeBytes() != 0 || in.KVBytes() != kv+free {
+		t.Errorf("extend by all unmapped memory: %v, kv %d, free %d", err, in.KVBytes(), in.FreeBytes())
+	}
+}
+
+// On a provisioned instance a restore takes unmapped memory before the
+// KVCache tail, and the tail only for what unmapped memory lacks.
+func TestRestoreClaimsUnmappedFirst(t *testing.T) {
+	in, err := NewProvisioned(0, gpu.A800(), model.Qwen25_14B(), 20*model.GiB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := in.DropLayers(24); err != nil {
+		t.Fatal(err)
+	}
+	layer := chunksFor(in.Model.ParamBytesPerLayer()) * ChunkSize
+	kv, free := in.KVBytes(), in.FreeBytes()
+	if _, err := in.RestoreLayers(1); err != nil {
+		t.Fatal(err)
+	}
+	if in.KVBytes() != kv || in.FreeBytes() != free-layer {
+		t.Fatalf("restore 1: kv %d -> %d, free %d -> %d; want the layer from unmapped memory",
+			kv, in.KVBytes(), free, in.FreeBytes())
+	}
+	// Leave less unmapped memory than the next restore needs.
+	short := ChunkSize
+	if _, err := in.ExtendKV(in.FreeBytes() - short); err != nil {
+		t.Fatal(err)
+	}
+	kv = in.KVBytes()
+	d, err := in.RestoreLayers(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.FreeBytes() != 0 || in.KVBytes() != kv-(layer-short) {
+		t.Errorf("restore 2: kv %d -> %d, free %d; want the chunk of unmapped memory, the rest from the tail",
+			kv, in.KVBytes(), in.FreeBytes())
+	}
+	// Two remaps, each on the floor.
+	if d != 10*sim.Millisecond {
+		t.Errorf("split restore latency = %v, want 10ms", d)
+	}
+	if err := in.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: any drop/restore/extend sequence conserves the instance's
+// chunks and keeps layers in bounds.
 func TestPropertyDropRestore(t *testing.T) {
 	f := func(ops []int8) bool {
-		in, err := New(0, gpu.A800(), model.Qwen25_14B())
+		in, err := NewProvisioned(0, gpu.A800(), model.Qwen25_14B(), 20*model.GiB)
 		if err != nil {
 			return false
 		}
 		for _, op := range ops {
-			n := int(op)
-			if n > 0 {
+			switch n := int(op); {
+			case n%5 == 0:
+				in.ExtendKV(int64(n/5+26) * model.GiB / 16)
+			case n > 0:
 				in.DropLayers(n)
-			} else if n < 0 {
+			case n < 0:
 				in.RestoreLayers(-n)
 			}
 			if in.LayersHeld() < 0 || in.LayersHeld() > in.Model.Layers {
 				return false
 			}
-			if err := in.Mem.CheckInvariants(); err != nil {
+			if err := in.CheckInvariants(); err != nil {
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

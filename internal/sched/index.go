@@ -1,14 +1,14 @@
 package sched
 
 // Index is an incrementally maintained ordering of the dispatcher's
-// active candidates under a Router's key: a binary min-heap on
+// candidates under a Router's key: a binary min-heap on
 // (key, group ID) with a position table so point updates are O(log n).
 // Min is the dispatch pick: the smallest key, the lowest group ID winning
 // ties.
 //
 // The index holds plain (key, ID) pairs, never group pointers: membership
-// is the cluster's business, and a Reset drops every entry without
-// retaining anything. Positions live in a dense slice (group IDs are
+// is the cluster's business (it inserts with Update and takes out with
+// Remove), and a removed entry retains nothing. Positions live in a dense slice (group IDs are
 // small monotonic ints), keeping the per-update bookkeeping map-free on
 // the dispatch hot path.
 type Index struct {
@@ -45,14 +45,6 @@ func (x *Index) setSlot(id int, i int32) {
 
 // Len returns the number of indexed candidates.
 func (x *Index) Len() int { return len(x.heap) }
-
-// Reset empties the index.
-func (x *Index) Reset() {
-	x.heap = x.heap[:0]
-	for i := range x.pos {
-		x.pos[i] = -1
-	}
-}
 
 // Min returns the group ID minimizing (key, ID), false when empty.
 func (x *Index) Min() (int, bool) {

@@ -48,10 +48,6 @@ func TestIndexBasicOps(t *testing.T) {
 	if x.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", x.Len())
 	}
-	x.Reset()
-	if x.Len() != 0 {
-		t.Fatal("Reset left entries behind")
-	}
 }
 
 // oracleGroup is one simulated group's routing-visible state.
