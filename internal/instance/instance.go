@@ -165,7 +165,7 @@ func (in *Instance) DropLayers(n int) (sim.Duration, error) {
 func (in *Instance) remap(src, dst *int64, from string, bytes int64) (sim.Duration, error) {
 	n := chunksFor(bytes)
 	if n > *src {
-		return 0, fmt.Errorf("instance %d: move %d chunks from %s, only %d mapped",
+		return 0, fmt.Errorf("instance %d: move %d chunks from %s, which holds %d",
 			in.ID, n, from, *src)
 	}
 	*src -= n
