@@ -179,8 +179,8 @@ func TestLayerTransferBytes(t *testing.T) {
 	}
 }
 
-// Provisions, drops, extends and restores map whole chunks: a 14B layer
-// (615,416,666 bytes) moves 294 chunks.
+// Provisions and extends map whole chunks, and a 14B layer (615,416,666
+// bytes) rounds up to 294 of them.
 func TestRemapsRoundUpToChunks(t *testing.T) {
 	in, err := NewProvisioned(0, gpu.A800(), model.Qwen25_14B(), 20*model.GiB)
 	if err != nil {
@@ -193,31 +193,53 @@ func TestRemapsRoundUpToChunks(t *testing.T) {
 	if odd.KVBytes() != 20*model.GiB+ChunkSize {
 		t.Errorf("a 20 GiB + 1 byte provision maps %d bytes, want one chunk more than 20 GiB", odd.KVBytes())
 	}
-	layer := chunksFor(in.Model.ParamBytesPerLayer()) * ChunkSize
-	if layer != 294*ChunkSize {
+	if layer := chunksFor(in.Model.ParamBytesPerLayer()) * ChunkSize; layer != 294*ChunkSize {
 		t.Fatalf("a layer rounds to %d bytes, want 294 chunks", layer)
 	}
-	kv, params, free := in.KVBytes(), in.ParamBytes(), in.FreeBytes()
-	if _, err := in.DropLayers(1); err != nil {
-		t.Fatal(err)
-	}
-	if in.KVBytes() != kv+layer || in.ParamBytes() != params-layer {
-		t.Errorf("drop: kv %d -> %d, params %d -> %d; want one %d-byte layer moved",
-			kv, in.KVBytes(), params, in.ParamBytes(), layer)
-	}
+	kv, free := in.KVBytes(), in.FreeBytes()
 	if _, err := in.ExtendKV(ChunkSize + 1); err != nil {
 		t.Fatal(err)
 	}
-	if in.KVBytes() != kv+layer+2*ChunkSize || in.FreeBytes() != free-2*ChunkSize {
+	if in.KVBytes() != kv+2*ChunkSize || in.FreeBytes() != free-2*ChunkSize {
 		t.Errorf("extend by a chunk and a byte: kv %d, free %d; want two chunks mapped",
 			in.KVBytes(), in.FreeBytes())
 	}
-	if _, err := in.RestoreLayers(1); err != nil {
+	if err := in.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if in.ParamBytes() != params || in.FreeBytes() != free-2*ChunkSize-layer {
-		t.Errorf("restore: params %d, free %d; want one layer claimed from unmapped memory",
-			in.ParamBytes(), in.FreeBytes())
+}
+
+// The §4.1 flow: a drop remaps a layer's chunks from the parameter range
+// onto the KVCache tail, and a restore on an instance with no unmapped
+// memory is the exact inverse.
+func TestDropMovesParamsToKV(t *testing.T) {
+	in := newInst(t)
+	layer := chunksFor(in.Model.ParamBytesPerLayer()) * ChunkSize
+	kv, params := in.KVBytes(), in.ParamBytes()
+	d, err := in.DropLayers(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.KVBytes() != kv+layer || in.ParamBytes() != params-layer || in.FreeBytes() != 0 {
+		t.Errorf("drop: kv %d -> %d, params %d -> %d, free %d; want one %d-byte layer moved",
+			kv, in.KVBytes(), params, in.ParamBytes(), in.FreeBytes(), layer)
+	}
+	if d != 5*sim.Millisecond {
+		t.Errorf("drop latency = %v, want the 5ms floor", d)
+	}
+	if err := in.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	d, err = in.RestoreLayers(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.KVBytes() != kv || in.ParamBytes() != params || in.FreeBytes() != 0 {
+		t.Errorf("restore: kv %d, params %d, free %d; want kv %d, params %d, free 0",
+			in.KVBytes(), in.ParamBytes(), in.FreeBytes(), kv, params)
+	}
+	if d != 5*sim.Millisecond {
+		t.Errorf("restore latency = %v, want the 5ms floor", d)
 	}
 	if err := in.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -333,6 +355,37 @@ func TestPropertyDropRestore(t *testing.T) {
 				return false
 			}
 			if err := in.CheckInvariants(); err != nil {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: read through the public byte views, the parameter, KVCache and
+// unmapped regions sum to the same bytes after any drop, restore and
+// extend sequence, failed operations included, and none goes negative.
+func TestPropertyConservation(t *testing.T) {
+	f := func(ops []int8, provision uint8) bool {
+		in, err := NewProvisioned(0, gpu.A800(), model.Qwen25_14B(), int64(provision%40+1)*model.GiB)
+		if err != nil {
+			return false
+		}
+		sum := func() int64 { return in.ParamBytes() + in.KVBytes() + in.FreeBytes() }
+		want := sum()
+		for _, op := range ops {
+			switch n := int(op); {
+			case n%3 == 0:
+				in.ExtendKV(int64(n+129) * ChunkSize * 8)
+			case n > 0:
+				in.DropLayers(n % 49)
+			case n < 0:
+				in.RestoreLayers(-n % 49)
+			}
+			if sum() != want || in.ParamBytes() < 0 || in.KVBytes() < 0 || in.FreeBytes() < 0 {
 				return false
 			}
 		}
