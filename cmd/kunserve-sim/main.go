@@ -47,10 +47,13 @@
 // and a Perfetto walkthrough). Tracing off — the default — costs nothing
 // and reproduces untraced output byte-for-byte. -cpuprofile/-memprofile
 // write Go pprof profiles of the run for hot-path work.
+//
+// A bad invocation exits with status 2 and a failed run with status 1.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -68,70 +71,155 @@ import (
 	"kunserve/internal/workload/spec"
 )
 
-// expList pairs every -exp value with a one-line description (printed by
-// -list-exps). "all" runs the paper figures; the slo, prefix, and disagg
-// experiments are standalone so "all" output stays stable across versions.
-var expList = []struct{ name, desc string }{
-	{"table1", "Table 1: parameter memory vs HBM across the model zoo"},
-	{"fig2", "Figure 2: TTFT spikes under the BurstGPT burst for drop/swap/migrate"},
-	{"fig5", "Figure 5: latency vs static parameter-drop degree (pipeline depth)"},
-	{"fig12", "Figure 12: memory/mean-TTFT/throughput timelines across the five systems"},
-	{"fig13", "Figure 13: latency percentiles and SLO-violation ratios"},
-	{"fig12+13", "Figures 12 and 13 off one shared five-system run set"},
-	{"fig14", "Figure 14: ablation rungs (+Dynamic drop, +Coordinated ex., +Lookahead)"},
-	{"fig15", "Figure 15: cost-model accuracy vs the attention-blind fit"},
-	{"fig16", "Figure 16: long run with parameter restoration across waves"},
-	{"fig17", "Figure 17: extreme replayed burst until both systems drown"},
-	{"slo", "multi-tenant SLO attainment: queue disciplines x systems, per-class goodput"},
-	{"prefix", "prefix caching: share ratio x eviction policy on a shared-prompt mix"},
-	{"disagg", "prefill/decode disaggregation: pool splits x load vs collocated baselines"},
-	{"scale", "cluster-scale streaming sweep: fleet ladder x hour-class diurnal trace, bounded memory"},
-	{"all", "every paper figure (table1 fig2 fig5 fig12+13 fig14 fig15 fig16 fig17)"},
+// artifact is one produced result: its JSON key, the typed value, and the
+// paper-style printer.
+type artifact struct {
+	key   string
+	value any
+	print func(io.Writer)
 }
 
-// validExps lists every -exp value, derived from expList.
-var validExps = func() []string {
-	out := make([]string, len(expList))
-	for i, e := range expList {
-		out[i] = e.name
+// experiment is one -exp value: -list-exps prints its description, -exp all
+// runs it when inAll is set, and yield runs it. Only "all" has no yield.
+type experiment struct {
+	name, desc string
+	inAll      bool
+	yield      func(experiments.Config) ([]artifact, error)
+}
+
+// expList is every -exp value in -list-exps order, which is also the order
+// "all" runs its members in. The slo, prefix, disagg and scale experiments
+// stay out of "all" so that its output stays comparable across versions.
+var expList = []experiment{
+	fig("table1", "Table 1: parameter memory vs HBM across the model zoo", true,
+		func(experiments.Config) ([]experiments.Table1Row, error) { return experiments.Table1(), nil }, experiments.PrintTable1),
+	fig("fig2", "Figure 2: TTFT spikes under the BurstGPT burst for drop/swap/migrate", true, experiments.Figure2, experiments.PrintFigure2),
+	fig("fig5", "Figure 5: latency vs static parameter-drop degree (pipeline depth)", true, experiments.Figure5, experiments.PrintFigure5),
+	fig("fig12", "Figure 12: memory/mean-TTFT/throughput timelines across the five systems", false, experiments.Figure12, experiments.PrintFigure12),
+	fig("fig13", "Figure 13: latency percentiles and SLO-violation ratios", false, experiments.Figure13, experiments.PrintFigure13),
+	{"fig12+13", "Figures 12 and 13 off one shared five-system run set", true, figures12And13},
+	fig("fig14", "Figure 14: ablation rungs (+Dynamic drop, +Coordinated ex., +Lookahead)", true, experiments.Figure14, experiments.PrintFigure14),
+	fig("fig15", "Figure 15: cost-model accuracy vs the attention-blind fit", true, experiments.Figure15, experiments.PrintFigure15),
+	fig("fig16", "Figure 16: long run with parameter restoration across waves", true, experiments.Figure16, experiments.PrintFigure16),
+	fig("fig17", "Figure 17: extreme replayed burst until both systems drown", true, experiments.Figure17, experiments.PrintFigure17),
+	fig("slo", "multi-tenant SLO attainment: queue disciplines x systems, per-class goodput", false, experiments.ExperimentSLO, experiments.PrintExperimentSLO),
+	fig("prefix", "prefix caching: share ratio x eviction policy on a shared-prompt mix", false, experiments.ExperimentPrefix, experiments.PrintExperimentPrefix),
+	fig("disagg", "prefill/decode disaggregation: pool splits x load vs collocated baselines", false, experiments.ExperimentDisagg, experiments.PrintExperimentDisagg),
+	fig("scale", "cluster-scale streaming sweep: fleet ladder x hour-class diurnal trace, bounded memory", false, experiments.ExperimentScale, experiments.PrintExperimentScale),
+	{"all", "every paper figure (table1 fig2 fig5 fig12+13 fig14 fig15 fig16 fig17)", false, nil},
+}
+
+// fig makes the experiment whose one artifact is f's result, keyed by the
+// experiment's name.
+func fig[T any](name, desc string, inAll bool, f func(experiments.Config) (T, error), print func(io.Writer, T)) experiment {
+	return experiment{name, desc, inAll, func(cfg experiments.Config) ([]artifact, error) {
+		v, err := f(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return []artifact{{name, v, func(w io.Writer) { print(w, v) }}}, nil
+	}}
+}
+
+// figures12And13 yields Figures 12 and 13 off one shared run set.
+func figures12And13(cfg experiments.Config) ([]artifact, error) {
+	runs, err := experiments.RunAllSystems(cfg)
+	if err != nil {
+		return nil, err
 	}
-	return out
-}()
+	fig13 := experiments.Figure13From(runs)
+	return []artifact{
+		{"fig12", runs, func(w io.Writer) { experiments.PrintFigure12(w, runs) }},
+		{"fig13", fig13, func(w io.Writer) { experiments.PrintFigure13(w, fig13) }},
+	}, nil
+}
+
+// expNames lists every -exp value.
+func expNames() string {
+	names := make([]string, len(expList))
+	for i, e := range expList {
+		names[i] = e.name
+	}
+	return strings.Join(names, ", ")
+}
+
+// usageError is a bad invocation, which exits 2; any other error exits 1.
+// printed marks a flag parse error, which the flag set has already printed
+// with the usage text.
+type usageError struct {
+	error
+	printed bool
+}
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		os.Exit(report(os.Stderr, err))
+	}
+}
+
+// report prints a failed run's error to w, unless the flag set already
+// has, and returns the exit status: 0 for -h, 2 for a usage error and 1
+// for a run that failed.
+func report(w io.Writer, err error) int {
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	var ue usageError
+	isUsage := errors.As(err, &ue)
+	if !isUsage || !ue.printed {
+		fmt.Fprintln(w, err)
+	}
+	if isUsage {
+		return 2
+	}
+	return 1
+}
+
+// run is the command: it parses args on a fresh flag set, runs the
+// selected experiment or sweep, and writes its output to stdout and its
+// notes, usage text and profiles' errors to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp       = flag.String("exp", "all", "experiment: "+strings.Join(validExps, ", "))
-		scale     = flag.String("scale", "quick", "quick (2 instances, 64s), full (8 instances, 128s), clusterb (72B on H800)")
-		dataset   = flag.String("dataset", "", "burstgpt, sharegpt or longbench (default per experiment)")
-		instances = flag.Int("instances", 0, "override instance count")
-		seed      = flag.Int64("seed", 0, "override RNG seed")
-		duration  = flag.Float64("duration", 0, "override trace duration in seconds")
-		load      = flag.Float64("load", 0, "load multiplier on the derived base RPS")
-		parallel  = flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS); results are identical at any setting")
-		jsonOut   = flag.Bool("json", false, "emit machine-readable JSON summaries instead of paper-style text")
-		sweepFlag = flag.String("sweep", "", "run a parameter sweep key=lo:hi:step (keys: "+strings.Join(experiments.SweepKeys, ", ")+") over the five systems")
-		specFile  = flag.String("spec", "", "workload spec JSON driving the experiment trace")
-		queue     = flag.String("queue", "", "wait-queue discipline: "+strings.Join(sched.DisciplineNames, ", ")+" (default fcfs)")
-		prefixOn  = flag.Bool("prefix-caching", false, "enable content-addressed KVCache prefix sharing (default off; off reproduces the identity-free allocator byte-for-byte)")
-		evict     = flag.String("cache-evict", "", "cached-block eviction policy: lru (default), fifo; only meaningful with -prefix-caching")
-		tracePath = flag.String("trace", "", "write a Chrome trace-event / Perfetto JSON trace of every simulation to this file (load it at ui.perfetto.dev)")
-		cpuProf   = flag.String("cpuprofile", "", "write a Go CPU profile of the run to this file")
-		memProf   = flag.String("memprofile", "", "write a Go heap profile after the run to this file")
-		listExps  = flag.Bool("list-exps", false, "print every experiment name with a one-line description and exit")
+		exp       = fs.String("exp", "all", "experiment: "+expNames())
+		scale     = fs.String("scale", "quick", "quick (2 instances, 64s), full (8 instances, 128s), clusterb (72B on H800)")
+		dataset   = fs.String("dataset", "", "burstgpt, sharegpt or longbench (default per experiment)")
+		instances = fs.Int("instances", 0, "override instance count")
+		seed      = fs.Int64("seed", 0, "override RNG seed")
+		duration  = fs.Float64("duration", 0, "override trace duration in seconds")
+		load      = fs.Float64("load", 0, "load multiplier on the derived base RPS")
+		parallel  = fs.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS); results are identical at any setting")
+		jsonOut   = fs.Bool("json", false, "emit machine-readable JSON summaries instead of paper-style text")
+		sweepFlag = fs.String("sweep", "", "run a parameter sweep key=lo:hi:step (keys: "+strings.Join(experiments.SweepKeys, ", ")+") over the five systems")
+		specFile  = fs.String("spec", "", "workload spec JSON driving the experiment trace")
+		queue     = fs.String("queue", "", "wait-queue discipline: "+strings.Join(sched.DisciplineNames, ", ")+" (default fcfs)")
+		prefixOn  = fs.Bool("prefix-caching", false, "enable content-addressed KVCache prefix sharing (default off; off reproduces the identity-free allocator byte-for-byte)")
+		evict     = fs.String("cache-evict", "", "cached-block eviction policy: lru (default), fifo; only meaningful with -prefix-caching")
+		tracePath = fs.String("trace", "", "write a Chrome trace-event / Perfetto JSON trace of every simulation to this file (load it at ui.perfetto.dev)")
+		cpuProf   = fs.String("cpuprofile", "", "write a Go CPU profile of the run to this file")
+		memProf   = fs.String("memprofile", "", "write a Go heap profile after the run to this file")
+		listExps  = fs.Bool("list-exps", false, "print every experiment name with a one-line description and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return usageError{err, true}
+	}
 
 	if *listExps {
 		for _, e := range expList {
-			fmt.Printf("%-10s %s\n", e.name, e.desc)
+			fmt.Fprintf(stdout, "%-10s %s\n", e.name, e.desc)
 		}
-		return
+		return nil
 	}
 
-	if !slices.Contains(validExps, *exp) {
-		fmt.Fprintf(os.Stderr, "unknown -exp %q (valid: %s)\n", *exp, strings.Join(validExps, ", "))
-		os.Exit(2)
+	i := slices.IndexFunc(expList, func(e experiment) bool { return e.name == *exp })
+	if i < 0 {
+		return usageError{error: fmt.Errorf("unknown -exp %q (valid: %s)", *exp, expNames())}
 	}
+	selected := expList[i]
 
 	cfg := experiments.Quick()
 	switch *scale {
@@ -141,22 +229,19 @@ func main() {
 	case "clusterb":
 		cfg = experiments.ClusterB()
 	default:
-		fmt.Fprintf(os.Stderr, "unknown -scale %q\n", *scale)
-		os.Exit(2)
+		return usageError{error: fmt.Errorf("unknown -scale %q", *scale)}
 	}
 	if *dataset != "" {
 		ds, err := workload.DatasetByName(*dataset)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return usageError{error: err}
 		}
 		cfg.Dataset = ds
 	}
 	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if err := checkCounts(*instances, set["instances"], *parallel); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return usageError{error: err}
 	}
 	if *instances > 0 {
 		cfg.Instances = *instances
@@ -165,14 +250,12 @@ func main() {
 		cfg.Seed = *seed
 	}
 	if d, err := durationOverride(*duration); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return usageError{error: err}
 	} else if d > 0 {
 		cfg.Duration = d
 	}
 	if l, err := loadOverride(*load, set["load"]); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return usageError{error: err}
 	} else if l > 0 {
 		cfg.LoadMultiplier = l
 	}
@@ -195,36 +278,46 @@ func main() {
 		cfg.TraceSink = obs.NewSink()
 	}
 	if err := cfg.ValidateSched(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return usageError{error: err}
 	}
 	if *exp == "slo" && *queue != "" {
-		fmt.Fprintln(os.Stderr, "note: -exp slo compares every discipline (fcfs, priority, edf); -queue is ignored there")
+		fmt.Fprintln(stderr, "note: -exp slo compares every discipline (fcfs, priority, edf); -queue is ignored there")
 	}
 	if *exp == "prefix" && (*prefixOn || *evict != "") {
-		fmt.Fprintln(os.Stderr, "note: -exp prefix compares every cache policy (off, lru, fifo); -prefix-caching/-cache-evict are ignored there")
+		fmt.Fprintln(stderr, "note: -exp prefix compares every cache policy (off, lru, fifo); -prefix-caching/-cache-evict are ignored there")
 	}
 	if *specFile != "" {
 		// The spec's own seed, duration, and rates govern the trace;
 		// -seed still seeds the cluster and -load still scales KV
 		// provisioning, but neither reshapes the spec trace.
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "seed", "duration", "load":
-				fmt.Fprintf(os.Stderr, "note: -%s does not affect the -spec trace (the spec's seed/duration/rates govern it)\n", f.Name)
+		for _, name := range []string{"duration", "load", "seed"} {
+			if set[name] {
+				fmt.Fprintf(stderr, "note: -%s does not affect the -spec trace (the spec's seed/duration/rates govern it)\n", name)
 			}
-		})
+		}
 		s, err := spec.Load(*specFile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return usageError{error: err}
 		}
 		cfg.WorkloadSpec = s
 		switch *exp {
 		case "fig16", "table1", "all":
-			fmt.Fprintln(os.Stderr, "note: fig16 and table1 build their own workloads and ignore -spec")
+			fmt.Fprintln(stderr, "note: fig16 and table1 build their own workloads and ignore -spec")
 		case "disagg":
-			fmt.Fprintln(os.Stderr, "note: -exp disagg sweeps load multipliers over the derived burst trace and ignores -spec")
+			fmt.Fprintln(stderr, "note: -exp disagg sweeps load multipliers over the derived burst trace and ignores -spec")
+		}
+	}
+	var (
+		sweepKey    string
+		sweepValues []float64
+	)
+	if *sweepFlag != "" {
+		var err error
+		if sweepKey, sweepValues, err = experiments.ParseSweep(*sweepFlag); err != nil {
+			return usageError{error: err}
+		}
+		if set["exp"] {
+			fmt.Fprintln(stderr, "note: -exp is ignored in -sweep mode (the sweep runs the five systems)")
 		}
 	}
 
@@ -232,53 +325,36 @@ func main() {
 	if *cpuProf != "" {
 		stop, err := runner.StartCPUProfile(*cpuProf)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		stopCPU = stop
 	}
 
 	var runErr error
 	if *sweepFlag != "" {
-		key, values, err := experiments.ParseSweep(*sweepFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "exp" {
-				fmt.Fprintln(os.Stderr, "note: -exp is ignored in -sweep mode (the sweep runs the five systems)")
-			}
-		})
-		runErr = runSweep(key, values, cfg, *jsonOut)
+		runErr = runSweep(stdout, sweepKey, sweepValues, cfg, *jsonOut)
 	} else {
-		runErr = run(*exp, cfg, *jsonOut)
+		runErr = runExp(stdout, selected, cfg, *jsonOut)
 	}
 
 	// Profiles and traces flush even when the run errored: a partial
 	// trace of a failing experiment is exactly what one debugs with.
 	if stopCPU != nil {
 		if err := stopCPU(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 	}
 	if *memProf != "" {
 		if err := runner.WriteHeapProfile(*memProf); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 	}
 	if cfg.TraceSink != nil {
 		if err := cfg.TraceSink.WriteFile(*tracePath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 	}
-	if runErr != nil {
-		fmt.Fprintln(os.Stderr, runErr)
-		os.Exit(1)
-	}
+	return runErr
 }
 
 // durationOverride converts -duration: 0 keeps the experiment's own
@@ -321,15 +397,15 @@ func checkCounts(instances int, instancesSet bool, parallel int) error {
 	return nil
 }
 
-func runSweep(key string, values []float64, cfg experiments.Config, jsonOut bool) error {
+func runSweep(w io.Writer, key string, values []float64, cfg experiments.Config, jsonOut bool) error {
 	res, err := experiments.Sweep(cfg, key, values, nil)
 	if err != nil {
 		return err
 	}
 	if jsonOut {
-		return emitJSON(os.Stdout, res)
+		return emitJSON(w, res)
 	}
-	experiments.PrintSweep(os.Stdout, res)
+	experiments.PrintSweep(w, res)
 	return nil
 }
 
@@ -339,119 +415,22 @@ func emitJSON(w io.Writer, v any) error {
 	return enc.Encode(v)
 }
 
-// artifact is one produced result: its JSON key, the typed value, and the
-// paper-style printer.
-type artifact struct {
-	key   string
-	value any
-	print func(io.Writer)
-}
-
-// runExp executes one -exp selection; fig12+13 yields two artifacts off one
-// shared run set.
-func runExp(name string, cfg experiments.Config) ([]artifact, error) {
-	one := func(key string, value any, print func(io.Writer)) []artifact {
-		return []artifact{{key, value, print}}
-	}
-	switch name {
-	case "table1":
-		rows := experiments.Table1()
-		return one("table1", rows, func(w io.Writer) { experiments.PrintTable1(w, rows) }), nil
-	case "fig2":
-		r, err := experiments.Figure2(cfg)
-		if err != nil {
-			return nil, err
+// runExp runs one -exp selection ("all" runs every member of expList with
+// inAll set) and writes its artifacts: paper-style text, or with jsonOut
+// one JSON object keyed by artifact.
+func runExp(w io.Writer, e experiment, cfg experiments.Config, jsonOut bool) error {
+	selected := []experiment{e}
+	if e.yield == nil {
+		selected = nil
+		for _, m := range expList {
+			if m.inAll {
+				selected = append(selected, m)
+			}
 		}
-		return one("fig2", r, func(w io.Writer) { experiments.PrintFigure2(w, r) }), nil
-	case "fig5":
-		rows, err := experiments.Figure5(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return one("fig5", rows, func(w io.Writer) { experiments.PrintFigure5(w, rows) }), nil
-	case "fig12":
-		r, err := experiments.Figure12(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return one("fig12", r, func(w io.Writer) { experiments.PrintFigure12(w, r) }), nil
-	case "fig13":
-		r, err := experiments.Figure13(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return one("fig13", r, func(w io.Writer) { experiments.PrintFigure13(w, r) }), nil
-	case "fig12+13":
-		runs, err := experiments.RunAllSystems(cfg)
-		if err != nil {
-			return nil, err
-		}
-		fig13 := experiments.Figure13From(runs)
-		return []artifact{
-			{"fig12", runs, func(w io.Writer) { experiments.PrintFigure12(w, runs) }},
-			{"fig13", fig13, func(w io.Writer) { experiments.PrintFigure13(w, fig13) }},
-		}, nil
-	case "fig14":
-		rows, err := experiments.Figure14(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return one("fig14", rows, func(w io.Writer) { experiments.PrintFigure14(w, rows) }), nil
-	case "fig15":
-		r, err := experiments.Figure15(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return one("fig15", r, func(w io.Writer) { experiments.PrintFigure15(w, r) }), nil
-	case "fig16":
-		r, err := experiments.Figure16(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return one("fig16", r, func(w io.Writer) { experiments.PrintFigure16(w, r) }), nil
-	case "fig17":
-		r, err := experiments.Figure17(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return one("fig17", r, func(w io.Writer) { experiments.PrintFigure17(w, r) }), nil
-	case "slo":
-		r, err := experiments.ExperimentSLO(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return one("slo", r, func(w io.Writer) { experiments.PrintExperimentSLO(w, r) }), nil
-	case "prefix":
-		r, err := experiments.ExperimentPrefix(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return one("prefix", r, func(w io.Writer) { experiments.PrintExperimentPrefix(w, r) }), nil
-	case "disagg":
-		r, err := experiments.ExperimentDisagg(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return one("disagg", r, func(w io.Writer) { experiments.PrintExperimentDisagg(w, r) }), nil
-	case "scale":
-		r, err := experiments.ExperimentScale(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return one("scale", r, func(w io.Writer) { experiments.PrintExperimentScale(w, r) }), nil
-	}
-	return nil, fmt.Errorf("unknown experiment %q", name)
-}
-
-func run(exp string, cfg experiments.Config, jsonOut bool) error {
-	out := os.Stdout
-	names := []string{exp}
-	if exp == "all" {
-		names = []string{"table1", "fig2", "fig5", "fig12+13", "fig14", "fig15", "fig16", "fig17"}
 	}
 	results := map[string]any{}
-	for _, name := range names {
-		arts, err := runExp(name, cfg)
+	for _, m := range selected {
+		arts, err := m.yield(cfg)
 		if err != nil {
 			return err
 		}
@@ -459,12 +438,12 @@ func run(exp string, cfg experiments.Config, jsonOut bool) error {
 			if jsonOut {
 				results[a.key] = a.value
 			} else {
-				a.print(out)
+				a.print(w)
 			}
 		}
 	}
 	if jsonOut {
-		return emitJSON(out, results)
+		return emitJSON(w, results)
 	}
 	return nil
 }

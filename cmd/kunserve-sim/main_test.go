@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"math"
+	"strings"
 	"testing"
 
 	"kunserve/internal/sim"
@@ -72,6 +75,30 @@ func TestCheckCounts(t *testing.T) {
 	} {
 		if err := checkCounts(c.instances, c.set, c.parallel); (err == nil) != c.ok {
 			t.Errorf("checkCounts(%d, set %v, %d) = %v; want ok %v", c.instances, c.set, c.parallel, err, c.ok)
+		}
+	}
+}
+
+// A bad invocation returns a usage error, which exits 2, and prints nothing
+// to stdout; before run took its arguments these branches called os.Exit,
+// so no test reached them.
+func TestRunUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-exp", "fig99"},
+		{"-scale", "huge"},
+		{"-dataset", "nope"},
+		{"-queue", "lifo"},
+		{"-cache-evict", "random"},
+		{"-instances", "0"},
+		{"-load", "NaN"},
+		{"-sweep", "load=1:2"},
+		{"-spec", "testdata/no-such-spec.json"},
+	} {
+		var stdout, stderr bytes.Buffer
+		err := run(args, &stdout, &stderr)
+		if err == nil || report(io.Discard, err) != 2 || stdout.Len() > 0 {
+			t.Errorf("run(%s) = %v, exit %d, stdout %q; want a usage error (exit 2) and no stdout",
+				strings.Join(args, " "), err, report(io.Discard, err), stdout.String())
 		}
 	}
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Measures which statements the command-line surface reaches: builds every
 # command and example with statement coverage over the whole module, runs
-# them over CI's determinism commands, the remaining figures, traced runs,
+# them over kunserve-sim's output gates, the remaining figures, traced runs,
 # every example spec, every tracegen arrival process and the examples, and
 # prints the reached share, the unreached statements per package and the
 # 20 largest unreached functions. Output files go to a temporary directory
@@ -22,28 +22,11 @@ go build -cover -coverpkg=./... -o "$bin/" ./cmd/kunserve-sim ./cmd/tracegen ./c
 
 sim() { "$bin/kunserve-sim" "$@" > /dev/null; }
 
-# CI's determinism and trace-smoke commands (each distinct command once).
-sim -exp fig2 -json -parallel 1
-sim -exp fig2 -json -parallel 8
-sim -exp fig2 -json -prefix-caching=false
-sim -exp scale -instances 4 -duration 32 -json
-sim -exp scale -instances 64 -duration 300 -json
-sim -exp all -json
-sim -exp all -scale full -json
-sim -exp all -scale clusterb -json
-sim -exp all -json -prefix-caching
-sim -exp all -json -prefix-caching -cache-evict fifo
-sim -exp all -json -scale full -prefix-caching
-sim -exp prefix -json
-sim -exp prefix -json -scale full
-sim -exp disagg -json -parallel 1
-sim -exp disagg -json -parallel 8
-sim -exp disagg -json -scale full
-sim -exp disagg -json -prefix-caching -load 3
-sim -exp slo -json
-sim -exp fig12 -json -spec examples/specs/slo_two_class.json
-sim -sweep seed=1:21:1 -json
-sim -sweep seed=1:8:1 -scale full -json
+# Every output gate (TestGoldenGates' list), then a traced fig2.
+while read -r name args; do
+    case $name in '' | '#'*) continue ;; esac
+    sim $args < /dev/null
+done < cmd/kunserve-sim/testdata/gates.txt
 sim -exp fig2 -json -parallel 1 -trace "$tmp/trace.json"
 rm -f "$tmp/trace.json"
 
