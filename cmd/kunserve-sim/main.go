@@ -176,8 +176,8 @@ func report(w io.Writer, err error) int {
 }
 
 // run is the command: it parses args on a fresh flag set, runs the
-// selected experiment or sweep, and writes its output to stdout and its
-// notes, usage text and profiles' errors to stderr.
+// selected experiment or sweep, writes its output to stdout and its notes
+// and usage text to stderr, and returns any other error.
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -307,18 +307,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintln(stderr, "note: -exp disagg sweeps load multipliers over the derived burst trace and ignores -spec")
 		}
 	}
-	var (
-		sweepKey    string
-		sweepValues []float64
-	)
+	runSelected := func() error { return runExp(stdout, selected, cfg, *jsonOut) }
 	if *sweepFlag != "" {
-		var err error
-		if sweepKey, sweepValues, err = experiments.ParseSweep(*sweepFlag); err != nil {
+		key, values, err := experiments.ParseSweep(*sweepFlag)
+		if err != nil {
 			return usageError{error: err}
 		}
 		if set["exp"] {
 			fmt.Fprintln(stderr, "note: -exp is ignored in -sweep mode (the sweep runs the five systems)")
 		}
+		runSelected = func() error { return runSweep(stdout, key, values, cfg, *jsonOut) }
 	}
 
 	var stopCPU func() error
@@ -330,12 +328,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		stopCPU = stop
 	}
 
-	var runErr error
-	if *sweepFlag != "" {
-		runErr = runSweep(stdout, sweepKey, sweepValues, cfg, *jsonOut)
-	} else {
-		runErr = runExp(stdout, selected, cfg, *jsonOut)
-	}
+	runErr := runSelected()
 
 	// Profiles and traces flush even when the run errored: a partial
 	// trace of a failing experiment is exactly what one debugs with.
