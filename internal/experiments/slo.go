@@ -6,7 +6,6 @@ import (
 
 	"kunserve/internal/cluster"
 	"kunserve/internal/runner"
-	"kunserve/internal/sched"
 	"kunserve/internal/sim"
 	"kunserve/internal/workload/spec"
 )
@@ -30,8 +29,6 @@ type SLORun struct {
 // two-class trace served under every (discipline × system) combination,
 // with per-class latency, attainment, and goodput in each run's PerClass.
 type SLOResult struct {
-	// Router echoes the dispatch router every run used.
-	Router string
 	// Classes lists the SLO classes of the workload, sorted.
 	Classes     []string
 	Systems     []System
@@ -107,7 +104,6 @@ func ExperimentSLO(cfg Config) (*SLOResult, error) {
 			cfg.WorkloadSpec.Name)
 	}
 	res := &SLOResult{
-		Router:      sched.NewLeastLoaded().Name(),
 		Classes:     targets.Names(),
 		Systems:     SLOSystems,
 		Disciplines: SLODisciplines,
@@ -143,7 +139,6 @@ func ExperimentSLO(cfg Config) (*SLOResult, error) {
 // attainment table.
 func PrintExperimentSLO(w io.Writer, r *SLOResult) {
 	printHeader(w, "SLO attainment: per-class scheduling under memory throttling")
-	fmt.Fprintf(w, "router %s; classes: %v\n", r.Router, r.Classes)
 	for _, run := range r.Runs {
 		fmt.Fprintf(w, "%-8s %-11s  TTFT P99 %.3fs  TPOT P99 %.1fms  finished %d\n",
 			run.Discipline, run.System, run.TTFTP99, run.TPOTP99*1000, run.Finished)
