@@ -14,7 +14,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 
@@ -165,7 +164,7 @@ func jsonDiff(p string, g, w any) (string, bool) {
 				keys = append(keys, k)
 			}
 		}
-		sort.Strings(keys)
+		slices.Sort(keys)
 		for _, k := range keys {
 			gk, inG := gv[k]
 			wk, inW := wv[k]
