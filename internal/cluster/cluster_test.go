@@ -220,6 +220,22 @@ func TestPipelinedGroupServes(t *testing.T) {
 	}
 }
 
+// Only pipelines get a pipeline engine: vLLM (DP)'s singleton groups run
+// their rounds on their instance's timer, and vLLM (PP)'s pairs run
+// through a two-stage pipeline.
+func TestOnlyPipelinesHaveAPipeline(t *testing.T) {
+	for _, g := range testCluster(t, 4, recomputePolicy{}).Groups() {
+		if g.Stages() != 1 || g.Pipeline() != nil {
+			t.Errorf("DP group %d: %d stages, pipeline %v", g.ID, g.Stages(), g.Pipeline())
+		}
+	}
+	for _, g := range testCluster(t, 4, ppSetupPolicy{}).Groups() {
+		if g.Stages() != 2 || g.Pipeline() == nil || g.Pipeline().Stages() != 2 {
+			t.Errorf("PP group %d: %d stages, pipeline %v", g.ID, g.Stages(), g.Pipeline())
+		}
+	}
+}
+
 func TestPPSlowerThanDPUnderNoOverload(t *testing.T) {
 	// Figure 12: vLLM (PP) throughput is lower than DP absent overload.
 	trace := smallTrace(40, 0.1, 1024, 64)

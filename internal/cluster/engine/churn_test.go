@@ -27,14 +27,14 @@ import (
 // requests in admission order, queue the wait queue in FCFS order, and
 // stalled the subset the test stalled.
 //
-// The model also replays reservation order, which Victim depends on. An
-// extra stage after admission records the round's batch in reservation
-// order (decodes in lane order, then the prefill chunks the budget packs);
-// a request counts as reserved once the reservation walk has passed it.
-// Outside a pressure callback the walk is complete. Inside one, the walk
-// stands at the first batch member that neither holds its reservation in
-// its Seq nor was dropped — the model reads only requests and Seqs, never
-// the engine's slots.
+// The model also replays reservation order, which Victim depends on.
+// After admission, the engine's round hook records the round's batch in
+// reservation order (decodes in lane order, then the prefill chunks the
+// budget packs); a request counts as reserved once the reservation walk
+// has passed it. Outside a pressure callback the walk is complete. Inside
+// one, the walk stands at the first batch member that neither holds its
+// reservation in its Seq nor was dropped — the model reads only requests
+// and Seqs, never the engine's slots.
 type churn struct {
 	t    *testing.T
 	rng  *rand.Rand
@@ -114,13 +114,14 @@ func newPipelinedChurn(t *testing.T, seed int64, blocks, budget int, traced bool
 		tr = discard{}
 	}
 	cfg := model.Qwen25_14B()
-	stages := []*pipeline.Stage{{Timer: gpu.NewTimer(gpu.A800(), cfg, 1)}}
+	depth, timer := 1, gpu.NewTimer(gpu.A800(), cfg, 1)
+	var pipe *pipeline.Engine
 	var formFn former
 	if form != nil {
 		half := cfg.Partial(cfg.Layers / 2)
-		stages = nil
+		var stages []*pipeline.Stage
 		for i := 0; i < 2; i++ {
-			stages = append(stages, &pipeline.Stage{InstanceID: i,
+			stages = append(stages, &pipeline.Stage{
 				Timer:  gpu.NewTimer(gpu.A800(), half, 1),
 				Egress: network.NewLink(c.simu, "egress", network.RDMA200, network.DefaultLatency)})
 		}
@@ -129,15 +130,17 @@ func newPipelinedChurn(t *testing.T, seed int64, blocks, budget int, traced bool
 			c.checkForm(form, stages[0].Timer, dec, items, n, got)
 			return got
 		}
+		depth, timer, pipe = 2, nil, pipeline.New(c.simu, stages, 1)
 	}
 	c.e = New(Options{
 		Sim:        c.simu,
 		Pool:       c.pool,
-		Pipeline:   pipeline.New(c.simu, stages, 1),
+		Timer:      timer,
+		Pipeline:   pipe,
 		Queue:      sched.NewFCFS(),
 		Collector:  c.col,
 		Budget:     batching.Budget{MaxTokens: budget},
-		Depth:      len(stages),
+		Depth:      depth,
 		RetryDelay: sim.Millisecond,
 		Tracer:     tr,
 		Callbacks: Callbacks{
@@ -150,25 +153,17 @@ func newPipelinedChurn(t *testing.T, seed int64, blocks, budget int, traced bool
 			},
 		},
 	})
-	observe := stage{"observe", func(*Engine, *round) bool {
-		c.observe()
-		return true
-	}}
 	decodes := 0
-	before := stage{"before-reserve", func(_ *Engine, rd *round) bool {
-		decodes = len(rd.dec)
-		return true
-	}}
-	after := stage{"after-reserve", func(_ *Engine, rd *round) bool {
-		c.unreserved += decodes - len(rd.dec)
-		return true
-	}}
-	st := slices.Clone(c.e.stages)
-	i := slices.IndexFunc(st, func(st stage) bool { return st.name == "admit" })
-	st = slices.Insert(st, i+1, observe)
-	i = slices.IndexFunc(st, func(st stage) bool { return st.name == "reserve" })
-	st = slices.Insert(st, i+1, after)
-	c.e.stages = slices.Insert(st, i, before)
+	c.e.hook = func(step string) {
+		switch step {
+		case "admit":
+			c.observe()
+		case "form":
+			decodes = len(c.e.rd.dec)
+		case "reserve":
+			c.unreserved += decodes - len(c.e.rd.dec)
+		}
+	}
 	return c
 }
 

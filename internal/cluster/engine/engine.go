@@ -1,18 +1,20 @@
 // Package engine is the role-aware execution engine behind a serving
 // group: it owns the group's request sets (wait queue, running, stalled)
-// and runs its scheduling rounds as a stage pipeline. Each stage —
-// admission, schedulable collection, iteration forming, KV reservation,
-// launch — is a separate step, and the group's Role selects which stages
-// run and which request states the group accepts:
+// and runs its scheduling rounds. A round is one straight sequence of
+// steps — the policy hook, admission, schedulable collection, iteration
+// forming, KV reservation, launch — and the group's Role selects which
+// steps run and which request states the group accepts:
 //
-//   - Collocated (the default) runs every stage and serves the full
-//     request lifecycle, reproducing the original monolithic Group loop
-//     byte-for-byte.
+//   - Collocated (the default) runs every step and serves the full
+//     request lifecycle.
 //   - Prefill admits new arrivals and runs prefill chunks only; a
 //     completed prefill is handed to the policy (KV handoff to a decode
 //     group) instead of decoding locally.
 //   - Decode never admits from its queue — requests arrive pre-filled via
 //     KV handoff adoption — and runs decode steps only.
+//
+// A single-stage round runs on the instance's timer as one event; a
+// pipelined one runs its microbatches through a pipeline.Engine.
 //
 // The engine is deliberately cluster-agnostic: everything it needs from
 // the policy layer (pressure handling, microbatch forming, handoff)
@@ -36,7 +38,7 @@ import (
 	"kunserve/internal/sim"
 )
 
-// Role selects which stages of the scheduling round a group runs and
+// Role selects which steps of the scheduling round a group runs and
 // which requests it accepts.
 type Role int
 
@@ -121,7 +123,10 @@ type Options struct {
 	Sim *sim.Simulation
 	// Pool is the group's KV block pool.
 	Pool *kvcache.Pool
-	// Pipeline executes the formed microbatches.
+	// Timer prices a single-stage group's rounds: required at Depth 1.
+	// Pipeline runs a pipelined group's microbatches: required above it,
+	// unset at it.
+	Timer    *gpu.Timer
 	Pipeline *pipeline.Engine
 	// Queue is the group's wait-queue discipline.
 	Queue sched.Discipline
@@ -152,6 +157,7 @@ type Engine struct {
 
 	simu  *sim.Simulation
 	pool  *kvcache.Pool
+	timer *gpu.Timer
 	pipe  *pipeline.Engine
 	queue sched.Discipline
 	col   *metrics.Collector
@@ -242,20 +248,21 @@ type Engine struct {
 	// roundsRun counts completed scheduling rounds (diagnostics only).
 	roundsRun int
 
-	stages []stage
+	// hook, set by tests only, runs at round start with step "start" and
+	// after each step with its name, where a traced round emits instants.
+	hook func(step string)
 
 	// rd is the per-round scratch state, reused across rounds: at most one
 	// round is in flight per engine, and finishRound consumes rd.items
 	// before the next round can start.
 	rd round
-	// mb1 is the persistent single-microbatch header single-stage groups
-	// launch with (no Former call, no per-round slice).
-	mb1 [1]batching.Microbatch
+	// work is a single-stage round's chunk list, reused across rounds.
+	work []gpu.ChunkWork
 	// split is the microbatch scratch pipelined groups form into. The
 	// pipeline holds the microbatches only until the round ends, and one
 	// round runs at a time, so one Split per engine suffices.
 	split batching.Split
-	// finishFn is the launch-stage completion closure, built once so a
+	// finishFn is the launch step's completion closure, built once so a
 	// round launch allocates nothing.
 	finishFn func()
 	// wakeFn is the persistent method-value closure for retry events (one
@@ -282,7 +289,7 @@ type Engine struct {
 // request's decode-hot state, so a steady decode token moves by touching
 // the slot alone; the Request and its Seq catch up at the next write-back.
 // A cold slot (prefilling, stalled, or on a prefill role) leaves the
-// Request authoritative, and every stage reads it there; it is never a
+// Request authoritative, and every step reads it there; it is never a
 // decode.
 //
 // A hot slot whose Seq has a counted tail (slotCounted, see
@@ -435,13 +442,19 @@ func (w *wheel) reset() {
 	w.free = 0
 }
 
-// New assembles an engine in the collocated role.
+// New assembles an engine in the collocated role. It panics unless a
+// Timer backs Depth 1 or a Pipeline of Depth stages backs a deeper one.
 func New(opts Options) *Engine {
+	if opts.Depth == 1 && opts.Timer == nil || opts.Depth != 1 && opts.Pipeline == nil ||
+		opts.Pipeline != nil && opts.Pipeline.Stages() != opts.Depth {
+		panic(fmt.Sprintf("engine: group %d has no executor for depth %d", opts.GroupID, opts.Depth))
+	}
 	e := &Engine{
 		role:       RoleCollocated,
 		groupID:    opts.GroupID,
 		simu:       opts.Sim,
 		pool:       opts.Pool,
+		timer:      opts.Timer,
 		pipe:       opts.Pipeline,
 		queue:      opts.Queue,
 		col:        opts.Collector,
@@ -453,7 +466,6 @@ func New(opts Options) *Engine {
 		rt:         opts.Req,
 		curStamp:   uint64(opts.GroupID+1) << 40,
 	}
-	e.stages = stagesFor(e.role)
 	e.finishFn = func() { e.finishRound(e.rd.items) }
 	e.wakeFn = e.Wake
 	return e
@@ -462,24 +474,17 @@ func New(opts Options) *Engine {
 // Role returns the engine's execution role.
 func (e *Engine) Role() Role { return e.role }
 
-// SetRole switches the engine's role, re-selecting its stage pipeline.
+// SetRole switches the engine's role, and so the steps its rounds run.
 // Only legal before any request has reached the group.
 func (e *Engine) SetRole(role Role) error {
 	if e.RunningLen() > 0 || e.queue.Len() > 0 || e.executing {
 		return fmt.Errorf("engine: group %d role change with requests in flight", e.groupID)
 	}
 	e.role = role
-	e.stages = stagesFor(role)
 	return nil
 }
 
-// stage is one step of a scheduling round. Returning false ends the round.
-type stage struct {
-	name string
-	run  func(e *Engine, r *round) bool
-}
-
-// round carries one scheduling round's state between stages: collect
+// round carries one scheduling round's state between steps: collect
 // leaves the decode steps in items, the prefilling requests' lane indices
 // in prefills and the fast decodes' aggregate in fast, and form completes
 // items. In a pipelined round collect also records every decode in dec,
@@ -502,24 +507,6 @@ type round struct {
 	fast    gpu.DecodeSum
 	live    int
 	hadWork bool
-}
-
-var (
-	beforeAdmitStage = stage{"policy", (*Engine).runBeforeAdmit}
-	admitStage       = stage{"admit", (*Engine).runAdmit}
-	collectStage     = stage{"collect", (*Engine).runCollect}
-	formStage        = stage{"form", (*Engine).runForm}
-	reserveStage     = stage{"reserve", (*Engine).runReserve}
-	launchStage      = stage{"launch", (*Engine).runLaunch}
-)
-
-// stagesFor selects the role's stage pipeline. Decode groups skip
-// admission entirely: their requests arrive via handoff adoption.
-func stagesFor(role Role) []stage {
-	if role == RoleDecode {
-		return []stage{beforeAdmitStage, collectStage, formStage, reserveStage, launchStage}
-	}
-	return []stage{beforeAdmitStage, admitStage, collectStage, formStage, reserveStage, launchStage}
 }
 
 // Queue returns the wait-queue discipline.
@@ -870,7 +857,7 @@ func (e *Engine) laneIndex(r *request.Request) int {
 }
 
 // live reports whether a round's items hold lane indices: from the first
-// stage until finishRound has consumed them.
+// step until finishRound has consumed them.
 func (e *Engine) live() bool { return e.scheduling || e.executing }
 
 func (e *Engine) addRunning(r *request.Request) {
@@ -1439,12 +1426,6 @@ func (e *Engine) maxRunning() int {
 	return e.budget.MaxSeqs * e.depth
 }
 
-// runBeforeAdmit gives the policy its start-of-round hook.
-func (e *Engine) runBeforeAdmit(*round) bool {
-	e.cb.BeforeAdmit()
-	return true
-}
-
 // runAdmit moves waiting requests into the running set in the discipline's
 // dispatch order while their prompts fit in free KV blocks. Admission is
 // head-of-line: when the head does not fit, nothing behind it is admitted
@@ -1453,10 +1434,10 @@ func (e *Engine) runBeforeAdmit(*round) bool {
 // need no new blocks, but the matched blocks also stop counting as
 // reclaimable (CanFitWithPrefix) — and the matched prefix counts as
 // already prefilled, so those chunks never reach the iteration former.
-func (e *Engine) runAdmit(*round) bool {
+func (e *Engine) runAdmit() {
 	for e.queue.Len() > 0 {
 		if e.RunningLen() >= e.maxRunning() {
-			return true
+			return
 		}
 		r := e.queue.Peek()
 		if r.Done() {
@@ -1467,11 +1448,11 @@ func (e *Engine) runAdmit(*round) bool {
 		}
 		// A pool without sharing ignores the prefix.
 		if !e.pool.CanFitWithPrefix(r.Prefix, r.PrefillTarget()) {
-			return true
+			return
 		}
 		seq, hit, err := e.pool.NewSeqCached(r.Prefix)
 		if err != nil {
-			return true
+			return
 		}
 		e.queue.Pop()
 		e.demandAdd(-r.PrefillTarget())
@@ -1499,7 +1480,6 @@ func (e *Engine) runAdmit(*round) bool {
 		}
 		e.rt.Transition(e.simu.Now(), r.ID, "prefill", e.groupID)
 	}
-	return true
 }
 
 // runCollect fills the round's decode and prefill halves: a decode step in
@@ -1525,7 +1505,7 @@ func (e *Engine) runAdmit(*round) bool {
 // Pipelined rounds always walk, and the walk records their decode sequence
 // for the former. Entering the walk materializes every slot once; the next
 // epoch round re-places them.
-func (e *Engine) runCollect(rd *round) bool {
+func (e *Engine) runCollect(rd *round) {
 	fastLimit := e.fastLimit()
 	// A decode's reservation needs at most one block, so when the pool can
 	// hand every running request one, none reaches the pressure callback
@@ -1547,7 +1527,6 @@ func (e *Engine) runCollect(rd *round) bool {
 		e.fastDecodes += rd.fast.N
 		e.pending = true
 	}
-	return true
 }
 
 // poolCovers reports whether avail blocks cover every hot slot whose next
@@ -1818,7 +1797,7 @@ func appendDecode(items []batching.Item, r *request.Request, lane int32, ctx int
 	return items
 }
 
-// runForm completes the iteration batch the collect stage started in
+// runForm completes the iteration batch the collect step started in
 // rd.items, in batching.FormIteration's order and budget arithmetic (through
 // batching.Packer): it counts the round's fast decodes (which collect kept
 // within the budget) ahead of the item decodes, keeps the decode steps the
@@ -1828,7 +1807,7 @@ func appendDecode(items []batching.Item, r *request.Request, lane int32, ctx int
 // depth. The fast decodes all precede the first decode past the budget in
 // lane order, so the admitted decodes are a prefix of rd.dec. The round's
 // stamp advances here.
-func (e *Engine) runForm(rd *round) bool {
+func (e *Engine) runForm(rd *round) {
 	pk := batching.NewPacker(e.iterBudget())
 	pk.Decodes(rd.fast.N)
 	decodes := pk.Decodes(len(rd.items))
@@ -1848,7 +1827,6 @@ func (e *Engine) runForm(rd *round) bool {
 	rd.items = items
 	e.curStamp++
 	rd.hadWork = len(items) > 0 || rd.fast.N > 0
-	return true
 }
 
 // iterBudget is one iteration's budget: Budget scaled by pipeline depth.
@@ -1885,7 +1863,7 @@ func (e *Engine) fastLimit() int {
 // the fast decodes collect already reserved, which precede every item in
 // reservation order. A pipelined round's dropped item decodes leave its
 // decode sequence too.
-func (e *Engine) runReserve(rd *round) bool {
+func (e *Engine) runReserve(rd *round) {
 	// Filter in place, writing an item back only after a drop shifted the
 	// kept ones: in the common no-pressure round every item survives and
 	// the slice is never rewritten (no redundant copies, no write
@@ -1937,7 +1915,6 @@ func (e *Engine) runReserve(rd *round) bool {
 		e.demandAdd(growth)
 	}
 	e.compactIfSparse()
-	return true
 }
 
 // dropDecodes deletes the item decodes rd.gone names from rd.dec and
@@ -2003,9 +1980,11 @@ func (e *Engine) reserveSlow(it *batching.Item, growth *int) bool {
 	return false
 }
 
-// runLaunch hands the reserved batch to the pipeline, or schedules a
-// pressure retry when nothing survived reservation.
-func (e *Engine) runLaunch(rd *round) bool {
+// runLaunch starts the reserved batch, or schedules a pressure retry when
+// nothing survived reservation. A single-stage round runs on the group's
+// timer as one event; a pipelined one is formed into microbatches for the
+// pipeline.
+func (e *Engine) runLaunch(rd *round) {
 	if len(rd.items) == 0 && rd.fast.N == 0 {
 		if rd.hadWork {
 			// Memory pressure blocked every item and the policy
@@ -2016,7 +1995,7 @@ func (e *Engine) runLaunch(rd *round) bool {
 			e.simu.After(e.retryDelay, "retry-round", e.wakeFn)
 		}
 		e.fireDrainedIfIdle()
-		return false
+		return
 	}
 	e.executing = true
 	e.roundsRun++
@@ -2029,18 +2008,12 @@ func (e *Engine) runLaunch(rd *round) bool {
 		e.counter(now, "batch_size", float64(len(rd.items)))
 		e.counter(now, "running", float64(e.RunningLen()))
 	}
-	var mbs []batching.Microbatch
 	if e.depth == 1 {
-		// Former implementations must return a single-stage batch unsplit
-		// (the interface contract), so skip the call and reuse a
-		// persistent one-element header instead of allocating it per round.
-		e.mb1[0] = batching.Microbatch{Items: rd.items, Dec: rd.fast}
-		mbs = e.mb1[:]
-	} else {
-		mbs = e.cb.Form(&e.split, rd.dec, rd.items, e.depth)
+		e.work = batching.AppendChunkWork(e.work[:0], rd.items)
+		e.simu.After(e.timer.Time(e.work, rd.fast), "round", e.finishFn)
+		return
 	}
-	e.pipe.RunRound(mbs, e.finishFn)
-	return true
+	e.pipe.RunRound(e.cb.Form(&e.split, rd.dec, rd.items, e.depth), e.finishFn)
 }
 
 func (e *Engine) counter(now sim.Time, name string, v float64) {
@@ -2054,28 +2027,54 @@ func (e *Engine) startRound() {
 	}
 	e.compactIfSparse()
 	e.scheduling = true
-	defer func() { e.scheduling = false }()
 	rd := &e.rd
 	rd.prefills = rd.prefills[:0]
 	rd.items = rd.items[:0]
 	rd.dec = rd.dec[:0]
 	rd.hadWork = false
-	for _, st := range e.stages {
-		ok := st.run(e, rd)
-		if e.tr != nil {
-			// One instant per stage, on the stage's own thread row, so
-			// Perfetto shows the pipeline's shape round by round.
-			e.tr.Emit(obs.Event{Phase: obs.PhaseInstant, Time: e.simu.Now(),
-				Cat: obs.CatEngine, Name: st.name, Group: e.groupID,
-				Track: "stage/" + st.name, Req: obs.ReqNone,
-				Args: [2]obs.Arg{
-					{Key: "queued", Val: int64(e.queue.Len())},
-					{Key: "running", Val: int64(e.RunningLen())},
-				}})
-		}
-		if !ok {
-			return
-		}
+	if e.hook != nil {
+		e.hook("start")
+	}
+	e.cb.BeforeAdmit()
+	e.stepDone("policy")
+	if e.role != RoleDecode {
+		// Decode groups' requests arrive by handoff adoption.
+		e.runAdmit()
+		e.stepDone("admit")
+	}
+	e.runCollect(rd)
+	e.stepDone("collect")
+	e.runForm(rd)
+	e.stepDone("form")
+	e.runReserve(rd)
+	e.stepDone("reserve")
+	e.runLaunch(rd)
+	e.stepDone("launch")
+	e.scheduling = false
+}
+
+// stepDone ends one step of the round; it inlines, so a round with no
+// tracer and no hook pays one branch per step.
+func (e *Engine) stepDone(name string) {
+	if e.tr != nil || e.hook != nil {
+		e.watchStep(name)
+	}
+}
+
+// watchStep emits a traced round's instant on the step's own thread row, so
+// Perfetto shows each round's shape, and runs the hook.
+func (e *Engine) watchStep(name string) {
+	if e.tr != nil {
+		e.tr.Emit(obs.Event{Phase: obs.PhaseInstant, Time: e.simu.Now(),
+			Cat: obs.CatEngine, Name: name, Group: e.groupID,
+			Track: "stage/" + name, Req: obs.ReqNone,
+			Args: [2]obs.Arg{
+				{Key: "queued", Val: int64(e.queue.Len())},
+				{Key: "running", Val: int64(e.RunningLen())},
+			}})
+	}
+	if e.hook != nil {
+		e.hook(name)
 	}
 }
 

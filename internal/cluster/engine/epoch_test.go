@@ -70,13 +70,13 @@ func refCollect(e *Engine, lane []slot, carried int) (items []batching.Item, pre
 	return items, prefills, fast, crossed
 }
 
-// oracle replaces the engine's collect stage: it runs refCollect on a
-// materialized copy of the lane, then the engine's own collect, and
-// compares the two rounds and every slot, materialized.
+// oracle watches the engine's collect step through the round hook: before
+// it, the oracle runs refCollect on a materialized copy of the lane; after
+// it, it compares the two rounds and every slot, materialized.
 type oracle struct {
 	t *testing.T
-	// carried is the number of dead slots the round began with, counted
-	// by the round's first stage.
+	e *Engine
+	// carried is the number of dead slots the round began with.
 	carried int
 	// epoch, walk and fastWalk count epoch rounds, walk rounds and walk
 	// rounds with a nonzero fastLimit; switches counts entries into the
@@ -88,52 +88,72 @@ type oracle struct {
 	// crossings epoch rounds took on the fast path.
 	epoch, walk, fastWalk, switches, due, cold int
 	covered, uncovered, crossed                int
+
+	// The current round as of just before collect: refCollect's round
+	// and the copy of the lane it advanced, the pool's available blocks,
+	// whether the stop rule was live, the hot slots needing a block and
+	// whether the epoch lane was on.
+	wantItems            []batching.Item
+	wantPrefills         []int32
+	wantFast             gpu.DecodeSum
+	wantCrossed          int
+	lane                 []slot
+	avail, crossings     int
+	stopLive, wasEpochOn bool
 }
 
 // begin counts the dead slots a round begins with.
-func (o *oracle) begin(e *Engine, rd *round) bool {
+func (o *oracle) begin() {
+	e := o.e
 	o.carried = 0
 	for i := range e.lane {
 		if e.lane[i].req == nil {
 			o.carried++
 		}
 	}
-	return true
 }
 
-func (o *oracle) collect(e *Engine, rd *round) bool {
-	o.t.Helper()
-	lane := slices.Clone(e.lane)
-	for i := range lane {
-		e.materialize(&lane[i])
+// before runs refCollect on a materialized copy of the lane as collect
+// finds it.
+func (o *oracle) before() {
+	e := o.e
+	o.lane = slices.Clone(e.lane)
+	for i := range o.lane {
+		e.materialize(&o.lane[i])
 	}
-	fastLimit, avail := e.fastLimit(), e.pool.AvailableBlocks()
-	stopLive := e.depth == 1 && fastLimit > 0 && e.RunningLen() <= fastLimit && avail < len(lane)-o.carried
-	crossings := 0
-	for i := range lane {
-		if lane[i].is(slotHot) && lane[i].room < 1 {
-			crossings++
+	fastLimit := e.fastLimit()
+	o.avail = e.pool.AvailableBlocks()
+	o.stopLive = e.depth == 1 && fastLimit > 0 && e.RunningLen() <= fastLimit && o.avail < len(o.lane)-o.carried
+	o.crossings = 0
+	for i := range o.lane {
+		if o.lane[i].is(slotHot) && o.lane[i].room < 1 {
+			o.crossings++
 		}
 	}
-	wantItems, wantPrefills, wantFast, crossed := refCollect(e, lane, o.carried)
-	was := e.epochOn
-	e.runCollect(rd)
-	if stopLive {
+	o.wantItems, o.wantPrefills, o.wantFast, o.wantCrossed = refCollect(e, o.lane, o.carried)
+	o.wasEpochOn = e.epochOn
+}
+
+// after checks the round collect built against refCollect's.
+func (o *oracle) after() {
+	o.t.Helper()
+	e, rd := o.e, &o.e.rd
+	if o.stopLive {
 		if e.epochOn {
 			o.covered++
 		} else {
 			o.uncovered++
 		}
-		if e.epochOn != (crossings <= avail) {
+		if e.epochOn != (o.crossings <= o.avail) {
 			o.t.Fatalf("round %d: stop rule live, %d crossings, %d blocks available, epoch lane %v",
-				e.RoundsRun(), crossings, avail, e.epochOn)
+				e.RoundsRun(), o.crossings, o.avail, e.epochOn)
 		}
 	}
 	switch {
 	case e.epochOn:
 		o.epoch++
-		o.crossed += crossed
-		if !was {
+		o.crossed += o.wantCrossed
+		if !o.wasEpochOn {
 			o.switches++
 		}
 		if len(rd.items) > 0 {
@@ -149,22 +169,22 @@ func (o *oracle) collect(e *Engine, rd *round) bool {
 		o.walk++
 	}
 	round := fmt.Sprintf("round %d (epoch lane %v)", e.RoundsRun(), e.epochOn)
-	if !slices.Equal(rd.items, wantItems) {
-		o.t.Fatalf("%s: items %v, walk %v", round, lanes(rd.items), lanes(wantItems))
+	if !slices.Equal(rd.items, o.wantItems) {
+		o.t.Fatalf("%s: items %v, walk %v", round, lanes(rd.items), lanes(o.wantItems))
 	}
-	if !slices.Equal(rd.prefills, wantPrefills) {
-		o.t.Fatalf("%s: prefills %v, walk %v", round, rd.prefills, wantPrefills)
+	if !slices.Equal(rd.prefills, o.wantPrefills) {
+		o.t.Fatalf("%s: prefills %v, walk %v", round, rd.prefills, o.wantPrefills)
 	}
-	if rd.fast != wantFast {
-		o.t.Fatalf("%s: fast %+v, walk %+v", round, rd.fast, wantFast)
+	if rd.fast != o.wantFast {
+		o.t.Fatalf("%s: fast %+v, walk %+v", round, rd.fast, o.wantFast)
 	}
-	if claimed := avail - e.pool.AvailableBlocks(); claimed != crossed {
-		o.t.Fatalf("%s: collect claimed %d blocks for %d crossings", round, claimed, crossed)
+	if claimed := o.avail - e.pool.AvailableBlocks(); claimed != o.wantCrossed {
+		o.t.Fatalf("%s: collect claimed %d blocks for %d crossings", round, claimed, o.wantCrossed)
 	}
 	for i := range e.lane {
 		got := e.lane[i]
 		e.materialize(&got)
-		want := lane[i]
+		want := o.lane[i]
 		// Only the epoch bookkeeping may differ.
 		got.set(slotRel, false)
 		want.set(slotRel, false)
@@ -173,7 +193,6 @@ func (o *oracle) collect(e *Engine, rd *round) bool {
 			o.t.Fatalf("%s: slot %d materializes to %+v, walk %+v", round, i, got, want)
 		}
 	}
-	return true
 }
 
 func lanes(items []batching.Item) []int32 {
@@ -184,13 +203,27 @@ func lanes(items []batching.Item) []int32 {
 	return out
 }
 
-// withOracle swaps the churn engine's collect stage for an oracle, and
-// puts the oracle's begin stage first.
+// withOracle puts an oracle around the churn engine's collect step, after
+// the churn model's own hook. The step before collect is admission, or the
+// policy hook on a decode role, which admits nothing.
 func withOracle(c *churn) *oracle {
-	o := &oracle{t: c.t}
-	i := slices.IndexFunc(c.e.stages, func(st stage) bool { return st.name == "collect" })
-	c.e.stages[i] = stage{"collect", o.collect}
-	c.e.stages = slices.Insert(c.e.stages, 0, stage{"begin", o.begin})
+	o := &oracle{t: c.t, e: c.e}
+	model := c.e.hook
+	c.e.hook = func(step string) {
+		model(step)
+		switch step {
+		case "start":
+			o.begin()
+		case "policy":
+			if c.e.Role() == RoleDecode {
+				o.before()
+			}
+		case "admit":
+			o.before()
+		case "collect":
+			o.after()
+		}
+	}
 	return o
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"kunserve/internal/batching"
 	"kunserve/internal/cluster/engine"
+	"kunserve/internal/gpu"
 	"kunserve/internal/instance"
 	"kunserve/internal/kvcache"
 	"kunserve/internal/pipeline"
@@ -12,9 +13,9 @@ import (
 )
 
 // Group is the unit of execution: one or more instances that together hold
-// a complete copy of the model. A singleton group executes normally; a
-// multi-instance group (after a parameter drop, or the static PP baseline)
-// executes with pipeline parallelism.
+// a complete copy of the model. A singleton group runs on its instance's
+// timer; a multi-instance group (after a parameter drop, or the static PP
+// baseline) runs through a pipeline engine.
 //
 // Scheduling rounds — admission in the wait-queue discipline's order,
 // iteration forming with chunked prefill, KVCache reservation (invoking
@@ -23,10 +24,11 @@ import (
 // engine), embedded so its request-set operations (Enqueue, Stall,
 // Victim, Drain, the counters) are the group's own; Group adds what
 // needs the cluster, the pool or the instances. The group's Role selects
-// which stages run: Collocated (the default) serves the full lifecycle,
-// Prefill serves prompts and hands completed prefills off, Decode serves
-// generation over handed-off KV. Set it through Group.SetRole, which
-// checks that a prefill role has a policy to hand completed prefills to.
+// which steps a round runs: Collocated (the default) serves the full
+// lifecycle, Prefill serves prompts and hands completed prefills off,
+// Decode serves generation over handed-off KV. Set it through
+// Group.SetRole, which checks that a prefill role has a policy to hand
+// completed prefills to.
 type Group struct {
 	ID int
 	*engine.Engine
@@ -87,19 +89,21 @@ func newGroup(id int, cl *Cluster, insts []*instance.Instance) (*Group, error) {
 		g.pool.SetTracer(cl.tracer, cl.Sim.Now, id)
 	}
 
-	stages := make([]*pipeline.Stage, len(insts))
-	for i, in := range insts {
-		stages[i] = &pipeline.Stage{
-			InstanceID: in.ID,
-			Timer:      in.Timer(),
-			Egress:     cl.Fabric.Egress(in.ID),
+	var timer *gpu.Timer
+	if len(insts) == 1 {
+		timer = insts[0].Timer()
+	} else {
+		stages := make([]*pipeline.Stage, len(insts))
+		for i, in := range insts {
+			stages[i] = &pipeline.Stage{Timer: in.Timer(), Egress: cl.Fabric.Egress(in.ID)}
 		}
+		g.pipe = pipeline.New(cl.Sim, stages, int64(m.HiddenDim)*m.BytesPerParam)
 	}
-	g.pipe = pipeline.New(cl.Sim, stages, int64(m.HiddenDim)*m.BytesPerParam)
 	g.Engine = engine.New(engine.Options{
 		GroupID:    id,
 		Sim:        cl.Sim,
 		Pool:       g.pool,
+		Timer:      timer,
 		Pipeline:   g.pipe,
 		Queue:      cl.newDiscipline(),
 		Collector:  cl.Collector,
@@ -170,7 +174,7 @@ func (g *Group) Stages() int { return len(g.instances) }
 // Pool returns the group's KV block pool.
 func (g *Group) Pool() *kvcache.Pool { return g.pool }
 
-// Pipeline returns the group's pipeline engine (bubble metrics).
+// Pipeline returns the pipeline engine (bubble metrics), nil for singletons.
 func (g *Group) Pipeline() *pipeline.Engine { return g.pipe }
 
 // UsedTokens returns tokens of KV currently allocated.

@@ -235,13 +235,3 @@ func (t *Timer) sums(chunks []ChunkWork, dec DecodeSum) (totalNew int, attnFlops
 func (t *Timer) PrefillTime(prefixLen, chunkLen int) sim.Duration {
 	return t.MicrobatchTime([]ChunkWork{{PrefixLen: prefixLen, ChunkLen: chunkLen}})
 }
-
-// DecodeTime returns the time of one decode iteration over requests with the
-// given context lengths, priced through the aggregate term.
-func (t *Timer) DecodeTime(contextLens []int) sim.Duration {
-	dec := DecodeSum{N: len(contextLens)}
-	for _, n := range contextLens {
-		dec.Context += n + 1
-	}
-	return t.Time(nil, dec)
-}

@@ -12,6 +12,16 @@ import (
 
 func timer14B() *Timer { return NewTimer(A800(), model.Qwen25_14B(), 1) }
 
+// DecodeTime returns the time of one decode iteration over requests with the
+// given context lengths, priced through the aggregate term.
+func (t *Timer) DecodeTime(contextLens []int) sim.Duration {
+	dec := DecodeSum{N: len(contextLens)}
+	for _, n := range contextLens {
+		dec.Context += n + 1
+	}
+	return t.Time(nil, dec)
+}
+
 func TestSpecsValidate(t *testing.T) {
 	for _, s := range []*Spec{A800(), H800()} {
 		if err := s.Validate(); err != nil {

@@ -134,6 +134,10 @@ type Series struct {
 	window sim.Duration
 	sums   []float64
 	counts []int64
+	// last is the bin Observe last touched and [lo, hi) its time span, so
+	// an observation in the same window costs no division.
+	last   int
+	lo, hi sim.Time
 }
 
 // NewSeries creates a series with the given bin width.
@@ -159,10 +163,14 @@ func (s *Series) Observe(t sim.Time, v float64) {
 	if t < 0 {
 		panic("metrics: negative time")
 	}
-	bin := int(sim.Duration(t) / s.window)
-	s.grow(bin)
-	s.sums[bin] += v
-	s.counts[bin]++
+	if t < s.lo || t >= s.hi {
+		s.last = int(sim.Duration(t) / s.window)
+		s.lo = sim.Time(s.last) * sim.Time(s.window)
+		s.hi = s.lo.Add(s.window)
+		s.grow(s.last)
+	}
+	s.sums[s.last] += v
+	s.counts[s.last]++
 }
 
 // Bins returns the number of bins touched.

@@ -146,6 +146,41 @@ func TestDistPercentileNearestRank(t *testing.T) {
 	}
 }
 
+// Observe divides only when t leaves the last bin's window; its bins,
+// sums and counts must equal binning every observation by division, for
+// runs of nearby times, jumps both ways and times on window edges.
+func TestSeriesMatchesDivision(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const window = 3 * sim.Second
+	s := NewSeries(window)
+	var sums []float64
+	var counts []int64
+	at := sim.Time(0)
+	for i := 0; i < 20000; i++ {
+		switch k := rng.Intn(10); {
+		case k == 0:
+			at = sim.Time(rng.Int63n(int64(40 * sim.Second)))
+		case k == 1:
+			at = sim.Time(rng.Int63n(14)) * sim.Time(window) // a window's first instant
+		case k == 2:
+			at = sim.Time(1+rng.Int63n(14))*sim.Time(window) - 1 // a window's last
+		default:
+			at = at.Add(sim.Duration(rng.Int63n(int64(200 * sim.Millisecond))))
+		}
+		v := float64(rng.Intn(100))
+		s.Observe(at, v)
+		bin := int(sim.Duration(at) / window)
+		for len(sums) <= bin {
+			sums, counts = append(sums, 0), append(counts, 0)
+		}
+		sums[bin] += v
+		counts[bin]++
+	}
+	if !reflect.DeepEqual(s.sums, sums) || !reflect.DeepEqual(s.counts, counts) {
+		t.Fatalf("series bins %v / %v, division %v / %v", s.sums, s.counts, sums, counts)
+	}
+}
+
 func TestSeries(t *testing.T) {
 	s := NewSeries(10 * sim.Second)
 	s.Observe(sim.FromSeconds(5), 2)

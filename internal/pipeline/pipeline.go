@@ -22,8 +22,6 @@ import (
 // Stage is one pipeline stage: a serving instance holding a contiguous
 // slice of the model's layers.
 type Stage struct {
-	// InstanceID identifies the backing instance (for diagnostics).
-	InstanceID int
 	// Timer times microbatches against this stage's partial model.
 	Timer *gpu.Timer
 	// Egress is the instance's NIC link used to forward activations to
@@ -48,9 +46,6 @@ type Stage struct {
 	busySince sim.Time
 }
 
-// BusyTime returns the stage's cumulative execution time.
-func (st *Stage) BusyTime() sim.Duration { return st.busyTotal }
-
 // Engine executes rounds over a fixed stage list.
 type Engine struct {
 	simu   *sim.Simulation
@@ -73,10 +68,11 @@ type Engine struct {
 	running   bool
 }
 
-// New creates an engine over the given stages.
+// New creates an engine over the given stages, at least two: a
+// single-stage group runs its rounds on its instance's timer directly.
 func New(s *sim.Simulation, stages []*Stage, activationBytesPerToken int64) *Engine {
-	if len(stages) == 0 {
-		panic("pipeline: no stages")
+	if len(stages) < 2 {
+		panic(fmt.Sprintf("pipeline: %d stages, want at least 2", len(stages)))
 	}
 	if activationBytesPerToken <= 0 {
 		panic(fmt.Sprintf("pipeline: activation bytes %d", activationBytesPerToken))
@@ -102,9 +98,6 @@ func New(s *sim.Simulation, stages []*Stage, activationBytesPerToken int64) *Eng
 
 // Stages returns the stage count.
 func (e *Engine) Stages() int { return len(e.stages) }
-
-// Stage returns stage i.
-func (e *Engine) Stage(i int) *Stage { return e.stages[i] }
 
 // SpanTime returns cumulative wall time spent inside rounds.
 func (e *Engine) SpanTime() sim.Duration { return e.spanTotal }

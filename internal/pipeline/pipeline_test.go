@@ -18,18 +18,22 @@ func twoStage(s *sim.Simulation) *Engine {
 	half := cfg.Partial(cfg.Layers / 2)
 	stages := []*Stage{
 		{
-			InstanceID: 0,
-			Timer:      gpu.NewTimer(gpu.A800(), half, 1),
-			Egress:     network.NewLink(s, "e0", network.RDMA200, network.DefaultLatency),
+			Timer:  gpu.NewTimer(gpu.A800(), half, 1),
+			Egress: network.NewLink(s, "e0", network.RDMA200, network.DefaultLatency),
 		},
 		{
-			InstanceID: 1,
-			Timer:      gpu.NewTimer(gpu.A800(), half, 1),
-			Egress:     network.NewLink(s, "e1", network.RDMA200, network.DefaultLatency),
+			Timer:  gpu.NewTimer(gpu.A800(), half, 1),
+			Egress: network.NewLink(s, "e1", network.RDMA200, network.DefaultLatency),
 		},
 	}
 	return New(s, stages, int64(cfg.HiddenDim)*2)
 }
+
+// Stage returns stage i.
+func (e *Engine) Stage(i int) *Stage { return e.stages[i] }
+
+// BusyTime returns the stage's cumulative execution time.
+func (st *Stage) BusyTime() sim.Duration { return st.busyTotal }
 
 // mbsOf wraps item lists as microbatches with no aggregate decodes.
 func mbsOf(items ...[]batching.Item) []batching.Microbatch {
@@ -211,51 +215,36 @@ func TestActivationDelayedByLinkContention(t *testing.T) {
 	}
 }
 
-func TestSingleStageActsAsPlainExecutor(t *testing.T) {
-	s := sim.New(1)
-	cfg := model.Qwen25_14B()
-	st := []*Stage{{
-		InstanceID: 0,
-		Timer:      gpu.NewTimer(gpu.A800(), cfg, 1),
-	}}
-	e := New(s, st, int64(cfg.HiddenDim)*2)
-	done := false
-	e.RunRound(mbsOf(prefillItems(1, 1024)), func() { done = true })
-	s.Run()
-	if !done {
-		t.Fatal("single-stage round")
-	}
-	want := st[0].Timer.PrefillTime(0, 1024)
-	if s.Now() != sim.Time(want) {
-		t.Errorf("elapsed %v, want %v", s.Now(), want)
-	}
-}
-
 // Each microbatch's aggregate decodes ride with it: priced with its items
 // by the timer's aggregate term, forwarded as activations, and run even
 // when the microbatch holds no items.
 func TestAggregateDecodesRideTheirMicrobatch(t *testing.T) {
 	cfg := model.Qwen25_14B()
 	dec := gpu.DecodeSum{N: 3, Context: 301 + 512 + 1025}
+	// Alone, a microbatch runs on the first stage, crosses the idle link
+	// and runs on the second: each stage prices its aggregate decodes with
+	// its items, and the activations count both.
 	for _, items := range [][]batching.Item{nil, prefillItems(1, 256)} {
 		s := sim.New(1)
-		st := []*Stage{{Timer: gpu.NewTimer(gpu.A800(), cfg, 1)}}
-		e := New(s, st, int64(cfg.HiddenDim)*2)
+		e := twoStage(s)
 		done := false
 		e.RunRound([]batching.Microbatch{{Items: items, Dec: dec}}, func() { done = true })
 		s.Run()
 		if !done {
 			t.Fatalf("%d-item round with aggregate decodes never completed", len(items))
 		}
-		want := st[0].Timer.Time(batching.ToChunkWork(items), dec)
+		mb := batching.Microbatch{Items: items, Dec: dec}
+		work := batching.ToChunkWork(items)
+		link := e.Stage(0).Egress.TransferTime(int64(mb.Tokens()) * int64(cfg.HiddenDim) * 2)
+		want := e.Stage(0).Timer.Time(work, dec) + link + e.Stage(1).Timer.Time(work, dec)
 		if s.Now() != sim.Time(want) {
 			t.Errorf("%d-item round took %v, want %v", len(items), s.Now(), want)
 		}
 	}
-	// On two stages, a decode-only microbatch behind a prefill one crosses
-	// the link with its decodes' activations: the round ends when the
-	// second stage finishes it, after it waited for both the first stage
-	// and its own payload.
+	// A decode-only microbatch behind a prefill one crosses the link with
+	// its decodes' activations: the round ends when the second stage
+	// finishes it, after it waited for both the first stage and its own
+	// payload.
 	s := sim.New(1)
 	e := twoStage(s)
 	var end sim.Time
@@ -276,24 +265,27 @@ func TestAggregateDecodesRideTheirMicrobatch(t *testing.T) {
 	}
 }
 
+// A pipeline has at least two stages and a positive activation payload.
 func TestConstructorPanics(t *testing.T) {
 	s := sim.New(1)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("no stages did not panic")
-			}
+	for _, c := range []struct {
+		name   string
+		stages []*Stage
+		bytes  int64
+	}{
+		{"no stages", nil, 1},
+		{"one stage", []*Stage{{}}, 1},
+		{"zero activation bytes", []*Stage{{}, {}}, 0},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", c.name)
+				}
+			}()
+			New(s, c.stages, c.bytes)
 		}()
-		New(s, nil, 1)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("zero activation bytes did not panic")
-			}
-		}()
-		New(s, []*Stage{{}}, 0)
-	}()
+	}
 }
 
 // More microbatches amortize the pipeline drain: bubble ratio decreases
@@ -329,9 +321,8 @@ func TestScheduleWithContendedEgressPinned(t *testing.T) {
 	stages := make([]*Stage, len(layers))
 	for i, l := range layers {
 		stages[i] = &Stage{
-			InstanceID: i,
-			Timer:      gpu.NewTimer(gpu.A800(), cfg.Partial(l), 1),
-			Egress:     network.NewLink(s, "e", network.RDMA200, network.DefaultLatency),
+			Timer:  gpu.NewTimer(gpu.A800(), cfg.Partial(l), 1),
+			Egress: network.NewLink(s, "e", network.RDMA200, network.DefaultLatency),
 		}
 	}
 	e := New(s, stages, int64(cfg.HiddenDim)*2)
